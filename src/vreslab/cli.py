@@ -23,13 +23,14 @@ from .betti import (
     point_presentation,
 )
 from .diffcalc import alternating_betti_from_hilbert
-from .fp import DEFAULT_PRIME
+from .fp import DEFAULT_PRIME, FieldPrime
 from .points import hilbert_matrix, hilbert_window, random_points
 from .vres import (
     REFERENCE_TRIM_31,
     NotInRegularity,
     euler_quadrant_check,
     intersect_vres,
+    intersect_window,
     pair_vres,
     predicted_pair_shape,
 )
@@ -50,11 +51,16 @@ def bidegree(text: str):
     return (i, j)
 
 
-def _resolve_prime(args) -> int:
+def _resolve_prime(parser, args) -> int:
+    """The working prime: --prime, else VRES_PRIME, else the default."""
     if args.prime is not None:
-        return args.prime
-    env = os.environ.get("VRES_PRIME")
-    return int(env) if env else DEFAULT_PRIME
+        value = args.prime
+    else:
+        value = os.environ.get("VRES_PRIME") or DEFAULT_PRIME
+    try:
+        return FieldPrime(int(value)).p
+    except ValueError as exc:
+        parser.error(f"invalid prime {value!r}: {exc}")
 
 
 def _emit(text: str, out):
@@ -80,7 +86,7 @@ def _log_record(args, command, verdicts, started, **extra):
            "n": getattr(args, "n", None),
            "m": getattr(args, "m", None),
            "N": getattr(args, "N", None),
-           "p": _resolve_prime(args),
+           "p": args.prime,
            "verdicts": verdicts,
            "artifacts": [p for p in (args.out,) if p]}
     rec.update(extra)
@@ -94,8 +100,7 @@ def _fail(args, report) -> int:
 
 def cmd_points(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
     _emit(ps.to_json(), args.out)
     _append_log(args.log, _log_record(args, "points", {"generated": True},
@@ -105,8 +110,7 @@ def cmd_points(args) -> int:
 
 def cmd_hilbert(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
     win = args.window or hilbert_window(args.N, args.n, args.m)
     _emit(hilbert_matrix(ps, win).to_csv().rstrip("\n"), args.out)
@@ -117,8 +121,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_dh(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
     win = args.window or hilbert_window(args.N, args.n, args.m)
     dh = alternating_betti_from_hilbert(hilbert_matrix(ps, win), args.n, args.m)
@@ -130,8 +133,7 @@ def cmd_dh(args) -> int:
 
 def cmd_betti(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
     win = args.window or betti_window(args.N, args.n, args.m)
     bt = betti_numbers(point_presentation(ps, win))
@@ -154,8 +156,7 @@ def _mrc_trial(spec):
 
 def cmd_mrc(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    specs = [(N, t, args.seed, p)
+    specs = [(N, t, args.seed, args.prime)
              for N in range(args.nmin, args.nmax + 1)
              for t in range(args.trials)]
     if args.jobs > 1:
@@ -178,20 +179,15 @@ def cmd_mrc(args) -> int:
 
 def cmd_vres_intersect(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
-    window = args.window
+    window = args.window or intersect_window(args.N, args.t, args.n, args.m)
     try:
         try:
             bt, length = intersect_vres(ps, args.t, window=window)
         except DirtyBoundary:
             # one deterministic retry on a doubled window
-            if window is None:
-                window = (2 * (max(args.N, args.t) + args.n + 1),
-                          2 * (args.m + 3))
-            else:
-                window = (2 * window[0], 2 * window[1])
+            window = (2 * window[0], 2 * window[1])
             bt, length = intersect_vres(ps, args.t, window=window)
     except (DirtyBoundary, AssertionError) as exc:
         return _fail(args, [{"error": type(exc).__name__, "detail": str(exc)}])
@@ -205,8 +201,7 @@ def cmd_vres_intersect(args) -> int:
 
 def cmd_vres_pair(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=p,
+    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
                        require_generic=True)
     try:
         shape = pair_vres(ps, args.d, window=args.window)
@@ -225,13 +220,13 @@ def cmd_vres_pair(args) -> int:
 
 def cmd_regress(args) -> int:
     started = time.perf_counter()
-    p = _resolve_prime(args)
     mismatches = []
     checks = 0
     if args.suite in ("appendix", "all"):
         for N in range(2, 12):
             seed = derive_seed(args.seed, "appendix", N)
-            ps = random_points(1, 2, N, seed=seed, p=p, require_generic=True)
+            ps = random_points(1, 2, N, seed=seed, p=args.prime,
+                               require_generic=True)
             shape = pair_vres(ps, (N - 1, 0))
             want = predicted_pair_shape(N)
             checks += 1
@@ -245,7 +240,8 @@ def cmd_regress(args) -> int:
                                    "error": "EulerQuadrant"})
     if args.suite in ("final", "all"):
         seed = derive_seed(args.seed, "final", 31)
-        ps = random_points(1, 2, 31, seed=seed, p=p, require_generic=True)
+        ps = random_points(1, 2, 31, seed=seed, p=args.prime,
+                           require_generic=True)
         shape = pair_vres(ps, (2, 4))
         checks += 1
         if shape != REFERENCE_TRIM_31:
@@ -327,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    args.prime = _resolve_prime(parser, args)
     return args.func(args)
 
 

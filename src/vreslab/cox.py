@@ -102,19 +102,6 @@ def mult_map(var: int, src_degree: tuple[int, int], n: int, m: int) -> np.ndarra
     return mat
 
 
-def mult_target_rows(var: int, src_degree: tuple[int, int], n: int, m: int) -> np.ndarray:
-    """For each source monomial, the target row index of variable * monomial."""
-    di, dj = var_degree(var, n, m)
-    src = monomials(n, m, src_degree)
-    tgt = monomials(n, m, (src_degree[0] + di, src_degree[1] + dj))
-    rows = np.empty(len(src), dtype=np.int64)
-    for c, e in enumerate(src.exponents):
-        bumped = list(e)
-        bumped[var] += 1
-        rows[c] = tgt.index(tuple(bumped))
-    return rows
-
-
 def poly_mult_matrix(coeffs, form_degree: tuple[int, int], src_degree: tuple[int, int],
                      n: int, m: int, p: int) -> np.ndarray:
     """Matrix of multiplication by a fixed form between monomial bases.

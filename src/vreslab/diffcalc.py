@@ -39,12 +39,6 @@ class IntMatrix:
             return 0
         return int(self.values[i, j])
 
-    def restrict(self, window: tuple[int, int]) -> "IntMatrix":
-        wi, wj = window
-        if wi > self.window[0] or wj > self.window[1]:
-            raise ValueError("cannot restrict to a larger window")
-        return IntMatrix(self.values[: wi + 1, : wj + 1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -6,10 +6,9 @@ columns.  All routines are deterministic: pivots are always chosen as the
 first nonzero entry of the current column, pivot rows are scaled to 1, and
 kernel bases are read off the reduced row echelon form in free-column order.
 
-The default prime is 32003, small enough that products fit comfortably in
-both int64 and exact float64 arithmetic, which lets the rank routine use a
-blocked elimination with BLAS matrix products for large inputs (every
-intermediate value stays below 2**53, so the float path is exact).
+Each elimination step forms products of two residues and reduces them
+before the next step.  With p < 2**26, the bound ``FieldPrime`` enforces,
+such a product stays below 2**52, so int64 elimination is exact.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_PRIME = 32003
-
-# below either threshold the simple per-pivot elimination wins; above,
-# the blocked float64 path is used for rank computations
-_BLOCK_MIN_DIM = 48
-_BLOCK_MIN_SIZE = 16384
-_PANEL = 64
 
 
 class ContainmentViolated(Exception):
@@ -51,13 +44,14 @@ class FieldPrime:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
+        if self.p >= 2**26:
+            # keeps every product of two residues below 2**52, well inside
+            # int64, so each elimination step is exact
+            raise ValueError("p must be below 2**26 for exact int64 elimination")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p <= 2:
             raise ValueError("p must be an odd prime")
-        if self.p >= 2**26:
-            # keeps k * p**2 < 2**53 for any block size used here
-            raise ValueError("p too large for the exact float64 block path")
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -106,8 +100,9 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def _rank_pivots(A: np.ndarray, p: int) -> int:
-    # forward elimination only; A is a scratch copy
+def rank(a, p: int) -> int:
+    """Rank over GF(p) by forward elimination with the pivot rule of ``rref``."""
+    A = normalize(a, p).copy()
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -130,72 +125,6 @@ def _rank_pivots(A: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_blocked(A: np.ndarray, p: int) -> int:
-    """Blocked LU-style forward elimination in exact float64 arithmetic.
-
-    Panel columns are eliminated per pivot; trailing columns are updated
-    once per panel with a matrix product.  With entries in [0, p) and
-    p < 2**26 every product sum stays below 2**53, so this is exact.
-    """
-    F = A.astype(np.float64)
-    rows, cols = F.shape
-    r = 0
-    c0 = 0
-    while c0 < cols and r < rows:
-        c1 = min(c0 + _PANEL, cols)
-        panel = F[r:, c0:c1].copy()
-        body = rows - r
-        pivcols: list[int] = []
-        k = 0
-        for c in range(c1 - c0):
-            colv = panel[k:, c]
-            nz = np.flatnonzero(colv)
-            if nz.size == 0:
-                continue
-            i = k + int(nz[0])
-            if i != k:
-                panel[[k, i]] = panel[[i, k]]
-                F[[r + k, r + i]] = F[[r + i, r + k]]
-            inv = float(_inv(int(panel[k, c]), p))
-            below = panel[k + 1 :, c]
-            hit = np.flatnonzero(below)
-            if hit.size:
-                mults = np.mod(below[hit] * inv, p)
-                panel[k + 1 :, c:][hit] = np.mod(
-                    panel[k + 1 :, c:][hit] - np.outer(mults, panel[k, c:]), p
-                )
-                # remember multipliers for the trailing update
-                panel[k + 1 :, c][hit] = mults
-            pivcols.append(c)
-            k += 1
-        if k and c1 < cols:
-            pc = np.asarray(pivcols)
-            # fix up the pivot rows' trailing columns (forward substitution)
-            for j in range(1, k):
-                lrow = panel[j, pc[:j]]
-                hit = np.flatnonzero(lrow)
-                if hit.size:
-                    F[r + j, c1:] = np.mod(
-                        F[r + j, c1:] - lrow[hit] @ F[r + hit, c1:], p
-                    )
-            if k < body:
-                L = panel[k:, pc]
-                F[r + k :, c1:] = np.mod(F[r + k :, c1:] - L @ F[r : r + k, c1:], p)
-        r += k
-        c0 = c1
-    return r
-
-
-def rank(a, p: int) -> int:
-    A = normalize(a, p)
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return 0
-    if min(rows, cols) <= _BLOCK_MIN_DIM or rows * cols <= _BLOCK_MIN_SIZE:
-        return _rank_pivots(A.copy(), p)
-    return _rank_blocked(A, p)
-
-
 def kernel_basis(a, p: int) -> np.ndarray:
     """Canonical basis of the right nullspace, one row per basis vector.
 
@@ -206,14 +135,10 @@ def kernel_basis(a, p: int) -> np.ndarray:
     A = normalize(a, p)
     cols = A.shape[1]
     R, pivots = rref(A, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(cols), pivots)
     ker = np.zeros((len(free), cols), dtype=np.int64)
-    for t, f in enumerate(free):
-        ker[t, f] = 1
-        for i, c in enumerate(pivots):
-            v = int(R[i, f])
-            if v:
-                ker[t, c] = p - v
+    ker[np.arange(len(free)), free] = 1
+    ker[:, pivots] = (-R[: len(pivots)][:, free].T) % p
     return ker
 
 

@@ -116,10 +116,6 @@ def hilbert_window(N: int, n: int, m: int) -> tuple[int, int]:
     return N + n, min_cover_degree(N, m) + m + 1
 
 
-def betti_window(N: int, n: int, m: int) -> tuple[int, int]:
-    return N + n, min_cover_degree(N, m) + m + 2
-
-
 def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
                   require_generic: bool = False,
                   window: tuple[int, int] | None = None,
@@ -199,13 +195,12 @@ class FunctionSpaces:
     pivots: dict[tuple[int, int], np.ndarray]
 
 
-def function_space_bases(ps: PointSet, window: tuple[int, int],
-                         base_row: int = 0) -> FunctionSpaces:
+def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
     """Sweep the window, growing evaluation images by variable action.
 
-    For i > base_row the (i,j) space is spanned by the x-variable actions on
-    the (i-1,j) space; along the base row the y-variables act on (i, j-1).
-    Row ``base_row`` is seeded from an explicit evaluation matrix.
+    For i > 0 the (i,j) space is spanned by the x-variable actions on the
+    (i-1,j) space; along row 0 the y-variables act on (0, j-1), starting
+    from the constant function at (0, 0).
     """
     wi, wj = window
     p = ps.p
@@ -222,16 +217,11 @@ def function_space_bases(ps: PointSet, window: tuple[int, int],
         pivots[(i, j)] = np.asarray(piv, dtype=np.int64)
         dims[i, j] = len(piv)
 
-    for j in range(wj + 1):
-        if base_row == 0 and j == 0:
-            seed_rows = np.ones((1, ps.N), dtype=np.int64)
-        elif base_row == 0:
-            prev = bases[(0, j - 1)]
-            seed_rows = row_stack([prev * v % p for v in yvals], ps.N)
-        else:
-            seed_rows = evaluation_matrix(ps, (base_row, j)).T
-        put(base_row, j, seed_rows)
-    for i in range(base_row + 1, wi + 1):
+    put(0, 0, np.ones((1, ps.N), dtype=np.int64))
+    for j in range(1, wj + 1):
+        prev = bases[(0, j - 1)]
+        put(0, j, row_stack([prev * v % p for v in yvals], ps.N))
+    for i in range(1, wi + 1):
         for j in range(wj + 1):
             prev = bases[(i - 1, j)]
             put(i, j, row_stack([prev * v % p for v in xvals], ps.N))

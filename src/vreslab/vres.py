@@ -168,6 +168,11 @@ def pair_vres(ps, d, window=None) -> FreeComplexShape:
     return virtual_of_pair(bt, d, ps.n, ps.m, witness=wit)
 
 
+def intersect_window(N, t, n, m):
+    """Default window for resolving S/(I intersect <x>^t) for N points."""
+    return (max(N, t) + n + 1, max(min_cover_degree(N, m), m) + m + 2)
+
+
 def intersect_vres(ps, t, window=None):
     """Resolve S/(I intersect <x>^t); return (table, length).
 
@@ -180,8 +185,7 @@ def intersect_vres(ps, t, window=None):
         raise ValueError("t must be >= 1")
     N = ps.N
     if window is None:
-        window = (max(N, t) + ps.n + 1,
-                  max(min_cover_degree(N, ps.m), ps.m) + ps.m + 2)
+        window = intersect_window(N, t, ps.n, ps.m)
     pres = intersected_presentation(ps, t, window)
     bt = betti_numbers(pres)
     length = pdim(bt)

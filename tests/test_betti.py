@@ -220,6 +220,12 @@ class TestMrc:
         assert rep.generic and rep.passed
         assert rep.predicted == rep.beta1
 
+    def test_twenty_five_points_at_large_prime(self):
+        # a prime near 2**25, where products of two residues reach 2**50
+        ps = random_points(1, 2, 25, seed=1, p=33554393, require_generic=True)
+        rep = mrc_check(ps)
+        assert rep.generic and rep.passed
+
     def test_non_generic_short_circuits(self):
         rep = mrc_check(fibered_633())
         assert not rep.generic

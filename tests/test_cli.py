@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from vreslab.betti import betti_numbers, betti_window, point_presentation
+from vreslab import cli
+from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
 from vreslab.cli import derive_seed, main
 from vreslab.diffcalc import alternating_betti_from_hilbert
 from vreslab.points import hilbert_matrix, hilbert_window, random_points
-from vreslab.vres import predicted_pair_shape
+from vreslab.vres import intersect_window, predicted_pair_shape
 
 
 def run(capsys, argv):
@@ -71,6 +72,26 @@ class TestPayloads:
         payload = json.loads(out)
         assert payload["length"] == 3
         assert payload["table"]["boundary_clean"] is True
+
+    def test_intersect_retry_doubles_default_window(self, capsys, monkeypatch):
+        windows = []
+
+        class Table:
+            def to_json(self):
+                return "{}"
+
+        def fake(ps, t, window=None):
+            windows.append(window)
+            if len(windows) == 1:
+                raise DirtyBoundary("entries touch the window boundary")
+            return Table(), 3
+
+        monkeypatch.setattr(cli, "intersect_vres", fake)
+        rc, _ = run(capsys, ["vres-intersect", "--N", "29", "--t", "28",
+                             "--seed", "1"])
+        assert rc == 0 and len(windows) == 2
+        wi, wj = intersect_window(29, 28, 1, 2)
+        assert windows[1][0] >= 2 * wi and windows[1][1] >= 2 * wj
 
     def test_prime_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VRES_PRIME", "101")
@@ -140,3 +161,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, env", [
+        ("32004", None),     # composite
+        ("0", None),
+        ("2", None),         # even
+        ("67108879", None),  # the first prime >= 2**26
+        (None, "abc"),       # VRES_PRIME not an integer
+        (None, "32004"),
+    ])
+    def test_invalid_prime_is_usage_error(self, capsys, monkeypatch, flag, env):
+        if env is None:
+            monkeypatch.delenv("VRES_PRIME", raising=False)
+        else:
+            monkeypatch.setenv("VRES_PRIME", env)
+        argv = ["points", "--N", "3", "--seed", "1"]
+        if flag is not None:
+            argv += ["--prime", flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -27,6 +27,8 @@ from vreslab.fp import (
 )
 
 P = DEFAULT_PRIME
+# the largest prime FieldPrime accepts (p < 2**26)
+LARGEST_PRIME = 67108859
 
 
 def test_field_prime_validation():
@@ -118,24 +120,26 @@ def test_rank_matches_fraction_free_oracle(seed):
     assert rank(a, P) == ff_rank(a, P)
 
 
-def test_blocked_rank_agrees_with_pivot_rank():
-    # sizes chosen to force the blocked float64 path
+@pytest.mark.parametrize("p", (P, LARGEST_PRIME))
+def test_blocked_rank_agrees_with_pivot_rank(p):
+    # sizes large enough that every pivot updates a wide trailing block
     rng = np.random.default_rng(7)
     for cap in (30, 97, 150, None):
-        a = random_fp_matrix(rng, 150, 211, P, rank_cap=cap)
+        a = random_fp_matrix(rng, 150, 211, p, rank_cap=cap)
         expect = cap if cap is not None else 150
-        assert rank(a, P) == expect
+        assert rank(a, p) == ff_rank(a, p) == expect
     # and a structured low-rank wide case cross-checked with the oracle
     a = random_fp_matrix(rng, 130, 70, 101, rank_cap=41)
     assert rank(a, 101) == ff_rank(a, 101) == 41
 
 
-def test_blocked_rank_with_zero_columns_and_repeats():
+@pytest.mark.parametrize("p", (P, LARGEST_PRIME))
+def test_blocked_rank_with_zero_columns_and_repeats(p):
     rng = np.random.default_rng(11)
-    a = random_fp_matrix(rng, 140, 90, P, rank_cap=50)
+    a = random_fp_matrix(rng, 140, 90, p, rank_cap=50)
     a[:, ::3] = 0
     a[70:] = a[:70]
-    assert rank(a, P) == ff_rank(a, P)
+    assert rank(a, p) == ff_rank(a, p)
 
 
 small = st.integers(min_value=0, max_value=6)
