@@ -24,7 +24,7 @@ from .betti import (
 )
 from .diffcalc import alternating_betti_from_hilbert
 from .fp import DEFAULT_PRIME, FieldPrime
-from .points import hilbert_matrix, hilbert_window, random_points
+from .points import WindowTooSmall, hilbert_matrix, hilbert_window, random_points
 from .vres import (
     REFERENCE_TRIM_31,
     NotInRegularity,
@@ -48,6 +48,8 @@ def bidegree(text: str):
         i, j = (int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected i,j") from None
+    if i < 0 or j < 0:
+        raise argparse.ArgumentTypeError("expected i,j >= 0")
     return (i, j)
 
 
@@ -326,7 +328,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.prime = _resolve_prime(parser, args)
-    return args.func(args)
+    for flag in ("N", "nmin", "nmax"):  # point counts
+        if hasattr(args, flag) and not 1 <= getattr(args, flag) < args.prime:
+            parser.error(f"--{flag} must satisfy 1 <= {flag} < p = {args.prime}")
+    if hasattr(args, "t") and args.t < 1:
+        parser.error("--t must be >= 1")
+    try:
+        return args.func(args)
+    except WindowTooSmall as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,18 @@
 Points are stored with normalized coordinates (first coordinate of each
 factor equal to 1), so evaluation of monomials is well defined and the
 degreewise kernel of evaluation is automatically the saturated vanishing
-ideal piece.  The Hilbert matrix is computed by sweeping the window once,
-growing the space of point functions with the diagonal variable actions,
-which keeps every elimination at most N rows wide.
+ideal piece.
+
+The Hilbert matrix comes from a sweep over the window.  It grows the
+evaluation image of S_(i,j) in k^N from a neighbouring cell by the
+variable actions; each step row-reduces a stack of (n+1)*dim or
+(m+1)*dim rows by N columns.  Because x0 = y0 = 1 at every point, the
+image at (i,j) contains the images at (i-1,j) and (i,j-1), so once either
+is all of k^N the cell is saturated: its RREF basis is the identity and
+no elimination runs.  Every swept cell is memoized on its ``PointSet``,
+so the genericity check, the Hilbert matrix, the presentations and the
+regularity witness of one set share a single sweep, and a window only
+computes the cells no earlier window covered.
 """
 
 from __future__ import annotations
@@ -52,10 +61,16 @@ class PointSet:
     ys: np.ndarray
     seed: int | None = None
     rejections: int = field(default=0, compare=False)
+    # (i, j) -> (RREF basis, pivots) of every cell swept so far
+    _cells: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self) -> None:
         self.xs = normalize(self.xs, self.p)
         self.ys = normalize(self.ys, self.p)
+        # the cell memo is sound only while the coordinates cannot change
+        self.xs.flags.writeable = False
+        self.ys.flags.writeable = False
         if self.xs.shape[1] != self.n + 1 or self.ys.shape[1] != self.m + 1:
             raise ValueError("coordinate widths do not match n, m")
         if self.xs.shape[0] != self.ys.shape[0] or self.xs.shape[0] == 0:
@@ -187,6 +202,9 @@ class FunctionSpaces:
     ``bases[(i, j)]`` is an RREF row basis of the functions obtained by
     evaluating S_(i,j); ``pivots[(i, j)]`` are its pivot columns, so the
     coordinates of a member function are just its values at the pivots.
+    Both are read-only arrays shared with the point set's cell memo; all
+    saturated cells (dimension N) hold the identity basis with pivots
+    ``arange(N)``.
     """
 
     window: tuple[int, int]
@@ -195,36 +213,51 @@ class FunctionSpaces:
     pivots: dict[tuple[int, int], np.ndarray]
 
 
-def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
-    """Sweep the window, growing evaluation images by variable action.
+def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots at (i,j), from the memoized cells before it."""
+    cells, p = ps._cells, ps.p
+    for prev in ((i - 1, j), (i, j - 1)):
+        if prev in cells and len(cells[prev][1]) == ps.N:
+            # x0 = y0 = 1 embeds the neighbour, so this cell is k^N too and
+            # shares the neighbour's identity basis
+            return cells[prev]
+    if i:
+        prev = cells[(i - 1, j)][0]
+        rows = row_stack([prev * v % p for v in ps.xs.T], ps.N)
+    elif j:
+        prev = cells[(0, j - 1)][0]
+        rows = row_stack([prev * v % p for v in ps.ys.T], ps.N)
+    else:
+        rows = np.ones((1, ps.N), dtype=np.int64)
+    R, piv = rref(rows, p)
+    basis, pivots = R[: len(piv)], np.asarray(piv, dtype=np.int64)
+    basis.flags.writeable = False
+    pivots.flags.writeable = False
+    return basis, pivots
 
-    For i > 0 the (i,j) space is spanned by the x-variable actions on the
+
+def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
+    """Read the window from the point set's cell memo, sweeping what it lacks.
+
+    Cells are visited in row-major order, so both neighbours of a missing
+    cell are already memoized when it is computed.  A cell next to a
+    saturated one is saturated and costs no elimination.  Otherwise, for
+    i > 0 the (i,j) space is spanned by the x-variable actions on the
     (i-1,j) space; along row 0 the y-variables act on (0, j-1), starting
-    from the constant function at (0, 0).
+    from the constant function at (0, 0).  A smaller window than an earlier
+    one computes nothing; a larger one computes only its new cells.
     """
     wi, wj = window
-    p = ps.p
-    xvals = [ps.xs[:, a] for a in range(ps.n + 1)]
-    yvals = [ps.ys[:, b] for b in range(ps.m + 1)]
+    cells = ps._cells
     dims = np.zeros((wi + 1, wj + 1), dtype=np.int64)
     bases: dict[tuple[int, int], np.ndarray] = {}
     pivots: dict[tuple[int, int], np.ndarray] = {}
-
-    def put(i: int, j: int, rows: np.ndarray) -> None:
-        R, piv = rref(rows, p)
-        basis = R[: len(piv)]
-        bases[(i, j)] = basis
-        pivots[(i, j)] = np.asarray(piv, dtype=np.int64)
-        dims[i, j] = len(piv)
-
-    put(0, 0, np.ones((1, ps.N), dtype=np.int64))
-    for j in range(1, wj + 1):
-        prev = bases[(0, j - 1)]
-        put(0, j, row_stack([prev * v % p for v in yvals], ps.N))
-    for i in range(1, wi + 1):
+    for i in range(wi + 1):
         for j in range(wj + 1):
-            prev = bases[(i - 1, j)]
-            put(i, j, row_stack([prev * v % p for v in xvals], ps.N))
+            if (i, j) not in cells:
+                cells[(i, j)] = _sweep_cell(ps, i, j)
+            bases[(i, j)], pivots[(i, j)] = cells[(i, j)]
+            dims[i, j] = len(pivots[(i, j)])
     return FunctionSpaces((wi, wj), dims, bases, pivots)
 
 

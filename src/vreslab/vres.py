@@ -27,9 +27,9 @@ from .betti import (
 )
 from .cox import t_binom
 from .diffcalc import IntMatrix, NTooSmall, dh_p1p2
-from .fp import rank
 from .points import (
-    evaluation_matrix,
+    WindowTooSmall,
+    function_space_bases,
     is_generic_hilbert,
     min_cover_degree,
     pi1_fibers,
@@ -54,10 +54,12 @@ class RegWitness:
 
 
 def regularity_contains(ps, d) -> RegWitness:
+    """Measure H(d), read from the point set's function-space sweep."""
     if d[0] < 0 or d[1] < 0:
         raise ValueError("degree must be componentwise nonnegative")
-    value = rank(evaluation_matrix(ps, tuple(d)), ps.p)
-    return RegWitness(tuple(d), int(value), ps.N)
+    d = tuple(d)
+    value = function_space_bases(ps, d).dims[d]
+    return RegWitness(d, int(value), ps.N)
 
 
 @dataclass
@@ -155,7 +157,8 @@ def pair_vres(ps, d, window=None) -> FreeComplexShape:
 
     Only the strip of twists below d + (n, m) is ever resolved; the
     Koszul strand at a degree references pieces at most that degree, so
-    a window equal to the kept region suffices for an exact trim.
+    a window equal to the kept region suffices for an exact trim, and a
+    window that does not cover it raises WindowTooSmall.
     """
     wit = regularity_contains(ps, d)
     if not wit.ok:
@@ -163,6 +166,9 @@ def pair_vres(ps, d, window=None) -> FreeComplexShape:
     region = (d[0] + ps.n, d[1] + ps.m)
     if window is None:
         window = region
+    elif window[0] < region[0] or window[1] < region[1]:
+        raise WindowTooSmall("window %s does not cover d + (n, m) = %s"
+                             % (tuple(window), region))
     pres = point_presentation(ps, window)
     bt = betti_numbers(pres, region=region)
     return virtual_of_pair(bt, d, ps.n, ps.m, witness=wit)
@@ -179,13 +185,17 @@ def intersect_vres(ps, t, window=None):
     For t >= ell - 1, and also for generic sets once t covers N in the
     x-direction, the resulting length must equal n + m; that contract
     is asserted here.  A table with boundary entries raises
-    DirtyBoundary: enlarge the window.
+    DirtyBoundary: enlarge the window.  A window below row t holds only
+    free pieces and raises WindowTooSmall.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     N = ps.N
     if window is None:
         window = intersect_window(N, t, ps.n, ps.m)
+    elif window[0] < t:
+        raise WindowTooSmall("window %s ends below row t = %d, where every "
+                             "piece is free" % (tuple(window), t))
     pres = intersected_presentation(ps, t, window)
     bt = betti_numbers(pres)
     length = pdim(bt)

@@ -162,6 +162,26 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["points", "--N", "0", "--seed", "1"],
+        ["points", "--N", "5", "--seed", "1", "--prime", "3"],  # N >= p
+        ["mrc", "--nmin", "0", "--nmax", "2", "--seed", "1"],
+        ["mrc", "--nmin", "2", "--nmax", "3", "--seed", "1", "--prime", "3"],
+        ["vres-intersect", "--N", "3", "--t", "0", "--seed", "1"],
+        ["vres-pair", "--N", "3", "--d=-1,0", "--seed", "1"],
+        ["betti", "--N", "3", "--window=-1,2", "--seed", "1"],
+        # the window misses d + (n, m) = (3, 2)
+        ["vres-pair", "--N", "3", "--d", "2,0", "--window", "1,1", "--seed", "1"],
+        # every piece below row t is free
+        ["vres-intersect", "--N", "3", "--t", "2", "--window=1,5", "--seed", "1"],
+    ])
+    def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("VRES_PRIME", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, env", [
         ("32004", None),     # composite
         ("0", None),

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from vreslab import points as points_module
 from vreslab.cox import count_monomials, mult_map, t_binom
-from vreslab.fp import rank, row_stack, subspace_contains
+from vreslab.fp import rank, row_stack, rref, subspace_contains
 from vreslab.points import (
     GenericityExhausted,
     PointSet,
@@ -52,6 +53,13 @@ class TestPointSetValidation:
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             PointSet(2, 1, 7, np.array([[1, 3]]), np.array([[1, 4]]))
+
+    def test_coordinates_are_read_only(self):
+        ps = random_points(1, 2, 4, seed=5)
+        with pytest.raises(ValueError):
+            ps.xs[0, 1] = 3
+        with pytest.raises(ValueError):
+            ps.ys[1, 2] = 3
 
     def test_json_roundtrip(self):
         ps = random_points(1, 2, 4, seed=5)
@@ -201,6 +209,71 @@ class TestHilbertSweep:
                 tgt = (d[0] + 1, d[1]) if var <= ps.n else (d[0], d[1] + 1)
                 moved = mult_map(var, d, ps.n, ps.m) @ K.T % ps.p
                 assert subspace_contains(ideal_piece(ps, tgt), moved.T, ps.p)
+
+
+class TestSweepMemo:
+    @pytest.mark.parametrize("seed, first, second", [
+        (61, (5, 5), (2, 2)),   # covered by the memo: nothing to compute
+        (62, (2, 2), (6, 3)),   # extends the memo past the first window
+    ])
+    def test_reused_memo_equals_fresh_sweep(self, seed, first, second):
+        ps = random_points(1, 2, 9, seed=seed)
+        function_space_bases(ps, first)
+        got = function_space_bases(ps, second)
+        want = function_space_bases(PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys), second)
+        assert np.array_equal(got.dims, want.dims)
+        assert got.bases.keys() == want.bases.keys() == got.pivots.keys()
+        for d in want.bases:
+            assert np.array_equal(got.bases[d], want.bases[d])
+            assert np.array_equal(got.pivots[d], want.pivots[d])
+
+    def test_covered_window_runs_no_elimination(self, monkeypatch):
+        ps = random_points(2, 1, 7, seed=63)
+        want = function_space_bases(ps, (5, 5))
+
+        def no_rref(*args):
+            raise AssertionError("rref called on a memoized window")
+
+        monkeypatch.setattr(points_module, "rref", no_rref)
+        got = function_space_bases(ps, (3, 4))
+        assert np.array_equal(got.dims, want.dims[:4, :5])
+
+    def test_saturated_cells_skip_elimination(self, monkeypatch):
+        ps = random_points(1, 2, 5, seed=64)
+        calls = []
+
+        def counting_rref(a, p):
+            calls.append(a.shape)
+            return rref(a, p)
+
+        monkeypatch.setattr(points_module, "rref", counting_rref)
+        H = function_space_bases(ps, (6, 4)).dims
+        unsaturated = sum(
+            1 for i in range(7) for j in range(5)
+            if not (i and H[i - 1, j] == ps.N) and not (j and H[i, j - 1] == ps.N))
+        assert len(calls) == unsaturated < H.size
+
+
+# random sets of every shape, from one point up, at the largest prime too
+point_sets = st.builds(
+    lambda shape, N, seed, p: random_points(*shape, N, seed=seed, p=p),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 8), st.integers(0, 2**32 - 1),
+    st.sampled_from([101, 32003, 67108859]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets)
+@example(fibered_633())
+@example(random_points(2, 2, 1, seed=65))
+@example(random_points(1, 2, 7, seed=66, p=67108859))
+def test_sweep_cells_equal_rref_of_evaluation(ps):
+    """Every cell, saturated or not, is the RREF of the evaluated monomials."""
+    fs = function_space_bases(ps, (4, 3))
+    for d, V in fs.bases.items():
+        R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
+        assert np.array_equal(V, R[: len(piv)])
+        assert fs.pivots[d].tolist() == piv
 
 
 class TestFibers:

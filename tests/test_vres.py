@@ -5,7 +5,8 @@ import pytest
 
 from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
 from vreslab.diffcalc import NTooSmall
-from vreslab.points import PointSet, random_points
+from vreslab.fp import rank
+from vreslab.points import PointSet, WindowTooSmall, evaluation_matrix, random_points
 from vreslab.vres import (
     Beta2Report,
     FreeComplexShape,
@@ -48,6 +49,20 @@ class TestRegularity:
         ps = random_points(1, 2, 2, seed=9)
         with pytest.raises(ValueError):
             regularity_contains(ps, (-1, 0))
+
+    @pytest.mark.parametrize("N, seed", [(5, 2), (12, 5), (31, 20260814)])
+    def test_witness_matches_evaluation_rank(self, N, seed):
+        # oracle: H(d) as the rank of the evaluation matrix at d, on a set
+        # swept for genericity and on a fresh copy with an empty memo
+        ps = random_points(1, 2, N, seed=seed, require_generic=True)
+        fresh = PointSet(1, 2, P, ps.xs, ps.ys)
+        values = set()
+        for d in [(0, 0), (0, 1), (1, 1), (2, 2), (2, 4), (N - 1, 0), (N + 2, 1)]:
+            want = rank(evaluation_matrix(ps, d), P)
+            assert regularity_contains(ps, d).value == want
+            assert regularity_contains(fresh, d).value == want
+            values.add(want == N)
+        assert values == {True, False}  # saturated and unsaturated degrees
 
 
 class TestPredictedShapes:
@@ -142,6 +157,11 @@ class TestPairVres:
             ps = random_points(1, 2, N, seed=seed, require_generic=True)
             assert pair_vres(ps, (N - 1, 0)) == predicted_pair_shape(N)
 
+    def test_window_must_cover_kept_region(self):
+        ps = random_points(1, 2, 3, seed=1, require_generic=True)
+        with pytest.raises(WindowTooSmall):
+            pair_vres(ps, (2, 0), window=(1, 1))
+
     def test_thirty_one_at_stable_degree(self):
         ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
         assert pair_vres(ps, (30, 0)) == predicted_pair_shape(31)
@@ -179,6 +199,12 @@ class TestIntersect:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
             intersect_vres(random_points(1, 1, 2, seed=1), 0)
+
+    def test_window_below_t_rejected(self):
+        # every piece of a window ending below row t is free
+        ps = random_points(1, 2, 3, seed=1, require_generic=True)
+        with pytest.raises(WindowTooSmall):
+            intersect_vres(ps, 2, window=(1, 5))
 
     def test_small_window_flagged(self):
         ps = random_points(1, 2, 5, seed=2, require_generic=True)
