@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cox import count_monomials, monomials, mult_map, t_binom
+from .cox import monomials, t_binom
 from .diffcalc import IntMatrix
 from .fp import (
     DEFAULT_PRIME,
@@ -50,9 +50,14 @@ class PreconditionT(Exception):
     """Raised when t is below the fiber bound required by a construction."""
 
 
-@dataclass
+@dataclass(eq=False)
 class PointSet:
-    """N distinct normalized points; xs is N x (n+1), ys is N x (m+1)."""
+    """N distinct normalized points; xs is N x (n+1), ys is N x (m+1).
+
+    Two point sets are equal when they have the same n, m and p and the
+    same coordinate rows in the same order; the seed, the rejection count
+    and the cell memo do not take part.
+    """
 
     n: int
     m: int
@@ -60,10 +65,9 @@ class PointSet:
     xs: np.ndarray
     ys: np.ndarray
     seed: int | None = None
-    rejections: int = field(default=0, compare=False)
+    rejections: int = 0
     # (i, j) -> (RREF basis, pivots) of every cell swept so far
-    _cells: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    _cells: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.xs = normalize(self.xs, self.p)
@@ -83,6 +87,13 @@ class PointSet:
                 raise ValueError("points must be pairwise distinct")
             seen.add((a, b))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return ((self.n, self.m, self.p) == (other.n, other.m, other.p)
+                and np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.ys, other.ys))
+
     @property
     def N(self) -> int:
         return self.xs.shape[0]
@@ -92,10 +103,6 @@ class PointSet:
         if var <= self.n:
             return self.xs[:, var]
         return self.ys[:, var - self.n - 1]
-
-    def subset(self, indices) -> "PointSet":
-        idx = list(indices)
-        return PointSet(self.n, self.m, self.p, self.xs[idx], self.ys[idx])
 
     def to_json(self) -> str:
         payload = {
@@ -308,74 +315,50 @@ def pi1_fibers(ps: PointSet) -> Pi1Fibration:
     return Pi1Fibration(len(order), tuple(len(members[xv]) for xv in order), fibers)
 
 
-def intersected_piece(ps: PointSet, t: int, degree: tuple[int, int]) -> np.ndarray:
-    """The (i,j) piece of I_X intersected with the t-th power of <x>.
-
-    For i >= t this is the whole ideal piece; below the threshold it is zero.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    i, j = degree
-    if i >= t:
-        return ideal_piece(ps, degree)
-    return np.zeros((0, count_monomials(ps.n, ps.m, degree)), dtype=np.int64)
-
-
-def y0_nonzerodivisor(ps: PointSet, window: tuple[int, int]) -> bool:
-    """Degreewise injectivity of multiplication by y_0 on S/I_X.
-
-    Checked via the monomial route: the preimage of the ideal under y_0
-    must be no larger than the ideal itself.
-    """
-    y0 = ps.n + 1
-    wi, wj = window
-    for i in range(wi + 1):
-        for j in range(1, wj + 1):
-            src_ideal = ideal_piece(ps, (i, j - 1))
-            tgt_ideal = ideal_piece(ps, (i, j))
-            embed = mult_map(y0, (i, j - 1), ps.n, ps.m).T
-            overlap = subspace_intersection(embed, tgt_ideal, ps.p)
-            if overlap.shape[0] != src_ideal.shape[0]:
-                return False
-    return True
-
-
-def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndarray:
-    """Rows of a piece of <J, y0>: J_(i,j) plus y0 * S_(i,j-1)."""
-    i, j = degree
-    cols = count_monomials(ps.n, ps.m, degree)
-    blocks = [rows]
-    if j >= 1:
-        blocks.append(mult_map(ps.n + 1, (i, j - 1), ps.n, ps.m).T)
-    return row_stack(blocks, cols)
-
-
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
                         allow_small_t: bool = False,
                         containment_only: bool = False) -> bool:
-    """Degreewise primary-decomposition identity for I_X ∩ <x>^t.
+    """Degreewise primary-decomposition identity for I_X ∩ <x>^t, modulo y0.
 
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
     the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
     first-projection and of <<x>^t, y0>.  With ``containment_only`` just the
     left-to-right containment is verified, which holds for every t >= 0.
+
+    At d = (i,j) every one of these pieces contains W = y0 * S_(i,j-1), the
+    span of the monomials divisible by y0.  Let pi drop those monomials'
+    coordinates.  A subspace A containing W equals pi^-1(pi(A)), so two
+    such subspaces are equal, or one contains the other, exactly when their
+    images under pi are; an intersection of them is pi^-1 of the
+    intersection of the images; and pi(J_d + W) = pi(J_d).  So the check
+    compares the y0-free columns of the ideal pieces' kernel bases, with no
+    W rows, and its answer is that of the comparison in S_d for every
+    input.  Below row t the <x>^t component projects to zero.  All pieces
+    of one bidegree come from one evaluation matrix: a fiber's ideal piece
+    is the kernel of that fiber's rows.
     """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if min(window) < 0:
+        raise ValueError("window components must be nonnegative")
     fib = pi1_fibers(ps)
     if not allow_small_t and not containment_only and t < fib.ell - 1:
         raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
-    fiber_sets = [ps.subset(idx) for _, idx in fib.fibers]
     wi, wj = window
     for i in range(wi + 1):
         for j in range(wj + 1):
             d = (i, j)
-            cols = count_monomials(ps.n, ps.m, d)
-            lhs = _with_y0(intersected_piece(ps, t, d), ps, d)
+            E = evaluation_matrix(ps, d)
+            y0_free = monomials(ps.n, ps.m, d).array()[:, ps.n + 1] == 0
+            zero = np.zeros((0, int(y0_free.sum())), dtype=np.int64)
+            lhs = kernel_basis(E, ps.p)[:, y0_free] if i >= t else zero
             components = [
-                _with_y0(ideal_piece(fs, d), ps, d) for fs in fiber_sets
+                kernel_basis(E[list(idx)], ps.p)[:, y0_free]
+                for _, idx in fib.fibers
             ]
             if i < t:
-                # the power-ideal component has an empty degree piece here
-                components.append(_with_y0(np.zeros((0, cols), dtype=np.int64), ps, d))
+                # <<x>^t, y0> is just W in this bidegree
+                components.append(zero)
             if containment_only:
                 if not all(subspace_contains(c, lhs, ps.p) for c in components):
                     return False

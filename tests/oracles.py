@@ -1,0 +1,99 @@
+"""Reference routes that the library's fast paths are tested against.
+
+Each one computes its answer the direct way, in the full monomial basis,
+and shares no shortcut with the code it checks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vreslab.cox import count_monomials, mult_map
+from vreslab.fp import (
+    row_stack,
+    subspace_contains,
+    subspace_equal,
+    subspace_intersection,
+)
+from vreslab.points import PointSet, PreconditionT, ideal_piece, pi1_fibers
+
+
+def intersected_piece(ps: PointSet, t: int, degree: tuple[int, int]) -> np.ndarray:
+    """The (i,j) piece of I_X intersected with the t-th power of <x>.
+
+    For i >= t this is the whole ideal piece; below the threshold it is zero.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    i, j = degree
+    if i >= t:
+        return ideal_piece(ps, degree)
+    return np.zeros((0, count_monomials(ps.n, ps.m, degree)), dtype=np.int64)
+
+
+def y0_nonzerodivisor(ps: PointSet, window: tuple[int, int]) -> bool:
+    """Degreewise injectivity of multiplication by y_0 on S/I_X.
+
+    Checked via the monomial route: the preimage of the ideal under y_0
+    must be no larger than the ideal itself.
+    """
+    y0 = ps.n + 1
+    wi, wj = window
+    for i in range(wi + 1):
+        for j in range(1, wj + 1):
+            src_ideal = ideal_piece(ps, (i, j - 1))
+            tgt_ideal = ideal_piece(ps, (i, j))
+            embed = mult_map(y0, (i, j - 1), ps.n, ps.m).T
+            overlap = subspace_intersection(embed, tgt_ideal, ps.p)
+            if overlap.shape[0] != src_ideal.shape[0]:
+                return False
+    return True
+
+
+def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndarray:
+    """Rows of a piece of <J, y0>: J_(i,j) plus y0 * S_(i,j-1)."""
+    i, j = degree
+    cols = count_monomials(ps.n, ps.m, degree)
+    blocks = [rows]
+    if j >= 1:
+        blocks.append(mult_map(ps.n + 1, (i, j - 1), ps.n, ps.m).T)
+    return row_stack(blocks, cols)
+
+
+def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
+                                allow_small_t: bool = False,
+                                containment_only: bool = False) -> bool:
+    """``points.decomposition_check`` computed in all of S_(i,j).
+
+    Every piece is an ideal piece plus the stacked rows of y0 * S_(i,j-1),
+    and each fiber is evaluated as a point set of its own.
+    """
+    fib = pi1_fibers(ps)
+    if not allow_small_t and not containment_only and t < fib.ell - 1:
+        raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
+    fiber_sets = [
+        PointSet(ps.n, ps.m, ps.p, ps.xs[list(idx)], ps.ys[list(idx)])
+        for _, idx in fib.fibers
+    ]
+    wi, wj = window
+    for i in range(wi + 1):
+        for j in range(wj + 1):
+            d = (i, j)
+            cols = count_monomials(ps.n, ps.m, d)
+            lhs = _with_y0(intersected_piece(ps, t, d), ps, d)
+            components = [
+                _with_y0(ideal_piece(fs, d), ps, d) for fs in fiber_sets
+            ]
+            if i < t:
+                # the power-ideal component has an empty degree piece here
+                components.append(_with_y0(np.zeros((0, cols), dtype=np.int64), ps, d))
+            if containment_only:
+                if not all(subspace_contains(c, lhs, ps.p) for c in components):
+                    return False
+                continue
+            meet = components[0]
+            for c in components[1:]:
+                meet = subspace_intersection(meet, c, ps.p)
+            if not subspace_equal(meet, lhs, ps.p):
+                return False
+    return True

@@ -21,15 +21,14 @@ from vreslab.points import (
     hilbert_matrix,
     hilbert_window,
     ideal_piece,
-    intersected_piece,
     is_generic_hilbert,
     min_cover_degree,
     pi1_fibers,
     random_points,
-    y0_nonzerodivisor,
 )
 
 from conftest import ff_rank
+from oracles import decomposition_check_in_full, intersected_piece, y0_nonzerodivisor
 
 
 def fibered_633():
@@ -60,6 +59,25 @@ class TestPointSetValidation:
             ps.xs[0, 1] = 3
         with pytest.raises(ValueError):
             ps.ys[1, 2] = 3
+
+    def test_equality_compares_points_only(self):
+        a = random_points(1, 2, 3, seed=1)
+        b = random_points(1, 2, 3, seed=1)
+        function_space_bases(a, (3, 3))
+        assert a == b
+        assert a == PointSet(a.n, a.m, a.p, a.xs, a.ys)  # no seed
+        b.rejections = 4
+        assert a == b
+        assert a != a.to_json()
+
+    def test_reordered_set_differs(self):
+        a = random_points(1, 2, 3, seed=1)
+        assert a != PointSet(a.n, a.m, a.p, a.xs[::-1], a.ys[::-1])
+
+    def test_other_prime_differs(self):
+        xs = np.array([[1, 2], [1, 3]])
+        ys = np.array([[1, 4], [1, 5]])
+        assert PointSet(1, 1, 7, xs, ys) != PointSet(1, 1, 11, xs, ys)
 
     def test_json_roundtrip(self):
         ps = random_points(1, 2, 4, seed=5)
@@ -276,6 +294,39 @@ def test_sweep_cells_equal_rref_of_evaluation(ps):
         assert fs.pivots[d].tolist() == piv
 
 
+@st.composite
+def fibered_sets(draw):
+    """Up to three fibers of up to three points each, over a small field."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    p = draw(st.sampled_from([7, 101, 32003]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases: set[tuple] = set()
+    while len(bases) < len(sizes):
+        bases.add((1, *map(int, rng.integers(0, p, size=n))))
+    xs, ys = [], []
+    for base, size in zip(sorted(bases), sizes):
+        fiber: set[tuple] = set()
+        while len(fiber) < size:
+            fiber.add((1, *map(int, rng.integers(0, p, size=m))))
+        xs += [base] * size
+        ys += sorted(fiber)
+    return PointSet(n, m, p, np.array(xs), np.array(ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fibered_sets(), st.integers(0, 3), st.integers(0, 4), st.integers(0, 3),
+       st.booleans())
+@example(fibered_633(), 0, 4, 3, False)
+@example(fibered_633(), 1, 4, 3, False)
+@example(fibered_633(), 1, 4, 3, True)
+def test_decomposition_check_matches_full_oracle(ps, t, wi, wj, containment_only):
+    """The y0-free comparison answers as the comparison in all of S_(i,j)."""
+    args = (ps, t, (wi, wj))
+    flags = {"allow_small_t": True, "containment_only": containment_only}
+    assert decomposition_check(*args, **flags) == decomposition_check_in_full(*args, **flags)
+
+
 class TestFibers:
     def test_all_distinct(self):
         ps = random_points(1, 2, 5, seed=41)
@@ -349,6 +400,20 @@ class TestDecomposition:
         g = random_points(1, 2, 3, seed=11)
         assert pi1_fibers(g).ell == 3
         assert decomposition_check(g, 2, (5, 3))
+
+    @pytest.mark.parametrize("t, window, flags", [
+        (-1, (3, 3), {}),
+        (-1, (3, 3), {"containment_only": True}),
+        (3, (-1, 5), {}),
+        (3, (4, -1), {"allow_small_t": True}),
+    ])
+    def test_negative_input_rejected_before_work(self, monkeypatch, t, window, flags):
+        def no_work(*args):
+            raise AssertionError("evaluation before the input check")
+
+        monkeypatch.setattr(points_module, "evaluation_matrix", no_work)
+        with pytest.raises(ValueError):
+            decomposition_check(random_points(1, 2, 4, seed=3), t, window, **flags)
 
     def test_y0_nonzerodivisor(self):
         assert y0_nonzerodivisor(fibered_633(), (3, 3))
