@@ -1,24 +1,22 @@
 """Bigraded Betti numbers of cyclic modules via windowed Koszul homology.
 
-For a module piece grid M_(i,j) with multiplication maps, the strand of the
-Koszul complex on all n+m+2 variables at bidegree d has terms
-K_k = direct sum over k-subsets T of M_(d - deg T); its homology dimensions
-are the Betti numbers beta_{k,d}.  Every piece is at most N-dimensional for
-point modules, so the table costs a sweep of small dense ranks.
+A presentation lists the ring variables that act on its module.  For a
+piece grid M_(i,j) over them, the strand of the Koszul complex at
+bidegree d has terms K_k = direct sum over k-subsets T of those variables
+of M_(d - deg T); its homology dimensions are the Betti numbers
+beta_{k,d}.
 
-Three certificates let the engine skip cells without rank work:
-  * all referenced pieces have the free dimensions -> the strand is
-    isomorphic to the strand of S itself, which is exact away from the
-    origin;
-  * multiplication by x0 is an isomorphism on every piece the contracting
-    homotopy touches (checked through dimensions, valid when the
-    presentation guarantees x0-maps are injective or surjective) -> the
-    identity of the strand is null-homotopic;
-  * n = 1 only: each fixed y-subset column of the strand is a two-variable
-    Koszul strand; x0-injectivity kills its top homology, joint
-    x-surjectivity (automatic for cyclic quotients in positive x-degree)
-    kills its bottom, and a vanishing second difference of dimensions kills
-    the middle by counting.  Exact columns force an exact total complex.
+The point-set presentations use one fact: if a variable z is a
+nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
+S/z is the polynomial ring on the other n+m+1 variables.  So the point
+modules are presented modulo z (x0 for S/I_X, y0 for S/(I_X ∩ <x>^t)
+with t >= 1), with pieces of at most N dimensions, and each strand is
+smaller than the one on all n+m+2 variables.
+
+One certificate skips cells without rank work.  A presented module is
+R/J for R the polynomial ring on its variables.  Where a piece has the
+dimension of R's piece, J vanishes there and in every lower degree, so
+the strand is R's own strand, which is exact away from the origin.
 """
 
 from __future__ import annotations
@@ -26,17 +24,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .cox import count_monomials, mult_map, t_binom, var_degree
+from .cox import count_monomials, monomials, mult_map, var_degree
 from .diffcalc import IntMatrix, dh_p1p2
-from .fp import rank, row_stack, rref, subspace_contains
+from .fp import matmul, rank, row_stack, rref, subspace_contains
 from .points import (
     PointSet,
     evaluation_matrix,
     function_space_bases,
     generic_hilbert_matrix,
+    hilbert_matrix,
     min_cover_degree,
 )
 
@@ -53,13 +53,13 @@ class DirtyBoundary(Exception):
 class GradedModulePresentation:
     """Finite window of pieces of a cyclic bigraded module with its maps.
 
-    ``map(var, d)`` returns the matrix of multiplication by a variable from
-    the piece at d to the piece at d + deg(var), in the chosen bases
-    (target dim x source dim).  Maps are built lazily and memoized.
-
-    ``x0_iso_when_dims_equal`` certifies every x0-map in the window is
-    injective or surjective; ``x0_injective`` certifies injectivity.  Both
-    gate the skip certificates above, never the honest computation.
+    The module is generated in degree (0, 0) over the polynomial ring on
+    ``variables``, the ring variables that act on it; the Koszul strands
+    run over exactly these.  ``dims[i, j]`` is the dimension of the piece
+    at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
+    variable from the piece at d to the piece at d + deg(var), in the
+    chosen bases (target dim x source dim).  Maps are built lazily and
+    memoized.
     """
 
     n: int
@@ -67,8 +67,7 @@ class GradedModulePresentation:
     p: int
     window: tuple[int, int]
     dims: np.ndarray
-    x0_injective: bool = False
-    x0_iso_when_dims_equal: bool = False
+    variables: tuple[int, ...]
     _builder: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
@@ -88,75 +87,79 @@ class GradedModulePresentation:
 
 
 def point_presentation(ps: PointSet, window: tuple[int, int]) -> GradedModulePresentation:
-    """S/I_X on the window, pieces realized as point-function spaces.
-
-    Multiplication by a variable is pointwise multiplication by its values,
-    so x0 and y0 act as inclusions; every variable map is coordinatized by
-    reading values at the target pivots.
-    """
-    fs = function_space_bases(ps, window)
-    p = ps.p
-
-    def build(var: int, d: tuple[int, int]) -> np.ndarray:
-        dv = var_degree(var, ps.n, ps.m)
-        tgt = (d[0] + dv[0], d[1] + dv[1])
-        V = fs.bases[d]
-        piv = fs.pivots[tgt]
-        moved = V * ps.coordinate_values(var) % p
-        return moved[:, piv].T.copy()
-
-    return GradedModulePresentation(
-        ps.n, ps.m, p, window, fs.dims.copy(),
-        x0_injective=True, x0_iso_when_dims_equal=True, _builder=build)
+    """S/I_X modulo x0 on the window: ``intersected_presentation`` at t = 0."""
+    return intersected_presentation(ps, 0, window)
 
 
 def intersected_presentation(ps: PointSet, t: int,
                              window: tuple[int, int]) -> GradedModulePresentation:
-    """S/(I_X ∩ <x>^t) on the window.
+    """M/zM for M = S/(I_X ∩ <x>^t) on the window, over the variables but z.
 
-    Pieces with i < t are free (monomial bases); pieces with i >= t are the
-    point-function spaces; the only mixed maps are the x-variable crossings
-    from row t-1 into row t, realized by evaluating source monomials.
+    z is x0 for t = 0 and y0 for t >= 1.  Both are 1 at every point, so z*g
+    in I_X forces g in I_X; and <x>^t is generated by monomials in x alone,
+    so y0*g in <x>^t forces g in <x>^t.  Hence z is a nonzerodivisor on M
+    and M/zM has the Betti numbers of M.  (x0 would not do for t >= 1: it
+    kills x0^(t-1)*f when f in I_X has x-degree 0.)
+
+    At rows i >= t, M_d is V_d, the evaluation image of S_d in k^N, and
+    the piece is V_d / V_(d - deg z).  The smaller cell's RREF pivots are
+    among V_d's, and the rows of V_d's RREF basis at the other pivots span
+    a complement; a class's coordinates are the values, at those pivots,
+    of any representative reduced modulo the smaller cell.  At rows i < t,
+    M_d is S_d and the piece has the y0-free monomials as its basis.  A map
+    from row t-1 into row t evaluates the source monomials times the
+    variable, then reduces.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     fs = function_space_bases(ps, window)
-    p = ps.p
-    wi, wj = window
-    dims = fs.dims.copy()
-    for i in range(min(t, wi + 1)):
-        for j in range(wj + 1):
-            dims[i, j] = t_binom(i, ps.n) * t_binom(j, ps.m)
+    n, m, p = ps.n, ps.m, ps.p
+    z = n + 1 if t else 0
+    dz = var_degree(z, n, m)
+
+    def below(d):
+        lo = (d[0] - dz[0], d[1] - dz[1])
+        return lo if min(lo) >= 0 else None
+
+    def y0_free(d):
+        return np.flatnonzero(monomials(n, m, d).array()[:, n + 1] == 0)
+
+    def fresh(d):
+        # which of V_d's pivots are not pivots of the cell below
+        lo = below(d)
+        if lo is None:
+            return np.ones(len(fs.pivots[d]), dtype=bool)
+        return ~np.isin(fs.pivots[d], fs.pivots[lo])
+
+    def coordinates(funcs, d):
+        # columns: the classes, in the piece at d, of the rows of funcs
+        keep, lo = fs.pivots[d][fresh(d)], below(d)
+        if lo is None:
+            return funcs[:, keep].T
+        reduced = funcs[:, keep] - matmul(funcs[:, fs.pivots[lo]], fs.bases[lo][:, keep], p)
+        return (reduced % p).T
 
     def build(var: int, d: tuple[int, int]) -> np.ndarray:
-        dv = var_degree(var, ps.n, ps.m)
+        dv = var_degree(var, n, m)
         tgt = (d[0] + dv[0], d[1] + dv[1])
         if tgt[0] < t:
-            return mult_map(var, d, ps.n, ps.m)
-        if d[0] >= t:
-            V = fs.bases[d]
-            piv = fs.pivots[tgt]
-            moved = V * ps.coordinate_values(var) % p
-            return moved[:, piv].T.copy()
-        # crossing: evaluate each source monomial times the variable
-        E = evaluation_matrix(ps, d)
-        piv = fs.pivots[tgt]
-        moved = E * ps.coordinate_values(var)[:, None] % p
-        return moved[piv, :].copy()
+            return mult_map(var, d, n, m)[np.ix_(y0_free(tgt), y0_free(d))]
+        if d[0] < t:
+            funcs = evaluation_matrix(ps, d)[:, y0_free(d)].T
+        else:
+            funcs = fs.bases[d][fresh(d)]
+        return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
-    # x0 crossing maps from row t-1 have kernel I_(t-1,j) and image of
-    # dimension H(t-1,j); both facts are visible in the sweep dims
-    inj, iso_ok = True, True
-    if 1 <= t <= wi:
+    wi, wj = window
+    hilb = fs.dims.copy()
+    for i in range(min(t, wi + 1)):
         for j in range(wj + 1):
-            full = t_binom(t - 1, ps.n) * t_binom(j, ps.m)
-            injective = fs.dims[t - 1, j] == full
-            surjective = fs.dims[t - 1, j] == fs.dims[t, j]
-            inj = inj and injective
-            iso_ok = iso_ok and (injective or surjective)
-    return GradedModulePresentation(
-        ps.n, ps.m, p, window, dims,
-        x0_injective=inj, x0_iso_when_dims_equal=iso_ok, _builder=build)
+            hilb[i, j] = count_monomials(n, m, (i, j))
+    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z)
+    dims = hilb.copy()
+    dims[dz[0]:, dz[1]:] -= hilb[: wi + 1 - dz[0], : wj + 1 - dz[1]]
+    variables = tuple(v for v in range(n + m + 2) if v != z)
+    return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build)
 
 
 def ideal_pieces_from_generators(gens, n: int, m: int, p: int,
@@ -239,7 +242,8 @@ def quotient_presentation(pieces: dict, n: int, m: int, p: int,
             M = (M - R_tgt.T @ M[piv_tgt, :]) % p
         return M[free_tgt, :]
 
-    return GradedModulePresentation(n, m, p, window, dims, _builder=build)
+    return GradedModulePresentation(n, m, p, window, dims,
+                                    tuple(range(n + m + 2)), _builder=build)
 
 
 @dataclass
@@ -297,54 +301,27 @@ def _subset_degree(T, n, m):
     return a, len(T) - a
 
 
+def _free_dim(deg: int, nvars: int) -> int:
+    """Number of monomials of degree deg in nvars variables."""
+    return comb(deg + nvars - 1, deg) if nvars else int(deg == 0)
+
+
 def _cert_free_strand(pres, d) -> bool:
-    i, j = d
-    for a in range(pres.n + 2):
-        for b in range(pres.m + 2):
-            ii, jj = i - a, j - b
-            if ii < 0 or jj < 0:
-                continue
-            if pres.dims[ii, jj] != t_binom(ii, pres.n) * t_binom(jj, pres.m):
-                return False
-    return True
+    """Whether the strand at d is the strand of the polynomial ring R itself.
 
-
-def _cert_x0_contraction(pres, d) -> bool:
-    i, j = d
-    for a in range(pres.n + 1):
-        for b in range(pres.m + 2):
-            jj = j - b
-            if jj < 0:
-                continue
-            lo = pres.dims[i - 1 - a, jj] if i - 1 - a >= 0 else 0
-            hi = pres.dims[i - a, jj] if i - a >= 0 else 0
-            if lo != hi:
-                return False
-    return True
-
-
-def _cert_exact_x_columns(pres, d) -> bool:
-    i, j = d
-    if pres.n != 1 or i < 1:
-        return False
-    for b in range(pres.m + 2):
-        jj = j - b
-        if jj < 0:
-            continue
-        d0 = pres.dims[i, jj]
-        d1 = pres.dims[i - 1, jj] if i >= 1 else 0
-        d2 = pres.dims[i - 2, jj] if i >= 2 else 0
-        if d0 - 2 * d1 + d2 != 0:
-            return False
-    return True
+    The module is R/J for R the polynomial ring on the presentation's
+    variables.  R is a domain, so J_d = 0 forces J_e = 0 at every e <= d,
+    and the strand at d reads only pieces at such e.
+    """
+    nx, ny = _subset_degree(pres.variables, pres.n, pres.m)
+    return pres.dim(d) == _free_dim(d[0], nx) * _free_dim(d[1], ny)
 
 
 def _strand_snapshot(pres, d, k):
     """Summands of K_k at d: (subset, piece degree, dim, offset)."""
-    nvars = pres.n + pres.m + 2
     out = []
     offset = 0
-    for T in combinations(range(nvars), k):
+    for T in combinations(pres.variables, k):
         a, b = _subset_degree(T, pres.n, pres.m)
         piece = (d[0] - a, d[1] - b)
         dim = pres.dim(piece)
@@ -390,8 +367,7 @@ def _betti_cell(pres, d, kmax) -> dict:
 
 def betti_numbers(pres: GradedModulePresentation,
                   region: tuple[int, int] | None = None,
-                  kmax: int | None = None,
-                  certificates: bool = True) -> BettiTable:
+                  kmax: int | None = None) -> BettiTable:
     """Betti table of the presented module on the region (default window).
 
     boundary_clean records whether the outermost strip of the region is free
@@ -407,15 +383,10 @@ def betti_numbers(pres: GradedModulePresentation,
     for i in range(wi + 1):
         for j in range(wj + 1):
             d = (i, j)
-            if certificates:
-                if _cert_free_strand(pres, d):
-                    if d == (0, 0) and pres.dim(d) == 1:
-                        entries[(0, 0, 0)] = 1
-                    continue
-                if pres.x0_iso_when_dims_equal and _cert_x0_contraction(pres, d):
-                    continue
-                if pres.x0_injective and _cert_exact_x_columns(pres, d):
-                    continue
+            if _cert_free_strand(pres, d):
+                if d == (0, 0) and pres.dim(d) == 1:
+                    entries[(0, 0, 0)] = 1
+                continue
             for k, beta in _betti_cell(pres, d, kmax).items():
                 entries[(k, i, j)] = beta
     clean = not any(i == wi or j == wj for (_, i, j) in entries)
@@ -486,8 +457,7 @@ def mrc_check(ps: PointSet, window: tuple[int, int] | None = None) -> MrcReport:
     if window is None:
         window = mrc_window(ps.N)
     wi, wj = window
-    pres = point_presentation(ps, window)
-    H = IntMatrix(pres.dims)
+    H = hilbert_matrix(ps, window)
     if H != generic_hilbert_matrix(ps.N, 1, 2, window):
         return MrcReport(window, False, False, {}, {}, [])
     dh = dh_p1p2(H).values
@@ -504,7 +474,7 @@ def mrc_check(ps: PointSet, window: tuple[int, int] | None = None) -> MrcReport:
             pos_running[i, j] = best
             if (i, j) != (0, 0) and dh[i, j] < 0 and best <= 0:
                 predicted[(i, j)] = -int(dh[i, j])
-    b1 = betti_numbers(pres, kmax=1).layer(1)
+    b1 = betti_numbers(point_presentation(ps, window), kmax=1).layer(1)
     mismatches = []
     for i in range(wi + 1):
         for j in range(wj + 1):

@@ -62,6 +62,21 @@ def normalize(a, p: int) -> np.ndarray:
     return np.mod(arr, p)
 
 
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of two matrices with entries in [0, p), reduced mod p.
+
+    One int64 dot product of K residue products is exact while
+    K * (p-1)**2 < 2**63, which near p = 2**26 allows only K = 2048; longer
+    inner dimensions are summed in chunks of that length, each reduced
+    before the next is added.
+    """
+    step = (2**63 - 1) // (p - 1) ** 2
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        out = (out + a[:, s : s + step] @ b[s : s + step] % p) % p
+    return out
+
+
 def _inv(x: int, p: int) -> int:
     return pow(int(x), -1, p)
 
@@ -73,7 +88,7 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     increasing order.  Pivot entries are scaled to 1 and are the only
     nonzero entries in their columns.
     """
-    A = normalize(a, p).copy()
+    A = normalize(a, p)
     rows, cols = A.shape
     pivots: list[int] = []
     r = 0
@@ -102,7 +117,7 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank(a, p: int) -> int:
     """Rank over GF(p) by forward elimination with the pivot rule of ``rref``."""
-    A = normalize(a, p).copy()
+    A = normalize(a, p)
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -183,8 +198,7 @@ def subspace_intersection(u, w, p: int) -> np.ndarray:
     ker = kernel_basis(stacked, p)
     if ker.shape[0] == 0:
         return np.zeros((0, u.shape[1]), dtype=np.int64)
-    xs = ker[:, : u.shape[0]]
-    vecs = xs @ u % p
+    vecs = matmul(ker[:, : u.shape[0]], u, p)
     R, piv = rref(vecs, p)
     return R[: len(piv)]
 

@@ -333,9 +333,10 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
     intersection of the images; and pi(J_d + W) = pi(J_d).  So the check
     compares the y0-free columns of the ideal pieces' kernel bases, with no
     W rows, and its answer is that of the comparison in S_d for every
-    input.  Below row t the <x>^t component projects to zero.  All pieces
-    of one bidegree come from one evaluation matrix: a fiber's ideal piece
-    is the kernel of that fiber's rows.
+    input.  Below row t both sides are W itself, so the check starts at
+    row t, where the <x>^t component is all of S_d and drops out.  All
+    pieces of one bidegree come from one evaluation matrix: a fiber's
+    ideal piece is the kernel of that fiber's rows.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -345,20 +346,16 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
     if not allow_small_t and not containment_only and t < fib.ell - 1:
         raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
     wi, wj = window
-    for i in range(wi + 1):
+    for i in range(t, wi + 1):
         for j in range(wj + 1):
             d = (i, j)
             E = evaluation_matrix(ps, d)
             y0_free = monomials(ps.n, ps.m, d).array()[:, ps.n + 1] == 0
-            zero = np.zeros((0, int(y0_free.sum())), dtype=np.int64)
-            lhs = kernel_basis(E, ps.p)[:, y0_free] if i >= t else zero
+            lhs = kernel_basis(E, ps.p)[:, y0_free]
             components = [
                 kernel_basis(E[list(idx)], ps.p)[:, y0_free]
                 for _, idx in fib.fibers
             ]
-            if i < t:
-                # <<x>^t, y0> is just W in this bidegree
-                components.append(zero)
             if containment_only:
                 if not all(subspace_contains(c, lhs, ps.p) for c in components):
                     return False

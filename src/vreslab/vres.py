@@ -26,10 +26,11 @@ from .betti import (
     point_presentation,
 )
 from .cox import t_binom
-from .diffcalc import IntMatrix, NTooSmall, dh_p1p2
+from .diffcalc import NTooSmall, dh_p1p2
 from .points import (
     WindowTooSmall,
     function_space_bases,
+    hilbert_matrix,
     is_generic_hilbert,
     min_cover_degree,
     pi1_fibers,
@@ -336,9 +337,8 @@ def beta2_first_positive_check(ps, window=None) -> Beta2Report:
         raise ValueError("row check is specific to the (1, 2) case")
     if window is None:
         window = mrc_window(ps.N)
-    pres = point_presentation(ps, window)
-    dh = dh_p1p2(IntMatrix(pres.dims)).values
-    bt = betti_numbers(pres, kmax=2)
+    dh = dh_p1p2(hilbert_matrix(ps, window)).values
+    bt = betti_numbers(point_presentation(ps, window), kmax=2)
     rows = []
     for i in range(2, window[0] + 1):
         positive = [j for j in range(window[1] + 1) if dh[i, j] > 0]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from vreslab.points import PointSet
 
 
 def ff_rank(a, p: int) -> int:
@@ -44,3 +47,30 @@ def random_fp_matrix(rng: np.random.Generator, rows: int, cols: int, p: int,
     left = rng.integers(0, p, size=(rows, rank_cap), dtype=np.int64)
     right = rng.integers(0, p, size=(rank_cap, cols), dtype=np.int64)
     return left @ right % p
+
+
+def fibered_633() -> PointSet:
+    """Six points over three shared x-parts (ell=3, fibers of size 2)."""
+    xs = np.array([[1, 5], [1, 5], [1, 9], [1, 9], [1, 11], [1, 11]])
+    ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9], [1, 1, 7], [1, 6, 2], [1, 8, 8]])
+    return PointSet(1, 2, 32003, xs, ys)
+
+
+@st.composite
+def fibered_sets(draw, primes=(7, 101, 32003)):
+    """Up to three fibers of up to three points each, over a drawn prime."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    p = draw(st.sampled_from(primes))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases: set[tuple] = set()
+    while len(bases) < len(sizes):
+        bases.add((1, *map(int, rng.integers(0, p, size=n))))
+    xs, ys = [], []
+    for base, size in zip(sorted(bases), sizes):
+        fiber: set[tuple] = set()
+        while len(fiber) < size:
+            fiber.add((1, *map(int, rng.integers(0, p, size=m))))
+        xs += [base] * size
+        ys += sorted(fiber)
+    return PointSet(n, m, p, np.array(xs), np.array(ys))

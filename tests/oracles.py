@@ -8,14 +8,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from vreslab.cox import count_monomials, mult_map
+from vreslab.betti import GradedModulePresentation
+from vreslab.cox import count_monomials, mult_map, t_binom, var_degree
 from vreslab.fp import (
     row_stack,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
 )
-from vreslab.points import PointSet, PreconditionT, ideal_piece, pi1_fibers
+from vreslab.points import (
+    PointSet,
+    PreconditionT,
+    evaluation_matrix,
+    function_space_bases,
+    ideal_piece,
+    pi1_fibers,
+)
 
 
 def intersected_piece(ps: PointSet, t: int, degree: tuple[int, int]) -> np.ndarray:
@@ -97,3 +105,38 @@ def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
             if not subspace_equal(meet, lhs, ps.p):
                 return False
     return True
+
+
+def intersected_presentation_in_full(ps: PointSet, t: int,
+                                     window: tuple[int, int]) -> GradedModulePresentation:
+    """S/(I_X ∩ <x>^t) itself, over all n+m+2 variables; t = 0 gives S/I_X.
+
+    ``betti.intersected_presentation`` without the quotient by z.  Pieces
+    with i < t are free (monomial bases); pieces with i >= t are the
+    point-function spaces, coordinatized by their values at the RREF
+    pivots; the only mixed maps are the x-variable crossings from row t-1
+    into row t, realized by evaluating source monomials.
+    """
+    fs = function_space_bases(ps, window)
+    p = ps.p
+    wi, wj = window
+    dims = fs.dims.copy()
+    for i in range(min(t, wi + 1)):
+        for j in range(wj + 1):
+            dims[i, j] = t_binom(i, ps.n) * t_binom(j, ps.m)
+
+    def build(var: int, d: tuple[int, int]) -> np.ndarray:
+        dv = var_degree(var, ps.n, ps.m)
+        tgt = (d[0] + dv[0], d[1] + dv[1])
+        if tgt[0] < t:
+            return mult_map(var, d, ps.n, ps.m)
+        piv = fs.pivots[tgt]
+        if d[0] >= t:
+            moved = fs.bases[d] * ps.coordinate_values(var) % p
+            return moved[:, piv].T.copy()
+        # crossing: evaluate each source monomial times the variable
+        moved = evaluation_matrix(ps, d) * ps.coordinate_values(var)[:, None] % p
+        return moved[piv, :].copy()
+
+    return GradedModulePresentation(ps.n, ps.m, p, window, dims,
+                                    tuple(range(ps.n + ps.m + 2)), _builder=build)

@@ -11,9 +11,10 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vreslab import betti
 from vreslab.betti import (
     BettiTable,
     ClosureViolated,
@@ -35,6 +36,9 @@ from vreslab.diffcalc import alternating_betti_from_hilbert
 from vreslab.fp import subspace_equal
 from vreslab.points import PointSet, hilbert_matrix, ideal_piece, random_points
 
+from conftest import fibered_633, fibered_sets
+from oracles import intersected_presentation_in_full
+
 P = 32003
 
 
@@ -42,12 +46,11 @@ def one_point():
     return PointSet(1, 2, P, np.array([[1, 4]]), np.array([[1, 7, 9]]))
 
 
-def fibered_633():
-    # six points, x-parts collide in pairs: fiber sizes (2, 2, 2)
-    xs = np.array([[1, 5], [1, 5], [1, 9], [1, 9], [1, 11], [1, 11]])
-    ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9],
-                   [1, 1, 7], [1, 6, 2], [1, 8, 8]])
-    return PointSet(1, 2, P, xs, ys)
+def honest_betti(pres):
+    """The table with the skip certificate off: every cell builds its strand."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_cert_free_strand", lambda pres, d: False)
+        return betti_numbers(pres)
 
 
 def form_row(coeffs, degree, n, m):
@@ -75,7 +78,7 @@ class TestKoszulOracles:
 
     def test_zero_ideal_is_free(self):
         pres = quotient_presentation({}, 1, 2, P, (3, 3))
-        bt = betti_numbers(pres, certificates=False)
+        bt = honest_betti(pres)
         assert bt.entries == {(0, 0, 0): 1}
 
     def test_residue_field_binomials(self):
@@ -144,26 +147,25 @@ class TestPresentationRoutes:
 
 
 class TestCertificates:
-    # every skip rule must reproduce the honest computation exactly
+    # the library, skip certificate on and off, against the presentation
+    # on all n+m+2 variables with no quotient by z, certificate off
+
+    @staticmethod
+    def assert_matches_oracle(ps, t, window):
+        pres = intersected_presentation(ps, t, window)
+        want = honest_betti(intersected_presentation_in_full(ps, t, window))
+        assert betti_numbers(pres).entries == want.entries
+        assert honest_betti(pres).entries == want.entries
 
     def test_generic_set_on_off(self):
         ps = random_points(1, 2, 6, seed=3, require_generic=True)
-        pres = point_presentation(ps, betti_window(6, 1, 2))
-        on = betti_numbers(pres, certificates=True)
-        off = betti_numbers(pres, certificates=False)
-        assert on.entries == off.entries
+        self.assert_matches_oracle(ps, 0, betti_window(6, 1, 2))
 
     def test_fibered_set_on_off(self):
-        pres = point_presentation(fibered_633(), (7, 5))
-        on = betti_numbers(pres, certificates=True)
-        off = betti_numbers(pres, certificates=False)
-        assert on.entries == off.entries
+        self.assert_matches_oracle(fibered_633(), 0, (7, 5))
 
     def test_intersected_presentation_on_off(self):
-        pres = intersected_presentation(fibered_633(), 2, (5, 5))
-        on = betti_numbers(pres, certificates=True)
-        off = betti_numbers(pres, certificates=False)
-        assert on.entries == off.entries
+        self.assert_matches_oracle(fibered_633(), 2, (5, 5))
 
     def test_region_restricts_output(self):
         ps = random_points(1, 2, 4, seed=11)
@@ -239,7 +241,7 @@ class TestMrc:
 
 
 class TestThirtyOnePoints:
-    # window (32, 11), about a second with certificates on
+    # window (32, 11)
 
     def test_full_table_and_trim(self):
         ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
@@ -313,3 +315,15 @@ def test_beta1_routes_agree_randomized(npts, seed):
     b1 = beta1_table(ps, win)
     for d, v in b1.items():
         assert beta1_from_ideal(ps, d) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(fibered_sets(primes=(7, 101, 32003, 67108859)), st.integers(0, 3),
+       st.integers(0, 6), st.integers(0, 5))
+@example(fibered_633(), 0, 7, 5)
+@example(fibered_633(), 2, 5, 5)
+def test_mod_z_presentation_matches_full_oracle(ps, t, wi, wj):
+    """The strand over S/z gives the Betti table of the module over S."""
+    got = betti_numbers(intersected_presentation(ps, t, (wi, wj)))
+    want = honest_betti(intersected_presentation_in_full(ps, t, (wi, wj)))
+    assert got.entries == want.entries

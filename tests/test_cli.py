@@ -1,5 +1,6 @@
 """End-to-end command-line checks: determinism, exit codes, formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,36 @@ class TestTrialsAndRegression:
         assert rec["command"] == "points"
         assert "timestamp" in rec and "runtime_ms" in rec
         assert rec["verdicts"] == {"generated": True}
+
+
+# SHA-256 of the primary output of each command.  Outputs are byte-stable
+# across versions, so a digest here is never regenerated to match new code.
+PINNED_OUTPUTS = [
+    ("betti --n 1 --m 2 --N 6 --seed 11",
+     "a49c432728565c5664228926bffddade5231bbb1d47828aaff4befd16ca2161e"),
+    ("betti --n 2 --m 1 --N 5 --seed 3",
+     "7f0a3b1ef2ad6285594b841706d2e21a126e5f73fa2a8f4354f86f341de4ea26"),
+    ("betti --n 2 --m 2 --N 4 --seed 5",
+     "d6f76621733205c84ec6e4915644555cbb0472690fe314995b45139af9b6cfd7"),
+    ("vres-intersect --n 1 --m 1 --N 5 --t 4 --seed 2",
+     "e6f5936990abaf32e06092b7a0fe00dc283dcfe86a2acd3117e8c8c8c0953d90"),
+    ("vres-intersect --n 2 --m 2 --N 4 --t 3 --seed 5",
+     "b5566e54cbff4bab9e246c377e7ec583ad77b5390558b5c49611bdb84ea04349"),
+    ("vres-pair --n 1 --m 2 --N 6 --d 5,0 --seed 11",
+     "2b1b9b6d4b88f0f32bd0ff07b41dca034f55c2c539886dbd90d570211c1ef641"),
+    ("mrc --nmin 2 --nmax 8 --trials 2 --seed 7",
+     "3834b8dc94f6f623a13984d80483bc33f60d74b7905a23f053ba409909875875"),
+    ("regress all --seed 1",
+     "9f6c35cc77c9d223285d9ee4db47138baacd50ebf8c66e491a2e355bd227e95b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
+def test_output_matches_pinned_digest(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("VRES_PRIME", raising=False)
+    rc, out = run(capsys, argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -18,6 +18,7 @@ from vreslab.fp import (
     ContainmentViolated,
     FieldPrime,
     kernel_basis,
+    matmul,
     quotient_dim,
     rank,
     rref,
@@ -142,11 +143,20 @@ def test_blocked_rank_with_zero_columns_and_repeats(p):
     assert rank(a, p) == ff_rank(a, p)
 
 
+def test_matmul_exact_past_int64_headroom():
+    # 2049 products of (p-1)**2 overflow one int64 dot product at this prime
+    a = np.full((2, 2049), LARGEST_PRIME - 1, dtype=np.int64)
+    b = np.full((2049, 3), LARGEST_PRIME - 1, dtype=np.int64)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % LARGEST_PRIME
+             for col in b.T] for row in a]
+    assert matmul(a, b, LARGEST_PRIME).tolist() == want == [[2049] * 3] * 2
+
+
 small = st.integers(min_value=0, max_value=6)
 
 
 @st.composite
-def fp_matrices(draw, p=257):
+def fp_matrices(draw, p):
     rows = draw(st.integers(1, 7))
     cols = draw(st.integers(1, 7))
     data = draw(
@@ -159,10 +169,14 @@ def fp_matrices(draw, p=257):
     return np.array(data, dtype=np.int64)
 
 
+# every property runs at a small prime and at the largest one accepted
+primes = st.sampled_from([257, LARGEST_PRIME])
+
+
 @settings(max_examples=120, deadline=None)
-@given(fp_matrices())
-def test_rank_nullity_property(a):
-    p = 257
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), fp_matrices(p))))
+def test_rank_nullity_property(case):
+    p, a = case
     r = rank(a, p)
     k = kernel_basis(a, p)
     assert r + k.shape[0] == a.shape[1]
@@ -172,9 +186,9 @@ def test_rank_nullity_property(a):
 
 
 @settings(max_examples=120, deadline=None)
-@given(fp_matrices())
-def test_rref_idempotent_and_rank_transpose(a):
-    p = 257
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), fp_matrices(p))))
+def test_rref_idempotent_and_rank_transpose(case):
+    p, a = case
     R, piv = rref(a, p)
     R2, piv2 = rref(R, p)
     assert np.array_equal(R, R2)
@@ -183,9 +197,9 @@ def test_rref_idempotent_and_rank_transpose(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(fp_matrices(), fp_matrices())
-def test_intersection_is_contained_in_both(u, w):
-    p = 257
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), fp_matrices(p), fp_matrices(p))))
+def test_intersection_is_contained_in_both(case):
+    p, u, w = case
     if u.shape[1] != w.shape[1]:
         cols = min(u.shape[1], w.shape[1])
         u, w = u[:, :cols], w[:, :cols]

@@ -27,15 +27,8 @@ from vreslab.points import (
     random_points,
 )
 
-from conftest import ff_rank
+from conftest import fibered_633, fibered_sets, ff_rank
 from oracles import decomposition_check_in_full, intersected_piece, y0_nonzerodivisor
-
-
-def fibered_633():
-    """Six points over three shared x-parts (ell=3, fibers of size 2)."""
-    xs = np.array([[1, 5], [1, 5], [1, 9], [1, 9], [1, 11], [1, 11]])
-    ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9], [1, 1, 7], [1, 6, 2], [1, 8, 8]])
-    return PointSet(1, 2, 32003, xs, ys)
 
 
 class TestPointSetValidation:
@@ -292,26 +285,6 @@ def test_sweep_cells_equal_rref_of_evaluation(ps):
         R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
         assert np.array_equal(V, R[: len(piv)])
         assert fs.pivots[d].tolist() == piv
-
-
-@st.composite
-def fibered_sets(draw):
-    """Up to three fibers of up to three points each, over a small field."""
-    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
-    p = draw(st.sampled_from([7, 101, 32003]))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bases: set[tuple] = set()
-    while len(bases) < len(sizes):
-        bases.add((1, *map(int, rng.integers(0, p, size=n))))
-    xs, ys = [], []
-    for base, size in zip(sorted(bases), sizes):
-        fiber: set[tuple] = set()
-        while len(fiber) < size:
-            fiber.add((1, *map(int, rng.integers(0, p, size=m))))
-        xs += [base] * size
-        ys += sorted(fiber)
-    return PointSet(n, m, p, np.array(xs), np.array(ys))
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,14 +20,9 @@ from vreslab.vres import (
     virtual_of_pair,
 )
 
+from conftest import fibered_633
+
 P = 32003
-
-
-def fibered_633():
-    xs = np.array([[1, 5], [1, 5], [1, 9], [1, 9], [1, 11], [1, 11]])
-    ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9],
-                   [1, 1, 7], [1, 6, 2], [1, 8, 8]])
-    return PointSet(1, 2, P, xs, ys)
 
 
 class TestRegularity:
