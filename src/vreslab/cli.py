@@ -331,6 +331,9 @@ def main(argv=None) -> int:
     for flag in ("N", "nmin", "nmax"):  # point counts
         if hasattr(args, flag) and not 1 <= getattr(args, flag) < args.prime:
             parser.error(f"--{flag} must satisfy 1 <= {flag} < p = {args.prime}")
+    for flag in ("n", "m"):  # projective dimensions
+        if hasattr(args, flag) and getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
     if hasattr(args, "t") and args.t < 1:
         parser.error("--t must be >= 1")
     try:

@@ -20,10 +20,6 @@ import numpy as np
 DEFAULT_PRIME = 32003
 
 
-class ContainmentViolated(Exception):
-    """Raised when a claimed subspace containment fails."""
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -202,14 +198,3 @@ def subspace_intersection(u, w, p: int) -> np.ndarray:
     R, piv = rref(vecs, p)
     return R[: len(piv)]
 
-
-def quotient_dim(vbasis, wbasis, p: int) -> int:
-    """dim(V/W) for row-space bases with W ⊆ V (checked)."""
-    V = normalize(vbasis, p)
-    W = normalize(wbasis, p)
-    rv = rank(V, p)
-    rw = rank(W, p)
-    if W.shape[0]:
-        if rank(np.vstack([V, W]), p) != rv:
-            raise ContainmentViolated("W is not contained in V")
-    return rv - rw

@@ -12,9 +12,9 @@ variable actions; each step row-reduces a stack of (n+1)*dim or
 image at (i,j) contains the images at (i-1,j) and (i,j-1), so once either
 is all of k^N the cell is saturated: its RREF basis is the identity and
 no elimination runs.  Every swept cell is memoized on its ``PointSet``,
-so the genericity check, the Hilbert matrix, the presentations and the
-regularity witness of one set share a single sweep, and a window only
-computes the cells no earlier window covered.
+so the genericity check, the Hilbert matrix, the presentations, the
+regularity witness and the decomposition check of one set share a single
+sweep, and a window only computes the cells no earlier window covered.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from .diffcalc import IntMatrix
 from .fp import (
     DEFAULT_PRIME,
     kernel_basis,
+    matmul,
     normalize,
+    rank,
     rref,
     row_stack,
-    subspace_contains,
-    subspace_equal,
-    subspace_intersection,
 )
 
 
@@ -127,7 +126,10 @@ class PointSet:
 
 
 def min_cover_degree(N: int, b: int) -> int:
-    """Smallest r with t_binom(r, b) >= N."""
+    """Smallest r with t_binom(r, b) >= N; ValueError when there is none."""
+    if N > 1 and b < 1:
+        # t_binom(r, 0) = 1 for every r
+        raise ValueError(f"no degree covers {N} points with b = {b}")
     r = 0
     while t_binom(r, b) < N:
         r += 1
@@ -322,21 +324,25 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
 
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
     the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
-    first-projection and of <<x>^t, y0>.  With ``containment_only`` just the
-    left-to-right containment is verified, which holds for every t >= 0.
+    first projection and of <<x>^t, y0>.  With ``containment_only`` just the
+    left-to-right containment is asked about.
 
-    At d = (i,j) every one of these pieces contains W = y0 * S_(i,j-1), the
-    span of the monomials divisible by y0.  Let pi drop those monomials'
-    coordinates.  A subspace A containing W equals pi^-1(pi(A)), so two
-    such subspaces are equal, or one contains the other, exactly when their
-    images under pi are; an intersection of them is pi^-1 of the
-    intersection of the images; and pi(J_d + W) = pi(J_d).  So the check
-    compares the y0-free columns of the ideal pieces' kernel bases, with no
-    W rows, and its answer is that of the comparison in S_d for every
-    input.  Below row t both sides are W itself, so the check starts at
-    row t, where the <x>^t component is all of S_d and drops out.  All
-    pieces of one bidegree come from one evaluation matrix: a fiber's
-    ideal piece is the kernel of that fiber's rows.
+    Below row t both sides are y0 * S_(i,j-1), so the check starts at row t,
+    where the <x>^t component is all of S_d and drops out.  There it runs in
+    k^N on the point set's memoized sweep.  Let V_d be the evaluation image
+    of S_d, lo = V_(i,j-1) (the image of y0 * S_(i,j-1), as y0 = 1 at every
+    point) and V^k the restriction of a space to the points of fiber k.
+    Evaluation maps S_d onto V_d; the left-hand piece is the kernel of
+    S_d -> V_d/lo and fiber k's piece is the kernel of S_d -> V^k_d/lo^k.
+    The latter maps factor through phi: V_d/lo -> ⊕_k V^k_d/lo^k, so the
+    left-hand piece lies in every fiber's piece for every input, and
+    ``containment_only`` returns True without computing anything.  The
+    identity at d holds exactly when phi is injective.  Composing each
+    restriction with a basis ann_k of the annihilator of lo^k makes phi a
+    matrix on a basis of V_d whose kernel is lo exactly when its rank is
+    dim V_d - dim lo.  In column 0 lo = 0 and phi is the restriction to
+    the points, injective because the fibers cover X; a saturated lo
+    leaves V_d/lo = 0.  Neither cell needs a rank.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -345,24 +351,20 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
     fib = pi1_fibers(ps)
     if not allow_small_t and not containment_only and t < fib.ell - 1:
         raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
+    if containment_only:
+        return True
+    fs = function_space_bases(ps, window)
+    fibers = [list(idx) for _, idx in fib.fibers]
     wi, wj = window
     for i in range(t, wi + 1):
-        for j in range(wj + 1):
-            d = (i, j)
-            E = evaluation_matrix(ps, d)
-            y0_free = monomials(ps.n, ps.m, d).array()[:, ps.n + 1] == 0
-            lhs = kernel_basis(E, ps.p)[:, y0_free]
-            components = [
-                kernel_basis(E[list(idx)], ps.p)[:, y0_free]
-                for _, idx in fib.fibers
-            ]
-            if containment_only:
-                if not all(subspace_contains(c, lhs, ps.p) for c in components):
-                    return False
+        for j in range(1, wj + 1):
+            hi, lo = fs.bases[(i, j)], fs.bases[(i, j - 1)]
+            if len(lo) == ps.N:
                 continue
-            meet = components[0]
-            for c in components[1:]:
-                meet = subspace_intersection(meet, c, ps.p)
-            if not subspace_equal(meet, lhs, ps.p):
+            phi = np.hstack([
+                matmul(hi[:, idx], kernel_basis(lo[:, idx], ps.p).T, ps.p)
+                for idx in fibers
+            ])
+            if rank(phi, ps.p) != len(hi) - len(lo):
                 return False
     return True

@@ -1,7 +1,8 @@
 """Reference routes that the library's fast paths are tested against.
 
 Each one computes its answer the direct way, in the full monomial basis,
-and shares no shortcut with the code it checks.
+and shares no shortcut with the code it checks.  ``quotient_dim`` is a
+subspace helper that only the tests use.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import numpy as np
 from vreslab.betti import GradedModulePresentation
 from vreslab.cox import count_monomials, mult_map, t_binom, var_degree
 from vreslab.fp import (
+    normalize,
+    rank,
     row_stack,
     subspace_contains,
     subspace_equal,
@@ -24,6 +27,22 @@ from vreslab.points import (
     ideal_piece,
     pi1_fibers,
 )
+
+
+class ContainmentViolated(Exception):
+    """Raised when a claimed subspace containment fails."""
+
+
+def quotient_dim(vbasis, wbasis, p: int) -> int:
+    """dim(V/W) for row-space bases with W ⊆ V (checked)."""
+    V = normalize(vbasis, p)
+    W = normalize(wbasis, p)
+    rv = rank(V, p)
+    rw = rank(W, p)
+    if W.shape[0]:
+        if rank(np.vstack([V, W]), p) != rv:
+            raise ContainmentViolated("W is not contained in V")
+    return rv - rw
 
 
 def intersected_piece(ps: PointSet, t: int, degree: tuple[int, int]) -> np.ndarray:

@@ -205,6 +205,9 @@ class TestExitCodes:
         ["vres-pair", "--N", "3", "--d", "2,0", "--window", "1,1", "--seed", "1"],
         # every piece below row t is free
         ["vres-intersect", "--N", "3", "--t", "2", "--window=1,5", "--seed", "1"],
+        # P^1 x P^0: no column degree covers three points, so no default window
+        ["vres-intersect", "--n", "1", "--m", "0", "--N", "3", "--t", "2", "--seed", "1"],
+        ["points", "--n", "-1", "--N", "3", "--seed", "1"],
     ])
     def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("VRES_PRIME", raising=False)

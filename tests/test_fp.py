@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ff_rank, random_fp_matrix
+from oracles import ContainmentViolated, quotient_dim
 from vreslab.fp import (
     DEFAULT_PRIME,
-    ContainmentViolated,
     FieldPrime,
     kernel_basis,
     matmul,
-    quotient_dim,
     rank,
     rref,
     subspace_contains,

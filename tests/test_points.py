@@ -203,6 +203,9 @@ class TestHilbertSweep:
         assert min_cover_degree(1, 2) == 0
         assert min_cover_degree(4, 1) == 3
         assert hilbert_window(31, 1, 2) == (32, 10)
+        # t_binom(r, 0) = 1 for every r, so no r covers two or more points
+        with pytest.raises(ValueError):
+            min_cover_degree(3, 0)
 
     def test_constructed_nongeneric(self):
         # three points with one x-part and collinear y-parts
@@ -287,14 +290,22 @@ def test_sweep_cells_equal_rref_of_evaluation(ps):
         assert fs.pivots[d].tolist() == piv
 
 
+def fibered_31() -> PointSet:
+    """Four points over two x-parts, a fiber of size 3 and one of size 1."""
+    xs = np.array([[1, 5]] * 3 + [[1, 9]])
+    ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9], [1, 1, 7]])
+    return PointSet(1, 2, 32003, xs, ys)
+
+
 @settings(max_examples=100, deadline=None)
-@given(fibered_sets(), st.integers(0, 3), st.integers(0, 4), st.integers(0, 3),
-       st.booleans())
+@given(fibered_sets(primes=(7, 101, 32003, 67108859)), st.integers(0, 3),
+       st.integers(0, 4), st.integers(0, 3), st.booleans())
 @example(fibered_633(), 0, 4, 3, False)
 @example(fibered_633(), 1, 4, 3, False)
 @example(fibered_633(), 1, 4, 3, True)
+@example(fibered_31(), 0, 2, 2, False)  # a size-3 fiber; fails at t = 0
 def test_decomposition_check_matches_full_oracle(ps, t, wi, wj, containment_only):
-    """The y0-free comparison answers as the comparison in all of S_(i,j)."""
+    """The rank test in k^N answers as the comparison in all of S_(i,j)."""
     args = (ps, t, (wi, wj))
     flags = {"allow_small_t": True, "containment_only": containment_only}
     assert decomposition_check(*args, **flags) == decomposition_check_in_full(*args, **flags)
@@ -357,8 +368,13 @@ class TestDecomposition:
     def test_fails_below_bound(self):
         assert not decomposition_check(fibered_633(), 0, (4, 3), allow_small_t=True)
         assert not decomposition_check(fibered_633(), 1, (4, 3), allow_small_t=True)
+        assert not decomposition_check(fibered_31(), 0, (2, 2), allow_small_t=True)
 
-    def test_containment_any_t(self):
+    def test_containment_any_t(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("containment holds for every input")
+
+        monkeypatch.setattr(points_module, "function_space_bases", no_sweep)
         for t in (0, 1, 2):
             assert decomposition_check(fibered_633(), t, (4, 3), containment_only=True)
 
@@ -385,6 +401,7 @@ class TestDecomposition:
             raise AssertionError("evaluation before the input check")
 
         monkeypatch.setattr(points_module, "evaluation_matrix", no_work)
+        monkeypatch.setattr(points_module, "function_space_bases", no_work)
         with pytest.raises(ValueError):
             decomposition_check(random_points(1, 2, 4, seed=3), t, window, **flags)
 
