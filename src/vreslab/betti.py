@@ -17,12 +17,18 @@ One certificate skips cells without rank work.  A presented module is
 R/J for R the polynomial ring on its variables.  Where a piece has the
 dimension of R's piece, J vanishes there and in every lower degree, so
 the strand is R's own strand, which is exact away from the origin.
+
+Bookkeeping that every cell would otherwise redo is computed once: each
+k's variable subsets with their bidegrees per (variables, n, k), and,
+inside one point-set presentation, the y0-free monomials and the fresh
+pivots of each piece that its maps read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -121,9 +127,11 @@ def intersected_presentation(ps: PointSet, t: int,
         lo = (d[0] - dz[0], d[1] - dz[1])
         return lo if min(lo) >= 0 else None
 
+    @cache
     def y0_free(d):
         return np.flatnonzero(monomials(n, m, d).array()[:, n + 1] == 0)
 
+    @cache
     def fresh(d):
         # which of V_d's pivots are not pivots of the cell below
         lo = below(d)
@@ -296,9 +304,14 @@ class BettiTable:
                    data["kmax"], data["boundary_clean"])
 
 
-def _subset_degree(T, n, m):
-    a = sum(1 for v in T if v <= n)
-    return a, len(T) - a
+@cache
+def _subsets(variables: tuple[int, ...], n: int, k: int) -> tuple:
+    """The k-subsets of the variables in lex order, each with its bidegree."""
+    out = []
+    for T in combinations(variables, k):
+        a = sum(1 for v in T if v <= n)
+        out.append((T, (a, k - a)))
+    return tuple(out)
 
 
 def _free_dim(deg: int, nvars: int) -> int:
@@ -313,7 +326,8 @@ def _cert_free_strand(pres, d) -> bool:
     variables.  R is a domain, so J_d = 0 forces J_e = 0 at every e <= d,
     and the strand at d reads only pieces at such e.
     """
-    nx, ny = _subset_degree(pres.variables, pres.n, pres.m)
+    # the one subset of all the variables carries R's variable counts
+    nx, ny = _subsets(pres.variables, pres.n, len(pres.variables))[0][1]
     return pres.dim(d) == _free_dim(d[0], nx) * _free_dim(d[1], ny)
 
 
@@ -321,8 +335,7 @@ def _strand_snapshot(pres, d, k):
     """Summands of K_k at d: (subset, piece degree, dim, offset)."""
     out = []
     offset = 0
-    for T in combinations(pres.variables, k):
-        a, b = _subset_degree(T, pres.n, pres.m)
+    for T, (a, b) in _subsets(pres.variables, pres.n, k):
         piece = (d[0] - a, d[1] - b)
         dim = pres.dim(piece)
         if dim:
@@ -401,31 +414,6 @@ def pdim(bt: BettiTable) -> int:
 
 def betti_window(N: int, n: int, m: int) -> tuple[int, int]:
     return N + n, min_cover_degree(N, m) + m + 2
-
-
-def beta1_table(ps: PointSet, window: tuple[int, int]) -> dict:
-    """Minimal generator counts of I_X by bidegree (k=1 Betti layer)."""
-    pres = point_presentation(ps, window)
-    return betti_numbers(pres, kmax=1).layer(1)
-
-
-def beta1_from_ideal(ps: PointSet, d: tuple[int, int]) -> int:
-    """Independent generator count: dim I_d minus dim of (S_1 * I)_d."""
-    from .points import ideal_piece
-
-    i, j = d
-    cols = count_monomials(ps.n, ps.m, d)
-    blocks = []
-    for var in range(ps.n + ps.m + 2):
-        dv = var_degree(var, ps.n, ps.m)
-        src = (i - dv[0], j - dv[1])
-        if src[0] < 0 or src[1] < 0:
-            continue
-        K = ideal_piece(ps, src)
-        if K.size:
-            blocks.append((mult_map(var, src, ps.n, ps.m) @ K.T % ps.p).T)
-    moved = row_stack(blocks, cols)
-    return ideal_piece(ps, d).shape[0] - rank(moved, ps.p)
 
 
 @dataclass

@@ -101,27 +101,3 @@ def mult_map(var: int, src_degree: tuple[int, int], n: int, m: int) -> np.ndarra
         mat[tgt.index(tuple(bumped)), c] = 1
     return mat
 
-
-def poly_mult_matrix(coeffs, form_degree: tuple[int, int], src_degree: tuple[int, int],
-                     n: int, m: int, p: int) -> np.ndarray:
-    """Matrix of multiplication by a fixed form between monomial bases.
-
-    ``coeffs`` lists the form's coefficients in the monomial order of its
-    bidegree piece.
-    """
-    form = monomials(n, m, form_degree)
-    src = monomials(n, m, src_degree)
-    tgt = monomials(n, m, (form_degree[0] + src_degree[0], form_degree[1] + src_degree[1]))
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    if coeffs.shape != (len(form),):
-        raise ValueError("coefficient vector does not match the form's bidegree piece")
-    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for t, fe in enumerate(form.exponents):
-        cf = int(coeffs[t])
-        if cf == 0:
-            continue
-        for c, se in enumerate(src.exponents):
-            prod = tuple(a + b for a, b in zip(fe, se))
-            r = tgt.index(prod)
-            mat[r, c] = (mat[r, c] + cf) % p
-    return mat

@@ -9,6 +9,14 @@ kernel bases are read off the reduced row echelon form in free-column order.
 Each elimination step forms products of two residues and reduces them
 before the next step.  With p < 2**26, the bound ``FieldPrime`` enforces,
 such a product stays below 2**52, so int64 elimination is exact.
+
+The Koszul strands are many, small and very sparse, so the cost of
+elimination is the fixed numpy overhead of each pivot, not its
+arithmetic.  ``rank`` therefore runs along the shorter side (rank is
+invariant under transpose), scans each column once for both the pivot and
+the rows to clear, and updates only the columns from the pivot on;
+``rref`` has the same loop shape.  The steps, and so the exactness
+argument above, are unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ def normalize(a, p: int) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    return np.mod(arr, p)
+    # C order, so that a transposed input still gives contiguous rows
+    return np.mod(arr, p, order="C")
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -82,7 +91,9 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns ``(R, pivots)`` where pivots are the pivot column indices in
     increasing order.  Pivot entries are scaled to 1 and are the only
-    nonzero entries in their columns.
+    nonzero entries in their columns.  Rows from the pivot row down are
+    zero left of the pivot column, so swaps, scaling and updates touch
+    only the columns from it on.
     """
     A = normalize(a, p)
     rows, cols = A.shape
@@ -91,47 +102,57 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        col = A[r:, c]
-        nz = np.flatnonzero(col)
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            A[[r, i]] = A[[i, r]]
+            A[[r, i], c:] = A[[i, r], c:]
         piv = int(A[r, c])
         if piv != 1:
-            A[r] = A[r] * _inv(piv, p) % p
-        other = A[:, c].copy()
-        other[r] = 0
-        hit = np.flatnonzero(other)
+            A[r, c:] = A[r, c:] * _inv(piv, p) % p
+        hit = A[:, c].nonzero()[0]
+        hit = hit[hit != r]
         if hit.size:
-            A[hit] = (A[hit] - np.outer(other[hit], A[r])) % p
+            A[hit, c:] = (A[hit, c:] - A[hit, c, None] * A[r, c:]) % p
         pivots.append(c)
         r += 1
     return A, pivots
 
 
 def rank(a, p: int) -> int:
-    """Rank over GF(p) by forward elimination with the pivot rule of ``rref``."""
-    A = normalize(a, p)
+    """Rank over GF(p) by forward elimination with the pivot rule of ``rref``.
+
+    rank(A) = rank(A^T), so a tall matrix is eliminated as its transpose
+    and the loop runs over the shorter side; the transpose is taken before
+    the one reduced copy, so no second copy is made.  Each column is
+    scanned once: its first nonzero from the pivot row down is the pivot,
+    and the rest of that scan are the rows to clear.  Updates touch only
+    the columns from the pivot column on, left of which those rows are
+    zero.  Each update reduces a product of two residues, as in ``rref``,
+    so the int64 exactness argument of the module docstring holds.
+    """
+    arr = np.asarray(a)
+    if arr.ndim == 2 and arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    A = normalize(arr, p)
     rows, cols = A.shape
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = A[r:, c]
-        nz = np.flatnonzero(col)
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = _inv(A[r, c], p)
-        below = A[r + 1 :, c]
-        hit = np.flatnonzero(below)
-        if hit.size:
-            mults = below[hit] * inv % p
-            A[r + 1 :][hit, c:] = (A[r + 1 :][hit, c:] - np.outer(mults, A[r, c:])) % p
+        if nz[0]:
+            i = r + int(nz[0])
+            A[[r, i], c:] = A[[i, r], c:]
+        if nz.size > 1:
+            # the swap moved a zero of column c into row i, so the rows to
+            # clear are the rest of the scan
+            hit = nz[1:] + r
+            mults = A[hit, c] * _inv(A[r, c], p) % p
+            A[hit, c:] = (A[hit, c:] - mults[:, None] * A[r, c:]) % p
         r += 1
     return r
 

@@ -101,10 +101,12 @@ class FreeComplexShape:
                          for stage in data["stages"]))
 
     @classmethod
-    def from_betti(cls, bt) -> "FreeComplexShape":
+    def from_betti(cls, bt, limit=None) -> "FreeComplexShape":
+        """Stages of the table, or of its twists at most ``limit`` if given."""
         by_stage = {}
         for (k, i, j), b in bt.entries.items():
-            by_stage.setdefault(k, {})[(i, j)] = b
+            if limit is None or (i <= limit[0] and j <= limit[1]):
+                by_stage.setdefault(k, {})[(i, j)] = b
         if not by_stage:
             return cls(())
         kmax = max(by_stage)
@@ -142,15 +144,7 @@ def virtual_of_pair(bt, d, n=None, m=None, witness=None) -> FreeComplexShape:
     lim = (d[0] + n, d[1] + m)
     if not bt.boundary_clean and (lim[0] > bt.window[0] or lim[1] > bt.window[1]):
         raise DirtyBoundary("kept region exceeds a window with boundary entries")
-    by_stage = {}
-    for (k, i, j), b in bt.entries.items():
-        if i <= lim[0] and j <= lim[1]:
-            by_stage.setdefault(k, {})[(i, j)] = b
-    if not by_stage:
-        return FreeComplexShape(())
-    kmax = max(by_stage)
-    return FreeComplexShape(tuple(dict(sorted(by_stage.get(k, {}).items()))
-                                  for k in range(kmax + 1)))
+    return FreeComplexShape.from_betti(bt, limit=lim)
 
 
 def pair_vres(ps, d, window=None) -> FreeComplexShape:

@@ -1,16 +1,19 @@
 """Reference routes that the library's fast paths are tested against.
 
 Each one computes its answer the direct way, in the full monomial basis,
-and shares no shortcut with the code it checks.  ``quotient_dim`` is a
-subspace helper that only the tests use.
+and shares no shortcut with the code it checks.  ``quotient_dim``,
+``poly_mult_matrix`` and ``beta1_table`` are helpers that only the tests
+use.  ``rref_by_columns`` and ``rank_by_columns`` are the plain column
+loops that ``fp.rref`` and ``fp.rank`` trimmed: full-row updates, a second
+scan for the rows to clear, and no transpose.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from vreslab.betti import GradedModulePresentation
-from vreslab.cox import count_monomials, mult_map, t_binom, var_degree
+from vreslab.betti import GradedModulePresentation, betti_numbers, point_presentation
+from vreslab.cox import count_monomials, monomials, mult_map, t_binom, var_degree
 from vreslab.fp import (
     normalize,
     rank,
@@ -43,6 +46,106 @@ def quotient_dim(vbasis, wbasis, p: int) -> int:
         if rank(np.vstack([V, W]), p) != rv:
             raise ContainmentViolated("W is not contained in V")
     return rv - rw
+
+
+def rref_by_columns(a, p: int) -> tuple[np.ndarray, list[int]]:
+    """``fp.rref`` with whole-row swaps, scaling and updates."""
+    A = normalize(a, p)
+    rows, cols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        piv = int(A[r, c])
+        if piv != 1:
+            A[r] = A[r] * pow(piv, -1, p) % p
+        other = A[:, c].copy()
+        other[r] = 0
+        hit = np.flatnonzero(other)
+        if hit.size:
+            A[hit] = (A[hit] - np.outer(other[hit], A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def rank_by_columns(a, p: int) -> int:
+    """Forward elimination down the columns as given, never transposed."""
+    A = normalize(a, p)
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        below = A[r + 1 :, c]
+        hit = np.flatnonzero(below)
+        if hit.size:
+            mults = below[hit] * inv % p
+            A[r + 1 :][hit, c:] = (A[r + 1 :][hit, c:] - np.outer(mults, A[r, c:])) % p
+        r += 1
+    return r
+
+
+def poly_mult_matrix(coeffs, form_degree: tuple[int, int], src_degree: tuple[int, int],
+                     n: int, m: int, p: int) -> np.ndarray:
+    """Matrix of multiplication by a fixed form between monomial bases.
+
+    ``coeffs`` lists the form's coefficients in the monomial order of its
+    bidegree piece.
+    """
+    form = monomials(n, m, form_degree)
+    src = monomials(n, m, src_degree)
+    tgt = monomials(n, m, (form_degree[0] + src_degree[0], form_degree[1] + src_degree[1]))
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    if coeffs.shape != (len(form),):
+        raise ValueError("coefficient vector does not match the form's bidegree piece")
+    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    for t, fe in enumerate(form.exponents):
+        cf = int(coeffs[t])
+        if cf == 0:
+            continue
+        for c, se in enumerate(src.exponents):
+            prod = tuple(a + b for a, b in zip(fe, se))
+            r = tgt.index(prod)
+            mat[r, c] = (mat[r, c] + cf) % p
+    return mat
+
+
+def beta1_table(ps: PointSet, window: tuple[int, int]) -> dict:
+    """Minimal generator counts of I_X by bidegree (k=1 Betti layer)."""
+    pres = point_presentation(ps, window)
+    return betti_numbers(pres, kmax=1).layer(1)
+
+
+def beta1_from_ideal(ps: PointSet, d: tuple[int, int]) -> int:
+    """Independent generator count: dim I_d minus dim of (S_1 * I)_d."""
+    i, j = d
+    cols = count_monomials(ps.n, ps.m, d)
+    blocks = []
+    for var in range(ps.n + ps.m + 2):
+        dv = var_degree(var, ps.n, ps.m)
+        src = (i - dv[0], j - dv[1])
+        if src[0] < 0 or src[1] < 0:
+            continue
+        K = ideal_piece(ps, src)
+        if K.size:
+            blocks.append((mult_map(var, src, ps.n, ps.m) @ K.T % ps.p).T)
+    moved = row_stack(blocks, cols)
+    return ideal_piece(ps, d).shape[0] - rank(moved, ps.p)
 
 
 def intersected_piece(ps: PointSet, t: int, degree: tuple[int, int]) -> np.ndarray:

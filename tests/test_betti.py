@@ -19,8 +19,6 @@ from vreslab.betti import (
     BettiTable,
     ClosureViolated,
     DirtyBoundary,
-    beta1_from_ideal,
-    beta1_table,
     betti_numbers,
     betti_window,
     ideal_pieces_from_generators,
@@ -37,7 +35,7 @@ from vreslab.fp import subspace_equal
 from vreslab.points import PointSet, hilbert_matrix, ideal_piece, random_points
 
 from conftest import fibered_633, fibered_sets
-from oracles import intersected_presentation_in_full
+from oracles import beta1_from_ideal, beta1_table, intersected_presentation_in_full
 
 P = 32003
 

@@ -12,10 +12,11 @@ from vreslab.cox import (
     count_monomials,
     monomials,
     mult_map,
-    poly_mult_matrix,
     t_binom,
 )
 from vreslab.fp import DEFAULT_PRIME, rank
+
+from oracles import poly_mult_matrix
 
 P = DEFAULT_PRIME
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ff_rank, random_fp_matrix
-from oracles import ContainmentViolated, quotient_dim
+from oracles import ContainmentViolated, quotient_dim, rank_by_columns, rref_by_columns
 from vreslab.fp import (
     DEFAULT_PRIME,
     FieldPrime,
@@ -142,6 +142,25 @@ def test_blocked_rank_with_zero_columns_and_repeats(p):
     assert rank(a, p) == ff_rank(a, p)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (9, 3), (3, 9), (12, 1)])
+def test_kernels_take_edge_shapes_and_leave_the_input_alone(shape):
+    # the sweep hands out read-only bases, and a kernel may not write into
+    # any caller's array, transposed, unreduced or read-only
+    rng = np.random.default_rng(5)
+    a = rng.integers(-2 * P, 2 * P, size=shape)
+    a[rng.random(shape) < 0.5] = 0
+    readonly = a.copy()
+    readonly.flags.writeable = False
+    for arr in (a, readonly, np.asfortranarray(a)):
+        before = arr.copy()
+        R, piv = rref(arr, P)
+        r = rank(arr, P)
+        assert np.array_equal(arr, before)
+        R0, piv0 = rref_by_columns(before, P)
+        assert R.shape == shape and np.array_equal(R, R0) and piv == piv0
+        assert r == len(piv) == rank_by_columns(before, P) == ff_rank(before, P)
+
+
 def test_matmul_exact_past_int64_headroom():
     # 2049 products of (p-1)**2 overflow one int64 dot product at this prime
     a = np.full((2, 2049), LARGEST_PRIME - 1, dtype=np.int64)
@@ -193,6 +212,38 @@ def test_rref_idempotent_and_rank_transpose(case):
     assert np.array_equal(R, R2)
     assert piv == piv2
     assert rank(a, p) == rank(a.T, p) == len(piv)
+
+
+@st.composite
+def strand_like_matrices(draw, p):
+    """Mostly zero, with zero rows and columns and rows repeated up to a
+    scalar, tall or wide up to 12 x 12, like the Koszul strands.
+
+    Uniform dense draws almost never need a row swap or clear several rows
+    at one pivot; these do both often.
+    """
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    a = np.where(rng.random((rows, cols)) < density,
+                 rng.integers(1, p, size=(rows, cols)), 0)
+    a[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0
+    a[:, draw(st.lists(st.integers(0, cols - 1), max_size=3))] = 0
+    pairs = st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1), st.integers(1, p - 1))
+    for src, dst, scale in draw(st.lists(pairs, max_size=4)):
+        a[dst] = a[src] * scale % p
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), strand_like_matrices(p))))
+def test_kernels_match_column_loop_oracle(case):
+    p, a = case
+    R, piv = rref(a, p)
+    R0, piv0 = rref_by_columns(a, p)
+    assert np.array_equal(R, R0)
+    assert piv == piv0
+    assert rank(a, p) == ff_rank(a, p) == rank_by_columns(a, p) == len(piv)
 
 
 @settings(max_examples=60, deadline=None)
