@@ -11,7 +11,10 @@ nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
 S/z is the polynomial ring on the other n+m+1 variables.  So the point
 modules are presented modulo z (x0 for S/I_X, y0 for S/(I_X ∩ <x>^t)
 with t >= 1), with pieces of at most N dimensions, and each strand is
-smaller than the one on all n+m+2 variables.
+smaller than the one on all n+m+2 variables.  ``intersected_presentation``
+is the one builder (``point_presentation`` is its t = 0 case); the tests
+check the engine against presentations of S/J built from explicit ideal
+generators in their own oracles.
 
 One certificate skips cells without rank work.  A presented module is
 R/J for R the polynomial ring on its variables.  Where a piece has the
@@ -35,8 +38,8 @@ from math import comb
 import numpy as np
 
 from .cox import count_monomials, monomials, mult_map, var_degree
-from .diffcalc import IntMatrix, dh_p1p2
-from .fp import matmul, rank, row_stack, rref, subspace_contains
+from .diffcalc import dh_p1p2
+from .fp import matmul, rank
 from .points import (
     PointSet,
     evaluation_matrix,
@@ -45,10 +48,6 @@ from .points import (
     hilbert_matrix,
     min_cover_degree,
 )
-
-
-class ClosureViolated(Exception):
-    """Degreewise pieces are not closed under variable multiplication."""
 
 
 class DirtyBoundary(Exception):
@@ -170,90 +169,6 @@ def intersected_presentation(ps: PointSet, t: int,
     return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build)
 
 
-def ideal_pieces_from_generators(gens, n: int, m: int, p: int,
-                                 window: tuple[int, int]) -> dict:
-    """Degreewise bases of the ideal generated by explicit forms.
-
-    ``gens`` is a list of (degree, rows) with rows = coefficient vectors in
-    the monomial basis of that degree.  Pieces are grown along the window by
-    multiplying lower pieces into each bidegree.
-    """
-    wi, wj = window
-    explicit: dict[tuple[int, int], list[np.ndarray]] = {}
-    for d, rows in gens:
-        explicit.setdefault(tuple(d), []).append(np.atleast_2d(np.asarray(rows)))
-    pieces: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            cols = count_monomials(n, m, (i, j))
-            blocks = list(explicit.get((i, j), []))
-            if i > 0 and pieces[(i - 1, j)].size:
-                prev = pieces[(i - 1, j)]
-                for v in range(n + 1):
-                    blocks.append((mult_map(v, (i - 1, j), n, m) @ prev.T % p).T)
-            if j > 0 and pieces[(i, j - 1)].size:
-                prev = pieces[(i, j - 1)]
-                for v in range(n + 1, n + m + 2):
-                    blocks.append((mult_map(v, (i, j - 1), n, m) @ prev.T % p).T)
-            stacked = row_stack(blocks, cols)
-            R, piv = rref(stacked, p)
-            pieces[(i, j)] = R[: len(piv)]
-    return pieces
-
-
-def quotient_presentation(pieces: dict, n: int, m: int, p: int,
-                          window: tuple[int, int],
-                          validate: bool = True) -> GradedModulePresentation:
-    """S/J from degreewise ideal bases, via standard-monomial cosets.
-
-    The quotient basis at each bidegree is the set of non-pivot monomials of
-    the RREF'd ideal piece; multiplication maps multiply a standard monomial
-    and reduce modulo the target piece.
-    """
-    wi, wj = window
-    rrefs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    dims = np.zeros((wi + 1, wj + 1), dtype=np.int64)
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            cols = count_monomials(n, m, (i, j))
-            raw = pieces.get((i, j))
-            if raw is None or np.asarray(raw).size == 0:
-                raw = np.zeros((0, cols), dtype=np.int64)
-            R, piv = rref(np.asarray(raw), p)
-            R = R[: len(piv)]
-            piv = np.asarray(piv, dtype=np.int64)
-            free = np.setdiff1d(np.arange(cols), piv)
-            rrefs[(i, j)] = (R, piv, free)
-            dims[i, j] = len(free)
-    if validate:
-        for i in range(wi + 1):
-            for j in range(wj + 1):
-                R = rrefs[(i, j)][0]
-                if not R.size:
-                    continue
-                for var in range(n + m + 2):
-                    dv = var_degree(var, n, m)
-                    ti, tj = i + dv[0], j + dv[1]
-                    if ti > wi or tj > wj:
-                        continue
-                    moved = (mult_map(var, (i, j), n, m) @ R.T % p).T
-                    if not subspace_contains(rrefs[(ti, tj)][0], moved, p):
-                        raise ClosureViolated(f"piece ({i},{j}) times var {var}")
-
-    def build(var: int, d: tuple[int, int]) -> np.ndarray:
-        dv = var_degree(var, n, m)
-        tgt = (d[0] + dv[0], d[1] + dv[1])
-        _, _, free_src = rrefs[d]
-        R_tgt, piv_tgt, free_tgt = rrefs[tgt]
-        M = mult_map(var, d, n, m)[:, free_src]
-        if R_tgt.size:
-            M = (M - R_tgt.T @ M[piv_tgt, :]) % p
-        return M[free_tgt, :]
-
-    return GradedModulePresentation(n, m, p, window, dims,
-                                    tuple(range(n + m + 2)), _builder=build)
-
-
 @dataclass
 class BettiTable:
     """Sparse bigraded Betti numbers beta_{k,(i,j)} over a window."""
@@ -273,20 +188,6 @@ class BettiTable:
 
     def max_stage(self) -> int:
         return max((k for (k, _, _) in self.entries), default=0)
-
-    def total_by_stage(self) -> tuple:
-        tops = self.max_stage()
-        totals = [0] * (tops + 1)
-        for (k, _, _), b in self.entries.items():
-            totals[k] += b
-        return tuple(totals)
-
-    def signed_collapse(self) -> IntMatrix:
-        wi, wj = self.window
-        vals = np.zeros((wi + 1, wj + 1), dtype=np.int64)
-        for (k, i, j), b in self.entries.items():
-            vals[i, j] += (-1) ** k * b
-        return IntMatrix(vals)
 
     def to_json(self) -> str:
         rows = [{"k": k, "i": i, "j": j, "beta": b}

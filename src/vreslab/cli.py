@@ -336,6 +336,12 @@ def main(argv=None) -> int:
             parser.error(f"--{flag} must be >= 1")
     if hasattr(args, "t") and args.t < 1:
         parser.error("--t must be >= 1")
+    if hasattr(args, "trials"):  # mrc: an empty range would pass vacuously
+        if args.nmax < args.nmin:
+            parser.error("--nmax must be >= --nmin")
+        for flag in ("trials", "jobs"):
+            if getattr(args, flag) < 1:
+                parser.error(f"--{flag} must be >= 1")
     try:
         return args.func(args)
     except WindowTooSmall as exc:

@@ -45,10 +45,6 @@ class WindowTooSmall(Exception):
     """Raised when a window cannot certify the property asked about."""
 
 
-class PreconditionT(Exception):
-    """Raised when t is below the fiber bound required by a construction."""
-
-
 @dataclass(eq=False)
 class PointSet:
     """N distinct normalized points; xs is N x (n+1), ys is N x (m+1).
@@ -317,15 +313,14 @@ def pi1_fibers(ps: PointSet) -> Pi1Fibration:
     return Pi1Fibration(len(order), tuple(len(members[xv]) for xv in order), fibers)
 
 
-def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
-                        allow_small_t: bool = False,
-                        containment_only: bool = False) -> bool:
+def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     """Degreewise primary-decomposition identity for I_X ∩ <x>^t, modulo y0.
 
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
     the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
-    first projection and of <<x>^t, y0>.  With ``containment_only`` just the
-    left-to-right containment is asked about.
+    first projection and of <<x>^t, y0>.  The answer is exact for every
+    t >= 0; for t < ell - 1 (ell the number of fibers) the identity may
+    fail, and the check then returns False.
 
     Below row t both sides are y0 * S_(i,j-1), so the check starts at row t,
     where the <x>^t component is all of S_d and drops out.  There it runs in
@@ -335,8 +330,7 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
     Evaluation maps S_d onto V_d; the left-hand piece is the kernel of
     S_d -> V_d/lo and fiber k's piece is the kernel of S_d -> V^k_d/lo^k.
     The latter maps factor through phi: V_d/lo -> ⊕_k V^k_d/lo^k, so the
-    left-hand piece lies in every fiber's piece for every input, and
-    ``containment_only`` returns True without computing anything.  The
+    left-hand piece lies in every fiber's piece for every input, and the
     identity at d holds exactly when phi is injective.  Composing each
     restriction with a basis ann_k of the annihilator of lo^k makes phi a
     matrix on a basis of V_d whose kernel is lo exactly when its rank is
@@ -348,13 +342,8 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int],
         raise ValueError("t must be nonnegative")
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
-    fib = pi1_fibers(ps)
-    if not allow_small_t and not containment_only and t < fib.ell - 1:
-        raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
-    if containment_only:
-        return True
     fs = function_space_bases(ps, window)
-    fibers = [list(idx) for _, idx in fib.fibers]
+    fibers = [list(idx) for _, idx in pi1_fibers(ps).fibers]
     wi, wj = window
     for i in range(t, wi + 1):
         for j in range(1, wj + 1):

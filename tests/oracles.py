@@ -1,39 +1,64 @@
-"""Reference routes that the library's fast paths are tested against.
+"""Reference routes and helpers that only the tests use.
 
-Each one computes its answer the direct way, in the full monomial basis,
-and shares no shortcut with the code it checks.  ``quotient_dim``,
-``poly_mult_matrix`` and ``beta1_table`` are helpers that only the tests
-use.  ``rref_by_columns`` and ``rank_by_columns`` are the plain column
-loops that ``fp.rref`` and ``fp.rank`` trimmed: full-row updates, a second
-scan for the rows to clear, and no transpose.
+The reference routes compute their answer the direct way, in the full
+monomial basis, and share no shortcut with the code they check:
+``decomposition_check_in_full``, ``intersected_presentation_in_full``,
+``beta1_from_ideal``, ``y0_nonzerodivisor``, and the presentation of S/J
+from explicit ideal pieces (``ideal_pieces_from_generators`` with
+``quotient_presentation``).  ``rref_by_columns`` and ``rank_by_columns``
+are the plain column loops that ``fp.rref`` and ``fp.rank`` trimmed:
+full-row updates, a second scan for the rows to clear, and no transpose.
+
+The paper's closed forms that no command computes live here too: the
+generic difference table (``predicted_dh_generic`` with
+``nr_decomposition``), its inverse transform ``hilbert_from_betti``, and
+the beta_2 row reading ``beta2_first_positive_check``.  The rest are
+small readings of library tables: ``signed_collapse``, the stage totals,
+``pretty``, ``int_matrix_from_csv``, ``matrix_diff_report``,
+``quotient_dim``, ``poly_mult_matrix`` and ``beta1_table``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from vreslab.betti import GradedModulePresentation, betti_numbers, point_presentation
+from vreslab.betti import (
+    BettiTable,
+    GradedModulePresentation,
+    betti_numbers,
+    mrc_window,
+    point_presentation,
+)
 from vreslab.cox import count_monomials, monomials, mult_map, t_binom, var_degree
+from vreslab.diffcalc import IntMatrix, NTooSmall, dh_p1p2
 from vreslab.fp import (
     normalize,
     rank,
     row_stack,
+    rref,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
 )
 from vreslab.points import (
     PointSet,
-    PreconditionT,
     evaluation_matrix,
     function_space_bases,
+    hilbert_matrix,
     ideal_piece,
     pi1_fibers,
 )
+from vreslab.vres import FreeComplexShape
 
 
 class ContainmentViolated(Exception):
     """Raised when a claimed subspace containment fails."""
+
+
+class ClosureViolated(Exception):
+    """Degreewise pieces are not closed under variable multiplication."""
 
 
 def quotient_dim(vbasis, wbasis, p: int) -> int:
@@ -191,19 +216,16 @@ def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndar
 
 
 def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
-                                allow_small_t: bool = False,
                                 containment_only: bool = False) -> bool:
     """``points.decomposition_check`` computed in all of S_(i,j).
 
     Every piece is an ideal piece plus the stacked rows of y0 * S_(i,j-1),
-    and each fiber is evaluated as a point set of its own.
+    and each fiber is evaluated as a point set of its own.  With
+    ``containment_only`` only the left-to-right containment is checked.
     """
-    fib = pi1_fibers(ps)
-    if not allow_small_t and not containment_only and t < fib.ell - 1:
-        raise PreconditionT(f"t={t} below fiber bound ell-1={fib.ell - 1}")
     fiber_sets = [
         PointSet(ps.n, ps.m, ps.p, ps.xs[list(idx)], ps.ys[list(idx)])
-        for _, idx in fib.fibers
+        for _, idx in pi1_fibers(ps).fibers
     ]
     wi, wj = window
     for i in range(wi + 1):
@@ -262,3 +284,259 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
 
     return GradedModulePresentation(ps.n, ps.m, p, window, dims,
                                     tuple(range(ps.n + ps.m + 2)), _builder=build)
+
+
+def ideal_pieces_from_generators(gens, n: int, m: int, p: int,
+                                 window: tuple[int, int]) -> dict:
+    """Degreewise bases of the ideal generated by explicit forms.
+
+    ``gens`` is a list of (degree, rows) with rows = coefficient vectors in
+    the monomial basis of that degree.  Pieces are grown along the window by
+    multiplying lower pieces into each bidegree.
+    """
+    wi, wj = window
+    explicit: dict[tuple[int, int], list[np.ndarray]] = {}
+    for d, rows in gens:
+        explicit.setdefault(tuple(d), []).append(np.atleast_2d(np.asarray(rows)))
+    pieces: dict[tuple[int, int], np.ndarray] = {}
+    for i in range(wi + 1):
+        for j in range(wj + 1):
+            cols = count_monomials(n, m, (i, j))
+            blocks = list(explicit.get((i, j), []))
+            if i > 0 and pieces[(i - 1, j)].size:
+                prev = pieces[(i - 1, j)]
+                for v in range(n + 1):
+                    blocks.append((mult_map(v, (i - 1, j), n, m) @ prev.T % p).T)
+            if j > 0 and pieces[(i, j - 1)].size:
+                prev = pieces[(i, j - 1)]
+                for v in range(n + 1, n + m + 2):
+                    blocks.append((mult_map(v, (i, j - 1), n, m) @ prev.T % p).T)
+            stacked = row_stack(blocks, cols)
+            R, piv = rref(stacked, p)
+            pieces[(i, j)] = R[: len(piv)]
+    return pieces
+
+
+def quotient_presentation(pieces: dict, n: int, m: int, p: int,
+                          window: tuple[int, int],
+                          validate: bool = True) -> GradedModulePresentation:
+    """S/J from degreewise ideal bases, via standard-monomial cosets.
+
+    The quotient basis at each bidegree is the set of non-pivot monomials of
+    the RREF'd ideal piece; multiplication maps multiply a standard monomial
+    and reduce modulo the target piece.  With ``validate`` the pieces must
+    be closed under every variable, or ``ClosureViolated`` is raised.
+    """
+    wi, wj = window
+    rrefs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    dims = np.zeros((wi + 1, wj + 1), dtype=np.int64)
+    for i in range(wi + 1):
+        for j in range(wj + 1):
+            cols = count_monomials(n, m, (i, j))
+            raw = pieces.get((i, j))
+            if raw is None or np.asarray(raw).size == 0:
+                raw = np.zeros((0, cols), dtype=np.int64)
+            R, piv = rref(np.asarray(raw), p)
+            R = R[: len(piv)]
+            piv = np.asarray(piv, dtype=np.int64)
+            free = np.setdiff1d(np.arange(cols), piv)
+            rrefs[(i, j)] = (R, piv, free)
+            dims[i, j] = len(free)
+    if validate:
+        for i in range(wi + 1):
+            for j in range(wj + 1):
+                R = rrefs[(i, j)][0]
+                if not R.size:
+                    continue
+                for var in range(n + m + 2):
+                    dv = var_degree(var, n, m)
+                    ti, tj = i + dv[0], j + dv[1]
+                    if ti > wi or tj > wj:
+                        continue
+                    moved = (mult_map(var, (i, j), n, m) @ R.T % p).T
+                    if not subspace_contains(rrefs[(ti, tj)][0], moved, p):
+                        raise ClosureViolated(f"piece ({i},{j}) times var {var}")
+
+    def build(var: int, d: tuple[int, int]) -> np.ndarray:
+        dv = var_degree(var, n, m)
+        tgt = (d[0] + dv[0], d[1] + dv[1])
+        _, _, free_src = rrefs[d]
+        R_tgt, piv_tgt, free_tgt = rrefs[tgt]
+        M = mult_map(var, d, n, m)[:, free_src]
+        if R_tgt.size:
+            M = (M - R_tgt.T @ M[piv_tgt, :]) % p
+        return M[free_tgt, :]
+
+    return GradedModulePresentation(n, m, p, window, dims,
+                                    tuple(range(n + m + 2)), _builder=build)
+
+
+def signed_collapse(bt: BettiTable) -> IntMatrix:
+    """The alternating sum over k of the table's layers, cell by cell."""
+    wi, wj = bt.window
+    vals = np.zeros((wi + 1, wj + 1), dtype=np.int64)
+    for (k, i, j), b in bt.entries.items():
+        vals[i, j] += (-1) ** k * b
+    return IntMatrix(vals)
+
+
+def betti_total_by_stage(bt: BettiTable) -> tuple:
+    """Sum of the table's Betti numbers at each k up to the top stage."""
+    totals = [0] * (bt.max_stage() + 1)
+    for (k, _, _), b in bt.entries.items():
+        totals[k] += b
+    return tuple(totals)
+
+
+def total_by_stage(shape: FreeComplexShape) -> tuple:
+    """Sum of the multiplicities of each stage of a shape."""
+    return tuple(sum(stage.values()) for stage in shape.stages)
+
+
+def pretty(shape: FreeComplexShape) -> str:
+    """The shape as a chain of twisted free modules, S(-i,-j)^mult."""
+    if not shape.stages:
+        return "0"
+    parts = []
+    for k, stage in enumerate(shape.stages):
+        if k == 0 and stage == {(0, 0): 1}:
+            parts.append("S")
+            continue
+        terms = []
+        for (i, j), c in sorted(stage.items()):
+            term = "S(%d,%d)" % (-i, -j)
+            terms.append(term if c == 1 else term + "^%d" % c)
+        parts.append(" + ".join(terms) if terms else "0")
+    return "\n  <- ".join(parts + ["0"])
+
+
+def int_matrix_from_csv(text: str) -> IntMatrix:
+    """Read back ``IntMatrix.to_csv``: a header row, then a label column."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        rows.append([int(c) for c in cells[1:]])
+    return IntMatrix(rows)
+
+
+def matrix_diff_report(expected: IntMatrix, actual: IntMatrix) -> list[dict]:
+    """Cells where two tables disagree, for failure reports."""
+    if expected.window != actual.window:
+        return [{"cell": "window", "expected": list(expected.window),
+                 "actual": list(actual.window)}]
+    bad = np.argwhere(expected.values != actual.values)
+    return [
+        {"cell": [int(i), int(j)], "expected": int(expected.values[i, j]),
+         "actual": int(actual.values[i, j])}
+        for i, j in bad
+    ]
+
+
+def _toeplitz(cap: int, b: int) -> np.ndarray:
+    t = np.array([t_binom(a, b) for a in range(cap + 1)], dtype=np.int64)
+    mat = np.zeros((cap + 1, cap + 1), dtype=np.int64)
+    for i in range(cap + 1):
+        mat[i, : i + 1] = t[: i + 1][::-1]
+    return mat
+
+
+def hilbert_from_betti(b: IntMatrix, n: int, m: int) -> IntMatrix:
+    """Invert the difference operators: H(i,j) = sum T(i-p,n) T(j-q,m) B(p,q)."""
+    wi, wj = b.window
+    left = _toeplitz(wi, n)
+    right = _toeplitz(wj, m)
+    return IntMatrix(left @ b.values @ right.T)
+
+
+@dataclass(frozen=True)
+class NRDecomposition:
+    """N = 6q + r = 3q' + r' with 0 <= r <= 5 and 0 <= r' <= 2."""
+
+    N: int
+    q: int
+    r: int
+    qp: int
+    rp: int
+
+
+def nr_decomposition(N: int) -> NRDecomposition:
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    q, r = divmod(N, 6)
+    qp, rp = divmod(N, 3)
+    return NRDecomposition(N, q, r, qp, rp)
+
+
+def predicted_dh_generic(N: int, window: tuple[int, int] | None = None) -> IntMatrix:
+    """Closed-form collapse for N >= 12 generic points in P^1 x P^2.
+
+    Only the columns j <= 2 follow this sparse pattern; the default window
+    is (N+1, 2).  Coinciding cells accumulate.
+    """
+    if N < 12:
+        raise NTooSmall("closed form requires N >= 12")
+    d = nr_decomposition(N)
+    if window is None:
+        window = (N + 1, 2)
+    wi, wj = window
+    vals = np.zeros((wi + 1, wj + 1), dtype=np.int64)
+    entries = [
+        (0, 0, 1),
+        (d.q, 2, d.r - 6),
+        (d.q + 1, 2, -d.r),
+        (d.qp, 1, d.rp - 3),
+        (d.qp, 2, 9 - 3 * d.rp),
+        (d.qp + 1, 1, -d.rp),
+        (d.qp + 1, 2, 3 * d.rp),
+        (N, 0, -1),
+        (N, 1, 3),
+        (N, 2, -3),
+    ]
+    for i, j, v in entries:
+        if i <= wi and j <= wj:
+            vals[i, j] += v
+    return IntMatrix(vals)
+
+
+@dataclass
+class Beta2Row:
+    i: int
+    j: int
+    dh: int
+    beta2: int
+    zeros_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.zeros_ok and self.beta2 == self.dh
+
+
+@dataclass
+class Beta2Report:
+    passed: bool
+    rows: list = field(default_factory=list)
+
+
+def beta2_first_positive_check(ps: PointSet, window=None) -> Beta2Report:
+    """Rows i >= 2: the first positive difference entry must equal beta_2.
+
+    For each row of the difference matrix whose first positive entry
+    sits at column j, checks beta_2(i, j) equals that entry and the
+    earlier columns of the row carry no beta_2.
+    """
+    if (ps.n, ps.m) != (1, 2):
+        raise ValueError("row check is specific to the (1, 2) case")
+    if window is None:
+        window = mrc_window(ps.N)
+    dh = dh_p1p2(hilbert_matrix(ps, window)).values
+    bt = betti_numbers(point_presentation(ps, window), kmax=2)
+    rows = []
+    for i in range(2, window[0] + 1):
+        positive = [j for j in range(window[1] + 1) if dh[i, j] > 0]
+        if not positive:
+            continue
+        j0 = positive[0]
+        zeros_ok = all(bt.beta(2, i, jp) == 0 for jp in range(j0))
+        rows.append(Beta2Row(i, j0, int(dh[i, j0]), bt.beta(2, i, j0), zeros_ok))
+    return Beta2Report(all(r.ok for r in rows), rows)

@@ -10,23 +10,10 @@ from math import comb
 
 import numpy as np
 
-from vreslab.betti import (
-    betti_numbers,
-    betti_window,
-    ideal_pieces_from_generators,
-    mrc_check,
-    point_presentation,
-    quotient_presentation,
-)
+from vreslab.betti import betti_numbers, betti_window, mrc_check, point_presentation
 from vreslab.cli import derive_seed
 from vreslab.cox import monomials
-from vreslab.diffcalc import (
-    IntMatrix,
-    alternating_betti_from_hilbert,
-    dh_p1p2,
-    hilbert_from_betti,
-    predicted_dh_generic,
-)
+from vreslab.diffcalc import IntMatrix, alternating_betti_from_hilbert, dh_p1p2
 from vreslab.fp import kernel_basis, rank, rref
 from vreslab.points import (
     decomposition_check,
@@ -36,9 +23,19 @@ from vreslab.points import (
 )
 from vreslab.vres import (
     REFERENCE_TRIM_31,
+    euler_quadrant_check,
     intersect_vres,
     pair_vres,
     predicted_pair_shape,
+)
+
+from oracles import (
+    hilbert_from_betti,
+    ideal_pieces_from_generators,
+    predicted_dh_generic,
+    quotient_presentation,
+    signed_collapse,
+    total_by_stage,
 )
 
 P = 32003
@@ -67,18 +64,22 @@ def test_criterion_1_stored_small_tables():
 
 
 def test_criterion_2_closed_form_range():
-    # five seeds per N in 12..40, trimmed shape == closed-form prediction
+    # five seeds per N in 12..40, trimmed shape == closed-form prediction,
+    # and every shape passes the Euler quadrant check
     started = time.perf_counter()
     bad = []
     for N in range(12, 41):
         for trial in range(5):
             seed = derive_seed(2, N, trial)
             ps = random_points(1, 2, N, seed=seed, require_generic=True)
-            if pair_vres(ps, (N - 1, 0)) != predicted_pair_shape(N):
+            shape = pair_vres(ps, (N - 1, 0))
+            if shape != predicted_pair_shape(N):
                 bad.append((N, trial))
+            if not euler_quadrant_check(shape, N, 1, 2):
+                bad.append((N, trial, "EulerQuadrant"))
     elapsed = time.perf_counter() - started
     report(2, not bad and elapsed < 120, elapsed,
-           "145 point sets, mismatches: %s" % (bad or "none"))
+           "145 point sets, mismatches or Euler failures: %s" % (bad or "none"))
     assert bad == []
     assert elapsed < 120
 
@@ -90,7 +91,7 @@ def test_criterion_3_thirty_one_point_trim():
     started = time.perf_counter()
     ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
     shape = pair_vres(ps, (2, 4))
-    totals_ok = shape.total_by_stage() == (1, 34, 66, 39, 6)
+    totals_ok = total_by_stage(shape) == (1, 34, 66, 39, 6)
     stages_ok = shape == REFERENCE_TRIM_31
     full = betti_numbers(point_presentation(ps, betti_window(31, 1, 2)))
     forced_ok = full.beta(1, 31, 0) == 1 and full.beta(1, 0, 7) == 5
@@ -98,7 +99,7 @@ def test_criterion_3_thirty_one_point_trim():
     ok = totals_ok and stages_ok and forced_ok and elapsed < 30
     report(3, ok, elapsed,
            "totals %s, stages %s, untrimmed sentinels %s"
-           % (shape.total_by_stage(), "match" if stages_ok else "DIFFER",
+           % (total_by_stage(shape), "match" if stages_ok else "DIFFER",
               "present" if forced_ok else "MISSING"))
     assert totals_ok and stages_ok and forced_ok
     assert elapsed < 30
@@ -141,7 +142,7 @@ def test_criterion_5_collapse_identity():
         ps = random_points(n, m, N, seed=derive_seed(5, idx))
         bt = betti_numbers(point_presentation(ps, win))
         lhs = alternating_betti_from_hilbert(hilbert_matrix(ps, win), n, m)
-        if not np.array_equal(lhs.values, bt.signed_collapse().values):
+        if not np.array_equal(lhs.values, signed_collapse(bt).values):
             bad.append((n, m, N))
     elapsed = time.perf_counter() - started
     report(5, not bad, elapsed, "20 sets, mismatches: %s" % (bad or "none"))

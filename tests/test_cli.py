@@ -208,6 +208,10 @@ class TestExitCodes:
         # P^1 x P^0: no column degree covers three points, so no default window
         ["vres-intersect", "--n", "1", "--m", "0", "--N", "3", "--t", "2", "--seed", "1"],
         ["points", "--n", "-1", "--N", "3", "--seed", "1"],
+        # mrc over an empty range or with no workers
+        ["mrc", "--seed", "1", "--trials", "-3"],
+        ["mrc", "--seed", "1", "--nmin", "9", "--nmax", "3"],
+        ["mrc", "--seed", "1", "--nmax", "3", "--jobs", "-4"],
     ])
     def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("VRES_PRIME", raising=False)

@@ -12,7 +12,6 @@ from vreslab.fp import rank, row_stack, rref, subspace_contains
 from vreslab.points import (
     GenericityExhausted,
     PointSet,
-    PreconditionT,
     WindowTooSmall,
     decomposition_check,
     evaluation_matrix,
@@ -299,16 +298,16 @@ def fibered_31() -> PointSet:
 
 @settings(max_examples=100, deadline=None)
 @given(fibered_sets(primes=(7, 101, 32003, 67108859)), st.integers(0, 3),
-       st.integers(0, 4), st.integers(0, 3), st.booleans())
-@example(fibered_633(), 0, 4, 3, False)
-@example(fibered_633(), 1, 4, 3, False)
-@example(fibered_633(), 1, 4, 3, True)
-@example(fibered_31(), 0, 2, 2, False)  # a size-3 fiber; fails at t = 0
-def test_decomposition_check_matches_full_oracle(ps, t, wi, wj, containment_only):
+       st.integers(0, 4), st.integers(0, 3))
+@example(fibered_633(), 0, 4, 3)
+@example(fibered_633(), 1, 4, 3)
+@example(fibered_31(), 0, 2, 2)  # a size-3 fiber; fails at t = 0
+def test_decomposition_check_matches_full_oracle(ps, t, wi, wj):
     """The rank test in k^N answers as the comparison in all of S_(i,j)."""
     args = (ps, t, (wi, wj))
-    flags = {"allow_small_t": True, "containment_only": containment_only}
-    assert decomposition_check(*args, **flags) == decomposition_check_in_full(*args, **flags)
+    assert decomposition_check(*args) == decomposition_check_in_full(*args)
+    # the left-to-right containment holds at every t
+    assert decomposition_check_in_full(*args, containment_only=True)
 
 
 class TestFibers:
@@ -361,22 +360,16 @@ class TestDecomposition:
     def test_fibered_above_bound(self):
         assert decomposition_check(fibered_633(), 3, (5, 3))
 
-    def test_precondition(self):
-        with pytest.raises(PreconditionT):
-            decomposition_check(fibered_633(), 1, (4, 3))
-
     def test_fails_below_bound(self):
-        assert not decomposition_check(fibered_633(), 0, (4, 3), allow_small_t=True)
-        assert not decomposition_check(fibered_633(), 1, (4, 3), allow_small_t=True)
-        assert not decomposition_check(fibered_31(), 0, (2, 2), allow_small_t=True)
+        assert not decomposition_check(fibered_633(), 0, (4, 3))
+        assert not decomposition_check(fibered_633(), 1, (4, 3))
+        assert not decomposition_check(fibered_31(), 0, (2, 2))
 
-    def test_containment_any_t(self, monkeypatch):
-        def no_sweep(*args):
-            raise AssertionError("containment holds for every input")
-
-        monkeypatch.setattr(points_module, "function_space_bases", no_sweep)
+    def test_containment_any_t(self):
+        # computed in all of S_(i,j), also where the identity fails
         for t in (0, 1, 2):
-            assert decomposition_check(fibered_633(), t, (4, 3), containment_only=True)
+            assert decomposition_check_in_full(fibered_633(), t, (4, 3),
+                                               containment_only=True)
 
     def test_single_fiber_any_t(self):
         xs = np.array([[1, 3]] * 4)
@@ -390,20 +383,19 @@ class TestDecomposition:
         assert pi1_fibers(g).ell == 3
         assert decomposition_check(g, 2, (5, 3))
 
-    @pytest.mark.parametrize("t, window, flags", [
-        (-1, (3, 3), {}),
-        (-1, (3, 3), {"containment_only": True}),
-        (3, (-1, 5), {}),
-        (3, (4, -1), {"allow_small_t": True}),
+    @pytest.mark.parametrize("t, window", [
+        (-1, (3, 3)),
+        (3, (-1, 5)),
+        (3, (4, -1)),
     ])
-    def test_negative_input_rejected_before_work(self, monkeypatch, t, window, flags):
+    def test_negative_input_rejected_before_work(self, monkeypatch, t, window):
         def no_work(*args):
             raise AssertionError("evaluation before the input check")
 
         monkeypatch.setattr(points_module, "evaluation_matrix", no_work)
         monkeypatch.setattr(points_module, "function_space_bases", no_work)
         with pytest.raises(ValueError):
-            decomposition_check(random_points(1, 2, 4, seed=3), t, window, **flags)
+            decomposition_check(random_points(1, 2, 4, seed=3), t, window)
 
     def test_y0_nonzerodivisor(self):
         assert y0_nonzerodivisor(fibered_633(), (3, 3))
