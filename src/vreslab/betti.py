@@ -180,9 +180,6 @@ class BettiTable:
     kmax: int
     boundary_clean: bool
 
-    def beta(self, k: int, i: int, j: int) -> int:
-        return self.entries.get((k, i, j), 0)
-
     def layer(self, k: int) -> dict:
         return {(i, j): b for (kk, i, j), b in self.entries.items() if kk == k}
 

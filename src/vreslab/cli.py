@@ -3,8 +3,15 @@
 Every randomized command requires an explicit --seed; identical
 (command, seed, prime) always produce byte-identical primary output.
 Timestamps and runtimes appear only in the JSONL log (--log), never in
-the primary output, so outputs stay diffable.  Exit codes: 0 success, 1
-asserted property failed (a JSON failure report is emitted), 2 usage.
+the primary output, so outputs stay diffable; every run that exits 0 or
+1 appends its records there.  Exit codes: 0 success, 1 asserted property
+failed (a JSON failure report is emitted), 2 usage.
+
+Each ``cmd_*`` takes the parsed arguments and the point set that ``main``
+sampled (None for the commands without --N) and returns (passed, payload,
+records): the payload, or the failure report when it did not pass, is
+text or a JSON value, and each record is a (verdicts, extra fields) pair.
+``main`` alone samples, times, emits and logs.
 """
 
 import argparse
@@ -24,7 +31,13 @@ from .betti import (
 )
 from .diffcalc import alternating_betti_from_hilbert
 from .fp import DEFAULT_PRIME, FieldPrime
-from .points import WindowTooSmall, hilbert_matrix, hilbert_window, random_points
+from .points import (
+    GenericityExhausted,
+    WindowTooSmall,
+    hilbert_matrix,
+    hilbert_window,
+    random_points,
+)
 from .vres import (
     REFERENCE_TRIM_31,
     NotInRegularity,
@@ -65,85 +78,29 @@ def _resolve_prime(parser, args) -> int:
         parser.error(f"invalid prime {value!r}: {exc}")
 
 
-def _emit(text: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def cmd_points(args, ps):
+    return True, ps.to_json(), [({"generated": True},
+                                 {"rejections": ps.rejections})]
 
 
-def _append_log(path, record):
-    if not path:
-        return
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _log_record(args, command, verdicts, started, **extra):
-    rec = {"timestamp": time.time(),
-           "runtime_ms": int((time.perf_counter() - started) * 1000),
-           "command": command,
-           "seed": getattr(args, "seed", None),
-           "n": getattr(args, "n", None),
-           "m": getattr(args, "m", None),
-           "N": getattr(args, "N", None),
-           "p": args.prime,
-           "verdicts": verdicts,
-           "artifacts": [p for p in (args.out,) if p]}
-    rec.update(extra)
-    return rec
-
-
-def _fail(args, report) -> int:
-    _emit(json.dumps({"failures": report}, sort_keys=True), args.out)
-    return 1
-
-
-def cmd_points(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
-    _emit(ps.to_json(), args.out)
-    _append_log(args.log, _log_record(args, "points", {"generated": True},
-                                      started, rejections=ps.rejections))
-    return 0
-
-
-def cmd_hilbert(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
+def cmd_hilbert(args, ps):
     win = args.window or hilbert_window(args.N, args.n, args.m)
-    _emit(hilbert_matrix(ps, win).to_csv().rstrip("\n"), args.out)
-    _append_log(args.log, _log_record(args, "hilbert", {"computed": True},
-                                      started, window=list(win)))
-    return 0
+    csv = hilbert_matrix(ps, win).to_csv().rstrip("\n")
+    return True, csv, [({"computed": True}, {"window": list(win)})]
 
 
-def cmd_dh(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
+def cmd_dh(args, ps):
     win = args.window or hilbert_window(args.N, args.n, args.m)
     dh = alternating_betti_from_hilbert(hilbert_matrix(ps, win), args.n, args.m)
-    _emit(dh.to_csv().rstrip("\n"), args.out)
-    _append_log(args.log, _log_record(args, "dh", {"computed": True},
-                                      started, window=list(win)))
-    return 0
+    csv = dh.to_csv().rstrip("\n")
+    return True, csv, [({"computed": True}, {"window": list(win)})]
 
 
-def cmd_betti(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
+def cmd_betti(args, ps):
     win = args.window or betti_window(args.N, args.n, args.m)
     bt = betti_numbers(point_presentation(ps, win))
-    _emit(bt.to_json(), args.out)
-    _append_log(args.log, _log_record(args, "betti",
-                                      {"boundary_clean": bt.boundary_clean},
-                                      started, window=list(win)))
-    return 0
+    return True, bt.to_json(), [({"boundary_clean": bt.boundary_clean},
+                                 {"window": list(win)})]
 
 
 def _mrc_trial(spec):
@@ -156,33 +113,25 @@ def _mrc_trial(spec):
             "mismatches": [list(d) for d in rep.mismatches]}
 
 
-def cmd_mrc(args) -> int:
-    started = time.perf_counter()
+def cmd_mrc(args, ps):
     specs = [(N, t, args.seed, args.prime)
              for N in range(args.nmin, args.nmax + 1)
              for t in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_mrc_trial, specs))
+    # the pool starts all its workers at once, so never more than can run
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trials = list(pool.map(_mrc_trial, specs))
     else:
-        records = [_mrc_trial(s) for s in specs]
-    for rec in records:
-        _append_log(args.log, _log_record(args, "mrc", {"passed": rec["passed"]},
-                                          started, **rec))
-    failures = [r for r in records if not r["passed"]]
+        trials = [_mrc_trial(s) for s in specs]
+    failures = [r for r in trials if not r["passed"]]
     summary = {"nmin": args.nmin, "nmax": args.nmax, "trials": args.trials,
-               "total": len(records), "passed": len(records) - len(failures),
+               "total": len(trials), "passed": len(trials) - len(failures),
                "failed": failures}
-    if failures:
-        return _fail(args, summary)
-    _emit(json.dumps(summary, sort_keys=True), args.out)
-    return 0
+    return not failures, summary, [({"passed": r["passed"]}, r) for r in trials]
 
 
-def cmd_vres_intersect(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
+def cmd_vres_intersect(args, ps):
     window = args.window or intersect_window(args.N, args.t, args.n, args.m)
     try:
         try:
@@ -192,36 +141,29 @@ def cmd_vres_intersect(args) -> int:
             window = (2 * window[0], 2 * window[1])
             bt, length = intersect_vres(ps, args.t, window=window)
     except (DirtyBoundary, AssertionError) as exc:
-        return _fail(args, [{"error": type(exc).__name__, "detail": str(exc)}])
+        check = "boundary_clean" if isinstance(exc, DirtyBoundary) else "length_ok"
+        return (False, [{"error": type(exc).__name__, "detail": str(exc)}],
+                [({check: False}, {"t": args.t})])
     payload = {"length": length, "table": json.loads(bt.to_json())}
-    _emit(json.dumps(payload, sort_keys=True), args.out)
-    _append_log(args.log, _log_record(args, "vres-intersect",
-                                      {"length_ok": length == args.n + args.m},
-                                      started, t=args.t))
-    return 0
+    return True, payload, [({"length_ok": length == args.n + args.m},
+                             {"t": args.t})]
 
 
-def cmd_vres_pair(args) -> int:
-    started = time.perf_counter()
-    ps = random_points(args.n, args.m, args.N, seed=args.seed, p=args.prime,
-                       require_generic=True)
+def cmd_vres_pair(args, ps):
+    extra = {"d": list(args.d)}
     try:
         shape = pair_vres(ps, args.d, window=args.window)
     except NotInRegularity as exc:
-        return _fail(args, [{"error": "NotInRegularity", "detail": str(exc)}])
-    euler = euler_quadrant_check(shape, args.N, args.n, args.m)
-    if not euler:
-        return _fail(args, [{"error": "EulerQuadrant",
-                             "detail": "alternating piece count misses N"}])
-    _emit(shape.to_json(), args.out)
-    _append_log(args.log, _log_record(args, "vres-pair",
-                                      {"euler_quadrant": euler},
-                                      started, d=list(args.d)))
-    return 0
+        return (False, [{"error": "NotInRegularity", "detail": str(exc)}],
+                [({"in_regularity": False}, extra)])
+    if not euler_quadrant_check(shape, args.N, args.n, args.m):
+        return (False, [{"error": "EulerQuadrant",
+                         "detail": "alternating piece count misses N"}],
+                [({"euler_quadrant": False}, extra)])
+    return True, shape.to_json(), [({"euler_quadrant": True}, extra)]
 
 
-def cmd_regress(args) -> int:
-    started = time.perf_counter()
+def cmd_regress(args, ps):
     mismatches = []
     checks = 0
     if args.suite in ("appendix", "all"):
@@ -251,13 +193,8 @@ def cmd_regress(args) -> int:
                                "got": json.loads(shape.to_json()),
                                "want": json.loads(REFERENCE_TRIM_31.to_json())})
     summary = {"suite": args.suite, "checks": checks, "mismatches": mismatches}
-    _append_log(args.log, _log_record(args, "regress",
-                                      {"clean": not mismatches}, started,
-                                      suite=args.suite, checks=checks))
-    if mismatches:
-        return _fail(args, summary)
-    _emit(json.dumps(summary, sort_keys=True), args.out)
-    return 0
+    return not mismatches, summary, [({"clean": not mismatches},
+                                      {"suite": args.suite, "checks": checks})]
 
 
 def _add_common(sp, *, window=False, points=True):
@@ -342,10 +279,35 @@ def main(argv=None) -> int:
         for flag in ("trials", "jobs"):
             if getattr(args, flag) < 1:
                 parser.error(f"--{flag} must be >= 1")
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except WindowTooSmall as exc:
+        ps = None
+        if hasattr(args, "N"):  # the commands on one sampled set
+            ps = random_points(args.n, args.m, args.N, seed=args.seed,
+                               p=args.prime, require_generic=True)
+        passed, out, records = args.func(args, ps)
+    except (WindowTooSmall, GenericityExhausted) as exc:
         parser.error(str(exc))
+    runtime_ms = int((time.perf_counter() - started) * 1000)
+    if not passed:
+        out = {"failures": out}
+    text = out if isinstance(out, str) else json.dumps(out, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    if args.log:
+        common = {"timestamp": time.time(), "runtime_ms": runtime_ms,
+                  "command": args.command, "seed": args.seed,
+                  "n": getattr(args, "n", None), "m": getattr(args, "m", None),
+                  "N": getattr(args, "N", None), "p": args.prime,
+                  "artifacts": [args.out] if args.out else []}
+        with open(args.log, "a") as fh:
+            for verdicts, extra in records:
+                rec = {**common, "verdicts": verdicts, **extra}
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -33,11 +33,6 @@ class IntMatrix:
     def window(self) -> tuple[int, int]:
         return self.values.shape[0] - 1, self.values.shape[1] - 1
 
-    def at(self, i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return int(self.values[i, j])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -36,6 +36,9 @@ from .fp import (
     row_stack,
 )
 
+# draws random_points(require_generic=True) makes before giving up
+MAX_DRAWS = 100
+
 
 class GenericityExhausted(Exception):
     """Raised when resampling cannot reach a generic configuration."""
@@ -137,14 +140,12 @@ def hilbert_window(N: int, n: int, m: int) -> tuple[int, int]:
 
 
 def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
-                  require_generic: bool = False,
-                  window: tuple[int, int] | None = None,
-                  max_rejects: int = 100) -> PointSet:
+                  require_generic: bool = False) -> PointSet:
     """Draw N distinct normalized points from a seeded PRNG stream.
 
     With ``require_generic`` the whole set is redrawn until its Hilbert
-    matrix is generic on the given (default) window; the number of rejected
-    sets is recorded on the result.
+    matrix is generic on the default window, at most MAX_DRAWS times; the
+    number of rejected sets is recorded on the result.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -168,13 +169,13 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     rejects = 0
     while True:
         ps = draw()
-        if not require_generic or is_generic_hilbert(ps, window):
+        if not require_generic or is_generic_hilbert(ps):
             ps.rejections = rejects
             return ps
         rejects += 1
-        if rejects >= max_rejects:
-            raise GenericityExhausted(
-                f"no generic configuration after {max_rejects} draws")
+        if rejects >= MAX_DRAWS:
+            raise GenericityExhausted(f"no generic configuration of {N} points "
+                                      f"over GF({p}) after {MAX_DRAWS} draws")
 
 
 def evaluation_matrix(ps: PointSet, degree: tuple[int, int]) -> np.ndarray:

@@ -74,10 +74,6 @@ class FreeComplexShape:
 
     stages: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.stages) - 1
-
     def max_twist(self):
         mi = mj = 0
         for stage in self.stages:

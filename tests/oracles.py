@@ -13,9 +13,10 @@ The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
 ``nr_decomposition``), its inverse transform ``hilbert_from_betti``, and
 the beta_2 row reading ``beta2_first_positive_check``.  The rest are
-small readings of library tables: ``signed_collapse``, the stage totals,
-``pretty``, ``int_matrix_from_csv``, ``matrix_diff_report``,
-``quotient_dim``, ``poly_mult_matrix`` and ``beta1_table``.
+small readings of library tables: ``int_matrix_at``, ``betti_entry``,
+``shape_length``, ``signed_collapse``, the stage totals, ``pretty``,
+``int_matrix_from_csv``, ``matrix_diff_report``, ``quotient_dim``,
+``poly_mult_matrix`` and ``beta1_table``.
 """
 
 from __future__ import annotations
@@ -380,6 +381,18 @@ def signed_collapse(bt: BettiTable) -> IntMatrix:
     return IntMatrix(vals)
 
 
+def int_matrix_at(mat: IntMatrix, i: int, j: int) -> int:
+    """The table's value at (i, j), zero at negative indices."""
+    if i < 0 or j < 0:
+        return 0
+    return int(mat.values[i, j])
+
+
+def betti_entry(bt: BettiTable, k: int, i: int, j: int) -> int:
+    """beta_{k,(i,j)} of the table, zero where it records nothing."""
+    return bt.entries.get((k, i, j), 0)
+
+
 def betti_total_by_stage(bt: BettiTable) -> tuple:
     """Sum of the table's Betti numbers at each k up to the top stage."""
     totals = [0] * (bt.max_stage() + 1)
@@ -391,6 +404,11 @@ def betti_total_by_stage(bt: BettiTable) -> tuple:
 def total_by_stage(shape: FreeComplexShape) -> tuple:
     """Sum of the multiplicities of each stage of a shape."""
     return tuple(sum(stage.values()) for stage in shape.stages)
+
+
+def shape_length(shape: FreeComplexShape) -> int:
+    """Index of the shape's last stage."""
+    return len(shape.stages) - 1
 
 
 def pretty(shape: FreeComplexShape) -> str:
@@ -537,6 +555,6 @@ def beta2_first_positive_check(ps: PointSet, window=None) -> Beta2Report:
         if not positive:
             continue
         j0 = positive[0]
-        zeros_ok = all(bt.beta(2, i, jp) == 0 for jp in range(j0))
-        rows.append(Beta2Row(i, j0, int(dh[i, j0]), bt.beta(2, i, j0), zeros_ok))
+        zeros_ok = all(betti_entry(bt, 2, i, jp) == 0 for jp in range(j0))
+        rows.append(Beta2Row(i, j0, int(dh[i, j0]), betti_entry(bt, 2, i, j0), zeros_ok))
     return Beta2Report(all(r.ok for r in rows), rows)

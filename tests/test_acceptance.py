@@ -30,6 +30,7 @@ from vreslab.vres import (
 )
 
 from oracles import (
+    betti_entry,
     hilbert_from_betti,
     ideal_pieces_from_generators,
     predicted_dh_generic,
@@ -94,7 +95,7 @@ def test_criterion_3_thirty_one_point_trim():
     totals_ok = total_by_stage(shape) == (1, 34, 66, 39, 6)
     stages_ok = shape == REFERENCE_TRIM_31
     full = betti_numbers(point_presentation(ps, betti_window(31, 1, 2)))
-    forced_ok = full.beta(1, 31, 0) == 1 and full.beta(1, 0, 7) == 5
+    forced_ok = betti_entry(full, 1, 31, 0) == 1 and betti_entry(full, 1, 0, 7) == 5
     elapsed = time.perf_counter() - started
     ok = totals_ok and stages_ok and forced_ok and elapsed < 30
     report(3, ok, elapsed,

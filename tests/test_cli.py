@@ -140,6 +140,54 @@ class TestTrialsAndRegression:
         assert "timestamp" in rec and "runtime_ms" in rec
         assert rec["verdicts"] == {"generated": True}
 
+    def test_failed_run_logs_the_failed_check(self, capsys, tmp_path):
+        log = tmp_path / "exp.jsonl"
+        rc, _ = run(capsys, ["vres-pair", "--N", "5", "--d", "0,0",
+                             "--seed", "2", "--log", str(log)])
+        assert rc == 1
+        lines = log.read_text().splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert rec["command"] == "vres-pair" and rec["d"] == [0, 0]
+        assert rec["verdicts"] == {"in_regularity": False}
+
+    def test_failed_intersect_logs_the_failed_check(self, capsys, monkeypatch,
+                                                    tmp_path):
+        def fake(ps, t, window=None):
+            raise AssertionError("length 4 != 3 with t = 4 certified")
+
+        monkeypatch.setattr(cli, "intersect_vres", fake)
+        log = tmp_path / "exp.jsonl"
+        rc, out = run(capsys, ["vres-intersect", "--N", "5", "--t", "4",
+                               "--seed", "2", "--log", str(log)])
+        assert rc == 1
+        assert json.loads(out)["failures"][0]["error"] == "AssertionError"
+        rec = json.loads(log.read_text())
+        assert rec["verdicts"] == {"length_ok": False} and rec["t"] == 4
+
+    def test_mrc_jobs_capped_by_trials_and_cpus(self, capsys, monkeypatch):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        rc, out = run(capsys, ["mrc", "--jobs", "4096", "--nmin", "2",
+                               "--nmax", "3", "--trials", "1", "--seed", "7"])
+        assert rc == 0 and json.loads(out)["total"] == 2
+        assert seen == [2]
+
 
 # SHA-256 of the primary output of each command.  Outputs are byte-stable
 # across versions, so a digest here is never regenerated to match new code.
@@ -212,6 +260,8 @@ class TestExitCodes:
         ["mrc", "--seed", "1", "--trials", "-3"],
         ["mrc", "--seed", "1", "--nmin", "9", "--nmax", "3"],
         ["mrc", "--seed", "1", "--nmax", "3", "--jobs", "-4"],
+        # GF(11) gives no generic 10-point set within the draw cap
+        ["points", "--N", "10", "--seed", "1", "--prime", "11"],
     ])
     def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("VRES_PRIME", raising=False)

@@ -18,6 +18,7 @@ from vreslab.diffcalc import (
 
 from oracles import (
     hilbert_from_betti,
+    int_matrix_at,
     int_matrix_from_csv,
     matrix_diff_report,
     nr_decomposition,
@@ -45,9 +46,9 @@ def test_deltas_commute():
 
 def test_zero_extension_at_edges():
     m = IntMatrix([[5, 1], [2, 0]])
-    assert m.at(-1, 0) == 0
-    assert m.at(0, -3) == 0
-    assert delta_c(m).at(0, 0) == 5  # 5 - 0
+    assert int_matrix_at(m, -1, 0) == 0
+    assert int_matrix_at(m, 0, -3) == 0
+    assert int_matrix_at(delta_c(m), 0, 0) == 5  # 5 - 0
 
 
 def test_one_point_collapse():
@@ -98,14 +99,14 @@ def test_predicted_dh_small_n_rejected():
 
 def test_predicted_dh_n13_entries():
     m = predicted_dh_generic(13)
-    assert m.at(0, 0) == 1
-    assert m.at(2, 2) == 1 - 6  # q=2, r=1
-    assert m.at(3, 2) == -1
-    assert m.at(4, 1) == 1 - 3  # q'=4, r'=1
-    assert m.at(4, 2) == 6
-    assert m.at(5, 1) == -1
-    assert m.at(5, 2) == 3
-    assert m.at(13, 0) == -1 and m.at(13, 1) == 3 and m.at(13, 2) == -3
+    assert int_matrix_at(m, 0, 0) == 1
+    assert int_matrix_at(m, 2, 2) == 1 - 6  # q=2, r=1
+    assert int_matrix_at(m, 3, 2) == -1
+    assert int_matrix_at(m, 4, 1) == 1 - 3  # q'=4, r'=1
+    assert int_matrix_at(m, 4, 2) == 6
+    assert int_matrix_at(m, 5, 1) == -1
+    assert int_matrix_at(m, 5, 2) == 3
+    assert [int_matrix_at(m, 13, j) for j in range(3)] == [-1, 3, -3]
     # sparse elsewhere
     assert int(np.abs(m.values).sum()) == 1 + 5 + 1 + 2 + 6 + 1 + 3 + 1 + 3 + 3
 

@@ -27,7 +27,12 @@ from vreslab.points import (
 )
 
 from conftest import fibered_633, fibered_sets, ff_rank
-from oracles import decomposition_check_in_full, intersected_piece, y0_nonzerodivisor
+from oracles import (
+    decomposition_check_in_full,
+    int_matrix_at,
+    intersected_piece,
+    y0_nonzerodivisor,
+)
 
 
 class TestPointSetValidation:
@@ -103,16 +108,15 @@ class TestRandomPoints:
         assert is_generic_hilbert(ps)
 
     def test_rejection_recorded_gf5(self):
-        # seed 2 over GF(5) draws a rank-deficient 4-point set first
-        ps = random_points(1, 1, 4, seed=2, p=5, require_generic=True,
-                           window=(1, 1), max_rejects=50)
-        assert ps.rejections >= 1
-        assert is_generic_hilbert(ps, (1, 1))
+        # seed 0 over GF(5) draws nine non-generic 4-point sets first
+        ps = random_points(1, 2, 4, seed=0, p=5, require_generic=True)
+        assert ps.rejections == 9
+        assert is_generic_hilbert(ps)
 
     def test_rejection_cap_exhausts(self):
+        # seed 1 over GF(11) draws no generic 10-point set in MAX_DRAWS tries
         with pytest.raises(GenericityExhausted):
-            random_points(1, 1, 4, seed=2, p=5, require_generic=True,
-                          window=(1, 1), max_rejects=1)
+            random_points(1, 2, 10, seed=1, p=11, require_generic=True)
 
 
 class TestEvaluation:
@@ -155,7 +159,7 @@ class TestHilbertSweep:
         H = hilbert_matrix(ps, (4, 4))
         for i in range(5):
             for j in range(5):
-                assert H.at(i, j) == ff_rank(evaluation_matrix(ps, (i, j)), ps.p)
+                assert int_matrix_at(H, i, j) == ff_rank(evaluation_matrix(ps, (i, j)), ps.p)
 
     def test_rref_pivot_structure(self):
         ps = random_points(1, 2, 5, seed=21)
@@ -169,15 +173,16 @@ class TestHilbertSweep:
     def test_n2_corner_values(self):
         ps = random_points(1, 2, 2, seed=7)
         H = hilbert_matrix(ps, (1, 1))
-        assert (H.at(0, 0), H.at(1, 0), H.at(0, 1), H.at(1, 1)) == (1, 2, 2, 2)
+        assert [int_matrix_at(H, i, j) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))] \
+            == [1, 2, 2, 2]
 
     def test_n31_saturation_values(self):
         ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
         H = hilbert_matrix(ps, hilbert_window(31, 1, 2))
-        assert H.at(30, 0) == 31
-        assert H.at(0, 7) == 31
-        assert H.at(4, 2) == 30  # 5 * 6 < 31
-        assert H.at(5, 2) == 31
+        assert int_matrix_at(H, 30, 0) == 31
+        assert int_matrix_at(H, 0, 7) == 31
+        assert int_matrix_at(H, 4, 2) == 30  # 5 * 6 < 31
+        assert int_matrix_at(H, 5, 2) == 31
 
     def test_stabilized_rows_when_x_parts_distinct(self):
         ps = random_points(1, 2, 6, seed=13)
@@ -211,7 +216,7 @@ class TestHilbertSweep:
         xs = np.array([[1, 2]] * 3)
         ys = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 0]])
         ps = PointSet(1, 2, 32003, xs, ys)
-        assert hilbert_matrix(ps, (1, 1)).at(0, 1) == 2
+        assert int_matrix_at(hilbert_matrix(ps, (1, 1)), 0, 1) == 2
         assert not is_generic_hilbert(ps)
 
     def test_ideal_pieces_closed_under_multiplication(self):

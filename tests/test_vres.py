@@ -19,7 +19,13 @@ from vreslab.vres import (
 )
 
 from conftest import fibered_633
-from oracles import Beta2Report, beta2_first_positive_check, pretty, total_by_stage
+from oracles import (
+    Beta2Report,
+    beta2_first_positive_check,
+    pretty,
+    shape_length,
+    total_by_stage,
+)
 
 P = 32003
 
@@ -239,6 +245,6 @@ class TestShapeApi:
 
     def test_accessors(self):
         s = predicted_pair_shape(12)
-        assert s.length == 3
+        assert shape_length(s) == 3
         assert s.max_twist() == (12, 2)
         assert total_by_stage(s) == (1, 10, 12, 3)
