@@ -11,7 +11,10 @@ nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
 S/z is the polynomial ring on the other n+m+1 variables.  So the point
 modules are presented modulo z (x0 for S/I_X, y0 for S/(I_X ∩ <x>^t)
 with t >= 1), with pieces of at most N dimensions, and each strand is
-smaller than the one on all n+m+2 variables.  ``intersected_presentation``
+smaller than the one on all n+m+2 variables.  For t >= 1 that ring is
+k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1), and the free rows
+i < t of S/(I_X ∩ <x>^t) modulo y0 are its own pieces, acted on by its
+index maps (``cox.mult_map`` at (n, m - 1)).  ``intersected_presentation``
 is the one builder (``point_presentation`` is its t = 0 case); the tests
 check the engine against presentations of S/J built from explicit ideal
 generators in their own oracles.
@@ -23,8 +26,8 @@ the strand is R's own strand, which is exact away from the origin.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
-inside one point-set presentation, the y0-free monomials and the fresh
-pivots of each piece that its maps read.
+inside one point-set presentation, the y0-free monomials of row t - 1
+and the fresh pivots of each piece that its maps read.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -63,8 +65,9 @@ class GradedModulePresentation:
     run over exactly these.  ``dims[i, j]`` is the dimension of the piece
     at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
     variable from the piece at d to the piece at d + deg(var), in the
-    chosen bases (target dim x source dim).  Maps are built lazily and
-    memoized.
+    chosen bases (target dim x source dim); a map that sends each basis
+    monomial to a basis monomial comes as ``cox.mult_map``'s index vector
+    instead.  Maps are built lazily and memoized.
     """
 
     n: int
@@ -111,9 +114,12 @@ def intersected_presentation(ps: PointSet, t: int,
     among V_d's, and the rows of V_d's RREF basis at the other pivots span
     a complement; a class's coordinates are the values, at those pivots,
     of any representative reduced modulo the smaller cell.  At rows i < t,
-    M_d is S_d and the piece has the y0-free monomials as its basis.  A map
-    from row t-1 into row t evaluates the source monomials times the
-    variable, then reduces.
+    M_d is S_d and the piece S_d / y0 S_(d - (0,1)) is R_d for
+    R = k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1): the y0-free
+    monomials of S_d, in S's order, are R's monomials in R's order, and a
+    map inside these rows is R's index map.  A map from row t-1 into row t
+    evaluates the y0-free source monomials times the variable, then
+    reduces.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -128,7 +134,7 @@ def intersected_presentation(ps: PointSet, t: int,
 
     @cache
     def y0_free(d):
-        return np.flatnonzero(monomials(n, m, d).array()[:, n + 1] == 0)
+        return np.flatnonzero(monomials(n, m, d)[:, n + 1] == 0)
 
     @cache
     def fresh(d):
@@ -150,7 +156,8 @@ def intersected_presentation(ps: PointSet, t: int,
         dv = var_degree(var, n, m)
         tgt = (d[0] + dv[0], d[1] + dv[1])
         if tgt[0] < t:
-            return mult_map(var, d, n, m)[np.ix_(y0_free(tgt), y0_free(d))]
+            # inside R: y_j of S is variable n + j of R
+            return mult_map(var - (var > n), d, n, m - 1)
         if d[0] < t:
             funcs = evaluation_matrix(ps, d)[:, y0_free(d)].T
         else:
@@ -158,13 +165,13 @@ def intersected_presentation(ps: PointSet, t: int,
         return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
     wi, wj = window
-    hilb = fs.dims.copy()
+    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z); at
+    # rows i >= t, H_M is the sweep's, and rows i < t are R's pieces
+    dims = fs.dims.copy()
+    dims[dz[0]:, dz[1]:] -= fs.dims[: wi + 1 - dz[0], : wj + 1 - dz[1]]
     for i in range(min(t, wi + 1)):
         for j in range(wj + 1):
-            hilb[i, j] = count_monomials(n, m, (i, j))
-    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z)
-    dims = hilb.copy()
-    dims[dz[0]:, dz[1]:] -= hilb[: wi + 1 - dz[0], : wj + 1 - dz[1]]
+            dims[i, j] = count_monomials(n, m - 1, (i, j))
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build)
 
@@ -212,11 +219,6 @@ def _subsets(variables: tuple[int, ...], n: int, k: int) -> tuple:
     return tuple(out)
 
 
-def _free_dim(deg: int, nvars: int) -> int:
-    """Number of monomials of degree deg in nvars variables."""
-    return comb(deg + nvars - 1, deg) if nvars else int(deg == 0)
-
-
 def _cert_free_strand(pres, d) -> bool:
     """Whether the strand at d is the strand of the polynomial ring R itself.
 
@@ -226,7 +228,7 @@ def _cert_free_strand(pres, d) -> bool:
     """
     # the one subset of all the variables carries R's variable counts
     nx, ny = _subsets(pres.variables, pres.n, len(pres.variables))[0][1]
-    return pres.dim(d) == _free_dim(d[0], nx) * _free_dim(d[1], ny)
+    return pres.dim(d) == count_monomials(nx - 1, ny - 1, d)
 
 
 def _strand_snapshot(pres, d, k):
@@ -263,7 +265,12 @@ def _betti_cell(pres, d, kmax) -> dict:
                 if U not in row_of:
                     continue  # facet lands in a zero piece: zero block
                 _, udim, uoff = row_of[U]
-                block = pres.map(v, piece) % p
+                block = pres.map(v, piece)
+                if block.ndim == 1:
+                    # a monomial map: source column c has its 1 in row block[c]
+                    mat[uoff + block, off + np.arange(dim)] = p - 1 if pos % 2 else 1
+                    continue
+                block = block % p
                 if pos % 2:
                     block = (p - block) % p
                 mat[uoff:uoff + udim, off:off + dim] = block
@@ -347,19 +354,13 @@ def mrc_check(ps: PointSet, window: tuple[int, int] | None = None) -> MrcReport:
     if H != generic_hilbert_matrix(ps.N, 1, 2, window):
         return MrcReport(window, False, False, {}, {}, [])
     dh = dh_p1p2(H).values
-    pos_running = np.full((wi + 1, wj + 1), -(10 ** 9), dtype=np.int64)
-    predicted = {}
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            val = dh[i, j] if (i, j) != (0, 0) else 0
-            best = val
-            if i:
-                best = max(best, pos_running[i - 1, j])
-            if j:
-                best = max(best, pos_running[i, j - 1])
-            pos_running[i, j] = best
-            if (i, j) != (0, 0) and dh[i, j] < 0 and best <= 0:
-                predicted[(i, j)] = -int(dh[i, j])
+    # the largest entry of each cell's downset, the origin read as 0
+    best = dh.copy()
+    best[0, 0] = 0
+    best = np.maximum.accumulate(np.maximum.accumulate(best, axis=0), axis=1)
+    first = (dh < 0) & (best <= 0)
+    first[0, 0] = False
+    predicted = {(int(i), int(j)): -int(dh[i, j]) for i, j in np.argwhere(first)}
     b1 = betti_numbers(point_presentation(ps, window), kmax=1).layer(1)
     mismatches = []
     for i in range(wi + 1):

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=bidegree, required=True)
     sp.set_defaults(func=cmd_vres_pair)
 
-    sp = sub.add_parser("regress", help="stored-table regression suites")
+    sp = sub.add_parser("regress", help="regression: N = 2..11 shapes, the 31-point trim")
     sp.add_argument("suite", choices=["appendix", "final", "all"])
     _add_common(sp, points=False)
     sp.set_defaults(func=cmd_regress)

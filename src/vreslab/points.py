@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cox import monomials, t_binom
+from .cox import count_monomials, monomials, t_binom
 from .diffcalc import IntMatrix
 from .fp import (
     DEFAULT_PRIME,
@@ -180,9 +180,8 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
 
 def evaluation_matrix(ps: PointSet, degree: tuple[int, int]) -> np.ndarray:
     """N x dim S_(i,j) matrix of monomial values at the points."""
-    basis = monomials(ps.n, ps.m, degree)
-    exps = basis.array()
-    out = np.ones((ps.N, len(basis)), dtype=np.int64)
+    exps = monomials(ps.n, ps.m, degree)
+    out = np.ones((ps.N, len(exps)), dtype=np.int64)
     for var in range(ps.n + ps.m + 2):
         col = exps[:, var]
         top = int(col.max()) if col.size else 0
@@ -279,17 +278,13 @@ def generic_hilbert_matrix(N: int, n: int, m: int,
     vals = np.empty((wi + 1, wj + 1), dtype=np.int64)
     for i in range(wi + 1):
         for j in range(wj + 1):
-            vals[i, j] = min(N, t_binom(i, n) * t_binom(j, m))
+            vals[i, j] = min(N, count_monomials(n, m, (i, j)))
     return IntMatrix(vals)
 
 
-def is_generic_hilbert(ps: PointSet, window: tuple[int, int] | None = None) -> bool:
-    """Whether the Hilbert matrix attains the generic values on the window."""
-    if window is None:
-        window = hilbert_window(ps.N, ps.n, ps.m)
-    wi, wj = window
-    if t_binom(wi, ps.n) * t_binom(wj, ps.m) < ps.N:
-        raise WindowTooSmall("window corner cannot reach the point count")
+def is_generic_hilbert(ps: PointSet) -> bool:
+    """Whether the Hilbert matrix attains the generic values on the default window."""
+    window = hilbert_window(ps.N, ps.n, ps.m)
     return hilbert_matrix(ps, window) == generic_hilbert_matrix(ps.N, ps.n, ps.m, window)
 
 

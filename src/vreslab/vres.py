@@ -13,7 +13,7 @@ The Koszul engine certifies Betti NUMBERS, not differentials, so
 virtuality here is certified by the construction plus the Euler
 quadrant necessary check, never by computing homology of explicit maps.
 The trimmed shapes are compared with the closed form of
-``predicted_pair_shape`` (stored tables below N = 12); reading beta_2
+``predicted_pair_shape``, one formula for every N >= 2; reading beta_2
 off the difference matrix is a test oracle, not part of the module.
 """
 
@@ -27,7 +27,7 @@ from .betti import (
     pdim,
     point_presentation,
 )
-from .cox import t_binom
+from .cox import count_monomials
 from .diffcalc import NTooSmall
 from .points import (
     WindowTooSmall,
@@ -177,42 +177,6 @@ def intersect_vres(ps, t, window=None):
     return bt, length
 
 
-# trimmed-at-(N-1,0) stage tables for 2 <= N <= 11, ground truth for
-# the closed form below which only starts at N = 12
-_SMALL_PAIR_STAGES = {
-    2: ({(0, 1): 1, (0, 2): 1, (1, 1): 2, (2, 0): 1},
-        {(1, 2): 4, (2, 1): 3},
-        {(2, 2): 3}),
-    3: ({(0, 2): 3, (1, 1): 3, (3, 0): 1},
-        {(1, 2): 6, (3, 1): 3},
-        {(3, 2): 3}),
-    4: ({(0, 2): 2, (1, 1): 2, (2, 1): 1, (4, 0): 1},
-        {(1, 2): 2, (2, 2): 3, (4, 1): 3},
-        {(4, 2): 3}),
-    5: ({(0, 2): 1, (1, 1): 1, (1, 2): 2, (2, 1): 2, (5, 0): 1},
-        {(2, 2): 6, (5, 1): 3},
-        {(5, 2): 3}),
-    6: ({(1, 2): 6, (2, 1): 3, (6, 0): 1},
-        {(2, 2): 9, (6, 1): 3},
-        {(6, 2): 3}),
-    7: ({(1, 2): 5, (2, 1): 2, (3, 1): 1, (7, 0): 1},
-        {(2, 2): 5, (3, 2): 3, (7, 1): 3},
-        {(7, 2): 3}),
-    8: ({(1, 2): 4, (2, 1): 1, (3, 1): 2, (8, 0): 1},
-        {(2, 2): 1, (3, 2): 6, (8, 1): 3},
-        {(8, 2): 3}),
-    9: ({(1, 2): 3, (2, 2): 3, (3, 1): 3, (9, 0): 1},
-        {(3, 2): 9, (9, 1): 3},
-        {(9, 2): 3}),
-    10: ({(1, 2): 2, (2, 2): 4, (3, 1): 2, (4, 1): 1, (10, 0): 1},
-         {(3, 2): 6, (4, 2): 3, (10, 1): 3},
-         {(10, 2): 3}),
-    11: ({(1, 2): 1, (2, 2): 5, (3, 1): 1, (4, 1): 2, (11, 0): 1},
-         {(3, 2): 3, (4, 2): 6, (11, 1): 3},
-         {(11, 2): 3}),
-}
-
-
 # regression target: 31 generic points trimmed at (2, 4); seed-independent
 # (second seeds reproduce it even though the untrimmed table varies)
 REFERENCE_TRIM_31 = FreeComplexShape((
@@ -227,19 +191,22 @@ REFERENCE_TRIM_31 = FreeComplexShape((
 def predicted_pair_shape(N: int) -> FreeComplexShape:
     """Closed-form trimmed shape at d = (N-1, 0) for generic points.
 
-    N >= 12 uses the arithmetic of N mod 6 and N mod 3; smaller N use
-    the stored stage tables.
+    The twists follow from N = 6q + r = 3q2 + r2.  Stages 1 and 2 share a
+    twist only when q and q2 overlap, which takes q <= 1, so N < 12; each
+    shared twist then keeps only its excess, in the stage that has more.
+    This reproduces the computed tables for N = 2..11 that the tests hold.
     """
     if N < 2:
         raise NTooSmall("closed-form shapes start at N = 2")
-    if N <= 11:
-        s1, s2, s3 = _SMALL_PAIR_STAGES[N]
-        return FreeComplexShape(({(0, 0): 1}, dict(s1), dict(s2), dict(s3)))
     q, r = divmod(N, 6)
     q2, r2 = divmod(N, 3)
     stage1 = {(q, 2): 6 - r, (q + 1, 2): r,
               (q2, 1): 3 - r2, (q2 + 1, 1): r2, (N, 0): 1}
     stage2 = {(q2, 2): 9 - 3 * r2, (q2 + 1, 2): 3 * r2, (N, 1): 3}
+    for tw in stage1.keys() & stage2.keys():
+        shared = min(stage1[tw], stage2[tw])
+        stage1[tw] -= shared
+        stage2[tw] -= shared
     stage3 = {(N, 2): 3}
     return FreeComplexShape(tuple(
         {tw: c for tw, c in sorted(stage.items()) if c > 0}
@@ -261,7 +228,7 @@ def euler_quadrant_check(shape, N, n, m) -> bool:
             for k, stage in enumerate(shape.stages):
                 sign = -1 if k % 2 else 1
                 for (p, q), mult in stage.items():
-                    total += sign * mult * t_binom(i - p, n) * t_binom(j - q, m)
+                    total += sign * mult * count_monomials(n, m, (i - p, j - q))
             if total != N:
                 return False
     return True

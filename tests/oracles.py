@@ -12,8 +12,11 @@ full-row updates, a second scan for the rows to clear, and no transpose.
 The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
 ``nr_decomposition``), its inverse transform ``hilbert_from_betti``, and
-the beta_2 row reading ``beta2_first_positive_check``.  The rest are
-small readings of library tables: ``int_matrix_at``, ``betti_entry``,
+the beta_2 row reading ``beta2_first_positive_check``; so do the stored
+trimmed shapes for N = 2..11 (``stored_pair_shape``).  The dense 0/1
+variable maps (``dense_mult_map``) find each product by exponent lookup
+(``monomial_row``), not by the ranking of ``cox.mult_map``.  The rest
+are small readings of library tables: ``int_matrix_at``, ``betti_entry``,
 ``shape_length``, ``signed_collapse``, the stage totals, ``pretty``,
 ``int_matrix_from_csv``, ``matrix_diff_report``, ``quotient_dim``,
 ``poly_mult_matrix`` and ``beta1_table``.
@@ -22,6 +25,7 @@ small readings of library tables: ``int_matrix_at``, ``betti_entry``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from vreslab.betti import (
     mrc_window,
     point_presentation,
 )
-from vreslab.cox import count_monomials, monomials, mult_map, t_binom, var_degree
+from vreslab.cox import count_monomials, monomials, t_binom, var_degree
 from vreslab.diffcalc import IntMatrix, NTooSmall, dh_p1p2
 from vreslab.fp import (
     normalize,
@@ -126,6 +130,36 @@ def rank_by_columns(a, p: int) -> int:
     return r
 
 
+@cache
+def _row_of(n: int, m: int, degree: tuple[int, int]) -> dict:
+    """Exponent tuple -> row in the monomials of the piece, by lookup."""
+    return {tuple(e): r for r, e in enumerate(monomials(n, m, degree).tolist())}
+
+
+def monomial_row(exponent, n: int, m: int) -> int:
+    """Row of one exponent vector among the monomials of its bidegree."""
+    degree = (sum(exponent[: n + 1]), sum(exponent[n + 1 :]))
+    return _row_of(n, m, degree)[tuple(exponent)]
+
+
+@cache
+def dense_mult_map(var: int, src_degree: tuple[int, int], n: int, m: int) -> np.ndarray:
+    """Dense 0/1 matrix of multiplication by a variable (target x source).
+
+    Each product monomial is found by exponent lookup, not by
+    ``cox.mult_map``'s ranking; the result is read-only.
+    """
+    di, dj = var_degree(var, n, m)
+    tgt = (src_degree[0] + di, src_degree[1] + dj)
+    src = monomials(n, m, src_degree)
+    mat = np.zeros((count_monomials(n, m, tgt), len(src)), dtype=np.int64)
+    for c, e in enumerate(src.tolist()):
+        e[var] += 1
+        mat[_row_of(n, m, tgt)[tuple(e)], c] = 1
+    mat.flags.writeable = False
+    return mat
+
+
 def poly_mult_matrix(coeffs, form_degree: tuple[int, int], src_degree: tuple[int, int],
                      n: int, m: int, p: int) -> np.ndarray:
     """Matrix of multiplication by a fixed form between monomial bases.
@@ -135,18 +169,16 @@ def poly_mult_matrix(coeffs, form_degree: tuple[int, int], src_degree: tuple[int
     """
     form = monomials(n, m, form_degree)
     src = monomials(n, m, src_degree)
-    tgt = monomials(n, m, (form_degree[0] + src_degree[0], form_degree[1] + src_degree[1]))
+    tgt = (form_degree[0] + src_degree[0], form_degree[1] + src_degree[1])
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     if coeffs.shape != (len(form),):
         raise ValueError("coefficient vector does not match the form's bidegree piece")
-    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for t, fe in enumerate(form.exponents):
-        cf = int(coeffs[t])
+    mat = np.zeros((count_monomials(n, m, tgt), len(src)), dtype=np.int64)
+    for fe, cf in zip(form, coeffs.tolist()):
         if cf == 0:
             continue
-        for c, se in enumerate(src.exponents):
-            prod = tuple(a + b for a, b in zip(fe, se))
-            r = tgt.index(prod)
+        for c, prod in enumerate((src + fe).tolist()):
+            r = _row_of(n, m, tgt)[tuple(prod)]
             mat[r, c] = (mat[r, c] + cf) % p
     return mat
 
@@ -169,7 +201,7 @@ def beta1_from_ideal(ps: PointSet, d: tuple[int, int]) -> int:
             continue
         K = ideal_piece(ps, src)
         if K.size:
-            blocks.append((mult_map(var, src, ps.n, ps.m) @ K.T % ps.p).T)
+            blocks.append((dense_mult_map(var, src, ps.n, ps.m) @ K.T % ps.p).T)
     moved = row_stack(blocks, cols)
     return ideal_piece(ps, d).shape[0] - rank(moved, ps.p)
 
@@ -199,7 +231,7 @@ def y0_nonzerodivisor(ps: PointSet, window: tuple[int, int]) -> bool:
         for j in range(1, wj + 1):
             src_ideal = ideal_piece(ps, (i, j - 1))
             tgt_ideal = ideal_piece(ps, (i, j))
-            embed = mult_map(y0, (i, j - 1), ps.n, ps.m).T
+            embed = dense_mult_map(y0, (i, j - 1), ps.n, ps.m).T
             overlap = subspace_intersection(embed, tgt_ideal, ps.p)
             if overlap.shape[0] != src_ideal.shape[0]:
                 return False
@@ -212,7 +244,7 @@ def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndar
     cols = count_monomials(ps.n, ps.m, degree)
     blocks = [rows]
     if j >= 1:
-        blocks.append(mult_map(ps.n + 1, (i, j - 1), ps.n, ps.m).T)
+        blocks.append(dense_mult_map(ps.n + 1, (i, j - 1), ps.n, ps.m).T)
     return row_stack(blocks, cols)
 
 
@@ -268,13 +300,13 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
     dims = fs.dims.copy()
     for i in range(min(t, wi + 1)):
         for j in range(wj + 1):
-            dims[i, j] = t_binom(i, ps.n) * t_binom(j, ps.m)
+            dims[i, j] = count_monomials(ps.n, ps.m, (i, j))
 
     def build(var: int, d: tuple[int, int]) -> np.ndarray:
         dv = var_degree(var, ps.n, ps.m)
         tgt = (d[0] + dv[0], d[1] + dv[1])
         if tgt[0] < t:
-            return mult_map(var, d, ps.n, ps.m)
+            return dense_mult_map(var, d, ps.n, ps.m)
         piv = fs.pivots[tgt]
         if d[0] >= t:
             moved = fs.bases[d] * ps.coordinate_values(var) % p
@@ -307,11 +339,11 @@ def ideal_pieces_from_generators(gens, n: int, m: int, p: int,
             if i > 0 and pieces[(i - 1, j)].size:
                 prev = pieces[(i - 1, j)]
                 for v in range(n + 1):
-                    blocks.append((mult_map(v, (i - 1, j), n, m) @ prev.T % p).T)
+                    blocks.append((dense_mult_map(v, (i - 1, j), n, m) @ prev.T % p).T)
             if j > 0 and pieces[(i, j - 1)].size:
                 prev = pieces[(i, j - 1)]
                 for v in range(n + 1, n + m + 2):
-                    blocks.append((mult_map(v, (i, j - 1), n, m) @ prev.T % p).T)
+                    blocks.append((dense_mult_map(v, (i, j - 1), n, m) @ prev.T % p).T)
             stacked = row_stack(blocks, cols)
             R, piv = rref(stacked, p)
             pieces[(i, j)] = R[: len(piv)]
@@ -354,7 +386,7 @@ def quotient_presentation(pieces: dict, n: int, m: int, p: int,
                     ti, tj = i + dv[0], j + dv[1]
                     if ti > wi or tj > wj:
                         continue
-                    moved = (mult_map(var, (i, j), n, m) @ R.T % p).T
+                    moved = (dense_mult_map(var, (i, j), n, m) @ R.T % p).T
                     if not subspace_contains(rrefs[(ti, tj)][0], moved, p):
                         raise ClosureViolated(f"piece ({i},{j}) times var {var}")
 
@@ -363,7 +395,7 @@ def quotient_presentation(pieces: dict, n: int, m: int, p: int,
         tgt = (d[0] + dv[0], d[1] + dv[1])
         _, _, free_src = rrefs[d]
         R_tgt, piv_tgt, free_tgt = rrefs[tgt]
-        M = mult_map(var, d, n, m)[:, free_src]
+        M = dense_mult_map(var, d, n, m)[:, free_src]
         if R_tgt.size:
             M = (M - R_tgt.T @ M[piv_tgt, :]) % p
         return M[free_tgt, :]
@@ -465,6 +497,48 @@ def hilbert_from_betti(b: IntMatrix, n: int, m: int) -> IntMatrix:
     left = _toeplitz(wi, n)
     right = _toeplitz(wj, m)
     return IntMatrix(left @ b.values @ right.T)
+
+
+# trimmed-at-(N-1,0) stages 1..3 of generic sets for 2 <= N <= 11, as
+# computed by the engine: the ground truth for ``predicted_pair_shape``
+# where its stages 1 and 2 share twists
+SMALL_PAIR_STAGES = {
+    2: ({(0, 1): 1, (0, 2): 1, (1, 1): 2, (2, 0): 1},
+        {(1, 2): 4, (2, 1): 3},
+        {(2, 2): 3}),
+    3: ({(0, 2): 3, (1, 1): 3, (3, 0): 1},
+        {(1, 2): 6, (3, 1): 3},
+        {(3, 2): 3}),
+    4: ({(0, 2): 2, (1, 1): 2, (2, 1): 1, (4, 0): 1},
+        {(1, 2): 2, (2, 2): 3, (4, 1): 3},
+        {(4, 2): 3}),
+    5: ({(0, 2): 1, (1, 1): 1, (1, 2): 2, (2, 1): 2, (5, 0): 1},
+        {(2, 2): 6, (5, 1): 3},
+        {(5, 2): 3}),
+    6: ({(1, 2): 6, (2, 1): 3, (6, 0): 1},
+        {(2, 2): 9, (6, 1): 3},
+        {(6, 2): 3}),
+    7: ({(1, 2): 5, (2, 1): 2, (3, 1): 1, (7, 0): 1},
+        {(2, 2): 5, (3, 2): 3, (7, 1): 3},
+        {(7, 2): 3}),
+    8: ({(1, 2): 4, (2, 1): 1, (3, 1): 2, (8, 0): 1},
+        {(2, 2): 1, (3, 2): 6, (8, 1): 3},
+        {(8, 2): 3}),
+    9: ({(1, 2): 3, (2, 2): 3, (3, 1): 3, (9, 0): 1},
+        {(3, 2): 9, (9, 1): 3},
+        {(9, 2): 3}),
+    10: ({(1, 2): 2, (2, 2): 4, (3, 1): 2, (4, 1): 1, (10, 0): 1},
+         {(3, 2): 6, (4, 2): 3, (10, 1): 3},
+         {(10, 2): 3}),
+    11: ({(1, 2): 1, (2, 2): 5, (3, 1): 1, (4, 1): 2, (11, 0): 1},
+         {(3, 2): 3, (4, 2): 6, (11, 1): 3},
+         {(11, 2): 3}),
+}
+
+
+def stored_pair_shape(N: int) -> FreeComplexShape:
+    """The stored trimmed shape of N generic points, 2 <= N <= 11."""
+    return FreeComplexShape(({(0, 0): 1},) + tuple(dict(s) for s in SMALL_PAIR_STAGES[N]))
 
 
 @dataclass(frozen=True)

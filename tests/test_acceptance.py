@@ -33,9 +33,11 @@ from oracles import (
     betti_entry,
     hilbert_from_betti,
     ideal_pieces_from_generators,
+    monomial_row,
     predicted_dh_generic,
     quotient_presentation,
     signed_collapse,
+    stored_pair_shape,
     total_by_stage,
 )
 
@@ -55,7 +57,7 @@ def test_criterion_1_stored_small_tables():
     for N in range(2, 12):
         ps = random_points(1, 2, N, seed=derive_seed(1, "small", N),
                            require_generic=True)
-        if pair_vres(ps, (N - 1, 0)) != predicted_pair_shape(N):
+        if pair_vres(ps, (N - 1, 0)) != stored_pair_shape(N):
             bad.append(N)
     elapsed = time.perf_counter() - started
     report(1, not bad and elapsed < 10, elapsed,
@@ -280,7 +282,7 @@ def test_criterion_9_property_suites():
                                        (tuple(exp_x), tuple(exp_y0), tuple(exp_y1))):
                         basis = monomials(n, m, deg)
                         row = np.zeros(len(basis), dtype=np.int64)
-                        row[basis.index(ex)] = 1
+                        row[monomial_row(ex, n, m)] = 1
                         gens.append((deg, row))
                     window = (a + 1, b_exp + c_exp + 1)
                     pieces = ideal_pieces_from_generators(gens, n, m, P, window)

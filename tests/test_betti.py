@@ -40,6 +40,7 @@ from oracles import (
     betti_total_by_stage,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
+    monomial_row,
     quotient_presentation,
     signed_collapse,
 )
@@ -62,7 +63,7 @@ def form_row(coeffs, degree, n, m):
     basis = monomials(n, m, degree)
     row = np.zeros(len(basis), dtype=np.int64)
     for e, c in coeffs.items():
-        row[basis.index(e)] = c % P
+        row[monomial_row(e, n, m)] = c % P
     return row
 
 
@@ -327,6 +328,10 @@ def test_beta1_routes_agree_randomized(npts, seed):
        st.integers(0, 6), st.integers(0, 5))
 @example(fibered_633(), 0, 7, 5)
 @example(fibered_633(), 2, 5, 5)
+# a factor with no variable left once z is dropped: y0 alone (m = 0), x0
+# alone (n = 0)
+@example(PointSet(1, 0, 101, np.array([[1, 3], [1, 5], [1, 9]]), np.ones((3, 1))), 2, 5, 4)
+@example(PointSet(0, 1, 101, np.ones((3, 1)), np.array([[1, 3], [1, 5], [1, 9]])), 0, 5, 4)
 def test_mod_z_presentation_matches_full_oracle(ps, t, wi, wj):
     """The strand over S/z gives the Betti table of the module over S."""
     got = betti_numbers(intersected_presentation(ps, t, (wi, wj)))

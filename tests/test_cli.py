@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from vreslab import cli
+from vreslab import cli, cox
 from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
 from vreslab.cli import derive_seed, main
 from vreslab.diffcalc import alternating_betti_from_hilbert
@@ -217,6 +218,24 @@ def test_output_matches_pinned_digest(capsys, monkeypatch, argv, digest):
     rc, out = run(capsys, argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_large_intersect_window_stays_small(capsys):
+    # the free rows below t hold index maps of R's pieces, so memory grows
+    # with the piece dimensions, not with their squares (711.6 MB traced
+    # when each variable map was a dense matrix over all of S)
+    cox.monomials.cache_clear()
+    cox.mult_map.cache_clear()
+    tracemalloc.start()
+    try:
+        rc = main(["vres-intersect", "--N", "6", "--t", "2", "--seed", "1",
+                   "--window", "40,40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 50 * 2 ** 20
 
 
 class TestExitCodes:

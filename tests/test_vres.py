@@ -24,6 +24,7 @@ from oracles import (
     beta2_first_positive_check,
     pretty,
     shape_length,
+    stored_pair_shape,
     total_by_stage,
 )
 
@@ -90,6 +91,14 @@ class TestPredictedShapes:
                             {(1, 2): 6, (2, 1): 3, (6, 0): 1},
                             {(2, 2): 9, (6, 1): 3},
                             {(6, 2): 3})
+
+    def test_one_formula_reproduces_stored_tables(self):
+        for N in range(2, 12):
+            assert predicted_pair_shape(N) == stored_pair_shape(N)
+        # past N = 11 stages 1 and 2 share no twist, so nothing cancels
+        for N in range(12, 61):
+            s = predicted_pair_shape(N)
+            assert not s.stages[1].keys() & s.stages[2].keys()
 
     def test_alternating_rank_sum_vanishes(self):
         # any length-3 complex resolving a torsion-free rank-0 quotient
