@@ -193,6 +193,14 @@ class TestTrialsAndRegression:
 # SHA-256 of the primary output of each command.  Outputs are byte-stable
 # across versions, so a digest here is never regenerated to match new code.
 PINNED_OUTPUTS = [
+    ("hilbert --n 1 --m 2 --N 6 --seed 11",
+     "5087d2d76af2e5220b2b7851676741aab7cd0a5c808bae423c00a68919c1b4d9"),
+    ("dh --n 1 --m 2 --N 6 --seed 11",
+     "88dd2ed118cba4bae97c941c2b9599be0bd3c973883d2b9df82399f464f9640a"),
+    ("hilbert --n 2 --m 2 --N 4 --seed 5 --window 6,5",
+     "30a0f64c04d0f18562c44b7bb0ba934e7a7342ef93cc21542a342e7f26f0ceb0"),
+    ("dh --n 2 --m 1 --N 5 --seed 3",
+     "6e184dda39e210bf3fde446abe981f059345fb4e716c8101993ca805897484b9"),
     ("betti --n 1 --m 2 --N 6 --seed 11",
      "a49c432728565c5664228926bffddade5231bbb1d47828aaff4befd16ca2161e"),
     ("betti --n 2 --m 1 --N 5 --seed 3",
