@@ -4,7 +4,10 @@ A presentation lists the ring variables that act on its module.  For a
 piece grid M_(i,j) over them, the strand of the Koszul complex at
 bidegree d has terms K_k = direct sum over k-subsets T of those variables
 of M_(d - deg T); its homology dimensions are the Betti numbers
-beta_{k,d}.
+beta_{k,d}.  The strand at d reads only pieces at degrees at most d, so
+the table of a presentation on a window is the restriction of the table
+on any larger window; a caller that needs the Betti numbers on a region
+presents the module on exactly that region.
 
 The point-set presentations use one fact: if a variable z is a
 nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
@@ -284,17 +287,14 @@ def _betti_cell(pres, d, kmax) -> dict:
 
 
 def betti_numbers(pres: GradedModulePresentation,
-                  region: tuple[int, int] | None = None,
                   kmax: int | None = None) -> BettiTable:
-    """Betti table of the presented module on the region (default window).
+    """Betti table of the presented module on its window.
 
-    boundary_clean records whether the outermost strip of the region is free
+    boundary_clean records whether the outermost strip of the window is free
     of entries; when it is not, global reads (projective dimension, shape
     totals) are unreliable and callers should enlarge the window.
     """
-    wi, wj = region if region is not None else pres.window
-    if wi > pres.window[0] or wj > pres.window[1]:
-        raise IndexError("region exceeds presentation window")
+    wi, wj = pres.window
     if kmax is None:
         kmax = pres.n + pres.m + 2
     entries = {}
@@ -337,23 +337,23 @@ def mrc_window(N: int) -> tuple[int, int]:
     return N + 1, min_cover_degree(N, 2) + 1
 
 
-def mrc_check(ps: PointSet, window: tuple[int, int] | None = None) -> MrcReport:
+def mrc_check(ps: PointSet) -> MrcReport:
     """Check that beta_1 of I_X is read off the first negative entries of DH.
 
     Positivity of beta_1 at (i,j) is predicted exactly when DH(i,j) < 0 and
     no cell of the downset except the origin is positive; the predicted
-    value is -DH(i,j).  Requires the generic Hilbert matrix; a non-generic
-    set short-circuits with generic=False.
+    value is -DH(i,j).  The window is ``mrc_window(N)``.  Requires the
+    generic Hilbert matrix; a non-generic set short-circuits with
+    generic=False.
     """
     if (ps.n, ps.m) != (1, 2):
         raise ValueError("difference-matrix reading is specific to n=1, m=2")
-    if window is None:
-        window = mrc_window(ps.N)
+    window = mrc_window(ps.N)
     wi, wj = window
     H = hilbert_matrix(ps, window)
-    if H != generic_hilbert_matrix(ps.N, 1, 2, window):
+    if not np.array_equal(H, generic_hilbert_matrix(ps.N, 1, 2, window)):
         return MrcReport(window, False, False, {}, {}, [])
-    dh = dh_p1p2(H).values
+    dh = dh_p1p2(H)
     # the largest entry of each cell's downset, the origin read as 0
     best = dh.copy()
     best[0, 0] = 0

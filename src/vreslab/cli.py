@@ -78,6 +78,14 @@ def _resolve_prime(parser, args) -> int:
         parser.error(f"invalid prime {value!r}: {exc}")
 
 
+def _csv(table) -> str:
+    """An integer table as CSV: a header of column indices, then one row per i."""
+    lines = ["i\\j," + ",".join(str(j) for j in range(table.shape[1]))]
+    lines += [f"{i}," + ",".join(str(int(v)) for v in row)
+              for i, row in enumerate(table)]
+    return "\n".join(lines)
+
+
 def cmd_points(args, ps):
     return True, ps.to_json(), [({"generated": True},
                                  {"rejections": ps.rejections})]
@@ -85,15 +93,14 @@ def cmd_points(args, ps):
 
 def cmd_hilbert(args, ps):
     win = args.window or hilbert_window(args.N, args.n, args.m)
-    csv = hilbert_matrix(ps, win).to_csv().rstrip("\n")
-    return True, csv, [({"computed": True}, {"window": list(win)})]
+    return True, _csv(hilbert_matrix(ps, win)), [({"computed": True},
+                                                   {"window": list(win)})]
 
 
 def cmd_dh(args, ps):
     win = args.window or hilbert_window(args.N, args.n, args.m)
     dh = alternating_betti_from_hilbert(hilbert_matrix(ps, win), args.n, args.m)
-    csv = dh.to_csv().rstrip("\n")
-    return True, csv, [({"computed": True}, {"window": list(win)})]
+    return True, _csv(dh), [({"computed": True}, {"window": list(win)})]
 
 
 def cmd_betti(args, ps):
@@ -152,7 +159,7 @@ def cmd_vres_intersect(args, ps):
 def cmd_vres_pair(args, ps):
     extra = {"d": list(args.d)}
     try:
-        shape = pair_vres(ps, args.d, window=args.window)
+        shape = pair_vres(ps, args.d)
     except NotInRegularity as exc:
         return (False, [{"error": "NotInRegularity", "detail": str(exc)}],
                 [({"in_regularity": False}, extra)])
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_vres_intersect)
 
     sp = sub.add_parser("vres-pair", help="trimmed short complex at a degree")
-    _add_common(sp, window=True)
+    _add_common(sp)
     sp.add_argument("--d", type=bidegree, required=True)
     sp.set_defaults(func=cmd_vres_pair)
 

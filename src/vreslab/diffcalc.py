@@ -1,9 +1,9 @@
-"""Integer difference calculus on windowed bigraded tables.
+"""Difference transforms of bigraded integer tables.
 
-An ``IntMatrix`` holds the values of a bigraded integer function on the
-rectangle [0, wi] x [0, wj] and is implicitly extended by zero at negative
-indices, which is exactly the convention the column/row difference
-operators need.  The module holds the difference transforms that turn a
+A table is a 2-D int64 array of the values of a bigraded integer function
+on the window [0, wi] x [0, wj], read as zero at negative indices, which
+is exactly the convention the column and row differences need: each is
+``np.diff`` along its axis with a zero prepended.  The module turns a
 Hilbert matrix into an alternating Betti table; the paper's closed forms
 for generic difference tables are test oracles, not library code.
 Everything here is exact int64 arithmetic; no field, no randomness.
@@ -11,65 +11,19 @@ Everything here is exact int64 arithmetic; no field, no randomness.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 
-class NTooSmall(Exception):
-    """Raised when a closed form is only valid for larger point counts."""
-
-
-class IntMatrix:
-    """Windowed integer table with zero extension at negative indices."""
-
-    def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("expected a nonempty 2-D table")
-        self.values = arr
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.values.shape[0] - 1, self.values.shape[1] - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.window == other.window and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix(window={self.window})"
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        wj = self.window[1]
-        out.write("i\\j," + ",".join(str(j) for j in range(wj + 1)) + "\n")
-        for i, row in enumerate(self.values):
-            out.write(f"{i}," + ",".join(str(int(v)) for v in row) + "\n")
-        return out.getvalue()
-
-
-def delta_c(mat: IntMatrix) -> IntMatrix:
-    """Column-direction difference: (i,j) minus (i-1,j), zero-extended."""
-    return IntMatrix(np.diff(mat.values, axis=0, prepend=0))
-
-
-def delta_r(mat: IntMatrix) -> IntMatrix:
-    """Row-direction difference: (i,j) minus (i,j-1), zero-extended."""
-    return IntMatrix(np.diff(mat.values, axis=1, prepend=0))
-
-
-def alternating_betti_from_hilbert(h: IntMatrix, n: int, m: int) -> IntMatrix:
-    """Alternating Betti table B = (delta_c)^(n+1) (delta_r)^(m+1) H."""
+def alternating_betti_from_hilbert(h: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Alternating Betti table: n+1 column and m+1 row differences of H."""
     out = h
     for _ in range(n + 1):
-        out = delta_c(out)
+        out = np.diff(out, axis=0, prepend=0)
     for _ in range(m + 1):
-        out = delta_r(out)
+        out = np.diff(out, axis=1, prepend=0)
     return out
 
 
-def dh_p1p2(h: IntMatrix) -> IntMatrix:
-    """The P^1 x P^2 collapse (delta_c)^2 (delta_r)^3 H."""
+def dh_p1p2(h: np.ndarray) -> np.ndarray:
+    """The P^1 x P^2 collapse: two column and three row differences of H."""
     return alternating_betti_from_hilbert(h, 1, 2)

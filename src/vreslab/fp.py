@@ -174,14 +174,6 @@ def kernel_basis(a, p: int) -> np.ndarray:
     return ker
 
 
-def row_stack(blocks: list[np.ndarray], cols: int) -> np.ndarray:
-    """Stack row-basis blocks, tolerating empty ones."""
-    blocks = [np.asarray(b, dtype=np.int64).reshape(-1, cols) for b in blocks]
-    if not blocks:
-        return np.zeros((0, cols), dtype=np.int64)
-    return np.vstack(blocks)
-
-
 def subspace_contains(big, small, p: int) -> bool:
     """Whether rowspace(small) is contained in rowspace(big)."""
     big = normalize(big, p)

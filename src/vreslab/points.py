@@ -25,16 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cox import count_monomials, monomials, t_binom
-from .diffcalc import IntMatrix
-from .fp import (
-    DEFAULT_PRIME,
-    kernel_basis,
-    matmul,
-    normalize,
-    rank,
-    rref,
-    row_stack,
-)
+from .fp import DEFAULT_PRIME, kernel_basis, matmul, normalize, rank, rref
 
 # draws random_points(require_generic=True) makes before giving up
 MAX_DRAWS = 100
@@ -228,10 +219,10 @@ def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
             return cells[prev]
     if i:
         prev = cells[(i - 1, j)][0]
-        rows = row_stack([prev * v % p for v in ps.xs.T], ps.N)
+        rows = np.vstack([prev * v % p for v in ps.xs.T])
     elif j:
         prev = cells[(0, j - 1)][0]
-        rows = row_stack([prev * v % p for v in ps.ys.T], ps.N)
+        rows = np.vstack([prev * v % p for v in ps.ys.T])
     else:
         rows = np.ones((1, ps.N), dtype=np.int64)
     R, piv = rref(rows, p)
@@ -266,26 +257,27 @@ def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpace
     return FunctionSpaces((wi, wj), dims, bases, pivots)
 
 
-def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> IntMatrix:
-    """Values rank(evaluation) on the window."""
-    return IntMatrix(function_space_bases(ps, window).dims)
+def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
+    """Values rank(evaluation) on the window: the sweep's dimensions."""
+    return function_space_bases(ps, window).dims
 
 
 def generic_hilbert_matrix(N: int, n: int, m: int,
-                           window: tuple[int, int]) -> IntMatrix:
+                           window: tuple[int, int]) -> np.ndarray:
     """min{N, dim S_(i,j)} on the window."""
     wi, wj = window
     vals = np.empty((wi + 1, wj + 1), dtype=np.int64)
     for i in range(wi + 1):
         for j in range(wj + 1):
             vals[i, j] = min(N, count_monomials(n, m, (i, j)))
-    return IntMatrix(vals)
+    return vals
 
 
 def is_generic_hilbert(ps: PointSet) -> bool:
     """Whether the Hilbert matrix attains the generic values on the default window."""
     window = hilbert_window(ps.N, ps.n, ps.m)
-    return hilbert_matrix(ps, window) == generic_hilbert_matrix(ps.N, ps.n, ps.m, window)
+    return np.array_equal(hilbert_matrix(ps, window),
+                          generic_hilbert_matrix(ps.N, ps.n, ps.m, window))
 
 
 @dataclass(frozen=True)
@@ -293,7 +285,6 @@ class Pi1Fibration:
     """Grouping of the points by their first-factor image."""
 
     ell: int
-    fiber_sizes: tuple[int, ...]
     fibers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
@@ -306,7 +297,7 @@ def pi1_fibers(ps: PointSet) -> Pi1Fibration:
             order.append(row)
         members[row].append(idx)
     fibers = tuple((xv, tuple(members[xv])) for xv in order)
-    return Pi1Fibration(len(order), tuple(len(members[xv]) for xv in order), fibers)
+    return Pi1Fibration(len(order), fibers)
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:

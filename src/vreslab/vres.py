@@ -6,8 +6,10 @@ Two routes produce a short free complex from the ideal of a point set:
   of distinct x-parts) the minimal resolution of the intersected
   quotient already has length n + m, and
 * trimming the minimal resolution of S/I itself at a degree d where the
-  Hilbert value has stabilized at N, keeping only the free summands
-  generated in degree at most d + (n, m).
+  Hilbert value H(d) has reached N, keeping only the free summands
+  generated in degree at most d + (n, m).  Those summands are the Betti
+  numbers at twists inside the region d + (n, m), so the trim is the
+  Betti table of the presentation on exactly that window.
 
 The Koszul engine certifies Betti NUMBERS, not differentials, so
 virtuality here is certified by the construction plus the Euler
@@ -20,15 +22,8 @@ off the difference matrix is a test oracle, not part of the module.
 import json
 from dataclasses import dataclass
 
-from .betti import (
-    DirtyBoundary,
-    betti_numbers,
-    intersected_presentation,
-    pdim,
-    point_presentation,
-)
+from .betti import betti_numbers, intersected_presentation, pdim, point_presentation
 from .cox import count_monomials
-from .diffcalc import NTooSmall
 from .points import (
     WindowTooSmall,
     function_space_bases,
@@ -42,26 +37,16 @@ class NotInRegularity(Exception):
     """Trim degree lacks a regularity certificate."""
 
 
-@dataclass
-class RegWitness:
-    """Certificate that H(d) was measured; d is regular iff value == N."""
-
-    d: tuple
-    value: int
-    N: int
-
-    @property
-    def ok(self) -> bool:
-        return self.value == self.N
+class NTooSmall(Exception):
+    """Raised when a closed form is only valid for larger point counts."""
 
 
-def regularity_contains(ps, d) -> RegWitness:
-    """Measure H(d), read from the point set's function-space sweep."""
+def regularity_contains(ps, d) -> int:
+    """H(d), read from the point set's sweep; d is regular iff it is N."""
     if d[0] < 0 or d[1] < 0:
         raise ValueError("degree must be componentwise nonnegative")
     d = tuple(d)
-    value = function_space_bases(ps, d).dims[d]
-    return RegWitness(d, int(value), ps.N)
+    return int(function_space_bases(ps, d).dims[d])
 
 
 @dataclass
@@ -95,12 +80,11 @@ class FreeComplexShape:
                          for stage in data["stages"]))
 
     @classmethod
-    def from_betti(cls, bt, limit=None) -> "FreeComplexShape":
-        """Stages of the table, or of its twists at most ``limit`` if given."""
+    def from_betti(cls, bt) -> "FreeComplexShape":
+        """The table's stages, k = 0 up to its top stage."""
         by_stage = {}
         for (k, i, j), b in bt.entries.items():
-            if limit is None or (i <= limit[0] and j <= limit[1]):
-                by_stage.setdefault(k, {})[(i, j)] = b
+            by_stage.setdefault(k, {})[(i, j)] = b
         if not by_stage:
             return cls(())
         kmax = max(by_stage)
@@ -108,39 +92,19 @@ class FreeComplexShape:
                          for k in range(kmax + 1)))
 
 
-def virtual_of_pair(bt, d) -> FreeComplexShape:
-    """Keep the summands of the table generated in degree <= d + (bt.n, bt.m).
+def pair_vres(ps, d) -> FreeComplexShape:
+    """Trimmed-resolution route: certify d, then resolve the kept region.
 
-    The trim is exact whenever the kept region lies inside the computed
-    window; a table with boundary entries is rejected only if the kept
-    region also extends past the window.
+    The summands of twist at most d + (n, m) are the Betti numbers on the
+    window d + (n, m), and the strand at a twist reads only pieces at
+    degrees at most that twist, so the presentation on exactly that window
+    gives the trim.
     """
-    lim = (d[0] + bt.n, d[1] + bt.m)
-    if not bt.boundary_clean and (lim[0] > bt.window[0] or lim[1] > bt.window[1]):
-        raise DirtyBoundary("kept region exceeds a window with boundary entries")
-    return FreeComplexShape.from_betti(bt, limit=lim)
-
-
-def pair_vres(ps, d, window=None) -> FreeComplexShape:
-    """Trimmed-resolution route: certify d, then trim the Betti table.
-
-    Only the strip of twists below d + (n, m) is ever resolved; the
-    Koszul strand at a degree references pieces at most that degree, so
-    a window equal to the kept region suffices for an exact trim, and a
-    window that does not cover it raises WindowTooSmall.
-    """
-    wit = regularity_contains(ps, d)
-    if not wit.ok:
-        raise NotInRegularity("H(%s) = %d but N = %d" % (wit.d, wit.value, wit.N))
-    region = (d[0] + ps.n, d[1] + ps.m)
-    if window is None:
-        window = region
-    elif window[0] < region[0] or window[1] < region[1]:
-        raise WindowTooSmall("window %s does not cover d + (n, m) = %s"
-                             % (tuple(window), region))
-    pres = point_presentation(ps, window)
-    bt = betti_numbers(pres, region=region)
-    return virtual_of_pair(bt, d)
+    value = regularity_contains(ps, d)
+    if value != ps.N:
+        raise NotInRegularity("H(%s) = %d but N = %d" % (tuple(d), value, ps.N))
+    window = (d[0] + ps.n, d[1] + ps.m)
+    return FreeComplexShape.from_betti(betti_numbers(point_presentation(ps, window)))
 
 
 def intersect_window(N, t, n, m):

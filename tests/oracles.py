@@ -13,35 +13,40 @@ The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
 ``nr_decomposition``), its inverse transform ``hilbert_from_betti``, and
 the beta_2 row reading ``beta2_first_positive_check``; so do the stored
-trimmed shapes for N = 2..11 (``stored_pair_shape``).  The dense 0/1
-variable maps (``dense_mult_map``) find each product by exponent lookup
-(``monomial_row``), not by the ranking of ``cox.mult_map``.  The rest
+trimmed shapes for N = 2..11 (``stored_pair_shape``) and the trim of a
+computed Betti table to the twists at most d + (n, m) (``trim_table``),
+the reference for ``vres.pair_vres``, which resolves only that region.
+The dense 0/1 variable maps (``dense_mult_map``) find each product by
+exponent lookup (``monomial_row``), not by the ranking of
+``cox.mult_map``.  The rest
 are small readings of library tables: ``int_matrix_at``, ``betti_entry``,
 ``shape_length``, ``signed_collapse``, the stage totals, ``pretty``,
 ``int_matrix_from_csv``, ``matrix_diff_report``, ``quotient_dim``,
-``poly_mult_matrix`` and ``beta1_table``.
+``poly_mult_matrix`` and ``beta1_table``; and ``stack_rows``, which
+stacks row blocks that may be empty.  Integer tables are 2-D int64
+arrays, as in the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
 
 from vreslab.betti import (
     BettiTable,
+    DirtyBoundary,
     GradedModulePresentation,
     betti_numbers,
     mrc_window,
     point_presentation,
 )
 from vreslab.cox import count_monomials, monomials, t_binom, var_degree
-from vreslab.diffcalc import IntMatrix, NTooSmall, dh_p1p2
+from vreslab.diffcalc import dh_p1p2
 from vreslab.fp import (
     normalize,
     rank,
-    row_stack,
     rref,
     subspace_contains,
     subspace_equal,
@@ -55,7 +60,7 @@ from vreslab.points import (
     ideal_piece,
     pi1_fibers,
 )
-from vreslab.vres import FreeComplexShape
+from vreslab.vres import FreeComplexShape, NTooSmall
 
 
 class ContainmentViolated(Exception):
@@ -64,6 +69,14 @@ class ContainmentViolated(Exception):
 
 class ClosureViolated(Exception):
     """Degreewise pieces are not closed under variable multiplication."""
+
+
+def stack_rows(blocks: list[np.ndarray], cols: int) -> np.ndarray:
+    """Stack row blocks on ``cols`` columns, tolerating empty ones."""
+    blocks = [np.asarray(b, dtype=np.int64).reshape(-1, cols) for b in blocks]
+    if not blocks:
+        return np.zeros((0, cols), dtype=np.int64)
+    return np.vstack(blocks)
 
 
 def quotient_dim(vbasis, wbasis, p: int) -> int:
@@ -202,7 +215,7 @@ def beta1_from_ideal(ps: PointSet, d: tuple[int, int]) -> int:
         K = ideal_piece(ps, src)
         if K.size:
             blocks.append((dense_mult_map(var, src, ps.n, ps.m) @ K.T % ps.p).T)
-    moved = row_stack(blocks, cols)
+    moved = stack_rows(blocks, cols)
     return ideal_piece(ps, d).shape[0] - rank(moved, ps.p)
 
 
@@ -245,7 +258,7 @@ def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndar
     blocks = [rows]
     if j >= 1:
         blocks.append(dense_mult_map(ps.n + 1, (i, j - 1), ps.n, ps.m).T)
-    return row_stack(blocks, cols)
+    return stack_rows(blocks, cols)
 
 
 def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
@@ -344,7 +357,7 @@ def ideal_pieces_from_generators(gens, n: int, m: int, p: int,
                 prev = pieces[(i, j - 1)]
                 for v in range(n + 1, n + m + 2):
                     blocks.append((dense_mult_map(v, (i, j - 1), n, m) @ prev.T % p).T)
-            stacked = row_stack(blocks, cols)
+            stacked = stack_rows(blocks, cols)
             R, piv = rref(stacked, p)
             pieces[(i, j)] = R[: len(piv)]
     return pieces
@@ -404,20 +417,20 @@ def quotient_presentation(pieces: dict, n: int, m: int, p: int,
                                     tuple(range(n + m + 2)), _builder=build)
 
 
-def signed_collapse(bt: BettiTable) -> IntMatrix:
+def signed_collapse(bt: BettiTable) -> np.ndarray:
     """The alternating sum over k of the table's layers, cell by cell."""
     wi, wj = bt.window
     vals = np.zeros((wi + 1, wj + 1), dtype=np.int64)
     for (k, i, j), b in bt.entries.items():
         vals[i, j] += (-1) ** k * b
-    return IntMatrix(vals)
+    return vals
 
 
-def int_matrix_at(mat: IntMatrix, i: int, j: int) -> int:
+def int_matrix_at(mat: np.ndarray, i: int, j: int) -> int:
     """The table's value at (i, j), zero at negative indices."""
     if i < 0 or j < 0:
         return 0
-    return int(mat.values[i, j])
+    return int(mat[i, j])
 
 
 def betti_entry(bt: BettiTable, k: int, i: int, j: int) -> int:
@@ -460,25 +473,25 @@ def pretty(shape: FreeComplexShape) -> str:
     return "\n  <- ".join(parts + ["0"])
 
 
-def int_matrix_from_csv(text: str) -> IntMatrix:
-    """Read back ``IntMatrix.to_csv``: a header row, then a label column."""
+def int_matrix_from_csv(text: str) -> np.ndarray:
+    """Read back the CLI's table CSV: a header row, then a label column."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
         rows.append([int(c) for c in cells[1:]])
-    return IntMatrix(rows)
+    return np.array(rows, dtype=np.int64)
 
 
-def matrix_diff_report(expected: IntMatrix, actual: IntMatrix) -> list[dict]:
+def matrix_diff_report(expected: np.ndarray, actual: np.ndarray) -> list[dict]:
     """Cells where two tables disagree, for failure reports."""
-    if expected.window != actual.window:
-        return [{"cell": "window", "expected": list(expected.window),
-                 "actual": list(actual.window)}]
-    bad = np.argwhere(expected.values != actual.values)
+    if expected.shape != actual.shape:
+        return [{"cell": "window", "expected": [s - 1 for s in expected.shape],
+                 "actual": [s - 1 for s in actual.shape]}]
+    bad = np.argwhere(expected != actual)
     return [
-        {"cell": [int(i), int(j)], "expected": int(expected.values[i, j]),
-         "actual": int(actual.values[i, j])}
+        {"cell": [int(i), int(j)], "expected": int(expected[i, j]),
+         "actual": int(actual[i, j])}
         for i, j in bad
     ]
 
@@ -491,12 +504,11 @@ def _toeplitz(cap: int, b: int) -> np.ndarray:
     return mat
 
 
-def hilbert_from_betti(b: IntMatrix, n: int, m: int) -> IntMatrix:
+def hilbert_from_betti(b: np.ndarray, n: int, m: int) -> np.ndarray:
     """Invert the difference operators: H(i,j) = sum T(i-p,n) T(j-q,m) B(p,q)."""
-    wi, wj = b.window
-    left = _toeplitz(wi, n)
-    right = _toeplitz(wj, m)
-    return IntMatrix(left @ b.values @ right.T)
+    left = _toeplitz(b.shape[0] - 1, n)
+    right = _toeplitz(b.shape[1] - 1, m)
+    return left @ b @ right.T
 
 
 # trimmed-at-(N-1,0) stages 1..3 of generic sets for 2 <= N <= 11, as
@@ -541,6 +553,21 @@ def stored_pair_shape(N: int) -> FreeComplexShape:
     return FreeComplexShape(({(0, 0): 1},) + tuple(dict(s) for s in SMALL_PAIR_STAGES[N]))
 
 
+def trim_table(bt: BettiTable, d: tuple[int, int]) -> FreeComplexShape:
+    """The summands of a computed table generated in degree <= d + (n, m).
+
+    The trim is exact whenever the kept region lies inside the table's
+    window; a table with boundary entries is rejected only if the kept
+    region also extends past the window.
+    """
+    lim = (d[0] + bt.n, d[1] + bt.m)
+    if not bt.boundary_clean and (lim[0] > bt.window[0] or lim[1] > bt.window[1]):
+        raise DirtyBoundary("kept region exceeds a window with boundary entries")
+    kept = {key: b for key, b in bt.entries.items()
+            if key[1] <= lim[0] and key[2] <= lim[1]}
+    return FreeComplexShape.from_betti(replace(bt, entries=kept))
+
+
 @dataclass(frozen=True)
 class NRDecomposition:
     """N = 6q + r = 3q' + r' with 0 <= r <= 5 and 0 <= r' <= 2."""
@@ -560,7 +587,7 @@ def nr_decomposition(N: int) -> NRDecomposition:
     return NRDecomposition(N, q, r, qp, rp)
 
 
-def predicted_dh_generic(N: int, window: tuple[int, int] | None = None) -> IntMatrix:
+def predicted_dh_generic(N: int, window: tuple[int, int] | None = None) -> np.ndarray:
     """Closed-form collapse for N >= 12 generic points in P^1 x P^2.
 
     Only the columns j <= 2 follow this sparse pattern; the default window
@@ -588,7 +615,7 @@ def predicted_dh_generic(N: int, window: tuple[int, int] | None = None) -> IntMa
     for i, j, v in entries:
         if i <= wi and j <= wj:
             vals[i, j] += v
-    return IntMatrix(vals)
+    return vals
 
 
 @dataclass
@@ -621,7 +648,7 @@ def beta2_first_positive_check(ps: PointSet, window=None) -> Beta2Report:
         raise ValueError("row check is specific to the (1, 2) case")
     if window is None:
         window = mrc_window(ps.N)
-    dh = dh_p1p2(hilbert_matrix(ps, window)).values
+    dh = dh_p1p2(hilbert_matrix(ps, window))
     bt = betti_numbers(point_presentation(ps, window), kmax=2)
     rows = []
     for i in range(2, window[0] + 1):

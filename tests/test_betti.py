@@ -174,17 +174,14 @@ class TestCertificates:
         self.assert_matches_oracle(fibered_633(), 2, (5, 5))
 
     def test_region_restricts_output(self):
+        # the strand at d reads only pieces at degrees <= d, so a window's
+        # table is a larger window's restricted to it; pair_vres rests on it
         ps = random_points(1, 2, 4, seed=11)
         full = betti_numbers(point_presentation(ps, (5, 6)))
-        reg = betti_numbers(point_presentation(ps, (5, 6)), region=(3, 2))
+        reg = betti_numbers(point_presentation(ps, (3, 2)))
         want = {key: v for key, v in full.entries.items()
                 if key[1] <= 3 and key[2] <= 2}
         assert reg.entries == want
-
-    def test_region_beyond_window_rejected(self):
-        pres = point_presentation(one_point(), (2, 2))
-        with pytest.raises(IndexError):
-            betti_numbers(pres, region=(3, 3))
 
 
 class TestGeneratorLayers:
@@ -297,7 +294,7 @@ class TestCollapseIdentity:
         win = betti_window(4, 1, 2)
         bt = betti_numbers(point_presentation(ps, win))
         lhs = alternating_betti_from_hilbert(hilbert_matrix(ps, win), 1, 2)
-        assert np.array_equal(lhs.values, signed_collapse(bt).values)
+        assert np.array_equal(lhs, signed_collapse(bt))
 
 
 @settings(max_examples=10, deadline=None)
@@ -310,7 +307,7 @@ def test_collapse_identity_randomized(npts, seed):
     pres = point_presentation(ps, win)
     bt = betti_numbers(pres)
     lhs = alternating_betti_from_hilbert(hilbert_matrix(ps, win), 1, 1)
-    assert np.array_equal(lhs.values, signed_collapse(bt).values)
+    assert np.array_equal(lhs, signed_collapse(bt))
 
 
 @settings(max_examples=8, deadline=None)

@@ -45,14 +45,14 @@ class TestPayloads:
     def test_hilbert_csv_matches_library(self, capsys):
         rc, out = run(capsys, ["hilbert", "--N", "4", "--seed", "11"])
         ps = random_points(1, 2, 4, seed=11, require_generic=True)
-        want = hilbert_matrix(ps, hilbert_window(4, 1, 2)).to_csv().rstrip("\n")
+        want = cli._csv(hilbert_matrix(ps, hilbert_window(4, 1, 2)))
         assert rc == 0 and out.rstrip("\n") == want
 
     def test_dh_csv_matches_library(self, capsys):
         rc, out = run(capsys, ["dh", "--N", "4", "--seed", "11"])
         ps = random_points(1, 2, 4, seed=11, require_generic=True)
         h = hilbert_matrix(ps, hilbert_window(4, 1, 2))
-        want = alternating_betti_from_hilbert(h, 1, 2).to_csv().rstrip("\n")
+        want = cli._csv(alternating_betti_from_hilbert(h, 1, 2))
         assert rc == 0 and out.rstrip("\n") == want
 
     def test_betti_json_matches_library(self, capsys):
@@ -276,7 +276,7 @@ class TestExitCodes:
         ["vres-intersect", "--N", "3", "--t", "0", "--seed", "1"],
         ["vres-pair", "--N", "3", "--d=-1,0", "--seed", "1"],
         ["betti", "--N", "3", "--window=-1,2", "--seed", "1"],
-        # the window misses d + (n, m) = (3, 2)
+        # vres-pair takes no --window: it resolves exactly d + (n, m)
         ["vres-pair", "--N", "3", "--d", "2,0", "--window", "1,1", "--seed", "1"],
         # every piece below row t is free
         ["vres-intersect", "--N", "3", "--t", "2", "--window=1,5", "--seed", "1"],

@@ -1,10 +1,13 @@
-"""Checks on the repository around the library: the README's Python runs,
-and every name the library defines is used by the library or the benchmark.
+"""Checks on the repository around the library: the README's Python and
+its ``vres-lab`` lines run, and every name and dataclass field the library
+defines is used by the library or the benchmark.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from vreslab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "vreslab").glob("*.py"))
@@ -18,13 +21,30 @@ def test_readme_python_blocks_run():
         exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_cli_lines_exit_zero(capsys, monkeypatch):
+    monkeypatch.delenv("VRES_PRIME", raising=False)
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = [line.split("#")[0].split() for code in blocks
+                for line in code.splitlines() if line.startswith("vres-lab ")]
+    assert commands
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
 def _definitions(path):
-    """(name, line, pattern) of every function, class and method but the
-    dunders.  A method or property counts as used where ``.name`` occurs,
-    any other name where it occurs as a whole word."""
+    """(name, line, pattern) of every function, class, method and
+    dataclass field but the dunders.  A method, property or field counts as
+    used where ``.name`` occurs, any other name where it occurs as a whole
+    word."""
     tree = ast.parse(path.read_text())
     members = {}
     for cls in ast.walk(tree):
@@ -32,6 +52,12 @@ def _definitions(path):
             names = {node.name for node in cls.body if isinstance(node, FUNCTIONS)}
             members.update((node, names) for node in cls.body
                            if isinstance(node, FUNCTIONS))
+            if _is_dataclass(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        field = node.target.id
+                        yield (f"{cls.name}.{field}", node.lineno,
+                               rf"\.{re.escape(field)}\b")
     for node in ast.walk(tree):
         if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
             continue

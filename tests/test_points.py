@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vreslab import points as points_module
 from vreslab.cox import count_monomials, t_binom
-from vreslab.fp import rank, row_stack, rref, subspace_contains
+from vreslab.fp import rank, rref, subspace_contains
 from vreslab.points import (
     GenericityExhausted,
     PointSet,
@@ -188,14 +188,14 @@ class TestHilbertSweep:
         ps = random_points(1, 2, 6, seed=13)
         assert pi1_fibers(ps).ell == 6
         H = hilbert_matrix(ps, hilbert_window(6, 1, 2))
-        assert np.all(H.values[6:] == H.values[5])
+        assert np.all(H[6:] == H[5])
 
     def test_generic_matrix_closed_form(self):
         G = generic_hilbert_matrix(6, 1, 2, (2, 3))
-        assert G.values[0].tolist() == [1, 3, 6, 6]
-        assert G.values[1].tolist() == [2, 6, 6, 6]
+        assert G[0].tolist() == [1, 3, 6, 6]
+        assert G[1].tolist() == [2, 6, 6, 6]
         G1 = generic_hilbert_matrix(1, 2, 2, (3, 3))
-        assert np.all(G1.values == 1)
+        assert np.all(G1 == 1)
 
     def test_min_cover_degree(self):
         assert min_cover_degree(31, 2) == 7
@@ -310,29 +310,33 @@ def test_decomposition_check_matches_full_oracle(ps, t, wi, wj):
     assert decomposition_check_in_full(*args, containment_only=True)
 
 
+def fiber_sizes(fib):
+    return tuple(len(idx) for _, idx in fib.fibers)
+
+
 class TestFibers:
     def test_all_distinct(self):
         ps = random_points(1, 2, 5, seed=41)
         fib = pi1_fibers(ps)
-        assert fib.ell == 5 and fib.fiber_sizes == (1,) * 5
+        assert fib.ell == 5 and fiber_sizes(fib) == (1,) * 5
 
     def test_all_equal(self):
         xs = np.array([[1, 3]] * 4)
         ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9], [1, 1, 7]])
         fib = pi1_fibers(PointSet(1, 2, 32003, xs, ys))
-        assert fib.ell == 1 and fib.fiber_sizes == (4,)
+        assert fib.ell == 1 and fiber_sizes(fib) == (4,)
 
     def test_mixed_partition(self):
         ps = fibered_633()
         fib = pi1_fibers(ps)
         assert fib.ell == 3
-        assert fib.fiber_sizes == (2, 2, 2)
+        assert fiber_sizes(fib) == (2, 2, 2)
         members = sorted(i for _, idx in fib.fibers for i in idx)
         assert members == list(range(6))
 
     def test_fibered_hilbert_column(self):
         H = hilbert_matrix(fibered_633(), (5, 3))
-        assert H.values[:, 0].tolist() == [1, 2, 3, 3, 3, 3]
+        assert H[:, 0].tolist() == [1, 2, 3, 3, 3, 3]
         assert not is_generic_hilbert(fibered_633())
 
 
@@ -408,7 +412,7 @@ class TestDecomposition:
 def test_hilbert_monotone_and_bounded(seed, shape, N):
     n, m = shape
     ps = random_points(n, m, N, seed=seed, p=101)
-    H = hilbert_matrix(ps, (3, 3)).values
+    H = hilbert_matrix(ps, (3, 3))
     for i in range(4):
         for j in range(4):
             assert H[i, j] <= min(N, t_binom(i, n) * t_binom(j, m))

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
-from vreslab.diffcalc import NTooSmall
 from vreslab.fp import rank
-from vreslab.points import PointSet, WindowTooSmall, evaluation_matrix, random_points
+from vreslab.points import (
+    PointSet,
+    WindowTooSmall,
+    evaluation_matrix,
+    hilbert_matrix,
+    pi1_fibers,
+    random_points,
+)
 from vreslab.vres import (
     FreeComplexShape,
     NotInRegularity,
+    NTooSmall,
     euler_quadrant_check,
     intersect_vres,
     pair_vres,
     predicted_pair_shape,
     regularity_contains,
-    virtual_of_pair,
 )
 
 from conftest import fibered_633
@@ -26,6 +32,7 @@ from oracles import (
     shape_length,
     stored_pair_shape,
     total_by_stage,
+    trim_table,
 )
 
 P = 32003
@@ -34,17 +41,17 @@ P = 32003
 class TestRegularity:
     def test_origin_not_regular_for_two_points(self):
         ps = random_points(1, 2, 2, seed=9, require_generic=True)
-        wit = regularity_contains(ps, (0, 0))
-        assert wit.value == 1 and not wit.ok
+        value = regularity_contains(ps, (0, 0))
+        assert value == 1 and value != ps.N
 
     def test_stable_degree_is_regular(self):
         ps = random_points(1, 2, 5, seed=2, require_generic=True)
-        assert regularity_contains(ps, (4, 0)).ok
+        assert regularity_contains(ps, (4, 0)) == ps.N
 
     def test_mixed_degree(self):
         # T(2,1) * T(4,2) = 3 * 15 = 45 >= 31, so generic H is 31 there
         ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
-        assert regularity_contains(ps, (2, 4)).ok
+        assert regularity_contains(ps, (2, 4)) == ps.N
 
     def test_negative_degree_rejected(self):
         ps = random_points(1, 2, 2, seed=9)
@@ -60,8 +67,8 @@ class TestRegularity:
         values = set()
         for d in [(0, 0), (0, 1), (1, 1), (2, 2), (2, 4), (N - 1, 0), (N + 2, 1)]:
             want = rank(evaluation_matrix(ps, d), P)
-            assert regularity_contains(ps, d).value == want
-            assert regularity_contains(fresh, d).value == want
+            assert regularity_contains(ps, d) == want
+            assert regularity_contains(fresh, d) == want
             values.add(want == N)
         assert values == {True, False}  # saturated and unsaturated degrees
 
@@ -125,16 +132,17 @@ class TestEulerQuadrant:
 
 
 class TestVirtualOfPair:
+    # the trim of a computed table, in the oracles, and the trimmed route
     def test_huge_degree_is_identity(self):
         ps = random_points(1, 2, 4, seed=11)
         bt = betti_numbers(point_presentation(ps, betti_window(4, 1, 2)))
-        assert virtual_of_pair(bt, (50, 50)) == FreeComplexShape.from_betti(bt)
+        assert trim_table(bt, (50, 50)) == FreeComplexShape.from_betti(bt)
 
     def test_monotone_in_degree(self):
         ps = random_points(1, 2, 6, seed=3, require_generic=True)
         bt = betti_numbers(point_presentation(ps, betti_window(6, 1, 2)))
-        small = virtual_of_pair(bt, (5, 0))
-        big = virtual_of_pair(bt, (5, 3))
+        small = trim_table(bt, (5, 0))
+        big = trim_table(bt, (5, 3))
         for k, stage in enumerate(small.stages):
             for tw, c in stage.items():
                 assert big.stages[k][tw] == c
@@ -149,7 +157,20 @@ class TestVirtualOfPair:
         bt = betti_numbers(point_presentation(ps, (4, 3)))
         assert not bt.boundary_clean
         with pytest.raises(DirtyBoundary):
-            virtual_of_pair(bt, (9, 9))
+            trim_table(bt, (9, 9))
+
+    @pytest.mark.parametrize("n, m, N, seed, d", [
+        (1, 2, 5, 2, (1, 2)),
+        (1, 2, 6, 106, (5, 0)),
+        (1, 2, 6, 3, (2, 1)),
+        (1, 2, 8, 2, (3, 1)),
+        (2, 1, 5, 4, (2, 0)),
+    ])
+    def test_pair_vres_is_trim_of_full_table(self, n, m, N, seed, d):
+        # resolving only d + (n, m) gives the trim of the whole table
+        ps = random_points(n, m, N, seed=seed, require_generic=True)
+        bt = betti_numbers(point_presentation(ps, betti_window(N, n, m)))
+        assert pair_vres(ps, d) == trim_table(bt, d)
 
 
 class TestPairVres:
@@ -161,11 +182,6 @@ class TestPairVres:
         for N, seed in ((12, 5), (19, 77), (23, 8)):
             ps = random_points(1, 2, N, seed=seed, require_generic=True)
             assert pair_vres(ps, (N - 1, 0)) == predicted_pair_shape(N)
-
-    def test_window_must_cover_kept_region(self):
-        ps = random_points(1, 2, 3, seed=1, require_generic=True)
-        with pytest.raises(WindowTooSmall):
-            pair_vres(ps, (2, 0), window=(1, 1))
 
     def test_thirty_one_at_stable_degree(self):
         ps = random_points(1, 2, 31, seed=20260814, require_generic=True)
@@ -215,6 +231,40 @@ class TestIntersect:
         ps = random_points(1, 2, 5, seed=2, require_generic=True)
         with pytest.raises(DirtyBoundary):
             intersect_vres(ps, 4, window=(5, 2))
+
+
+def two_per_fiber(n, xparts):
+    """Two points in P^n x P^1 over each x-part, with distinct y-parts."""
+    xs, ys = [], []
+    for k, x in enumerate(xparts):
+        xs += [x, x]
+        ys += [(1, 2 * k), (1, 2 * k + 1)]
+    return PointSet(n, 1, P, np.array(xs), np.array(ys))
+
+
+def random_xparts(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [(1, *map(int, rng.integers(0, P, size=n))) for _ in range(count)]
+
+
+class TestIntersectSharpBound:
+    # the least t giving length n + m is r, the least i with H(i, 0) = ell
+    # (the regularity index of the x-parts), below the bound t >= ell - 1
+    # that intersect_vres asserts
+    @pytest.mark.parametrize("n, xparts, r", [
+        (2, random_xparts(2, 6, seed=1), 2),
+        (2, [(1, k, 2 * k + 1) for k in range(5)], 4),  # collinear
+        (2, [(1, k, k * k) for k in range(6)], 3),      # on a conic
+        (3, random_xparts(3, 5, seed=2), 2),
+    ])
+    def test_length_is_n_plus_m_from_r(self, n, xparts, r):
+        ps = two_per_fiber(n, xparts)
+        ell = pi1_fibers(ps).ell
+        column = hilbert_matrix(ps, (ell, 0))[:, 0]
+        assert int(np.argmax(column == ell)) == r
+        assert intersect_vres(ps, r - 1)[1] == ps.n + ps.m + 1
+        for t in range(r, ell):
+            assert intersect_vres(ps, t)[1] == ps.n + ps.m
 
 
 class TestBeta2Rows:
