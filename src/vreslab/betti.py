@@ -48,6 +48,7 @@ from .fp import matmul, rank
 from .points import (
     PointSet,
     evaluation_matrix,
+    fresh_pivots,
     function_space_bases,
     generic_hilbert_matrix,
     hilbert_matrix,
@@ -145,7 +146,7 @@ def intersected_presentation(ps: PointSet, t: int,
         lo = below(d)
         if lo is None:
             return np.ones(len(fs.pivots[d]), dtype=bool)
-        return ~np.isin(fs.pivots[d], fs.pivots[lo])
+        return fresh_pivots(fs.pivots[d], fs.pivots[lo], ps.N)
 
     def coordinates(funcs, d):
         # columns: the classes, in the piece at d, of the rows of funcs

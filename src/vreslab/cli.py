@@ -33,7 +33,6 @@ from .diffcalc import alternating_betti_from_hilbert
 from .fp import DEFAULT_PRIME, FieldPrime
 from .points import (
     GenericityExhausted,
-    WindowTooSmall,
     hilbert_matrix,
     hilbert_window,
     random_points,
@@ -41,6 +40,7 @@ from .points import (
 from .vres import (
     REFERENCE_TRIM_31,
     NotInRegularity,
+    WindowTooSmall,
     euler_quadrant_check,
     intersect_vres,
     intersect_window,

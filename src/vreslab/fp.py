@@ -76,8 +76,8 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     before the next is added.
     """
     step = (2**63 - 1) // (p - 1) ** 2
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
+    out = a[:, :step] @ b[:step] % p
+    for s in range(step, a.shape[1], step):
         out = (out + a[:, s : s + step] @ b[s : s + step] % p) % p
     return out
 
@@ -118,6 +118,32 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def rref_extend(basis: np.ndarray, pivots: np.ndarray, rows: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots of rowspace(basis) + rowspace(rows).
+
+    ``basis`` is an RREF basis with no zero rows and ``pivots`` its pivot
+    columns as an int64 array; all entries are in [0, p).  The rows are
+    reduced modulo the basis (minus their values at its pivots times its
+    rows); the residue, zero at those pivots, is row reduced; and its new
+    pivot columns are cleared from the old rows.  Sorting the two row sets
+    by pivot then gives the RREF of the sum, which is canonical, so the
+    result equals the nonzero rows of ``rref(vstack([basis, rows]))`` and
+    its pivots.  When the rows add nothing the inputs come back.  Every
+    product goes through ``matmul``, so the exactness argument of the
+    module docstring holds.
+    """
+    residue = (rows - matmul(rows[:, pivots], basis, p)) % p
+    R, fresh = rref(residue, p)
+    if not fresh:
+        return basis, pivots
+    R = R[: len(fresh)]
+    old = (basis - matmul(basis[:, fresh], R, p)) % p
+    merged = np.concatenate([pivots, fresh])
+    order = np.argsort(merged, kind="stable")
+    return np.vstack([old, R])[order], merged[order]
 
 
 def rank(a, p: int) -> int:

@@ -6,15 +6,19 @@ degreewise kernel of evaluation is automatically the saturated vanishing
 ideal piece.
 
 The Hilbert matrix comes from a sweep over the window.  It grows the
-evaluation image of S_(i,j) in k^N from a neighbouring cell by the
-variable actions; each step row-reduces a stack of (n+1)*dim or
-(m+1)*dim rows by N columns.  Because x0 = y0 = 1 at every point, the
-image at (i,j) contains the images at (i-1,j) and (i,j-1), so once either
-is all of k^N the cell is saturated: its RREF basis is the identity and
-no elimination runs.  Every swept cell is memoized on its ``PointSet``,
-so the genericity check, the Hilbert matrix, the presentations, the
-regularity witness and the decomposition check of one set share a single
-sweep, and a window only computes the cells no earlier window covered.
+evaluation image V(i,j) of S_(i,j) in k^N from a neighbouring cell by the
+variable actions.  Because x0 = y0 = 1 at every point, V(i,j) contains
+V(i-1,j) and V(i,j-1), so once either is all of k^N the cell is
+saturated: its RREF basis is the identity and no elimination runs.
+Otherwise the cell extends its source's RREF by the actions of x1..xn
+(or y1..ym along row 0) on the source's fresh rows only, the rows at
+pivots the cell before the source lacks; the other rows' products are
+already in the source.  A cell whose source has no fresh rows is its
+source, as in a column that has stopped growing.  Every swept cell is
+memoized on its ``PointSet``, so the genericity check, the Hilbert
+matrix, the presentations, the regularity witness and the decomposition
+check of one set share a single sweep, and a window only computes the
+cells no earlier window covered.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cox import count_monomials, monomials, t_binom
-from .fp import DEFAULT_PRIME, kernel_basis, matmul, normalize, rank, rref
+from .cox import monomials, t_binom
+from .fp import DEFAULT_PRIME, kernel_basis, matmul, normalize, rank, rref_extend
 
 # draws random_points(require_generic=True) makes before giving up
 MAX_DRAWS = 100
@@ -33,10 +37,6 @@ MAX_DRAWS = 100
 
 class GenericityExhausted(Exception):
     """Raised when resampling cannot reach a generic configuration."""
-
-
-class WindowTooSmall(Exception):
-    """Raised when a window cannot certify the property asked about."""
 
 
 @dataclass(eq=False)
@@ -209,24 +209,44 @@ class FunctionSpaces:
     pivots: dict[tuple[int, int], np.ndarray]
 
 
+def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
+    """Mask over ``pivots``: True at each pivot column not among ``older``.
+
+    Both are RREF pivot columns in k^N, ``older`` those of a subspace; the
+    rows of the larger RREF basis at the masked pivots span a complement
+    of that subspace.
+    """
+    mask = np.ones(N, dtype=bool)
+    mask[older] = False
+    return mask[pivots]
+
+
 def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """RREF basis and pivots at (i,j), from the memoized cells before it."""
-    cells, p = ps._cells, ps.p
+    cells, N = ps._cells, ps.N
     for prev in ((i - 1, j), (i, j - 1)):
-        if prev in cells and len(cells[prev][1]) == ps.N:
+        if prev in cells and len(cells[prev][1]) == N:
             # x0 = y0 = 1 embeds the neighbour, so this cell is k^N too and
             # shares the neighbour's identity basis
             return cells[prev]
-    if i:
-        prev = cells[(i - 1, j)][0]
-        rows = np.vstack([prev * v % p for v in ps.xs.T])
-    elif j:
-        prev = cells[(0, j - 1)][0]
-        rows = np.vstack([prev * v % p for v in ps.ys.T])
+    if i or j:
+        if i:
+            src, older, values = (i - 1, j), (i - 2, j), ps.xs
+        else:
+            src, older, values = (0, j - 1), (0, j - 2), ps.ys
+        basis, pivots = cells[src]
+        fresh = basis
+        if min(older) >= 0:
+            fresh = basis[fresh_pivots(pivots, cells[older][1], N)]
+        if not len(fresh):
+            # the source adds nothing to the cell before it, so neither do
+            # its variable actions: this cell is the source
+            return basis, pivots
+        rows = (values.T[1:, None, :] * fresh % ps.p).reshape(-1, N)
+        basis, pivots = rref_extend(basis, pivots, rows, ps.p)
     else:
-        rows = np.ones((1, ps.N), dtype=np.int64)
-    R, piv = rref(rows, p)
-    basis, pivots = R[: len(piv)], np.asarray(piv, dtype=np.int64)
+        # the constant function is its own RREF basis
+        basis, pivots = np.ones((1, N), dtype=np.int64), np.zeros(1, dtype=np.int64)
     basis.flags.writeable = False
     pivots.flags.writeable = False
     return basis, pivots
@@ -235,13 +255,18 @@ def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
 def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
     """Read the window from the point set's cell memo, sweeping what it lacks.
 
-    Cells are visited in row-major order, so both neighbours of a missing
-    cell are already memoized when it is computed.  A cell next to a
-    saturated one is saturated and costs no elimination.  Otherwise, for
-    i > 0 the (i,j) space is spanned by the x-variable actions on the
-    (i-1,j) space; along row 0 the y-variables act on (0, j-1), starting
-    from the constant function at (0, 0).  A smaller window than an earlier
-    one computes nothing; a larger one computes only its new cells.
+    Cells are visited in row-major order, so every cell above and left of
+    a missing cell is already memoized when it is computed.  A cell next
+    to a saturated one is saturated and costs no elimination.  Otherwise,
+    for i > 0 the source is (i-1,j) and the variables x1..xn; along row 0
+    it is (0,j-1) and y1..ym, starting from the constant function at
+    (0, 0).  As x0 = 1, V(i,j) = V(i-1,j) + sum_k x_k * C, where C are the
+    source's RREF rows at pivots that (i-2,j) lacks (every row when
+    i = 1): those rows and V(i-2,j) span the source, and x_k * V(i-2,j)
+    lies in V(i-1,j).  So the cell is ``rref_extend`` of the source by the
+    products x_k * C, and is the source itself when C is empty.  A smaller
+    window than an earlier one computes nothing; a larger one computes only
+    its new cells.
     """
     wi, wj = window
     cells = ps._cells
@@ -264,13 +289,16 @@ def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
 
 def generic_hilbert_matrix(N: int, n: int, m: int,
                            window: tuple[int, int]) -> np.ndarray:
-    """min{N, dim S_(i,j)} on the window."""
+    """min{N, dim S_(i,j)} on the window.
+
+    dim S_(i,j) is t_binom(i, n) * t_binom(j, m); each factor is capped at N
+    first, which leaves the minimum unchanged and keeps the int64 product
+    small at any window.
+    """
     wi, wj = window
-    vals = np.empty((wi + 1, wj + 1), dtype=np.int64)
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            vals[i, j] = min(N, count_monomials(n, m, (i, j)))
-    return vals
+    xs = [min(N, t_binom(i, n)) for i in range(wi + 1)]
+    ys = [min(N, t_binom(j, m)) for j in range(wj + 1)]
+    return np.minimum(N, np.outer(xs, ys))
 
 
 def is_generic_hilbert(ps: PointSet) -> bool:

@@ -25,12 +25,15 @@ from dataclasses import dataclass
 from .betti import betti_numbers, intersected_presentation, pdim, point_presentation
 from .cox import count_monomials
 from .points import (
-    WindowTooSmall,
     function_space_bases,
     is_generic_hilbert,
     min_cover_degree,
     pi1_fibers,
 )
+
+
+class WindowTooSmall(Exception):
+    """Raised when a window cannot certify the property asked about."""
 
 
 class NotInRegularity(Exception):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vreslab import points as points_module
 from vreslab.cox import count_monomials, t_binom
-from vreslab.fp import rank, rref, subspace_contains
+from vreslab.fp import rank, rref, rref_extend, subspace_contains
 from vreslab.points import (
     GenericityExhausted,
     PointSet,
@@ -197,6 +197,15 @@ class TestHilbertSweep:
         G1 = generic_hilbert_matrix(1, 2, 2, (3, 3))
         assert np.all(G1 == 1)
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("N", [1, 4, 31])
+    @pytest.mark.parametrize("window", [(0, 0), (3, 0), (0, 5), (4, 6), (9, 2)])
+    def test_generic_matrix_equals_cellwise_minimum(self, n, m, N, window):
+        want = [[min(N, count_monomials(n, m, (i, j))) for j in range(window[1] + 1)]
+                for i in range(window[0] + 1)]
+        G = generic_hilbert_matrix(N, n, m, window)
+        assert G.dtype == np.int64 and G.tolist() == want
+
     def test_min_cover_degree(self):
         assert min_cover_degree(31, 2) == 7
         assert min_cover_degree(1, 2) == 0
@@ -244,27 +253,73 @@ class TestSweepMemo:
         ps = random_points(2, 1, 7, seed=63)
         want = function_space_bases(ps, (5, 5))
 
-        def no_rref(*args):
-            raise AssertionError("rref called on a memoized window")
+        def no_extend(*args):
+            raise AssertionError("rref_extend called on a memoized window")
 
-        monkeypatch.setattr(points_module, "rref", no_rref)
+        monkeypatch.setattr(points_module, "rref_extend", no_extend)
         got = function_space_bases(ps, (3, 4))
         assert np.array_equal(got.dims, want.dims[:4, :5])
 
     def test_saturated_cells_skip_elimination(self, monkeypatch):
         ps = random_points(1, 2, 5, seed=64)
-        calls = []
-
-        def counting_rref(a, p):
-            calls.append(a.shape)
-            return rref(a, p)
-
-        monkeypatch.setattr(points_module, "rref", counting_rref)
+        calls = count_extensions(monkeypatch)
         H = function_space_bases(ps, (6, 4)).dims
-        unsaturated = sum(
-            1 for i in range(7) for j in range(5)
-            if not (i and H[i - 1, j] == ps.N) and not (j and H[i, j - 1] == ps.N))
-        assert len(calls) == unsaturated < H.size
+        assert len(calls) == sweep_eliminations(H, ps.N) < H.size
+
+    def test_stalled_column_runs_no_elimination(self, monkeypatch):
+        # three fibers of two points: column 0 stops at 3 < N = 6 from row 2,
+        # so from row 4 on its cells have no fresh rows to act on
+        ps = fibered_633()
+        function_space_bases(ps, (3, 0))
+
+        def no_extend(*args):
+            raise AssertionError("rref_extend called on a stalled column")
+
+        monkeypatch.setattr(points_module, "rref_extend", no_extend)
+        fs = function_space_bases(ps, (7, 0))
+        assert fs.dims[:, 0].tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
+        for d, V in fs.bases.items():
+            R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
+            assert np.array_equal(V, R[: len(piv)])
+            assert fs.pivots[d].tolist() == piv
+
+    def test_fibered_sweep_counts_one_elimination_per_growing_source(self, monkeypatch):
+        ps = fibered_633()
+        calls = count_extensions(monkeypatch)
+        H = function_space_bases(ps, (6, 4)).dims
+        stalled = [(i, 0) for i in range(4, 7)]
+        assert all(H[i - 1, j] == H[i - 2, j] < ps.N for i, j in stalled)
+        assert len(calls) == sweep_eliminations(H, ps.N)
+
+
+def count_extensions(monkeypatch) -> list:
+    """Record the row count of every ``rref_extend`` call the sweep makes."""
+    calls = []
+
+    def counting_extend(basis, pivots, rows, p):
+        calls.append(len(rows))
+        return rref_extend(basis, pivots, rows, p)
+
+    monkeypatch.setattr(points_module, "rref_extend", counting_extend)
+    return calls
+
+
+def sweep_eliminations(H: np.ndarray, N: int) -> int:
+    """Cells of a fresh sweep that extend their source: the unsaturated
+    cells other than the origin whose source has fresh rows, that is, more
+    dimensions than the cell before the source."""
+
+    def dim(i, j):
+        return H[i, j] if i >= 0 and j >= 0 else 0
+
+    count = 0
+    for i, j in np.ndindex(H.shape):
+        saturated = (i and H[i - 1, j] == N) or (j and H[i, j - 1] == N)
+        if saturated or not (i or j):
+            continue
+        fresh = dim(i - 1, j) - dim(i - 2, j) if i else dim(0, j - 1) - dim(0, j - 2)
+        count += fresh > 0
+    return count
 
 
 # random sets of every shape, from one point up, at the largest prime too

@@ -7,7 +7,6 @@ from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_pres
 from vreslab.fp import rank
 from vreslab.points import (
     PointSet,
-    WindowTooSmall,
     evaluation_matrix,
     hilbert_matrix,
     pi1_fibers,
@@ -17,6 +16,7 @@ from vreslab.vres import (
     FreeComplexShape,
     NotInRegularity,
     NTooSmall,
+    WindowTooSmall,
     euler_quadrant_check,
     intersect_vres,
     pair_vres,
