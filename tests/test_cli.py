@@ -211,6 +211,14 @@ PINNED_OUTPUTS = [
      "e6f5936990abaf32e06092b7a0fe00dc283dcfe86a2acd3117e8c8c8c0953d90"),
     ("vres-intersect --n 2 --m 2 --N 4 --t 3 --seed 5",
      "b5566e54cbff4bab9e246c377e7ec583ad77b5390558b5c49611bdb84ea04349"),
+    ("vres-intersect --N 6 --t 2 --seed 1 --window 30,30",
+     "d47de7e26cd0b4d29c8ecb86167e2b213ea12d196184cb414e4fe4c955cfc56c"),
+    ("vres-intersect --n 2 --m 1 --N 5 --t 1 --seed 3",
+     "c6e1c77edcee76072a7863c7e3882dd74f932460f16c36e81c77f77f1821ee07"),
+    ("vres-intersect --n 1 --m 3 --N 4 --t 2 --seed 4",
+     "a4669c79b0b78f9183b10887d97d017a59a270919671a95af5f122c097da56a9"),
+    ("vres-intersect --n 3 --m 1 --N 4 --t 1 --seed 4",
+     "a2b0ba1eeb7e3f1a8bb6c4de2c4ff5acdcc58a6de16a71357f42fbfee10ef208"),
     ("vres-pair --n 1 --m 2 --N 6 --d 5,0 --seed 11",
      "2b1b9b6d4b88f0f32bd0ff07b41dca034f55c2c539886dbd90d570211c1ef641"),
     ("mrc --nmin 2 --nmax 8 --trials 2 --seed 7",
