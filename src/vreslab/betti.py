@@ -22,10 +22,29 @@ is the one builder (``point_presentation`` is its t = 0 case); the tests
 check the engine against presentations of S/J built from explicit ideal
 generators in their own oracles.
 
-One certificate skips cells without rank work.  A presented module is
-R/J for R the polynomial ring on its variables.  Where a piece has the
-dimension of R's piece, J vanishes there and in every lower degree, so
-the strand is R's own strand, which is exact away from the origin.
+Off column 0, the intersected presentation's strands keep only the
+pieces in rows i >= t.  Let R = k[x0..xn, y1..ym] and M = R/J be
+S/(I_X ∩ <x>^t) modulo y0.  J is bigraded and vanishes below row t, so
+each of its forms has x-degree at least t and J lies in <x>^t; there is
+a short exact sequence 0 -> <x>^t M -> M -> R/<x>^t -> 0.  R/<x>^t is extended from
+k[x0..xn], where a power of the maximal ideal has a linear resolution
+(Eagon and Northcott), so every twist in its resolution has y-degree 0,
+and Tor^R_k(R/<x>^t)_d = 0 at d = (i, j) with j >= 1.  The long exact
+sequence of Tor then gives Tor_k(M)_d = Tor_k(<x>^t M)_d there, and
+<x>^t M is M's pieces in rows i >= t with zero below: its strand at d is
+the sub-strand of M's on the summands whose piece lies in those rows.
+So the large free pieces of R below row t, which carry no homology off
+column 0, enter no rank.  ``GradedModulePresentation.free_rows`` is that
+t; the point presentation (t = 0) and column 0 keep the full strands.
+
+A cell whose strand has no nonzero summand in any K_k with k <= kmax has
+no Betti number there; ``betti_numbers`` finds those cells for the whole
+window at once and skips them.  One certificate skips further cells
+without rank work.  A presented module is R/J for R the polynomial ring
+on its variables.  Where a piece has the dimension of R's piece, J
+vanishes there and in every lower degree, so the strand is R's own
+strand, which is exact away from the origin.  (It speaks of M's full
+strand, which has the homology of the truncated one.)
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
@@ -80,6 +99,9 @@ class GradedModulePresentation:
     window: tuple[int, int]
     dims: np.ndarray
     variables: tuple[int, ...]
+    # rows i < free_rows hold R's own pieces; off column 0 the strands
+    # read only the rows at or above it (see the module docstring)
+    free_rows: int = 0
     _builder: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
@@ -177,7 +199,8 @@ def intersected_presentation(ps: PointSet, t: int,
         for j in range(wj + 1):
             dims[i, j] = count_monomials(n, m - 1, (i, j))
     variables = tuple(v for v in range(n + m + 2) if v != z)
-    return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build)
+    return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
+                                    _builder=build)
 
 
 @dataclass
@@ -239,13 +262,35 @@ def _strand_snapshot(pres, d, k):
     """Summands of K_k at d: (subset, piece degree, dim, offset)."""
     out = []
     offset = 0
+    floor = pres.free_rows if d[1] else 0
     for T, (a, b) in _subsets(pres.variables, pres.n, k):
         piece = (d[0] - a, d[1] - b)
-        dim = pres.dim(piece)
+        dim = pres.dim(piece) if piece[0] >= floor else 0
         if dim:
             out.append((T, piece, dim, offset))
             offset += dim
     return out, offset
+
+
+def _live_cells(pres, kmax) -> np.ndarray:
+    """Mask of the cells whose strand has a nonzero summand in some K_k, k <= kmax."""
+    wi, wj = pres.window
+    degrees = {deg for k in range(kmax + 1)
+               for _, deg in _subsets(pres.variables, pres.n, k)}
+
+    def reach(nonzero):
+        out = np.zeros_like(nonzero)
+        for a, b in degrees:
+            if a <= wi and b <= wj:
+                out[a:, b:] |= nonzero[: wi + 1 - a, : wj + 1 - b]
+        return out
+
+    nonzero = pres.dims > 0
+    live = reach(nonzero)
+    # off column 0 the strands read only rows at or above free_rows
+    nonzero[: pres.free_rows] = False
+    live[:, 1:] = reach(nonzero)[:, 1:]
+    return live
 
 
 def _betti_cell(pres, d, kmax) -> dict:
@@ -299,9 +344,12 @@ def betti_numbers(pres: GradedModulePresentation,
     if kmax is None:
         kmax = pres.n + pres.m + 2
     entries = {}
+    live = _live_cells(pres, kmax)
     for i in range(wi + 1):
         for j in range(wj + 1):
             d = (i, j)
+            if not live[i, j]:
+                continue
             if _cert_free_strand(pres, d):
                 if d == (0, 0) and pres.dim(d) == 1:
                     entries[(0, 0, 0)] = 1

@@ -53,9 +53,10 @@ def one_point():
 
 
 def honest_betti(pres):
-    """The table with the skip certificate off: every cell builds its strand."""
+    """The table with the skips off: every cell builds its strand."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(betti, "_cert_free_strand", lambda pres, d: False)
+        mp.setattr(betti, "_live_cells", lambda pres, kmax: np.ones_like(pres.dims, dtype=bool))
         return betti_numbers(pres)
 
 
@@ -329,6 +330,13 @@ def test_beta1_routes_agree_randomized(npts, seed):
 # alone (n = 0)
 @example(PointSet(1, 0, 101, np.array([[1, 3], [1, 5], [1, 9]]), np.ones((3, 1))), 2, 5, 4)
 @example(PointSet(0, 1, 101, np.ones((3, 1)), np.array([[1, 3], [1, 5], [1, 9]])), 0, 5, 4)
+# the intersect bench's generic (2,2) sets at t = ell - 1, and factor pairs
+# it never runs
+@example(random_points(2, 2, 4, seed=5, require_generic=True), 3, 7, 6)
+@example(random_points(1, 3, 4, seed=4, require_generic=True), 1, 6, 5)
+@example(random_points(1, 3, 4, seed=4, require_generic=True), 2, 6, 5)
+@example(random_points(3, 1, 4, seed=4, require_generic=True), 1, 6, 5)
+@example(random_points(3, 1, 4, seed=4, require_generic=True), 2, 6, 5)
 def test_mod_z_presentation_matches_full_oracle(ps, t, wi, wj):
     """The strand over S/z gives the Betti table of the module over S."""
     got = betti_numbers(intersected_presentation(ps, t, (wi, wj)))

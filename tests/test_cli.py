@@ -6,8 +6,14 @@ import tracemalloc
 
 import pytest
 
-from vreslab import cli, cox
-from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
+from vreslab import betti, cli, cox
+from vreslab.betti import (
+    DirtyBoundary,
+    betti_numbers,
+    betti_window,
+    intersected_presentation,
+    point_presentation,
+)
 from vreslab.cli import derive_seed, main
 from vreslab.diffcalc import alternating_betti_from_hilbert
 from vreslab.points import hilbert_matrix, hilbert_window, random_points
@@ -252,6 +258,30 @@ def test_large_intersect_window_stays_small(capsys):
     capsys.readouterr()
     assert rc == 0
     assert peak < 50 * 2 ** 20
+
+
+def test_large_intersect_window_reads_rows_from_t(monkeypatch):
+    # off column 0 the strands read only the pieces of <x>^t M (rows >= t),
+    # so R's free pieces below row t enter no map and no rank: 31,960 rank
+    # entries on the (40,40) reproducer, 2,512,548 with every strand full
+    t = 2
+    ps = random_points(1, 2, 6, seed=1, require_generic=True)
+    pres = intersected_presentation(ps, t, (40, 40))
+    entries, rank = [], betti.rank
+
+    def counted(mat, p):
+        entries.append(mat.size)
+        return rank(mat, p)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(betti, "rank", counted)
+        bt = betti_numbers(pres)
+    assert pres._maps
+    assert all(d[0] >= t or d[1] == 0 for _, d in pres._maps)
+    assert sum(entries) < 40_000
+    full = intersected_presentation(ps, t, (40, 40))
+    full.free_rows = 0
+    assert betti_numbers(full).entries == bt.entries
 
 
 class TestExitCodes:

@@ -247,6 +247,24 @@ def random_xparts(n, count, seed):
     return [(1, *map(int, rng.integers(0, P, size=n))) for _ in range(count)]
 
 
+def drawn_fibered_set(seed):
+    """Random x-parts (ell of them, 2..5) with 1..3 points in each fiber."""
+    rng = np.random.default_rng(seed)
+    n, m = [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2)][rng.integers(5)]
+    ell = int(rng.integers(2, 6))
+    xparts = set()
+    while len(xparts) < ell:
+        xparts.add((1, *map(int, rng.integers(0, P, size=n))))
+    xs, ys = [], []
+    for x in sorted(xparts):
+        size, fiber = int(rng.integers(1, 4)), set()
+        while len(fiber) < size:
+            fiber.add((1, *map(int, rng.integers(0, P, size=m))))
+        xs += [x] * len(fiber)
+        ys += sorted(fiber)
+    return PointSet(n, m, P, np.array(xs), np.array(ys))
+
+
 class TestIntersectSharpBound:
     # the least t giving length n + m is r, the least i with H(i, 0) = ell
     # (the regularity index of the x-parts), below the bound t >= ell - 1
@@ -265,6 +283,15 @@ class TestIntersectSharpBound:
         assert intersect_vres(ps, r - 1)[1] == ps.n + ps.m + 1
         for t in range(r, ell):
             assert intersect_vres(ps, t)[1] == ps.n + ps.m
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_length_survey_over_drawn_fibered_sets(self, seed):
+        ps = drawn_fibered_set(seed)
+        ell = pi1_fibers(ps).ell
+        r = int(np.argmax(hilbert_matrix(ps, (ell, 0))[:, 0] == ell))
+        assert intersect_vres(ps, r)[1] == ps.n + ps.m
+        if r >= 2:
+            assert intersect_vres(ps, r - 1)[1] == ps.n + ps.m + 1
 
 
 class TestBeta2Rows:
