@@ -260,7 +260,7 @@ def drawn_fibered_set(seed):
         size, fiber = int(rng.integers(1, 4)), set()
         while len(fiber) < size:
             fiber.add((1, *map(int, rng.integers(0, P, size=m))))
-        xs += [x] * len(fiber)
+        xs += [x] * size
         ys += sorted(fiber)
     return PointSet(n, m, P, np.array(xs), np.array(ys))
 
