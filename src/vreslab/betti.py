@@ -37,14 +37,15 @@ So the large free pieces of R below row t, which carry no homology off
 column 0, enter no rank.  ``GradedModulePresentation.free_rows`` is that
 t; the point presentation (t = 0) and column 0 keep the full strands.
 
-A cell whose strand has no nonzero summand in any K_k with k <= kmax has
-no Betti number there; ``betti_numbers`` finds those cells for the whole
-window at once and skips them.  One certificate skips further cells
-without rank work.  A presented module is R/J for R the polynomial ring
-on its variables.  Where a piece has the dimension of R's piece, J
-vanishes there and in every lower degree, so the strand is R's own
-strand, which is exact away from the origin.  (It speaks of M's full
-strand, which has the homology of the truncated one.)
+``betti_numbers`` decides in one mask over the window which cells need
+a rank.  A cell whose strand has no nonzero summand in any K_k with
+k <= kmax has no Betti number there.  Nor has a cell other than the
+origin whose piece has the dimension of R's piece, for R the polynomial
+ring on the presentation's variables: the module is R/J, R is a domain,
+so J_d = 0 forces J_e = 0 at every e <= d, and the strand at d, which
+reads only pieces at such e, is R's own strand, exact away from the
+origin.  (That speaks of M's full strand, which has the homology of the
+truncated one.)  The origin's strand gives beta_0 with no rank.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
@@ -246,18 +247,6 @@ def _subsets(variables: tuple[int, ...], n: int, k: int) -> tuple:
     return tuple(out)
 
 
-def _cert_free_strand(pres, d) -> bool:
-    """Whether the strand at d is the strand of the polynomial ring R itself.
-
-    The module is R/J for R the polynomial ring on the presentation's
-    variables.  R is a domain, so J_d = 0 forces J_e = 0 at every e <= d,
-    and the strand at d reads only pieces at such e.
-    """
-    # the one subset of all the variables carries R's variable counts
-    nx, ny = _subsets(pres.variables, pres.n, len(pres.variables))[0][1]
-    return pres.dim(d) == count_monomials(nx - 1, ny - 1, d)
-
-
 def _strand_snapshot(pres, d, k):
     """Summands of K_k at d: (subset, piece degree, dim, offset)."""
     out = []
@@ -273,7 +262,9 @@ def _strand_snapshot(pres, d, k):
 
 
 def _live_cells(pres, kmax) -> np.ndarray:
-    """Mask of the cells whose strand has a nonzero summand in some K_k, k <= kmax."""
+    """Mask of the cells whose strand needs a rank: a nonzero summand in
+    some K_k with k <= kmax, and a piece short of R's (see the module
+    docstring).  The origin stays in: its strand gives beta_0 with no rank."""
     wi, wj = pres.window
     degrees = {deg for k in range(kmax + 1)
                for _, deg in _subsets(pres.variables, pres.n, k)}
@@ -290,7 +281,13 @@ def _live_cells(pres, kmax) -> np.ndarray:
     # off column 0 the strands read only rows at or above free_rows
     nonzero[: pres.free_rows] = False
     live[:, 1:] = reach(nonzero)[:, 1:]
-    return live
+    nx = sum(v <= pres.n for v in pres.variables)
+    ny = len(pres.variables) - nx
+    # R's piece dimensions, capped above every piece of the module
+    free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
+                                               nx - 1, ny - 1, pres.window)
+    free[0, 0] = False
+    return live & ~free
 
 
 def _betti_cell(pres, d, kmax) -> dict:
@@ -344,18 +341,9 @@ def betti_numbers(pres: GradedModulePresentation,
     if kmax is None:
         kmax = pres.n + pres.m + 2
     entries = {}
-    live = _live_cells(pres, kmax)
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            d = (i, j)
-            if not live[i, j]:
-                continue
-            if _cert_free_strand(pres, d):
-                if d == (0, 0) and pres.dim(d) == 1:
-                    entries[(0, 0, 0)] = 1
-                continue
-            for k, beta in _betti_cell(pres, d, kmax).items():
-                entries[(k, i, j)] = beta
+    for i, j in np.argwhere(_live_cells(pres, kmax)).tolist():
+        for k, beta in _betti_cell(pres, (i, j), kmax).items():
+            entries[(k, i, j)] = beta
     clean = not any(i == wi or j == wj for (_, i, j) in entries)
     return BettiTable(pres.n, pres.m, (wi, wj), entries, kmax, clean)
 

@@ -334,8 +334,12 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
     the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
     first projection and of <<x>^t, y0>.  The answer is exact for every
-    t >= 0; for t < ell - 1 (ell the number of fibers) the identity may
-    fail, and the check then returns False.
+    t >= 0.  The identity holds for every t >= r, r the least i with
+    H_X(i, 0) = ell (ell the number of fibers): at rows i >= r the
+    spaces V_(i,j) and V_(i,j-1) defined below are direct sums over the
+    fibers (the splitting lemma of the ``vres`` docstring), so the map
+    phi defined below is an isomorphism.  Below r the identity may fail,
+    and the check then returns False.
 
     Below row t both sides are y0 * S_(i,j-1), so the check starts at row t,
     where the <x>^t component is all of S_d and drops out.  There it runs in

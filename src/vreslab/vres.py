@@ -2,14 +2,55 @@
 
 Two routes produce a short free complex from the ideal of a point set:
 
-* resolving S/(I intersect <x>^t): for t at least ell - 1 (ell = number
-  of distinct x-parts) the minimal resolution of the intersected
-  quotient already has length n + m, and
+* resolving S/(I intersect <x>^t): once H_X(t, 0) = ell (ell = number
+  of distinct x-parts), that is t >= r for r the least i with
+  H_X(i, 0) = ell, the minimal resolution of the intersected quotient
+  has length n + m (proved below), and
 * trimming the minimal resolution of S/I itself at a degree d where the
   Hilbert value H(d) has reached N, keeping only the free summands
   generated in degree at most d + (n, m).  Those summands are the Betti
   numbers at twists inside the region d + (n, m), so the trim is the
   Betti table of the presentation on exactly that window.
+
+The length bound.  Let X be the points, A = S/I_X, P_1..P_ell the
+distinct x-parts (normalized, x0 = 1) and J = I_X ∩ <x>^t with
+t >= max(r, 1).  Then pd S/J = n + m:
+
+(a) <x>^t is spanned by the monomials of x-degree at least t, so
+    <x>^t / J = (<x>^t + I_X) / I_X is A_{rows >= t}, the pieces of A in
+    rows i >= t, and 0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 is exact.
+    <x>^t is extended from k[x0..xn], where a power of the maximal ideal
+    has a linear resolution of length n (Eagon and Northcott), so
+    pd S/<x>^t = n + 1 <= n + m, and pd S/J <= max(pd A_{rows >= t}, n + m).
+(b) An x-form takes the same value at points with the same x-part, and
+    for i >= r, H_X(i, 0) = ell says k[x]_i maps onto the functions on
+    the ell x-parts: there is e_k in k[x]_i with e_k(P_l) = 1 if l = k
+    and 0 otherwise.  Let V_(i,j) be the evaluation image of S_(i,j) in
+    k^N and V^k_j that of k[y]_j on the points of fiber k.  Restricting
+    f in S_(i,j) to fiber k gives f(P_k, y), in V^k_j, and e_k * g for
+    g in k[y]_j gives g on fiber k and 0 elsewhere, so
+    V_(i,j) = ⊕_k V^k_j for i >= r.  On the k-th summand y acts as on
+    fiber k's y-parts and x_v as the scalar x_v(P_k), so
+    A_{rows >= t} ≅ ⊕_k L_k(-t) ⊗ C_k, with L_k = k[x]/I_{P_k} the
+    coordinate ring of the k-th x-part and C_k that of its fiber's
+    y-parts.
+(c) x0 is 1 at P_k and y0 is 1 at every y-part of fiber k, so x0 is a
+    nonzerodivisor on L_k and y0 on C_k; as L_k ⊗ C_k is a tensor
+    product over the field, x0, y0 is a regular sequence on each
+    summand.  Its depth is at least 2, and by Auslander-Buchsbaum
+    pd A_{rows >= t} <= n + m.
+(d) The prime of each point contains I_X but not x0, so it does not
+    contain <x>^t; localized there J is I_X, and the prime, minimal over
+    I_X, is associated to S/J.  Its quotient has dimension 2, so
+    depth S/J <= 2 and pd S/J >= n + m.
+
+Both earlier sufficient conditions are cases of t >= r.  The ell
+x-parts impose independent conditions on x-forms of degree ell - 1 (a
+product of linear forms, one through each other x-part), so
+r <= ell - 1 always, with equality for n = 1, where H_X(i, 0) is
+min(i + 1, ell).  For a set with the generic Hilbert matrix,
+H_X(i, 0) = min(N, dim k[x]_i), so ell = N and r is
+``min_cover_degree(N, n)``.
 
 The Koszul engine certifies Betti NUMBERS, not differentials, so
 virtuality here is certified by the construction plus the Euler
@@ -24,12 +65,7 @@ from dataclasses import dataclass
 
 from .betti import betti_numbers, intersected_presentation, pdim, point_presentation
 from .cox import count_monomials
-from .points import (
-    function_space_bases,
-    is_generic_hilbert,
-    min_cover_degree,
-    pi1_fibers,
-)
+from .points import function_space_bases, hilbert_matrix, min_cover_degree, pi1_fibers
 
 
 class WindowTooSmall(Exception):
@@ -118,27 +154,25 @@ def intersect_window(N, t, n, m):
 def intersect_vres(ps, t, window=None):
     """Resolve S/(I intersect <x>^t); return (table, length).
 
-    For t >= ell - 1, and also for generic sets once t covers N in the
-    x-direction, the resulting length must equal n + m; that contract
-    is asserted here.  A table with boundary entries raises
-    DirtyBoundary: enlarge the window.  A window below row t holds only
-    free pieces and raises WindowTooSmall.
+    Once H_X(t, 0) = ell, the number of distinct x-parts, the length
+    is n + m (see the module docstring); that contract is asserted
+    here.  A table with boundary entries raises DirtyBoundary: enlarge
+    the window.  A window below row t holds only free pieces and raises
+    WindowTooSmall.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    N = ps.N
     if window is None:
-        window = intersect_window(N, t, ps.n, ps.m)
+        window = intersect_window(ps.N, t, ps.n, ps.m)
     elif window[0] < t:
         raise WindowTooSmall("window %s ends below row t = %d, where every "
                              "piece is free" % (tuple(window), t))
     pres = intersected_presentation(ps, t, window)
     bt = betti_numbers(pres)
     length = pdim(bt)
-    ell = pi1_fibers(ps).ell
-    bound_ok = (t >= ell - 1
-                or (t >= min_cover_degree(N, ps.n) and is_generic_hilbert(ps)))
-    if bound_ok and length != ps.n + ps.m:
+    # window[0] >= t, so this reads a cell the sweep already holds
+    at_bound = hilbert_matrix(ps, (t, 0))[t, 0] == pi1_fibers(ps).ell
+    if at_bound and length != ps.n + ps.m:
         raise AssertionError("length %d != %d with t = %d certified"
                              % (length, ps.n + ps.m, t))
     return bt, length

@@ -154,7 +154,7 @@ def test_criterion_5_collapse_identity():
 
 def test_criterion_6_intersection_length():
     # resolving S/(I intersect <x>^t) at t = ell - 1 gives length n + m;
-    # the generic cover bound t = 2 must also work for 5 points in the
+    # so must t = r = 2 < ell - 1 for 5 generic points in the
     # plane-times-line ambient
     started = time.perf_counter()
     bad = []

@@ -53,9 +53,8 @@ def one_point():
 
 
 def honest_betti(pres):
-    """The table with the skips off: every cell builds its strand."""
+    """The table with the skip mask off: every cell builds its strand."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(betti, "_cert_free_strand", lambda pres, d: False)
         mp.setattr(betti, "_live_cells", lambda pres, kmax: np.ones_like(pres.dims, dtype=bool))
         return betti_numbers(pres)
 

@@ -1,6 +1,7 @@
 """Checks on the repository around the library: the README's Python and
-its ``vres-lab`` lines run, and every name and dataclass field the library
-defines is used by the library or the benchmark.
+its ``vres-lab`` lines run, every name and dataclass field the library
+defines is used by the library or the benchmark, and every name a library
+module imports is used by that module.
 """
 
 import ast
@@ -85,3 +86,23 @@ def test_every_library_name_is_named_outside_its_definition():
                        if (where, k) != (path, lineno)):
                 unused.append(f"{path.name}:{lineno} {name}")
     assert unused == []
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__.py imports to re-export; any other module's imports are for
+    # its own use, so a name it never reads is left over from removed code
+    stale = []
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        stale.append(f"{path.name}:{node.lineno} {name}")
+    assert stale == []

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from vreslab import vres
 from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
 from vreslab.fp import rank
 from vreslab.points import (
     PointSet,
+    decomposition_check,
     evaluation_matrix,
     hilbert_matrix,
     pi1_fibers,
@@ -208,7 +210,7 @@ class TestIntersect:
         assert length == 3
 
     def test_five_points_plane_times_line_small_t(self):
-        # generic cover bound: T(2,2) = 6 >= 5 allows t = 2 < ell - 1 = 4
+        # generic: H(2, 0) = min(5, T(2, 2)) = 5 = ell, so r = 2 < ell - 1 = 4
         ps = random_points(2, 1, 5, seed=4, require_generic=True)
         bt, length = intersect_vres(ps, 2)
         assert length == 3
@@ -267,8 +269,8 @@ def drawn_fibered_set(seed):
 
 class TestIntersectSharpBound:
     # the least t giving length n + m is r, the least i with H(i, 0) = ell
-    # (the regularity index of the x-parts), below the bound t >= ell - 1
-    # that intersect_vres asserts
+    # (the regularity index of the x-parts), the bound intersect_vres
+    # asserts
     @pytest.mark.parametrize("n, xparts, r", [
         (2, random_xparts(2, 6, seed=1), 2),
         (2, [(1, k, 2 * k + 1) for k in range(5)], 4),  # collinear
@@ -292,6 +294,17 @@ class TestIntersectSharpBound:
         assert intersect_vres(ps, r)[1] == ps.n + ps.m
         if r >= 2:
             assert intersect_vres(ps, r - 1)[1] == ps.n + ps.m + 1
+        # the fibers split every row from r on, so the identity holds there
+        assert decomposition_check(ps, r, (ell + 3, 5))
+
+    def test_length_is_asserted_from_r(self, monkeypatch):
+        # r = 2 < ell - 1 = 5: a wrong length at t = r must raise, and
+        # t = r - 1 is below the bound, where none is asserted
+        ps = two_per_fiber(2, random_xparts(2, 6, seed=1))
+        monkeypatch.setattr(vres, "pdim", lambda bt: ps.n + ps.m + 1)
+        with pytest.raises(AssertionError):
+            intersect_vres(ps, 2)
+        assert intersect_vres(ps, 1)[1] == ps.n + ps.m + 1
 
 
 class TestBeta2Rows:
