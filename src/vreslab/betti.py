@@ -47,6 +47,38 @@ reads only pieces at such e, is R's own strand, exact away from the
 origin.  (That speaks of M's full strand, which has the homology of the
 truncated one.)  The origin's strand gives beta_0 with no rank.
 
+The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
+``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
+beta_{k,(a,b)}(A) = 0 unless a <= r_x + n and b <= r_y + m, and for
+J = I_X ∩ <x>^t with t >= 1, beta_{k,(a,b)}(S/J) = 0 unless
+a <= max(t, r_x) + n and b <= r_y + m.
+
+For A: x0 and y0 are 1 at every point, so both are nonzerodivisors and
+the Betti numbers of A are those of A/x0A over S/x0 and of A/y0A over
+S/y0.  A/x0A has the pieces V(i,j)/V(i-1,j), zero for i > r_x.  Its
+strand at (a, b) runs over x1..xn, y0..ym, so each summand is a piece in
+a row at least a - n; for a > r_x + n every summand is zero.  A/y0A has
+the pieces V(i,j)/V(i,j-1), zero for j > r_y, and its strands run over
+x0..xn, y1..ym, so each summand is a piece in a column at least b - m;
+for b > r_y + m every summand is zero.
+
+For S/J: step (a) of the ``vres`` docstring gives the exact sequence
+0 -> A' -> S/J -> S/<x>^t -> 0 with A' = A_{rows >= t}, and by the long
+exact sequence of Tor every twist of S/J is a twist of A' or of
+S/<x>^t.  The twists of S/<x>^t are (0, 0) and (t + k - 1, 0) for
+k = 1..n+1 (Eagon and Northcott), all inside the box.  A' is a
+submodule of A, so x0 and y0 are nonzerodivisors on it.  A'/x0A' has
+the pieces V(i,j)/V(i-1,j) for i > t, V(t,j) in row t and zero below,
+so it vanishes past row max(t, r_x); A'/y0A' has V(i,j)/V(i,j-1) in rows
+i >= t and zero below, so it vanishes past column r_y.  The strand
+argument for A, which never used a generator in degree (0, 0), then
+bounds the twists of A'.
+
+``intersected_presentation`` records this box on the presentation.  The
+strand at a cell reads only pieces at degrees at most the cell, so a
+window that contains the box holds every Betti number of the module, and
+``betti_numbers`` visits no cell outside the box.
+
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
 inside one point-set presentation, the y0-free monomials of row t - 1
@@ -76,8 +108,8 @@ from .points import (
 )
 
 
-class DirtyBoundary(Exception):
-    """The window boundary carries entries, so global reads are unsafe."""
+class WindowTooSmall(Exception):
+    """Raised when a window misses the Betti box, so the table may lack entries."""
 
 
 @dataclass
@@ -91,7 +123,8 @@ class GradedModulePresentation:
     variable from the piece at d to the piece at d + deg(var), in the
     chosen bases (target dim x source dim); a map that sends each basis
     monomial to a basis monomial comes as ``cox.mult_map``'s index vector
-    instead.  Maps are built lazily and memoized.
+    instead.  Maps are built lazily and memoized.  ``box`` is the corner
+    of the Betti box (see the module docstring), None when unknown.
     """
 
     n: int
@@ -103,6 +136,7 @@ class GradedModulePresentation:
     # rows i < free_rows hold R's own pieces; off column 0 the strands
     # read only the rows at or above it (see the module docstring)
     free_rows: int = 0
+    box: tuple[int, int] | None = None
     _builder: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
@@ -113,6 +147,11 @@ class GradedModulePresentation:
         if i > self.window[0] or j > self.window[1]:
             raise IndexError(f"piece {d} outside window {self.window}")
         return int(self.dims[i, j])
+
+    @property
+    def complete(self) -> bool:
+        """Whether the window contains the Betti box, so holds the whole table."""
+        return self.box is not None and all(b <= w for b, w in zip(self.box, self.window))
 
     def map(self, var: int, d: tuple[int, int]) -> np.ndarray:
         key = (var, d)
@@ -166,17 +205,18 @@ def intersected_presentation(ps: PointSet, t: int,
     @cache
     def fresh(d):
         # which of V_d's pivots are not pivots of the cell below
-        lo = below(d)
+        lo, pivots = below(d), fs.cell(d)[1]
         if lo is None:
-            return np.ones(len(fs.pivots[d]), dtype=bool)
-        return fresh_pivots(fs.pivots[d], fs.pivots[lo], ps.N)
+            return np.ones(len(pivots), dtype=bool)
+        return fresh_pivots(pivots, fs.cell(lo)[1], ps.N)
 
     def coordinates(funcs, d):
         # columns: the classes, in the piece at d, of the rows of funcs
-        keep, lo = fs.pivots[d][fresh(d)], below(d)
+        keep, lo = fs.cell(d)[1][fresh(d)], below(d)
         if lo is None:
             return funcs[:, keep].T
-        reduced = funcs[:, keep] - matmul(funcs[:, fs.pivots[lo]], fs.bases[lo][:, keep], p)
+        basis, pivots = fs.cell(lo)
+        reduced = funcs[:, keep] - matmul(funcs[:, pivots], basis[:, keep], p)
         return (reduced % p).T
 
     def build(var: int, d: tuple[int, int]) -> np.ndarray:
@@ -188,7 +228,7 @@ def intersected_presentation(ps: PointSet, t: int,
         if d[0] < t:
             funcs = evaluation_matrix(ps, d)[:, y0_free(d)].T
         else:
-            funcs = fs.bases[d][fresh(d)]
+            funcs = fs.cell(d)[0][fresh(d)]
         return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
     wi, wj = window
@@ -201,7 +241,7 @@ def intersected_presentation(ps: PointSet, t: int,
             dims[i, j] = count_monomials(n, m - 1, (i, j))
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    _builder=build)
+                                    box=(max(t, fs.box[0]) + n, fs.box[1] + m), _builder=build)
 
 
 @dataclass
@@ -262,9 +302,10 @@ def _strand_snapshot(pres, d, k):
 
 
 def _live_cells(pres, kmax) -> np.ndarray:
-    """Mask of the cells whose strand needs a rank: a nonzero summand in
-    some K_k with k <= kmax, and a piece short of R's (see the module
-    docstring).  The origin stays in: its strand gives beta_0 with no rank."""
+    """Mask of the cells whose strand needs a rank: inside the Betti box
+    when the presentation knows it, a nonzero summand in some K_k with
+    k <= kmax, and a piece short of R's (see the module docstring).  The
+    origin stays in: its strand gives beta_0 with no rank."""
     wi, wj = pres.window
     degrees = {deg for k in range(kmax + 1)
                for _, deg in _subsets(pres.variables, pres.n, k)}
@@ -287,21 +328,21 @@ def _live_cells(pres, kmax) -> np.ndarray:
     free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
                                                nx - 1, ny - 1, pres.window)
     free[0, 0] = False
+    if pres.box is not None:
+        live[pres.box[0] + 1:] = False
+        live[:, pres.box[1] + 1:] = False
     return live & ~free
 
 
 def _betti_cell(pres, d, kmax) -> dict:
     """Honest Koszul strand homology at one bidegree."""
     p = pres.p
-    summands = {}
-    dims = {}
-    for k in range(kmax + 2):
-        summands[k], dims[k] = _strand_snapshot(pres, d, k)
-    ranks = {0: 0}
+    summands, dims = zip(*(_strand_snapshot(pres, d, k) for k in range(kmax + 2)))
+    # ranks[k] is the rank of the differential K_k -> K_(k-1)
+    ranks = [0] * (kmax + 2)
     for k in range(1, kmax + 2):
         src, tgt = summands[k], summands[k - 1]
         if not src or not tgt:
-            ranks[k] = 0
             continue
         row_of = {T: (piece, dim, off) for T, piece, dim, off in tgt}
         mat = np.zeros((dims[k - 1], dims[k]), dtype=np.int64)
@@ -321,36 +362,34 @@ def _betti_cell(pres, d, kmax) -> dict:
                     block = (p - block) % p
                 mat[uoff:uoff + udim, off:off + dim] = block
         ranks[k] = rank(mat, p)
-    out = {}
-    for k in range(kmax + 1):
-        beta = dims.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if beta:
-            out[k] = beta
-    return out
+    betti = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
+    return {k: beta for k, beta in enumerate(betti) if beta}
 
 
 def betti_numbers(pres: GradedModulePresentation,
                   kmax: int | None = None) -> BettiTable:
     """Betti table of the presented module on its window.
 
-    boundary_clean records whether the outermost strip of the window is free
-    of entries; when it is not, global reads (projective dimension, shape
-    totals) are unreliable and callers should enlarge the window.
+    The entries are exact at every cell of the window.  boundary_clean
+    records whether the window contains the presentation's Betti box (see
+    the module docstring), so the table holds every Betti number of the
+    module and global reads (projective dimension, shape totals) are
+    exact.  It is False for a window that misses the box, and for a
+    presentation with no known box; such a table may lack entries past the
+    window, and ``pdim`` refuses it.
     """
-    wi, wj = pres.window
     if kmax is None:
         kmax = pres.n + pres.m + 2
     entries = {}
     for i, j in np.argwhere(_live_cells(pres, kmax)).tolist():
         for k, beta in _betti_cell(pres, (i, j), kmax).items():
             entries[(k, i, j)] = beta
-    clean = not any(i == wi or j == wj for (_, i, j) in entries)
-    return BettiTable(pres.n, pres.m, (wi, wj), entries, kmax, clean)
+    return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)
 
 
 def pdim(bt: BettiTable) -> int:
     if not bt.boundary_clean:
-        raise DirtyBoundary("entries touch the window boundary")
+        raise WindowTooSmall("window %s misses the Betti box" % (bt.window,))
     return bt.max_stage()
 
 

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .betti import (
-    DirtyBoundary,
+    WindowTooSmall,
     betti_numbers,
     betti_window,
     mrc_check,
@@ -40,10 +40,8 @@ from .points import (
 from .vres import (
     REFERENCE_TRIM_31,
     NotInRegularity,
-    WindowTooSmall,
     euler_quadrant_check,
     intersect_vres,
-    intersect_window,
     pair_vres,
     predicted_pair_shape,
 )
@@ -139,18 +137,11 @@ def cmd_mrc(args, ps):
 
 
 def cmd_vres_intersect(args, ps):
-    window = args.window or intersect_window(args.N, args.t, args.n, args.m)
     try:
-        try:
-            bt, length = intersect_vres(ps, args.t, window=window)
-        except DirtyBoundary:
-            # one deterministic retry on a doubled window
-            window = (2 * window[0], 2 * window[1])
-            bt, length = intersect_vres(ps, args.t, window=window)
-    except (DirtyBoundary, AssertionError) as exc:
-        check = "boundary_clean" if isinstance(exc, DirtyBoundary) else "length_ok"
-        return (False, [{"error": type(exc).__name__, "detail": str(exc)}],
-                [({check: False}, {"t": args.t})])
+        bt, length = intersect_vres(ps, args.t, window=args.window)
+    except AssertionError as exc:
+        return (False, [{"error": "AssertionError", "detail": str(exc)}],
+                [({"length_ok": False}, {"t": args.t})])
     payload = {"length": length, "table": json.loads(bt.to_json())}
     return True, payload, [({"length_ok": length == args.n + args.m},
                              {"t": args.t})]

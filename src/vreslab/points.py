@@ -19,12 +19,38 @@ memoized on its ``PointSet``, so the genericity check, the Hilbert
 matrix, the presentations, the regularity witness and the decomposition
 check of one set share a single sweep, and a window only computes the
 cells no earlier window covered.
+
+The sweep is constant past one box.  Let ell_x and ell_y be the numbers
+of distinct x-parts P_1..P_ell_x and y-parts, r_x the least i with
+H(i, 0) = ell_x and r_y the least j with H(0, j) = ell_y.  Then
+
+    V(i,j) = V(min(i, r_x), min(j, r_y))    for all i, j >= 0.
+
+An x-form takes one value at all points with the same x-part, so
+H(i, 0) <= ell_x, and H(r_x, 0) = ell_x says that k[x]_(r_x) maps onto
+the functions on the x-parts: there is e_k in k[x]_(r_x) with
+e_k(P_l) = 1 if l = k and 0 otherwise.  Let i >= r_x and let V^k_j be
+the evaluation image of k[y]_j on the points of fiber k (those with
+x-part P_k).  Restricting f in S_(i,j) to fiber k gives the y-form
+f(P_k, y), so V(i,j) lies in the direct sum of the V^k_j; and
+x0^(i - r_x) * e_k * g, for g in k[y]_j, is g on fiber k and 0 on the
+other fibers, so V(i,j) is that direct sum, which does not depend on i.
+Hence V(i,j) = V(r_x, j) for i >= r_x.  The same argument with the
+factors swapped gives V(i,j) = V(i, r_y) for j >= r_y, and the two
+together give the identity.  A subspace has one RREF basis, so a cell
+past the box is its clamped cell, and ``function_space_bases`` sweeps
+only the cells of [0, min(wi, r_x)] x [0, min(wj, r_y)] for a window
+(wi, wj).  Finding the corners costs at most ell_x cells of column 0 and
+ell_y cells of row 0: a product of ell_x - 1 linear x-forms, each
+through one other x-part and not through P_k, is e_k up to a scalar, so
+r_x <= ell_x - 1, and likewise r_y <= ell_y - 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -57,6 +83,8 @@ class PointSet:
     rejections: int = 0
     # (i, j) -> (RREF basis, pivots) of every cell swept so far
     _cells: dict = field(default_factory=dict, init=False, repr=False)
+    # (r_x, r_y), the corner of the sweep's box, once the sweep has found it
+    _box: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.xs = normalize(self.xs, self.p)
@@ -136,7 +164,9 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
 
     With ``require_generic`` the whole set is redrawn until its Hilbert
     matrix is generic on the default window, at most MAX_DRAWS times; the
-    number of rejected sets is recorded on the result.
+    number of rejected sets is recorded on the result.  A draw with a
+    repeated x-part or y-part is rejected before any sweep (see
+    ``is_generic_hilbert``).
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -145,17 +175,14 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     def draw() -> PointSet:
-        seen: set[tuple] = set()
-        xs, ys = [], []
-        while len(xs) < N:
+        # the first N distinct draws, in order; a repeated draw is dropped
+        drawn: dict[tuple, np.ndarray] = {}
+        while len(drawn) < N:
             coords = rng.integers(0, p, size=n + m, dtype=np.int64)
-            key = tuple(int(c) for c in coords)
-            if key in seen:
-                continue
-            seen.add(key)
-            xs.append([1] + list(coords[:n]))
-            ys.append([1] + list(coords[n:]))
-        return PointSet(n, m, p, np.array(xs), np.array(ys), seed=seed)
+            drawn.setdefault(tuple(coords.tolist()), coords)
+        # the leading coordinate 1 of each factor goes before x1 and y1
+        a = np.insert(np.array(list(drawn.values())), [0, n], 1, axis=1)
+        return PointSet(n, m, p, a[:, : n + 1], a[:, n + 1:], seed=seed)
 
     rejects = 0
     while True:
@@ -195,18 +222,21 @@ def ideal_piece(ps: PointSet, degree: tuple[int, int]) -> np.ndarray:
 class FunctionSpaces:
     """Evaluation images of every window piece, as subspaces of k^N.
 
-    ``bases[(i, j)]`` is an RREF row basis of the functions obtained by
-    evaluating S_(i,j); ``pivots[(i, j)]`` are its pivot columns, so the
-    coordinates of a member function are just its values at the pivots.
-    Both are read-only arrays shared with the point set's cell memo; all
-    saturated cells (dimension N) hold the identity basis with pivots
-    ``arange(N)``.
+    ``box`` is (r_x, r_y), the corner past which the sweep is constant
+    (see the module docstring), and ``dims[i, j]`` is dim V(i,j) on the
+    window.  ``cell(d)`` is an RREF row basis of V_d with its pivot
+    columns, so the coordinates of a member function are just its values
+    at the pivots: the point set's memoized cell at d clamped to the box.
+    The basis and pivots are read-only; all saturated cells (dimension N)
+    share the identity basis with pivots ``arange(N)``.
     """
 
-    window: tuple[int, int]
+    box: tuple[int, int]
     dims: np.ndarray
-    bases: dict[tuple[int, int], np.ndarray]
-    pivots: dict[tuple[int, int], np.ndarray]
+    _cells: dict = field(repr=False)
+
+    def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        return self._cells[(min(d[0], self.box[0]), min(d[1], self.box[1]))]
 
 
 def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
@@ -252,34 +282,42 @@ def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, pivots
 
 
+def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The memoized cell at d, swept first if the memo lacks it."""
+    if d not in ps._cells:
+        ps._cells[d] = _sweep_cell(ps, *d)
+    return ps._cells[d]
+
+
 def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
     """Read the window from the point set's cell memo, sweeping what it lacks.
 
-    Cells are visited in row-major order, so every cell above and left of
-    a missing cell is already memoized when it is computed.  A cell next
-    to a saturated one is saturated and costs no elimination.  Otherwise,
-    for i > 0 the source is (i-1,j) and the variables x1..xn; along row 0
-    it is (0,j-1) and y1..ym, starting from the constant function at
-    (0, 0).  As x0 = 1, V(i,j) = V(i-1,j) + sum_k x_k * C, where C are the
-    source's RREF rows at pivots that (i-2,j) lacks (every row when
-    i = 1): those rows and V(i-2,j) span the source, and x_k * V(i-2,j)
-    lies in V(i-1,j).  So the cell is ``rref_extend`` of the source by the
-    products x_k * C, and is the source itself when C is empty.  A smaller
-    window than an earlier one computes nothing; a larger one computes only
-    its new cells.
+    The first call finds the box corner (r_x, r_y) on column 0 and row 0.
+    Cells of the window clamped to the box are then visited in row-major
+    order, so every cell above and left of a missing cell is already
+    memoized when it is computed.  A cell next to a saturated one is
+    saturated and costs no elimination.  Otherwise, for i > 0 the source
+    is (i-1,j) and the variables x1..xn; along row 0 it is (0,j-1) and
+    y1..ym, starting from the constant function at (0, 0).  As x0 = 1,
+    V(i,j) = V(i-1,j) + sum_k x_k * C, where C are the source's RREF rows
+    at pivots that (i-2,j) lacks (every row when i = 1): those rows and
+    V(i-2,j) span the source, and x_k * V(i-2,j) lies in V(i-1,j).  So the
+    cell is ``rref_extend`` of the source by the products x_k * C, and is
+    the source itself when C is empty.  A smaller window than an earlier
+    one computes nothing; a larger one computes only its new cells inside
+    the box.
     """
-    wi, wj = window
-    cells = ps._cells
-    dims = np.zeros((wi + 1, wj + 1), dtype=np.int64)
-    bases: dict[tuple[int, int], np.ndarray] = {}
-    pivots: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            if (i, j) not in cells:
-                cells[(i, j)] = _sweep_cell(ps, i, j)
-            bases[(i, j)], pivots[(i, j)] = cells[(i, j)]
-            dims[i, j] = len(pivots[(i, j)])
-    return FunctionSpaces((wi, wj), dims, bases, pivots)
+    if min(window) < 0:
+        raise ValueError("window components must be nonnegative")
+    if ps._box is None:
+        ell_x, ell_y = _part_counts(ps)
+        ps._box = (next(i for i in count() if len(_cell(ps, (i, 0))[1]) == ell_x),
+                   next(j for j in count() if len(_cell(ps, (0, j))[1]) == ell_y))
+    (wi, wj), (rx, ry) = window, ps._box
+    block = np.array([[len(_cell(ps, (i, j))[1]) for j in range(min(wj, ry) + 1)]
+                      for i in range(min(wi, rx) + 1)], dtype=np.int64)
+    dims = block[np.ix_(np.minimum(np.arange(wi + 1), rx), np.minimum(np.arange(wj + 1), ry))]
+    return FunctionSpaces((rx, ry), dims, ps._cells)
 
 
 def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
@@ -302,7 +340,14 @@ def generic_hilbert_matrix(N: int, n: int, m: int,
 
 
 def is_generic_hilbert(ps: PointSet) -> bool:
-    """Whether the Hilbert matrix attains the generic values on the default window."""
+    """Whether the Hilbert matrix attains the generic values on the default window.
+
+    The generic values reach N on column 0 and on row 0 of that window,
+    while H(i, 0) and H(0, j) are at most the numbers of distinct x- and
+    y-parts; so a repeated part is rejected before any sweep.
+    """
+    if min(_part_counts(ps)) < ps.N:
+        return False
     window = hilbert_window(ps.N, ps.n, ps.m)
     return np.array_equal(hilbert_matrix(ps, window),
                           generic_hilbert_matrix(ps.N, ps.n, ps.m, window))
@@ -314,6 +359,11 @@ class Pi1Fibration:
 
     ell: int
     fibers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _part_counts(ps: PointSet) -> tuple[int, int]:
+    """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
+    return pi1_fibers(ps).ell, len({*map(tuple, ps.ys)})
 
 
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
@@ -334,11 +384,11 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
     the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
     first projection and of <<x>^t, y0>.  The answer is exact for every
-    t >= 0.  The identity holds for every t >= r, r the least i with
-    H_X(i, 0) = ell (ell the number of fibers): at rows i >= r the
+    t >= 0.  The identity holds for every t >= r_x, r_x the least i with
+    H_X(i, 0) = ell (ell the number of fibers): at rows i >= r_x the
     spaces V_(i,j) and V_(i,j-1) defined below are direct sums over the
-    fibers (the splitting lemma of the ``vres`` docstring), so the map
-    phi defined below is an isomorphism.  Below r the identity may fail,
+    fibers (the splitting step of the module docstring), so the map phi
+    defined below is an isomorphism.  Below r_x the identity may fail,
     and the check then returns False.
 
     Below row t both sides are y0 * S_(i,j-1), so the check starts at row t,
@@ -356,6 +406,11 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     dim V_d - dim lo.  In column 0 lo = 0 and phi is the restriction to
     the points, injective because the fibers cover X; a saturated lo
     leaves V_d/lo = 0.  Neither cell needs a rank.
+
+    The sweep is constant past its box (r_x, r_y), so only rows t up to
+    max(t, r_x) and columns 1 up to r_y, within the window, are visited:
+    a cell in a later row has the V_d and lo of the cell in row
+    max(t, r_x) above it, and a cell in a column past r_y has V_d = lo.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -363,10 +418,10 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
         raise ValueError("window components must be nonnegative")
     fs = function_space_bases(ps, window)
     fibers = [list(idx) for _, idx in pi1_fibers(ps).fibers]
-    wi, wj = window
-    for i in range(t, wi + 1):
-        for j in range(1, wj + 1):
-            hi, lo = fs.bases[(i, j)], fs.bases[(i, j - 1)]
+    (wi, wj), (rx, ry) = window, fs.box
+    for i in range(t, min(wi, max(t, rx)) + 1):
+        for j in range(1, min(wj, ry) + 1):
+            hi, lo = fs.cell((i, j))[0], fs.cell((i, j - 1))[0]
             if len(lo) == ps.N:
                 continue
             phi = np.hstack([

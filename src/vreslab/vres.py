@@ -2,10 +2,10 @@
 
 Two routes produce a short free complex from the ideal of a point set:
 
-* resolving S/(I intersect <x>^t): once H_X(t, 0) = ell (ell = number
-  of distinct x-parts), that is t >= r for r the least i with
-  H_X(i, 0) = ell, the minimal resolution of the intersected quotient
-  has length n + m (proved below), and
+* resolving S/(I intersect <x>^t): once t >= r for r the least i with
+  H_X(i, 0) = ell (ell = number of distinct x-parts; r is the r_x of the
+  sweep's box in ``points``), the minimal resolution of the intersected
+  quotient has length n + m (proved below), and
 * trimming the minimal resolution of S/I itself at a degree d where the
   Hilbert value H(d) has reached N, keeping only the free summands
   generated in degree at most d + (n, m).  Those summands are the Betti
@@ -63,13 +63,15 @@ off the difference matrix is a test oracle, not part of the module.
 import json
 from dataclasses import dataclass
 
-from .betti import betti_numbers, intersected_presentation, pdim, point_presentation
+from .betti import (
+    WindowTooSmall,
+    betti_numbers,
+    intersected_presentation,
+    pdim,
+    point_presentation,
+)
 from .cox import count_monomials
-from .points import function_space_bases, hilbert_matrix, min_cover_degree, pi1_fibers
-
-
-class WindowTooSmall(Exception):
-    """Raised when a window cannot certify the property asked about."""
+from .points import function_space_bases, min_cover_degree
 
 
 class NotInRegularity(Exception):
@@ -154,25 +156,24 @@ def intersect_window(N, t, n, m):
 def intersect_vres(ps, t, window=None):
     """Resolve S/(I intersect <x>^t); return (table, length).
 
-    Once H_X(t, 0) = ell, the number of distinct x-parts, the length
-    is n + m (see the module docstring); that contract is asserted
-    here.  A table with boundary entries raises DirtyBoundary: enlarge
-    the window.  A window below row t holds only free pieces and raises
-    WindowTooSmall.
+    The window must contain the presentation's Betti box (see ``betti``),
+    which makes the table the whole minimal resolution's; one that misses
+    it raises WindowTooSmall before any rank.  Once t >= r, the least i
+    with H_X(i, 0) = ell, the number of distinct x-parts, the length is
+    n + m (see the module docstring); that contract is asserted here.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if window is None:
         window = intersect_window(ps.N, t, ps.n, ps.m)
-    elif window[0] < t:
-        raise WindowTooSmall("window %s ends below row t = %d, where every "
-                             "piece is free" % (tuple(window), t))
     pres = intersected_presentation(ps, t, window)
+    if not pres.complete:
+        raise WindowTooSmall("window %s misses the Betti box %s at t = %d"
+                             % (tuple(window), pres.box, t))
     bt = betti_numbers(pres)
     length = pdim(bt)
-    # window[0] >= t, so this reads a cell the sweep already holds
-    at_bound = hilbert_matrix(ps, (t, 0))[t, 0] == pi1_fibers(ps).ell
-    if at_bound and length != ps.n + ps.m:
+    # r is the row corner of the sweep's box
+    if t >= function_space_bases(ps, (0, 0)).box[0] and length != ps.n + ps.m:
         raise AssertionError("length %d != %d with t = %d certified"
                              % (length, ps.n + ps.m, t))
     return bt, length

@@ -36,8 +36,8 @@ import numpy as np
 
 from vreslab.betti import (
     BettiTable,
-    DirtyBoundary,
     GradedModulePresentation,
+    WindowTooSmall,
     betti_numbers,
     mrc_window,
     point_presentation,
@@ -320,9 +320,9 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
         tgt = (d[0] + dv[0], d[1] + dv[1])
         if tgt[0] < t:
             return dense_mult_map(var, d, ps.n, ps.m)
-        piv = fs.pivots[tgt]
+        piv = fs.cell(tgt)[1]
         if d[0] >= t:
-            moved = fs.bases[d] * ps.coordinate_values(var) % p
+            moved = fs.cell(d)[0] * ps.coordinate_values(var) % p
             return moved[:, piv].T.copy()
         # crossing: evaluate each source monomial times the variable
         moved = evaluation_matrix(ps, d) * ps.coordinate_values(var)[:, None] % p
@@ -557,12 +557,12 @@ def trim_table(bt: BettiTable, d: tuple[int, int]) -> FreeComplexShape:
     """The summands of a computed table generated in degree <= d + (n, m).
 
     The trim is exact whenever the kept region lies inside the table's
-    window; a table with boundary entries is rejected only if the kept
-    region also extends past the window.
+    window; a table whose window misses the Betti box is rejected only if
+    the kept region also extends past the window.
     """
     lim = (d[0] + bt.n, d[1] + bt.m)
     if not bt.boundary_clean and (lim[0] > bt.window[0] or lim[1] > bt.window[1]):
-        raise DirtyBoundary("kept region exceeds a window with boundary entries")
+        raise WindowTooSmall("kept region exceeds a window that misses the Betti box")
     kept = {key: b for key, b in bt.entries.items()
             if key[1] <= lim[0] and key[2] <= lim[1]}
     return FreeComplexShape.from_betti(replace(bt, entries=kept))

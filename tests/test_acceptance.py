@@ -161,7 +161,9 @@ def test_criterion_6_intersection_length():
     for n, m, ns, windows in (
             (1, 1, range(2, 9), {}),
             (1, 2, range(2, 9), {}),
-            (2, 2, (4, 6, 8), {4: (7, 4), 6: (9, 4), 8: (11, 4)})):
+            # each window contains the Betti box (N + 1, r_y + 2), r_y = 2
+            # for N = 4, 6 and 3 for N = 8
+            (2, 2, (4, 6, 8), {4: (7, 4), 6: (9, 4), 8: (11, 5)})):
         for N in ns:
             ps = random_points(n, m, N, seed=derive_seed(6, n, m, N),
                                require_generic=True)

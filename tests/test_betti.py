@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from vreslab import betti
 from vreslab.betti import (
     BettiTable,
-    DirtyBoundary,
+    WindowTooSmall,
     betti_numbers,
     betti_window,
     intersected_presentation,
@@ -28,8 +28,15 @@ from vreslab.betti import (
 )
 from vreslab.cox import count_monomials, monomials
 from vreslab.diffcalc import alternating_betti_from_hilbert
-from vreslab.fp import subspace_equal
-from vreslab.points import PointSet, hilbert_matrix, ideal_piece, random_points
+from vreslab.fp import rank, subspace_equal
+from vreslab.points import (
+    PointSet,
+    evaluation_matrix,
+    function_space_bases,
+    hilbert_matrix,
+    ideal_piece,
+    random_points,
+)
 
 from conftest import fibered_633, fibered_sets
 from oracles import (
@@ -282,10 +289,33 @@ class TestTableApi:
         assert (back.n, back.m) == (bt.n, bt.m)
 
     def test_dirty_boundary_blocks_pdim(self):
+        # one point: r_x = r_y = 0, so the Betti box is (1, 2) and the
+        # window (1, 2) holds the whole Koszul table
         bt = betti_numbers(point_presentation(one_point(), (1, 2)))
+        assert bt.boundary_clean and bt.max_stage() == pdim(bt) == 3
+        bt = betti_numbers(point_presentation(one_point(), (0, 2)))
         assert not bt.boundary_clean
-        with pytest.raises(DirtyBoundary):
+        with pytest.raises(WindowTooSmall):
             pdim(bt)
+
+
+class TestBettiBox:
+    @pytest.mark.parametrize("N", [8, 10])
+    def test_collinear_y_parts_miss_the_default_window(self, N):
+        # distinct y-parts on a line in P^2: H(0, j) = min(j + 1, N), so
+        # r_y = N - 1 and the Betti box (N, N + 1) reaches past
+        # betti_window's column min_cover_degree(N, 2) + 4, where six
+        # entries lie although the window's outer strip holds none
+        rng = np.random.default_rng(N)
+        xs = [(1, int(v)) for v in rng.choice(P, size=N, replace=False)]
+        ps = PointSet(1, 2, P, np.array(xs), np.array([(1, k, 2 * k + 1) for k in range(N)]))
+        window = betti_window(N, 1, 2)
+        bt = betti_numbers(point_presentation(ps, window))
+        assert not bt.boundary_clean
+        assert not any(i == window[0] or j == window[1] for _, i, j in bt.entries)
+        full = betti_numbers(point_presentation(ps, (N, N + 1)))
+        assert full.boundary_clean
+        assert len([e for e in full.entries if e[2] > window[1]]) == 6
 
 
 class TestCollapseIdentity:
@@ -341,3 +371,41 @@ def test_mod_z_presentation_matches_full_oracle(ps, t, wi, wj):
     got = betti_numbers(intersected_presentation(ps, t, (wi, wj)))
     want = honest_betti(intersected_presentation_in_full(ps, t, (wi, wj)))
     assert got.entries == want.entries
+
+
+@st.composite
+def shared_part_sets(draw):
+    """Up to seven points over at most three x-parts and four y-parts."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    p = draw(st.sampled_from([5, 7, 11]))
+    coords = st.integers(0, p - 1)
+    xparts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3, unique=True))
+    yparts = draw(st.lists(st.tuples(*[coords] * m), min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xparts), st.sampled_from(yparts)),
+                          min_size=1, max_size=7, unique=True))
+    return PointSet(n, m, p, np.array([(1, *a) for a, _ in pairs]),
+                    np.array([(1, *b) for _, b in pairs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_part_sets())
+@example(fibered_633())
+@example(one_point())
+def test_regularity_box_bounds_sweep_and_tables(ps):
+    """Past the box (r_x, r_y) the sweep is constant, and no Betti number of
+    S/I_X or of S/(I_X ∩ <x>^t) lies outside its Betti box, with the skip
+    mask off.  r_x and r_y are read from evaluation ranks, not the sweep."""
+    n, m = ps.n, ps.m
+    ell_x, ell_y = (len({*map(tuple, a)}) for a in (ps.xs, ps.ys))
+    rx = next(i for i in range(ell_x) if rank(evaluation_matrix(ps, (i, 0)), ps.p) == ell_x)
+    ry = next(j for j in range(ell_y) if rank(evaluation_matrix(ps, (0, j)), ps.p) == ell_y)
+    fs = function_space_bases(ps, (rx + 2, ry + 2))
+    assert fs.box == (rx, ry)
+    for d in np.ndindex(fs.dims.shape):
+        assert fs.dims[d] == rank(evaluation_matrix(ps, d), ps.p)
+    for t in range(ell_x + 1):
+        box = (max(t, rx) + n, ry + m)
+        pres = intersected_presentation(ps, t, (box[0] + 1, box[1] + 1))
+        assert pres.box == box
+        bt = honest_betti(pres)
+        assert all(i <= box[0] and j <= box[1] for _, i, j in bt.entries)

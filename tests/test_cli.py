@@ -8,7 +8,6 @@ import pytest
 
 from vreslab import betti, cli, cox
 from vreslab.betti import (
-    DirtyBoundary,
     betti_numbers,
     betti_window,
     intersected_presentation,
@@ -17,7 +16,7 @@ from vreslab.betti import (
 from vreslab.cli import derive_seed, main
 from vreslab.diffcalc import alternating_betti_from_hilbert
 from vreslab.points import hilbert_matrix, hilbert_window, random_points
-from vreslab.vres import intersect_window, predicted_pair_shape
+from vreslab.vres import predicted_pair_shape
 
 
 def run(capsys, argv):
@@ -81,25 +80,17 @@ class TestPayloads:
         assert payload["length"] == 3
         assert payload["table"]["boundary_clean"] is True
 
-    def test_intersect_retry_doubles_default_window(self, capsys, monkeypatch):
-        windows = []
-
-        class Table:
-            def to_json(self):
-                return "{}"
-
-        def fake(ps, t, window=None):
-            windows.append(window)
-            if len(windows) == 1:
-                raise DirtyBoundary("entries touch the window boundary")
-            return Table(), 3
-
-        monkeypatch.setattr(cli, "intersect_vres", fake)
-        rc, _ = run(capsys, ["vres-intersect", "--N", "29", "--t", "28",
-                             "--seed", "1"])
-        assert rc == 0 and len(windows) == 2
-        wi, wj = intersect_window(29, 28, 1, 2)
-        assert windows[1][0] >= 2 * wi and windows[1][1] >= 2 * wj
+    def test_betti_window_missing_box_is_not_clean(self, capsys):
+        # the Betti box of these six points is (6, 4): on (3, 5) the outer
+        # strip holds no entry, yet 4 of the 14 entries lie in row 6
+        rc, out = run(capsys, ["betti", "--N", "6", "--seed", "11", "--window", "3,5"])
+        small = json.loads(out)
+        rc_full, out = run(capsys, ["betti", "--N", "6", "--seed", "11"])
+        full = json.loads(out)
+        assert rc == rc_full == 0
+        assert small["boundary_clean"] is False and full["boundary_clean"] is True
+        inside = [e for e in full["entries"] if e["i"] <= 3 and e["j"] <= 5]
+        assert small["entries"] == inside and len(inside) == 10 < len(full["entries"]) == 14
 
     def test_prime_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VRES_PRIME", "101")
@@ -262,8 +253,9 @@ def test_large_intersect_window_stays_small(capsys):
 
 def test_large_intersect_window_reads_rows_from_t(monkeypatch):
     # off column 0 the strands read only the pieces of <x>^t M (rows >= t),
-    # so R's free pieces below row t enter no map and no rank: 31,960 rank
-    # entries on the (40,40) reproducer, 2,512,548 with every strand full
+    # so R's free pieces below row t enter no map and no rank: 2,584 rank
+    # entries on the (40,40) reproducer, whose strands all lie in the Betti
+    # box (6, 4), and 6,708 with every strand in that box full
     t = 2
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     pres = intersected_presentation(ps, t, (40, 40))
@@ -278,10 +270,29 @@ def test_large_intersect_window_reads_rows_from_t(monkeypatch):
         bt = betti_numbers(pres)
     assert pres._maps
     assert all(d[0] >= t or d[1] == 0 for _, d in pres._maps)
-    assert sum(entries) < 40_000
+    assert sum(entries) < 4_000
     full = intersected_presentation(ps, t, (40, 40))
     full.free_rows = 0
     assert betti_numbers(full).entries == bt.entries
+
+
+def test_huge_betti_window_ranks_only_inside_the_box(capsys, monkeypatch):
+    # six generic points in P^1 x P^2: r_x = 5 and r_y = 2, so no Betti
+    # number lies past (6, 4) and no strand outside it is built
+    cells, betti_cell = [], betti._betti_cell
+
+    def counted(pres, d, kmax):
+        cells.append(d)
+        return betti_cell(pres, d, kmax)
+
+    monkeypatch.setattr(betti, "_betti_cell", counted)
+    rc, out = run(capsys, ["betti", "--N", "6", "--seed", "1", "--window", "400,400"])
+    assert rc == 0 and json.loads(out)["boundary_clean"] is True
+    assert cells and all(i <= 6 and j <= 4 for i, j in cells)
+    ps = random_points(1, 2, 6, seed=1, require_generic=True)
+    want = betti_numbers(point_presentation(ps, betti_window(6, 1, 2)))
+    assert {tuple(e[k] for k in "kij"): e["beta"]
+            for e in json.loads(out)["entries"]} == want.entries
 
 
 class TestExitCodes:
@@ -316,8 +327,11 @@ class TestExitCodes:
         ["betti", "--N", "3", "--window=-1,2", "--seed", "1"],
         # vres-pair takes no --window: it resolves exactly d + (n, m)
         ["vres-pair", "--N", "3", "--d", "2,0", "--window", "1,1", "--seed", "1"],
-        # every piece below row t is free
+        # a window that misses the Betti box: one ending below row t, and
+        # one whose table reads length 3 with no entry on its outer strip
+        # although t = 2 < r_x = 5 gives length 4
         ["vres-intersect", "--N", "3", "--t", "2", "--window=1,5", "--seed", "1"],
+        ["vres-intersect", "--N", "6", "--t", "2", "--seed", "11", "--window", "2,2"],
         # P^1 x P^0: no column degree covers three points, so no default window
         ["vres-intersect", "--n", "1", "--m", "0", "--N", "3", "--t", "2", "--seed", "1"],
         ["points", "--n", "-1", "--N", "3", "--seed", "1"],

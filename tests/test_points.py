@@ -1,5 +1,6 @@
 """Point sets, evaluation, ideal pieces, Hilbert matrices, fibers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -113,6 +114,30 @@ class TestRandomPoints:
         assert ps.rejections == 9
         assert is_generic_hilbert(ps)
 
+    def test_repeated_part_rejected_before_any_sweep(self, monkeypatch):
+        # a generic matrix reaches N on column 0 and row 0, which a set with
+        # fewer than N distinct x-parts or y-parts cannot
+        def no_sweep(*args):
+            raise AssertionError("swept a set with a repeated part")
+
+        monkeypatch.setattr(points_module, "_sweep_cell", no_sweep)
+        assert not is_generic_hilbert(fibered_633())  # three x-parts
+        xs = np.array([[1, 2], [1, 3], [1, 4]])
+        ys = np.array([[1, 5, 6], [1, 7, 8], [1, 5, 6]])
+        assert not is_generic_hilbert(PointSet(1, 2, 101, xs, ys))
+
+    @pytest.mark.parametrize("n, m, N, p, seed, rejections, digest", [
+        (1, 1, 4, 7, 0, 8, "80d630675a31d660bd9894d9f845b56e93e6f2feb4f366bbb669b29f5ec764be"),
+        (1, 2, 8, 17, 0, 20, "94cab22941ffe9903c771bf93e1fb05d51490ab01f9ca4e40983137fea9be0fc"),
+        (2, 1, 6, 13, 1, 3, "39f8d703943e69b734507ed75d30f0535f951b36d6a280c1c34e47ff34371870"),
+    ])
+    def test_redraws_are_pinned(self, n, m, N, p, seed, rejections, digest):
+        # the repeated-part check rejects only draws the sweep rejects too,
+        # so the draw sequence and the rejection count stay as they were
+        ps = random_points(n, m, N, seed=seed, p=p, require_generic=True)
+        assert ps.rejections == rejections
+        assert hashlib.sha256(ps.to_json().encode()).hexdigest() == digest
+
     def test_rejection_cap_exhausts(self):
         # seed 1 over GF(11) draws no generic 10-point set in MAX_DRAWS tries
         with pytest.raises(GenericityExhausted):
@@ -164,11 +189,16 @@ class TestHilbertSweep:
     def test_rref_pivot_structure(self):
         ps = random_points(1, 2, 5, seed=21)
         fs = function_space_bases(ps, (3, 3))
-        for key, V in fs.bases.items():
-            piv = fs.pivots[key]
+        for key in np.ndindex(fs.dims.shape):
+            V, piv = fs.cell(key)
             assert V.shape[0] == len(piv) == fs.dims[key]
             sub = V[:, piv]
             assert np.array_equal(sub, np.eye(len(piv), dtype=np.int64))
+
+    @pytest.mark.parametrize("window", [(-1, 3), (3, -1)])
+    def test_negative_window_rejected(self, window):
+        with pytest.raises(ValueError):
+            hilbert_matrix(random_points(1, 2, 4, seed=1), window)
 
     def test_n2_corner_values(self):
         ps = random_points(1, 2, 2, seed=7)
@@ -243,11 +273,10 @@ class TestSweepMemo:
         function_space_bases(ps, first)
         got = function_space_bases(ps, second)
         want = function_space_bases(PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys), second)
-        assert np.array_equal(got.dims, want.dims)
-        assert got.bases.keys() == want.bases.keys() == got.pivots.keys()
-        for d in want.bases:
-            assert np.array_equal(got.bases[d], want.bases[d])
-            assert np.array_equal(got.pivots[d], want.pivots[d])
+        assert np.array_equal(got.dims, want.dims) and got.box == want.box
+        for d in np.ndindex(want.dims.shape):
+            for a, b in zip(got.cell(d), want.cell(d)):
+                assert np.array_equal(a, b)
 
     def test_covered_window_runs_no_elimination(self, monkeypatch):
         ps = random_points(2, 1, 7, seed=63)
@@ -267,8 +296,8 @@ class TestSweepMemo:
         assert len(calls) == sweep_eliminations(H, ps.N) < H.size
 
     def test_stalled_column_runs_no_elimination(self, monkeypatch):
-        # three fibers of two points: column 0 stops at 3 < N = 6 from row 2,
-        # so from row 4 on its cells have no fresh rows to act on
+        # three fibers of two points: column 0 stops at 3 < N = 6 from row
+        # 2 = r_x, so the cells below are read from the box's cell (2, 0)
         ps = fibered_633()
         function_space_bases(ps, (3, 0))
 
@@ -278,18 +307,22 @@ class TestSweepMemo:
         monkeypatch.setattr(points_module, "rref_extend", no_extend)
         fs = function_space_bases(ps, (7, 0))
         assert fs.dims[:, 0].tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
-        for d, V in fs.bases.items():
+        for d in np.ndindex(fs.dims.shape):
+            V, pivots = fs.cell(d)
             R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
             assert np.array_equal(V, R[: len(piv)])
-            assert fs.pivots[d].tolist() == piv
+            assert pivots.tolist() == piv
 
     def test_fibered_sweep_counts_one_elimination_per_growing_source(self, monkeypatch):
         ps = fibered_633()
         calls = count_extensions(monkeypatch)
-        H = function_space_bases(ps, (6, 4)).dims
+        fs = function_space_bases(ps, (6, 4))
+        H = fs.dims
         stalled = [(i, 0) for i in range(4, 7)]
         assert all(H[i - 1, j] == H[i - 2, j] < ps.N for i, j in stalled)
-        assert len(calls) == sweep_eliminations(H, ps.N)
+        # only the box's cells are swept: H(2, 0) = ell = 3 and H(0, 2) = N
+        assert fs.box == (2, 2)
+        assert len(calls) == sweep_eliminations(H[:3, :3], ps.N)
 
 
 def count_extensions(monkeypatch) -> list:
@@ -338,10 +371,11 @@ point_sets = st.builds(
 def test_sweep_cells_equal_rref_of_evaluation(ps):
     """Every cell, saturated or not, is the RREF of the evaluated monomials."""
     fs = function_space_bases(ps, (4, 3))
-    for d, V in fs.bases.items():
+    for d in np.ndindex(fs.dims.shape):
+        V, pivots = fs.cell(d)
         R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
         assert np.array_equal(V, R[: len(piv)])
-        assert fs.pivots[d].tolist() == piv
+        assert pivots.tolist() == piv
 
 
 def fibered_31() -> PointSet:

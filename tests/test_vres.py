@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vreslab import vres
-from vreslab.betti import DirtyBoundary, betti_numbers, betti_window, point_presentation
+from vreslab.betti import WindowTooSmall, betti_numbers, betti_window, point_presentation
 from vreslab.fp import rank
 from vreslab.points import (
     PointSet,
@@ -18,7 +18,6 @@ from vreslab.vres import (
     FreeComplexShape,
     NotInRegularity,
     NTooSmall,
-    WindowTooSmall,
     euler_quadrant_check,
     intersect_vres,
     pair_vres,
@@ -158,7 +157,7 @@ class TestVirtualOfPair:
         ps = random_points(1, 2, 6, seed=3, require_generic=True)
         bt = betti_numbers(point_presentation(ps, (4, 3)))
         assert not bt.boundary_clean
-        with pytest.raises(DirtyBoundary):
+        with pytest.raises(WindowTooSmall):
             trim_table(bt, (9, 9))
 
     @pytest.mark.parametrize("n, m, N, seed, d", [
@@ -230,8 +229,9 @@ class TestIntersect:
             intersect_vres(ps, 2, window=(1, 5))
 
     def test_small_window_flagged(self):
+        # the Betti box is (max(4, r_x = 4) + 1, r_y + 2) = (5, 4)
         ps = random_points(1, 2, 5, seed=2, require_generic=True)
-        with pytest.raises(DirtyBoundary):
+        with pytest.raises(WindowTooSmall):
             intersect_vres(ps, 4, window=(5, 2))
 
 
