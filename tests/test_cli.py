@@ -218,6 +218,12 @@ PINNED_OUTPUTS = [
      "a2b0ba1eeb7e3f1a8bb6c4de2c4ff5acdcc58a6de16a71357f42fbfee10ef208"),
     ("vres-pair --n 1 --m 2 --N 6 --d 5,0 --seed 11",
      "2b1b9b6d4b88f0f32bd0ff07b41dca034f55c2c539886dbd90d570211c1ef641"),
+    # tables with nonzero entries in the column-1..3 tails of S/I_X mod x0:
+    # beta_{2,(12,1)} = 3, beta_{3,(12,2)} = 3 and beta_{4,(12,3)} = 1
+    ("betti --N 12 --seed 1",
+     "fd0fc7c8453ee21c75ce6b0266a6cf3f9d07fcc03e489413c3b1ba9f9d4fa533"),
+    ("vres-pair --N 25 --d 24,0 --seed 1",
+     "1af7f9492105b7fcce9a9ff08cdec852c0ed3eca52521950af8c1b8f2a3b2753"),
     ("mrc --nmin 2 --nmax 8 --trials 2 --seed 7",
      "3834b8dc94f6f623a13984d80483bc33f60d74b7905a23f053ba409909875875"),
     ("regress all --seed 1",
