@@ -47,6 +47,47 @@ reads only pieces at such e, is R's own strand, exact away from the
 origin.  (That speaks of M's full strand, which has the homology of the
 truncated one.)  The origin's strand gives beta_0 with no rank.
 
+Two more reads replace ranks.  First, the map K_1 -> K_0 at d sends
+(u_v) in the sum of the M_(d - deg v) to the sum of the v*u_v in M_d.  M
+is cyclic and generated at (0, 0), so for d != (0, 0) every element of
+M_d is a sum of monomials of degree d times the generator, each a
+variable v times a monomial of degree d - deg v: the map is onto, of
+rank dim K_0.  At the origin K_1 = 0.  The truncated strand at (i, j)
+with j >= 1 is that of <x>^t M, which is generated in column 0 (at
+(t, 0)): its K_0 is M_d for i >= t and zero below, and its K_1 keeps
+the summands in rows >= t, among them M_(i, j-1) for each y-variable.
+Every monomial of degree (i, j) has a y-factor, so the y-variables alone
+map onto M_d.  Hence wherever K_1 and K_0 are both nonzero, d is not the
+origin and the rank is dim K_0; ``_betti_cell`` assembles no such block.
+
+Second, the tail rule.  Let n_x and n_y count the x- and y-variables of
+the presentation; ``variables`` is increasing, so the x-variables come
+first.  A k-subset T splits as T_x and T_y, and its summand at
+d = (i, j) is the piece at (i - |T_x|, j - |T_y|), in a row at least
+i - n_x.  Let 1 <= j <= n_y and suppose every piece (a, b) with
+i - n_x <= a <= i and 1 <= b <= j is zero.  Then the only nonzero
+summands have |T_y| = j and lie in column 0.  The differential sends
+e_T (x) u to the sum over positions q of (-1)^q e_(T - T[q]) (x) T[q]*u.
+Dropping a y-variable lands in column 1, a zero piece.  Dropping an
+x-variable keeps T_y, and q is its position in T_x, so the sign is that
+of the strand at (i, 0), which is K(x; C) in degree i for C the column-0
+pieces with their x-maps (its summands with T_y nonempty lie in negative
+columns).  So K_k at (i, j) is C(n_y, j) copies of K_(k-j) at (i, 0),
+one per T_y, each with the column-0 differential: the strand is the
+column-0 strand tensored with Lambda^j k^(n_y), as the Koszul complex on
+a disjoint union of variable sets is the tensor product of the two
+(Eisenbud, Commutative Algebra with a View Toward Algebraic Geometry,
+section 17).  Hence beta_{k,(i,j)} = C(n_y, j) * beta_{k-j,(i,0)}.  For
+the truncated strands nothing changes: the rows below t hold R's own
+pieces, nonzero in every column once n_y >= 1, so such a cell has
+i - n_x >= t and its truncated strand reads the rows of the full one.
+``betti_numbers`` visits the window row-major, so (i, 0) is done before
+the tail cells of row i; it builds no strand there and fills them from
+column 0, where a cell the mask skipped has no Betti number up to kmax.
+On S/I_X these are the long tails of columns 1, 2, ... past the rows
+where those columns of S/I_X modulo x0 die, while column 0 stays
+one-dimensional up to row N - 1.
+
 The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
 ``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
 beta_{k,(a,b)}(A) = 0 unless a <= r_x + n and b <= r_y + m, and for
@@ -91,6 +132,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -118,7 +160,8 @@ class GradedModulePresentation:
 
     The module is generated in degree (0, 0) over the polynomial ring on
     ``variables``, the ring variables that act on it; the Koszul strands
-    run over exactly these.  ``dims[i, j]`` is the dimension of the piece
+    run over exactly these, listed in increasing order, so the x-variables
+    (index <= n) come first.  ``dims[i, j]`` is the dimension of the piece
     at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
     variable from the piece at d to the piece at d + deg(var), in the
     chosen bases (target dim x source dim); a map that sends each basis
@@ -152,6 +195,12 @@ class GradedModulePresentation:
     def complete(self) -> bool:
         """Whether the window contains the Betti box, so holds the whole table."""
         return self.box is not None and all(b <= w for b, w in zip(self.box, self.window))
+
+    @property
+    def split(self) -> tuple[int, int]:
+        """How many of the variables are x-variables, and how many y-variables."""
+        nx = sum(v <= self.n for v in self.variables)
+        return nx, len(self.variables) - nx
 
     def map(self, var: int, d: tuple[int, int]) -> np.ndarray:
         key = (var, d)
@@ -301,6 +350,24 @@ def _strand_snapshot(pres, d, k):
     return out, offset
 
 
+def _tail_cells(pres) -> np.ndarray:
+    """Mask of the cells (i, j), 1 <= j <= n_y, whose strand reads no
+    nonzero piece off column 0: every piece (a, b) with i - n_x <= a <= i
+    and 1 <= b <= j is zero.  Their Betti numbers are those of (i, 0)
+    times C(n_y, j) (see the module docstring)."""
+    nx, ny = pres.split
+    off = pres.dims > 0
+    off[:, 0] = False
+    # near[i, b]: some piece (a, b) with i - n_x <= a <= i is nonzero
+    near = off.copy()
+    for s in range(1, nx + 1):
+        near[s:] |= off[:-s]
+    tail = ~np.logical_or.accumulate(near, axis=1)
+    tail[:, 0] = False
+    tail[:, ny + 1:] = False
+    return tail
+
+
 def _live_cells(pres, kmax) -> np.ndarray:
     """Mask of the cells whose strand needs a rank: inside the Betti box
     when the presentation knows it, a nonzero summand in some K_k with
@@ -322,8 +389,7 @@ def _live_cells(pres, kmax) -> np.ndarray:
     # off column 0 the strands read only rows at or above free_rows
     nonzero[: pres.free_rows] = False
     live[:, 1:] = reach(nonzero)[:, 1:]
-    nx = sum(v <= pres.n for v in pres.variables)
-    ny = len(pres.variables) - nx
+    nx, ny = pres.split
     # R's piece dimensions, capped above every piece of the module
     free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
                                                nx - 1, ny - 1, pres.window)
@@ -335,12 +401,16 @@ def _live_cells(pres, kmax) -> np.ndarray:
 
 
 def _betti_cell(pres, d, kmax) -> dict:
-    """Honest Koszul strand homology at one bidegree."""
+    """Koszul strand homology at one bidegree.  Every differential is
+    ranked but K_1 -> K_0, which is onto off the origin (the module is
+    cyclic; see the module docstring), so its rank is dim K_0."""
     p = pres.p
     summands, dims = zip(*(_strand_snapshot(pres, d, k) for k in range(kmax + 2)))
-    # ranks[k] is the rank of the differential K_k -> K_(k-1)
+    # ranks[k] is the rank of the differential K_k -> K_(k-1); K_1 is zero
+    # at the origin, and K_1 -> K_0 is onto everywhere else
     ranks = [0] * (kmax + 2)
-    for k in range(1, kmax + 2):
+    ranks[1] = dims[0] if dims[1] else 0
+    for k in range(2, kmax + 2):
         src, tgt = summands[k], summands[k - 1]
         if not src or not tgt:
             continue
@@ -368,21 +438,31 @@ def _betti_cell(pres, d, kmax) -> dict:
 
 def betti_numbers(pres: GradedModulePresentation,
                   kmax: int | None = None) -> BettiTable:
-    """Betti table of the presented module on its window.
+    """Betti table of the presented module on its window, for k <= kmax.
 
-    The entries are exact at every cell of the window.  boundary_clean
-    records whether the window contains the presentation's Betti box (see
-    the module docstring), so the table holds every Betti number of the
-    module and global reads (projective dimension, shape totals) are
-    exact.  It is False for a window that misses the box, and for a
+    The entries are exact at every cell of the window.  Cells the mask
+    drops hold none, tail cells are filled from column 0, and every other
+    cell ranks its strand but K_1 -> K_0 (see the module docstring).
+    boundary_clean records whether the window contains the presentation's
+    Betti box, so the table holds every Betti number of the module and
+    global reads (projective dimension, shape totals) are exact.  It is False for a window that misses the box, and for a
     presentation with no known box; such a table may lack entries past the
     window, and ``pdim`` refuses it.
     """
     if kmax is None:
         kmax = pres.n + pres.m + 2
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    tail, ny = _tail_cells(pres), pres.split[1]
     entries = {}
+    # row-major, so (i, 0) is done before the tail cells of row i
     for i, j in np.argwhere(_live_cells(pres, kmax)).tolist():
-        for k, beta in _betti_cell(pres, (i, j), kmax).items():
+        if tail[i, j]:
+            cell = {k: comb(ny, j) * entries[(k - j, i, 0)]
+                    for k in range(j, kmax + 1) if (k - j, i, 0) in entries}
+        else:
+            cell = _betti_cell(pres, (i, j), kmax)
+        for k, beta in cell.items():
             entries[(k, i, j)] = beta
     return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)
 

@@ -77,10 +77,16 @@ def _resolve_prime(parser, args) -> int:
 
 
 def _csv(table) -> str:
-    """An integer table as CSV: a header of column indices, then one row per i."""
-    lines = ["i\\j," + ",".join(str(j) for j in range(table.shape[1]))]
-    lines += [f"{i}," + ",".join(str(int(v)) for v in row)
-              for i, row in enumerate(table)]
+    """An integer table as CSV: a header of column indices, then one row per i.
+
+    A row equal to the one before reuses its text; past the regularity box
+    every row is such a row."""
+    lines = ["i\\j," + ",".join(map(str, range(table.shape[1])))]
+    prev = text = None
+    for i, row in enumerate(table.tolist()):
+        if row != prev:
+            prev, text = row, ",".join(map(str, row))
+        lines.append(f"{i},{text}")
     return "\n".join(lines)
 
 

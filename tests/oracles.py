@@ -3,6 +3,8 @@
 The reference routes compute their answer the direct way, in the full
 monomial basis, and share no shortcut with the code they check:
 ``decomposition_check_in_full``, ``intersected_presentation_in_full``,
+``koszul_homology`` (every strand built in full and every differential
+ranked, where ``betti.betti_numbers`` skips, truncates and fills cells),
 ``beta1_from_ideal``, ``y0_nonzerodivisor``, and the presentation of S/J
 from explicit ideal pieces (``ideal_pieces_from_generators`` with
 ``quotient_presentation``).  ``rref_by_columns`` and ``rank_by_columns``
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -330,6 +333,54 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
 
     return GradedModulePresentation(ps.n, ps.m, p, window, dims,
                                     tuple(range(ps.n + ps.m + 2)), _builder=build)
+
+
+def koszul_homology(pres: GradedModulePresentation, kmax: int | None = None) -> BettiTable:
+    """Koszul homology of a presentation at every cell of its window.
+
+    Each cell builds its full strand, K_k = the sum over the k-subsets T
+    of the variables of the pieces at d - deg T, pieces below
+    ``free_rows`` included, and ranks every differential, K_1 -> K_0 too.
+    No cell is skipped and none is filled from another, so the table
+    rests on no shortcut of ``betti.betti_numbers``.
+    """
+    if kmax is None:
+        kmax = pres.n + pres.m + 2
+    p = pres.p
+    wi, wj = pres.window
+    entries = {}
+    for d in np.ndindex(wi + 1, wj + 1):
+        # terms[k]: {T: (piece degree, dim, offset)} and the total dim
+        terms = []
+        for k in range(kmax + 2):
+            summands, total = {}, 0
+            for T in combinations(pres.variables, k):
+                a = sum(v <= pres.n for v in T)
+                piece = (d[0] - a, d[1] - k + a)
+                summands[T] = (piece, pres.dim(piece), total)
+                total += summands[T][1]
+            terms.append((summands, total))
+        ranks = [0] * (kmax + 2)
+        for k in range(1, kmax + 2):
+            (src, cols), (tgt, rows) = terms[k], terms[k - 1]
+            mat = np.zeros((rows, cols), dtype=np.int64)
+            for T, (piece, dim, off) in src.items():
+                for pos, v in enumerate(T):
+                    _, udim, uoff = tgt[T[:pos] + T[pos + 1:]]
+                    if not dim or not udim:
+                        continue
+                    block = pres.map(v, piece)
+                    if block.ndim == 1:
+                        dense = np.zeros((udim, dim), dtype=np.int64)
+                        dense[block, np.arange(dim)] = 1
+                        block = dense
+                    mat[uoff:uoff + udim, off:off + dim] = (-1) ** pos * block % p
+            ranks[k] = rank(mat, p)
+        for k in range(kmax + 1):
+            beta = terms[k][1] - ranks[k] - ranks[k + 1]
+            if beta:
+                entries[(k, *d)] = beta
+    return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)
 
 
 def ideal_pieces_from_generators(gens, n: int, m: int, p: int,

@@ -47,6 +47,7 @@ from oracles import (
     betti_total_by_stage,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
+    koszul_homology,
     monomial_row,
     quotient_presentation,
     signed_collapse,
@@ -57,13 +58,6 @@ P = 32003
 
 def one_point():
     return PointSet(1, 2, P, np.array([[1, 4]]), np.array([[1, 7, 9]]))
-
-
-def honest_betti(pres):
-    """The table with the skip mask off: every cell builds its strand."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(betti, "_live_cells", lambda pres, kmax: np.ones_like(pres.dims, dtype=bool))
-        return betti_numbers(pres)
 
 
 def form_row(coeffs, degree, n, m):
@@ -91,7 +85,7 @@ class TestKoszulOracles:
 
     def test_zero_ideal_is_free(self):
         pres = quotient_presentation({}, 1, 2, P, (3, 3))
-        bt = honest_betti(pres)
+        bt = koszul_homology(pres)
         assert bt.entries == {(0, 0, 0): 1}
 
     def test_residue_field_binomials(self):
@@ -160,15 +154,15 @@ class TestPresentationRoutes:
 
 
 class TestCertificates:
-    # the library, skip certificate on and off, against the presentation
-    # on all n+m+2 variables with no quotient by z, certificate off
+    # the engine and the all-ranks oracle on the presentation modulo z,
+    # against the oracle on the presentation over all n+m+2 variables
 
     @staticmethod
     def assert_matches_oracle(ps, t, window):
         pres = intersected_presentation(ps, t, window)
-        want = honest_betti(intersected_presentation_in_full(ps, t, window))
+        want = koszul_homology(intersected_presentation_in_full(ps, t, window))
         assert betti_numbers(pres).entries == want.entries
-        assert honest_betti(pres).entries == want.entries
+        assert koszul_homology(pres).entries == want.entries
 
     def test_generic_set_on_off(self):
         ps = random_points(1, 2, 6, seed=3, require_generic=True)
@@ -279,6 +273,11 @@ class TestTableApi:
         assert betti_entry(bt, 1, 2, 2) == 0
         assert betti_entry(bt, 9, 0, 0) == 0
 
+    def test_negative_kmax_rejected(self):
+        # a table with no beta_0 is no table of the module
+        with pytest.raises(ValueError):
+            betti_numbers(point_presentation(one_point(), (1, 2)), kmax=-1)
+
     def test_json_roundtrip(self):
         bt = betti_numbers(point_presentation(one_point(), (3, 4)))
         back = BettiTable.from_json(bt.to_json())
@@ -316,6 +315,49 @@ class TestBettiBox:
         full = betti_numbers(point_presentation(ps, (N, N + 1)))
         assert full.boundary_clean
         assert len([e for e in full.entries if e[2] > window[1]]) == 6
+
+
+@pytest.mark.parametrize("window", [mrc_window(25), (25, 2)])
+def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
+    # 25 generic points in P^1 x P^2, modulo x0 over x1, y0, y1, y2: column 0
+    # stays 1-dimensional up to row 24 while columns 1 and 2 die near row
+    # 8, so the long column-1 and column-2 tails are filled from column 0;
+    # K_1 -> K_0 is onto off the origin, so no cell assembles or ranks it
+    ps = random_points(1, 2, 25, seed=1, require_generic=True)
+    pres = point_presentation(ps, window)
+    dims = pres.dims
+    tail = {(i, j) for i in range(1, window[0] + 1) for j in range(1, min(3, window[1]) + 1)
+            if not dims[i - 1:i + 1, 1:j + 1].any()}
+    assert len(tail) > 20
+    cells, shapes, targets = [], [], []
+    betti_cell, rank, build = betti._betti_cell, betti.rank, pres.map
+
+    def counted_cell(pres, d, kmax):
+        cells.append(d)
+        return betti_cell(pres, d, kmax)
+
+    def counted_rank(mat, p):
+        shapes.append((cells[-1], mat.shape))
+        return rank(mat, p)
+
+    def counted_map(var, d):
+        targets.append((cells[-1], (d[0] + (var <= 1), d[1] + (var > 1))))
+        return build(var, d)
+
+    monkeypatch.setattr(betti, "_betti_cell", counted_cell)
+    monkeypatch.setattr(betti, "rank", counted_rank)
+    monkeypatch.setattr(pres, "map", counted_map)
+    bt = betti_numbers(pres)
+    assert cells and not tail & set(cells)
+    assert all(cell != tgt for cell, tgt in targets)
+
+    def dim(i, j):
+        return int(dims[i, j]) if i >= 0 and j >= 0 else 0
+
+    for (i, j), shape in shapes:
+        # the K_1 -> K_0 block: dim M_d rows, one column per K_1 coordinate
+        assert shape != (dim(i, j), dim(i - 1, j) + 3 * dim(i, j - 1))
+    assert bt.entries == koszul_homology(pres).entries
 
 
 class TestCollapseIdentity:
@@ -369,8 +411,16 @@ def test_beta1_routes_agree_randomized(npts, seed):
 def test_mod_z_presentation_matches_full_oracle(ps, t, wi, wj):
     """The strand over S/z gives the Betti table of the module over S."""
     got = betti_numbers(intersected_presentation(ps, t, (wi, wj)))
-    want = honest_betti(intersected_presentation_in_full(ps, t, (wi, wj)))
+    want = koszul_homology(intersected_presentation_in_full(ps, t, (wi, wj)))
     assert got.entries == want.entries
+
+
+@st.composite
+def generic_sets(draw):
+    """Generic sets of up to seven points over six factor pairs."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]))
+    return random_points(n, m, draw(st.integers(1, 7)), seed=draw(st.integers(0, 10**6)),
+                         p=draw(st.sampled_from([101, 32003])), require_generic=True)
 
 
 @st.composite
@@ -393,8 +443,8 @@ def shared_part_sets(draw):
 @example(one_point())
 def test_regularity_box_bounds_sweep_and_tables(ps):
     """Past the box (r_x, r_y) the sweep is constant, and no Betti number of
-    S/I_X or of S/(I_X ∩ <x>^t) lies outside its Betti box, with the skip
-    mask off.  r_x and r_y are read from evaluation ranks, not the sweep."""
+    S/I_X or of S/(I_X ∩ <x>^t) lies outside its Betti box, by the all-ranks
+    oracle.  r_x and r_y are read from evaluation ranks, not the sweep."""
     n, m = ps.n, ps.m
     ell_x, ell_y = (len({*map(tuple, a)}) for a in (ps.xs, ps.ys))
     rx = next(i for i in range(ell_x) if rank(evaluation_matrix(ps, (i, 0)), ps.p) == ell_x)
@@ -407,5 +457,22 @@ def test_regularity_box_bounds_sweep_and_tables(ps):
         box = (max(t, rx) + n, ry + m)
         pres = intersected_presentation(ps, t, (box[0] + 1, box[1] + 1))
         assert pres.box == box
-        bt = honest_betti(pres)
+        bt = koszul_homology(pres)
         assert all(i <= box[0] and j <= box[1] for _, i, j in bt.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generic_sets(), shared_part_sets()), st.integers(0, 3),
+       st.sampled_from([1, None]))
+@example(fibered_633(), 0, None)
+@example(fibered_633(), 2, 1)
+# generic (1,2) and (2,1) sets whose column-1 and column-2 tails hold entries
+@example(random_points(1, 2, 7, seed=1, require_generic=True), 0, None)
+@example(random_points(1, 2, 7, seed=1, require_generic=True), 1, None)
+@example(random_points(2, 1, 7, seed=2, require_generic=True), 0, 1)
+def test_engine_matches_all_ranks_oracle(ps, t, kmax):
+    """Masks, truncated strands, tail fill and the onto K_1 -> K_0 give the
+    table of every strand ranked, on a window one past the Betti box."""
+    rx, ry = function_space_bases(ps, (0, 0)).box
+    pres = intersected_presentation(ps, t, (max(t, rx) + ps.n + 1, ry + ps.m + 1))
+    assert betti_numbers(pres, kmax).entries == koszul_homology(pres, kmax).entries
