@@ -16,9 +16,13 @@ modules are presented modulo z (x0 for S/I_X, y0 for S/(I_X ∩ <x>^t)
 with t >= 1), with pieces of at most N dimensions, and each strand is
 smaller than the one on all n+m+2 variables.  For t >= 1 that ring is
 k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1), and the free rows
-i < t of S/(I_X ∩ <x>^t) modulo y0 are its own pieces, acted on by its
-index maps (``cox.mult_map`` at (n, m - 1)).  ``intersected_presentation``
-is the one builder (``point_presentation`` is its t = 0 case); the tests
+i < t of S/(I_X ∩ <x>^t) modulo y0 are its own pieces.  Every variable
+map is one dense block over GF(p), target dim x source dim.  Below row t
+the strands read only column 0 by x-variables (see the next paragraph),
+so those are the only maps built there: k[x]_i -> k[x]_(i+1), the 0/1
+block of ``cox.mult_map`` in S's monomial order, and the crossing into
+row t, which evaluates the monomials.  ``intersected_presentation`` is
+the one builder (``point_presentation`` is its t = 0 case); the tests
 check the engine against presentations of S/J built from explicit ideal
 generators in their own oracles.
 
@@ -36,6 +40,9 @@ the sub-strand of M's on the summands whose piece lies in those rows.
 So the large free pieces of R below row t, which carry no homology off
 column 0, enter no rank.  ``GradedModulePresentation.free_rows`` is that
 t; the point presentation (t = 0) and column 0 keep the full strands.
+A column-0 strand at (i, 0) reads only pieces (i - |T|, 0), with T a
+set of x-variables (a y-variable would take it to column -1), so below
+row t it reads only column-0 maps by x-variables.
 
 ``betti_numbers`` decides in one mask over the window which cells need
 a rank.  A cell whose strand has no nonzero summand in any K_k with
@@ -122,8 +129,8 @@ window that contains the box holds every Betti number of the module, and
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
-inside one point-set presentation, the y0-free monomials of row t - 1
-and the fresh pivots of each piece that its maps read.
+inside one point-set presentation, the fresh pivots of each piece that
+its maps read.  Both masks are shifted ORs of one helper, ``_reach``.
 """
 
 from __future__ import annotations
@@ -131,12 +138,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from .cox import count_monomials, monomials, mult_map, var_degree
+from .cox import count_monomials, mult_map, var_degree
 from .diffcalc import dh_p1p2
 from .fp import matmul, rank
 from .points import (
@@ -164,10 +171,10 @@ class GradedModulePresentation:
     (index <= n) come first.  ``dims[i, j]`` is the dimension of the piece
     at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
     variable from the piece at d to the piece at d + deg(var), in the
-    chosen bases (target dim x source dim); a map that sends each basis
-    monomial to a basis monomial comes as ``cox.mult_map``'s index vector
-    instead.  Maps are built lazily and memoized.  ``box`` is the corner
-    of the Betti box (see the module docstring), None when unknown.
+    chosen bases: a dense int64 block, target dim x source dim.  Maps are
+    built lazily and memoized; a builder may refuse, with ValueError, a
+    map that no strand of the engine reads.  ``box`` is the corner of the
+    Betti box (see the module docstring), None when unknown.
     """
 
     n: int
@@ -230,11 +237,12 @@ def intersected_presentation(ps: PointSet, t: int,
     a complement; a class's coordinates are the values, at those pivots,
     of any representative reduced modulo the smaller cell.  At rows i < t,
     M_d is S_d and the piece S_d / y0 S_(d - (0,1)) is R_d for
-    R = k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1): the y0-free
-    monomials of S_d, in S's order, are R's monomials in R's order, and a
-    map inside these rows is R's index map.  A map from row t-1 into row t
-    evaluates the y0-free source monomials times the variable, then
-    reduces.
+    R = k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1).  The engine
+    reads these rows only in column 0 and by x-variables (see the module
+    docstring), where R_(i,0) = S_(i,0) = k[x]_i in S's monomial order:
+    a map inside these rows is the 0/1 block of ``cox.mult_map``, and a
+    map from row t-1 into row t evaluates the source monomials times the
+    variable, then reduces.  Any other map below row t raises ValueError.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -246,10 +254,6 @@ def intersected_presentation(ps: PointSet, t: int,
     def below(d):
         lo = (d[0] - dz[0], d[1] - dz[1])
         return lo if min(lo) >= 0 else None
-
-    @cache
-    def y0_free(d):
-        return np.flatnonzero(monomials(n, m, d)[:, n + 1] == 0)
 
     @cache
     def fresh(d):
@@ -271,13 +275,20 @@ def intersected_presentation(ps: PointSet, t: int,
     def build(var: int, d: tuple[int, int]) -> np.ndarray:
         dv = var_degree(var, n, m)
         tgt = (d[0] + dv[0], d[1] + dv[1])
-        if tgt[0] < t:
-            # inside R: y_j of S is variable n + j of R
-            return mult_map(var - (var > n), d, n, m - 1)
-        if d[0] < t:
-            funcs = evaluation_matrix(ps, d)[:, y0_free(d)].T
-        else:
+        if d[0] >= t:
             funcs = fs.cell(d)[0][fresh(d)]
+        elif d[1] or var > n:
+            raise ValueError(f"below row {t} the strands read only column 0 by "
+                             f"x-variables, not variable {var} at {d}")
+        elif tgt[0] < t:
+            # k[x]_i to k[x]_(i+1), both in S's monomial order
+            rows = mult_map(var, d, n, m)
+            block = np.zeros((count_monomials(n, m, tgt), len(rows)), dtype=np.int64)
+            block[rows, np.arange(len(rows))] = 1
+            return block
+        else:
+            # the crossing from row t - 1: evaluate every monomial
+            funcs = evaluation_matrix(ps, d).T
         return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
     wi, wj = window
@@ -290,7 +301,15 @@ def intersected_presentation(ps: PointSet, t: int,
             dims[i, j] = count_monomials(n, m - 1, (i, j))
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    box=(max(t, fs.box[0]) + n, fs.box[1] + m), _builder=build)
+                                    box=betti_box(ps, t), _builder=build)
+
+
+def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
+    """Corner of the Betti box of S/(I_X ∩ <x>^t), of S/I_X at t = 0: no
+    Betti number lies past (max(t, r_x) + n, r_y + m) (see the module
+    docstring)."""
+    rx, ry = function_space_bases(ps, (0, 0)).box
+    return max(t, rx) + ps.n, ry + ps.m
 
 
 @dataclass
@@ -350,21 +369,29 @@ def _strand_snapshot(pres, d, k):
     return out, offset
 
 
+def _reach(nonzero: np.ndarray, degrees) -> np.ndarray:
+    """Mask of the cells d with nonzero[d - e] for some bidegree e in
+    ``degrees``: the cells whose strand reads a marked piece through a
+    summand of one of those bidegrees."""
+    wi, wj = nonzero.shape
+    out = np.zeros_like(nonzero)
+    for a, b in degrees:
+        if a < wi and b < wj:
+            out[a:, b:] |= nonzero[: wi - a, : wj - b]
+    return out
+
+
 def _tail_cells(pres) -> np.ndarray:
     """Mask of the cells (i, j), 1 <= j <= n_y, whose strand reads no
     nonzero piece off column 0: every piece (a, b) with i - n_x <= a <= i
     and 1 <= b <= j is zero.  Their Betti numbers are those of (i, 0)
     times C(n_y, j) (see the module docstring)."""
     nx, ny = pres.split
-    off = pres.dims > 0
+    off = pres.dims[:, :ny + 1] > 0
     off[:, 0] = False
-    # near[i, b]: some piece (a, b) with i - n_x <= a <= i is nonzero
-    near = off.copy()
-    for s in range(1, nx + 1):
-        near[s:] |= off[:-s]
-    tail = ~np.logical_or.accumulate(near, axis=1)
-    tail[:, 0] = False
-    tail[:, ny + 1:] = False
+    tail = np.zeros(pres.dims.shape, dtype=bool)
+    # every subset bidegree; a shift by b > j reads nothing at column j
+    tail[:, 1:ny + 1] = ~_reach(off, product(range(nx + 1), range(ny + 1)))[:, 1:]
     return tail
 
 
@@ -373,22 +400,15 @@ def _live_cells(pres, kmax) -> np.ndarray:
     when the presentation knows it, a nonzero summand in some K_k with
     k <= kmax, and a piece short of R's (see the module docstring).  The
     origin stays in: its strand gives beta_0 with no rank."""
-    wi, wj = pres.window
     degrees = {deg for k in range(kmax + 1)
                for _, deg in _subsets(pres.variables, pres.n, k)}
-
-    def reach(nonzero):
-        out = np.zeros_like(nonzero)
-        for a, b in degrees:
-            if a <= wi and b <= wj:
-                out[a:, b:] |= nonzero[: wi + 1 - a, : wj + 1 - b]
-        return out
-
     nonzero = pres.dims > 0
-    live = reach(nonzero)
-    # off column 0 the strands read only rows at or above free_rows
+    # column 0 reads only column 0; off it the strands read only rows at
+    # or above free_rows
+    column_0 = _reach(nonzero[:, :1], degrees)
     nonzero[: pres.free_rows] = False
-    live[:, 1:] = reach(nonzero)[:, 1:]
+    live = _reach(nonzero, degrees)
+    live[:, :1] = column_0
     nx, ny = pres.split
     # R's piece dimensions, capped above every piece of the module
     free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
@@ -423,14 +443,8 @@ def _betti_cell(pres, d, kmax) -> dict:
                     continue  # facet lands in a zero piece: zero block
                 _, udim, uoff = row_of[U]
                 block = pres.map(v, piece)
-                if block.ndim == 1:
-                    # a monomial map: source column c has its 1 in row block[c]
-                    mat[uoff + block, off + np.arange(dim)] = p - 1 if pos % 2 else 1
-                    continue
-                block = block % p
-                if pos % 2:
-                    block = (p - block) % p
-                mat[uoff:uoff + udim, off:off + dim] = block
+                # rank reduces the signed entries
+                mat[uoff:uoff + udim, off:off + dim] = -block if pos % 2 else block
         ranks[k] = rank(mat, p)
     betti = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
     return {k: beta for k, beta in enumerate(betti) if beta}
@@ -505,7 +519,6 @@ def mrc_check(ps: PointSet) -> MrcReport:
     if (ps.n, ps.m) != (1, 2):
         raise ValueError("difference-matrix reading is specific to n=1, m=2")
     window = mrc_window(ps.N)
-    wi, wj = window
     H = hilbert_matrix(ps, window)
     if not np.array_equal(H, generic_hilbert_matrix(ps.N, 1, 2, window)):
         return MrcReport(window, False, False, {}, {}, [])
@@ -518,14 +531,9 @@ def mrc_check(ps: PointSet) -> MrcReport:
     first[0, 0] = False
     predicted = {(int(i), int(j)): -int(dh[i, j]) for i, j in np.argwhere(first)}
     b1 = betti_numbers(point_presentation(ps, window), kmax=1).layer(1)
-    mismatches = []
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            if (i, j) == (0, 0):
-                continue
-            want = predicted.get((i, j), 0)
-            got = b1.get((i, j), 0)
-            if (got > 0) != (want > 0) or (want > 0 and got != want):
-                mismatches.append({"cell": (i, j), "dh": int(dh[i, j]),
-                                   "predicted": want, "beta1": got})
+    # both hold only positive values, so a cell in neither agrees
+    mismatches = [{"cell": d, "dh": int(dh[d]), "predicted": predicted.get(d, 0),
+                   "beta1": b1.get(d, 0)}
+                  for d in sorted(predicted.keys() | b1.keys())
+                  if predicted.get(d, 0) != b1.get(d, 0)]
     return MrcReport(window, True, not mismatches, predicted, b1, mismatches)

@@ -121,7 +121,7 @@ def _mrc_trial(spec):
     rep = mrc_check(ps)
     return {"N": N, "trial": trial, "seed": seed, "passed": rep.passed,
             "rejections": ps.rejections,
-            "mismatches": [list(d) for d in rep.mismatches]}
+            "mismatches": rep.mismatches}
 
 
 def cmd_mrc(args, ps):

@@ -9,8 +9,7 @@ stored as an index map: the target row of every source row.
 
 Variables are indexed 0..n for the x-block and n+1..n+m+1 for the y-block.
 The same functions at (n, m - 1) give the Cox ring R = k[x0..xn, y1..ym]
-of P^n x P^(m-1): its monomials are those of S free of y0, in S's order,
-and variable v != y0 of S is variable v - (v > n) of R.
+of P^n x P^(m-1): its monomials are those of S free of y0, in S's order.
 """
 
 from __future__ import annotations

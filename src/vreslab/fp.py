@@ -149,6 +149,8 @@ def rref_extend(basis: np.ndarray, pivots: np.ndarray, rows: np.ndarray,
 def rank(a, p: int) -> int:
     """Rank over GF(p) by forward elimination with the pivot rule of ``rref``.
 
+    Any integer input, negative entries included, is first reduced into
+    [0, p) (``normalize``), so a caller may pass a signed int64 matrix.
     rank(A) = rank(A^T), so a tall matrix is eliminated as its transpose
     and the loop runs over the shorter side; the transpose is taken before
     the one reduced copy, so no second copy is made.  Each column is

@@ -55,7 +55,7 @@ from itertools import count
 import numpy as np
 
 from .cox import monomials, t_binom
-from .fp import DEFAULT_PRIME, kernel_basis, matmul, normalize, rank, rref_extend
+from .fp import DEFAULT_PRIME, FieldPrime, kernel_basis, matmul, normalize, rank, rref_extend
 
 # draws random_points(require_generic=True) makes before giving up
 MAX_DRAWS = 100
@@ -87,6 +87,7 @@ class PointSet:
     _box: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        FieldPrime(self.p)  # an odd prime below 2**26, or ValueError
         self.xs = normalize(self.xs, self.p)
         self.ys = normalize(self.ys, self.p)
         # the cell memo is sound only while the coordinates cannot change

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 from .betti import (
     WindowTooSmall,
+    betti_box,
     betti_numbers,
     intersected_presentation,
     pdim,
@@ -148,9 +149,13 @@ def pair_vres(ps, d) -> FreeComplexShape:
     return FreeComplexShape.from_betti(betti_numbers(point_presentation(ps, window)))
 
 
-def intersect_window(N, t, n, m):
-    """Default window for resolving S/(I intersect <x>^t) for N points."""
-    return (max(N, t) + n + 1, max(min_cover_degree(N, m), m) + m + 2)
+def intersect_window(ps, t):
+    """Default window for resolving S/(I intersect <x>^t): the one N fixes,
+    widened where needed to the Betti box, which special sets (collinear
+    y-parts, say) push past it."""
+    N, n, m = ps.N, ps.n, ps.m
+    window = (max(N, t) + n + 1, max(min_cover_degree(N, m), m) + m + 2)
+    return tuple(max(w, b) for w, b in zip(window, betti_box(ps, t)))
 
 
 def intersect_vres(ps, t, window=None):
@@ -165,15 +170,16 @@ def intersect_vres(ps, t, window=None):
     if t < 1:
         raise ValueError("t must be >= 1")
     if window is None:
-        window = intersect_window(ps.N, t, ps.n, ps.m)
+        window = intersect_window(ps, t)
     pres = intersected_presentation(ps, t, window)
     if not pres.complete:
         raise WindowTooSmall("window %s misses the Betti box %s at t = %d"
                              % (tuple(window), pres.box, t))
     bt = betti_numbers(pres)
     length = pdim(bt)
-    # r is the row corner of the sweep's box
-    if t >= function_space_bases(ps, (0, 0)).box[0] and length != ps.n + ps.m:
+    # t >= r, the row corner of the sweep's box, exactly when the Betti
+    # box's row corner max(t, r) + n is t + n
+    if pres.box[0] == t + ps.n and length != ps.n + ps.m:
         raise AssertionError("length %d != %d with t = %d certified"
                              % (length, ps.n + ps.m, t))
     return bt, length

@@ -369,12 +369,7 @@ def koszul_homology(pres: GradedModulePresentation, kmax: int | None = None) -> 
                     _, udim, uoff = tgt[T[:pos] + T[pos + 1:]]
                     if not dim or not udim:
                         continue
-                    block = pres.map(v, piece)
-                    if block.ndim == 1:
-                        dense = np.zeros((udim, dim), dtype=np.int64)
-                        dense[block, np.arange(dim)] = 1
-                        block = dense
-                    mat[uoff:uoff + udim, off:off + dim] = (-1) ** pos * block % p
+                    mat[uoff:uoff + udim, off:off + dim] = (-1) ** pos * pres.map(v, piece) % p
             ranks[k] = rank(mat, p)
         for k in range(kmax + 1):
             beta = terms[k][1] - ranks[k] - ranks[k + 1]

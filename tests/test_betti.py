@@ -37,6 +37,7 @@ from vreslab.points import (
     ideal_piece,
     random_points,
 )
+from vreslab.vres import intersect_vres
 
 from conftest import fibered_633, fibered_sets
 from oracles import (
@@ -45,6 +46,7 @@ from oracles import (
     beta1_table,
     betti_entry,
     betti_total_by_stage,
+    dense_mult_map,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
     koszul_homology,
@@ -154,15 +156,13 @@ class TestPresentationRoutes:
 
 
 class TestCertificates:
-    # the engine and the all-ranks oracle on the presentation modulo z,
-    # against the oracle on the presentation over all n+m+2 variables
+    # the engine on the presentation modulo z, against the all-ranks oracle
+    # on the presentation over all n+m+2 variables
 
     @staticmethod
     def assert_matches_oracle(ps, t, window):
-        pres = intersected_presentation(ps, t, window)
         want = koszul_homology(intersected_presentation_in_full(ps, t, window))
-        assert betti_numbers(pres).entries == want.entries
-        assert koszul_homology(pres).entries == want.entries
+        assert betti_numbers(intersected_presentation(ps, t, window)).entries == want.entries
 
     def test_generic_set_on_off(self):
         ps = random_points(1, 2, 6, seed=3, require_generic=True)
@@ -299,15 +299,19 @@ class TestTableApi:
 
 
 class TestBettiBox:
+    @staticmethod
+    def collinear_y_parts(N):
+        rng = np.random.default_rng(N)
+        xs = [(1, int(v)) for v in rng.choice(P, size=N, replace=False)]
+        return PointSet(1, 2, P, np.array(xs), np.array([(1, k, 2 * k + 1) for k in range(N)]))
+
     @pytest.mark.parametrize("N", [8, 10])
     def test_collinear_y_parts_miss_the_default_window(self, N):
         # distinct y-parts on a line in P^2: H(0, j) = min(j + 1, N), so
         # r_y = N - 1 and the Betti box (N, N + 1) reaches past
         # betti_window's column min_cover_degree(N, 2) + 4, where six
         # entries lie although the window's outer strip holds none
-        rng = np.random.default_rng(N)
-        xs = [(1, int(v)) for v in rng.choice(P, size=N, replace=False)]
-        ps = PointSet(1, 2, P, np.array(xs), np.array([(1, k, 2 * k + 1) for k in range(N)]))
+        ps = self.collinear_y_parts(N)
         window = betti_window(N, 1, 2)
         bt = betti_numbers(point_presentation(ps, window))
         assert not bt.boundary_clean
@@ -315,6 +319,15 @@ class TestBettiBox:
         full = betti_numbers(point_presentation(ps, (N, N + 1)))
         assert full.boundary_clean
         assert len([e for e in full.entries if e[2] > window[1]]) == 6
+
+    @pytest.mark.parametrize("N", [8, 10])
+    def test_default_intersect_window_holds_the_box(self, N):
+        # the same sets at t = N - 1: the Betti box (N, N + 1) lies past the
+        # N-only window (N + 2, 7), so the default window takes the box's
+        ps = self.collinear_y_parts(N)
+        bt, length = intersect_vres(ps, N - 1)
+        assert length == 3 and bt.boundary_clean
+        assert bt.window == (N + 2, N + 1)
 
 
 @pytest.mark.parametrize("window", [mrc_window(25), (25, 2)])
@@ -358,6 +371,25 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
         # the K_1 -> K_0 block: dim M_d rows, one column per K_1 coordinate
         assert shape != (dim(i, j), dim(i - 1, j) + 3 * dim(i, j - 1))
     assert bt.entries == koszul_homology(pres).entries
+
+
+def test_free_row_maps_are_column_0_monomial_blocks():
+    # four generic points in P^2 x P^1 at t = 3: rows 0..2 hold k[x]'s own
+    # pieces and rows >= 3 the four-dimensional function spaces, so the
+    # column-0 strands of rows 3..5 read the free rows through monomial
+    # maps and through the crossing into row 3
+    n, t = 2, 3
+    ps = random_points(n, 1, 4, seed=2, require_generic=True)
+    window = (t + n + 2, 4)
+    pres = intersected_presentation(ps, t, window)
+    bt = betti_numbers(pres)
+    below = {key: block for key, block in pres._maps.items() if key[1][0] < t}
+    assert len(below) == 9
+    for (var, d), block in below.items():
+        assert var <= n and d[1] == 0
+        if d[0] + 1 < t:
+            assert np.array_equal(block, dense_mult_map(var, d, n, 1))
+    assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
 
 
 class TestCollapseIdentity:
@@ -455,9 +487,9 @@ def test_regularity_box_bounds_sweep_and_tables(ps):
         assert fs.dims[d] == rank(evaluation_matrix(ps, d), ps.p)
     for t in range(ell_x + 1):
         box = (max(t, rx) + n, ry + m)
-        pres = intersected_presentation(ps, t, (box[0] + 1, box[1] + 1))
-        assert pres.box == box
-        bt = koszul_homology(pres)
+        window = (box[0] + 1, box[1] + 1)
+        assert intersected_presentation(ps, t, window).box == box
+        bt = koszul_homology(intersected_presentation_in_full(ps, t, window))
         assert all(i <= box[0] and j <= box[1] for _, i, j in bt.entries)
 
 
@@ -472,7 +504,9 @@ def test_regularity_box_bounds_sweep_and_tables(ps):
 @example(random_points(2, 1, 7, seed=2, require_generic=True), 0, 1)
 def test_engine_matches_all_ranks_oracle(ps, t, kmax):
     """Masks, truncated strands, tail fill and the onto K_1 -> K_0 give the
-    table of every strand ranked, on a window one past the Betti box."""
+    table of every strand of the module over S ranked, on a window one past
+    the Betti box."""
     rx, ry = function_space_bases(ps, (0, 0)).box
-    pres = intersected_presentation(ps, t, (max(t, rx) + ps.n + 1, ry + ps.m + 1))
-    assert betti_numbers(pres, kmax).entries == koszul_homology(pres, kmax).entries
+    window = (max(t, rx) + ps.n + 1, ry + ps.m + 1)
+    want = koszul_homology(intersected_presentation_in_full(ps, t, window), kmax)
+    assert betti_numbers(intersected_presentation(ps, t, window), kmax).entries == want.entries

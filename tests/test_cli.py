@@ -117,6 +117,16 @@ class TestTrialsAndRegression:
         rc2, out2 = run(capsys, argv + ["--jobs", "2"])
         assert rc1 == rc2 == 0 and out1 == out2
 
+    def test_mrc_failure_reports_every_mismatch_value(self, capsys, monkeypatch):
+        bad = {"cell": (2, 1), "dh": -3, "predicted": 3, "beta1": 2}
+        monkeypatch.setattr(cli, "mrc_check", lambda ps: betti.MrcReport(
+            (3, 2), True, False, {(2, 1): 3}, {(2, 1): 2}, [bad]))
+        rc, out = run(capsys, ["mrc", "--nmin", "2", "--nmax", "2", "--trials", "1",
+                               "--seed", "7"])
+        assert rc == 1
+        assert json.loads(out)["failures"]["failed"][0]["mismatches"] == [
+            {"cell": [2, 1], "dh": -3, "predicted": 3, "beta1": 2}]
+
     def test_regress_appendix(self, capsys):
         rc, out = run(capsys, ["regress", "appendix", "--seed", "0"])
         assert rc == 0
@@ -277,9 +287,20 @@ def test_large_intersect_window_reads_rows_from_t(monkeypatch):
     assert pres._maps
     assert all(d[0] >= t or d[1] == 0 for _, d in pres._maps)
     assert sum(entries) < 4_000
-    full = intersected_presentation(ps, t, (40, 40))
-    full.free_rows = 0
-    assert betti_numbers(full).entries == bt.entries
+    assert bt.boundary_clean
+
+
+def test_free_rows_build_only_dense_column_0_x_maps():
+    # below row t the strands read only column 0 by x-variables, so the
+    # presentation builds no other map there, and every map is a dense block
+    t, n = 2, 1
+    ps = random_points(1, 2, 6, seed=1, require_generic=True)
+    pres = intersected_presentation(ps, t, (40, 40))
+    betti_numbers(pres)
+    assert pres._maps and all(block.ndim == 2 for block in pres._maps.values())
+    for var, d in [(n + 2, (0, 1)), (0, (1, 1)), (n + 2, (1, 0))]:
+        with pytest.raises(ValueError):
+            pres.map(var, d)
 
 
 def test_huge_betti_window_ranks_only_inside_the_box(capsys, monkeypatch):

@@ -51,6 +51,15 @@ class TestPointSetValidation:
         with pytest.raises(ValueError):
             PointSet(2, 1, 7, np.array([[1, 3]]), np.array([[1, 4]]))
 
+    @pytest.mark.parametrize("p", [9, 2**31 - 1, 4294967311])
+    def test_rejects_a_prime_the_field_cannot_hold(self, p):
+        # 9 is no prime; 2**31 - 1 and 4294967311 are primes past 2**26,
+        # where int64 elimination is no longer exact
+        with pytest.raises(ValueError, match=r"not prime|2\*\*26"):
+            random_points(1, 2, 5, seed=1, p=p)
+        with pytest.raises(ValueError, match=r"not prime|2\*\*26"):
+            PointSet(1, 1, p, np.array([[1, 3]]), np.array([[1, 4]]))
+
     def test_coordinates_are_read_only(self):
         ps = random_points(1, 2, 4, seed=5)
         with pytest.raises(ValueError):
