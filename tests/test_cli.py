@@ -234,6 +234,9 @@ PINNED_OUTPUTS = [
      "fd0fc7c8453ee21c75ce6b0266a6cf3f9d07fcc03e489413c3b1ba9f9d4fa533"),
     ("vres-pair --N 25 --d 24,0 --seed 1",
      "1af7f9492105b7fcce9a9ff08cdec852c0ed3eca52521950af8c1b8f2a3b2753"),
+    # a large-N table: column 0 and row 0 reach N = 400 far from the origin
+    ("hilbert --N 400 --seed 1",
+     "97918e8e500995b75ccb30462d68ed487beb5436c1fc5074cc7c2884e25af388"),
     ("mrc --nmin 2 --nmax 8 --trials 2 --seed 7",
      "3834b8dc94f6f623a13984d80483bc33f60d74b7905a23f053ba409909875875"),
     ("regress all --seed 1",
