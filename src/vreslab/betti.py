@@ -154,6 +154,7 @@ from .points import (
     generic_hilbert_matrix,
     hilbert_matrix,
     min_cover_degree,
+    regularity_box,
 )
 
 
@@ -308,7 +309,7 @@ def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
     """Corner of the Betti box of S/(I_X ∩ <x>^t), of S/I_X at t = 0: no
     Betti number lies past (max(t, r_x) + n, r_y + m) (see the module
     docstring)."""
-    rx, ry = function_space_bases(ps, (0, 0)).box
+    rx, ry = regularity_box(ps)
     return max(t, rx) + ps.n, ry + ps.m
 
 

@@ -15,8 +15,9 @@ elimination is the fixed numpy overhead of each pivot, not its
 arithmetic.  ``rank`` therefore runs along the shorter side (rank is
 invariant under transpose), scans each column once for both the pivot and
 the rows to clear, and updates only the columns from the pivot on;
-``rref`` has the same loop shape.  The steps, and so the exactness
-argument above, are unchanged.
+``rref`` has the same loop shape and visits only the columns that hold a
+nonzero, since no row operation fills a zero column.  The steps, and so
+the exactness argument above, are unchanged.
 """
 
 from __future__ import annotations
@@ -93,13 +94,16 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     increasing order.  Pivot entries are scaled to 1 and are the only
     nonzero entries in their columns.  Rows from the pivot row down are
     zero left of the pivot column, so swaps, scaling and updates touch
-    only the columns from it on.
+    only the columns from it on.  Swaps, scaling and row updates keep a
+    zero column zero, so only the columns of the input that hold a
+    nonzero are visited: a matrix that vanishes on most columns, such as
+    a residue modulo a larger basis, costs no scan of the others.
     """
     A = normalize(a, p)
-    rows, cols = A.shape
+    rows = A.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(A.any(axis=0)).tolist():
         if r == rows:
             break
         nz = A[r:, c].nonzero()[0]
@@ -118,32 +122,6 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return A, pivots
-
-
-def rref_extend(basis: np.ndarray, pivots: np.ndarray, rows: np.ndarray,
-                p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF basis and pivots of rowspace(basis) + rowspace(rows).
-
-    ``basis`` is an RREF basis with no zero rows and ``pivots`` its pivot
-    columns as an int64 array; all entries are in [0, p).  The rows are
-    reduced modulo the basis (minus their values at its pivots times its
-    rows); the residue, zero at those pivots, is row reduced; and its new
-    pivot columns are cleared from the old rows.  Sorting the two row sets
-    by pivot then gives the RREF of the sum, which is canonical, so the
-    result equals the nonzero rows of ``rref(vstack([basis, rows]))`` and
-    its pivots.  When the rows add nothing the inputs come back.  Every
-    product goes through ``matmul``, so the exactness argument of the
-    module docstring holds.
-    """
-    residue = (rows - matmul(rows[:, pivots], basis, p)) % p
-    R, fresh = rref(residue, p)
-    if not fresh:
-        return basis, pivots
-    R = R[: len(fresh)]
-    old = (basis - matmul(basis[:, fresh], R, p)) % p
-    merged = np.concatenate([pivots, fresh])
-    order = np.argsort(merged, kind="stable")
-    return np.vstack([old, R])[order], merged[order]
 
 
 def rank(a, p: int) -> int:

@@ -5,20 +5,63 @@ factor equal to 1), so evaluation of monomials is well defined and the
 degreewise kernel of evaluation is automatically the saturated vanishing
 ideal piece.
 
-The Hilbert matrix comes from a sweep over the window.  It grows the
-evaluation image V(i,j) of S_(i,j) in k^N from a neighbouring cell by the
-variable actions.  Because x0 = y0 = 1 at every point, V(i,j) contains
-V(i-1,j) and V(i,j-1), so once either is all of k^N the cell is
-saturated: its RREF basis is the identity and no elimination runs.
-Otherwise the cell extends its source's RREF by the actions of x1..xn
-(or y1..ym along row 0) on the source's fresh rows only, the rows at
-pivots the cell before the source lacks; the other rows' products are
-already in the source.  A cell whose source has no fresh rows is its
-source, as in a column that has stopped growing.  Every swept cell is
-memoized on its ``PointSet``, so the genericity check, the Hilbert
-matrix, the presentations, the regularity witness and the decomposition
-check of one set share a single sweep, and a window only computes the
-cells no earlier window covered.
+The Hilbert matrix comes from a sweep of the evaluation images V(i,j) of
+S_(i,j) in k^N.  Because x0 = y0 = 1 at every point, V(i,j) contains
+V(i-1,j) and V(i,j-1), and V(i,j) = V(i-1,j) + x_1 V(i-1,j) + ... +
+x_n V(i-1,j) for i >= 1; row 0 grows the same way by y_1..y_m.
+
+The sweep keeps each column j as a flag of blocks.  Block 0 is the RREF
+basis of V(0,j); block i holds the rows that row i adds, so V(i,j) is
+spanned by blocks 0..i.  Invariant: every block is the identity at its
+own pivots and zero at the pivots of all earlier blocks.  Row 0 is a flag
+of the same kind along y, whose block 0 is the constant function.  Block i
+is the RREF of the residues, modulo V(i-1,j), of x_k * c for k = 1..n and
+the rows c of block i-1.  These products suffice: V(i-1,j) is V(i-2,j)
+(zero for i = 1) plus the span of block i-1, and x_k V(i-2,j) lies in
+V(i-1,j).
+
+The residues need no elimination against the flag.  Stacked, the blocks
+0..i-1 restricted to their pivot columns form a block-triangular matrix
+with identity diagonal blocks, so a vector of k^N has exactly one
+representative modulo V(i-1,j) that vanishes at all those pivots: its
+residue.  Let c be a row of block i-1 with pivot q.  By the invariant, c
+vanishes at every pivot of the flag but q, and
+
+    x_k * c = (x_k - x_k(q)) * c + x_k(q) * c.
+
+The second term lies in V(i-1,j).  The first vanishes at q, where its
+first factor does, and at every other pivot of the flag, where c does; so
+it is the residue of x_k * c.  One step is one broadcast product reduced
+mod p and one ``fp.rref``, with no product against the basis and no
+re-reduction of the old rows.  The factor lies in (-p, p) and c in
+[0, p), so each product stays below 2**52 and is exact in int64.  The
+residues vanish at the old pivots, so their RREF does too and its pivots
+are new: the invariant holds for block i.
+
+dim V(i,j) is the sum of the block sizes up to row i.  A column stops at
+the first of: dimension N; an empty block, a stall, after which it is
+constant (each later block is built from the empty one); the box row r_x
+below; and the first row i where its left neighbour is saturated, since
+V(i,j) contains V(i,j-1) = k^N.  The flags are memoized on the
+``PointSet`` and grown as far as a window asks, so the genericity check,
+the Hilbert matrix, the presentations, the regularity witness and the
+decomposition check of one set share a single sweep, and a window grows
+only the blocks no earlier window reached.
+
+RREF cells are built only where they are read.  The RREF basis of V(i,j)
+comes from that of V(i-1,j), the cell above it, and block i: the block's
+pivots are cleared from the old rows, and the two row sets are merged in
+pivot order (along row 0, from the cell to the left and the row's block
+j).  The result is the identity on the union of the two pivot sets, and
+that union is the RREF's pivot set, which is the set of leading columns
+of the nonzero vectors of V(i,j): a vector u + w, with u in V(i-1,j) and
+w in the span of block i, has lead(u) among the old pivots and lead(w)
+among the new ones, as w vanishes at the old pivots, so the two leads
+never cancel and the sum leads at the smaller.  A subspace has one basis
+that is the identity on its RREF pivot set, so the merge is the RREF.  A
+saturated cell is the identity.  Each cell is memoized on its
+``PointSet`` once read; Hilbert values, the box and the genericity check
+read only block sizes and build no RREF cell below row 0.
 
 The sweep is constant past one box.  Let ell_x and ell_y be the numbers
 of distinct x-parts P_1..P_ell_x and y-parts, r_x the least i with
@@ -38,10 +81,10 @@ other fibers, so V(i,j) is that direct sum, which does not depend on i.
 Hence V(i,j) = V(r_x, j) for i >= r_x.  The same argument with the
 factors swapped gives V(i,j) = V(i, r_y) for j >= r_y, and the two
 together give the identity.  A subspace has one RREF basis, so a cell
-past the box is its clamped cell, and ``function_space_bases`` sweeps
-only the cells of [0, min(wi, r_x)] x [0, min(wj, r_y)] for a window
-(wi, wj).  Finding the corners costs at most ell_x cells of column 0 and
-ell_y cells of row 0: a product of ell_x - 1 linear x-forms, each
+past the box is its clamped cell, and ``function_space_bases`` grows
+only columns 0..min(wj, r_y), down to row min(wi, r_x), for a window
+(wi, wj).  Finding the corners costs at most ell_x blocks of column 0 and
+ell_y blocks of row 0: a product of ell_x - 1 linear x-forms, each
 through one other x-part and not through P_k, is e_k up to a scalar, so
 r_x <= ell_x - 1, and likewise r_y <= ell_y - 1.
 """
@@ -50,12 +93,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cached_property
 
 import numpy as np
 
 from .cox import monomials, t_binom
-from .fp import DEFAULT_PRIME, FieldPrime, kernel_basis, matmul, normalize, rank, rref_extend
+from .fp import DEFAULT_PRIME, FieldPrime, kernel_basis, matmul, normalize, rank, rref
 
 # draws random_points(require_generic=True) makes before giving up
 MAX_DRAWS = 100
@@ -71,7 +114,7 @@ class PointSet:
 
     Two point sets are equal when they have the same n, m and p and the
     same coordinate rows in the same order; the seed, the rejection count
-    and the cell memo do not take part.
+    and the sweep's memo do not take part.
     """
 
     n: int
@@ -81,10 +124,12 @@ class PointSet:
     ys: np.ndarray
     seed: int | None = None
     rejections: int = 0
-    # (i, j) -> (RREF basis, pivots) of every cell swept so far
-    _cells: dict = field(default_factory=dict, init=False, repr=False)
-    # (r_x, r_y), the corner of the sweep's box, once the sweep has found it
+    # the sweep's memo (see the module docstring): (r_x, r_y) once found,
+    # the flags of row 0 and of each column, and the RREF cells read so far
     _box: tuple | None = field(default=None, init=False, repr=False)
+    _row: _Flag | None = field(default=None, init=False, repr=False)
+    _columns: list = field(default_factory=list, init=False, repr=False)
+    _cells: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         FieldPrime(self.p)  # an odd prime below 2**26, or ValueError
@@ -115,6 +160,11 @@ class PointSet:
     @property
     def N(self) -> int:
         return self.xs.shape[0]
+
+    @cached_property
+    def _identity(self) -> tuple[np.ndarray, np.ndarray]:
+        """The RREF basis and pivots of k^N, shared by every saturated cell."""
+        return _read_only(np.eye(self.N, dtype=np.int64), np.arange(self.N))
 
     def coordinate_values(self, var: int) -> np.ndarray:
         """Values of one ring variable at all points (a length-N vector)."""
@@ -225,19 +275,21 @@ class FunctionSpaces:
 
     ``box`` is (r_x, r_y), the corner past which the sweep is constant
     (see the module docstring), and ``dims[i, j]`` is dim V(i,j) on the
-    window.  ``cell(d)`` is an RREF row basis of V_d with its pivot
-    columns, so the coordinates of a member function are just its values
-    at the pivots: the point set's memoized cell at d clamped to the box.
-    The basis and pivots are read-only; all saturated cells (dimension N)
-    share the identity basis with pivots ``arange(N)``.
+    window, read from the sweep's block sizes.  ``cell(d)`` is an RREF row
+    basis of V_d with its pivot columns, so the coordinates of a member
+    function are just its values at the pivots: the point set's cell at d
+    clamped to the box, built the first time any window reads it and
+    memoized on the point set.  The basis and pivots are read-only; all
+    saturated cells (dimension N) share the identity basis with pivots
+    ``arange(N)``.
     """
 
     box: tuple[int, int]
     dims: np.ndarray
-    _cells: dict = field(repr=False)
+    _ps: PointSet = field(repr=False)
 
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return self._cells[(min(d[0], self.box[0]), min(d[1], self.box[1]))]
+        return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
 
 
 def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
@@ -252,73 +304,153 @@ def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
     return mask[pivots]
 
 
-def _sweep_cell(ps: PointSet, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF basis and pivots at (i,j), from the memoized cells before it."""
-    cells, N = ps._cells, ps.N
-    for prev in ((i - 1, j), (i, j - 1)):
-        if prev in cells and len(cells[prev][1]) == N:
-            # x0 = y0 = 1 embeds the neighbour, so this cell is k^N too and
-            # shares the neighbour's identity basis
-            return cells[prev]
-    if i or j:
-        if i:
-            src, older, values = (i - 1, j), (i - 2, j), ps.xs
-        else:
-            src, older, values = (0, j - 1), (0, j - 2), ps.ys
-        basis, pivots = cells[src]
-        fresh = basis
-        if min(older) >= 0:
-            fresh = basis[fresh_pivots(pivots, cells[older][1], N)]
-        if not len(fresh):
-            # the source adds nothing to the cell before it, so neither do
-            # its variable actions: this cell is the source
-            return basis, pivots
-        rows = (values.T[1:, None, :] * fresh % ps.p).reshape(-1, N)
-        basis, pivots = rref_extend(basis, pivots, rows, ps.p)
-    else:
-        # the constant function is its own RREF basis
-        basis, pivots = np.ones((1, N), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    basis.flags.writeable = False
-    pivots.flags.writeable = False
-    return basis, pivots
+@dataclass(eq=False)
+class _Flag:
+    """One column of the sweep, or row 0, as a flag of blocks.
+
+    ``blocks[k]`` is what step k adds, as read-only (rows, pivots): rows
+    that are the identity at their own pivots and zero at the pivots of
+    every earlier block (None where a left neighbour saturates the
+    column), and ``dims[k]`` is the dimension of the span of blocks 0..k.
+    ``values`` are the coordinates of the factor the flag grows along.
+    """
+
+    values: np.ndarray
+    blocks: list
+    dims: list
+
+    def dim(self, k: int) -> int:
+        """Dimension at step k; a stopped flag is constant past its end."""
+        return self.dims[min(k, len(self.dims) - 1)]
+
+    def stopped(self, N: int) -> bool:
+        """Whether the flag is saturated or has stalled on an empty block."""
+        return self.dims[-1] == N or (len(self.dims) > 1 and self.dims[-1] == self.dims[-2])
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _flag_step(flag: _Flag, p: int) -> None:
+    """Append the block that the flag's variables add to its newest block.
+
+    A row c of the newest block with pivot q vanishes at every other pivot
+    of the flag, so (x_k - x_k(q)) * c, congruent to x_k * c modulo the
+    flag's span, vanishes at all of them and is its own residue (see the
+    module docstring); the new block is the RREF of these products.
+    """
+    rows, pivots = flag.blocks[-1]
+    vals = flag.values.T[1:]
+    # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+    residues = (vals[:, None, :] - vals[:, pivots, None]) * rows % p
+    R, fresh = rref(residues.reshape(-1, rows.shape[1]), p)
+    flag.blocks.append(_read_only(R[: len(fresh)], np.array(fresh, dtype=np.int64)))
+    flag.dims.append(flag.dims[-1] + len(fresh))
+
+
+def regularity_box(ps: PointSet) -> tuple[int, int]:
+    """(r_x, r_y), the corner of the sweep's box (see the module docstring).
+
+    The first call grows column 0 until it reaches ell_x dimensions and
+    row 0 until it reaches ell_y; later calls read the memo.
+    """
+    if ps._box is None:
+        ell_x, ell_y = _part_counts(ps)
+        origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
+        ps._cells[(0, 0)] = origin
+        ps._row = _Flag(ps.ys, [origin], [1])
+        ps._columns = [_Flag(ps.xs, [origin], [1])]
+        for flag, ell in ((ps._columns[0], ell_x), (ps._row, ell_y)):
+            while flag.dims[-1] < ell:
+                _flag_step(flag, ps.p)
+        ps._box = (len(ps._columns[0].dims) - 1, len(ps._row.dims) - 1)
+    return ps._box
+
+
+def _sweep(ps: PointSet, rows: int, cols: int) -> list[_Flag]:
+    """Flags of columns 0..cols, each grown down to row ``rows`` or until it stops.
+
+    Column j's block 0 is the RREF cell (0, j).  A column grows one block
+    per row until it reaches N, stalls, or meets a row where its left
+    neighbour is saturated; ``rows`` is at most the box row.
+    """
+    N, columns = ps.N, ps._columns
+    for j in range(cols + 1):
+        if j == len(columns):
+            basis, pivots = _cell(ps, (0, j))
+            columns.append(_Flag(ps.xs, [(basis, pivots)], [len(pivots)]))
+        flag = columns[j]
+        while len(flag.dims) <= rows and not flag.stopped(N):
+            if j and columns[j - 1].dim(len(flag.dims)) == N:
+                # V(i, j) contains V(i, j-1) = k^N
+                flag.blocks.append(None)
+                flag.dims.append(N)
+            else:
+                _flag_step(flag, ps.p)
+    return columns[: cols + 1]
+
+
+def _merge(cell: tuple, block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF basis and pivots of the span of an RREF cell and a block that
+    vanishes at the cell's pivots: the block's pivots are cleared from the
+    cell's rows, and the two row sets are merged in pivot order."""
+    (basis, pivots), (rows, fresh) = cell, block
+    old = (basis - matmul(basis[:, fresh], rows, p)) % p
+    merged = np.concatenate([pivots, fresh])
+    order = np.argsort(merged)
+    return _read_only(np.vstack([old, rows])[order], merged[order])
 
 
 def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The memoized cell at d, swept first if the memo lacks it."""
-    if d not in ps._cells:
-        ps._cells[d] = _sweep_cell(ps, *d)
-    return ps._cells[d]
+    """The RREF cell at d inside the box, built from the cells before it in
+    its flag (up its column, or along row 0) and memoized."""
+    cells = ps._cells
+    if d in cells:
+        return cells[d]
+    i, j = d
+    if i:
+        flag, k, at = _sweep(ps, i, j)[j], i, lambda r: (r, j)
+    else:
+        flag, k, at = ps._row, j, lambda r: (0, r)
+    # past a stopped flag's end the cell is the one at its end
+    top = min(k, len(flag.dims) - 1)
+    r = top
+    while at(r) not in cells:
+        r -= 1
+    cell = cells[at(r)]
+    for r in range(r + 1, top + 1):
+        if flag.dims[r] == ps.N:
+            cell = ps._identity
+        elif flag.dims[r] > flag.dims[r - 1]:
+            cell = _merge(cell, flag.blocks[r], ps.p)
+        cells[at(r)] = cell
+    cells[d] = cell
+    return cell
 
 
 def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
-    """Read the window from the point set's cell memo, sweeping what it lacks.
+    """The window's dimensions from the point set's flags, growing what they lack.
 
-    The first call finds the box corner (r_x, r_y) on column 0 and row 0.
-    Cells of the window clamped to the box are then visited in row-major
-    order, so every cell above and left of a missing cell is already
-    memoized when it is computed.  A cell next to a saturated one is
-    saturated and costs no elimination.  Otherwise, for i > 0 the source
-    is (i-1,j) and the variables x1..xn; along row 0 it is (0,j-1) and
-    y1..ym, starting from the constant function at (0, 0).  As x0 = 1,
-    V(i,j) = V(i-1,j) + sum_k x_k * C, where C are the source's RREF rows
-    at pivots that (i-2,j) lacks (every row when i = 1): those rows and
-    V(i-2,j) span the source, and x_k * V(i-2,j) lies in V(i-1,j).  So the
-    cell is ``rref_extend`` of the source by the products x_k * C, and is
-    the source itself when C is empty.  A smaller window than an earlier
-    one computes nothing; a larger one computes only its new cells inside
-    the box.
+    The box corner (r_x, r_y) comes from ``regularity_box``.  Columns
+    0..min(wj, r_y) are then grown down to row min(wi, r_x), left to right
+    so that each column's left neighbour is known when it is grown, and
+    dim V(i,j) is the sum of column j's block sizes up to row i.  No RREF
+    cell below row 0 is built here: ``cell(d)`` builds one when it is read.
+    A smaller window than an earlier one computes nothing; a larger one
+    grows only the blocks no earlier window reached.
     """
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
-    if ps._box is None:
-        ell_x, ell_y = _part_counts(ps)
-        ps._box = (next(i for i in count() if len(_cell(ps, (i, 0))[1]) == ell_x),
-                   next(j for j in count() if len(_cell(ps, (0, j))[1]) == ell_y))
-    (wi, wj), (rx, ry) = window, ps._box
-    block = np.array([[len(_cell(ps, (i, j))[1]) for j in range(min(wj, ry) + 1)]
-                      for i in range(min(wi, rx) + 1)], dtype=np.int64)
+    (wi, wj), (rx, ry) = window, regularity_box(ps)
+    rows = min(wi, rx)
+    # a column that stopped above row ``rows`` keeps its last dimension
+    block = np.array([flag.dims[: rows + 1] + flag.dims[-1:] * (rows + 1 - len(flag.dims))
+                      for flag in _sweep(ps, rows, min(wj, ry))], dtype=np.int64).T
     dims = block[np.ix_(np.minimum(np.arange(wi + 1), rx), np.minimum(np.arange(wj + 1), ry))]
-    return FunctionSpaces((rx, ry), dims, ps._cells)
+    return FunctionSpaces((rx, ry), dims, ps)
 
 
 def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:

@@ -21,7 +21,6 @@ from vreslab.fp import (
     matmul,
     rank,
     rref,
-    rref_extend,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
@@ -169,61 +168,6 @@ def test_matmul_exact_past_int64_headroom():
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % LARGEST_PRIME
              for col in b.T] for row in a]
     assert matmul(a, b, LARGEST_PRIME).tolist() == want == [[2049] * 3] * 2
-
-
-@st.composite
-def rref_extensions(draw):
-    """An RREF basis, its pivots and rows to add: none, rows in its span,
-    or random rows, some of them zero, over the small, default and largest
-    primes.  The basis may be empty and the sum may be the whole space."""
-    p = draw(st.sampled_from([101, P, LARGEST_PRIME]))
-    cols = draw(st.integers(1, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def draw_rows(count):
-        density = draw(st.sampled_from([0.2, 0.5, 1.0]))
-        return np.where(rng.random((count, cols)) < density,
-                        rng.integers(0, p, size=(count, cols)), 0)
-
-    R, piv = rref(draw_rows(draw(st.integers(0, cols))), p)
-    basis = R[: len(piv)]
-    kind = draw(st.sampled_from(["none", "in_span", "random"]))
-    if kind == "none":
-        rows = np.zeros((0, cols), dtype=np.int64)
-    elif kind == "in_span":
-        rows = matmul(rng.integers(0, p, size=(draw(st.integers(1, 4)), len(piv))), basis, p)
-    else:
-        rows = draw_rows(draw(st.integers(1, cols + 2)))
-    return p, basis, np.array(piv, dtype=np.int64), rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(rref_extensions())
-def test_rref_extend_equals_rref_of_the_stack(case):
-    p, basis, piv, rows = case
-    got, got_piv = rref_extend(basis, piv, rows, p)
-    R, want = rref(np.vstack([basis, rows]), p)
-    assert got_piv.dtype == np.int64 and got_piv.tolist() == want
-    assert np.array_equal(got, R[: len(want)])
-
-
-@pytest.mark.parametrize("p", (101, P, LARGEST_PRIME))
-def test_rref_extend_edge_cases(p):
-    R, piv = rref(np.array([[1, 2, 0, 4], [0, 0, 1, 3]]), p)
-    basis, piv = R[: len(piv)], np.array(piv, dtype=np.int64)
-    # no rows, and rows already in the span: the inputs come back
-    for rows in (np.zeros((0, 4), dtype=np.int64), matmul(np.array([[3, p - 1]]), basis, p)):
-        got, got_piv = rref_extend(basis, piv, rows, p)
-        assert got is basis and got_piv.tolist() == [0, 2]
-    # rows that complete the space: the identity
-    got, got_piv = rref_extend(basis, piv, np.array([[0, 5, 0, 0], [7, 1, 1, 1]]), p)
-    assert got_piv.tolist() == [0, 1, 2, 3] and np.array_equal(got, np.eye(4, dtype=np.int64))
-    # an empty basis: the RREF of the rows alone
-    rows = np.array([[0, 2, 4, 6], [0, 1, 2, p - 1]])
-    got, got_piv = rref_extend(np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64),
-                               rows, p)
-    R, want = rref(rows, p)
-    assert got_piv.tolist() == want == [1, 3] and np.array_equal(got, R)
 
 
 small = st.integers(min_value=0, max_value=6)

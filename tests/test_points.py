@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vreslab import points as points_module
 from vreslab.cox import count_monomials, t_binom
-from vreslab.fp import rank, rref, rref_extend, subspace_contains
+from vreslab.fp import rank, rref, subspace_contains
 from vreslab.points import (
     GenericityExhausted,
     PointSet,
@@ -25,6 +25,8 @@ from vreslab.points import (
     pi1_fibers,
     random_points,
 )
+
+from vreslab.vres import pair_vres, predicted_pair_shape
 
 from conftest import fibered_633, fibered_sets, ff_rank
 from oracles import (
@@ -129,7 +131,7 @@ class TestRandomPoints:
         def no_sweep(*args):
             raise AssertionError("swept a set with a repeated part")
 
-        monkeypatch.setattr(points_module, "_sweep_cell", no_sweep)
+        monkeypatch.setattr(points_module, "_flag_step", no_sweep)
         assert not is_generic_hilbert(fibered_633())  # three x-parts
         xs = np.array([[1, 2], [1, 3], [1, 4]])
         ys = np.array([[1, 5, 6], [1, 7, 8], [1, 5, 6]])
@@ -291,10 +293,10 @@ class TestSweepMemo:
         ps = random_points(2, 1, 7, seed=63)
         want = function_space_bases(ps, (5, 5))
 
-        def no_extend(*args):
-            raise AssertionError("rref_extend called on a memoized window")
+        def no_step(*args):
+            raise AssertionError("flag step on a memoized window")
 
-        monkeypatch.setattr(points_module, "rref_extend", no_extend)
+        monkeypatch.setattr(points_module, "_flag_step", no_step)
         got = function_space_bases(ps, (3, 4))
         assert np.array_equal(got.dims, want.dims[:4, :5])
 
@@ -310,10 +312,10 @@ class TestSweepMemo:
         ps = fibered_633()
         function_space_bases(ps, (3, 0))
 
-        def no_extend(*args):
-            raise AssertionError("rref_extend called on a stalled column")
+        def no_step(*args):
+            raise AssertionError("flag step on a stalled column")
 
-        monkeypatch.setattr(points_module, "rref_extend", no_extend)
+        monkeypatch.setattr(points_module, "_flag_step", no_step)
         fs = function_space_bases(ps, (7, 0))
         assert fs.dims[:, 0].tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
         for d in np.ndindex(fs.dims.shape):
@@ -335,21 +337,23 @@ class TestSweepMemo:
 
 
 def count_extensions(monkeypatch) -> list:
-    """Record the row count of every ``rref_extend`` call the sweep makes."""
+    """Record the size of the block each flag step of the sweep grows from."""
     calls = []
+    step = points_module._flag_step
 
-    def counting_extend(basis, pivots, rows, p):
-        calls.append(len(rows))
-        return rref_extend(basis, pivots, rows, p)
+    def counting_step(flag, p):
+        calls.append(len(flag.blocks[-1][1]))
+        return step(flag, p)
 
-    monkeypatch.setattr(points_module, "rref_extend", counting_extend)
+    monkeypatch.setattr(points_module, "_flag_step", counting_step)
     return calls
 
 
 def sweep_eliminations(H: np.ndarray, N: int) -> int:
-    """Cells of a fresh sweep that extend their source: the unsaturated
-    cells other than the origin whose source has fresh rows, that is, more
-    dimensions than the cell before the source."""
+    """Flag steps of a fresh sweep, one per growing block: the unsaturated
+    cells other than the origin whose predecessor in its flag (the cell
+    above it, or on row 0 the cell to its left) added a nonempty block,
+    that is, has more dimensions than the cell before it."""
 
     def dim(i, j):
         return H[i, j] if i >= 0 and j >= 0 else 0
@@ -385,6 +389,69 @@ def test_sweep_cells_equal_rref_of_evaluation(ps):
         R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
         assert np.array_equal(V, R[: len(piv)])
         assert pivots.tolist() == piv
+
+
+@st.composite
+def flag_sets(draw):
+    """Generic sets, sets whose x-parts repeat (fibers, as ``fibered_633``)
+    and sets whose x-parts and y-parts both repeat, on six shapes, at a
+    small prime and at the largest one, where x_k - x_k(q) spans (-p, p)."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]))
+    p = draw(st.sampled_from([101, 67108859]))
+    kind = draw(st.sampled_from(["generic", "fibered", "shared"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "generic":
+        return random_points(n, m, draw(st.integers(1, 7)), seed=seed, p=p)
+    rng = np.random.default_rng(seed)
+
+    def parts(count, width):
+        drawn: set[tuple] = set()
+        while len(drawn) < count:
+            drawn.add((1, *map(int, rng.integers(0, p, size=width))))
+        return sorted(drawn)
+
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 3)) if kind == "shared" else 7
+    N = draw(st.integers(1, min(7, a * b)))
+    # N distinct (x-part, y-part) pairs; fibered sets have distinct y-parts
+    pairs = rng.choice(a * b, size=N, replace=False) if kind == "shared" else range(N)
+    xparts, yparts = parts(a, n), parts(b, m)
+    xs = [xparts[k % a] for k in pairs]
+    ys = [yparts[k // a] for k in pairs]
+    return PointSet(n, m, p, np.array(xs), np.array(ys))
+
+
+@settings(max_examples=80, deadline=None)
+@given(flag_sets())
+@example(fibered_633())
+def test_flag_cells_equal_rref_of_evaluation_past_the_box(ps):
+    """The flag step against direct elimination: on a window two past the
+    box, every cell is the RREF of the evaluated monomials and every
+    dimension their rank."""
+    rx, ry = points_module.regularity_box(ps)
+    fs = function_space_bases(ps, (rx + 2, ry + 2))
+    for d in np.ndindex(fs.dims.shape):
+        V, pivots = fs.cell(d)
+        R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
+        assert fs.dims[d] == len(piv)
+        assert np.array_equal(V, R[: len(piv)])
+        assert pivots.tolist() == piv
+
+
+class TestCellsOnDemand:
+    def test_genericity_check_builds_no_cell_below_row_0(self):
+        ps = random_points(1, 2, 20, seed=67)
+        assert is_generic_hilbert(ps)
+        assert ps._cells and all(i == 0 for i, _ in ps._cells)
+
+    def test_trim_builds_cells_only_in_the_columns_it_reads(self):
+        # the trim at (39, 0) presents the window (40, 2): columns 0..2
+        ps = random_points(1, 2, 40, seed=68)
+        assert pair_vres(ps, (39, 0)) == predicted_pair_shape(40)
+        assert {j for _, j in ps._cells} == {0, 1, 2}
+        # the genericity check adds the row-0 cells of the other columns
+        assert is_generic_hilbert(ps)
+        assert all(i == 0 for i, j in ps._cells if j >= 3)
 
 
 def fibered_31() -> PointSet:
