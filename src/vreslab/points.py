@@ -308,10 +308,11 @@ def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
 class _Flag:
     """One column of the sweep, or row 0, as a flag of blocks.
 
-    ``blocks[k]`` is what step k adds, as read-only (rows, pivots): rows
-    that are the identity at their own pivots and zero at the pivots of
-    every earlier block (None where a left neighbour saturates the
-    column), and ``dims[k]`` is the dimension of the span of blocks 0..k.
+    ``blocks[k]`` is what step k adds, as (rows, pivots): rows that are
+    the identity at their own pivots and zero at the pivots of every
+    earlier block (None where a left neighbour saturates the column);
+    block 0 is an RREF cell.  ``dims[k]`` is the dimension of the span of
+    blocks 0..k.
     ``values`` are the coordinates of the factor the flag grows along.
     """
 
@@ -347,7 +348,7 @@ def _flag_step(flag: _Flag, p: int) -> None:
     # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
     residues = (vals[:, None, :] - vals[:, pivots, None]) * rows % p
     R, fresh = rref(residues.reshape(-1, rows.shape[1]), p)
-    flag.blocks.append(_read_only(R[: len(fresh)], np.array(fresh, dtype=np.int64)))
+    flag.blocks.append((R[: len(fresh)], np.array(fresh, dtype=np.int64)))
     flag.dims.append(flag.dims[-1] + len(fresh))
 
 
