@@ -25,7 +25,6 @@ from vreslab.points import (
     pi1_fibers,
     random_points,
 )
-
 from vreslab.vres import pair_vres, predicted_pair_shape
 
 from conftest import fibered_633, fibered_sets, ff_rank
@@ -413,11 +412,14 @@ def flag_sets(draw):
     a = draw(st.integers(1, 3))
     b = draw(st.integers(1, 3)) if kind == "shared" else 7
     N = draw(st.integers(1, min(7, a * b)))
-    # N distinct (x-part, y-part) pairs; fibered sets have distinct y-parts
-    pairs = rng.choice(a * b, size=N, replace=False) if kind == "shared" else range(N)
     xparts, yparts = parts(a, n), parts(b, m)
-    xs = [xparts[k % a] for k in pairs]
-    ys = [yparts[k // a] for k in pairs]
+    if kind == "shared":
+        # N distinct cells of the a x b grid of parts
+        pairs = rng.choice(a * b, size=N, replace=False)
+        xs, ys = [xparts[k % a] for k in pairs], [yparts[k // a] for k in pairs]
+    else:
+        # a fibers over the x-parts, every y-part distinct
+        xs, ys = [xparts[k % a] for k in range(N)], yparts[:N]
     return PointSet(n, m, p, np.array(xs), np.array(ys))
 
 
