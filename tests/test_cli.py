@@ -239,6 +239,17 @@ PINNED_OUTPUTS = [
      "97918e8e500995b75ccb30462d68ed487beb5436c1fc5074cc7c2884e25af388"),
     ("mrc --nmin 2 --nmax 8 --trials 2 --seed 7",
      "3834b8dc94f6f623a13984d80483bc33f60d74b7905a23f053ba409909875875"),
+    # P^1 x P^m tables whose rows i >= 1 hold long runs with no drop in
+    # dimension between rows, on m = 1, 2 and 3
+    ("betti --N 40 --seed 1",
+     "cd2a6e1d37af34418b97cb47b7d3b157d12daabf1ffd262e59aa3de10b0db169"),
+    ("betti --n 1 --m 3 --N 20 --seed 2",
+     "4cde0ad41e357b9f784bdf5162c69d7712fe0c71240a811192d04fec0dded0fd"),
+    ("betti --n 1 --m 1 --N 15 --seed 3",
+     "fa9c306f84ea484b727b0b7928dabee8356967e376b689a266ee6a556c848a83"),
+    # beta_1 at large N: 250 rows, each a kernel of x1 at most a few wide
+    ("mrc --nmin 250 --nmax 250 --trials 1 --seed 1",
+     "3b4bde851bcd2f43cd347e47c59dde90099ab373968133b6dc1cf29051ea65ca"),
     ("regress all --seed 1",
      "9f6c35cc77c9d223285d9ee4db47138baacd50ebf8c66e491a2e355bd227e95b"),
 ]
