@@ -66,6 +66,8 @@ the summands in rows >= t, among them M_(i, j-1) for each y-variable.
 Every monomial of degree (i, j) has a y-factor, so the y-variables alone
 map onto M_d.  Hence wherever K_1 and K_0 are both nonzero, d is not the
 origin and the rank is dim K_0; ``_betti_cell`` assembles no such block.
+The read needs a cyclic module: the kernels of the row split below are
+not cyclic, and their strands rank K_1 -> K_0 like every differential.
 
 Second, the tail rule.  Let n_x and n_y count the x- and y-variables of
 the presentation; ``variables`` is increasing, so the x-variables come
@@ -94,6 +96,33 @@ column 0, where a cell the mask skipped has no Betti number up to kmax.
 On S/I_X these are the long tails of columns 1, 2, ... past the rows
 where those columns of S/I_X modulo x0 die, while column 0 stays
 one-dimensional up to row N - 1.
+
+The row split.  Let the presentation have one x-variable x and no free
+rows: ``point_presentation`` with n = 1, where x = x1.  M is cyclic and
+generated at (0, 0), and every monomial of x-degree i >= 1 is x times a
+monomial of x-degree i - 1, so x maps M_(i-1,j) onto M_(i,j); for the
+point presentation this is V(i,j) = V(i-1,j) + x1*V(i-1,j) (see
+``points``).  Let y be the y-variables.  The Koszul complex K(x, y; M) is
+the mapping cone of x on K(y; M) (Eisenbud, section 17): its K_k at
+(i, j) is K_k(y; M)_(i,j) + K_(k-1)(y; M)_(i-1,j).  The y-variables keep
+the row, so the cone splits into one complex per row.  In row 0 it is
+K(y; M_(0,.)), the strands the engine builds there.  In a row i >= 1 it
+is the cone of x : K(y; M_(i-1,.)) -> K(y; M_(i,.)), which is onto.
+K(y; -) tensors with a complex of free modules, so it is exact, and with
+Z_i = ker(x : M_(i-1,.) -> M_(i,.)), a k[y]-module because y commutes
+with x, 0 -> K(y; Z_i) -> K(y; M_(i-1,.)) -> K(y; M_(i,.)) -> 0 is exact.
+The cone of an onto map of complexes is quasi-isomorphic to its kernel
+shifted up by one homological degree, so for i >= 1
+
+    beta_{k,(i,j)}(M) = dim H_(k-1)(K(y; Z_i))_j.
+
+Z_i is dims[i-1, b] - dims[i, b] wide at column b, which the sweep gives
+before any map is built: a row where no column drops holds no Betti
+number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
+rows i >= 1 from the strands of the Z_i, which run over the y-variables
+alone, so only the rows where x loses dimension cost a kernel and a rank.
+Every other presentation (n >= 2, or t >= 1, whose x-variables are
+x0..xn) keeps the strands over all its variables, in every row.
 
 The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
 ``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
@@ -145,7 +174,7 @@ import numpy as np
 
 from .cox import count_monomials, mult_map, var_degree
 from .diffcalc import dh_p1p2
-from .fp import matmul, rank
+from .fp import kernel_basis, matmul, rank
 from .points import (
     PointSet,
     evaluation_matrix,
@@ -164,10 +193,12 @@ class WindowTooSmall(Exception):
 
 @dataclass
 class GradedModulePresentation:
-    """Finite window of pieces of a cyclic bigraded module with its maps.
+    """Finite window of pieces of a bigraded module with its maps.
 
     The module is generated in degree (0, 0) over the polynomial ring on
-    ``variables``, the ring variables that act on it; the Koszul strands
+    ``variables``, the ring variables that act on it, except the kernels
+    of the row split, which are not cyclic (see the module docstring and
+    ``_kernel_presentation``); the Koszul strands
     run over exactly these, listed in increasing order, so the x-variables
     (index <= n) come first.  ``dims[i, j]`` is the dimension of the piece
     at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
@@ -421,17 +452,17 @@ def _live_cells(pres, kmax) -> np.ndarray:
     return live & ~free
 
 
-def _betti_cell(pres, d, kmax) -> dict:
-    """Koszul strand homology at one bidegree.  Every differential is
-    ranked but K_1 -> K_0, which is onto off the origin (the module is
-    cyclic; see the module docstring), so its rank is dim K_0."""
+def _homology(pres, d, kmax, onto) -> dict:
+    """The nonzero dimensions dim H_k, k <= kmax, of the Koszul strand at d.
+    Every differential is ranked, but with ``onto`` the map K_1 -> K_0 is
+    not assembled and its rank is read as dim K_0."""
     p = pres.p
     summands, dims = zip(*(_strand_snapshot(pres, d, k) for k in range(kmax + 2)))
-    # ranks[k] is the rank of the differential K_k -> K_(k-1); K_1 is zero
-    # at the origin, and K_1 -> K_0 is onto everywhere else
+    # ranks[k] is the rank of the differential K_k -> K_(k-1)
     ranks = [0] * (kmax + 2)
-    ranks[1] = dims[0] if dims[1] else 0
-    for k in range(2, kmax + 2):
+    if onto:
+        ranks[1] = dims[0] if dims[1] else 0
+    for k in range(2 if onto else 1, kmax + 2):
         src, tgt = summands[k], summands[k - 1]
         if not src or not tgt:
             continue
@@ -447,8 +478,74 @@ def _betti_cell(pres, d, kmax) -> dict:
                 # rank reduces the signed entries
                 mat[uoff:uoff + udim, off:off + dim] = -block if pos % 2 else block
         ranks[k] = rank(mat, p)
-    betti = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
-    return {k: beta for k, beta in enumerate(betti) if beta}
+    homology = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
+    return {k: h for k, h in enumerate(homology) if h}
+
+
+def _betti_cell(pres, d, kmax) -> dict:
+    """Koszul strand homology of the presented cyclic module at one
+    bidegree: K_1 -> K_0 is onto off the origin, and K_1 is zero at it (see
+    the module docstring), so its rank is dim K_0 and its block is never
+    assembled."""
+    return _homology(pres, d, kmax, onto=True)
+
+
+def _kernel_rows(pres, kmax) -> dict:
+    """The Betti numbers in rows i >= 1 of a presentation with one
+    x-variable and no free rows: beta_{k,(i,j)} is dim H_(k-1) at column j
+    of the Koszul complex over the y-variables of the kernel Z_i of the
+    x-variable from row i-1 to row i (see the module docstring).  Z_i is
+    the drop dims[i-1, b] - dims[i, b] wide at column b, so a row where no
+    column drops builds no map and ranks nothing."""
+    wi, wj = pres.window
+    top, right = (wi, wj) if pres.box is None else (min(wi, pres.box[0]),
+                                                    min(wj, pres.box[1]))
+    drops = pres.dims[:top, :right + 1] - pres.dims[1:top + 1, :right + 1]
+    # beta_{k,(i,j)} with k <= kmax reads the columns j - h of Z_i, h < kmax
+    reads = [(0, h) for h in range(min(kmax, pres.split[1] + 1))]
+    entries = {}
+    for i in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
+        zpres = _kernel_presentation(pres, i)
+        for j in np.flatnonzero(_reach(zpres.dims[:, :right + 1] > 0, reads)[0]).tolist():
+            for k, h in _homology(zpres, (0, j), kmax - 1, onto=False).items():
+                entries[(k + 1, i, j)] = h
+    return entries
+
+
+def _kernel_presentation(pres, i) -> GradedModulePresentation:
+    """Z_i = ker(x : M_(i-1,.) -> M_(i,.)) over the y-variables, its column
+    b the piece at (0, b); x is the presentation's one x-variable.
+
+    The basis of Z_i at column b is the identity where M_(i,b) = 0, else
+    ``kernel_basis`` of the map of x, whose rows are the identity at the
+    free columns: a kernel vector's coordinates are its values there.  A
+    y-map of Z_i is M's y-map on the basis, read at the free columns of the
+    target's.  Z_i is not cyclic, so no rank of its strands may be read.
+    """
+    x, p = pres.variables[0], pres.p
+
+    @cache
+    def kernel(b):
+        # a row basis of Z_i at column b and its free columns, None for all
+        # of M_(i-1,b)
+        if not pres.dims[i, b]:
+            return None
+        ker = kernel_basis(pres.map(x, (i - 1, b)), p)
+        # RREF row r is zero left of its pivot, so a kernel row is nonzero
+        # off its free column only at pivots left of it: the free column is
+        # the row's last nonzero
+        return ker, ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
+
+    def build(var, d):
+        block = pres.map(var, (i - 1, d[1]))
+        src, tgt = kernel(d[1]), kernel(d[1] + 1)
+        if tgt is not None:
+            block = block[tgt[1]]
+        return block if src is None else matmul(block, src[0].T, p)
+
+    drop = pres.dims[i - 1] - pres.dims[i]
+    return GradedModulePresentation(pres.n, pres.m, p, (0, pres.window[1]), drop[None],
+                                    pres.variables[1:], _builder=build)
 
 
 def betti_numbers(pres: GradedModulePresentation,
@@ -457,7 +554,12 @@ def betti_numbers(pres: GradedModulePresentation,
 
     The entries are exact at every cell of the window.  Cells the mask
     drops hold none, tail cells are filled from column 0, and every other
-    cell ranks its strand but K_1 -> K_0 (see the module docstring).
+    cell ranks its strand but K_1 -> K_0 (see the module docstring).  When
+    the only x-variable is x1 and no row is free (``point_presentation``
+    with n = 1), only row 0 is computed that way: each row i >= 1 is the
+    y-variables' Betti table, shifted up by one homological degree, of the
+    kernel of x1 from row i-1 to row i, so a row where x1 loses no
+    dimension builds no map and ranks nothing.
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
     global reads (projective dimension, shape totals) are exact.  It is False for a window that misses the box, and for a
@@ -469,9 +571,13 @@ def betti_numbers(pres: GradedModulePresentation,
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     tail, ny = _tail_cells(pres), pres.split[1]
+    live = _live_cells(pres, kmax)
+    row_split = pres.split[0] == 1 and not pres.free_rows
+    if row_split:
+        live[1:] = False
     entries = {}
     # row-major, so (i, 0) is done before the tail cells of row i
-    for i, j in np.argwhere(_live_cells(pres, kmax)).tolist():
+    for i, j in np.argwhere(live).tolist():
         if tail[i, j]:
             cell = {k: comb(ny, j) * entries[(k - j, i, 0)]
                     for k in range(j, kmax + 1) if (k - j, i, 0) in entries}
@@ -479,6 +585,8 @@ def betti_numbers(pres: GradedModulePresentation,
             cell = _betti_cell(pres, (i, j), kmax)
         for k, beta in cell.items():
             entries[(k, i, j)] = beta
+    if row_split:
+        entries.update(_kernel_rows(pres, kmax))
     return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)
 
 

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .betti import (
     WindowTooSmall,
@@ -131,6 +130,9 @@ def cmd_mrc(args, ps):
     # the pool starts all its workers at once, so never more than can run
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that a start without --jobs loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_mrc_trial, specs))
     else:

@@ -173,7 +173,9 @@ def kernel_basis(a, p: int) -> np.ndarray:
     A = normalize(a, p)
     cols = A.shape[1]
     R, pivots = rref(A, p)
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     ker = np.zeros((len(free), cols), dtype=np.int64)
     ker[np.arange(len(free)), free] = 1
     ker[:, pivots] = (-R[: len(pivots)][:, free].T) % p

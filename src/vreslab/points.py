@@ -221,6 +221,11 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     """
     if N < 1:
         raise ValueError("N must be positive")
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if n + m == 0 and N > 1:
+        # P^0 x P^0 is one point, and a draw of no coordinates never differs
+        raise ValueError("P^0 x P^0 holds only one point")
     if p <= N:
         raise ValueError("field too small for N distinct points")
     rng = np.random.default_rng(np.random.PCG64(seed))

@@ -1,8 +1,13 @@
 """End-to-end command-line checks: determinism, exit codes, formats."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -189,12 +194,24 @@ class TestTrialsAndRegression:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         rc, out = run(capsys, ["mrc", "--jobs", "4096", "--nmin", "2",
                                "--nmax", "3", "--trials", "1", "--seed", "7"])
         assert rc == 0 and json.loads(out)["total"] == 2
         assert seen == [2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported by the mrc command only when --jobs asks for one,
+    # so every other start skips loading multiprocessing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, vreslab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
 
 
 # SHA-256 of the primary output of each command.  Outputs are byte-stable

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,25 @@ class TestRandomPoints:
     def test_field_too_small(self):
         with pytest.raises(ValueError):
             random_points(1, 1, 5, seed=0, p=5)
+
+    def test_negative_and_empty_factors_rejected(self):
+        # with no coordinate to draw every draw repeats the first, so N > 1
+        # points of P^0 x P^0 would never be found; run in a fresh
+        # interpreter, so that a hang fails on the timeout
+        src = str(Path(points_module.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("from vreslab.points import random_points\n"
+                "try:\n    random_points(1, -1, 3, seed=1)\n"
+                "except ValueError:\n    print('rejected')")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "rejected"
+        for n, m in [(-1, 2), (2, -1), (0, 0)]:
+            with pytest.raises(ValueError):
+                random_points(n, m, 3, seed=1)
+        assert random_points(0, 0, 1, seed=1).N == 1
+        assert random_points(1, 0, 3, seed=1).N == random_points(0, 1, 3, seed=1).N == 3
 
     def test_single_point_always_generic(self):
         ps = random_points(1, 2, 1, seed=123)
