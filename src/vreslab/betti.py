@@ -497,9 +497,7 @@ def _kernel_rows(pres, kmax) -> dict:
     x-variable from row i-1 to row i (see the module docstring).  Z_i is
     the drop dims[i-1, b] - dims[i, b] wide at column b, so a row where no
     column drops builds no map and ranks nothing."""
-    wi, wj = pres.window
-    top, right = (wi, wj) if pres.box is None else (min(wi, pres.box[0]),
-                                                    min(wj, pres.box[1]))
+    top, right = (min(w, b) for w, b in zip(pres.window, pres.box or pres.window))
     drops = pres.dims[:top, :right + 1] - pres.dims[1:top + 1, :right + 1]
     # beta_{k,(i,j)} with k <= kmax reads the columns j - h of Z_i, h < kmax
     reads = [(0, h) for h in range(min(kmax, pres.split[1] + 1))]
