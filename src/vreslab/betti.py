@@ -195,12 +195,12 @@ class WindowTooSmall(Exception):
 class GradedModulePresentation:
     """Finite window of pieces of a bigraded module with its maps.
 
-    The module is generated in degree (0, 0) over the polynomial ring on
-    ``variables``, the ring variables that act on it, except the kernels
-    of the row split, which are not cyclic (see the module docstring and
-    ``_kernel_presentation``); the Koszul strands
-    run over exactly these, listed in increasing order, so the x-variables
-    (index <= n) come first.  ``dims[i, j]`` is the dimension of the piece
+    It is a module over the polynomial ring on ``variables``, the
+    ring variables that act on it; the Koszul strands run over exactly
+    these, listed in increasing order, so the x-variables (index <= n)
+    come first.  It is cyclic, generated in degree (0, 0), except for the
+    kernels of the row split (see the module docstring and
+    ``_kernel_presentation``).  ``dims[i, j]`` is the dimension of the piece
     at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
     variable from the piece at d to the piece at d + deg(var), in the
     chosen bases: a dense int64 block, target dim x source dim.  Maps are

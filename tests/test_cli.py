@@ -264,7 +264,7 @@ PINNED_OUTPUTS = [
      "4cde0ad41e357b9f784bdf5162c69d7712fe0c71240a811192d04fec0dded0fd"),
     ("betti --n 1 --m 1 --N 15 --seed 3",
      "fa9c306f84ea484b727b0b7928dabee8356967e376b689a266ee6a556c848a83"),
-    # beta_1 at large N: 250 rows, each a kernel of x1 at most a few wide
+    # beta_1 at large N, rows i >= 1 from the kernels of x1 where it drops
     ("mrc --nmin 250 --nmax 250 --trials 1 --seed 1",
      "3b4bde851bcd2f43cd347e47c59dde90099ab373968133b6dc1cf29051ea65ca"),
     ("regress all --seed 1",
