@@ -267,6 +267,14 @@ PINNED_OUTPUTS = [
     # beta_1 at large N, rows i >= 1 from the kernels of x1 where it drops
     ("mrc --nmin 250 --nmax 250 --trials 1 --seed 1",
      "3b4bde851bcd2f43cd347e47c59dde90099ab373968133b6dc1cf29051ea65ca"),
+    # P^1 flags at the largest prime, where the products that build them
+    # come nearest 2**52
+    ("hilbert --n 1 --m 1 --N 30 --seed 2 --prime 67108859",
+     "2857cbedd6278f9ce76958e63781caa5142b7c15f86d0e937dad77470efea9ff"),
+    ("betti --n 2 --m 1 --N 6 --seed 4 --prime 67108859",
+     "458f3d972dc47fb049cc7babce261957a3d69a8be413738e851201ca72ed546e"),
+    ("betti --n 1 --m 1 --N 12 --seed 9 --prime 67108859",
+     "24f3759dba6308b2b5728af1b728ba5d0c351e7523896e15e8dd1f613a968ee4"),
     ("regress all --seed 1",
      "9f6c35cc77c9d223285d9ee4db47138baacd50ebf8c66e491a2e355bd227e95b"),
 ]

@@ -171,6 +171,17 @@ class TestRandomPoints:
         assert ps.rejections == rejections
         assert hashlib.sha256(ps.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, m, N, p, seed, digest", [
+        # five repeated draws of x1 over GF(7)
+        (1, 0, 6, 7, 3, "c9f961363a49c21007293496e5cc420c4c53cfbb0ce44bf8cd489a969036186e"),
+        # three repeated draws of y1 over GF(7)
+        (0, 1, 6, 7, 5, "4a58864d89cd6c21175241d903724512e0d11bec7b3df2bcde2c02e2e05a24b0"),
+    ])
+    def test_repeated_draws_are_pinned(self, n, m, N, p, seed, digest):
+        # a repeated draw is dropped and the stream moves on to the next
+        ps = random_points(n, m, N, seed=seed, p=p)
+        assert hashlib.sha256(ps.to_json().encode()).hexdigest() == digest
+
     def test_rejection_cap_exhausts(self):
         # seed 1 over GF(11) draws no generic 10-point set in MAX_DRAWS tries
         with pytest.raises(GenericityExhausted):
