@@ -14,10 +14,16 @@ The Koszul strands are many, small and very sparse, so the cost of
 elimination is the fixed numpy overhead of each pivot, not its
 arithmetic.  ``rank`` therefore runs along the shorter side (rank is
 invariant under transpose), scans each column once for both the pivot and
-the rows to clear, and updates only the columns from the pivot on;
-``rref`` has the same loop shape and visits only the columns that hold a
-nonzero, since no row operation fills a zero column.  The steps, and so
-the exactness argument above, are unchanged.
+the rows to clear, and updates only those rows, from the pivot column on.
+``rref`` visits only the columns that hold a nonzero, since no row
+operation fills a zero column, and clears each pivot column with one
+update of the whole trailing block: its inputs (the sweep's flag
+residues, kernels of dense maps) are small or dense, so selecting the
+rows to clear costs more than updating the rest.  ``rank`` keeps its
+selected rows: its strands are sparse and reach a thousand rows, most of
+them already zero in the pivot column, and the whole-block update made
+the 33 strands of ``mrc_check`` at N = 400 over four times slower.  The
+steps, and so the exactness argument above, are the same in both.
 """
 
 from __future__ import annotations
@@ -98,6 +104,15 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     zero column zero, so only the columns of the input that hold a
     nonzero are visited: a matrix that vanishes on most columns, such as
     a residue modulo a larger basis, costs no scan of the others.
+
+    A pivot column is cleared by one update of the trailing block
+    ``A[:, c:]``: every row subtracts its entry in column c times the
+    scaled pivot row, with the pivot row's own multiplier set to 0.  A row
+    that is already zero in column c is left as it was, so the result is
+    that of clearing only the nonzero rows, with no gather or scatter of
+    those rows.  On a sparse input that is both tall and wide (300 x 800
+    at 5% density) this is about a third slower; no library caller was
+    seen to pass one.
     """
     A = normalize(a, p)
     rows = A.shape[0]
@@ -115,10 +130,10 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         piv = int(A[r, c])
         if piv != 1:
             A[r, c:] = A[r, c:] * _inv(piv, p) % p
-        hit = A[:, c].nonzero()[0]
-        hit = hit[hit != r]
-        if hit.size:
-            A[hit, c:] = (A[hit, c:] - A[hit, c, None] * A[r, c:]) % p
+        # the pivot row's own multiplier is zeroed, so it stays as scaled
+        mults = A[:, c].copy()
+        mults[r] = 0
+        A[:, c:] = (A[:, c:] - mults[:, None] * A[r, c:]) % p
         pivots.append(c)
         r += 1
     return A, pivots

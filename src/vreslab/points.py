@@ -87,6 +87,26 @@ only columns 0..min(wj, r_y), down to row min(wi, r_x), for a window
 ell_y blocks of row 0: a product of ell_x - 1 linear x-forms, each
 through one other x-part and not through P_k, is e_k up to a scalar, so
 r_x <= ell_x - 1, and likewise r_y <= ell_y - 1.
+
+Along a P^1 factor (column 0 when n = 1, row 0 when m = 1) the flag has a
+closed form, and no elimination builds it.  Coordinates are normalized, so
+a part is its value v (x1 or y1).  Let xi_0, xi_1, ... be the distinct
+parts in order of first appearance (the order of ``pi1_fibers``) and q_k
+the first point with part xi_k.  Block k is the single row
+
+    N_k = (v - xi_0) * ... * (v - xi_(k-1)),
+
+scaled to 1 at q_k, its pivot.  N_k vanishes exactly at the points whose
+part is among xi_0..xi_(k-1): at every earlier pivot q_0..q_(k-1) and at
+every point before q_k.  So its first nonzero is at q_k, and the block is
+the identity at its own pivot and zero at all earlier ones, which is the
+flag invariant.  The flag step's residue from block k-1 is
+(v - v(q_(k-1))) * block_(k-1), a scalar multiple of N_k, and a one-row
+RREF is unique, so the closed form is the block the step would build.
+Its dimensions are 1, 2, ..., ell, and H(i) <= i + 1 along a P^1 factor,
+so r = ell - 1 exactly.  Each block is built from the last as that
+residue: a factor in (-p, p) times a row in [0, p), below 2**52, exact in
+int64 as in the step.
 """
 
 from __future__ import annotations
@@ -125,8 +145,10 @@ class PointSet:
     seed: int | None = None
     rejections: int = 0
     # the sweep's memo (see the module docstring): (r_x, r_y) once found,
-    # the flags of row 0 and of each column, and the RREF cells read so far
+    # the flags of row 0 and of each column, and the RREF cells read so far;
+    # and the fibration over the x-parts once read
     _box: tuple | None = field(default=None, init=False, repr=False)
+    _fibration: Pi1Fibration | None = field(default=None, init=False, repr=False)
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
     _cells: dict = field(default_factory=dict, init=False, repr=False)
@@ -144,11 +166,8 @@ class PointSet:
             raise ValueError("need matching nonempty coordinate arrays")
         if np.any(self.xs[:, 0] != 1) or np.any(self.ys[:, 0] != 1):
             raise ValueError("points must be normalized (leading coordinate 1)")
-        seen = set()
-        for a, b in zip(map(tuple, self.xs), map(tuple, self.ys)):
-            if (a, b) in seen:
-                raise ValueError("points must be pairwise distinct")
-            seen.add((a, b))
+        if len({*map(tuple, np.hstack([self.xs, self.ys]).tolist())}) < self.N:
+            raise ValueError("points must be pairwise distinct")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
@@ -178,10 +197,7 @@ class PointSet:
             "m": self.m,
             "p": self.p,
             "seed": self.seed,
-            "points": [
-                [list(map(int, a)), list(map(int, b))]
-                for a, b in zip(self.xs, self.ys)
-            ],
+            "points": [list(pt) for pt in zip(self.xs.tolist(), self.ys.tolist())],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -213,6 +229,11 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
                   require_generic: bool = False) -> PointSet:
     """Draw N distinct normalized points from a seeded PRNG stream.
 
+    Each point is n + m coordinates read from the stream in order (x1..xn,
+    then y1..ym), and the set is the first N distinct points.  The points
+    still missing are drawn as one batch of rows, repeats are dropped, and
+    the deficit is drawn again; a batch of k rows reads the stream exactly
+    as k single draws do, so the points do not depend on the batching.
     With ``require_generic`` the whole set is redrawn until its Hilbert
     matrix is generic on the default window, at most MAX_DRAWS times; the
     number of rejected sets is recorded on the result.  A draw with a
@@ -231,13 +252,15 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     def draw() -> PointSet:
-        # the first N distinct draws, in order; a repeated draw is dropped
-        drawn: dict[tuple, np.ndarray] = {}
+        # the first N distinct draws, in order; a repeated draw is dropped,
+        # and the deficit is drawn again in one batch
+        drawn: dict[tuple, None] = {}
         while len(drawn) < N:
-            coords = rng.integers(0, p, size=n + m, dtype=np.int64)
-            drawn.setdefault(tuple(coords.tolist()), coords)
+            batch = rng.integers(0, p, size=(N - len(drawn), n + m), dtype=np.int64)
+            drawn.update(dict.fromkeys(map(tuple, batch.tolist())))
         # the leading coordinate 1 of each factor goes before x1 and y1
-        a = np.insert(np.array(list(drawn.values())), [0, n], 1, axis=1)
+        a = np.array(list(drawn), dtype=np.int64).reshape(N, n + m)
+        a = np.insert(a, [0, n], 1, axis=1)
         return PointSet(n, m, p, a[:, : n + 1], a[:, n + 1:], seed=seed)
 
     rejects = 0
@@ -357,22 +380,45 @@ def _flag_step(flag: _Flag, p: int) -> None:
     flag.dims.append(flag.dims[-1] + len(fresh))
 
 
+def _line_flag(values: np.ndarray, origin: tuple, p: int) -> _Flag:
+    """The whole flag along a P^1 factor, in closed form.
+
+    Block k is the product of (v - xi) over the first k distinct parts xi
+    of the factor, scaled to 1 at the first point of part k, its pivot
+    (see the module docstring).
+    """
+    v = values[:, 1]
+    firsts = np.sort(np.unique(v, return_index=True)[1])
+    blocks, row = [origin], origin[0][0]
+    for before, q in zip(firsts[:-1].tolist(), firsts[1:].tolist()):
+        # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+        row = (v - v[before]) * row % p
+        row = row * pow(int(row[q]), -1, p) % p
+        blocks.append((row[None], np.array([q], dtype=np.int64)))
+    return _Flag(values, blocks, list(range(1, len(blocks) + 1)))
+
+
 def regularity_box(ps: PointSet) -> tuple[int, int]:
     """(r_x, r_y), the corner of the sweep's box (see the module docstring).
 
     The first call grows column 0 until it reaches ell_x dimensions and
-    row 0 until it reaches ell_y; later calls read the memo.
+    row 0 until it reaches ell_y, in closed form along a P^1 factor; later
+    calls read the memo.
     """
     if ps._box is None:
-        ell_x, ell_y = _part_counts(ps)
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
         ps._cells[(0, 0)] = origin
-        ps._row = _Flag(ps.ys, [origin], [1])
-        ps._columns = [_Flag(ps.xs, [origin], [1])]
-        for flag, ell in ((ps._columns[0], ell_x), (ps._row, ell_y)):
-            while flag.dims[-1] < ell:
-                _flag_step(flag, ps.p)
-        ps._box = (len(ps._columns[0].dims) - 1, len(ps._row.dims) - 1)
+        flags = []
+        for values, ell in zip((ps.xs, ps.ys), _part_counts(ps)):
+            if values.shape[1] == 2:
+                flag = _line_flag(values, origin, ps.p)
+            else:
+                flag = _Flag(values, [origin], [1])
+                while flag.dims[-1] < ell:
+                    _flag_step(flag, ps.p)
+            flags.append(flag)
+        ps._columns, ps._row = [flags[0]], flags[1]
+        ps._box = (len(flags[0].dims) - 1, len(flags[1].dims) - 1)
     return ps._box
 
 
@@ -502,19 +548,18 @@ class Pi1Fibration:
 
 def _part_counts(ps: PointSet) -> tuple[int, int]:
     """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
-    return pi1_fibers(ps).ell, len({*map(tuple, ps.ys)})
+    return pi1_fibers(ps).ell, len({*map(tuple, ps.ys.tolist())})
 
 
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
-    order: list[tuple[int, ...]] = []
-    members: dict[tuple[int, ...], list[int]] = {}
-    for idx, row in enumerate(map(tuple, ps.xs)):
-        if row not in members:
-            members[row] = []
-            order.append(row)
-        members[row].append(idx)
-    fibers = tuple((xv, tuple(members[xv])) for xv in order)
-    return Pi1Fibration(len(order), fibers)
+    """The points grouped by x-part, in order of first appearance; memoized."""
+    if ps._fibration is None:
+        members: dict[tuple[int, ...], list[int]] = {}
+        for idx, row in enumerate(map(tuple, ps.xs.tolist())):
+            members.setdefault(row, []).append(idx)
+        fibers = tuple((xv, tuple(idx)) for xv, idx in members.items())
+        ps._fibration = Pi1Fibration(len(fibers), fibers)
+    return ps._fibration
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:

@@ -74,3 +74,38 @@ def fibered_sets(draw, primes=(7, 101, 32003)):
         xs += [base] * size
         ys += sorted(fiber)
     return PointSet(n, m, p, np.array(xs), np.array(ys))
+
+
+@st.composite
+def line_fibered_sets(draw):
+    """Up to eight points of P^1 x P^m, m in 0..3, over at most three
+    x-parts, whose y-parts repeat across the fibers or lie on one line: the
+    sets whose presentation modulo x0 has x1 alone as its x-variable."""
+    m = draw(st.integers(0, 3))
+    p = draw(st.sampled_from([5, 7, 11, 101, 67108859]))
+    coords = st.integers(0, p - 1)
+    xparts = draw(st.lists(coords, min_size=1, max_size=3, unique=True))
+    if m and draw(st.booleans()):
+        a, b = (draw(st.tuples(*[coords] * m)) for _ in range(2))
+        yparts = {tuple((u + s * v) % p for u, v in zip(a, b))
+                  for s in draw(st.lists(coords, min_size=1, max_size=4))}
+    else:
+        yparts = set(draw(st.lists(st.tuples(*[coords] * m), min_size=1, max_size=4)))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xparts), st.sampled_from(sorted(yparts))),
+                          min_size=1, max_size=8, unique=True))
+    return PointSet(1, m, p, np.array([(1, a) for a, _ in pairs]),
+                    np.array([(1, *b) for _, b in pairs]).reshape(len(pairs), m + 1))
+
+
+@st.composite
+def shared_part_sets(draw):
+    """Up to seven points over at most three x-parts and four y-parts."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    p = draw(st.sampled_from([5, 7, 11]))
+    coords = st.integers(0, p - 1)
+    xparts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3, unique=True))
+    yparts = draw(st.lists(st.tuples(*[coords] * m), min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xparts), st.sampled_from(yparts)),
+                          min_size=1, max_size=7, unique=True))
+    return PointSet(n, m, p, np.array([(1, *a) for a, _ in pairs]),
+                    np.array([(1, *b) for _, b in pairs]))

@@ -235,8 +235,27 @@ def strand_like_matrices(draw, p):
     return a
 
 
+@st.composite
+def residue_like_matrices(draw, p):
+    """Wide blocks like the sweep's flag residues: 1 to 36 rows, up to 60
+    columns, the leading columns zero (the residues vanish at the flag's
+    older pivots, which come first) and rows that are combinations of
+    others, so that most rows clear to zero.
+
+    A whole-block update touches every row at each pivot; these inputs
+    have many rows already zero in the pivot column, and many pivots.
+    """
+    rows, cols = draw(st.integers(1, 36)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank_cap = draw(st.integers(0, min(rows, cols)))
+    a = random_fp_matrix(rng, rows, cols, p, rank_cap=rank_cap)
+    a[:, : draw(st.integers(0, cols - 1))] = 0
+    return a
+
+
 @settings(max_examples=300, deadline=None)
-@given(primes.flatmap(lambda p: st.tuples(st.just(p), strand_like_matrices(p))))
+@given(primes.flatmap(lambda p: st.tuples(
+    st.just(p), st.one_of(strand_like_matrices(p), residue_like_matrices(p)))))
 def test_kernels_match_column_loop_oracle(case):
     p, a = case
     R, piv = rref(a, p)

@@ -31,7 +31,7 @@ from vreslab.points import (
 )
 from vreslab.vres import pair_vres, predicted_pair_shape
 
-from conftest import fibered_633, fibered_sets, ff_rank
+from conftest import fibered_633, fibered_sets, ff_rank, line_fibered_sets, shared_part_sets
 from oracles import (
     decomposition_check_in_full,
     dense_mult_map,
@@ -337,7 +337,7 @@ class TestSweepMemo:
         ps = random_points(1, 2, 5, seed=64)
         calls = count_extensions(monkeypatch)
         H = function_space_bases(ps, (6, 4)).dims
-        assert len(calls) == sweep_eliminations(H, ps.N) < H.size
+        assert len(calls) == sweep_eliminations(H, ps) < H.size
 
     def test_stalled_column_runs_no_elimination(self, monkeypatch):
         # three fibers of two points: column 0 stops at 3 < N = 6 from row
@@ -366,7 +366,7 @@ class TestSweepMemo:
         assert all(H[i - 1, j] == H[i - 2, j] < ps.N for i, j in stalled)
         # only the box's cells are swept: H(2, 0) = ell = 3 and H(0, 2) = N
         assert fs.box == (2, 2)
-        assert len(calls) == sweep_eliminations(H[:3, :3], ps.N)
+        assert len(calls) == sweep_eliminations(H[:3, :3], ps)
 
 
 def count_extensions(monkeypatch) -> list:
@@ -382,11 +382,14 @@ def count_extensions(monkeypatch) -> list:
     return calls
 
 
-def sweep_eliminations(H: np.ndarray, N: int) -> int:
+def sweep_eliminations(H: np.ndarray, ps: PointSet) -> int:
     """Flag steps of a fresh sweep, one per growing block: the unsaturated
     cells other than the origin whose predecessor in its flag (the cell
     above it, or on row 0 the cell to its left) added a nonempty block,
-    that is, has more dimensions than the cell before it."""
+    that is, has more dimensions than the cell before it.  A flag along a
+    P^1 factor (column 0 when n = 1, row 0 when m = 1) is built in closed
+    form and takes no step."""
+    N = ps.N
 
     def dim(i, j):
         return H[i, j] if i >= 0 and j >= 0 else 0
@@ -394,7 +397,8 @@ def sweep_eliminations(H: np.ndarray, N: int) -> int:
     count = 0
     for i, j in np.ndindex(H.shape):
         saturated = (i and H[i - 1, j] == N) or (j and H[i, j - 1] == N)
-        if saturated or not (i or j):
+        closed = (ps.n == 1 and not j) or (ps.m == 1 and not i)
+        if saturated or closed or not (i or j):
             continue
         fresh = dim(i - 1, j) - dim(i - 2, j) if i else dim(0, j - 1) - dim(0, j - 2)
         count += fresh > 0
@@ -472,6 +476,61 @@ def test_flag_cells_equal_rref_of_evaluation_past_the_box(ps):
         assert fs.dims[d] == len(piv)
         assert np.array_equal(V, R[: len(piv)])
         assert pivots.tolist() == piv
+
+
+class TestLineFlags:
+    def test_p1_factors_take_no_flag_step(self, monkeypatch):
+        # the flag along a P^1 factor is built in closed form: on P^1 x P^2
+        # only row 0 steps, and on P^1 x P^1 nothing does
+        stepped = []
+        step = points_module._flag_step
+
+        def recording_step(flag, p):
+            stepped.append(flag)
+            return step(flag, p)
+
+        drawn = [random_points(n, m, 12, seed=69, require_generic=True) for n, m in [(1, 2), (1, 1)]]
+        # fresh sets, with no sweep memoized by the genericity check
+        ps12, ps11 = (PointSet(d.n, d.m, d.p, d.xs, d.ys) for d in drawn)
+        monkeypatch.setattr(points_module, "_flag_step", recording_step)
+        assert points_module.regularity_box(ps12) == (11, 4)
+        assert stepped and all(flag is ps12._row for flag in stepped)
+        stepped.clear()
+        assert points_module.regularity_box(ps11) == (11, 11)
+        assert stepped == []
+
+
+@st.composite
+def p1_sets(draw):
+    """Sets with a P^1 factor: generic draws over four shapes at primes from
+    5 to the largest, and sets whose parts repeat or lie on a line."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3)]))
+    p = draw(st.sampled_from([5, 7, 11, 101, 67108859]))
+    generic = st.builds(lambda N, seed: random_points(n, m, N, seed=seed, p=p),
+                        st.integers(1, min(p - 1, 12)), st.integers(0, 2**32 - 1))
+    return draw(st.one_of(generic, line_fibered_sets(), shared_part_sets()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p1_sets())
+@example(fibered_633())
+def test_line_flag_equals_stepped_flag(ps):
+    """The closed-form flag along each P^1 factor against one grown by
+    ``_flag_step`` from a fresh flag: same blocks, pivots, dimensions and
+    box corner."""
+    box = points_module.regularity_box(ps)
+    for k, (values, flag) in enumerate([(ps.xs, ps._columns[0]), (ps.ys, ps._row)]):
+        if values.shape[1] != 2:
+            continue
+        origin = (np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
+        want = points_module._Flag(values, [origin], [1])
+        while want.dims[-1] < len(np.unique(values[:, 1])):
+            points_module._flag_step(want, ps.p)
+        assert flag.dims == want.dims
+        assert box[k] == len(want.dims) - 1
+        for (rows, pivots), (want_rows, want_pivots) in zip(flag.blocks, want.blocks, strict=True):
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(pivots, want_pivots)
 
 
 class TestCellsOnDemand:
