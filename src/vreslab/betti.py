@@ -54,7 +54,7 @@ reads only pieces at such e, is R's own strand, exact away from the
 origin.  (That speaks of M's full strand, which has the homology of the
 truncated one.)  The origin's strand gives beta_0 with no rank.
 
-Two more reads replace ranks.  First, the map K_1 -> K_0 at d sends
+One more read replaces a rank.  The map K_1 -> K_0 at d sends
 (u_v) in the sum of the M_(d - deg v) to the sum of the v*u_v in M_d.  M
 is cyclic and generated at (0, 0), so for d != (0, 0) every element of
 M_d is a sum of monomials of degree d times the generator, each a
@@ -68,34 +68,6 @@ map onto M_d.  Hence wherever K_1 and K_0 are both nonzero, d is not the
 origin and the rank is dim K_0; ``_betti_cell`` assembles no such block.
 The read needs a cyclic module: the kernels of the row split below are
 not cyclic, and their strands rank K_1 -> K_0 like every differential.
-
-Second, the tail rule.  Let n_x and n_y count the x- and y-variables of
-the presentation; ``variables`` is increasing, so the x-variables come
-first.  A k-subset T splits as T_x and T_y, and its summand at
-d = (i, j) is the piece at (i - |T_x|, j - |T_y|), in a row at least
-i - n_x.  Let 1 <= j <= n_y and suppose every piece (a, b) with
-i - n_x <= a <= i and 1 <= b <= j is zero.  Then the only nonzero
-summands have |T_y| = j and lie in column 0.  The differential sends
-e_T (x) u to the sum over positions q of (-1)^q e_(T - T[q]) (x) T[q]*u.
-Dropping a y-variable lands in column 1, a zero piece.  Dropping an
-x-variable keeps T_y, and q is its position in T_x, so the sign is that
-of the strand at (i, 0), which is K(x; C) in degree i for C the column-0
-pieces with their x-maps (its summands with T_y nonempty lie in negative
-columns).  So K_k at (i, j) is C(n_y, j) copies of K_(k-j) at (i, 0),
-one per T_y, each with the column-0 differential: the strand is the
-column-0 strand tensored with Lambda^j k^(n_y), as the Koszul complex on
-a disjoint union of variable sets is the tensor product of the two
-(Eisenbud, Commutative Algebra with a View Toward Algebraic Geometry,
-section 17).  Hence beta_{k,(i,j)} = C(n_y, j) * beta_{k-j,(i,0)}.  For
-the truncated strands nothing changes: the rows below t hold R's own
-pieces, nonzero in every column once n_y >= 1, so such a cell has
-i - n_x >= t and its truncated strand reads the rows of the full one.
-``betti_numbers`` visits the window row-major, so (i, 0) is done before
-the tail cells of row i; it builds no strand there and fills them from
-column 0, where a cell the mask skipped has no Betti number up to kmax.
-On S/I_X these are the long tails of columns 1, 2, ... past the rows
-where those columns of S/I_X modulo x0 die, while column 0 stays
-one-dimensional up to row N - 1.
 
 The row split.  Let the presentation have one x-variable x and no free
 rows: ``point_presentation`` with n = 1, where x = x1.  M is cyclic and
@@ -159,7 +131,8 @@ window that contains the box holds every Betti number of the module, and
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
 inside one point-set presentation, the fresh pivots of each piece that
-its maps read.  Both masks are shifted ORs of one helper, ``_reach``.
+its maps read.  The live mask and the columns the row split reads are
+shifted ORs of one helper, ``_reach``.
 """
 
 from __future__ import annotations
@@ -167,8 +140,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
 
 import numpy as np
 
@@ -178,7 +150,6 @@ from .fp import kernel_basis, matmul, rank
 from .points import (
     PointSet,
     evaluation_matrix,
-    fresh_pivots,
     function_space_bases,
     generic_hilbert_matrix,
     hilbert_matrix,
@@ -290,10 +261,10 @@ def intersected_presentation(ps: PointSet, t: int,
     @cache
     def fresh(d):
         # which of V_d's pivots are not pivots of the cell below
-        lo, pivots = below(d), fs.cell(d)[1]
-        if lo is None:
-            return np.ones(len(pivots), dtype=bool)
-        return fresh_pivots(pivots, fs.cell(lo)[1], ps.N)
+        mask = np.ones(ps.N, dtype=bool)
+        if (lo := below(d)) is not None:
+            mask[fs.cell(lo)[1]] = False
+        return mask[fs.cell(d)[1]]
 
     def coordinates(funcs, d):
         # columns: the classes, in the piece at d, of the rows of funcs
@@ -411,20 +382,6 @@ def _reach(nonzero: np.ndarray, degrees) -> np.ndarray:
         if a < wi and b < wj:
             out[a:, b:] |= nonzero[: wi - a, : wj - b]
     return out
-
-
-def _tail_cells(pres) -> np.ndarray:
-    """Mask of the cells (i, j), 1 <= j <= n_y, whose strand reads no
-    nonzero piece off column 0: every piece (a, b) with i - n_x <= a <= i
-    and 1 <= b <= j is zero.  Their Betti numbers are those of (i, 0)
-    times C(n_y, j) (see the module docstring)."""
-    nx, ny = pres.split
-    off = pres.dims[:, :ny + 1] > 0
-    off[:, 0] = False
-    tail = np.zeros(pres.dims.shape, dtype=bool)
-    # every subset bidegree; a shift by b > j reads nothing at column j
-    tail[:, 1:ny + 1] = ~_reach(off, product(range(nx + 1), range(ny + 1)))[:, 1:]
-    return tail
 
 
 def _live_cells(pres, kmax) -> np.ndarray:
@@ -551,37 +508,30 @@ def betti_numbers(pres: GradedModulePresentation,
     """Betti table of the presented module on its window, for k <= kmax.
 
     The entries are exact at every cell of the window.  Cells the mask
-    drops hold none, tail cells are filled from column 0, and every other
-    cell ranks its strand but K_1 -> K_0 (see the module docstring).  When
-    the only x-variable is x1 and no row is free (``point_presentation``
-    with n = 1), only row 0 is computed that way: each row i >= 1 is the
-    y-variables' Betti table, shifted up by one homological degree, of the
-    kernel of x1 from row i-1 to row i, so a row where x1 loses no
-    dimension builds no map and ranks nothing.
+    drops hold none, and every other cell ranks its strand but K_1 -> K_0
+    (see the module docstring).  When the only x-variable is x1 and no row
+    is free (``point_presentation`` with n = 1), only row 0 is computed
+    that way: each row i >= 1 is the y-variables' Betti table, shifted up
+    by one homological degree, of the kernel of x1 from row i-1 to row i,
+    so a row where x1 loses no dimension builds no map and ranks nothing.
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
-    global reads (projective dimension, shape totals) are exact.  It is False for a window that misses the box, and for a
-    presentation with no known box; such a table may lack entries past the
-    window, and ``pdim`` refuses it.
+    global reads (projective dimension, shape totals) are exact.  It is
+    False for a window that misses the box, and for a presentation with no
+    known box; such a table may lack entries past the window, and ``pdim``
+    refuses it.
     """
     if kmax is None:
         kmax = pres.n + pres.m + 2
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    tail, ny = _tail_cells(pres), pres.split[1]
     live = _live_cells(pres, kmax)
     row_split = pres.split[0] == 1 and not pres.free_rows
     if row_split:
         live[1:] = False
     entries = {}
-    # row-major, so (i, 0) is done before the tail cells of row i
     for i, j in np.argwhere(live).tolist():
-        if tail[i, j]:
-            cell = {k: comb(ny, j) * entries[(k - j, i, 0)]
-                    for k in range(j, kmax + 1) if (k - j, i, 0) in entries}
-        else:
-            cell = _betti_cell(pres, (i, j), kmax)
-        for k, beta in cell.items():
+        for k, beta in _betti_cell(pres, (i, j), kmax).items():
             entries[(k, i, j)] = beta
     if row_split:
         entries.update(_kernel_rows(pres, kmax))

@@ -274,6 +274,13 @@ def main(argv=None) -> int:
     for flag in ("N", "nmin", "nmax"):  # point counts
         if hasattr(args, flag) and not 1 <= getattr(args, flag) < args.prime:
             parser.error(f"--{flag} must satisfy 1 <= {flag} < p = {args.prime}")
+    if hasattr(args, "N") and args.seed < 0:  # mrc and regress derive theirs
+        parser.error("--seed must be >= 0")
+    if hasattr(args, "suite"):  # regress: the largest set it draws
+        largest = 11 if args.suite == "appendix" else 31
+        if args.prime <= largest:
+            parser.error(f"regress {args.suite} draws {largest} points: "
+                         f"needs p > {largest}")
     for flag in ("n", "m"):  # projective dimensions
         if hasattr(args, flag) and getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1")

@@ -320,18 +320,6 @@ class FunctionSpaces:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
 
 
-def fresh_pivots(pivots: np.ndarray, older: np.ndarray, N: int) -> np.ndarray:
-    """Mask over ``pivots``: True at each pivot column not among ``older``.
-
-    Both are RREF pivot columns in k^N, ``older`` those of a subspace; the
-    rows of the larger RREF basis at the masked pivots span a complement
-    of that subspace.
-    """
-    mask = np.ones(N, dtype=bool)
-    mask[older] = False
-    return mask[pivots]
-
-
 @dataclass(eq=False)
 class _Flag:
     """One column of the sweep, or row 0, as a flag of blocks.

@@ -62,6 +62,12 @@ def one_point():
     return PointSet(1, 2, P, np.array([[1, 4]]), np.array([[1, 7, 9]]))
 
 
+def collinear_x_parts(N):
+    """N points of P^2 x P^1 whose x-parts lie on one line."""
+    return PointSet(2, 1, P, np.array([(1, k, 2 * k + 1) for k in range(N)]),
+                    np.array([(1, k * k + 3) for k in range(N)]))
+
+
 def form_row(coeffs, degree, n, m):
     basis = monomials(n, m, degree)
     row = np.zeros(len(basis), dtype=np.int64)
@@ -334,11 +340,12 @@ class TestBettiBox:
 def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
     # 25 generic points in P^1 x P^2, modulo x0 over x1, y0, y1, y2: column 0
     # stays 1-dimensional up to row 24 while columns 1 and 2 die near row
-    # 8, so the long column-1 and column-2 tails need no strand; K_1 -> K_0
-    # is onto off the origin, so no cell assembles or ranks it.  Rows i >= 1
-    # come from the strands of the kernels Z_i of x1, each strand credited
-    # to the cell (i, j) it gives; the maps of x1 taken for those kernels
-    # are not blocks of any strand of M
+    # 8.  Rows i >= 1 come from the strands of the kernels Z_i of x1, each
+    # strand credited to the cell (i, j) it gives, and x1 loses no
+    # dimension in columns 1 and 2 of the long tails, so no strand lies
+    # there; K_1 -> K_0 is onto off the origin, so no cell assembles or
+    # ranks it.  The maps of x1 taken for the kernels are not blocks of
+    # any strand of M
     ps = random_points(1, 2, 25, seed=1, require_generic=True)
     pres = point_presentation(ps, window)
     dims = pres.dims
@@ -529,10 +536,13 @@ def test_regularity_box_bounds_sweep_and_tables(ps):
 @example(random_points(1, 2, 7, seed=1, require_generic=True), 0, None)
 @example(random_points(1, 2, 7, seed=1, require_generic=True), 1, None)
 @example(random_points(2, 1, 7, seed=2, require_generic=True), 0, 1)
+# x-parts on a line of P^2: column 1 modulo x0 dies at row 4, column 0 at
+# row 6, so rows 6 and 7 of columns 1 and 2 read only column 0
+@example(collinear_x_parts(6), 0, None)
 def test_engine_matches_all_ranks_oracle(ps, t, kmax):
-    """Masks, truncated strands, tail fill and the onto K_1 -> K_0 give the
-    table of every strand of the module over S ranked, on a window one past
-    the Betti box."""
+    """Masks, truncated strands and the onto K_1 -> K_0 give the table of
+    every strand of the module over S ranked, on a window one past the
+    Betti box."""
     rx, ry = function_space_bases(ps, (0, 0)).box
     window = (max(t, rx) + ps.n + 1, ry + ps.m + 1)
     want = koszul_homology(intersected_presentation_in_full(ps, t, window), kmax)

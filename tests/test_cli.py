@@ -277,6 +277,10 @@ PINNED_OUTPUTS = [
      "24f3759dba6308b2b5728af1b728ba5d0c351e7523896e15e8dd1f613a968ee4"),
     ("regress all --seed 1",
      "9f6c35cc77c9d223285d9ee4db47138baacd50ebf8c66e491a2e355bd227e95b"),
+    # n_y = 4: rows 4 and 6 are C(4, j) times their column-0 entry, as
+    # beta_{2,(4,1)} = 12 = 4 * beta_{1,(4,0)} and beta_{4,(6,2)} = 6 * 2
+    ("betti --n 2 --m 3 --N 12 --seed 1",
+     "3e2156dd054282fc83524c843bc3590ef4c85c4cc8082d0bb4abf0bd4cf08f79"),
 ]
 
 
@@ -407,6 +411,12 @@ class TestExitCodes:
         ["mrc", "--seed", "1", "--nmax", "3", "--jobs", "-4"],
         # GF(11) gives no generic 10-point set within the draw cap
         ["points", "--N", "10", "--seed", "1", "--prime", "11"],
+        # a negative seed on a command that samples one set
+        ["points", "--N", "3", "--seed", "-1"],
+        ["vres-pair", "--N", "4", "--d", "3,0", "--seed", "-5"],
+        # a prime too small for the largest set of the suite (31 and 11 points)
+        ["regress", "final", "--seed", "1", "--prime", "31"],
+        ["regress", "appendix", "--seed", "1", "--prime", "7"],
     ])
     def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("VRES_PRIME", raising=False)
