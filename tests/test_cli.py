@@ -281,6 +281,16 @@ PINNED_OUTPUTS = [
     # beta_{2,(4,1)} = 12 = 4 * beta_{1,(4,0)} and beta_{4,(6,2)} = 6 * 2
     ("betti --n 2 --m 3 --N 12 --seed 1",
      "3e2156dd054282fc83524c843bc3590ef4c85c4cc8082d0bb4abf0bd4cf08f79"),
+    # row 0 read off the row flag modulo y0: a Newton flag on m = 1, a
+    # stepped flag on m = 3, and row 0 beside the full strands of n = 2
+    ("betti --n 1 --m 1 --N 12 --seed 1",
+     "24f3759dba6308b2b5728af1b728ba5d0c351e7523896e15e8dd1f613a968ee4"),
+    ("betti --n 1 --m 3 --N 15 --seed 1",
+     "16643a36d48308ed0d62879f8106358474d8206e8eb3ebe45cce6d1ff2082266"),
+    ("betti --n 2 --m 1 --N 20 --seed 1",
+     "4208d8d26220c5e672c850f4405ab6225860683c9c9ebff28447e32838ceab93"),
+    ("mrc --nmin 80 --nmax 80 --trials 1 --seed 1",
+     "8c95c03d9c3fe5299f5213493bd96d8f68700d76dbcefd6979a334e80d7605a1"),
 ]
 
 
