@@ -78,8 +78,9 @@ point presentation this is V(i,j) = V(i-1,j) + x1*V(i-1,j) (see
 the mapping cone of x on K(y; M) (Eisenbud, section 17): its K_k at
 (i, j) is K_k(y; M)_(i,j) + K_(k-1)(y; M)_(i-1,j).  The y-variables keep
 the row, so the cone splits into one complex per row.  In row 0 it is
-K(y; M_(0,.)), the strands the engine builds there.  In a row i >= 1 it
-is the cone of x : K(y; M_(i-1,.)) -> K(y; M_(i,.)), which is onto.
+K(y; M_(0,.)), read modulo y0 off the row flag (see Row 0 below).  In a
+row i >= 1 it is the cone of x : K(y; M_(i-1,.)) -> K(y; M_(i,.)), which
+is onto.
 K(y; -) tensors with a complex of free modules, so it is exact, and with
 Z_i = ker(x : M_(i-1,.) -> M_(i,.)), a k[y]-module because y commutes
 with x, 0 -> K(y; Z_i) -> K(y; M_(i-1,.)) -> K(y; M_(i,.)) -> 0 is exact.
@@ -94,7 +95,48 @@ number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
 rows i >= 1 from the strands of the Z_i, which run over the y-variables
 alone, so only the rows where x loses dimension cost a kernel and a rank.
 Every other presentation (n >= 2, or t >= 1, whose x-variables are
-x0..xn) keeps the strands over all its variables, in every row.
+x0..xn) keeps the strands over all its variables in every row, but for
+row 0 of a point presentation (see Row 0).
+
+Row 0.  Let M be S/I_X modulo x0 and C = M_(0,.) its row 0: C_j =
+V(0,j), the functions on the points that the forms of k[y]_j give, so C
+is the coordinate ring of the y-parts.  A strand at (0, j) reads only
+pieces (0, j - |T|) with T a set of y-variables (an x-variable would take
+it to row -1), so beta_{k,(0,j)}(M) = dim Tor_k^B(C, k)_j for
+B = k[y0..ym].  Three facts read these off the row flag of ``points``.
+
+(a) y0 is a nonzerodivisor on C.  y0 is 1 at every point, so it maps
+C_(j-1) = V(0,j-1) into C_j = V(0,j) by the inclusion of function
+spaces, which is injective.
+
+(b) Tor^B(C) = Tor^B'(C/y0C) for B' = k[y1..ym], degree by degree.  The
+Koszul complex K(y0..ym; C) is the mapping cone of y0 on K(y1..ym; C)
+(Eisenbud, section 17).  By (a), y0 is injective on every term, and the
+cone of an injective map of complexes is quasi-isomorphic to its
+cokernel, K(y1..ym; C/y0C).  So row 0 is the Koszul homology of C/y0C
+over y1..ym, a cyclic module generated at column 0.
+
+(c) The pieces and maps of C/y0C are the row flag's.  (C/y0C)_j is
+V(0,j)/V(0,j-1), of dimension dims[0, j] - dims[0, j - 1], zero past r_y.
+Block j of the row flag spans V(0,j) modulo V(0,j-1) and is the identity
+at its pivots and zero at the older ones, so the stacked blocks 0..j,
+restricted to their pivots, are block-triangular with identity diagonal
+blocks: a vector of V(0,j) is determined by its values there, and a class
+of (C/y0C)_j has one representative vanishing at the older pivots (its
+residue), whose values at block j's pivots are its coordinates.  Let c be
+a row of block j with pivot q and k >= 1.  Then y_k * c = (y_k - y_k(q)) * c
++ y_k(q) * c, and the second term lies in V(0,j), zero in (C/y0C)_(j+1).
+The first vanishes at q, where its factor does, and at every other pivot
+of blocks 0..j, where c does: it is the residue of y_k * c, the flag-step
+residue of ``points``.  So the map of y_k from piece j to piece j + 1 is
+the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of block j + 1,
+with no product against a basis, no RREF cell and no reduction.
+``intersected_presentation`` attaches this presentation of C/y0C to every
+point presentation (t = 0, whatever n) as ``row_quotient``, and
+``betti_numbers`` ranks each live cell of row 0 on its strands, pieces
+one block wide where M's strands read V(0,j), up to N wide.  The live
+mask is M's, and C/y0C is cyclic, so the onto read of K_1 -> K_0 above
+holds for these strands too.
 
 The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
 ``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
@@ -178,6 +220,9 @@ class GradedModulePresentation:
     built lazily and memoized; a builder may refuse, with ValueError, a
     map that no strand of the engine reads.  ``box`` is the corner of the
     Betti box (see the module docstring), None when unknown.
+    ``row_quotient``, on a point presentation, presents C/y0C for C its
+    row 0; ``betti_numbers`` reads row 0 of the table off it (see Row 0 in
+    the module docstring).
     """
 
     n: int
@@ -190,6 +235,7 @@ class GradedModulePresentation:
     # read only the rows at or above it (see the module docstring)
     free_rows: int = 0
     box: tuple[int, int] | None = None
+    row_quotient: GradedModulePresentation | None = None
     _builder: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
@@ -246,6 +292,8 @@ def intersected_presentation(ps: PointSet, t: int,
     a map inside these rows is the 0/1 block of ``cox.mult_map``, and a
     map from row t-1 into row t evaluates the source monomials times the
     variable, then reduces.  Any other map below row t raises ValueError.
+    At t = 0 the presentation carries ``row_quotient``, C/y0C for C its
+    row 0, built from the row flag (see Row 0 in the module docstring).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -304,7 +352,26 @@ def intersected_presentation(ps: PointSet, t: int,
             dims[i, j] = count_monomials(n, m - 1, (i, j))
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    box=betti_box(ps, t), _builder=build)
+                                    box=betti_box(ps, t), _builder=build,
+                                    row_quotient=None if t else _row_quotient(ps, dims[0]))
+
+
+def _row_quotient(ps: PointSet, row: np.ndarray) -> GradedModulePresentation:
+    """C/y0C over y1..ym, C = M's row 0 (``row`` its dimensions): piece j is
+    block j of the row flag, and the map of y_k from piece j to piece j + 1
+    is each block row's flag-step residue read at block j + 1's pivots (see
+    the module docstring)."""
+    blocks, p = ps._row.blocks, ps.p
+
+    def build(var: int, d: tuple[int, int]) -> np.ndarray:
+        (rows, pivots), (_, fresh) = blocks[d[1]], blocks[d[1] + 1]
+        vals = ps.coordinate_values(var)
+        # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+        return (vals[fresh, None] - vals[pivots]) * rows[:, fresh].T % p
+
+    return GradedModulePresentation(ps.n, ps.m, p, (0, len(row) - 1),
+                                    np.diff(row, prepend=0)[None],
+                                    tuple(range(ps.n + 2, ps.n + ps.m + 2)), _builder=build)
 
 
 def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
@@ -509,7 +576,9 @@ def betti_numbers(pres: GradedModulePresentation,
 
     The entries are exact at every cell of the window.  Cells the mask
     drops hold none, and every other cell ranks its strand but K_1 -> K_0
-    (see the module docstring).  When the only x-variable is x1 and no row
+    (see the module docstring).  On a presentation with a ``row_quotient``
+    the live cells of row 0 rank the strands of C/y0C over y1..ym, whose
+    pieces are the row flag's blocks.  When the only x-variable is x1 and no row
     is free (``point_presentation`` with n = 1), only row 0 is computed
     that way: each row i >= 1 is the y-variables' Betti table, shifted up
     by one homological degree, of the kernel of x1 from row i-1 to row i,
@@ -531,7 +600,8 @@ def betti_numbers(pres: GradedModulePresentation,
         live[1:] = False
     entries = {}
     for i, j in np.argwhere(live).tolist():
-        for k, beta in _betti_cell(pres, (i, j), kmax).items():
+        module = pres if i or pres.row_quotient is None else pres.row_quotient
+        for k, beta in _betti_cell(module, (i, j), kmax).items():
             entries[(k, i, j)] = beta
     if row_split:
         entries.update(_kernel_rows(pres, kmax))

@@ -5,7 +5,9 @@ Every randomized command requires an explicit --seed; identical
 Timestamps and runtimes appear only in the JSONL log (--log), never in
 the primary output, so outputs stay diffable; every run that exits 0 or
 1 appends its records there.  Exit codes: 0 success, 1 asserted property
-failed (a JSON failure report is emitted), 2 usage.
+failed (a JSON failure report is emitted), 2 usage.  An --out or --log
+path that cannot be opened is a usage error, found before any sampling,
+with nothing on stdout.
 
 Each ``cmd_*`` takes the parsed arguments and the point set that ``main``
 sampled (None for the commands without --N) and returns (passed, payload,
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
 
 from .betti import (
     WindowTooSmall,
@@ -292,6 +295,22 @@ def main(argv=None) -> int:
         for flag in ("trials", "jobs"):
             if getattr(args, flag) < 1:
                 parser.error(f"--{flag} must be >= 1")
+    with ExitStack() as stack:
+        # opened before any work, so that a path that cannot be opened is a
+        # usage error; --out in append mode, emptied only when written, so
+        # that a later usage error leaves an old file as it was
+        files = {}
+        for flag in ("out", "log"):
+            if path := getattr(args, flag):
+                try:
+                    files[flag] = stack.enter_context(open(path, "a"))
+                except OSError as exc:
+                    parser.error(f"cannot open --{flag} {path!r}: {exc.strerror}")
+        return _run(parser, args, files)
+
+
+def _run(parser, args, files) -> int:
+    """Sample, compute, emit and log one command into the opened files."""
     started = time.perf_counter()
     try:
         ps = None
@@ -305,21 +324,21 @@ def main(argv=None) -> int:
     if not passed:
         out = {"failures": out}
     text = out if isinstance(out, str) else json.dumps(out, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    if "out" in files:
+        files["out"].truncate(0)
+        files["out"].write(text + "\n")
+        files["out"].close()
     else:
         print(text)
-    if args.log:
+    if "log" in files:
         common = {"timestamp": time.time(), "runtime_ms": runtime_ms,
                   "command": args.command, "seed": args.seed,
                   "n": getattr(args, "n", None), "m": getattr(args, "m", None),
                   "N": getattr(args, "N", None), "p": args.prime,
                   "artifacts": [args.out] if args.out else []}
-        with open(args.log, "a") as fh:
-            for verdicts, extra in records:
-                rec = {**common, "verdicts": verdicts, **extra}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for verdicts, extra in records:
+            rec = {**common, "verdicts": verdicts, **extra}
+            files["log"].write(json.dumps(rec, sort_keys=True) + "\n")
     return 0 if passed else 1
 
 

@@ -104,9 +104,10 @@ flag invariant.  The flag step's residue from block k-1 is
 (v - v(q_(k-1))) * block_(k-1), a scalar multiple of N_k, and a one-row
 RREF is unique, so the closed form is the block the step would build.
 Its dimensions are 1, 2, ..., ell, and H(i) <= i + 1 along a P^1 factor,
-so r = ell - 1 exactly.  Each block is built from the last as that
-residue: a factor in (-p, p) times a row in [0, p), below 2**52, exact in
-int64 as in the step.
+so r = ell - 1 exactly.  The unscaled N_1..N_(ell-1) are the prefix
+products of the factors (v - xi_l) mod p, taken in one pass of log2(ell)
+doubling rounds over all of them at once; each product is of two residues
+in [0, p), below 2**52 and exact in int64.
 """
 
 from __future__ import annotations
@@ -373,16 +374,22 @@ def _line_flag(values: np.ndarray, origin: tuple, p: int) -> _Flag:
 
     Block k is the product of (v - xi) over the first k distinct parts xi
     of the factor, scaled to 1 at the first point of part k, its pivot
-    (see the module docstring).
+    (see the module docstring).  Row l of one (ell - 1) x N array starts
+    as (v - xi_l) mod p, and log2(ell) rounds of doubling turn the rows
+    into their prefix products N_1..N_(ell-1); one broadcast then scales
+    each at its pivot.
     """
     v = values[:, 1]
     firsts = np.sort(np.unique(v, return_index=True)[1])
-    blocks, row = [origin], origin[0][0]
-    for before, q in zip(firsts[:-1].tolist(), firsts[1:].tolist()):
-        # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
-        row = (v - v[before]) * row % p
-        row = row * pow(int(row[q]), -1, p) % p
-        blocks.append((row[None], np.array([q], dtype=np.int64)))
+    rows, pivots = (v - v[firsts[:-1], None]) % p, firsts[1:]
+    s = 1
+    while s < len(rows):
+        # factors in [0, p): every product is below 2**52, exact in int64
+        rows[s:] = rows[s:] * rows[:-s] % p
+        s *= 2
+    leads = rows[np.arange(len(rows)), pivots].tolist()
+    rows = rows * np.array([pow(c, -1, p) for c in leads], dtype=np.int64)[:, None] % p
+    blocks = [origin] + [(rows[k:k + 1], pivots[k:k + 1]) for k in range(len(rows))]
     return _Flag(values, blocks, list(range(1, len(blocks) + 1)))
 
 

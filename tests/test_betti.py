@@ -340,28 +340,30 @@ class TestBettiBox:
 def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
     # 25 generic points in P^1 x P^2, modulo x0 over x1, y0, y1, y2: column 0
     # stays 1-dimensional up to row 24 while columns 1 and 2 die near row
-    # 8.  Rows i >= 1 come from the strands of the kernels Z_i of x1, each
-    # strand credited to the cell (i, j) it gives, and x1 loses no
-    # dimension in columns 1 and 2 of the long tails, so no strand lies
-    # there; K_1 -> K_0 is onto off the origin, so no cell assembles or
-    # ranks it.  The maps of x1 taken for the kernels are not blocks of
-    # any strand of M
+    # 8.  Row 0 comes from the strands of C/y0C over y1, y2, and rows
+    # i >= 1 from the strands of the kernels Z_i of x1, each strand
+    # credited to the cell (i, j) it gives; x1 loses no dimension in
+    # columns 1 and 2 of the long tails, so no strand lies there.  K_1 ->
+    # K_0 is onto off the origin, on M and on C/y0C alike, so no cell of
+    # theirs assembles or ranks it.  The maps of x1 taken for the kernels
+    # are not blocks of any strand of M
     ps = random_points(1, 2, 25, seed=1, require_generic=True)
     pres = point_presentation(ps, window)
-    dims = pres.dims
+    dims, quotient = pres.dims, pres.row_quotient
     tail = {(i, j) for i in range(1, window[0] + 1) for j in range(1, min(3, window[1]) + 1)
             if not dims[i - 1:i + 1, 1:j + 1].any()}
     assert len(tail) > 20
     cells, shapes, targets, rows = [], [], [], {}
     homology, kernel_presentation = betti._homology, betti._kernel_presentation
-    rank, build = betti.rank, pres.map
+    rank, build, build_row_0 = betti.rank, pres.map, quotient.map
 
     def counted_kernel_presentation(module, i):
         rows[id(zpres := kernel_presentation(module, i))] = i
         return zpres
 
     def counted_homology(module, d, kmax, onto):
-        cells.append((module is pres, d if module is pres else (rows[id(module)], d[1])))
+        own = module is pres or module is quotient
+        cells.append((own, d if own else (rows[id(module)], d[1])))
         return homology(module, d, kmax, onto)
 
     def counted_rank(mat, p):
@@ -372,10 +374,15 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
         targets.append((cells[-1], (d[0] + (var <= 1), d[1] + (var > 1))))
         return build(var, d)
 
+    def counted_row_0_map(var, d):
+        targets.append((cells[-1], (0, d[1] + 1)))
+        return build_row_0(var, d)
+
     monkeypatch.setattr(betti, "_kernel_presentation", counted_kernel_presentation)
     monkeypatch.setattr(betti, "_homology", counted_homology)
     monkeypatch.setattr(betti, "rank", counted_rank)
     monkeypatch.setattr(pres, "map", counted_map)
+    monkeypatch.setattr(quotient, "map", counted_row_0_map)
     bt = betti_numbers(pres)
     assert cells and not tail & {d for d, _ in shapes}
     assert not tail & {cell for (_, cell), _ in targets}
@@ -384,9 +391,14 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
     def dim(i, j):
         return int(dims[i, j]) if i >= 0 and j >= 0 else 0
 
+    def row_0_dim(j):
+        return int(quotient.dims[0, j]) if j >= 0 else 0
+
     for (i, j), shape in shapes:
-        # the K_1 -> K_0 block: dim M_d rows, one column per K_1 coordinate
+        # the K_1 -> K_0 block: dim M_d rows, one column per K_1 coordinate,
+        # and in row 0 the same block of C/y0C over two variables
         assert shape != (dim(i, j), dim(i - 1, j) + 3 * dim(i, j - 1))
+        assert i or shape != (row_0_dim(j), 2 * row_0_dim(j - 1))
     assert bt.entries == koszul_homology(pres).entries
 
 
@@ -394,7 +406,7 @@ def test_rows_without_a_drop_build_no_map(monkeypatch):
     # 40 generic points in P^1 x P^2 at (40, 2): x1 maps row i - 1 of S/I_X
     # modulo x0 onto row i, and only rows 6, 7, 13, 14 and 40 lose
     # dimension, so only the kernels of x1 under them cost anything, and
-    # the strands over all four variables are built in row 0 alone
+    # the cyclic strands are built in row 0 alone, over y1, y2 on C/y0C
     ps = random_points(1, 2, 40, seed=1, require_generic=True)
     pres = point_presentation(ps, (40, 2))
     drops = {i for i in range(1, 41) if (pres.dims[i - 1] > pres.dims[i]).any()}
@@ -402,17 +414,90 @@ def test_rows_without_a_drop_build_no_map(monkeypatch):
     cells, betti_cell = [], betti._betti_cell
 
     def counted_cell(module, d, kmax):
-        cells.append(d)
+        cells.append((module, d))
         return betti_cell(module, d, kmax)
 
     monkeypatch.setattr(betti, "_betti_cell", counted_cell)
     bt = betti_numbers(pres)
-    assert cells and all(i == 0 for i, _ in cells)
+    assert cells and all(module is pres.row_quotient and i == 0 for module, (i, _) in cells)
     # each kernel is at most four wide and these strands of Z_i have one
     # nonzero term, so they build no map at all (the table is pinned by the
     # CLI digest of betti --N 40 --seed 1)
     assert all(d[0] + 1 in drops for _, d in pres._maps) and len(pres._maps) <= 2
     assert {i for _, i, _ in bt.entries} == {0} | drops
+
+
+def test_row_0_rank_inputs_are_row_flag_blocks(monkeypatch):
+    # row 0 runs the strands of C/y0C over y1, y2, whose pieces are the
+    # row flag's blocks (j + 1 rows for generic points of P^2), so no side
+    # of a row-0 rank input passes twice the largest block; M's row-0
+    # strands over y0, y1, y2 read V(0, j), up to N wide, and K_1 alone
+    # reached 3N
+    ps = random_points(1, 2, 40, seed=1, require_generic=True)
+    pres = point_presentation(ps, mrc_window(40))
+    shapes, row_0, homology, rank = [], [], betti._homology, betti.rank
+
+    def counted_homology(module, d, kmax, onto):
+        row_0.append(module is pres.row_quotient)
+        return homology(module, d, kmax, onto)
+
+    def counted_rank(mat, p):
+        if row_0[-1]:
+            shapes.append(mat.shape)
+        return rank(mat, p)
+
+    monkeypatch.setattr(betti, "_homology", counted_homology)
+    monkeypatch.setattr(betti, "rank", counted_rank)
+    bt = betti_numbers(pres)
+    largest = max(len(pivots) for _, pivots in ps._row.blocks)
+    assert shapes and max(max(shape) for shape in shapes) <= 2 * largest < ps.N
+    assert bt.layer(1) == mrc_check(ps).beta1
+
+
+@st.composite
+def collinear_y_part_sets(draw):
+    """Up to eight points of P^n x P^m, n and m in 1..3, whose y-parts lie
+    on one line of P^m and may repeat."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(st.sampled_from([5, 7, 101]))
+    coords = st.integers(0, p - 1)
+    a, b = (draw(st.tuples(*[coords] * m)) for _ in range(2))
+    steps = draw(st.lists(coords, min_size=1, max_size=8))
+    xs = draw(st.lists(st.tuples(*[coords] * n), min_size=len(steps), max_size=len(steps),
+                       unique=True))
+    ys = [tuple((u + s * v) % p for u, v in zip(a, b)) for s in steps]
+    return PointSet(n, m, p, np.array([(1, *x) for x in xs]), np.array([(1, *y) for y in ys]))
+
+
+@st.composite
+def row_0_cases(draw):
+    """A set with n in 1..3 and m in 0..3, a window whose column reaches
+    short of, to or past the Betti box, and a kmax from 0 to the default."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    generic = st.builds(lambda N, seed, p: random_points(n, m, N, seed=seed, p=p,
+                                                         require_generic=m > 0),
+                        st.integers(1, 8 if m else 1), st.integers(0, 2**32 - 1),
+                        st.sampled_from([101, 32003]))
+    ps = draw(st.one_of(generic, shared_part_sets(), line_fibered_sets(),
+                        collinear_y_part_sets()))
+    box = betti.betti_box(ps, 0)
+    window = (draw(st.integers(0, 2)), max(0, box[1] + draw(st.integers(-2, 1))))
+    kmax = draw(st.one_of(st.none(), st.integers(0, ps.n + ps.m + 2)))
+    return ps, window, kmax
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_0_cases())
+@example((fibered_633(), (1, 6), None))
+@example((random_points(2, 1, 6, seed=1, require_generic=True), (2, 7), 1))
+def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
+    """Row 0 read off the row flag modulo y0 against every strand of the
+    same presentation ranked over y0..ym."""
+    ps, window, kmax = case
+    pres = point_presentation(ps, window)
+    got = betti_numbers(pres, kmax).entries
+    want = koszul_homology(pres, kmax).entries
+    assert {e: b for e, b in got.items() if not e[1]} == {e: b for e, b in want.items() if not e[1]}
 
 
 def test_free_row_maps_are_column_0_monomial_blocks():

@@ -44,6 +44,18 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         assert target.read_text() == out1
 
+    def test_out_file_is_replaced_and_kept_on_usage_error(self, capsys, tmp_path):
+        # a second run rewrites the file, and a run that ends in a usage
+        # error after the file was opened leaves it as it was
+        target = tmp_path / "pts.json"
+        argv = ["points", "--N", "3", "--seed", "5", "--out", str(target)]
+        assert run(capsys, argv)[0] == run(capsys, argv)[0] == 0
+        first = target.read_text()
+        assert first.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["points", "--N", "10", "--seed", "1", "--prime", "11", "--out", str(target)])
+        assert exc.value.code == 2 and target.read_text() == first
+
     def test_seed_splitting_is_stable_and_spread(self):
         a = derive_seed(7, 12, 0)
         assert a == derive_seed(7, 12, 0)
@@ -358,17 +370,19 @@ def test_free_rows_build_only_dense_column_0_x_maps():
 
 def test_huge_betti_window_ranks_only_inside_the_box(capsys, monkeypatch):
     # six generic points in P^1 x P^2: r_x = 5 and r_y = 2, so no Betti
-    # number lies past (6, 4) and no strand outside it is built
+    # number lies past (6, 4) and no strand outside it is built; the cyclic
+    # strands are row 0's, those of C/y0C over y1, y2
     cells, betti_cell = [], betti._betti_cell
 
     def counted(pres, d, kmax):
-        cells.append(d)
+        cells.append((pres.variables, d))
         return betti_cell(pres, d, kmax)
 
     monkeypatch.setattr(betti, "_betti_cell", counted)
     rc, out = run(capsys, ["betti", "--N", "6", "--seed", "1", "--window", "400,400"])
     assert rc == 0 and json.loads(out)["boundary_clean"] is True
-    assert cells and all(i <= 6 and j <= 4 for i, j in cells)
+    assert cells and all(i <= 6 and j <= 4 for _, (i, j) in cells)
+    assert all(variables == (3, 4) for variables, _ in cells)
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     want = betti_numbers(point_presentation(ps, betti_window(6, 1, 2)))
     assert {tuple(e[k] for k in "kij"): e["beta"]
@@ -427,13 +441,17 @@ class TestExitCodes:
         # a prime too small for the largest set of the suite (31 and 11 points)
         ["regress", "final", "--seed", "1", "--prime", "31"],
         ["regress", "appendix", "--seed", "1", "--prime", "7"],
+        # an output or log path that cannot be opened, found before sampling
+        ["points", "--N", "3", "--seed", "1", "--out", "/nonexistent/x.json"],
+        ["points", "--N", "3", "--seed", "1", "--log", "/nonexistent/x.jsonl"],
     ])
     def test_out_of_range_input_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("VRES_PRIME", raising=False)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("flag, env", [
         ("32004", None),     # composite
