@@ -190,6 +190,7 @@ from .cox import count_monomials, mult_map, var_degree
 from .diffcalc import dh_p1p2
 from .fp import kernel_basis, matmul, rank
 from .points import (
+    FunctionSpaces,
     PointSet,
     evaluation_matrix,
     function_space_bases,
@@ -353,15 +354,15 @@ def intersected_presentation(ps: PointSet, t: int,
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
                                     box=betti_box(ps, t), _builder=build,
-                                    row_quotient=None if t else _row_quotient(ps, dims[0]))
+                                    row_quotient=None if t else _row_quotient(ps, fs))
 
 
-def _row_quotient(ps: PointSet, row: np.ndarray) -> GradedModulePresentation:
-    """C/y0C over y1..ym, C = M's row 0 (``row`` its dimensions): piece j is
+def _row_quotient(ps: PointSet, fs: FunctionSpaces) -> GradedModulePresentation:
+    """C/y0C over y1..ym for C the sweep's row 0 on the window: piece j is
     block j of the row flag, and the map of y_k from piece j to piece j + 1
     is each block row's flag-step residue read at block j + 1's pivots (see
-    the module docstring)."""
-    blocks, p = ps._row.blocks, ps.p
+    Row 0 in the module docstring)."""
+    blocks, p = fs.row_blocks, ps.p
 
     def build(var: int, d: tuple[int, int]) -> np.ndarray:
         (rows, pivots), (_, fresh) = blocks[d[1]], blocks[d[1] + 1]
@@ -369,6 +370,7 @@ def _row_quotient(ps: PointSet, row: np.ndarray) -> GradedModulePresentation:
         # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
         return (vals[fresh, None] - vals[pivots]) * rows[:, fresh].T % p
 
+    row = fs.dims[0]
     return GradedModulePresentation(ps.n, ps.m, p, (0, len(row) - 1),
                                     np.diff(row, prepend=0)[None],
                                     tuple(range(ps.n + 2, ps.n + ps.m + 2)), _builder=build)

@@ -310,7 +310,7 @@ class FunctionSpaces:
     clamped to the box, built the first time any window reads it and
     memoized on the point set.  The basis and pivots are read-only; all
     saturated cells (dimension N) share the identity basis with pivots
-    ``arange(N)``.
+    ``arange(N)``.  ``row_blocks`` is row 0's flag, blocks 0..r_y.
     """
 
     box: tuple[int, int]
@@ -319,6 +319,13 @@ class FunctionSpaces:
 
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
+
+    @property
+    def row_blocks(self) -> list:
+        """Block j as (rows, pivots): the rows that column j adds to
+        V(0, j-1), the identity at their own pivots and zero at the pivots
+        of every earlier block (see the module docstring)."""
+        return self._ps._row.blocks
 
 
 @dataclass(eq=False)

@@ -449,7 +449,7 @@ def test_row_0_rank_inputs_are_row_flag_blocks(monkeypatch):
     monkeypatch.setattr(betti, "_homology", counted_homology)
     monkeypatch.setattr(betti, "rank", counted_rank)
     bt = betti_numbers(pres)
-    largest = max(len(pivots) for _, pivots in ps._row.blocks)
+    largest = max(len(pivots) for _, pivots in function_space_bases(ps, (0, 0)).row_blocks)
     assert shapes and max(max(shape) for shape in shapes) <= 2 * largest < ps.N
     assert bt.layer(1) == mrc_check(ps).beta1
 
