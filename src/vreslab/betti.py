@@ -578,13 +578,14 @@ def betti_numbers(pres: GradedModulePresentation,
 
     The entries are exact at every cell of the window.  Cells the mask
     drops hold none, and every other cell ranks its strand but K_1 -> K_0
-    (see the module docstring).  On a presentation with a ``row_quotient``
+    (see the module docstring); on a presentation with a ``row_quotient``
     the live cells of row 0 rank the strands of C/y0C over y1..ym, whose
-    pieces are the row flag's blocks.  When the only x-variable is x1 and no row
-    is free (``point_presentation`` with n = 1), only row 0 is computed
-    that way: each row i >= 1 is the y-variables' Betti table, shifted up
-    by one homological degree, of the kernel of x1 from row i-1 to row i,
-    so a row where x1 loses no dimension builds no map and ranks nothing.
+    pieces are the row flag's blocks.  When the only x-variable is x1 and
+    no row is free (``point_presentation`` with n = 1), only row 0 is
+    computed that way: each row i >= 1 is the y-variables' Betti table,
+    shifted up by one homological degree, of the kernel of x1 from row i-1
+    to row i, so a row where x1 loses no dimension builds no map and ranks
+    nothing.
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
     global reads (projective dimension, shape totals) are exact.  It is

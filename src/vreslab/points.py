@@ -322,7 +322,7 @@ class FunctionSpaces:
 
     @property
     def row_blocks(self) -> list:
-        """Block j as (rows, pivots): the rows that column j adds to
+        """Block j as (rows, pivots): rows spanning V(0, j) modulo
         V(0, j-1), the identity at their own pivots and zero at the pivots
         of every earlier block (see the module docstring)."""
         return self._ps._row.blocks

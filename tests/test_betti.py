@@ -489,7 +489,9 @@ def row_0_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(row_0_cases())
 @example((fibered_633(), (1, 6), None))
-@example((random_points(2, 1, 6, seed=1, require_generic=True), (2, 7), 1))
+# generic sets whose row-0 ranks a wrong y-map changes
+@example((random_points(1, 2, 4, seed=1, require_generic=True), (1, 5), None))
+@example((random_points(1, 3, 5, seed=1, require_generic=True), (2, 6), 2))
 def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
     """Row 0 read off the row flag modulo y0 against every strand of the
     same presentation ranked over y0..ym."""
@@ -497,7 +499,8 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
     pres = point_presentation(ps, window)
     got = betti_numbers(pres, kmax).entries
     want = koszul_homology(pres, kmax).entries
-    assert {e: b for e, b in got.items() if not e[1]} == {e: b for e, b in want.items() if not e[1]}
+    assert ({e: b for e, b in got.items() if not e[1]}
+            == {e: b for e, b in want.items() if not e[1]})
 
 
 def test_free_row_maps_are_column_0_monomial_blocks():
