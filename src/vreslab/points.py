@@ -91,8 +91,8 @@ r_x <= ell_x - 1, and likewise r_y <= ell_y - 1.
 Along a P^1 factor (column 0 when n = 1, row 0 when m = 1) the flag has a
 closed form, and no elimination builds it.  Coordinates are normalized, so
 a part is its value v (x1 or y1).  Let xi_0, xi_1, ... be the distinct
-parts in order of first appearance (the order of ``pi1_fibers``) and q_k
-the first point with part xi_k.  Block k is the single row
+parts in order of first appearance and q_k the first point with part
+xi_k.  Block k is the single row
 
     N_k = (v - xi_0) * ... * (v - xi_(k-1)),
 
@@ -146,10 +146,8 @@ class PointSet:
     seed: int | None = None
     rejections: int = 0
     # the sweep's memo (see the module docstring): (r_x, r_y) once found,
-    # the flags of row 0 and of each column, and the RREF cells read so far;
-    # and the fibration over the x-parts once read
+    # the flags of row 0 and of each column, and the RREF cells read so far
     _box: tuple | None = field(default=None, init=False, repr=False)
-    _fibration: Pi1Fibration | None = field(default=None, init=False, repr=False)
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
     _cells: dict = field(default_factory=dict, init=False, repr=False)
@@ -167,7 +165,7 @@ class PointSet:
             raise ValueError("need matching nonempty coordinate arrays")
         if np.any(self.xs[:, 0] != 1) or np.any(self.ys[:, 0] != 1):
             raise ValueError("points must be normalized (leading coordinate 1)")
-        if len({*map(tuple, np.hstack([self.xs, self.ys]).tolist())}) < self.N:
+        if _distinct_rows(np.hstack([self.xs, self.ys])) < self.N:
             raise ValueError("points must be pairwise distinct")
 
     def __eq__(self, other: object) -> bool:
@@ -542,78 +540,65 @@ def is_generic_hilbert(ps: PointSet) -> bool:
 
 @dataclass(frozen=True)
 class Pi1Fibration:
-    """Grouping of the points by their first-factor image."""
+    """The first projection's image: ``ell`` distinct x-parts."""
 
     ell: int
-    fibers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _distinct_rows(a: np.ndarray) -> int:
+    return len({*map(tuple, a.tolist())})
 
 
 def _part_counts(ps: PointSet) -> tuple[int, int]:
     """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
-    return pi1_fibers(ps).ell, len({*map(tuple, ps.ys.tolist())})
+    return _distinct_rows(ps.xs), _distinct_rows(ps.ys)
 
 
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
-    """The points grouped by x-part, in order of first appearance; memoized."""
-    if ps._fibration is None:
-        members: dict[tuple[int, ...], list[int]] = {}
-        for idx, row in enumerate(map(tuple, ps.xs.tolist())):
-            members.setdefault(row, []).append(idx)
-        fibers = tuple((xv, tuple(idx)) for xv, idx in members.items())
-        ps._fibration = Pi1Fibration(len(fibers), fibers)
-    return ps._fibration
+    """The number of fibers of the first projection, one per distinct x-part."""
+    return Pi1Fibration(_distinct_rows(ps.xs))
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     """Degreewise primary-decomposition identity for I_X ∩ <x>^t, modulo y0.
 
     Compares, in every window bidegree, the piece of <I_X ∩ <x>^t, y0> with
-    the intersection of the pieces of <I_{X_k}, y0> over the fibers of the
-    first projection and of <<x>^t, y0>.  The answer is exact for every
-    t >= 0.  The identity holds for every t >= r_x, r_x the least i with
-    H_X(i, 0) = ell (ell the number of fibers): at rows i >= r_x the
-    spaces V_(i,j) and V_(i,j-1) defined below are direct sums over the
-    fibers (the splitting step of the module docstring), so the map phi
-    defined below is an isomorphism.  Below r_x the identity may fail,
-    and the check then returns False.
+    the intersection of the pieces of <I_{X_k}, y0> over the fibers X_k of
+    the first projection and of <<x>^t, y0>.  The answer is exact for every
+    t >= 0; it is True for every t >= r_x, and it may be False below.
 
     Below row t both sides are y0 * S_(i,j-1), so the check starts at row t,
-    where the <x>^t component is all of S_d and drops out.  There it runs in
-    k^N on the point set's memoized sweep.  Let V_d be the evaluation image
-    of S_d, lo = V_(i,j-1) (the image of y0 * S_(i,j-1), as y0 = 1 at every
-    point) and V^k the restriction of a space to the points of fiber k.
-    Evaluation maps S_d onto V_d; the left-hand piece is the kernel of
-    S_d -> V_d/lo and fiber k's piece is the kernel of S_d -> V^k_d/lo^k.
-    The latter maps factor through phi: V_d/lo -> ⊕_k V^k_d/lo^k, so the
-    left-hand piece lies in every fiber's piece for every input, and the
-    identity at d holds exactly when phi is injective.  Composing each
-    restriction with a basis ann_k of the annihilator of lo^k makes phi a
-    matrix on a basis of V_d whose kernel is lo exactly when its rank is
-    dim V_d - dim lo.  In column 0 lo = 0 and phi is the restriction to
-    the points, injective because the fibers cover X; a saturated lo
-    leaves V_d/lo = 0.  Neither cell needs a rank.
+    where the <x>^t component is all of S_d and drops out.  Evaluation maps
+    S_(i,j) onto V(i,j) and y0 * S_(i,j-1) onto V(i,j-1), as y0 = 1 at
+    every point; so the left piece is the kernel of S_(i,j) ->
+    V(i,j)/V(i,j-1), and fiber k's is the kernel of the same map followed
+    by the restriction to X_k.  Restricted to X_k, f in S_(i,j) is the
+    y-form f(P_k, y), and x0^i * g is g, so V(i,j) and V(i,j-1) restrict to
+    W^k_j and W^k_(j-1), the images of k[y]_j and k[y]_(j-1) on X_k, for
+    every i.  By the splitting step of the module docstring the direct sum
+    of the W^k_j is V(r_x, j).  The fibers' pieces therefore meet in the
+    kernel of S_(i,j) -> V(r_x, j)/V(r_x, j-1), and the identity holds at
+    (i, j) exactly when the map V(i,j)/V(i,j-1) -> V(r_x,j)/V(r_x,j-1)
+    induced by inclusion is injective, that is, when V(i,j) ∩ V(r_x, j-1)
+    is V(i,j-1), or
 
-    The sweep is constant past its box (r_x, r_y), so only rows t up to
-    max(t, r_x) and columns 1 up to r_y, within the window, are visited:
-    a cell in a later row has the V_d and lo of the cell in row
-    max(t, r_x) above it, and a cell in a column past r_y has V_d = lo.
+        rank [V(i,j); V(r_x, j-1)] = H(i,j) + H(r_x, j-1) - H(i,j-1).
+
+    The map is the identity at rows i >= r_x, and its source is zero where
+    H(i,j) = H(i,j-1): in every column past r_y, and wherever V(i,j-1) is
+    saturated.  In column 0 the y0 term is absent and the map is an
+    inclusion.  So only rows t..r_x - 1 are read, and at t >= r_x the check
+    ranks nothing and builds no RREF cell below row 0.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
     fs = function_space_bases(ps, window)
-    fibers = [list(idx) for _, idx in pi1_fibers(ps).fibers]
-    (wi, wj), (rx, ry) = window, fs.box
-    for i in range(t, min(wi, max(t, rx)) + 1):
-        for j in range(1, min(wj, ry) + 1):
-            hi, lo = fs.cell((i, j))[0], fs.cell((i, j - 1))[0]
-            if len(lo) == ps.N:
-                continue
-            phi = np.hstack([
-                matmul(hi[:, idx], kernel_basis(lo[:, idx], ps.p).T, ps.p)
-                for idx in fibers
-            ])
-            if rank(phi, ps.p) != len(hi) - len(lo):
-                return False
+    H, rx = fs.dims, fs.box[0]
+    for i, j in (np.argwhere(H[t:rx, 1:] > H[t:rx, :-1]) + (t, 1)).tolist():
+        below = fs.cell((rx, j - 1))[0]
+        stacked = np.vstack([fs.cell((i, j))[0], below])
+        if rank(stacked, ps.p) != H[i, j] + len(below) - H[i, j - 1]:
+            return False
     return True

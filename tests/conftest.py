@@ -109,3 +109,21 @@ def shared_part_sets(draw):
                           min_size=1, max_size=7, unique=True))
     return PointSet(n, m, p, np.array([(1, *a) for a, _ in pairs]),
                     np.array([(1, *b) for _, b in pairs]))
+
+
+def grid_set(p: int, xparts: list[tuple], yparts: list[tuple]) -> PointSet:
+    """Every pair of an x-part and a y-part, x-parts outermost."""
+    n, m = len(xparts[0]), len(yparts[0])
+    return PointSet(n, m, p, np.array([(1, *a) for a in xparts for _ in yparts]),
+                    np.array([(1, *b) for _ in xparts for b in yparts]))
+
+
+@st.composite
+def grid_sets(draw):
+    """Grids of up to three x-parts by up to three y-parts."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    p = draw(st.sampled_from([7, 101, 32003]))
+    coords = st.integers(0, p - 1)
+    xparts, yparts = (draw(st.lists(st.tuples(*[coords] * k), min_size=1, max_size=3,
+                                    unique=True)) for k in (n, m))
+    return grid_set(p, xparts, yparts)

@@ -24,9 +24,10 @@ exponent lookup (``monomial_row``), not by the ranking of
 are small readings of library tables: ``int_matrix_at``, ``betti_entry``,
 ``shape_length``, ``signed_collapse``, the stage totals, ``pretty``,
 ``int_matrix_from_csv``, ``matrix_diff_report``, ``quotient_dim``,
-``poly_mult_matrix`` and ``beta1_table``; and ``stack_rows``, which
-stacks row blocks that may be empty.  Integer tables are 2-D int64
-arrays, as in the library.
+``poly_mult_matrix`` and ``beta1_table``; ``stack_rows``, which
+stacks row blocks that may be empty; and ``x_fibers``, the points grouped
+by x-part, which ``decomposition_check_in_full`` evaluates one fiber at a
+time.  Integer tables are 2-D int64 arrays, as in the library.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from vreslab.points import (
     function_space_bases,
     hilbert_matrix,
     ideal_piece,
-    pi1_fibers,
 )
 from vreslab.vres import FreeComplexShape, NTooSmall
 
@@ -264,6 +264,15 @@ def _with_y0(rows: np.ndarray, ps: PointSet, degree: tuple[int, int]) -> np.ndar
     return stack_rows(blocks, cols)
 
 
+def x_fibers(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """The indices of the points grouped by x-part, the fibers of the first
+    projection, in order of first appearance."""
+    members: dict[tuple[int, ...], list[int]] = {}
+    for idx, row in enumerate(map(tuple, ps.xs.tolist())):
+        members.setdefault(row, []).append(idx)
+    return tuple(map(tuple, members.values()))
+
+
 def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
                                 containment_only: bool = False) -> bool:
     """``points.decomposition_check`` computed in all of S_(i,j).
@@ -274,7 +283,7 @@ def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],
     """
     fiber_sets = [
         PointSet(ps.n, ps.m, ps.p, ps.xs[list(idx)], ps.ys[list(idx)])
-        for _, idx in pi1_fibers(ps).fibers
+        for idx in x_fibers(ps)
     ]
     wi, wj = window
     for i in range(wi + 1):

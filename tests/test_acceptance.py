@@ -183,7 +183,11 @@ def test_criterion_6_intersection_length():
 
 def test_criterion_7_degreewise_decomposition():
     # piecewise identity between the intersected ideal plus y0 and the
-    # intersection of its per-fiber components, on window (ell + 3, 5)
+    # intersection of its per-fiber components, on window (ell + 3, 5):
+    # it holds at t = N - 1 = r_x and fails at t = N - 2, as with one point
+    # per fiber V(r_x, j) = k^N, so the identity along row N - 2 would keep
+    # H(N - 2, j) = H(N - 2, 0) = N - 1 out to column r_y, where distinct
+    # y-parts give N (r_y <= 3 for N <= 7, inside the window)
     started = time.perf_counter()
     bad = []
     count = 0
@@ -193,10 +197,12 @@ def test_criterion_7_degreewise_decomposition():
                                require_generic=True)
             count += 1
             if not decomposition_check(ps, N - 1, (N + 3, 5)):
-                bad.append((N, trial))
+                bad.append((N, trial, N - 1))
+            if decomposition_check(ps, N - 2, (N + 3, 5)):
+                bad.append((N, trial, N - 2))
     elapsed = time.perf_counter() - started
     report(7, not bad and count == 10, elapsed,
-           "10 sets, failures: %s" % (bad or "none"))
+           "10 sets at t = N - 1 and N - 2, wrong answers: %s" % (bad or "none"))
     assert count == 10 and bad == []
 
 

@@ -31,12 +31,20 @@ from vreslab.points import (
 )
 from vreslab.vres import pair_vres, predicted_pair_shape
 
-from conftest import fibered_633, fibered_sets, ff_rank, line_fibered_sets, shared_part_sets
+from conftest import (
+    fibered_633,
+    fibered_sets,
+    ff_rank,
+    grid_sets,
+    line_fibered_sets,
+    shared_part_sets,
+)
 from oracles import (
     decomposition_check_in_full,
     dense_mult_map,
     int_matrix_at,
     intersected_piece,
+    x_fibers,
     y0_nonzerodivisor,
 )
 
@@ -556,42 +564,49 @@ def fibered_31() -> PointSet:
     return PointSet(1, 2, 32003, xs, ys)
 
 
-@settings(max_examples=100, deadline=None)
-@given(fibered_sets(primes=(7, 101, 32003, 67108859)), st.integers(0, 3),
-       st.integers(0, 4), st.integers(0, 3))
-@example(fibered_633(), 0, 4, 3)
-@example(fibered_633(), 1, 4, 3)
-@example(fibered_31(), 0, 2, 2)  # a size-3 fiber; fails at t = 0
-def test_decomposition_check_matches_full_oracle(ps, t, wi, wj):
+@st.composite
+def decomposition_cases(draw):
+    """A fibered, grid or shared-part set, t up to r_x + 1 and a window up
+    to two past the box."""
+    ps = draw(st.one_of(fibered_sets(primes=(7, 101, 32003, 67108859)), grid_sets(),
+                        shared_part_sets()))
+    rx, ry = points_module.regularity_box(ps)
+    return ps, draw(st.integers(0, rx + 1)), (draw(st.integers(0, rx + 2)),
+                                              draw(st.integers(0, ry + 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(decomposition_cases())
+@example((fibered_633(), 0, (4, 3)))
+@example((fibered_633(), 1, (4, 3)))
+@example((fibered_31(), 0, (2, 2)))  # a size-3 fiber; fails at t = 0
+def test_decomposition_check_matches_full_oracle(case):
     """The rank test in k^N answers as the comparison in all of S_(i,j)."""
-    args = (ps, t, (wi, wj))
-    assert decomposition_check(*args) == decomposition_check_in_full(*args)
+    assert decomposition_check(*case) == decomposition_check_in_full(*case)
     # the left-to-right containment holds at every t
-    assert decomposition_check_in_full(*args, containment_only=True)
+    assert decomposition_check_in_full(*case, containment_only=True)
 
 
-def fiber_sizes(fib):
-    return tuple(len(idx) for _, idx in fib.fibers)
+def fiber_sizes(ps):
+    return tuple(map(len, x_fibers(ps)))
 
 
 class TestFibers:
     def test_all_distinct(self):
         ps = random_points(1, 2, 5, seed=41)
-        fib = pi1_fibers(ps)
-        assert fib.ell == 5 and fiber_sizes(fib) == (1,) * 5
+        assert pi1_fibers(ps).ell == 5 and fiber_sizes(ps) == (1,) * 5
 
     def test_all_equal(self):
         xs = np.array([[1, 3]] * 4)
         ys = np.array([[1, 0, 1], [1, 2, 3], [1, 4, 9], [1, 1, 7]])
-        fib = pi1_fibers(PointSet(1, 2, 32003, xs, ys))
-        assert fib.ell == 1 and fiber_sizes(fib) == (4,)
+        ps = PointSet(1, 2, 32003, xs, ys)
+        assert pi1_fibers(ps).ell == 1 and fiber_sizes(ps) == (4,)
 
     def test_mixed_partition(self):
         ps = fibered_633()
-        fib = pi1_fibers(ps)
-        assert fib.ell == 3
-        assert fiber_sizes(fib) == (2, 2, 2)
-        members = sorted(i for _, idx in fib.fibers for i in idx)
+        assert pi1_fibers(ps).ell == 3
+        assert fiber_sizes(ps) == (2, 2, 2)
+        members = sorted(i for idx in x_fibers(ps) for i in idx)
         assert members == list(range(6))
 
     def test_fibered_hilbert_column(self):
@@ -646,6 +661,18 @@ class TestDecomposition:
         g = random_points(1, 2, 3, seed=11)
         assert pi1_fibers(g).ell == 3
         assert decomposition_check(g, 2, (5, 3))
+
+    @pytest.mark.parametrize("ps", [
+        fibered_633(),
+        random_points(1, 2, 6, seed=11),
+        random_points(2, 1, 7, seed=12),
+    ], ids=["fibered_633", "generic_12", "generic_21"])
+    def test_no_cell_below_row_0_from_r_x(self, ps):
+        # rows past r_x hold without a rank, so nothing is read below row 0
+        rx = points_module.regularity_box(ps)[0]
+        for t in (rx, rx + 1):
+            assert decomposition_check(ps, t, (rx + 3, 5))
+        assert all(i == 0 for i, _ in ps._cells)
 
     @pytest.mark.parametrize("t, window", [
         (-1, (3, 3)),

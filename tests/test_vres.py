@@ -13,6 +13,7 @@ from vreslab.points import (
     hilbert_matrix,
     pi1_fibers,
     random_points,
+    regularity_box,
 )
 from vreslab.vres import (
     FreeComplexShape,
@@ -25,7 +26,7 @@ from vreslab.vres import (
     regularity_contains,
 )
 
-from conftest import fibered_633
+from conftest import fibered_633, grid_set
 from oracles import (
     Beta2Report,
     beta2_first_positive_check,
@@ -305,6 +306,21 @@ class TestIntersectSharpBound:
         with pytest.raises(AssertionError):
             intersect_vres(ps, 2)
         assert intersect_vres(ps, 1)[1] == ps.n + ps.m + 1
+
+    @pytest.mark.parametrize("xparts, yparts", [
+        ([(1,), (2,), (3,)], [(1,), (2,), (3,)]),           # r_x = 2
+        ([(a,) for a in range(1, 6)], [(1,), (2,)]),        # r_x = 4
+        ([(1,), (2,), (3,)], [(v, v * v) for v in range(1, 5)]),
+    ], ids=["3x3", "5x2", "3x4_conic"])
+    def test_grids_hold_below_r(self, xparts, yparts):
+        # t >= r is sufficient, not necessary: on a grid the identity holds
+        # and the length is n + m at every 1 <= t < r
+        ps = grid_set(P, xparts, yparts)
+        rx, ry = regularity_box(ps)
+        assert rx == len(xparts) - 1
+        for t in range(1, rx):
+            assert decomposition_check(ps, t, (ps.N + 3, ry + 3))
+            assert intersect_vres(ps, t)[1] == ps.n + ps.m
 
 
 class TestBeta2Rows:
