@@ -303,6 +303,12 @@ PINNED_OUTPUTS = [
      "4208d8d26220c5e672c850f4405ab6225860683c9c9ebff28447e32838ceab93"),
     ("mrc --nmin 80 --nmax 80 --trials 1 --seed 1",
      "8c95c03d9c3fe5299f5213493bd96d8f68700d76dbcefd6979a334e80d7605a1"),
+    # intersected tables at t >= r_x on P^3 x P^1, where column 0 reaches
+    # row t + 3 and the strand route ranks every free row below t
+    ("vres-intersect --n 3 --m 1 --N 20 --t 19 --seed 1",
+     "05956159712e6b2ac3f4200e0dd7a58720c8da2317bcd4d0284230d0d77803fb"),
+    ("vres-intersect --n 3 --m 1 --N 6 --t 20 --seed 1",
+     "b00a289ff1716d4221b43089bede7293f739cf7d7720695a0a4dd5b174842e95"),
 ]
 
 
