@@ -21,10 +21,12 @@ map is one dense block over GF(p), target dim x source dim.  Below row t
 the strands read only column 0 by x-variables (see the next paragraph),
 so those are the only maps built there: k[x]_i -> k[x]_(i+1), the 0/1
 block of ``cox.mult_map`` in S's monomial order, and the crossing into
-row t, which evaluates the monomials.  ``intersected_presentation`` is
-the one builder (``point_presentation`` is its t = 0 case); the tests
-check the engine against presentations of S/J built from explicit ideal
-generators in their own oracles.
+row t, which evaluates the monomials (once per source degree, for every
+x-variable).  At t >= r_x no strand is ranked below row t, and only
+the crossing is built (see The sequence route).
+``intersected_presentation`` is the one builder (``point_presentation``
+is its t = 0 case); the tests check the engine against presentations of
+S/J built from explicit ideal generators in their own oracles.
 
 Off column 0, the intersected presentation's strands keep only the
 pieces in rows i >= t.  Let R = k[x0..xn, y1..ym] and M = R/J be
@@ -170,6 +172,86 @@ strand at a cell reads only pieces at degrees at most the cell, so a
 window that contains the box holds every Betti number of the module, and
 ``betti_numbers`` visits no cell outside the box.
 
+The sequence route.  Let t >= 1 with t >= r_x, which holds exactly when
+the Betti box of S/J, J = I_X ∩ <x>^t, ends at row t + n.  Then
+``betti_numbers`` assembles no strand of S/J but the origin's, which
+needs no rank, and one differential per row t + a of column 0; it reads
+the table off the exact sequence of step (a) of the ``vres`` docstring,
+0 -> A' -> S/J -> S/<x>^t -> 0 with A' = A_{rows >= t}, and the splitting
+of its step (b), A' = ⊕_k L_k(-t) ⊗ C_k, where L_k = k[x]/I_(P_k) is the
+coordinate ring of the k-th of the ell distinct x-parts and C_k that of
+its fiber's y-parts.  Write k[x] = k[x0..xn] and k[y] = k[y0..ym].
+
+(a) Off column 0.  The twists of S/<x>^t all lie in column 0, so at
+(i, b) with b >= 1 the long exact Tor sequence gives
+Tor_k(S/J) = Tor_k(A').  Over S = k[x] ⊗ k[y], the tensor product of a
+k[x]-resolution of L_k and a k[y]-resolution of C_k resolves L_k ⊗ C_k
+(Künneth; Eisenbud, section 17), and L_k, cut out by n linear forms, is
+resolved by their Koszul complex, with C(n, a) twists a in step a.  So
+
+    beta_{k,(t+a,b)}(S/J) = C(n, a) * beta'_{k-a,b},
+
+beta' the Betti table over k[y] of ⊕_k C_k, and every other cell with
+b >= 1 holds zero.  ⊕_k C_k is A's row t, V(t, j) = ⊕_k V^k_j (``vres``
+step (b)).  y0 is 1 at every point, so it maps V(t, j-1) into V(t, j) by
+inclusion and is a nonzerodivisor on the row; as in Row 0 (b), beta' is
+then the table over y1..ym of the row modulo y0, which is row t of the
+presentation: the pieces V(t, j)/V(t, j-1) and the y-maps between them.
+That row is generated in column 0: with e_k in k[x]_t the idempotents of
+``vres`` step (b), the e_k * g, g in k[y]_j, span V(t, j).  So on its
+strands K_1 -> K_0 is onto off column 0, as for a cyclic module, and K_1
+is zero at column 0.  It is not cyclic (it has ell generators), so no free-cell
+certificate is read on it.
+
+(b) Column 0.  A strand at (i, 0) reads only the pieces (i - |T|, 0), T a
+set of x-variables, so column 0 is the table over k[x] of
+Nx = ⊕_i M_(i,0), with Nx_i = k[x]_i for i < t and V(i, 0) for i >= t:
+Nx = k[x]/(I_(π1 X) ∩ <x>^t).  Let B = k[x]/I_(π1 X), the coordinate
+ring of the x-parts, and Q = k[x]/<x>^t; then
+0 -> B_{>= t} -> Nx -> Q -> 0 is exact.  For t >= r_x,
+B_{>= t} = ⊕_k L_k(-t), so Tor_a(B_{>= t}) lies in degree t + a, of
+dimension ell * C(n, a).  <x>^t has a linear resolution
+(Eagon and Northcott): Tor_a(<x>^t) lies in degree t + a, of dimension
+C(t+n, t+a) * C(t+a-1, a).  The Koszul complex of k[x] is exact in every
+degree >= 1, so the Tor sequence of 0 -> <x>^t -> k[x] -> Q -> 0 gives
+Tor_(a+1)(Q) = Tor_a(<x>^t) in degree t + a >= 1, and Tor_0(Q) = k in
+degree 0.  In degree t + a, Tor_(a+1)(B_{>= t}) and Tor_a(Q) vanish
+(t >= 1), so the long exact sequence of 0 -> B_{>= t} -> Nx -> Q -> 0
+there reads
+
+    0 -> Tor_(a+1)(Nx) -> Tor_a(<x>^t) --δ--> Tor_a(B_{>= t})
+      -> Tor_a(Nx) -> 0,
+
+and the same sequence leaves no other Tor of Nx in a degree >= 1: none
+in degree t + a but Tor_a and Tor_(a+1), and none outside degrees
+t..t+n.  With rho_a the rank of δ, beta_{0,(0,0)} = 1,
+
+    beta_{a,(t+a,0)} = ell * C(n, a) - rho_a,
+    beta_{a+1,(t+a,0)} = C(t+n, t+a) * C(t+a-1, a) - rho_a,
+
+and column 0 holds nothing else.
+
+(c) rho_a is the rank of the crossing differential.  Take the Tors as
+Koszul homology over x0..xn, at degree t + a.  There K_k(Nx) is
+K_k(B_{>= t}) = ⊕ V(t+a-k, 0) for k <= a and K_k(Q) = ⊕ k[x]_(t+a-k) for
+k >= a+1, so the strand of Nx at (t + a, 0) is Q's strand above
+B_{>= t}'s, joined by the crossing differential c: K_(a+1) = ⊕ k[x]_(t-1)
+-> K_a = ⊕ V(t, 0), whose blocks are the crossing maps from (t-1, 0).
+K_a(Q) = ⊕ Q_t is zero there, so every element z of K_(a+1)(Q) is a
+cycle, and K_(a+1)(B_{>= t}) = ⊕ B_(t-1) is zero, so H_a(B_{>= t}) is the
+cycles of K_a(B_{>= t}) with no boundary to divide by.  δ sends the class
+of z to c(z), its lift's boundary in Nx's strand.  c kills the
+boundaries of Q's strand (c composed with the differential above it is
+the square of Nx's differential), so the image of δ is c(K_(a+1)) and
+rho_a = rank c.  rho_0 = ell with no rank: Nx is cyclic, so c is onto
+V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is the connecting
+map Tor_a(<x>^t)_(t+a) -> Tor_a(B_{>= t})_(t+a).
+
+So the route ranks one crossing differential per row t + a, a = 1..n,
+whose pieces are k[x]_(t-1) and V(t, 0), and row t's strands over
+y1..ym; below row t it builds only the crossing maps from (t-1, 0), and
+no free-row monomial block.  A t below r_x keeps the strands.
+
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
 inside one point-set presentation, the fresh pivots of each piece that
@@ -183,6 +265,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -315,6 +398,12 @@ def intersected_presentation(ps: PointSet, t: int,
             mask[fs.cell(lo)[1]] = False
         return mask[fs.cell(d)[1]]
 
+    @cache
+    def evaluated(d):
+        # the crossing's source monomials at the points, one evaluation for
+        # every x-variable
+        return evaluation_matrix(ps, d).T
+
     def coordinates(funcs, d):
         # columns: the classes, in the piece at d, of the rows of funcs
         keep, lo = fs.cell(d)[1][fresh(d)], below(d)
@@ -340,7 +429,7 @@ def intersected_presentation(ps: PointSet, t: int,
             return block
         else:
             # the crossing from row t - 1: evaluate every monomial
-            funcs = evaluation_matrix(ps, d).T
+            funcs = evaluated(d)
         return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
     wi, wj = window
@@ -489,23 +578,28 @@ def _homology(pres, d, kmax, onto) -> dict:
     if onto:
         ranks[1] = dims[0] if dims[1] else 0
     for k in range(2 if onto else 1, kmax + 2):
-        src, tgt = summands[k], summands[k - 1]
-        if not src or not tgt:
-            continue
-        row_of = {T: (piece, dim, off) for T, piece, dim, off in tgt}
-        mat = np.zeros((dims[k - 1], dims[k]), dtype=np.int64)
-        for T, piece, dim, off in src:
-            for pos, v in enumerate(T):
-                U = T[:pos] + T[pos + 1:]
-                if U not in row_of:
-                    continue  # facet lands in a zero piece: zero block
-                _, udim, uoff = row_of[U]
-                block = pres.map(v, piece)
-                # rank reduces the signed entries
-                mat[uoff:uoff + udim, off:off + dim] = -block if pos % 2 else block
-        ranks[k] = rank(mat, p)
+        if summands[k] and summands[k - 1]:
+            ranks[k] = rank(_differential(pres, summands[k], summands[k - 1]), p)
     homology = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
     return {k: h for k, h in enumerate(homology) if h}
+
+
+def _differential(pres, src, tgt) -> np.ndarray:
+    """The block matrix of the Koszul differential from the nonempty
+    summands ``src`` of K_k to the nonempty summands ``tgt`` of K_(k-1)."""
+    row_of = {T: (dim, off) for T, _, dim, off in tgt}
+    size = [terms[-1][2] + terms[-1][3] for terms in (tgt, src)]
+    mat = np.zeros(size, dtype=np.int64)
+    for T, piece, dim, off in src:
+        for pos, v in enumerate(T):
+            U = T[:pos] + T[pos + 1:]
+            if U not in row_of:
+                continue  # facet lands in a zero piece: zero block
+            udim, uoff = row_of[U]
+            block = pres.map(v, piece)
+            # rank reduces the signed entries
+            mat[uoff:uoff + udim, off:off + dim] = -block if pos % 2 else block
+    return mat
 
 
 def _betti_cell(pres, d, kmax) -> dict:
@@ -572,6 +666,44 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
                                     pres.variables[1:], _builder=build)
 
 
+def _sequence_entries(pres, kmax) -> dict:
+    """The Betti numbers of an intersected presentation whose Betti box
+    ends at row t + n, t = free_rows >= 1, read off the long exact Tor
+    sequence of 0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence
+    route in the module docstring): beta_0 at the origin from its strand,
+    column 0 from one rank of a crossing differential per row t + a,
+    a = 1..n, and the cells off it from row t's Betti table over the
+    y-variables, each row t + a taking C(n, a) times it, a degrees up."""
+    n, t = pres.n, pres.free_rows
+    wi, wj = pres.window
+    entries = {(k, 0, 0): beta for k, beta in _betti_cell(pres, (0, 0), kmax).items()}
+    if wi < t:
+        return entries
+    ell = int(pres.dims[t, 0])
+    for a in range(min(n, kmax, wi - t) + 1):
+        d = (t + a, 0)
+        # the crossing differential K_(a+1) -> K_a, from the pieces k[x]_(t-1)
+        # to the pieces V(t, 0); onto at a = 0
+        crossing = ell if a == 0 else rank(_differential(
+            pres, _strand_snapshot(pres, d, a + 1)[0], _strand_snapshot(pres, d, a)[0]), pres.p)
+        betas = {a: ell * comb(n, a) - crossing,
+                 a + 1: comb(t + n, t + a) * comb(t + a - 1, a) - crossing}
+        entries.update({(k, *d): beta for k, beta in betas.items() if beta and k <= kmax})
+    # row t over y1..ym, generated in column 0, so K_1 -> K_0 is onto off it
+    row = GradedModulePresentation(n, pres.m, pres.p, (0, wj), pres.dims[t:t + 1],
+                                   pres.variables[n + 1:],
+                                   _builder=lambda var, d: pres.map(var, (t, d[1])))
+    # beta'_{k,b} with k <= kmax reads the columns b - h of row t, h <= k
+    reads = [(0, h) for h in range(min(kmax, pres.m) + 1)]
+    live = _reach(row.dims[:, :min(wj, pres.box[1]) + 1] > 0, reads)[0]
+    live[0] = False  # column 0 is read above
+    for b in np.flatnonzero(live).tolist():
+        for k, beta in _homology(row, (0, b), kmax, onto=True).items():
+            for a in range(min(n, wi - t, kmax - k) + 1):
+                entries[(k + a, t + a, b)] = comb(n, a) * beta
+    return entries
+
+
 def betti_numbers(pres: GradedModulePresentation,
                   kmax: int | None = None) -> BettiTable:
     """Betti table of the presented module on its window, for k <= kmax.
@@ -585,7 +717,12 @@ def betti_numbers(pres: GradedModulePresentation,
     computed that way: each row i >= 1 is the y-variables' Betti table,
     shifted up by one homological degree, of the kernel of x1 from row i-1
     to row i, so a row where x1 loses no dimension builds no map and ranks
-    nothing.
+    nothing.  An intersected presentation at t >= max(r_x, 1), whose Betti
+    box ends at row t + n, assembles no strand but the origin's: its table
+    is read off the long exact Tor sequence of 0 -> A_{rows >= t} -> S/J ->
+    S/<x>^t -> 0, from one crossing differential per row t + a of column 0
+    and the strands of row t over y1..ym (see The sequence route in the
+    module docstring).
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
     global reads (projective dimension, shape totals) are exact.  It is
@@ -597,6 +734,9 @@ def betti_numbers(pres: GradedModulePresentation,
         kmax = pres.n + pres.m + 2
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if pres.free_rows and pres.box is not None and pres.box[0] == pres.free_rows + pres.n:
+        return BettiTable(pres.n, pres.m, tuple(pres.window), _sequence_entries(pres, kmax),
+                          kmax, pres.complete)
     live = _live_cells(pres, kmax)
     row_split = pres.split[0] == 1 and not pres.free_rows
     if row_split:

@@ -44,6 +44,12 @@ t >= max(r, 1).  Then pd S/J = n + m:
     I_X, is associated to S/J.  Its quotient has dimension 2, so
     depth S/J <= 2 and pd S/J >= n + m.
 
+The sequence of (a) and the splitting of (b) give more than the length:
+at t >= max(r, 1) they give the whole Betti table, which ``betti_numbers``
+reads off them with one rank per row t + a in column 0 and the strands
+of row t over y1..ym elsewhere (proof in The sequence route of the
+``betti`` module docstring).
+
 Both earlier sufficient conditions are cases of t >= r.  The ell
 x-parts impose independent conditions on x-forms of degree ell - 1 (a
 product of linear forms, one through each other x-part), so

@@ -13,8 +13,10 @@ full-row updates, a second scan for the rows to clear, and no transpose.
 
 The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
-``nr_decomposition``), its inverse transform ``hilbert_from_betti``, and
-the beta_2 row reading ``beta2_first_positive_check``; so do the stored
+``nr_decomposition``), its inverse transform ``hilbert_from_betti``, the
+beta_2 row reading ``beta2_first_positive_check``, and the generic table
+off column 0 of the intersected quotient at t >= max(r_x, 1)
+(``predicted_intersect_off_column_0``); so do the stored
 trimmed shapes for N = 2..11 (``stored_pair_shape``) and the trim of a
 computed Betti table to the twists at most d + (n, m) (``trim_table``),
 the reference for ``vres.pair_vres``, which resolves only that region.
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -621,6 +624,20 @@ def trim_table(bt: BettiTable, d: tuple[int, int]) -> FreeComplexShape:
     kept = {key: b for key, b in bt.entries.items()
             if key[1] <= lim[0] and key[2] <= lim[1]}
     return FreeComplexShape.from_betti(replace(bt, entries=kept))
+
+
+def predicted_intersect_off_column_0(N: int, n: int, m: int, t: int) -> dict:
+    """Closed-form entries off column 0 of the table of S/(I_X ∩ <x>^t) for
+    N points with distinct x-parts, every generic set among them, at
+    t >= max(r_x, 1): beta_{a+b,(t+a,b)} = N * C(n, a) * C(m, b) for
+    a = 0..n and b = 1..m, and no other entry with j >= 1.
+
+    Each fiber is one point, whose coordinate ring over k[y0..ym] is
+    resolved by the Koszul complex on m linear forms, so the fiber-wise
+    reading of ``betti`` (The sequence route (a)) sums N copies of it.
+    """
+    return {(a + b, t + a, b): N * comb(n, a) * comb(m, b)
+            for a in range(n + 1) for b in range(1, m + 1)}
 
 
 @dataclass(frozen=True)

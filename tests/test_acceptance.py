@@ -35,6 +35,7 @@ from oracles import (
     ideal_pieces_from_generators,
     monomial_row,
     predicted_dh_generic,
+    predicted_intersect_off_column_0,
     quotient_presentation,
     signed_collapse,
     stored_pair_shape,
@@ -155,9 +156,18 @@ def test_criterion_5_collapse_identity():
 def test_criterion_6_intersection_length():
     # resolving S/(I intersect <x>^t) at t = ell - 1 gives length n + m;
     # so must t = r = 2 < ell - 1 for 5 generic points in the
-    # plane-times-line ambient
+    # plane-times-line ambient; and off column 0 every table is the closed
+    # form N * C(n, a) * C(m, b) at (t + a, b), stage a + b
     started = time.perf_counter()
     bad = []
+
+    def check(ps, t, window=None):
+        bt, length = intersect_vres(ps, t, window=window)
+        off = {key: b for key, b in bt.entries.items() if key[2]}
+        if length != ps.n + ps.m or off != predicted_intersect_off_column_0(
+                ps.N, ps.n, ps.m, t):
+            bad.append((ps.n, ps.m, ps.N, t, length))
+
     for n, m, ns, windows in (
             (1, 1, range(2, 9), {}),
             (1, 2, range(2, 9), {}),
@@ -167,17 +177,11 @@ def test_criterion_6_intersection_length():
         for N in ns:
             ps = random_points(n, m, N, seed=derive_seed(6, n, m, N),
                                require_generic=True)
-            _, length = intersect_vres(ps, N - 1, window=windows.get(N))
-            if length != n + m:
-                bad.append((n, m, N, length))
-    ps = random_points(2, 1, 5, seed=derive_seed(6, "cover"),
-                       require_generic=True)
-    _, length = intersect_vres(ps, 2)
-    if length != 3:
-        bad.append((2, 1, 5, length))
+            check(ps, N - 1, windows.get(N))
+    check(random_points(2, 1, 5, seed=derive_seed(6, "cover"), require_generic=True), 2)
     elapsed = time.perf_counter() - started
     report(6, not bad, elapsed,
-           "18 resolutions, wrong lengths: %s" % (bad or "none"))
+           "18 resolutions, wrong lengths or tables off column 0: %s" % (bad or "none"))
     assert bad == []
 
 

@@ -39,7 +39,13 @@ from vreslab.points import (
 )
 from vreslab.vres import intersect_vres
 
-from conftest import fibered_633, fibered_sets, line_fibered_sets, shared_part_sets
+from conftest import (
+    fibered_633,
+    fibered_sets,
+    grid_sets,
+    line_fibered_sets,
+    shared_part_sets,
+)
 from oracles import (
     ClosureViolated,
     beta1_from_ideal,
@@ -504,22 +510,76 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
 
 
 def test_free_row_maps_are_column_0_monomial_blocks():
-    # four generic points in P^2 x P^1 at t = 3: rows 0..2 hold k[x]'s own
-    # pieces and rows >= 3 the four-dimensional function spaces, so the
-    # column-0 strands of rows 3..5 read the free rows through monomial
-    # maps and through the crossing into row 3
-    n, t = 2, 3
-    ps = random_points(n, 1, 4, seed=2, require_generic=True)
-    window = (t + n + 2, 4)
+    # seven generic points in P^2 x P^1 at t = 2 < r_x = 3: rows 0 and 1 hold
+    # k[x]'s own pieces and rows >= 2 the seven-dimensional function spaces,
+    # so the column-0 strands read the free rows through monomial maps into
+    # row 1 and through the crossing into row 2
+    n, t = 2, 2
+    ps = random_points(n, 1, 7, seed=2, require_generic=True)
+    assert function_space_bases(ps, (0, 0)).box[0] == 3
+    window = (3 + n + 1, 4)
     pres = intersected_presentation(ps, t, window)
     bt = betti_numbers(pres)
     below = {key: block for key, block in pres._maps.items() if key[1][0] < t}
-    assert len(below) == 9
+    assert len(below) == 6
     for (var, d), block in below.items():
         assert var <= n and d[1] == 0
         if d[0] + 1 < t:
             assert np.array_equal(block, dense_mult_map(var, d, n, 1))
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+
+
+def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
+    # four generic points in P^2 x P^1 at t = 3 >= r_x = 1: the table is read
+    # off the long exact Tor sequence, so below row t only the crossing maps
+    # from (t - 1, 0) are built, and the only strand is the origin's
+    n, t = 2, 3
+    ps = random_points(n, 1, 4, seed=2, require_generic=True)
+    window = (t + n + 2, 4)
+    pres = intersected_presentation(ps, t, window)
+    cells, betti_cell = [], betti._betti_cell
+
+    def counted(pres, d, kmax):
+        cells.append(d)
+        return betti_cell(pres, d, kmax)
+
+    monkeypatch.setattr(betti, "_betti_cell", counted)
+    bt = betti_numbers(pres)
+    assert cells == [(0, 0)]
+    assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
+                                                                  for v in range(n + 1)]
+    assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+
+
+@st.composite
+def sequence_route_cases(draw):
+    """A fibered, grid or shared-part set, t in [max(r_x, 1), ell + 1], a
+    kmax, and a window that may stop short of row t or of row t + n."""
+    ps = draw(st.one_of(fibered_sets(), grid_sets(), shared_part_sets()))
+    rx, ry = function_space_bases(ps, (0, 0)).box
+    ell = len({*map(tuple, ps.xs)})
+    t = draw(st.integers(max(rx, 1), ell + 1))
+    wi = draw(st.integers(0, t + ps.n + 1))
+    wj = draw(st.integers(0, ry + ps.m + 1))
+    kmax = draw(st.one_of(st.none(), st.integers(0, ps.n + ps.m + 2)))
+    return ps, t, (wi, wj), kmax
+
+
+@settings(max_examples=80, deadline=None)
+@given(sequence_route_cases())
+@example((fibered_633(), 2, (5, 5), None))
+@example((fibered_633(), 3, (4, 5), 2))
+# windows that stop below row t, and between rows t and t + n
+@example((random_points(2, 2, 4, seed=5, require_generic=True), 3, (2, 4), None))
+@example((random_points(2, 2, 4, seed=5, require_generic=True), 3, (4, 4), None))
+def test_sequence_route_matches_all_ranks_oracle(case):
+    """At t >= max(r_x, 1) the table read off the long exact Tor sequence
+    equals the one from every strand of S/J ranked over S."""
+    ps, t, window, kmax = case
+    pres = intersected_presentation(ps, t, window)
+    assert pres.box[0] == t + ps.n
+    want = koszul_homology(intersected_presentation_in_full(ps, t, window), kmax)
+    assert betti_numbers(pres, kmax).entries == want.entries
 
 
 class TestCollapseIdentity:
