@@ -673,7 +673,7 @@ def _sequence_entries(pres, kmax) -> dict:
     route in the module docstring): beta_0 at the origin from its strand,
     column 0 from one rank of a crossing differential per row t + a,
     a = 1..n, and the cells off it from row t's Betti table over the
-    y-variables, each row t + a taking C(n, a) times it, a degrees up."""
+    y-variables, each row t + a taking C(n, a) times it, a stages up."""
     n, t = pres.n, pres.free_rows
     wi, wj = pres.window
     entries = {(k, 0, 0): beta for k, beta in _betti_cell(pres, (0, 0), kmax).items()}
