@@ -22,8 +22,8 @@ the strands read only column 0 by x-variables (see the next paragraph),
 so those are the only maps built there: k[x]_i -> k[x]_(i+1), the 0/1
 block of ``cox.mult_map`` in S's monomial order, and the crossing into
 row t, which evaluates the monomials (once per source degree, for every
-x-variable).  At t >= r_x no strand is ranked below row t, and only
-the crossing is built (see The sequence route).
+x-variable).  At t >= r_x no strand is ranked below row t, and the
+crossing is built only at t = r_x with n >= 2 (see The sequence route).
 ``intersected_presentation`` is the one builder (``point_presentation``
 is its t = 0 case); the tests check the engine against presentations of
 S/J built from explicit ideal generators in their own oracles.
@@ -175,8 +175,9 @@ window that contains the box holds every Betti number of the module, and
 The sequence route.  Let t >= 1 with t >= r_x, which holds exactly when
 the Betti box of S/J, J = I_X ∩ <x>^t, ends at row t + n.  Then
 ``betti_numbers`` assembles no strand of S/J but the origin's, which
-needs no rank, and one differential per row t + a of column 0; it reads
-the table off the exact sequence of step (a) of the ``vres`` docstring,
+needs no rank, and, only at t = r_x with n >= 2, one differential per
+row t + a of column 0 (step (d)).  It reads the table off the exact
+sequence of step (a) of the ``vres`` docstring,
 0 -> A' -> S/J -> S/<x>^t -> 0 with A' = A_{rows >= t}, and the splitting
 of its step (b), A' = ⊕_k L_k(-t) ⊗ C_k, where L_k = k[x]/I_(P_k) is the
 coordinate ring of the k-th of the ell distinct x-parts and C_k that of
@@ -244,13 +245,44 @@ of z to c(z), its lift's boundary in Nx's strand.  c kills the
 boundaries of Q's strand (c composed with the differential above it is
 the square of Nx's differential), so the image of δ is c(K_(a+1)) and
 rho_a = rank c.  rho_0 = ell with no rank: Nx is cyclic, so c is onto
-V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is the connecting
-map Tor_a(<x>^t)_(t+a) -> Tor_a(B_{>= t})_(t+a).
+V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is a map
+Tor_a(<x>^t)_(t+a) -> Tor_a(B_{>= t})_(t+a), which (d) names.
 
-So the route ranks one crossing differential per row t + a, a = 1..n,
-whose pieces are k[x]_(t-1) and V(t, 0), and row t's strands over
-y1..ym; below row t it builds only the crossing maps from (t-1, 0), and
-no free-row monomial block.  A t below r_x keeps the strands.
+(d) rho_a in closed form.  Let I = I_(π1 X) in k[x], so B = k[x]/I and
+<x>^t = k[x]_{>= t}.  Then 0 -> I_{>= t} -> <x>^t -> B_{>= t} -> 0 is
+exact, and the connecting map of (b) factors as the isomorphism
+Tor_(a+1)(Q) -> Tor_a(<x>^t) of (b), followed by the map that the
+quotient <x>^t -> B_{>= t} induces (naturality of the connecting map for
+the map of sequences from 0 -> <x>^t -> k[x] -> Q -> 0, the identity on
+Q).  So rho_a is the rank of Tor_a(<x>^t) -> Tor_a(B_{>= t}) in degree
+t + a, which sits in the long exact sequence
+
+    Tor_a(I_{>= t}) -> Tor_a(<x>^t) -> Tor_a(B_{>= t}) -> Tor_(a-1)(I_{>= t}).
+
+  * t >= r_x + 1.  B is the coordinate ring of ell points, and x0, which
+    is 1 at each of them, is a linear nonzerodivisor on it, so reg B is
+    the top degree of B/x0B, the last i where H_B(i) grows: r_x.  Then
+    reg I = reg B + 1 = r_x + 1 <= t, and the truncation of a module at
+    or past its regularity has a linear resolution (Eisenbud and Goto,
+    J. Algebra 1984): Tor_(a-1)(I_{>= t}) lies in degree t + a - 1.  The
+    map is onto in degree t + a, and rho_a = ell * C(n, a).  Besides
+    beta_{0,(0,0)}, column 0 then holds only beta_{a+1,(t+a,0)}, the
+    Eagon-Northcott number less ell * C(n, a).
+  * n = 1 and t = r_x.  On P^1, r_x = ell - 1 (``vres`` docstring) and I
+    is principal, generated by a form F of degree ell > t (the product of
+    one linear form through each x-part).  So I_{>= t} = I = F k[x] is
+    free, Tor_1(I_{>= t}) = 0, the map is injective, and
+    rho_1 = C(t+1, t+1) * C(t, 1) = t.  With the first case, rho_1 =
+    min(t, ell) on P^1 at every t >= r_x.
+  * n >= 2 and t = r_x.  No closed form is read: rho_a is the rank of the
+    crossing differential of (c).
+
+So at t >= r_x + 1, and on P^1 at every t >= r_x, the route builds no map
+below row t, evaluates no monomial and ranks only row t's strands over
+y1..ym.  At t = r_x with n >= 2 it ranks one crossing differential per
+row t + a, a = 1..n, whose pieces are k[x]_(t-1) and V(t, 0), and builds
+below row t only the crossing maps from (t-1, 0).  No free-row monomial
+block is built at any t >= r_x.  A t below r_x keeps the strands.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
@@ -269,7 +301,7 @@ from math import comb
 
 import numpy as np
 
-from .cox import count_monomials, mult_map, var_degree
+from .cox import count_monomials, mult_map, t_binom, var_degree
 from .diffcalc import dh_p1p2
 from .fp import kernel_basis, matmul, rank
 from .points import (
@@ -303,7 +335,9 @@ class GradedModulePresentation:
     chosen bases: a dense int64 block, target dim x source dim.  Maps are
     built lazily and memoized; a builder may refuse, with ValueError, a
     map that no strand of the engine reads.  ``box`` is the corner of the
-    Betti box (see the module docstring), None when unknown.
+    Betti box (see the module docstring), None when unknown, and ``rx`` the
+    box row r_x of the point set's sweep (see ``points``), which the
+    sequence route reads, None when unknown.
     ``row_quotient``, on a point presentation, presents C/y0C for C its
     row 0; ``betti_numbers`` reads row 0 of the table off it (see Row 0 in
     the module docstring).
@@ -319,6 +353,7 @@ class GradedModulePresentation:
     # read only the rows at or above it (see the module docstring)
     free_rows: int = 0
     box: tuple[int, int] | None = None
+    rx: int | None = None
     row_quotient: GradedModulePresentation | None = None
     _builder: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
@@ -437,12 +472,20 @@ def intersected_presentation(ps: PointSet, t: int,
     # rows i >= t, H_M is the sweep's, and rows i < t are R's pieces
     dims = fs.dims.copy()
     dims[dz[0]:, dz[1]:] -= fs.dims[: wi + 1 - dz[0], : wj + 1 - dz[1]]
-    for i in range(min(t, wi + 1)):
-        for j in range(wj + 1):
-            dims[i, j] = count_monomials(n, m - 1, (i, j))
+    if free := min(t, wi + 1):
+        # dim R_(i,j) = C(i + n, n) * t_binom(j, m - 1); the column sums ones
+        # n times (C(i + n, n) is the sum of C(i' + n - 1, n - 1) over
+        # i' <= i), exact in int64 once its largest product fits
+        ys = [t_binom(j, m - 1) for j in range(wj + 1)]
+        if t_binom(free - 1, n) * max(ys) > np.iinfo(np.int64).max:
+            raise OverflowError(f"a free piece below row {t} has over 2**63 monomials")
+        xs = np.ones(free, dtype=np.int64)
+        for _ in range(n):
+            np.cumsum(xs, out=xs)
+        dims[:free] = np.outer(xs, ys)
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    box=betti_box(ps, t), _builder=build,
+                                    box=betti_box(ps, t), rx=fs.box[0], _builder=build,
                                     row_quotient=None if t else _row_quotient(ps, fs))
 
 
@@ -667,13 +710,15 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
 
 
 def _sequence_entries(pres, kmax) -> dict:
-    """The Betti numbers of an intersected presentation whose Betti box
-    ends at row t + n, t = free_rows >= 1, read off the long exact Tor
-    sequence of 0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence
-    route in the module docstring): beta_0 at the origin from its strand,
-    column 0 from one rank of a crossing differential per row t + a,
-    a = 1..n, and the cells off it from row t's Betti table over the
-    y-variables, each row t + a taking C(n, a) times it, a stages up."""
+    """The Betti numbers of an intersected presentation at
+    t = free_rows >= max(r_x, 1), read off the long exact Tor sequence of
+    0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence route in
+    the module docstring): beta_0 at the origin from its strand, column 0
+    from the rank rho_a of the connecting map in row t + a, a = 1..n, and
+    the cells off it from row t's Betti table over the y-variables, each
+    row t + a taking C(n, a) times it, a stages up.  rho_a is ell * C(n, a)
+    at t > r_x, and t on P^1 at t = r_x; only at t = r_x with n >= 2 is it
+    the rank of a crossing differential."""
     n, t = pres.n, pres.free_rows
     wi, wj = pres.window
     entries = {(k, 0, 0): beta for k, beta in _betti_cell(pres, (0, 0), kmax).items()}
@@ -682,12 +727,17 @@ def _sequence_entries(pres, kmax) -> dict:
     ell = int(pres.dims[t, 0])
     for a in range(min(n, kmax, wi - t) + 1):
         d = (t + a, 0)
-        # the crossing differential K_(a+1) -> K_a, from the pieces k[x]_(t-1)
-        # to the pieces V(t, 0); onto at a = 0
-        crossing = ell if a == 0 else rank(_differential(
-            pres, _strand_snapshot(pres, d, a + 1)[0], _strand_snapshot(pres, d, a)[0]), pres.p)
-        betas = {a: ell * comb(n, a) - crossing,
-                 a + 1: comb(t + n, t + a) * comb(t + a - 1, a) - crossing}
+        eagon_northcott = comb(t + n, t + a) * comb(t + a - 1, a)
+        if a == 0 or t > pres.rx:
+            rho = ell * comb(n, a)  # onto: step (c) at a = 0, else (d)
+        elif n == 1:
+            rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
+        else:
+            # the crossing differential K_(a+1) -> K_a, from the pieces
+            # k[x]_(t-1) to the pieces V(t, 0)
+            rho = rank(_differential(pres, _strand_snapshot(pres, d, a + 1)[0],
+                                     _strand_snapshot(pres, d, a)[0]), pres.p)
+        betas = {a: ell * comb(n, a) - rho, a + 1: eagon_northcott - rho}
         entries.update({(k, *d): beta for k, beta in betas.items() if beta and k <= kmax})
     # row t over y1..ym, generated in column 0, so K_1 -> K_0 is onto off it
     row = GradedModulePresentation(n, pres.m, pres.p, (0, wj), pres.dims[t:t + 1],
@@ -720,8 +770,9 @@ def betti_numbers(pres: GradedModulePresentation,
     nothing.  An intersected presentation at t >= max(r_x, 1), whose Betti
     box ends at row t + n, assembles no strand but the origin's: its table
     is read off the long exact Tor sequence of 0 -> A_{rows >= t} -> S/J ->
-    S/<x>^t -> 0, from one crossing differential per row t + a of column 0
-    and the strands of row t over y1..ym (see The sequence route in the
+    S/<x>^t -> 0, from the strands of row t over y1..ym and, only at
+    t = r_x with n >= 2, one crossing differential per row t + a of column
+    0; elsewhere column 0 is a closed form (see The sequence route in the
     module docstring).
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
@@ -734,7 +785,7 @@ def betti_numbers(pres: GradedModulePresentation,
         kmax = pres.n + pres.m + 2
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if pres.free_rows and pres.box is not None and pres.box[0] == pres.free_rows + pres.n:
+    if pres.rx is not None and pres.free_rows >= max(pres.rx, 1):
         return BettiTable(pres.n, pres.m, tuple(pres.window), _sequence_entries(pres, kmax),
                           kmax, pres.complete)
     live = _live_cells(pres, kmax)

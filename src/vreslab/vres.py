@@ -46,9 +46,10 @@ t >= max(r, 1).  Then pd S/J = n + m:
 
 The sequence of (a) and the splitting of (b) give more than the length:
 at t >= max(r, 1) they give the whole Betti table, which ``betti_numbers``
-reads off them with one rank per row t + a in column 0 and the strands
-of row t over y1..ym elsewhere (proof in The sequence route of the
-``betti`` module docstring).
+reads off them with the strands of row t over y1..ym off column 0 and,
+in column 0, a closed form at t > r and on P^1, or one rank per row
+t + a at t = r with n >= 2 (proof in The sequence route of the ``betti``
+module docstring).
 
 Both earlier sufficient conditions are cases of t >= r.  The ell
 x-parts impose independent conditions on x-forms of degree ell - 1 (a

@@ -14,9 +14,10 @@ full-row updates, a second scan for the rows to clear, and no transpose.
 The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
 ``nr_decomposition``), its inverse transform ``hilbert_from_betti``, the
-beta_2 row reading ``beta2_first_positive_check``, and the generic table
+beta_2 row reading ``beta2_first_positive_check``, the generic table
 off column 0 of the intersected quotient at t >= max(r_x, 1)
-(``predicted_intersect_off_column_0``); so do the stored
+(``predicted_intersect_off_column_0``) and its column 0 at t > r_x, and
+on P^1 at t >= r_x (``predicted_intersect_column_0``); so do the stored
 trimmed shapes for N = 2..11 (``stored_pair_shape``) and the trim of a
 computed Betti table to the twists at most d + (n, m) (``trim_table``),
 the reference for ``vres.pair_vres``, which resolves only that region.
@@ -638,6 +639,32 @@ def predicted_intersect_off_column_0(N: int, n: int, m: int, t: int) -> dict:
     """
     return {(a + b, t + a, b): N * comb(n, a) * comb(m, b)
             for a in range(n + 1) for b in range(1, m + 1)}
+
+
+def predicted_intersect_column_0(ell: int, n: int, t: int) -> dict:
+    """Closed-form column 0 of the table of S/(I_X ∩ <x>^t) for a set with
+    ell distinct x-parts, at t >= r_x + 1, or on P^1 (n = 1) at t >= r_x:
+    beta_{0,(0,0)} = 1 and, for a = 0..n, with EN_a = C(t+n, t+a) *
+    C(t+a-1, a) the Eagon-Northcott number of <x>^t,
+
+        beta_{a,(t+a,0)} = ell * C(n, a) - rho_a,
+        beta_{a+1,(t+a,0)} = EN_a - rho_a,
+        rho_a = min(ell * C(n, a), EN_a).
+
+    rho_a is the rank of Tor_a(<x>^t) -> Tor_a(B_{>= t}) in degree t + a,
+    B the coordinate ring of the x-parts, and the map is onto at t > r_x,
+    where I_(π1 X)_{>= t} has a linear resolution, and injective on P^1 at
+    t = r_x = ell - 1, where that ideal is principal of degree ell (step
+    (d) of The sequence route in ``betti``): its rank is the smaller of the
+    two dimensions.
+    """
+    out = {(0, 0, 0): 1}
+    for a in range(n + 1):
+        en = comb(t + n, t + a) * comb(t + a - 1, a)
+        rho = min(ell * comb(n, a), en)
+        out.update({key: beta for key, beta in (((a, t + a, 0), ell * comb(n, a) - rho),
+                                                ((a + 1, t + a, 0), en - rho)) if beta})
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from vreslab.points import (
     generic_hilbert_matrix,
     hilbert_matrix,
     random_points,
+    regularity_box,
 )
 from vreslab.vres import (
     REFERENCE_TRIM_31,
@@ -35,6 +36,7 @@ from oracles import (
     ideal_pieces_from_generators,
     monomial_row,
     predicted_dh_generic,
+    predicted_intersect_column_0,
     predicted_intersect_off_column_0,
     quotient_presentation,
     signed_collapse,
@@ -156,17 +158,23 @@ def test_criterion_5_collapse_identity():
 def test_criterion_6_intersection_length():
     # resolving S/(I intersect <x>^t) at t = ell - 1 gives length n + m;
     # so must t = r = 2 < ell - 1 for 5 generic points in the
-    # plane-times-line ambient; and off column 0 every table is the closed
-    # form N * C(n, a) * C(m, b) at (t + a, b), stage a + b
+    # plane-times-line ambient; off column 0 every table is the closed
+    # form N * C(n, a) * C(m, b) at (t + a, b), stage a + b; and column 0
+    # is the closed form of rho_a wherever t > r_x or n = 1, every set but
+    # the plane-times-line one, whose column 0 rests on a rank
     started = time.perf_counter()
-    bad = []
+    bad, closed = [], []
 
     def check(ps, t, window=None):
         bt, length = intersect_vres(ps, t, window=window)
         off = {key: b for key, b in bt.entries.items() if key[2]}
+        column_0 = {key: b for key, b in bt.entries.items() if not key[2]}
+        closed = t > regularity_box(ps)[0] or ps.n == 1
         if length != ps.n + ps.m or off != predicted_intersect_off_column_0(
-                ps.N, ps.n, ps.m, t):
+                ps.N, ps.n, ps.m, t) or closed and column_0 != predicted_intersect_column_0(
+                ps.N, ps.n, t):
             bad.append((ps.n, ps.m, ps.N, t, length))
+        return closed
 
     for n, m, ns, windows in (
             (1, 1, range(2, 9), {}),
@@ -177,12 +185,15 @@ def test_criterion_6_intersection_length():
         for N in ns:
             ps = random_points(n, m, N, seed=derive_seed(6, n, m, N),
                                require_generic=True)
-            check(ps, N - 1, windows.get(N))
-    check(random_points(2, 1, 5, seed=derive_seed(6, "cover"), require_generic=True), 2)
+            closed.append(check(ps, N - 1, windows.get(N)))
+    closed.append(check(random_points(2, 1, 5, seed=derive_seed(6, "cover"),
+                                      require_generic=True), 2))
     elapsed = time.perf_counter() - started
     report(6, not bad, elapsed,
-           "18 resolutions, wrong lengths or tables off column 0: %s" % (bad or "none"))
+           "18 resolutions, %d with column 0 in closed form, wrong lengths or "
+           "tables: %s" % (sum(closed), bad or "none"))
     assert bad == []
+    assert closed == [True] * 17 + [False]
 
 
 def test_criterion_7_degreewise_decomposition():

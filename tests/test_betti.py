@@ -42,6 +42,7 @@ from vreslab.vres import intersect_vres
 from conftest import (
     fibered_633,
     fibered_sets,
+    grid_set,
     grid_sets,
     line_fibered_sets,
     shared_part_sets,
@@ -509,6 +510,24 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
             == {e: b for e, b in want.items() if not e[1]})
 
 
+@pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
+def test_free_row_dims_count_the_monomials_of_r(n, m):
+    # rows i < t of the presentation modulo y0 are R = k[x0..xn, y1..ym]
+    t, window = 5, (7, 6)
+    ps = random_points(n, m, 3, seed=1)
+    dims = intersected_presentation(ps, t, window).dims
+    assert [[int(d) for d in row] for row in dims[:t]] == [
+        [count_monomials(n, m - 1, (i, j)) for j in range(window[1] + 1)] for i in range(t)]
+
+
+def test_free_row_dims_past_int64_raise():
+    # dim R_(2, 200) on P^1 x P^20 is 3 * C(219, 19), past 2**63: the
+    # presentation refuses it rather than store a wrapped dimension
+    ps = random_points(1, 20, 2, seed=1)
+    with pytest.raises(OverflowError):
+        intersected_presentation(ps, 3, (3, 200))
+
+
 def test_free_row_maps_are_column_0_monomial_blocks():
     # seven generic points in P^2 x P^1 at t = 2 < r_x = 3: rows 0 and 1 hold
     # k[x]'s own pieces and rows >= 2 the seven-dimensional function spaces,
@@ -530,11 +549,13 @@ def test_free_row_maps_are_column_0_monomial_blocks():
 
 
 def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
-    # four generic points in P^2 x P^1 at t = 3 >= r_x = 1: the table is read
-    # off the long exact Tor sequence, so below row t only the crossing maps
-    # from (t - 1, 0) are built, and the only strand is the origin's
-    n, t = 2, 3
+    # four generic points in P^2 x P^1 at t = r_x = 2, n >= 2: the table is
+    # read off the long exact Tor sequence with column 0 ranked on the
+    # crossing differentials, so below row t only the crossing maps from
+    # (t - 1, 0) are built, and the only strand is the origin's
+    n, t = 2, 2
     ps = random_points(n, 1, 4, seed=2, require_generic=True)
+    assert function_space_bases(ps, (0, 0)).box[0] == t
     window = (t + n + 2, 4)
     pres = intersected_presentation(ps, t, window)
     cells, betti_cell = [], betti._betti_cell
@@ -548,6 +569,50 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
     assert cells == [(0, 0)]
     assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
                                                                   for v in range(n + 1)]
+    assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+
+
+@pytest.mark.parametrize("ps,t", [
+    # four generic points in P^2 x P^1 at t = 3 > r_x = 2
+    (random_points(2, 1, 4, seed=2, require_generic=True), 3),
+    # three fibers of two points in P^1 x P^2, r_x = 2: on P^1 at t = r_x,
+    # and past it
+    (fibered_633(), 2),
+    (fibered_633(), 3),
+    # four generic x-parts of P^2 times two y-parts of P^2, t = 3 > r_x = 2
+    (grid_set(P, [(0, 0), (1, 0), (0, 1), (2, 3)], [(1, 4), (5, 2)]), 3),
+])
+def test_sequence_route_builds_no_map_below_row_t(monkeypatch, ps, t):
+    # column 0 is a closed form at t > r_x, and on P^1 at t >= r_x (step (d)
+    # of The sequence route): no map below row t is built, no monomial is
+    # evaluated, and every rank is that of a strand of row t over y1..ym
+    n, m = ps.n, ps.m
+    rx = function_space_bases(ps, (0, 0)).box[0]
+    assert t > rx or n == 1 and t == rx
+    window = betti.betti_box(ps, t)
+    pres = intersected_presentation(ps, t, window)
+    strands, ranks = [], []
+    differential, rank = betti._differential, betti.rank
+
+    def recorded(module, src, tgt):
+        strands.append(module.variables)
+        return differential(module, src, tgt)
+
+    def counted(mat, p):
+        ranks.append(mat.shape)
+        return rank(mat, p)
+
+    def refused(ps, d):
+        raise AssertionError(f"monomials of {d} evaluated")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(betti, "_differential", recorded)
+        mp.setattr(betti, "rank", counted)
+        mp.setattr(betti, "evaluation_matrix", refused)
+        bt = betti_numbers(pres)
+    assert all(d[0] == t for _, d in pres._maps)
+    assert set(strands) <= {tuple(range(n + 2, n + m + 2))}
+    assert len(ranks) == len(strands)
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
 
 
@@ -572,6 +637,11 @@ def sequence_route_cases(draw):
 # windows that stop below row t, and between rows t and t + n
 @example((random_points(2, 2, 4, seed=5, require_generic=True), 3, (2, 4), None))
 @example((random_points(2, 2, 4, seed=5, require_generic=True), 3, (4, 4), None))
+# P^3 x P^1 at t = r_x = 2, on the crossing's rank, and at t = 3 > r_x; and
+# P^1 x P^3 at t = r_x = 3
+@example((random_points(3, 1, 5, seed=1, require_generic=True), 2, (5, 5), None))
+@example((random_points(3, 1, 5, seed=1, require_generic=True), 3, (6, 5), None))
+@example((random_points(1, 3, 4, seed=1, require_generic=True), 3, (4, 4), None))
 def test_sequence_route_matches_all_ranks_oracle(case):
     """At t >= max(r_x, 1) the table read off the long exact Tor sequence
     equals the one from every strand of S/J ranked over S."""
