@@ -660,11 +660,11 @@ def predicted_intersect_column_0(ell: int, n: int, t: int) -> dict:
     """
     out = {(0, 0, 0): 1}
     for a in range(n + 1):
-        en = comb(t + n, t + a) * comb(t + a - 1, a)
-        rho = min(ell * comb(n, a), en)
-        out.update({key: beta for key, beta in (((a, t + a, 0), ell * comb(n, a) - rho),
-                                                ((a + 1, t + a, 0), en - rho)) if beta})
-    return out
+        points, en = ell * comb(n, a), comb(t + n, t + a) * comb(t + a - 1, a)
+        rho = min(points, en)
+        out[(a, t + a, 0)] = points - rho
+        out[(a + 1, t + a, 0)] = en - rho
+    return {key: beta for key, beta in out.items() if beta}
 
 
 @dataclass(frozen=True)

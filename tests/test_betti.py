@@ -58,6 +58,7 @@ from oracles import (
     intersected_presentation_in_full,
     koszul_homology,
     monomial_row,
+    predicted_intersect_column_0,
     quotient_presentation,
     signed_collapse,
 )
@@ -614,6 +615,9 @@ def test_sequence_route_builds_no_map_below_row_t(monkeypatch, ps, t):
     assert set(strands) <= {tuple(range(n + 2, n + m + 2))}
     assert len(ranks) == len(strands)
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+    ell = len({*map(tuple, ps.xs)})
+    assert {e: b for e, b in bt.entries.items() if not e[2]} == predicted_intersect_column_0(
+        ell, n, t)
 
 
 @st.composite
