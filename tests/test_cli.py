@@ -316,6 +316,17 @@ PINNED_OUTPUTS = [
      "cd55abe2bec5c090a4fc2101769fca32940a68db006035406eb09d7fcf24195f"),
     ("vres-intersect --N 4 --t 100000 --seed 1",
      "e9c057d6c392b88416dfdf432eebc7f98f2e631ff71994f946c58db2f5eaafb9"),
+    # intersected tables at 1 <= t < r_x, from the truncated strands: P^2 x
+    # P^1 and P^3 x P^1 with column 0 ranked on the crossing into row t,
+    # P^1 x P^2 far below r_x = 29, and P^2 x P^2
+    ("vres-intersect --n 2 --m 1 --N 30 --t 3 --seed 1",
+     "2b28896f61c41b902dd3cca79f1c7239639e36b3054ebbe0cdf8f9b65cf6ad2a"),
+    ("vres-intersect --n 3 --m 1 --N 30 --t 2 --seed 1",
+     "1d9ae457df033b438ee431be05fb5d129835ed91533839adf6ca65cedcaebdb6"),
+    ("vres-intersect --N 30 --t 10 --seed 1",
+     "4da9b5073fbb7e84d79da424406902fcacea50589b4bc8cda08cf6ab784b6ed5"),
+    ("vres-intersect --n 2 --m 2 --N 20 --t 2 --seed 1",
+     "14cdec003d2111eb8d3e7a6b8a18eac74985dfb6529442b493b063f7ac9e40bc"),
 ]
 
 
