@@ -12,39 +12,35 @@ presents the module on exactly that region.
 The point-set presentations use one fact: if a variable z is a
 nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
 S/z is the polynomial ring on the other n+m+1 variables.  So the point
-modules are presented modulo z (x0 for S/I_X, y0 for S/(I_X ∩ <x>^t)
-with t >= 1), with pieces of at most N dimensions, and each strand is
-smaller than the one on all n+m+2 variables.  For t >= 1 that ring is
-k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1), and the free rows
-i < t of S/(I_X ∩ <x>^t) modulo y0 are its own pieces.  Every variable
-map is one dense block over GF(p), target dim x source dim.  Below row t
-the strands read only column 0 by x-variables (see the next paragraph),
-so those are the only maps built there: k[x]_i -> k[x]_(i+1), the 0/1
-block of ``cox.mult_map`` in S's monomial order, and the crossing into
-row t, which evaluates the monomials (once per source degree, for every
-x-variable).  At t >= r_x no strand is ranked below row t, and the
-crossing is built only at t = r_x with n >= 2 (see The sequence route).
-``intersected_presentation`` is the one builder (``point_presentation``
-is its t = 0 case); the tests check the engine against presentations of
-S/J built from explicit ideal generators in their own oracles.
+modules are presented modulo z (x0 for S/I_X, y0 for A_{rows >= t}
+below), with pieces of at most N dimensions, and each strand is smaller
+than the one on all n+m+2 variables.  Every variable map is one dense
+block over GF(p), target dim x source dim.  ``intersected_presentation``
+is the one builder (``point_presentation`` is its t = 0 case); the tests
+check the engine against presentations of S/J built from explicit ideal
+generators in their own oracles.
 
-Off column 0, the intersected presentation's strands keep only the
-pieces in rows i >= t.  Let R = k[x0..xn, y1..ym] and M = R/J be
-S/(I_X ∩ <x>^t) modulo y0.  J is bigraded and vanishes below row t, so
-each of its forms has x-degree at least t and J lies in <x>^t; there is
-a short exact sequence 0 -> <x>^t M -> M -> R/<x>^t -> 0.  R/<x>^t is extended from
-k[x0..xn], where a power of the maximal ideal has a linear resolution
-(Eagon and Northcott), so every twist in its resolution has y-degree 0,
-and Tor^R_k(R/<x>^t)_d = 0 at d = (i, j) with j >= 1.  The long exact
-sequence of Tor then gives Tor_k(M)_d = Tor_k(<x>^t M)_d there, and
-<x>^t M is M's pieces in rows i >= t with zero below: its strand at d is
-the sub-strand of M's on the summands whose piece lies in those rows.
-So the large free pieces of R below row t, which carry no homology off
-column 0, enter no rank.  ``GradedModulePresentation.free_rows`` is that
-t; the point presentation (t = 0) and column 0 keep the full strands.
-A column-0 strand at (i, 0) reads only pieces (i - |T|, 0), with T a
-set of x-variables (a y-variable would take it to column -1), so below
-row t it reads only column-0 maps by x-variables.
+At t >= 1 the builder presents not S/J, J = I_X ∩ <x>^t, but its
+submodule A' = <x>^t S/J = A_{rows >= t}, A = S/I_X, modulo y0.  Let
+R = k[x0..xn, y1..ym] and M = R/J be S/J modulo y0.  J is bigraded and
+vanishes below row t, so each of its forms has x-degree at least t and J
+lies in <x>^t.  Step (a) of the ``vres`` docstring gives the exact
+sequence 0 -> A' -> S/J -> S/<x>^t -> 0, and y0 is a nonzerodivisor on
+S/<x>^t, so modulo y0 it stays exact: 0 -> <x>^t M -> M -> R/<x>^t -> 0,
+and <x>^t M is M's pieces in rows i >= t with zero below.  R/<x>^t is
+extended from k[x0..xn], where a power of the maximal ideal has a linear
+resolution (Eagon and Northcott), so every twist in its resolution has
+y-degree 0, and Tor^R_k(R/<x>^t)_d = 0 at d = (i, j) with j >= 1.  The
+long exact sequence of Tor then gives Tor_k(M)_d = Tor_k(<x>^t M)_d
+there: off column 0, A' has the table of S/J.  In column 0 they differ
+only at the origin and in rows t..t+n, and one step reads S/J's column 0
+off A''s (The sequence route (b)-(d)).  So R's large pieces below row t
+enter no strand: the presentation's ``dims`` are zero there,
+``GradedModulePresentation.free_rows`` is t, and the only maps it builds
+below row t are the crossings from (t-1, 0) by an x-variable,
+k[x]_(t-1) -> V(t, 0), which evaluate the monomials once for every
+x-variable and which the column-0 step ranks only at t <= r_x with
+n >= 2.
 
 ``betti_numbers`` decides in one mask over the window which cells need
 a rank.  A cell whose strand has no nonzero summand in any K_k with
@@ -53,23 +49,28 @@ origin whose piece has the dimension of R's piece, for R the polynomial
 ring on the presentation's variables: the module is R/J, R is a domain,
 so J_d = 0 forces J_e = 0 at every e <= d, and the strand at d, which
 reads only pieces at such e, is R's own strand, exact away from the
-origin.  (That speaks of M's full strand, which has the homology of the
-truncated one.)  The origin's strand gives beta_0 with no rank.
+origin.  The origin's strand gives beta_0 with no rank.  At t >= 1 the
+module is A', not R/J, but a piece of A' in a row i >= t is M's, and A'
+has the table of M but at the origin (where its piece is zero) and in
+rows t..t+n of column 0, so the certificate holds everywhere else.  In
+those rows A' holds Tor_a(B_{>= t}) (The sequence route (b)), which the
+column-0 step reads, so the mask keeps them.
 
 One more read replaces a rank.  The map K_1 -> K_0 at d sends
 (u_v) in the sum of the M_(d - deg v) to the sum of the v*u_v in M_d.  M
 is cyclic and generated at (0, 0), so for d != (0, 0) every element of
 M_d is a sum of monomials of degree d times the generator, each a
 variable v times a monomial of degree d - deg v: the map is onto, of
-rank dim K_0.  At the origin K_1 = 0.  The truncated strand at (i, j)
-with j >= 1 is that of <x>^t M, which is generated in column 0 (at
-(t, 0)): its K_0 is M_d for i >= t and zero below, and its K_1 keeps
-the summands in rows >= t, among them M_(i, j-1) for each y-variable.
-Every monomial of degree (i, j) has a y-factor, so the y-variables alone
-map onto M_d.  Hence wherever K_1 and K_0 are both nonzero, d is not the
-origin and the rank is dim K_0; ``_betti_cell`` assembles no such block.
-The read needs a cyclic module: the kernels of the row split below are
-not cyclic, and their strands rank K_1 -> K_0 like every differential.
+rank dim K_0.  At the origin K_1 = 0.  At t >= 1 the module A' = <x>^t M
+is generated at (t, 0), by the monomials of k[x]_t, and is zero below
+row t.  At (i, j) with i >= t and j >= 1 every monomial of degree (i, j)
+has a y-factor, so the y-variables alone map onto the piece; at (i, 0)
+with i > t every monomial of degree i is an x-variable times one of
+degree i - 1 >= t; and at (t, 0) K_1 is zero.  Hence wherever K_1 and K_0
+are both nonzero the rank is dim K_0; ``_betti_cell`` assembles no such
+block.  The read needs a module generated in the degrees where K_1 is
+zero: the kernels of the row split below are not, and their strands rank
+K_1 -> K_0 like every differential.
 
 The row split.  Let the presentation have one x-variable x and no free
 rows: ``point_presentation`` with n = 1, where x = x1.  M is cyclic and
@@ -172,65 +173,65 @@ strand at a cell reads only pieces at degrees at most the cell, so a
 window that contains the box holds every Betti number of the module, and
 ``betti_numbers`` visits no cell outside the box.
 
-The sequence route.  Let t >= 1 with t >= r_x, which holds exactly when
-the Betti box of S/J, J = I_X ∩ <x>^t, ends at row t + n.  Then
-``betti_numbers`` assembles no strand of S/J but the origin's, which
-needs no rank, and, only at t = r_x with n >= 2, one differential per
-row t + a of column 0 (step (d)).  It reads the table off the exact
-sequence of step (a) of the ``vres`` docstring,
-0 -> A' -> S/J -> S/<x>^t -> 0 with A' = A_{rows >= t}, and the splitting
-of its step (b), A' = ⊕_k L_k(-t) ⊗ C_k, where L_k = k[x]/I_(P_k) is the
-coordinate ring of the k-th of the ell distinct x-parts and C_k that of
-its fiber's y-parts.  Write k[x] = k[x0..xn] and k[y] = k[y0..ym].
+The sequence route.  Let t >= 1, J = I_X ∩ <x>^t and A' = A_{rows >= t}.
+``betti_numbers`` reads the table of S/J off the exact sequence of step
+(a) of the ``vres`` docstring, 0 -> A' -> S/J -> S/<x>^t -> 0: it takes
+A''s table, which the presentation holds, and applies one column-0 step,
+(b)-(d), at every t >= 1.  No strand of S/J itself is assembled.  Write
+k[x] = k[x0..xn] and k[y] = k[y0..ym].
 
-(a) Off column 0.  The twists of S/<x>^t all lie in column 0, so at
-(i, b) with b >= 1 the long exact Tor sequence gives
-Tor_k(S/J) = Tor_k(A').  Over S = k[x] ⊗ k[y], the tensor product of a
-k[x]-resolution of L_k and a k[y]-resolution of C_k resolves L_k ⊗ C_k
-(Künneth; Eisenbud, section 17), and L_k, cut out by n linear forms, is
-resolved by their Koszul complex, with C(n, a) twists a in step a.  So
+(a) A''s table at t >= r_x, which holds exactly when the Betti box of S/J
+ends at row t + n.  There ``vres`` step (b) splits A' = ⊕_k L_k(-t) ⊗ C_k,
+where L_k = k[x]/I_(P_k) is the coordinate ring of the k-th of the ell
+distinct x-parts and C_k that of its fiber's y-parts.  Over
+S = k[x] ⊗ k[y], the tensor product of a k[x]-resolution of L_k and a
+k[y]-resolution of C_k resolves L_k ⊗ C_k (Künneth; Eisenbud, section
+17), and L_k, cut out by n linear forms, is resolved by their Koszul
+complex, with C(n, a) twists a in step a.  So
 
-    beta_{k,(t+a,b)}(S/J) = C(n, a) * beta'_{k-a,b},
+    beta_{k,(t+a,b)}(A') = C(n, a) * beta'_{k-a,b},
 
-beta' the Betti table over k[y] of ⊕_k C_k, and every other cell with
-b >= 1 holds zero.  ⊕_k C_k is A's row t, V(t, j) = ⊕_k V^k_j (``vres``
-step (b)).  y0 is 1 at every point, so it maps V(t, j-1) into V(t, j) by
-inclusion and is a nonzerodivisor on the row; as in Row 0 (b), beta' is
-then the table over y1..ym of the row modulo y0, which is row t of the
+beta' the Betti table over k[y] of ⊕_k C_k, and every other cell holds
+zero.  ⊕_k C_k is A's row t, V(t, j) = ⊕_k V^k_j (``vres`` step (b)).
+y0 is 1 at every point, so it maps V(t, j-1) into V(t, j) by inclusion
+and is a nonzerodivisor on the row; as in Row 0 (b), beta' is then the
+table over y1..ym of the row modulo y0, which is row t of the
 presentation: the pieces V(t, j)/V(t, j-1) and the y-maps between them.
 That row is generated in column 0: with e_k in k[x]_t the idempotents of
 ``vres`` step (b), the e_k * g, g in k[y]_j, span V(t, j).  So on its
 strands K_1 -> K_0 is onto off column 0, as for a cyclic module, and K_1
-is zero at column 0.  It is not cyclic (it has ell generators), so no free-cell
-certificate is read on it.
+is zero at column 0, where beta'_{0,0} = ell and nothing else lies.  It
+is not cyclic (it has ell generators), so no free-cell certificate is
+read on it.  Below r_x, A''s table is ranked on its strands in the mask.
 
-(b) Column 0.  A strand at (i, 0) reads only the pieces (i - |T|, 0), T a
-set of x-variables, so column 0 is the table over k[x] of
-Nx = ⊕_i M_(i,0), with Nx_i = k[x]_i for i < t and V(i, 0) for i >= t:
-Nx = k[x]/(I_(π1 X) ∩ <x>^t).  Let B = k[x]/I_(π1 X), the coordinate
-ring of the x-parts, and Q = k[x]/<x>^t; then
-0 -> B_{>= t} -> Nx -> Q -> 0 is exact.  For t >= r_x,
-B_{>= t} = ⊕_k L_k(-t), so Tor_a(B_{>= t}) lies in degree t + a, of
-dimension ell * C(n, a).  <x>^t has a linear resolution
-(Eagon and Northcott): Tor_a(<x>^t) lies in degree t + a, of dimension
-C(t+n, t+a) * C(t+a-1, a).  The Koszul complex of k[x] is exact in every
-degree >= 1, so the Tor sequence of 0 -> <x>^t -> k[x] -> Q -> 0 gives
-Tor_(a+1)(Q) = Tor_a(<x>^t) in degree t + a >= 1, and Tor_0(Q) = k in
-degree 0.  In degree t + a, Tor_(a+1)(B_{>= t}) and Tor_a(Q) vanish
-(t >= 1), so the long exact sequence of 0 -> B_{>= t} -> Nx -> Q -> 0
-there reads
+(b) Column 0, at every t >= 1.  A strand at (i, 0) reads only the pieces
+(i - |T|, 0), T a set of x-variables, so column 0 of S/J is the table
+over k[x] of Nx = k[x]/(I_(π1 X) ∩ <x>^t), with Nx_i = k[x]_i for i < t
+and V(i, 0) for i >= t.  Let B = k[x]/I_(π1 X), the coordinate ring of
+the x-parts, and Q = k[x]/<x>^t; then 0 -> B_{>= t} -> Nx -> Q -> 0 is
+exact, and column 0 of A' is the table of B_{>= t}.  <x>^t has a linear
+resolution (Eagon and Northcott): Tor_a(<x>^t) lies in degree t + a, of
+dimension EN_a = C(t+n, t+a) * C(t+a-1, a).  The Koszul complex of k[x]
+is exact in every degree >= 1, so the Tor sequence of
+0 -> <x>^t -> k[x] -> Q -> 0 gives Tor_(a+1)(Q) = Tor_a(<x>^t) in degree
+t + a >= 1, and Tor_0(Q) = k in degree 0.  B_{>= t} is generated in
+degree t, so Tor_(a+1)(B_{>= t}) vanishes in degree t + a, and so does
+Tor_a(Q) (t >= 1).  The long exact sequence of
+0 -> B_{>= t} -> Nx -> Q -> 0 in degree t + a then reads
 
     0 -> Tor_(a+1)(Nx) -> Tor_a(<x>^t) --δ--> Tor_a(B_{>= t})
       -> Tor_a(Nx) -> 0,
 
-and the same sequence leaves no other Tor of Nx in a degree >= 1: none
-in degree t + a but Tor_a and Tor_(a+1), and none outside degrees
-t..t+n.  With rho_a the rank of δ, beta_{0,(0,0)} = 1,
+and at every other homological degree k and degree e, but k = 0 at
+e = 0, Tor_k(Q) and Tor_(k+1)(Q) vanish in degree e, so
+Tor_k(Nx)_e = Tor_k(B_{>= t})_e.  With rho_a the rank of δ,
+beta_{0,(0,0)} = 1, and in row t + a, a = 0..n,
 
-    beta_{a,(t+a,0)} = ell * C(n, a) - rho_a,
-    beta_{a+1,(t+a,0)} = C(t+n, t+a) * C(t+a-1, a) - rho_a,
+    beta_{a,(t+a,0)}(S/J) = beta_{a,(t+a,0)}(A') - rho_a,
+    beta_{a+1,(t+a,0)}(S/J) = EN_a - rho_a,
 
-and column 0 holds nothing else.
+and every other cell of column 0 holds A''s number.  At t >= r_x,
+beta_{a,(t+a,0)}(A') = ell * C(n, a) by (a).
 
 (c) rho_a is the rank of the crossing differential.  Take the Tors as
 Koszul homology over x0..xn, at degree t + a.  There K_k(Nx) is
@@ -244,8 +245,8 @@ cycles of K_a(B_{>= t}) with no boundary to divide by.  δ sends the class
 of z to c(z), its lift's boundary in Nx's strand.  c kills the
 boundaries of Q's strand (c composed with the differential above it is
 the square of Nx's differential), so the image of δ is c(K_(a+1)) and
-rho_a = rank c.  rho_0 = ell with no rank: Nx is cyclic, so c is onto
-V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is a map
+rho_a = rank c.  rho_0 = H(t, 0) with no rank: Nx is cyclic, so c is
+onto V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is a map
 Tor_a(<x>^t)_(t+a) -> Tor_a(B_{>= t})_(t+a), which (d) names.
 
 (d) rho_a in closed form.  Let I = I_(π1 X) in k[x], so B = k[x]/I and
@@ -268,21 +269,21 @@ t + a, which sits in the long exact sequence
     map is onto in degree t + a, and rho_a = ell * C(n, a).  Besides
     beta_{0,(0,0)}, column 0 then holds only beta_{a+1,(t+a,0)}, the
     Eagon-Northcott number less ell * C(n, a).
-  * n = 1 and t = r_x.  On P^1, r_x = ell - 1 (``vres`` docstring) and I
+  * n = 1 and t <= r_x.  On P^1, r_x = ell - 1 (``vres`` docstring) and I
     is principal, generated by a form F of degree ell > t (the product of
     one linear form through each x-part).  So I_{>= t} = I = F k[x] is
     free, Tor_1(I_{>= t}) = 0, the map is injective, and
     rho_1 = C(t+1, t+1) * C(t, 1) = t.  With the first case, rho_1 =
-    min(t, ell) on P^1 at every t >= r_x.
-  * n >= 2 and t = r_x.  No closed form is read: rho_a is the rank of the
+    min(t, ell) on P^1 at every t >= 1.
+  * n >= 2 and t <= r_x.  No closed form is read: rho_a is the rank of the
     crossing differential of (c).
 
-So at t >= r_x + 1, and on P^1 at every t >= r_x, the route builds no map
-below row t, evaluates no monomial and ranks only row t's strands over
-y1..ym.  At t = r_x with n >= 2 it ranks one crossing differential per
-row t + a, a = 1..n, whose pieces are k[x]_(t-1) and V(t, 0), and builds
-below row t only the crossing maps from (t-1, 0).  No free-row monomial
-block is built at any t >= r_x.  A t below r_x keeps the strands.
+So at t >= r_x + 1, and on P^1 at every t >= 1, the column-0 step builds
+no map below row t and evaluates no monomial.  At t <= r_x with n >= 2 it
+ranks one crossing differential per row t + a, a = 1..n, whose pieces are
+k[x]_(t-1) and V(t, 0), and builds below row t only the crossing maps
+from (t-1, 0).  At t >= r_x the only other ranks are those of row t's
+strands over y1..ym.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
@@ -301,7 +302,7 @@ from math import comb
 
 import numpy as np
 
-from .cox import count_monomials, mult_map, t_binom, var_degree
+from .cox import var_degree
 from .diffcalc import dh_p1p2
 from .fp import kernel_basis, matmul, rank
 from .points import (
@@ -327,17 +328,20 @@ class GradedModulePresentation:
     It is a module over the polynomial ring on ``variables``, the
     ring variables that act on it; the Koszul strands run over exactly
     these, listed in increasing order, so the x-variables (index <= n)
-    come first.  It is cyclic, generated in degree (0, 0), except for the
-    kernels of the row split (see the module docstring and
-    ``_kernel_presentation``).  ``dims[i, j]`` is the dimension of the piece
-    at (i, j).  ``map(var, d)`` returns the matrix of multiplication by a
-    variable from the piece at d to the piece at d + deg(var), in the
-    chosen bases: a dense int64 block, target dim x source dim.  Maps are
-    built lazily and memoized; a builder may refuse, with ValueError, a
-    map that no strand of the engine reads.  ``box`` is the corner of the
-    Betti box (see the module docstring), None when unknown, and ``rx`` the
-    box row r_x of the point set's sweep (see ``points``), which the
-    sequence route reads, None when unknown.
+    come first.  It is cyclic, generated in degree (0, 0), except for
+    <x>^t M, generated at (t, 0), its row t, and the kernels of the row
+    split (see the module docstring and ``_kernel_presentation``).
+    ``dims[i, j]`` is the dimension of the piece at (i, j).  ``map(var, d)``
+    returns the matrix of multiplication by a variable from the piece at d
+    to the piece at d + deg(var), in the chosen bases: a dense int64 block,
+    target dim x source dim.  Maps are built lazily and memoized; a builder
+    may refuse, with ValueError, a map that the engine never reads.
+    ``free_rows`` = t >= 1 marks the presentation of A' = <x>^t M, zero
+    below row t, whose builder also gives the crossing maps from
+    k[x]_(t-1), the piece of S/J at (t-1, 0), into row t.  ``box`` is the
+    corner of the Betti box (see the module docstring), None when unknown,
+    and ``rx`` the box row r_x of the point set's sweep (see ``points``),
+    which the sequence route reads, None when unknown.
     ``row_quotient``, on a point presentation, presents C/y0C for C its
     row 0; ``betti_numbers`` reads row 0 of the table off it (see Row 0 in
     the module docstring).
@@ -349,8 +353,8 @@ class GradedModulePresentation:
     window: tuple[int, int]
     dims: np.ndarray
     variables: tuple[int, ...]
-    # rows i < free_rows hold R's own pieces; off column 0 the strands
-    # read only the rows at or above it (see the module docstring)
+    # t >= 1: the module is <x>^t M, and column 0 of S/J is read off it
+    # (see The sequence route in the module docstring)
     free_rows: int = 0
     box: tuple[int, int] | None = None
     rx: int | None = None
@@ -391,28 +395,30 @@ def point_presentation(ps: PointSet, window: tuple[int, int]) -> GradedModulePre
 
 def intersected_presentation(ps: PointSet, t: int,
                              window: tuple[int, int]) -> GradedModulePresentation:
-    """M/zM for M = S/(I_X ∩ <x>^t) on the window, over the variables but z.
+    """S/I_X at t = 0, and <x>^t S/J = A_{rows >= t}, J = I_X ∩ <x>^t, at
+    t >= 1, modulo z on the window, over the variables but z.
 
     z is x0 for t = 0 and y0 for t >= 1.  Both are 1 at every point, so z*g
     in I_X forces g in I_X; and <x>^t is generated by monomials in x alone,
-    so y0*g in <x>^t forces g in <x>^t.  Hence z is a nonzerodivisor on M
-    and M/zM has the Betti numbers of M.  (x0 would not do for t >= 1: it
-    kills x0^(t-1)*f when f in I_X has x-degree 0.)
+    so y0*g in <x>^t forces g in <x>^t.  Hence z is a nonzerodivisor on
+    S/J and on its submodules, and the quotient by z keeps their Betti
+    numbers.  (x0 would not do for t >= 1: it kills x0^(t-1)*f when f in
+    I_X has x-degree 0.)
 
-    At rows i >= t, M_d is V_d, the evaluation image of S_d in k^N, and
-    the piece is V_d / V_(d - deg z).  The smaller cell's RREF pivots are
-    among V_d's, and the rows of V_d's RREF basis at the other pivots span
-    a complement; a class's coordinates are the values, at those pivots,
-    of any representative reduced modulo the smaller cell.  At rows i < t,
-    M_d is S_d and the piece S_d / y0 S_(d - (0,1)) is R_d for
-    R = k[x0..xn, y1..ym], the Cox ring of P^n x P^(m-1).  The engine
-    reads these rows only in column 0 and by x-variables (see the module
-    docstring), where R_(i,0) = S_(i,0) = k[x]_i in S's monomial order:
-    a map inside these rows is the 0/1 block of ``cox.mult_map``, and a
-    map from row t-1 into row t evaluates the source monomials times the
-    variable, then reduces.  Any other map below row t raises ValueError.
-    At t = 0 the presentation carries ``row_quotient``, C/y0C for C its
-    row 0, built from the row flag (see Row 0 in the module docstring).
+    Let M be S/J modulo z.  At t >= 1 the pieces are those of <x>^t M:
+    M's in rows i >= t and zero below, and the engine reads S/J's column 0
+    off them (see The sequence route in the module docstring).  At rows
+    i >= t, M_d is V_d, the evaluation image of S_d in k^N, and the piece
+    is V_d / V_(d - deg z).  The smaller cell's RREF pivots are among
+    V_d's, and the rows of V_d's RREF basis at the other pivots span a
+    complement; a class's coordinates are the values, at those pivots, of
+    any representative reduced modulo the smaller cell.  The one map below
+    row t is the crossing from (t-1, 0), where M's piece is k[x]_(t-1) in
+    S's monomial order, into row t by an x-variable: it evaluates the
+    source monomials times the variable, then reduces.  Any other map below
+    row t raises ValueError.  At t = 0 the presentation carries
+    ``row_quotient``, C/y0C for C its row 0, built from the row flag (see
+    Row 0 in the module docstring).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -453,36 +459,20 @@ def intersected_presentation(ps: PointSet, t: int,
         tgt = (d[0] + dv[0], d[1] + dv[1])
         if d[0] >= t:
             funcs = fs.cell(d)[0][fresh(d)]
-        elif d[1] or var > n:
-            raise ValueError(f"below row {t} the strands read only column 0 by "
-                             f"x-variables, not variable {var} at {d}")
-        elif tgt[0] < t:
-            # k[x]_i to k[x]_(i+1), both in S's monomial order
-            rows = mult_map(var, d, n, m)
-            block = np.zeros((count_monomials(n, m, tgt), len(rows)), dtype=np.int64)
-            block[rows, np.arange(len(rows))] = 1
-            return block
-        else:
+        elif d == (t - 1, 0) and var <= n:
             # the crossing from row t - 1: evaluate every monomial
             funcs = evaluated(d)
+        else:
+            raise ValueError(f"below row {t} only the crossing from {(t - 1, 0)} by an "
+                             f"x-variable is built, not variable {var} at {d}")
         return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
 
     wi, wj = window
-    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z); at
-    # rows i >= t, H_M is the sweep's, and rows i < t are R's pieces
+    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z), with
+    # H_M the sweep's at rows i >= t; <x>^t M is zero below row t
     dims = fs.dims.copy()
     dims[dz[0]:, dz[1]:] -= fs.dims[: wi + 1 - dz[0], : wj + 1 - dz[1]]
-    if free := min(t, wi + 1):
-        # dim R_(i,j) = C(i + n, n) * t_binom(j, m - 1); the column sums ones
-        # n times (C(i + n, n) is the sum of C(i' + n - 1, n - 1) over
-        # i' <= i), exact in int64 once its largest product fits
-        ys = [t_binom(j, m - 1) for j in range(wj + 1)]
-        if t_binom(free - 1, n) * max(ys) > np.iinfo(np.int64).max:
-            raise OverflowError(f"a free piece below row {t} has over 2**63 monomials")
-        xs = np.ones(free, dtype=np.int64)
-        for _ in range(n):
-            np.cumsum(xs, out=xs)
-        dims[:free] = np.outer(xs, ys)
+    dims[:t] = 0
     variables = tuple(v for v in range(n + m + 2) if v != z)
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
                                     box=betti_box(ps, t), rx=fs.box[0], _builder=build,
@@ -563,11 +553,9 @@ def _strand_snapshot(pres, d, k):
     """Summands of K_k at d: (subset, piece degree, dim, offset)."""
     out = []
     offset = 0
-    floor = pres.free_rows if d[1] else 0
     for T, (a, b) in _subsets(pres.variables, pres.n, k):
         piece = (d[0] - a, d[1] - b)
-        dim = pres.dim(piece) if piece[0] >= floor else 0
-        if dim:
+        if dim := pres.dim(piece):
             out.append((T, piece, dim, offset))
             offset += dim
     return out, offset
@@ -588,22 +576,19 @@ def _reach(nonzero: np.ndarray, degrees) -> np.ndarray:
 def _live_cells(pres, kmax) -> np.ndarray:
     """Mask of the cells whose strand needs a rank: inside the Betti box
     when the presentation knows it, a nonzero summand in some K_k with
-    k <= kmax, and a piece short of R's (see the module docstring).  The
-    origin stays in: its strand gives beta_0 with no rank."""
+    k <= kmax, and a piece short of R's, but at the origin, whose strand
+    gives beta_0 with no rank, and at t >= 1 in rows t..t+n of column 0,
+    which the column-0 step reads (see the module docstring)."""
     degrees = {deg for k in range(kmax + 1)
                for _, deg in _subsets(pres.variables, pres.n, k)}
-    nonzero = pres.dims > 0
-    # column 0 reads only column 0; off it the strands read only rows at
-    # or above free_rows
-    column_0 = _reach(nonzero[:, :1], degrees)
-    nonzero[: pres.free_rows] = False
-    live = _reach(nonzero, degrees)
-    live[:, :1] = column_0
+    live = _reach(pres.dims > 0, degrees)
     nx, ny = pres.split
     # R's piece dimensions, capped above every piece of the module
     free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
                                                nx - 1, ny - 1, pres.window)
-    free[0, 0] = False
+    # A' = <x>^t M has M's table but in those rows (see the module docstring)
+    t = pres.free_rows
+    free[: t + pres.n + 1 if t else 1, 0] = False
     if pres.box is not None:
         live[pres.box[0] + 1:] = False
         live[:, pres.box[1] + 1:] = False
@@ -646,10 +631,10 @@ def _differential(pres, src, tgt) -> np.ndarray:
 
 
 def _betti_cell(pres, d, kmax) -> dict:
-    """Koszul strand homology of the presented cyclic module at one
-    bidegree: K_1 -> K_0 is onto off the origin, and K_1 is zero at it (see
-    the module docstring), so its rank is dim K_0 and its block is never
-    assembled."""
+    """Koszul strand homology of the presented module at one bidegree: the
+    module is cyclic, or <x>^t M, so K_1 -> K_0 is onto wherever K_1 is
+    nonzero (see the module docstring), its rank is dim K_0 and its block
+    is never assembled."""
     return _homology(pres, d, kmax, onto=True)
 
 
@@ -710,35 +695,13 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
 
 
 def _sequence_entries(pres, kmax) -> dict:
-    """The Betti numbers of an intersected presentation at
-    t = free_rows >= max(r_x, 1), read off the long exact Tor sequence of
-    0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence route in
-    the module docstring): beta_0 at the origin from its strand, column 0
-    from the rank rho_a of the connecting map in row t + a, a = 1..n, and
-    the cells off it from row t's Betti table over the y-variables, each
-    row t + a taking C(n, a) times it, a stages up.  rho_a is ell * C(n, a)
-    at t > r_x, and t on P^1 at t = r_x; only at t = r_x with n >= 2 is it
-    the rank of a crossing differential."""
+    """The Betti numbers of A' = <x>^t M at t = free_rows >= max(r_x, 1):
+    row t + a holds C(n, a) times row t's Betti table over the y-variables,
+    a stages up (step (a) of The sequence route in the module docstring)."""
     n, t = pres.n, pres.free_rows
     wi, wj = pres.window
-    entries = {(k, 0, 0): beta for k, beta in _betti_cell(pres, (0, 0), kmax).items()}
     if wi < t:
-        return entries
-    ell = int(pres.dims[t, 0])
-    for a in range(min(n, kmax, wi - t) + 1):
-        d = (t + a, 0)
-        eagon_northcott = comb(t + n, t + a) * comb(t + a - 1, a)
-        if a == 0 or t > pres.rx:
-            rho = ell * comb(n, a)  # onto: step (c) at a = 0, else (d)
-        elif n == 1:
-            rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
-        else:
-            # the crossing differential K_(a+1) -> K_a, from the pieces
-            # k[x]_(t-1) to the pieces V(t, 0)
-            rho = rank(_differential(pres, _strand_snapshot(pres, d, a + 1)[0],
-                                     _strand_snapshot(pres, d, a)[0]), pres.p)
-        betas = {a: ell * comb(n, a) - rho, a + 1: eagon_northcott - rho}
-        entries.update({(k, *d): beta for k, beta in betas.items() if beta and k <= kmax})
+        return {}
     # row t over y1..ym, generated in column 0, so K_1 -> K_0 is onto off it
     row = GradedModulePresentation(n, pres.m, pres.p, (0, wj), pres.dims[t:t + 1],
                                    pres.variables[n + 1:],
@@ -746,12 +709,40 @@ def _sequence_entries(pres, kmax) -> dict:
     # beta'_{k,b} with k <= kmax reads the columns b - h of row t, h <= k
     reads = [(0, h) for h in range(min(kmax, pres.m) + 1)]
     live = _reach(row.dims[:, :min(wj, pres.box[1]) + 1] > 0, reads)[0]
-    live[0] = False  # column 0 is read above
+    entries = {}
     for b in np.flatnonzero(live).tolist():
         for k, beta in _homology(row, (0, b), kmax, onto=True).items():
             for a in range(min(n, wi - t, kmax - k) + 1):
                 entries[(k + a, t + a, b)] = comb(n, a) * beta
     return entries
+
+
+def _column_0(pres, entries, kmax) -> dict:
+    """Column 0 of S/J, J = I_X ∩ <x>^t with t = free_rows >= 1, from the
+    table ``entries`` of A' = <x>^t M (step (b) of The sequence route):
+    beta_{0,(0,0)} = 1 and, in row t + a, beta_a drops by rho_a and
+    beta_(a+1) is the Eagon-Northcott number less rho_a.  rho_a is H(t, 0)
+    at a = 0, ell * C(n, a) at t > r_x, and t on P^1 at t <= r_x (step (d));
+    otherwise it is the rank of the crossing differential from the pieces
+    k[x]_(t-1) to the pieces V(t, 0) (step (c))."""
+    n, t = pres.n, pres.free_rows
+    entries[(0, 0, 0)] = 1
+    for a in range(min(n, kmax, pres.window[0] - t) + 1):
+        d = (t + a, 0)
+        eagon_northcott = comb(t + n, t + a) * comb(t + a - 1, a)
+        if a == 0 or t > pres.rx:
+            rho = int(pres.dims[d]) * comb(n, a)  # onto: step (c) at a = 0, else (d)
+        elif n == 1:
+            rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
+        else:
+            size = comb(t - 1 + n, n)  # dim k[x]_(t-1)
+            src = [(T, (t - 1, 0), size, i * size)
+                   for i, T in enumerate(combinations(pres.variables[:n + 1], a + 1))]
+            rho = rank(_differential(pres, src, _strand_snapshot(pres, d, a)[0]), pres.p)
+        entries[(a, *d)] = entries.get((a, *d), 0) - rho
+        if a < kmax:
+            entries[(a + 1, *d)] = eagon_northcott - rho
+    return {key: beta for key, beta in entries.items() if beta}
 
 
 def betti_numbers(pres: GradedModulePresentation,
@@ -767,13 +758,14 @@ def betti_numbers(pres: GradedModulePresentation,
     computed that way: each row i >= 1 is the y-variables' Betti table,
     shifted up by one homological degree, of the kernel of x1 from row i-1
     to row i, so a row where x1 loses no dimension builds no map and ranks
-    nothing.  An intersected presentation at t >= max(r_x, 1), whose Betti
-    box ends at row t + n, assembles no strand but the origin's: its table
-    is read off the long exact Tor sequence of 0 -> A_{rows >= t} -> S/J ->
-    S/<x>^t -> 0, from the strands of row t over y1..ym and, only at
-    t = r_x with n >= 2, one crossing differential per row t + a of column
-    0; elsewhere column 0 is a closed form (see The sequence route in the
-    module docstring).
+    nothing.  An intersected presentation at t >= 1 holds A' = <x>^t M,
+    and the table of S/J is read off the long exact Tor sequence of
+    0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence route in
+    the module docstring): A''s table comes from the strands of row t
+    over y1..ym at t >= r_x, where the Betti box ends at row t + n, and
+    from A''s live cells below r_x; then one column-0 step applies
+    beta_{0,(0,0)} = 1 and the Eagon-Northcott numbers of <x>^t less
+    rho_a in rows t..t+n.
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
     global reads (projective dimension, shape totals) are exact.  It is
@@ -785,20 +777,23 @@ def betti_numbers(pres: GradedModulePresentation,
         kmax = pres.n + pres.m + 2
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if pres.rx is not None and pres.free_rows >= max(pres.rx, 1):
-        return BettiTable(pres.n, pres.m, tuple(pres.window), _sequence_entries(pres, kmax),
-                          kmax, pres.complete)
-    live = _live_cells(pres, kmax)
-    row_split = pres.split[0] == 1 and not pres.free_rows
-    if row_split:
-        live[1:] = False
-    entries = {}
-    for i, j in np.argwhere(live).tolist():
-        module = pres if i or pres.row_quotient is None else pres.row_quotient
-        for k, beta in _betti_cell(module, (i, j), kmax).items():
-            entries[(k, i, j)] = beta
-    if row_split:
-        entries.update(_kernel_rows(pres, kmax))
+    t = pres.free_rows
+    if t and t >= pres.rx:
+        entries = _sequence_entries(pres, kmax)
+    else:
+        live = _live_cells(pres, kmax)
+        row_split = pres.split[0] == 1 and not t
+        if row_split:
+            live[1:] = False
+        entries = {}
+        for i, j in np.argwhere(live).tolist():
+            module = pres if i or pres.row_quotient is None else pres.row_quotient
+            for k, beta in _betti_cell(module, (i, j), kmax).items():
+                entries[(k, i, j)] = beta
+        if row_split:
+            entries.update(_kernel_rows(pres, kmax))
+    if t:
+        entries = _column_0(pres, entries, kmax)
     return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)
 
 

@@ -44,12 +44,13 @@ t >= max(r, 1).  Then pd S/J = n + m:
     I_X, is associated to S/J.  Its quotient has dimension 2, so
     depth S/J <= 2 and pd S/J >= n + m.
 
-The sequence of (a) and the splitting of (b) give more than the length:
-at t >= max(r, 1) they give the whole Betti table, which ``betti_numbers``
-reads off them with the strands of row t over y1..ym off column 0 and,
-in column 0, a closed form at t > r and on P^1, or one rank per row
-t + a at t = r with n >= 2 (proof in The sequence route of the ``betti``
-module docstring).
+The sequence of (a) gives more than the length: ``betti_numbers`` reads
+the whole Betti table off it at every t >= 1, from the table of
+A_{rows >= t} and one column-0 step.  At t >= max(r, 1) the splitting of
+(b) gives that table from the strands of row t over y1..ym; column 0 is
+a closed form at t > r and on P^1, and takes one rank per row t + a at
+t <= r with n >= 2 (proof in The sequence route of the ``betti`` module
+docstring).
 
 Both earlier sufficient conditions are cases of t >= r.  The ell
 x-parts impose independent conditions on x-forms of degree ell - 1 (a

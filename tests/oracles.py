@@ -17,7 +17,7 @@ generic difference table (``predicted_dh_generic`` with
 beta_2 row reading ``beta2_first_positive_check``, the generic table
 off column 0 of the intersected quotient at t >= max(r_x, 1)
 (``predicted_intersect_off_column_0``) and its column 0 at t > r_x, and
-on P^1 at t >= r_x (``predicted_intersect_column_0``); so do the stored
+on P^1 at every t >= 1 (``predicted_intersect_column_0``); so do the stored
 trimmed shapes for N = 2..11 (``stored_pair_shape``) and the trim of a
 computed Betti table to the twists at most d + (n, m) (``trim_table``),
 the reference for ``vres.pair_vres``, which resolves only that region.
@@ -352,8 +352,8 @@ def koszul_homology(pres: GradedModulePresentation, kmax: int | None = None) -> 
     """Koszul homology of a presentation at every cell of its window.
 
     Each cell builds its full strand, K_k = the sum over the k-subsets T
-    of the variables of the pieces at d - deg T, pieces below
-    ``free_rows`` included, and ranks every differential, K_1 -> K_0 too.
+    of the variables of the pieces at d - deg T, and ranks every
+    differential, K_1 -> K_0 too.
     No cell is skipped and none is filled from another, so the table
     rests on no shortcut of ``betti.betti_numbers``.
     """
@@ -643,21 +643,25 @@ def predicted_intersect_off_column_0(N: int, n: int, m: int, t: int) -> dict:
 
 def predicted_intersect_column_0(ell: int, n: int, t: int) -> dict:
     """Closed-form column 0 of the table of S/(I_X ∩ <x>^t) for a set with
-    ell distinct x-parts, at t >= r_x + 1, or on P^1 (n = 1) at t >= r_x:
-    beta_{0,(0,0)} = 1 and, for a = 0..n, with EN_a = C(t+n, t+a) *
-    C(t+a-1, a) the Eagon-Northcott number of <x>^t,
+    ell distinct x-parts, at t >= r_x + 1, or on P^1 (n = 1) at every
+    t >= 1.  On P^1 with t <= ell, I_(π1 X) is principal of degree ell >= t,
+    so it lies in <x>^t, and column 0 is that of k[x]/I_(π1 X): beta_0 at
+    the origin and beta_1 at (ell, 0).  Otherwise beta_{0,(0,0)} = 1 and,
+    for a = 0..n, with EN_a = C(t+n, t+a) * C(t+a-1, a) the
+    Eagon-Northcott number of <x>^t,
 
         beta_{a,(t+a,0)} = ell * C(n, a) - rho_a,
         beta_{a+1,(t+a,0)} = EN_a - rho_a,
         rho_a = min(ell * C(n, a), EN_a).
 
     rho_a is the rank of Tor_a(<x>^t) -> Tor_a(B_{>= t}) in degree t + a,
-    B the coordinate ring of the x-parts, and the map is onto at t > r_x,
-    where I_(π1 X)_{>= t} has a linear resolution, and injective on P^1 at
-    t = r_x = ell - 1, where that ideal is principal of degree ell (step
-    (d) of The sequence route in ``betti``): its rank is the smaller of the
+    B the coordinate ring of the x-parts.  The map is onto at t > r_x,
+    where I_(π1 X)_{>= t} has a linear resolution (step (d) of The sequence
+    route in ``betti``), so its rank, ell * C(n, a), is the smaller of the
     two dimensions.
     """
+    if n == 1 and t <= ell:
+        return {(0, 0, 0): 1, (1, ell, 0): 1}
     out = {(0, 0, 0): 1}
     for a in range(n + 1):
         points, en = ell * comb(n, a), comb(t + n, t + a) * comb(t + a - 1, a)

@@ -513,39 +513,37 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
 
 @pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
 def test_free_row_dims_count_the_monomials_of_r(n, m):
-    # rows i < t of the presentation modulo y0 are R = k[x0..xn, y1..ym]
+    # the presentation is <x>^t M: zero below row t, and from row t on the
+    # sweep's H(i, j) - H(i, j - 1), the quotient by y0
     t, window = 5, (7, 6)
     ps = random_points(n, m, 3, seed=1)
     dims = intersected_presentation(ps, t, window).dims
-    assert [[int(d) for d in row] for row in dims[:t]] == [
-        [count_monomials(n, m - 1, (i, j)) for j in range(window[1] + 1)] for i in range(t)]
+    H = function_space_bases(ps, window).dims
+    assert not dims[:t].any()
+    assert np.array_equal(dims[t:], np.diff(H[t:], axis=1, prepend=0))
 
 
 def test_free_row_dims_past_int64_raise():
-    # dim R_(2, 200) on P^1 x P^20 is 3 * C(219, 19), past 2**63: the
-    # presentation refuses it rather than store a wrapped dimension
+    # dim R_(2, 200) on P^1 x P^20 is 3 * C(219, 19), past 2**63, but no
+    # piece of R is stored: the rows below t are zero
     ps = random_points(1, 20, 2, seed=1)
-    with pytest.raises(OverflowError):
-        intersected_presentation(ps, 3, (3, 200))
+    pres = intersected_presentation(ps, 3, (3, 200))
+    assert not pres.dims[:3].any()
+    assert pres.dims[3].tolist() == [2] + [0] * 200
 
 
 def test_free_row_maps_are_column_0_monomial_blocks():
-    # seven generic points in P^2 x P^1 at t = 2 < r_x = 3: rows 0 and 1 hold
-    # k[x]'s own pieces and rows >= 2 the seven-dimensional function spaces,
-    # so the column-0 strands read the free rows through monomial maps into
-    # row 1 and through the crossing into row 2
+    # seven generic points in P^2 x P^1 at t = 2 < r_x = 3: the presentation
+    # holds only rows >= 2, and column 0's step ranks the crossing
+    # differentials from k[x]_1, the only maps built below row t
     n, t = 2, 2
     ps = random_points(n, 1, 7, seed=2, require_generic=True)
     assert function_space_bases(ps, (0, 0)).box[0] == 3
     window = (3 + n + 1, 4)
     pres = intersected_presentation(ps, t, window)
     bt = betti_numbers(pres)
-    below = {key: block for key, block in pres._maps.items() if key[1][0] < t}
-    assert len(below) == 6
-    for (var, d), block in below.items():
-        assert var <= n and d[1] == 0
-        if d[0] + 1 < t:
-            assert np.array_equal(block, dense_mult_map(var, d, n, 1))
+    assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
+                                                                  for v in range(n + 1)]
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
 
 
@@ -553,7 +551,7 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
     # four generic points in P^2 x P^1 at t = r_x = 2, n >= 2: the table is
     # read off the long exact Tor sequence with column 0 ranked on the
     # crossing differentials, so below row t only the crossing maps from
-    # (t - 1, 0) are built, and the only strand is the origin's
+    # (t - 1, 0) are built, and no strand of S/J is assembled
     n, t = 2, 2
     ps = random_points(n, 1, 4, seed=2, require_generic=True)
     assert function_space_bases(ps, (0, 0)).box[0] == t
@@ -567,7 +565,7 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
 
     monkeypatch.setattr(betti, "_betti_cell", counted)
     bt = betti_numbers(pres)
-    assert cells == [(0, 0)]
+    assert cells == []
     assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
                                                                   for v in range(n + 1)]
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
@@ -620,14 +618,44 @@ def test_sequence_route_builds_no_map_below_row_t(monkeypatch, ps, t):
         ell, n, t)
 
 
+@pytest.mark.parametrize("ps", [
+    # three fibers of two points in P^1 x P^2, r_x = 2
+    fibered_633(),
+    # six generic points in P^1 x P^2, r_x = 5
+    random_points(1, 2, 6, seed=1, require_generic=True),
+    # a grid of three x-parts by two y-parts in P^1 x P^1, r_x = 2
+    grid_set(P, [(0,), (1,), (4,)], [(2,), (7,)]),
+])
+def test_p1_column_0_evaluates_no_monomial(monkeypatch, ps):
+    # on P^1, I_(π1 X) is principal of degree ell, so rho_1 is t at
+    # t <= r_x = ell - 1 and ell past it (step (d) of The sequence route):
+    # at no t >= 1 is a monomial evaluated or a map built below row t
+    ell = len({*map(tuple, ps.xs)})
+
+    def refused(ps, d):
+        raise AssertionError(f"monomials of {d} evaluated")
+
+    for t in range(1, ell + 2):
+        window = betti.betti_box(ps, t)
+        pres = intersected_presentation(ps, t, window)
+        with monkeypatch.context() as mp:
+            mp.setattr(betti, "evaluation_matrix", refused)
+            bt = betti_numbers(pres)
+        assert all(d[0] >= t for _, d in pres._maps)
+        assert bt.entries == koszul_homology(
+            intersected_presentation_in_full(ps, t, window)).entries
+        assert {e: b for e, b in bt.entries.items() if not e[2]} == predicted_intersect_column_0(
+            ell, 1, t)
+
+
 @st.composite
-def sequence_route_cases(draw):
-    """A fibered, grid or shared-part set, t in [max(r_x, 1), ell + 1], a
-    kmax, and a window that may stop short of row t or of row t + n."""
+def intersect_cases(draw):
+    """A fibered, grid or shared-part set, t in [1, ell + 1], a kmax, and a
+    window that may stop short of row t or of row t + n."""
     ps = draw(st.one_of(fibered_sets(), grid_sets(), shared_part_sets()))
     rx, ry = function_space_bases(ps, (0, 0)).box
     ell = len({*map(tuple, ps.xs)})
-    t = draw(st.integers(max(rx, 1), ell + 1))
+    t = draw(st.integers(1, ell + 1))
     wi = draw(st.integers(0, t + ps.n + 1))
     wj = draw(st.integers(0, ry + ps.m + 1))
     kmax = draw(st.one_of(st.none(), st.integers(0, ps.n + ps.m + 2)))
@@ -635,7 +663,7 @@ def sequence_route_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sequence_route_cases())
+@given(intersect_cases())
 @example((fibered_633(), 2, (5, 5), None))
 @example((fibered_633(), 3, (4, 5), 2))
 # windows that stop below row t, and between rows t and t + n
@@ -646,12 +674,16 @@ def sequence_route_cases(draw):
 @example((random_points(3, 1, 5, seed=1, require_generic=True), 2, (5, 5), None))
 @example((random_points(3, 1, 5, seed=1, require_generic=True), 3, (6, 5), None))
 @example((random_points(1, 3, 4, seed=1, require_generic=True), 3, (4, 4), None))
-def test_sequence_route_matches_all_ranks_oracle(case):
-    """At t >= max(r_x, 1) the table read off the long exact Tor sequence
-    equals the one from every strand of S/J ranked over S."""
+# below r_x, on the truncated strands: P^2 x P^1 at t = 2 < r_x = 3, with
+# column 0 ranked on the crossing, and P^1 x P^2 at t = 2 < r_x = 5
+@example((random_points(2, 1, 7, seed=2, require_generic=True), 2, (6, 4), None))
+@example((random_points(2, 1, 7, seed=2, require_generic=True), 2, (3, 4), 2))
+@example((random_points(1, 2, 6, seed=1, require_generic=True), 2, (6, 4), None))
+def test_intersect_table_matches_all_ranks_oracle(case):
+    """At every t >= 1 the table of S/J, from A' = <x>^t M and the column-0
+    step, equals the one from every strand of S/J ranked over S."""
     ps, t, window, kmax = case
     pres = intersected_presentation(ps, t, window)
-    assert pres.box[0] == t + ps.n
     want = koszul_homology(intersected_presentation_in_full(ps, t, window), kmax)
     assert betti_numbers(pres, kmax).entries == want.entries
 

@@ -304,14 +304,14 @@ PINNED_OUTPUTS = [
     ("mrc --nmin 80 --nmax 80 --trials 1 --seed 1",
      "8c95c03d9c3fe5299f5213493bd96d8f68700d76dbcefd6979a334e80d7605a1"),
     # intersected tables at t >= r_x on P^3 x P^1, where column 0 reaches
-    # row t + 3 and the strand route ranks every free row below t
+    # row t + 3 and k[x]_(t-1) has over a thousand monomials
     ("vres-intersect --n 3 --m 1 --N 20 --t 19 --seed 1",
      "05956159712e6b2ac3f4200e0dd7a58720c8da2317bcd4d0284230d0d77803fb"),
     ("vres-intersect --n 3 --m 1 --N 6 --t 20 --seed 1",
      "b00a289ff1716d4221b43089bede7293f739cf7d7720695a0a4dd5b174842e95"),
     # column 0 at t > r_x on P^3 x P^1, where a crossing of k[x]_40 into
-    # row 41 is 12341 monomials wide; and 10^5 free rows below t on
-    # P^1 x P^2, whose dimensions fill the window
+    # row 41 is 12341 monomials wide; and 10^5 rows below t on P^1 x P^2,
+    # which the presentation holds as zeros
     ("vres-intersect --n 3 --m 1 --N 40 --t 41 --seed 1",
      "cd55abe2bec5c090a4fc2101769fca32940a68db006035406eb09d7fcf24195f"),
     ("vres-intersect --N 4 --t 100000 --seed 1",
@@ -339,11 +339,10 @@ def test_output_matches_pinned_digest(capsys, monkeypatch, argv, digest):
 
 
 def test_large_intersect_window_stays_small(capsys):
-    # the free rows below t hold index maps of R's pieces, so memory grows
-    # with the piece dimensions, not with their squares (711.6 MB traced
-    # when each variable map was a dense matrix over all of S)
+    # the presentation holds no piece below row t, and pieces of at most N
+    # dimensions from row t on (711.6 MB traced when each variable map was
+    # a dense matrix over all of S)
     cox.monomials.cache_clear()
-    cox.mult_map.cache_clear()
     tracemalloc.start()
     try:
         rc = main(["vres-intersect", "--N", "6", "--t", "2", "--seed", "1",
@@ -357,10 +356,10 @@ def test_large_intersect_window_stays_small(capsys):
 
 
 def test_large_intersect_window_reads_rows_from_t(monkeypatch):
-    # off column 0 the strands read only the pieces of <x>^t M (rows >= t),
-    # so R's free pieces below row t enter no map and no rank: 2,584 rank
-    # entries on the (40,40) reproducer, whose strands all lie in the Betti
-    # box (6, 4), and 6,708 with every strand in that box full
+    # the strands read only the pieces of <x>^t M (rows >= t), so no piece
+    # of R below row t enters a map or a rank: 2,452 rank entries on the
+    # (40,40) reproducer, whose strands all lie in the Betti box (6, 4), and
+    # 6,708 with every strand in that box full
     t = 2
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     pres = intersected_presentation(ps, t, (40, 40))
@@ -374,20 +373,20 @@ def test_large_intersect_window_reads_rows_from_t(monkeypatch):
         mp.setattr(betti, "rank", counted)
         bt = betti_numbers(pres)
     assert pres._maps
-    assert all(d[0] >= t or d[1] == 0 for _, d in pres._maps)
+    assert all(d[0] >= t for _, d in pres._maps)
     assert sum(entries) < 4_000
     assert bt.boundary_clean
 
 
 def test_free_rows_build_only_dense_column_0_x_maps():
-    # below row t the strands read only column 0 by x-variables, so the
-    # presentation builds no other map there, and every map is a dense block
+    # below row t the presentation builds only the crossing from (t - 1, 0)
+    # by an x-variable, and every map is a dense block
     t, n = 2, 1
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     pres = intersected_presentation(ps, t, (40, 40))
     betti_numbers(pres)
     assert pres._maps and all(block.ndim == 2 for block in pres._maps.values())
-    for var, d in [(n + 2, (0, 1)), (0, (1, 1)), (n + 2, (1, 0))]:
+    for var, d in [(n + 2, (0, 1)), (0, (1, 1)), (n + 2, (1, 0)), (0, (0, 0))]:
         with pytest.raises(ValueError):
             pres.map(var, d)
 

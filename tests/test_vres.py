@@ -224,7 +224,7 @@ class TestIntersect:
             intersect_vres(random_points(1, 1, 2, seed=1), 0)
 
     def test_window_below_t_rejected(self):
-        # every piece of a window ending below row t is free
+        # a window ending below row t misses the Betti box
         ps = random_points(1, 2, 3, seed=1, require_generic=True)
         with pytest.raises(WindowTooSmall):
             intersect_vres(ps, 2, window=(1, 5))
