@@ -53,7 +53,6 @@ from oracles import (
     beta1_table,
     betti_entry,
     betti_total_by_stage,
-    dense_mult_map,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
     koszul_homology,
@@ -653,7 +652,7 @@ def intersect_cases(draw):
     """A fibered, grid or shared-part set, t in [1, ell + 1], a kmax, and a
     window that may stop short of row t or of row t + n."""
     ps = draw(st.one_of(fibered_sets(), grid_sets(), shared_part_sets()))
-    rx, ry = function_space_bases(ps, (0, 0)).box
+    ry = function_space_bases(ps, (0, 0)).box[1]
     ell = len({*map(tuple, ps.xs)})
     t = draw(st.integers(1, ell + 1))
     wi = draw(st.integers(0, t + ps.n + 1))

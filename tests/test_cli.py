@@ -358,8 +358,7 @@ def test_large_intersect_window_stays_small(capsys):
 def test_large_intersect_window_reads_rows_from_t(monkeypatch):
     # the strands read only the pieces of <x>^t M (rows >= t), so no piece
     # of R below row t enters a map or a rank: 2,452 rank entries on the
-    # (40,40) reproducer, whose strands all lie in the Betti box (6, 4), and
-    # 6,708 with every strand in that box full
+    # (40,40) reproducer, whose strands all lie in the Betti box (6, 4)
     t = 2
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     pres = intersected_presentation(ps, t, (40, 40))
