@@ -97,6 +97,13 @@ before any map is built: a row where no column drops holds no Betti
 number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
 rows i >= 1 from the strands of the Z_i, which run over the y-variables
 alone, so only the rows where x loses dimension cost a kernel and a rank.
+The maps of Z_i follow the one rule of ``intersected_presentation``: its
+basis at column b stands for functions on the points, the kernel basis
+times the functions of M's piece (i-1, b), computed once per column; y
+times these is reduced modulo the cell below the target and read only at
+the free columns of the target's kernel basis, which are the coordinates
+of a kernel vector.  So M builds the maps of x whose kernels are taken,
+and no y-map.
 Every other presentation (n >= 2, or t >= 1, whose x-variables are
 x0..xn) keeps the strands over all its variables in every row, but for
 row 0 of a point presentation (see Row 0).
@@ -119,27 +126,28 @@ cone of an injective map of complexes is quasi-isomorphic to its
 cokernel, K(y1..ym; C/y0C).  So row 0 is the Koszul homology of C/y0C
 over y1..ym, a cyclic module generated at column 0.
 
-(c) The pieces and maps of C/y0C are the row flag's.  (C/y0C)_j is
-V(0,j)/V(0,j-1), of dimension dims[0, j] - dims[0, j - 1], zero past r_y.
-Block j of the row flag spans V(0,j) modulo V(0,j-1) and is the identity
-at its pivots and zero at the older ones, so the stacked blocks 0..j,
-restricted to their pivots, are block-triangular with identity diagonal
-blocks: a vector of V(0,j) is determined by its values there, and a class
-of (C/y0C)_j has one representative vanishing at the older pivots (its
-residue), whose values at block j's pivots are its coordinates.  Let c be
-a row of block j with pivot q and k >= 1.  Then y_k * c = (y_k - y_k(q)) * c
-+ y_k(q) * c, and the second term lies in V(0,j), zero in (C/y0C)_(j+1).
-The first vanishes at q, where its factor does, and at every other pivot
-of blocks 0..j, where c does: it is the residue of y_k * c, the flag-step
-residue of ``points``.  So the map of y_k from piece j to piece j + 1 is
-the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of block j + 1,
-with no product against a basis, no RREF cell and no reduction.
-``intersected_presentation`` attaches this presentation of C/y0C to every
-point presentation (t = 0, whatever n) as ``row_quotient``, and
-``betti_numbers`` ranks each live cell of row 0 on its strands, pieces
-one block wide where M's strands read V(0,j), up to N wide.  The live
-mask is M's, and C/y0C is cyclic, so the onto read of K_1 -> K_0 above
-holds for these strands too.
+(c) C/y0C is row 0 of S/I_X modulo y0, and its pieces are the row
+flag's blocks.  (C/y0C)_j is V(0,j)/V(0,j-1), of dimension
+dims[0, j] - dims[0, j - 1], zero past r_y.  ``intersected_presentation``
+builds it by its one rule with z = y0 on row 0 alone, over y1..ym: the
+basis of piece j is the rows of the RREF cell of V(0,j) at the pivots
+that V(0,j-1) lacks, which are the rows of block j of the row flag (a
+merge keeps the block's rows, see ``points``), and the map of y_k takes
+y_k times each of them modulo V(0,j), read at block j + 1's pivots.
+That is the flag-step residue read at those pivots: the stacked blocks
+0..j, restricted to their pivots, are block-triangular with identity
+diagonal blocks, so a class of (C/y0C)_(j+1) has one representative
+vanishing at the older pivots, whose values at block j + 1's pivots are
+its coordinates; and for a row c of block j with pivot q,
+y_k * c = (y_k - y_k(q)) * c + y_k(q) * c, where the second term lies in
+V(0,j) and the first vanishes at every pivot of blocks 0..j.  So each
+map is also the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of
+block j + 1, which the tests keep as its oracle.
+``intersected_presentation`` attaches C/y0C to every point presentation
+(t = 0, whatever n) as ``row_quotient``, and ``betti_numbers`` ranks each
+live cell of row 0 on its strands, pieces one block wide where M's
+strands read V(0,j), up to N wide.  The live mask is M's, and C/y0C is
+cyclic, so the onto read of K_1 -> K_0 above holds for these strands too.
 
 The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
 ``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
@@ -344,7 +352,11 @@ class GradedModulePresentation:
     which the sequence route reads, None when unknown.
     ``row_quotient``, on a point presentation, presents C/y0C for C its
     row 0; ``betti_numbers`` reads row 0 of the table off it (see Row 0 in
-    the module docstring).
+    the module docstring).  On a presentation that ``intersected_presentation``
+    builds, ``_functions(d)`` gives the functions on the points that stand
+    for the basis of the piece at d, and the builder also takes other rows
+    of functions and a subset of the target's pivots to read, as the
+    kernels of the row split do (``_kernel_presentation``).
     """
 
     n: int
@@ -360,6 +372,7 @@ class GradedModulePresentation:
     rx: int | None = None
     row_quotient: GradedModulePresentation | None = None
     _builder: object = field(default=None, repr=False)
+    _functions: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
     def dim(self, d: tuple[int, int]) -> int:
@@ -412,19 +425,37 @@ def intersected_presentation(ps: PointSet, t: int,
     is V_d / V_(d - deg z).  The smaller cell's RREF pivots are among
     V_d's, and the rows of V_d's RREF basis at the other pivots span a
     complement; a class's coordinates are the values, at those pivots, of
-    any representative reduced modulo the smaller cell.  The one map below
-    row t is the crossing from (t-1, 0), where M's piece is k[x]_(t-1) in
-    S's monomial order, into row t by an x-variable: it evaluates the
-    source monomials times the variable, then reduces.  Any other map below
+    any representative reduced modulo the smaller cell.
+
+    Every map follows one rule: take the functions that the source
+    piece's basis stands for times the variable, reduce them modulo the
+    cell below the target, and read them at the target's basis pivots.
+    The one map below row t is the crossing from (t-1, 0), where M's piece
+    is k[x]_(t-1) in S's monomial order and the functions are the
+    evaluated monomials, into row t by an x-variable.  Any other map below
     row t raises ValueError.  At t = 0 the presentation carries
-    ``row_quotient``, C/y0C for C its row 0, built from the row flag (see
-    Row 0 in the module docstring).
+    ``row_quotient``, C/y0C for C its row 0: row 0 of S/I_X modulo y0,
+    built by the same rule (see Row 0 in the module docstring).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     fs = function_space_bases(ps, window)
-    n, m, p = ps.n, ps.m, ps.p
+    n, m = ps.n, ps.m
     z = n + 1 if t else 0
+    # C/y0C over y1..ym, C the row 0: row 0 of S/I_X modulo y0
+    quotient = None if t else _modulo(ps, fs, n + 1, 0, (0, window[1]),
+                                      tuple(range(n + 2, n + m + 2)))
+    return _modulo(ps, fs, z, t, window, tuple(v for v in range(n + m + 2) if v != z),
+                   free_rows=t, box=betti_box(ps, t), rx=fs.box[0], row_quotient=quotient)
+
+
+def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int, int],
+            variables: tuple[int, ...], **fields) -> GradedModulePresentation:
+    """<x>^t S/J modulo z on the window, over ``variables``, every map by
+    the one rule of ``intersected_presentation``.  Its builder also takes
+    other rows of functions than the source piece's, and reads them at a
+    subset ``read`` of the target's basis pivots (``_kernel_presentation``)."""
+    n, m, p = ps.n, ps.m, ps.p
     dz = var_degree(z, n, m)
 
     def below(d):
@@ -445,57 +476,34 @@ def intersected_presentation(ps: PointSet, t: int,
         # every x-variable
         return evaluation_matrix(ps, d).T
 
-    def coordinates(funcs, d):
-        # columns: the classes, in the piece at d, of the rows of funcs
-        keep, lo = fs.cell(d)[1][fresh(d)], below(d)
-        if lo is None:
-            return funcs[:, keep].T
-        basis, pivots = fs.cell(lo)
-        reduced = funcs[:, keep] - matmul(funcs[:, pivots], basis[:, keep], p)
-        return (reduced % p).T
+    def functions(d):
+        # the functions on the points that stand for the basis of the piece at d
+        return fs.cell(d)[0][fresh(d)] if d[0] >= t else evaluated(d)
 
-    def build(var: int, d: tuple[int, int]) -> np.ndarray:
-        dv = var_degree(var, n, m)
-        tgt = (d[0] + dv[0], d[1] + dv[1])
-        if d[0] >= t:
-            funcs = fs.cell(d)[0][fresh(d)]
-        elif d == (t - 1, 0) and var <= n:
-            # the crossing from row t - 1: evaluate every monomial
-            funcs = evaluated(d)
-        else:
+    def build(var, d, funcs=None, read=slice(None)):
+        # var times the rows of funcs, reduced modulo the cell below the
+        # target and read at the target's basis pivots: one column per row
+        if d[0] < t and (d != (t - 1, 0) or var > n):
             raise ValueError(f"below row {t} only the crossing from {(t - 1, 0)} by an "
                              f"x-variable is built, not variable {var} at {d}")
-        return coordinates(funcs * ps.coordinate_values(var) % p, tgt)
+        dv = var_degree(var, n, m)
+        tgt = (d[0] + dv[0], d[1] + dv[1])
+        funcs = functions(d) if funcs is None else funcs
+        vals, keep, lo = ps.coordinate_values(var), fs.cell(tgt)[1][fresh(tgt)][read], below(tgt)
+        image = funcs[:, keep] * vals[keep] % p
+        if lo is not None:
+            basis, pivots = fs.cell(lo)
+            image -= matmul(funcs[:, pivots] * vals[pivots] % p, basis[:, keep], p)
+        return (image % p).T
 
     wi, wj = window
     # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z), with
     # H_M the sweep's at rows i >= t; <x>^t M is zero below row t
-    dims = fs.dims.copy()
+    dims = fs.dims[:wi + 1].copy()
     dims[dz[0]:, dz[1]:] -= fs.dims[: wi + 1 - dz[0], : wj + 1 - dz[1]]
     dims[:t] = 0
-    variables = tuple(v for v in range(n + m + 2) if v != z)
-    return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    box=betti_box(ps, t), rx=fs.box[0], _builder=build,
-                                    row_quotient=None if t else _row_quotient(ps, fs))
-
-
-def _row_quotient(ps: PointSet, fs: FunctionSpaces) -> GradedModulePresentation:
-    """C/y0C over y1..ym for C the sweep's row 0 on the window: piece j is
-    block j of the row flag, and the map of y_k from piece j to piece j + 1
-    is each block row's flag-step residue read at block j + 1's pivots (see
-    Row 0 in the module docstring)."""
-    blocks, p = fs.row_blocks, ps.p
-
-    def build(var: int, d: tuple[int, int]) -> np.ndarray:
-        (rows, pivots), (_, fresh) = blocks[d[1]], blocks[d[1] + 1]
-        vals = ps.coordinate_values(var)
-        # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
-        return (vals[fresh, None] - vals[pivots]) * rows[:, fresh].T % p
-
-    row = fs.dims[0]
-    return GradedModulePresentation(ps.n, ps.m, p, (0, len(row) - 1),
-                                    np.diff(row, prepend=0)[None],
-                                    tuple(range(ps.n + 2, ps.n + ps.m + 2)), _builder=build)
+    return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build,
+                                    _functions=functions, **fields)
 
 
 def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
@@ -664,9 +672,12 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
 
     The basis of Z_i at column b is the identity where M_(i,b) = 0, else
     ``kernel_basis`` of the map of x, whose rows are the identity at the
-    free columns: a kernel vector's coordinates are its values there.  A
-    y-map of Z_i is M's y-map on the basis, read at the free columns of the
-    target's.  Z_i is not cyclic, so no rank of its strands may be read.
+    free columns: a kernel vector's coordinates are its values there.  The
+    basis stands for the functions kernel basis times M's piece functions,
+    taken once per column, and a y-map of Z_i applies y to them by M's
+    rule, read only at the target piece's pivots at the free columns of
+    the target's basis; M builds no y-map.  Z_i is not cyclic, so no rank
+    of its strands may be read.
     """
     x, p = pres.variables[0], pres.p
 
@@ -682,12 +693,16 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
         # the row's last nonzero
         return ker, ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
 
+    @cache
+    def functions(b):
+        # the functions on the points that Z_i's basis at column b stands for
+        funcs, src = pres._functions((i - 1, b)), kernel(b)
+        return funcs if src is None else matmul(src[0], funcs, p)
+
     def build(var, d):
-        block = pres.map(var, (i - 1, d[1]))
-        src, tgt = kernel(d[1]), kernel(d[1] + 1)
-        if tgt is not None:
-            block = block[tgt[1]]
-        return block if src is None else matmul(block, src[0].T, p)
+        tgt = kernel(d[1] + 1)
+        return pres._builder(var, (i - 1, d[1]), functions(d[1]),
+                             slice(None) if tgt is None else tgt[1])
 
     drop = pres.dims[i - 1] - pres.dims[i]
     return GradedModulePresentation(pres.n, pres.m, p, (0, pres.window[1]), drop[None],

@@ -7,7 +7,7 @@ the primary output, so outputs stay diffable; every run that exits 0 or
 1 appends its records there.  Exit codes: 0 success, 1 asserted property
 failed (a JSON failure report is emitted), 2 usage.  An --out or --log
 path that cannot be opened is a usage error, found before any sampling,
-with nothing on stdout.
+with nothing on stdout; so is a window whose arrays do not fit in memory.
 
 Each ``cmd_*`` takes the parsed arguments and the point set that ``main``
 sampled (None for the commands without --N) and returns (passed, payload,
@@ -44,6 +44,7 @@ from .vres import (
     NotInRegularity,
     euler_quadrant_check,
     intersect_vres,
+    intersect_window,
     pair_vres,
     predicted_pair_shape,
 )
@@ -98,19 +99,19 @@ def cmd_points(args, ps):
 
 
 def cmd_hilbert(args, ps):
-    win = args.window or hilbert_window(args.N, args.n, args.m)
+    win = args.window = args.window or hilbert_window(args.N, args.n, args.m)
     return True, _csv(hilbert_matrix(ps, win)), [({"computed": True},
                                                    {"window": list(win)})]
 
 
 def cmd_dh(args, ps):
-    win = args.window or hilbert_window(args.N, args.n, args.m)
+    win = args.window = args.window or hilbert_window(args.N, args.n, args.m)
     dh = alternating_betti_from_hilbert(hilbert_matrix(ps, win), args.n, args.m)
     return True, _csv(dh), [({"computed": True}, {"window": list(win)})]
 
 
 def cmd_betti(args, ps):
-    win = args.window or betti_window(args.N, args.n, args.m)
+    win = args.window = args.window or betti_window(args.N, args.n, args.m)
     bt = betti_numbers(point_presentation(ps, win))
     return True, bt.to_json(), [({"boundary_clean": bt.boundary_clean},
                                  {"window": list(win)})]
@@ -148,6 +149,7 @@ def cmd_mrc(args, ps):
 
 
 def cmd_vres_intersect(args, ps):
+    args.window = args.window or intersect_window(ps, args.t)
     try:
         bt, length = intersect_vres(ps, args.t, window=args.window)
     except AssertionError as exc:
@@ -320,6 +322,11 @@ def _run(parser, args, files) -> int:
         passed, out, records = args.func(args, ps)
     except (WindowTooSmall, GenericityExhausted) as exc:
         parser.error(str(exc))
+    except MemoryError:
+        # the commands with a window keep the one they use on args
+        window = getattr(args, "window", None)
+        parser.error(f"window {window} needs more memory than this process may use"
+                     if window else "out of memory")
     runtime_ms = int((time.perf_counter() - started) * 1000)
     if not passed:
         out = {"failures": out}

@@ -103,7 +103,12 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     only the columns from it on.  Swaps, scaling and row updates keep a
     zero column zero, so only the columns of the input that hold a
     nonzero are visited: a matrix that vanishes on most columns, such as
-    a residue modulo a larger basis, costs no scan of the others.
+    a residue modulo a larger basis, costs no scan of the others.  A
+    column with no pivot ends the loop when the rows from the pivot row
+    down are all zero (or none are left), as no later column can then hold
+    one: a tall input of low rank, such as the sweep's flag residues (2k
+    rows of rank k + 1 on P^2), costs no scan of its columns past the
+    last pivot.
 
     A pivot column is cleared by one update of the trailing block
     ``A[:, c:]``: every row subtracts its entry in column c times the
@@ -115,14 +120,13 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     seen to pass one.
     """
     A = normalize(a, p)
-    rows = A.shape[0]
     pivots: list[int] = []
     r = 0
     for c in np.flatnonzero(A.any(axis=0)).tolist():
-        if r == rows:
-            break
         nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
+            if not A[r:, c:].any():
+                break
             continue
         i = r + int(nz[0])
         if i != r:

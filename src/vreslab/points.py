@@ -308,7 +308,9 @@ class FunctionSpaces:
     clamped to the box, built the first time any window reads it and
     memoized on the point set.  The basis and pivots are read-only; all
     saturated cells (dimension N) share the identity basis with pivots
-    ``arange(N)``.  ``row_blocks`` is row 0's flag, blocks 0..r_y.
+    ``arange(N)``.  Along row 0 the rows of cell (0, j) at the pivots that
+    cell (0, j-1) lacks are block j of the row flag, as a merge keeps the
+    block's rows.
     """
 
     box: tuple[int, int]
@@ -317,13 +319,6 @@ class FunctionSpaces:
 
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
-
-    @property
-    def row_blocks(self) -> list:
-        """Block j as (rows, pivots): rows spanning V(0, j) modulo
-        V(0, j-1), the identity at their own pivots and zero at the pivots
-        of every earlier block (see the module docstring)."""
-        return self._ps._row.blocks
 
 
 @dataclass(eq=False)

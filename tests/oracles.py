@@ -10,6 +10,10 @@ from explicit ideal pieces (``ideal_pieces_from_generators`` with
 ``quotient_presentation``).  ``rref_by_columns`` and ``rank_by_columns``
 are the plain column loops that ``fp.rref`` and ``fp.rank`` trimmed:
 full-row updates, a second scan for the rows to clear, and no transpose.
+Two map-by-map references check the maps that ``betti`` builds by its
+one rule on P^1 x P^m: ``row_quotient_map_by_gather`` reads a y-map of
+C/y0C off the row flag's blocks, and ``kernel_map_through_m`` a y-map of a
+kernel of the row split off M's own y-map and the kernel bases.
 
 The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
@@ -53,6 +57,7 @@ from vreslab.betti import (
 from vreslab.cox import count_monomials, monomials, t_binom, var_degree
 from vreslab.diffcalc import dh_p1p2
 from vreslab.fp import (
+    kernel_basis,
     normalize,
     rank,
     rref,
@@ -66,6 +71,7 @@ from vreslab.points import (
     function_space_bases,
     hilbert_matrix,
     ideal_piece,
+    regularity_box,
 )
 from vreslab.vres import FreeComplexShape, NTooSmall
 
@@ -347,6 +353,45 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
     return GradedModulePresentation(ps.n, ps.m, p, window, dims,
                                     tuple(range(ps.n + ps.m + 2)), _builder=build)
 
+
+
+def row_quotient_map_by_gather(ps: PointSet, var: int, j: int) -> np.ndarray:
+    """The map of the y-variable ``var`` from piece j to piece j + 1 of
+    C/y0C, C row 0 of S/I_X, read off the row flag alone: the gather
+    (y_k(q') - y_k(q)) * c(q') of each row c of block j, with pivot q, at
+    the pivots q' of block j + 1 (Row 0 (c) of the ``betti`` docstring).
+    j + 1 is at most r_y, the flag's last block."""
+    regularity_box(ps)
+    (rows, pivots), (_, fresh) = ps._row.blocks[j], ps._row.blocks[j + 1]
+    vals = ps.coordinate_values(var)
+    # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+    return (vals[fresh, None] - vals[pivots]) * rows[:, fresh].T % ps.p
+
+
+def kernel_map_through_m(pres: GradedModulePresentation, i: int, var: int,
+                         b: int) -> np.ndarray:
+    """The map of the y-variable ``var`` from column b to column b + 1 of
+    Z_i = ker(x1 : M_(i-1,.) -> M_(i,.)), M the point presentation modulo
+    x0 on P^1 x P^m: M's own y-map at the free columns of the target's
+    kernel basis, times the source's kernel basis (the identity where
+    M_(i,c) = 0, which x1 maps nothing into).  Kernel bases are
+    ``kernel_basis`` rows, the identity at the RREF's free columns."""
+    x, p = pres.variables[0], pres.p
+
+    def kernel(c):
+        # (basis rows, free columns), None for all of M_(i-1,c)
+        if not pres.dims[i, c]:
+            return None
+        block = pres.map(x, (i - 1, c))
+        free = sorted(set(range(block.shape[1])) - set(rref(block, p)[1]))
+        return kernel_basis(block, p), free
+
+    block = pres.map(var, (i - 1, b))
+    src, tgt = kernel(b), kernel(b + 1)
+    if tgt is not None:
+        block = block[tgt[1]]
+    # at most N terms below p**2 < 2**52 each: exact in int64 for small N
+    return block if src is None else block @ src[0].T % p
 
 def koszul_homology(pres: GradedModulePresentation, kmax: int | None = None) -> BettiTable:
     """Koszul homology of a presentation at every cell of its window.

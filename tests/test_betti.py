@@ -55,10 +55,12 @@ from oracles import (
     betti_total_by_stage,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
+    kernel_map_through_m,
     koszul_homology,
     monomial_row,
     predicted_intersect_column_0,
     quotient_presentation,
+    row_quotient_map_by_gather,
     signed_collapse,
 )
 
@@ -456,9 +458,45 @@ def test_row_0_rank_inputs_are_row_flag_blocks(monkeypatch):
     monkeypatch.setattr(betti, "_homology", counted_homology)
     monkeypatch.setattr(betti, "rank", counted_rank)
     bt = betti_numbers(pres)
-    largest = max(len(pivots) for _, pivots in function_space_bases(ps, (0, 0)).row_blocks)
+    # piece j of C/y0C is as wide as block j of the row flag
+    largest = int(pres.row_quotient.dims.max())
     assert shapes and max(max(shape) for shape in shapes) <= 2 * largest < ps.N
     assert bt.layer(1) == mrc_check(ps).beta1
+
+
+def test_point_tables_on_p1_build_only_x1_maps_of_m():
+    # row 0 comes from C/y0C and rows i >= 1 from the kernels of x1, whose
+    # y-maps apply y to the kernel's functions: M itself builds only the
+    # maps of x1 whose kernels are taken
+    ps = random_points(1, 2, 25, seed=1, require_generic=True)
+    pres = point_presentation(ps, mrc_window(25))
+    betti_numbers(pres)
+    assert len(pres._maps) == 3 and all(var == 1 for var, _ in pres._maps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(fibered_sets(), grid_sets(), shared_part_sets()).filter(lambda ps: ps.n == 1))
+@example(fibered_633())
+@example(random_points(1, 2, 7, seed=1, require_generic=True))
+def test_row_quotient_and_kernel_maps_match_their_oracles(ps):
+    """Every y-map of C/y0C equals the row flag's gather, and every y-map of
+    each kernel Z_i of the row split equals M's y-map at the target
+    kernel's free columns times the source kernel, at t = 0 on P^1 x P^m
+    over the Betti box."""
+    wi, wj = betti.betti_box(ps, 0)
+    pres = point_presentation(ps, (wi, wj))
+    quotient = pres.row_quotient
+    for var in quotient.variables:  # y1..ym
+        for j in range(min(wj, function_space_bases(ps, (0, 0)).box[1])):
+            assert np.array_equal(quotient.map(var, (0, j)),
+                                  row_quotient_map_by_gather(ps, var, j))
+    for i in range(1, wi + 1):
+        zpres = betti._kernel_presentation(pres, i)
+        for var in zpres.variables:  # y0..ym
+            for b in range(wj):
+                if zpres.dims[0, b] and zpres.dims[0, b + 1]:
+                    assert np.array_equal(zpres.map(var, (0, b)),
+                                          kernel_map_through_m(pres, i, var, b))
 
 
 @st.composite

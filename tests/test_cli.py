@@ -226,6 +226,32 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.strip() == "False"
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
+@pytest.mark.parametrize("argv", [
+    "vres-intersect --N 4 --t 100000000000 --seed 1",
+    "hilbert --N 6 --seed 1 --window 100000000000,3",
+    "betti --N 6 --seed 1 --window 3,100000000000",
+])
+def test_window_past_memory_is_usage_error(argv):
+    # the sweep's dense window dimensions do not fit in a 2 GB address
+    # space (745 GiB for 10^11 rows); the child runs under that limit only,
+    # and reports the window as a usage error, with no traceback.  The CI
+    # step runs the 10^8 windows, which fail after about 1.5 GB
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "vreslab.cli", *argv.split()], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "window (" in done.stderr and "100000000" in done.stderr
+
+
 # SHA-256 of the primary output of each command.  Outputs are byte-stable
 # across versions, so a digest here is never regenerated to match new code.
 PINNED_OUTPUTS = [

@@ -61,6 +61,14 @@ def test_rref_dependent_rows_mod5():
     assert piv == [0]
 
 
+def test_rref_stops_once_the_rows_below_vanish():
+    # hand reduction mod 7: the rows below the first pivot clear to zero at
+    # column 0, and columns 1 and 2 still hold the pivot row's nonzeros
+    R, piv = rref([[2, 4, 6], [1, 2, 3], [3, 6, 2]], 7)
+    assert piv == [0]
+    assert np.array_equal(R, [[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+
+
 def test_rref_pivots_scaled_and_cleared():
     # hand reduction mod 7: [[2,1,3],[4,2,1]] -> [[1,4,0],[0,0,1]]
     R, piv = rref([[2, 1, 3], [4, 2, 1]], 7)
@@ -253,9 +261,23 @@ def residue_like_matrices(draw, p):
     return a
 
 
+@st.composite
+def rank_deficient_tall_matrices(draw, p):
+    """2k rows of rank at most k + 1, like the flag residues of a P^2
+    factor, some leading columns zero: the rows from the pivot row down
+    vanish before the last column that holds a nonzero, so ``rref`` stops
+    its column loop early."""
+    k, cols = draw(st.integers(1, 20)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_fp_matrix(rng, 2 * k, cols, p, rank_cap=draw(st.integers(0, k + 1)))
+    a[:, : draw(st.integers(0, cols - 1))] = 0
+    return a
+
+
 @settings(max_examples=300, deadline=None)
 @given(primes.flatmap(lambda p: st.tuples(
-    st.just(p), st.one_of(strand_like_matrices(p), residue_like_matrices(p)))))
+    st.just(p), st.one_of(strand_like_matrices(p), residue_like_matrices(p),
+                          rank_deficient_tall_matrices(p)))))
 def test_kernels_match_column_loop_oracle(case):
     p, a = case
     R, piv = rref(a, p)
