@@ -35,9 +35,10 @@ long exact sequence of Tor then gives Tor_k(M)_d = Tor_k(<x>^t M)_d
 there: off column 0, A' has the table of S/J.  In column 0 they differ
 only at the origin and in rows t..t+n, and one step reads S/J's column 0
 off A''s (The sequence route (b)-(d)).  So R's large pieces below row t
-enter no strand: the presentation's ``dims`` are zero there,
-``GradedModulePresentation.free_rows`` is t, and the only maps it builds
-below row t are the crossings from (t-1, 0) by an x-variable,
+enter no strand: the presentation's ``dims`` start at row
+``GradedModulePresentation.free_rows`` = t, every piece below reads as
+zero, and the only maps it builds below row t are the crossings from
+(t-1, 0) by an x-variable,
 k[x]_(t-1) -> V(t, 0), which evaluate the monomials once for every
 x-variable and which the column-0 step ranks only at t <= r_x with
 n >= 2.
@@ -178,8 +179,11 @@ bounds the twists of A'.
 
 ``intersected_presentation`` records this box on the presentation.  The
 strand at a cell reads only pieces at degrees at most the cell, so a
-window that contains the box holds every Betti number of the module, and
-``betti_numbers`` visits no cell outside the box.
+window that contains the box holds every Betti number of the module.
+The presentation's ``dims`` hold only the pieces on the window cut at
+the box, rows t..min(wi, box row) and columns up to min(wj, box column):
+``betti_numbers`` reads its extent from their shape, visits no cell
+outside the box, and allocates nothing of the window's size.
 
 The sequence route.  Let t >= 1, J = I_X ∩ <x>^t and A' = A_{rows >= t}.
 ``betti_numbers`` reads the table of S/J off the exact sequence of step
@@ -339,14 +343,20 @@ class GradedModulePresentation:
     come first.  It is cyclic, generated in degree (0, 0), except for
     <x>^t M, generated at (t, 0), its row t, and the kernels of the row
     split (see the module docstring and ``_kernel_presentation``).
-    ``dims[i, j]`` is the dimension of the piece at (i, j).  ``map(var, d)``
+    ``dims`` holds the pieces on the region the engine reads, its row 0
+    being row ``free_rows``: ``dim(d)`` subtracts that offset, is zero
+    below it and at negative degrees, and refuses with IndexError a piece
+    past the region.  On ``intersected_presentation`` the region is the
+    window cut at the Betti box; a presentation built on explicit pieces
+    holds its whole window.  ``map(var, d)``
     returns the matrix of multiplication by a variable from the piece at d
     to the piece at d + deg(var), in the chosen bases: a dense int64 block,
     target dim x source dim.  Maps are built lazily and memoized; a builder
     may refuse, with ValueError, a map that the engine never reads.
     ``free_rows`` = t >= 1 marks the presentation of A' = <x>^t M, zero
-    below row t, whose builder also gives the crossing maps from
-    k[x]_(t-1), the piece of S/J at (t-1, 0), into row t.  ``box`` is the
+    below row t (those rows are not stored), whose builder also gives the
+    crossing maps from k[x]_(t-1), the piece of S/J at (t-1, 0), into row
+    t.  ``box`` is the
     corner of the Betti box (see the module docstring), None when unknown,
     and ``rx`` the box row r_x of the point set's sweep (see ``points``),
     which the sequence route reads, None when unknown.
@@ -376,11 +386,11 @@ class GradedModulePresentation:
     _maps: dict = field(default_factory=dict, repr=False)
 
     def dim(self, d: tuple[int, int]) -> int:
-        i, j = d
+        i, j = d[0] - self.free_rows, d[1]
         if i < 0 or j < 0:
             return 0
-        if i > self.window[0] or j > self.window[1]:
-            raise IndexError(f"piece {d} outside window {self.window}")
+        if i >= len(self.dims) or j >= self.dims.shape[1]:
+            raise IndexError(f"piece {d} outside the pieces held, rows from {self.free_rows}")
         return int(self.dims[i, j])
 
     @property
@@ -420,7 +430,9 @@ def intersected_presentation(ps: PointSet, t: int,
 
     Let M be S/J modulo z.  At t >= 1 the pieces are those of <x>^t M:
     M's in rows i >= t and zero below, and the engine reads S/J's column 0
-    off them (see The sequence route in the module docstring).  At rows
+    off them (see The sequence route in the module docstring).  Only the
+    pieces on the window cut at the Betti box are held, from row t on:
+    computing this region is where the window meets the box.  At rows
     i >= t, M_d is V_d, the evaluation image of S_d in k^N, and the piece
     is V_d / V_(d - deg z).  The smaller cell's RREF pivots are among
     V_d's, and the rows of V_d's RREF basis at the other pivots span a
@@ -439,19 +451,22 @@ def intersected_presentation(ps: PointSet, t: int,
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    fs = function_space_bases(ps, window)
-    n, m = ps.n, ps.m
+    n, m, box = ps.n, ps.m, betti_box(ps, t)
+    region = (min(window[0], box[0]), min(window[1], box[1]))
+    fs = function_space_bases(ps, region)
     z = n + 1 if t else 0
     # C/y0C over y1..ym, C the row 0: row 0 of S/I_X modulo y0
-    quotient = None if t else _modulo(ps, fs, n + 1, 0, (0, window[1]),
+    quotient = None if t else _modulo(ps, fs, n + 1, 0, (0, window[1]), (0, region[1]),
                                       tuple(range(n + 2, n + m + 2)))
-    return _modulo(ps, fs, z, t, window, tuple(v for v in range(n + m + 2) if v != z),
-                   free_rows=t, box=betti_box(ps, t), rx=fs.box[0], row_quotient=quotient)
+    return _modulo(ps, fs, z, t, window, region, tuple(v for v in range(n + m + 2) if v != z),
+                   free_rows=t, box=box, rx=fs.box[0], row_quotient=quotient)
 
 
 def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int, int],
-            variables: tuple[int, ...], **fields) -> GradedModulePresentation:
-    """<x>^t S/J modulo z on the window, over ``variables``, every map by
+            region: tuple[int, int], variables: tuple[int, ...],
+            **fields) -> GradedModulePresentation:
+    """<x>^t S/J modulo z on the window, over ``variables``, holding the
+    pieces of rows t..region[0] and columns up to region[1], every map by
     the one rule of ``intersected_presentation``.  Its builder also takes
     other rows of functions than the source piece's, and reads them at a
     subset ``read`` of the target's basis pivots (``_kernel_presentation``)."""
@@ -496,12 +511,12 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             image -= matmul(funcs[:, pivots] * vals[pivots] % p, basis[:, keep], p)
         return (image % p).T
 
-    wi, wj = window
     # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z), with
-    # H_M the sweep's at rows i >= t; <x>^t M is zero below row t
-    dims = fs.dims[:wi + 1].copy()
-    dims[dz[0]:, dz[1]:] -= fs.dims[: wi + 1 - dz[0], : wj + 1 - dz[1]]
-    dims[:t] = 0
+    # H_M the sweep's at rows i >= t; <x>^t M is zero below row t, and
+    # z = x0 only at t = 0
+    H = fs.hilbert(np.arange(t, region[0] + 1), np.arange(region[1] + 1))
+    dims = H.copy()
+    dims[dz[0]:, dz[1]:] -= H[: len(H) - dz[0], : region[1] + 1 - dz[1]]
     return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build,
                                     _functions=functions, **fields)
 
@@ -582,8 +597,8 @@ def _reach(nonzero: np.ndarray, degrees) -> np.ndarray:
 
 
 def _live_cells(pres, kmax) -> np.ndarray:
-    """Mask of the cells whose strand needs a rank: inside the Betti box
-    when the presentation knows it, a nonzero summand in some K_k with
+    """Mask over ``dims``, whose row 0 is row t = free_rows, of the cells
+    whose strand needs a rank: a nonzero summand in some K_k with
     k <= kmax, and a piece short of R's, but at the origin, whose strand
     gives beta_0 with no rank, and at t >= 1 in rows t..t+n of column 0,
     which the column-0 step reads (see the module docstring)."""
@@ -591,15 +606,12 @@ def _live_cells(pres, kmax) -> np.ndarray:
                for _, deg in _subsets(pres.variables, pres.n, k)}
     live = _reach(pres.dims > 0, degrees)
     nx, ny = pres.split
-    # R's piece dimensions, capped above every piece of the module
-    free = pres.dims == generic_hilbert_matrix(int(pres.dims.max()) + 1,
-                                               nx - 1, ny - 1, pres.window)
+    t, (rows, cols) = pres.free_rows, pres.dims.shape
+    # R's piece dimensions on the rows held, capped above every piece
+    free = pres.dims == generic_hilbert_matrix(int(pres.dims.max(initial=0)) + 1, nx - 1,
+                                               ny - 1, (t + rows - 1, cols - 1))[t:]
     # A' = <x>^t M has M's table but in those rows (see the module docstring)
-    t = pres.free_rows
-    free[: t + pres.n + 1 if t else 1, 0] = False
-    if pres.box is not None:
-        live[pres.box[0] + 1:] = False
-        live[:, pres.box[1] + 1:] = False
+    free[: pres.n + 1 if t else 1, 0] = False
     return live & ~free
 
 
@@ -653,14 +665,13 @@ def _kernel_rows(pres, kmax) -> dict:
     x-variable from row i-1 to row i (see the module docstring).  Z_i is
     the drop dims[i-1, b] - dims[i, b] wide at column b, so a row where no
     column drops builds no map and ranks nothing."""
-    top, right = (min(w, b) for w, b in zip(pres.window, pres.box or pres.window))
-    drops = pres.dims[:top, :right + 1] - pres.dims[1:top + 1, :right + 1]
+    drops = pres.dims[:-1] - pres.dims[1:]
     # beta_{k,(i,j)} with k <= kmax reads the columns j - h of Z_i, h < kmax
     reads = [(0, h) for h in range(min(kmax, pres.split[1] + 1))]
     entries = {}
     for i in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
         zpres = _kernel_presentation(pres, i)
-        for j in np.flatnonzero(_reach(zpres.dims[:, :right + 1] > 0, reads)[0]).tolist():
+        for j in np.flatnonzero(_reach(zpres.dims > 0, reads)[0]).tolist():
             for k, h in _homology(zpres, (0, j), kmax - 1, onto=False).items():
                 entries[(k + 1, i, j)] = h
     return entries
@@ -713,21 +724,21 @@ def _sequence_entries(pres, kmax) -> dict:
     """The Betti numbers of A' = <x>^t M at t = free_rows >= max(r_x, 1):
     row t + a holds C(n, a) times row t's Betti table over the y-variables,
     a stages up (step (a) of The sequence route in the module docstring)."""
-    n, t = pres.n, pres.free_rows
-    wi, wj = pres.window
-    if wi < t:
+    n, t, rows = pres.n, pres.free_rows, len(pres.dims)
+    if not rows:
         return {}
     # row t over y1..ym, generated in column 0, so K_1 -> K_0 is onto off it
-    row = GradedModulePresentation(n, pres.m, pres.p, (0, wj), pres.dims[t:t + 1],
+    row = GradedModulePresentation(n, pres.m, pres.p, (0, pres.window[1]), pres.dims[:1],
                                    pres.variables[n + 1:],
                                    _builder=lambda var, d: pres.map(var, (t, d[1])))
     # beta'_{k,b} with k <= kmax reads the columns b - h of row t, h <= k
     reads = [(0, h) for h in range(min(kmax, pres.m) + 1)]
-    live = _reach(row.dims[:, :min(wj, pres.box[1]) + 1] > 0, reads)[0]
+    live = _reach(row.dims > 0, reads)[0]
     entries = {}
     for b in np.flatnonzero(live).tolist():
         for k, beta in _homology(row, (0, b), kmax, onto=True).items():
-            for a in range(min(n, wi - t, kmax - k) + 1):
+            # the rows held end at the Betti box's, t + n
+            for a in range(min(rows - 1, kmax - k) + 1):
                 entries[(k + a, t + a, b)] = comb(n, a) * beta
     return entries
 
@@ -742,11 +753,11 @@ def _column_0(pres, entries, kmax) -> dict:
     k[x]_(t-1) to the pieces V(t, 0) (step (c))."""
     n, t = pres.n, pres.free_rows
     entries[(0, 0, 0)] = 1
-    for a in range(min(n, kmax, pres.window[0] - t) + 1):
+    for a in range(min(n, kmax, len(pres.dims) - 1) + 1):
         d = (t + a, 0)
         eagon_northcott = comb(t + n, t + a) * comb(t + a - 1, a)
         if a == 0 or t > pres.rx:
-            rho = int(pres.dims[d]) * comb(n, a)  # onto: step (c) at a = 0, else (d)
+            rho = pres.dim(d) * comb(n, a)  # onto: step (c) at a = 0, else (d)
         elif n == 1:
             rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
         else:
@@ -801,7 +812,7 @@ def betti_numbers(pres: GradedModulePresentation,
         if row_split:
             live[1:] = False
         entries = {}
-        for i, j in np.argwhere(live).tolist():
+        for i, j in (np.argwhere(live) + (t, 0)).tolist():
             module = pres if i or pres.row_quotient is None else pres.row_quotient
             for k, beta in _betti_cell(module, (i, j), kmax).items():
                 entries[(k, i, j)] = beta

@@ -7,7 +7,11 @@ the primary output, so outputs stay diffable; every run that exits 0 or
 1 appends its records there.  Exit codes: 0 success, 1 asserted property
 failed (a JSON failure report is emitted), 2 usage.  An --out or --log
 path that cannot be opened is a usage error, found before any sampling,
-with nothing on stdout; so is a window whose arrays do not fit in memory.
+with nothing on stdout; so is running out of memory.  Only ``hilbert``
+and ``dh`` allocate by their window, as they print a table of its size,
+so only their message names the window; every other array is cut at the
+regularity or Betti box, and a command that still runs out of memory
+(the Koszul strands of many variables, say) says only that.
 
 Each ``cmd_*`` takes the parsed arguments and the point set that ``main``
 sampled (None for the commands without --N) and returns (passed, payload,
@@ -44,7 +48,6 @@ from .vres import (
     NotInRegularity,
     euler_quadrant_check,
     intersect_vres,
-    intersect_window,
     pair_vres,
     predicted_pair_shape,
 )
@@ -111,7 +114,7 @@ def cmd_dh(args, ps):
 
 
 def cmd_betti(args, ps):
-    win = args.window = args.window or betti_window(args.N, args.n, args.m)
+    win = args.window or betti_window(args.N, args.n, args.m)
     bt = betti_numbers(point_presentation(ps, win))
     return True, bt.to_json(), [({"boundary_clean": bt.boundary_clean},
                                  {"window": list(win)})]
@@ -149,7 +152,6 @@ def cmd_mrc(args, ps):
 
 
 def cmd_vres_intersect(args, ps):
-    args.window = args.window or intersect_window(ps, args.t)
     try:
         bt, length = intersect_vres(ps, args.t, window=args.window)
     except AssertionError as exc:
@@ -323,10 +325,10 @@ def _run(parser, args, files) -> int:
     except (WindowTooSmall, GenericityExhausted) as exc:
         parser.error(str(exc))
     except MemoryError:
-        # the commands with a window keep the one they use on args
-        window = getattr(args, "window", None)
-        parser.error(f"window {window} needs more memory than this process may use"
-                     if window else "out of memory")
+        # hilbert and dh keep the window whose table they print on args,
+        # once they have one (sampling reads only the default window)
+        parser.error(f"window {args.window} needs more memory than this process may use"
+                     if args.command in ("hilbert", "dh") and args.window else "out of memory")
     runtime_ms = int((time.perf_counter() - started) * 1000)
     if not passed:
         out = {"failures": out}

@@ -83,8 +83,12 @@ factors swapped gives V(i,j) = V(i, r_y) for j >= r_y, and the two
 together give the identity.  A subspace has one RREF basis, so a cell
 past the box is its clamped cell, and ``function_space_bases`` grows
 only columns 0..min(wj, r_y), down to row min(wi, r_x), for a window
-(wi, wj).  Finding the corners costs at most ell_x blocks of column 0 and
-ell_y blocks of row 0: a product of ell_x - 1 linear x-forms, each
+(wi, wj), and keeps only that block of dimensions: no array has the
+window's size.  Every other dimension is the block's at the clamped
+cell; ``hilbert_matrix``, which the CLI prints, is the one reader that
+widens the block to the window.  Finding the corners costs at most ell_x
+blocks of column 0 and ell_y blocks of row 0: a product of ell_x - 1
+linear x-forms, each
 through one other x-part and not through P_k, is e_k up to a scalar, so
 r_x <= ell_x - 1, and likewise r_y <= ell_y - 1.
 
@@ -301,8 +305,11 @@ class FunctionSpaces:
     """Evaluation images of every window piece, as subspaces of k^N.
 
     ``box`` is (r_x, r_y), the corner past which the sweep is constant
-    (see the module docstring), and ``dims[i, j]`` is dim V(i,j) on the
-    window, read from the sweep's block sizes.  ``cell(d)`` is an RREF row
+    (see the module docstring).  ``dims[i, j]`` is dim V(i,j), read from
+    the sweep's block sizes, on the window cut at the box: rows up to
+    min(wi, r_x) and columns up to min(wj, r_y).  Its last cell is the
+    window corner's clamped cell, and ``hilbert(rows, cols)`` reads any
+    other piece through the clamp.  ``cell(d)`` is an RREF row
     basis of V_d with its pivot columns, so the coordinates of a member
     function are just its values at the pivots: the point set's cell at d
     clamped to the box, built the first time any window reads it and
@@ -319,6 +326,11 @@ class FunctionSpaces:
 
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
+
+    def hilbert(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """dim V(i,j) for i in ``rows`` and j in ``cols``, through the clamp
+        V(i,j) = V(min(i, r_x), min(j, r_y)); the indices lie in the window."""
+        return self.dims[np.ix_(np.minimum(rows, self.box[0]), np.minimum(cols, self.box[1]))]
 
 
 @dataclass(eq=False)
@@ -479,15 +491,17 @@ def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
-    """The window's dimensions from the point set's flags, growing what they lack.
+    """The window's dimensions, cut at the box, from the point set's flags,
+    growing what they lack.
 
     The box corner (r_x, r_y) comes from ``regularity_box``.  Columns
     0..min(wj, r_y) are then grown down to row min(wi, r_x), left to right
     so that each column's left neighbour is known when it is grown, and
-    dim V(i,j) is the sum of column j's block sizes up to row i.  No RREF
-    cell below row 0 is built here: ``cell(d)`` builds one when it is read.
-    A smaller window than an earlier one computes nothing; a larger one
-    grows only the blocks no earlier window reached.
+    dim V(i,j) is the sum of column j's block sizes up to row i; that
+    block is ``dims``, whatever the window's size.  No RREF cell below row
+    0 is built here: ``cell(d)`` builds one when it is read.  A smaller
+    window than an earlier one computes nothing; a larger one grows only
+    the blocks no earlier window reached.
     """
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
@@ -496,13 +510,15 @@ def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpace
     # a column that stopped above row ``rows`` keeps its last dimension
     block = np.array([flag.dims[: rows + 1] + flag.dims[-1:] * (rows + 1 - len(flag.dims))
                       for flag in _sweep(ps, rows, min(wj, ry))], dtype=np.int64).T
-    dims = block[np.ix_(np.minimum(np.arange(wi + 1), rx), np.minimum(np.arange(wj + 1), ry))]
-    return FunctionSpaces((rx, ry), dims, ps)
+    return FunctionSpaces((rx, ry), block, ps)
 
 
 def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
-    """Values rank(evaluation) on the window: the sweep's dimensions."""
-    return function_space_bases(ps, window).dims
+    """Values rank(evaluation) on the window: the sweep's dimensions, widened
+    from the box-cut block through the clamp, so the array has the window's
+    size."""
+    wi, wj = window
+    return function_space_bases(ps, window).hilbert(np.arange(wi + 1), np.arange(wj + 1))
 
 
 def generic_hilbert_matrix(N: int, n: int, m: int,

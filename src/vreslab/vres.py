@@ -43,6 +43,19 @@ t >= max(r, 1).  Then pd S/J = n + m:
     contain <x>^t; localized there J is I_X, and the prime, minimal over
     I_X, is associated to S/J.  Its quotient has dimension 2, so
     depth S/J <= 2 and pd S/J >= n + m.
+(e) At every t >= 1, rows past t + n are those of A:
+    beta_{k,(i,j)}(S/J) = beta_{k,(i,j)}(A) for i >= t + n + 1.  Let
+    A' = A_{rows >= t} and A_{<t} = S/(I_X + <x>^t) = A/A', whose pieces
+    lie in rows below t.  A Koszul strand over S at (i, j) reads the
+    pieces at (i - a, j - b), a <= n + 1 the number of x-variables in
+    the subset, so for i >= t + n + 1 every summand of A_{<t}'s strand is
+    zero: every Betti number of A_{<t} lies in rows <= t + n.  The long
+    exact Tor sequence of 0 -> A' -> A -> A_{<t} -> 0 then gives
+    Tor_k(A')_d = Tor_k(A)_d in those rows.  By the sequence of (a), S/J
+    has the table of A' off column 0, and in column 0 they differ only at
+    the origin and in rows t..t+n (The sequence route of the ``betti``
+    docstring), so past row t + n S/J has A's table.  A's Betti box ends
+    at row r + n, so these rows hold entries only at t < r.
 
 The sequence of (a) gives more than the length: ``betti_numbers`` reads
 the whole Betti table off it at every t >= 1, from the table of
@@ -92,11 +105,12 @@ class NTooSmall(Exception):
 
 
 def regularity_contains(ps, d) -> int:
-    """H(d), read from the point set's sweep; d is regular iff it is N."""
+    """H(d), read from the point set's sweep through the clamp: the last
+    cell of the box-cut block on the window d is d's clamped cell.  d is
+    regular iff it is N."""
     if d[0] < 0 or d[1] < 0:
         raise ValueError("degree must be componentwise nonnegative")
-    d = tuple(d)
-    return int(function_space_bases(ps, d).dims[d])
+    return int(function_space_bases(ps, tuple(d)).dims[-1, -1])
 
 
 @dataclass

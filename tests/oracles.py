@@ -7,7 +7,9 @@ monomial basis, and share no shortcut with the code they check:
 ranked, where ``betti.betti_numbers`` skips, truncates and fills cells),
 ``beta1_from_ideal``, ``y0_nonzerodivisor``, and the presentation of S/J
 from explicit ideal pieces (``ideal_pieces_from_generators`` with
-``quotient_presentation``).  ``rref_by_columns`` and ``rank_by_columns``
+``quotient_presentation``).  ``window_presentation`` widens the engine's
+own presentation, cut at the Betti box, to its whole window, so that
+``koszul_homology`` can rank it past the box.  ``rref_by_columns`` and ``rank_by_columns``
 are the plain column loops that ``fp.rref`` and ``fp.rank`` trimmed:
 full-row updates, a second scan for the rows to clear, and no transpose.
 Two map-by-map references check the maps that ``betti`` builds by its
@@ -51,6 +53,7 @@ from vreslab.betti import (
     GradedModulePresentation,
     WindowTooSmall,
     betti_numbers,
+    intersected_presentation,
     mrc_window,
     point_presentation,
 )
@@ -332,7 +335,7 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
     fs = function_space_bases(ps, window)
     p = ps.p
     wi, wj = window
-    dims = fs.dims.copy()
+    dims = hilbert_matrix(ps, window)
     for i in range(min(t, wi + 1)):
         for j in range(wj + 1):
             dims[i, j] = count_monomials(ps.n, ps.m, (i, j))
@@ -352,6 +355,22 @@ def intersected_presentation_in_full(ps: PointSet, t: int,
 
     return GradedModulePresentation(ps.n, ps.m, p, window, dims,
                                     tuple(range(ps.n + ps.m + 2)), _builder=build)
+
+
+def window_presentation(ps: PointSet, t: int,
+                        window: tuple[int, int]) -> GradedModulePresentation:
+    """``betti.intersected_presentation`` holding its whole window.
+
+    The engine's presentation holds only the pieces on the window cut at
+    the Betti box.  Here every piece from row t on is the difference of
+    ``hilbert_matrix`` along the quotient's variable z (x0 at t = 0, y0
+    at t >= 1), and every map is the engine's own builder, which reads
+    cells past the box through the sweep's clamp; so the all-ranks oracle
+    can rank the engine's module past its box.
+    """
+    pres = intersected_presentation(ps, t, window)
+    dims = np.diff(hilbert_matrix(ps, window)[t:], axis=1 if t else 0, prepend=0)
+    return replace(pres, dims=dims, _maps={})
 
 
 

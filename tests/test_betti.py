@@ -62,6 +62,7 @@ from oracles import (
     quotient_presentation,
     row_quotient_map_by_gather,
     signed_collapse,
+    window_presentation,
 )
 
 P = 32003
@@ -358,7 +359,10 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
     # are not blocks of any strand of M
     ps = random_points(1, 2, 25, seed=1, require_generic=True)
     pres = point_presentation(ps, window)
-    dims, quotient = pres.dims, pres.row_quotient
+    # the pieces on the whole window: the engine holds them only up to the
+    # Betti box (25, 8), and mrc_window(25) is (26, 7)
+    wide = window_presentation(ps, 0, window)
+    dims, quotient = wide.dims, pres.row_quotient
     tail = {(i, j) for i in range(1, window[0] + 1) for j in range(1, min(3, window[1]) + 1)
             if not dims[i - 1:i + 1, 1:j + 1].any()}
     assert len(tail) > 20
@@ -408,7 +412,7 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
         # and in row 0 the same block of C/y0C over two variables
         assert shape != (dim(i, j), dim(i - 1, j) + 3 * dim(i, j - 1))
         assert i or shape != (row_0_dim(j), 2 * row_0_dim(j - 1))
-    assert bt.entries == koszul_homology(pres).entries
+    assert bt.entries == koszul_homology(wide).entries
 
 
 def test_rows_without_a_drop_build_no_map(monkeypatch):
@@ -541,32 +545,53 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
     """Row 0 read off the row flag modulo y0 against every strand of the
     same presentation ranked over y0..ym."""
     ps, window, kmax = case
-    pres = point_presentation(ps, window)
-    got = betti_numbers(pres, kmax).entries
-    want = koszul_homology(pres, kmax).entries
+    got = betti_numbers(point_presentation(ps, window), kmax).entries
+    want = koszul_homology(window_presentation(ps, 0, window), kmax).entries
     assert ({e: b for e, b in got.items() if not e[1]}
             == {e: b for e, b in want.items() if not e[1]})
 
 
 @pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
 def test_free_row_dims_count_the_monomials_of_r(n, m):
-    # the presentation is <x>^t M: zero below row t, and from row t on the
-    # sweep's H(i, j) - H(i, j - 1), the quotient by y0
+    # the presentation is <x>^t M, zero below row t: its dims start at row
+    # t and end at the Betti box, and hold the sweep's H(i, j) - H(i, j - 1),
+    # the quotient by y0; every piece below row t reads as zero
     t, window = 5, (7, 6)
     ps = random_points(n, m, 3, seed=1)
-    dims = intersected_presentation(ps, t, window).dims
-    H = function_space_bases(ps, window).dims
-    assert not dims[:t].any()
-    assert np.array_equal(dims[t:], np.diff(H[t:], axis=1, prepend=0))
+    pres = intersected_presentation(ps, t, window)
+    region = [min(w, b) for w, b in zip(window, pres.box)]
+    assert pres.dims.shape == (region[0] - t + 1, region[1] + 1)
+    H = hilbert_matrix(ps, window)[t:region[0] + 1, :region[1] + 1]
+    assert np.array_equal(pres.dims, np.diff(H, axis=1, prepend=0))
+    assert all(pres.dim((i, j)) == 0 for i in range(t) for j in range(window[1] + 1))
 
 
 def test_free_row_dims_past_int64_raise():
     # dim R_(2, 200) on P^1 x P^20 is 3 * C(219, 19), past 2**63, but no
-    # piece of R is stored: the rows below t are zero
+    # piece of R is stored: dims start at row t = 3, and end at the Betti
+    # box's column r_y + m = 21
     ps = random_points(1, 20, 2, seed=1)
     pres = intersected_presentation(ps, 3, (3, 200))
-    assert not pres.dims[:3].any()
-    assert pres.dims[3].tolist() == [2] + [0] * 200
+    assert pres.box == (4, 21)
+    assert pres.dims.tolist() == [[2] + [0] * 21]
+    assert pres.dim((2, 5)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fibered_sets(), shared_part_sets()), st.sampled_from([0, 1, 2, 3, 10**11]),
+       st.tuples(*[st.one_of(st.integers(0, 8), st.just(10**11))] * 2))
+@example(fibered_633(), 10**11, (10**11 + 1, 10**11))
+def test_presentation_holds_rows_t_to_the_betti_box(ps, t, window):
+    """The presentation holds the pieces of rows t..min(wi, box row) and
+    columns up to min(wj, box column), whatever the window's size: a piece
+    below row t reads as zero, and one past that region is refused."""
+    pres = intersected_presentation(ps, t, window)
+    top, right = (min(w, b) for w, b in zip(window, pres.box))
+    assert pres.dims.shape == (max(top - t + 1, 0), right + 1)
+    assert pres.dim((t - 1, right)) == 0
+    for d in [(max(top, t - 1) + 1, 0), (t, right + 1)]:
+        with pytest.raises(IndexError):
+            pres.dim(d)
 
 
 def test_free_row_maps_are_column_0_monomial_blocks():
@@ -807,9 +832,10 @@ def test_regularity_box_bounds_sweep_and_tables(ps):
     rx = next(i for i in range(ell_x) if rank(evaluation_matrix(ps, (i, 0)), ps.p) == ell_x)
     ry = next(j for j in range(ell_y) if rank(evaluation_matrix(ps, (0, j)), ps.p) == ell_y)
     fs = function_space_bases(ps, (rx + 2, ry + 2))
-    assert fs.box == (rx, ry)
-    for d in np.ndindex(fs.dims.shape):
-        assert fs.dims[d] == rank(evaluation_matrix(ps, d), ps.p)
+    assert fs.box == (rx, ry) and fs.dims.shape == (rx + 1, ry + 1)
+    H = hilbert_matrix(ps, (rx + 2, ry + 2))
+    for d in np.ndindex(H.shape):
+        assert H[d] == rank(evaluation_matrix(ps, d), ps.p)
     for t in range(ell_x + 1):
         box = (max(t, rx) + n, ry + m)
         window = (box[0] + 1, box[1] + 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vreslab import betti, cli, cox
+from vreslab import betti, cli, cox, vres
 from vreslab.betti import (
     betti_numbers,
     betti_window,
@@ -22,6 +22,8 @@ from vreslab.cli import derive_seed, main
 from vreslab.diffcalc import alternating_betti_from_hilbert
 from vreslab.points import hilbert_matrix, hilbert_window, random_points
 from vreslab.vres import predicted_pair_shape
+
+from oracles import predicted_intersect_column_0, predicted_intersect_off_column_0
 
 
 def run(capsys, argv):
@@ -226,17 +228,10 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.strip() == "False"
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
-@pytest.mark.parametrize("argv", [
-    "vres-intersect --N 4 --t 100000000000 --seed 1",
-    "hilbert --N 6 --seed 1 --window 100000000000,3",
-    "betti --N 6 --seed 1 --window 3,100000000000",
-])
-def test_window_past_memory_is_usage_error(argv):
-    # the sweep's dense window dimensions do not fit in a 2 GB address
-    # space (745 GiB for 10^11 rows); the child runs under that limit only,
-    # and reports the window as a usage error, with no traceback.  The CI
-    # step runs the 10^8 windows, which fail after about 1.5 GB
+def run_limited(argv: str) -> tuple[int, str, str, int]:
+    """Run the CLI in a child whose address space is capped at 2 GB (set in
+    the child only); return its exit code, stdout, stderr and peak RSS in
+    KiB (Linux units), read from the child's own rusage."""
     import resource
 
     def limit():
@@ -245,11 +240,86 @@ def test_window_past_memory_is_usage_error(argv):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "vreslab.cli", *argv.split()], env=env,
-                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2 and done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert "window (" in done.stderr and "100000000" in done.stderr
+    proc = subprocess.Popen([sys.executable, "-m", "vreslab.cli", *argv.split()], env=env,
+                            preexec_fn=limit, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    # both outputs are a few hundred bytes, far below a pipe's buffer
+    out, err = proc.stdout.read(), proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    proc.stderr.close()
+    return proc.returncode, out, err, usage.ru_maxrss
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
+@pytest.mark.parametrize("argv", [
+    "hilbert --N 6 --seed 1 --window 100000000000,3",
+    "dh --N 6 --seed 1 --window 100000000000,3",
+])
+def test_window_past_memory_is_usage_error(argv):
+    # hilbert and dh print a table of the window's size (745 GiB for 10^11
+    # rows), which does not fit in a 2 GB address space: a usage error that
+    # names the window, with no traceback.  The CI step runs 10^8 rows
+    rc, out, err, _ = run_limited(argv)
+    assert rc == 2 and out == ""
+    assert "Traceback" not in err
+    assert "window (" in err and "100000000" in err
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
+@pytest.mark.parametrize("argv, small", [
+    ("vres-intersect --N 4 --t 100000000000 --seed 1", None),
+    ("betti --N 6 --seed 1 --window 3,100000000000", "betti --N 6 --seed 1 --window 3,20"),
+    ("vres-pair --N 6 --seed 1 --d 100000000000,0", "vres-pair --N 6 --seed 1 --d 5,0"),
+])
+def test_huge_windows_run_in_little_memory(capsys, argv, small):
+    # every array but the printed table of hilbert and dh is cut at the
+    # regularity or Betti box, so a 10^11-row window or t costs what the
+    # box does: each command exits 0 under 2 GB, in well under 100 MB
+    rc, out, err, peak_kib = run_limited(argv)
+    assert rc == 0 and "Traceback" not in err
+    if sys.platform.startswith("linux"):
+        assert peak_kib < 100 * 1024
+    if small is None:
+        # four generic points of P^1 x P^2 at t = 10^11 > r_x = 3
+        t = 10**11
+        payload = json.loads(out)
+        got = {(e["k"], e["i"], e["j"]): e["beta"] for e in payload["table"]["entries"]}
+        assert payload["length"] == 3
+        assert got == {**predicted_intersect_off_column_0(4, 1, 2, t),
+                       **predicted_intersect_column_0(4, 1, t)}
+    elif argv.startswith("betti"):
+        # the same table as on a window past the box's column 4, the window aside
+        assert json.loads(out)["entries"] == json.loads(run(capsys, small.split())[1])["entries"]
+    else:
+        # the trim keeps d + (n, m), cut at the Betti box (6, 4) both times
+        assert out == run(capsys, small.split())[1]
+
+
+@pytest.mark.parametrize("argv, window", [
+    ("hilbert --N 3 --seed 1", True),
+    ("dh --N 3 --seed 1 --window 4,4", True),
+    ("betti --N 3 --seed 1 --window 4,4", False),
+    ("vres-intersect --N 3 --t 2 --seed 1", False),
+    ("vres-pair --N 3 --d 2,0 --seed 1", False),
+])
+def test_memory_error_names_the_window_only_where_it_is_allocated(capsys, monkeypatch,
+                                                                  argv, window):
+    # only hilbert and dh allocate by their window; any other command that
+    # runs out of memory does so in the Koszul strands, not in the window
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for module in (cli, vres):
+        monkeypatch.setattr(module, "betti_numbers", exhausted)
+    monkeypatch.setattr(cli, "hilbert_matrix", exhausted)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert ("window (" in captured.err) == window
+    assert window or "out of memory" in captured.err
 
 
 # SHA-256 of the primary output of each command.  Outputs are byte-stable

@@ -239,11 +239,12 @@ class TestHilbertSweep:
                 assert int_matrix_at(H, i, j) == ff_rank(evaluation_matrix(ps, (i, j)), ps.p)
 
     def test_rref_pivot_structure(self):
+        # over the whole window: cells past the box are read through the clamp
         ps = random_points(1, 2, 5, seed=21)
-        fs = function_space_bases(ps, (3, 3))
-        for key in np.ndindex(fs.dims.shape):
+        fs, H = function_space_bases(ps, (3, 3)), hilbert_matrix(ps, (3, 3))
+        for key in np.ndindex(H.shape):
             V, piv = fs.cell(key)
-            assert V.shape[0] == len(piv) == fs.dims[key]
+            assert V.shape[0] == len(piv) == H[key]
             sub = V[:, piv]
             assert np.array_equal(sub, np.eye(len(piv), dtype=np.int64))
 
@@ -326,25 +327,24 @@ class TestSweepMemo:
         got = function_space_bases(ps, second)
         want = function_space_bases(PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys), second)
         assert np.array_equal(got.dims, want.dims) and got.box == want.box
-        for d in np.ndindex(want.dims.shape):
+        for d in np.ndindex(second[0] + 1, second[1] + 1):
             for a, b in zip(got.cell(d), want.cell(d)):
                 assert np.array_equal(a, b)
 
     def test_covered_window_runs_no_elimination(self, monkeypatch):
         ps = random_points(2, 1, 7, seed=63)
-        want = function_space_bases(ps, (5, 5))
+        want = hilbert_matrix(ps, (5, 5))
 
         def no_step(*args):
             raise AssertionError("flag step on a memoized window")
 
         monkeypatch.setattr(points_module, "_flag_step", no_step)
-        got = function_space_bases(ps, (3, 4))
-        assert np.array_equal(got.dims, want.dims[:4, :5])
+        assert np.array_equal(hilbert_matrix(ps, (3, 4)), want[:4, :5])
 
     def test_saturated_cells_skip_elimination(self, monkeypatch):
         ps = random_points(1, 2, 5, seed=64)
         calls = count_extensions(monkeypatch)
-        H = function_space_bases(ps, (6, 4)).dims
+        H = hilbert_matrix(ps, (6, 4))
         assert len(calls) == sweep_eliminations(H, ps) < H.size
 
     def test_stalled_column_runs_no_elimination(self, monkeypatch):
@@ -358,8 +358,10 @@ class TestSweepMemo:
 
         monkeypatch.setattr(points_module, "_flag_step", no_step)
         fs = function_space_bases(ps, (7, 0))
-        assert fs.dims[:, 0].tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
-        for d in np.ndindex(fs.dims.shape):
+        # the block ends at the box row r_x = 2, which every later row reads
+        assert fs.dims[:, 0].tolist() == [1, 2, 3]
+        assert hilbert_matrix(ps, (7, 0))[:, 0].tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
+        for d in np.ndindex(8, 1):
             V, pivots = fs.cell(d)
             R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
             assert np.array_equal(V, R[: len(piv)])
@@ -368,12 +370,11 @@ class TestSweepMemo:
     def test_fibered_sweep_counts_one_elimination_per_growing_source(self, monkeypatch):
         ps = fibered_633()
         calls = count_extensions(monkeypatch)
-        fs = function_space_bases(ps, (6, 4))
-        H = fs.dims
+        fs, H = function_space_bases(ps, (6, 4)), hilbert_matrix(ps, (6, 4))
         stalled = [(i, 0) for i in range(4, 7)]
         assert all(H[i - 1, j] == H[i - 2, j] < ps.N for i, j in stalled)
         # only the box's cells are swept: H(2, 0) = ell = 3 and H(0, 2) = N
-        assert fs.box == (2, 2)
+        assert fs.box == (2, 2) and np.array_equal(fs.dims, H[:3, :3])
         assert len(calls) == sweep_eliminations(H[:3, :3], ps)
 
 
@@ -429,11 +430,27 @@ point_sets = st.builds(
 def test_sweep_cells_equal_rref_of_evaluation(ps):
     """Every cell, saturated or not, is the RREF of the evaluated monomials."""
     fs = function_space_bases(ps, (4, 3))
-    for d in np.ndindex(fs.dims.shape):
+    for d in np.ndindex(5, 4):
         V, pivots = fs.cell(d)
         R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
         assert np.array_equal(V, R[: len(piv)])
         assert pivots.tolist() == piv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(point_sets, fibered_sets(), shared_part_sets()),
+       st.tuples(*[st.one_of(st.integers(0, 9), st.just(10**11))] * 2))
+@example(fibered_633(), (10**11, 0))
+def test_dims_are_the_window_cut_at_the_box(ps, window):
+    """``dims`` is the box-cut block, whatever the window's size, and its
+    last cell is the window corner's clamped cell; ``hilbert_matrix`` alone
+    widens it to the window."""
+    (wi, wj), (rx, ry) = window, points_module.regularity_box(ps)
+    fs = function_space_bases(ps, window)
+    assert fs.dims.shape == (min(wi, rx) + 1, min(wj, ry) + 1)
+    assert fs.dims[-1, -1] == rank(evaluation_matrix(ps, (min(wi, rx), min(wj, ry))), ps.p)
+    if max(window) < 10**11:
+        assert np.array_equal(hilbert_matrix(ps, window)[:rx + 1, :ry + 1], fs.dims)
 
 
 @st.composite
@@ -478,10 +495,11 @@ def test_flag_cells_equal_rref_of_evaluation_past_the_box(ps):
     dimension their rank."""
     rx, ry = points_module.regularity_box(ps)
     fs = function_space_bases(ps, (rx + 2, ry + 2))
-    for d in np.ndindex(fs.dims.shape):
+    H = hilbert_matrix(ps, (rx + 2, ry + 2))
+    for d in np.ndindex(H.shape):
         V, pivots = fs.cell(d)
         R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
-        assert fs.dims[d] == len(piv)
+        assert H[d] == len(piv)
         assert np.array_equal(V, R[: len(piv)])
         assert pivots.tolist() == piv
 

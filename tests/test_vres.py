@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vreslab import vres
-from vreslab.betti import WindowTooSmall, betti_numbers, betti_window, point_presentation
+from vreslab.betti import (
+    WindowTooSmall,
+    betti_box,
+    betti_numbers,
+    betti_window,
+    point_presentation,
+)
 from vreslab.fp import rank
 from vreslab.points import (
     PointSet,
@@ -21,15 +29,18 @@ from vreslab.vres import (
     NTooSmall,
     euler_quadrant_check,
     intersect_vres,
+    intersect_window,
     pair_vres,
     predicted_pair_shape,
     regularity_contains,
 )
 
-from conftest import fibered_633, grid_set
+from conftest import fibered_633, fibered_sets, grid_set, grid_sets, shared_part_sets
 from oracles import (
     Beta2Report,
     beta2_first_positive_check,
+    intersected_presentation_in_full,
+    koszul_homology,
     pretty,
     shape_length,
     stored_pair_shape,
@@ -321,6 +332,52 @@ class TestIntersectSharpBound:
         for t in range(1, rx):
             assert decomposition_check(ps, t, (ps.N + 3, ry + 3))
             assert intersect_vres(ps, t)[1] == ps.n + ps.m
+
+    def test_non_acm_set_holds_from_t_2_below_r(self):
+        # eight points of P^1 x P^1 over p = 101, not a grid and not
+        # arithmetically Cohen-Macaulay: length 3 = n + m + 1 at t = 1, and
+        # n + m from t = 2 on, below r_x = 3, where decomposition_check
+        # agrees with the length
+        ps = non_acm_set()
+        assert regularity_box(ps) == (3, 2)
+        assert intersect_vres(ps, 1)[1] == 3
+        assert not decomposition_check(ps, 1, intersect_window(ps, 1))
+        for t in range(2, 6):
+            assert intersect_vres(ps, t)[1] == 2
+            assert decomposition_check(ps, t, intersect_window(ps, t))
+
+
+def non_acm_set() -> PointSet:
+    """Eight points of P^1 x P^1 over GF(101) with r_x = 3 whose intersect
+    length drops to n + m at t = 2."""
+    return PointSet(1, 1, 101, np.array([(1, v) for v in (25, 32, 60, 60, 7, 25, 25, 7)]),
+                    np.array([(1, v) for v in (34, 34, 34, 18, 34, 50, 18, 50)]))
+
+
+@st.composite
+def below_r_cases(draw):
+    """A fibered, grid or shared-part set with r_x >= 2, and 1 <= t < r_x:
+    at t >= r_x neither table has an entry past row t + n."""
+    sets = st.one_of(fibered_sets(), grid_sets(), shared_part_sets())
+    ps = draw(sets.filter(lambda ps: regularity_box(ps)[0] >= 2))
+    return ps, draw(st.integers(1, regularity_box(ps)[0] - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(below_r_cases())
+@example((fibered_633(), 1))
+@example((non_acm_set(), 1))
+@example((non_acm_set(), 2))
+def test_rows_past_t_plus_n_are_those_of_the_points(case):
+    """Step (e) of the module docstring: on a window that holds both Betti
+    boxes, rows i >= t + n + 1 of the table of S/J, J = I_X ∩ <x>^t, from
+    every strand of S/J ranked, equal those of S/I_X."""
+    ps, t = case
+    window = betti_box(ps, t)  # max(t, r_x) + n >= r_x + n: it holds both
+    want = betti_numbers(point_presentation(ps, window)).entries
+    got = koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+    assert ({e: b for e, b in got.items() if e[1] > t + ps.n}
+            == {e: b for e, b in want.items() if e[1] > t + ps.n})
 
 
 class TestBeta2Rows:
