@@ -423,6 +423,12 @@ PINNED_OUTPUTS = [
      "4da9b5073fbb7e84d79da424406902fcacea50589b4bc8cda08cf6ab784b6ed5"),
     ("vres-intersect --n 2 --m 2 --N 20 --t 2 --seed 1",
      "14cdec003d2111eb8d3e7a6b8a18eac74985dfb6529442b493b063f7ac9e40bc"),
+    # P^1 tables at 1 <= t < r_x: row t off the row quotient, rows above
+    # it off the kernels of x1 modulo x0, on m = 2 and m = 3
+    ("vres-intersect --N 80 --t 1 --seed 1",
+     "efb9457e960e6b5c107677e84ce208519718e6807d2fcc58f7112002e70d1685"),
+    ("vres-intersect --n 1 --m 3 --N 40 --t 3 --seed 1",
+     "995f709b13b0144ad03e850d97a735ac9d48454cd197fb859ebca6d5be9c833f"),
 ]
 
 
