@@ -12,16 +12,17 @@ presents the module on exactly that region.
 The point-set presentations use one fact: if a variable z is a
 nonzerodivisor on M, then beta^S_{k,d}(M) = beta^{S/z}_{k,d}(M/zM), and
 S/z is the polynomial ring on the other n+m+1 variables.  So the point
-modules are presented modulo z (x0 for S/I_X, y0 for A_{rows >= t}
-below), with pieces of at most N dimensions, and each strand is smaller
-than the one on all n+m+2 variables.  Every variable map is one dense
+modules are presented modulo z (x0 for S/I_X, and for A_{rows >= t}
+below on P^1; y0 for A_{rows >= t} otherwise), with pieces of at most N
+dimensions, and each strand is smaller than the one on all n+m+2
+variables.  Every variable map is one dense
 block over GF(p), target dim x source dim.  ``intersected_presentation``
 is the one builder (``point_presentation`` is its t = 0 case); the tests
 check the engine against presentations of S/J built from explicit ideal
 generators in their own oracles.
 
 At t >= 1 the builder presents not S/J, J = I_X ∩ <x>^t, but its
-submodule A' = <x>^t S/J = A_{rows >= t}, A = S/I_X, modulo y0.  Let
+submodule A' = <x>^t S/J = A_{rows >= t}, A = S/I_X.  Let
 R = k[x0..xn, y1..ym] and M = R/J be S/J modulo y0.  J is bigraded and
 vanishes below row t, so each of its forms has x-degree at least t and J
 lies in <x>^t.  Step (a) of the ``vres`` docstring gives the exact
@@ -34,14 +35,18 @@ y-degree 0, and Tor^R_k(R/<x>^t)_d = 0 at d = (i, j) with j >= 1.  The
 long exact sequence of Tor then gives Tor_k(M)_d = Tor_k(<x>^t M)_d
 there: off column 0, A' has the table of S/J.  In column 0 they differ
 only at the origin and in rows t..t+n, and one step reads S/J's column 0
-off A''s (The sequence route (b)-(d)).  So R's large pieces below row t
-enter no strand: the presentation's ``dims`` start at row
+off A''s (The sequence route (b)-(d)).  A' is a submodule of A, so x0
+and y0 are both nonzerodivisors on it (The Betti box).  For n != 1 the
+builder presents A' modulo y0, which is <x>^t M.  On P^1 it presents
+A'/x0A', whose pieces are V(t, j) in row t and V(i, j)/V(i-1, j) above,
+so that x1 is its one x-variable and the row split serves every t (The
+row split).  Either way R's large pieces below row t enter no strand:
+the presentation's ``dims`` start at row
 ``GradedModulePresentation.free_rows`` = t, every piece below reads as
 zero, and the only maps it builds below row t are the crossings from
-(t-1, 0) by an x-variable,
-k[x]_(t-1) -> V(t, 0), which evaluate the monomials once for every
-x-variable and which the column-0 step ranks only at t <= r_x with
-n >= 2.
+(t-1, 0) by an x-variable, k[x]_(t-1) -> V(t, 0), which evaluate the
+monomials once for every x-variable and which the column-0 step ranks
+only at t <= r_x with n >= 2.
 
 ``betti_numbers`` decides in one mask over the window which cells need
 a rank.  A cell whose strand has no nonzero summand in any K_k with
@@ -51,52 +56,59 @@ ring on the presentation's variables: the module is R/J, R is a domain,
 so J_d = 0 forces J_e = 0 at every e <= d, and the strand at d, which
 reads only pieces at such e, is R's own strand, exact away from the
 origin.  The origin's strand gives beta_0 with no rank.  At t >= 1 the
-module is A', not R/J, but a piece of A' in a row i >= t is M's, and A'
-has the table of M but at the origin (where its piece is zero) and in
-rows t..t+n of column 0, so the certificate holds everywhere else.  In
-those rows A' holds Tor_a(B_{>= t}) (The sequence route (b)), which the
-column-0 step reads, so the mask keeps them.
+module is A' modulo y0, not R/J, but a piece of A' in a row i >= t is
+M's, and A' has the table of M but at the origin (where its piece is
+zero) and in rows t..t+n of column 0, so the certificate holds
+everywhere else.  In those rows A' holds Tor_a(B_{>= t}) (The sequence
+route (b)), which the column-0 step reads, so the mask keeps them.  On
+P^1 no strand of the presentation itself is ranked (Row t, The row
+split), so the mask is read only on R/J and on <x>^t M.
 
 One more read replaces a rank.  The map K_1 -> K_0 at d sends
 (u_v) in the sum of the M_(d - deg v) to the sum of the v*u_v in M_d.  M
 is cyclic and generated at (0, 0), so for d != (0, 0) every element of
 M_d is a sum of monomials of degree d times the generator, each a
 variable v times a monomial of degree d - deg v: the map is onto, of
-rank dim K_0.  At the origin K_1 = 0.  At t >= 1 the module A' = <x>^t M
+rank dim K_0.  At the origin K_1 = 0.  At t >= 1 the module A'
 is generated at (t, 0), by the monomials of k[x]_t, and is zero below
 row t.  At (i, j) with i >= t and j >= 1 every monomial of degree (i, j)
 has a y-factor, so the y-variables alone map onto the piece; at (i, 0)
 with i > t every monomial of degree i is an x-variable times one of
-degree i - 1 >= t; and at (t, 0) K_1 is zero.  Hence wherever K_1 and K_0
-are both nonzero the rank is dim K_0; ``_betti_cell`` assembles no such
-block.  The read needs a module generated in the degrees where K_1 is
-zero: the kernels of the row split below are not, and their strands rank
-K_1 -> K_0 like every differential.
+degree i - 1 >= t; and at (t, 0) K_1 is zero.  All of this holds
+modulo x0 as modulo y0.  Hence wherever K_1 and K_0 are both nonzero the
+rank is dim K_0; ``_betti_cell`` assembles no such block.  The read
+needs a module generated in the degrees where K_1 is zero: the row
+quotient of Row t below is, in column 0; the kernels of the row split
+are not, and their strands rank K_1 -> K_0 like every differential.
 
-The row split.  Let the presentation have one x-variable x and no free
-rows: ``point_presentation`` with n = 1, where x = x1.  M is cyclic and
-generated at (0, 0), and every monomial of x-degree i >= 1 is x times a
-monomial of x-degree i - 1, so x maps M_(i-1,j) onto M_(i,j); for the
-point presentation this is V(i,j) = V(i-1,j) + x1*V(i-1,j) (see
-``points``).  Let y be the y-variables.  The Koszul complex K(x, y; M) is
-the mapping cone of x on K(y; M) (Eisenbud, section 17): its K_k at
-(i, j) is K_k(y; M)_(i,j) + K_(k-1)(y; M)_(i-1,j).  The y-variables keep
-the row, so the cone splits into one complex per row.  In row 0 it is
-K(y; M_(0,.)), read modulo y0 off the row flag (see Row 0 below).  In a
-row i >= 1 it is the cone of x : K(y; M_(i-1,.)) -> K(y; M_(i,.)), which
-is onto.
+The row split.  Let the presentation have one x-variable x = x1: on
+P^1, S/I_X or A' modulo x0, with t = free_rows.  It is generated in row
+t (at the origin for t = 0, by the monomials of k[x]_t for t >= 1), and
+modulo x0 every monomial of x-degree i > t is x1 times one of x-degree
+i - 1, so x maps M_(i-1,j) onto M_(i,j) for i > t; for S/I_X this is
+V(i,j) = V(i-1,j) + x1*V(i-1,j) (see ``points``).  Let y be the
+y-variables.  The Koszul complex K(x, y; M) is the mapping cone of x on
+K(y; M) (Eisenbud, section 17): its K_k at (i, j) is
+K_k(y; M)_(i,j) + K_(k-1)(y; M)_(i-1,j).  The y-variables keep the row,
+so the cone splits into one complex per row.  In row t it is
+K(y; M_(t,.)), read modulo y0 off the row quotient (see Row t below).
+In a row i > t it is the cone of x : K(y; M_(i-1,.)) -> K(y; M_(i,.)),
+which is onto.
 K(y; -) tensors with a complex of free modules, so it is exact, and with
 Z_i = ker(x : M_(i-1,.) -> M_(i,.)), a k[y]-module because y commutes
 with x, 0 -> K(y; Z_i) -> K(y; M_(i-1,.)) -> K(y; M_(i,.)) -> 0 is exact.
 The cone of an onto map of complexes is quasi-isomorphic to its kernel
-shifted up by one homological degree, so for i >= 1
+shifted up by one homological degree, so for i > t
 
     beta_{k,(i,j)}(M) = dim H_(k-1)(K(y; Z_i))_j.
 
+Modulo x0, M_(t,.) is V(t, .) and M_(i,.) is V(i,.)/V(i-1,.) for i > t,
+so Z_(t+1) = ker(x1 : V(t, .) -> V(t+1, .)/V(t, .)), and every Z_i with
+i >= t + 2 is the point presentation's own.
 Z_i is dims[i-1, b] - dims[i, b] wide at column b, which the sweep gives
 before any map is built: a row where no column drops holds no Betti
 number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
-rows i >= 1 from the strands of the Z_i, which run over the y-variables
+rows i > t from the strands of the Z_i, which run over the y-variables
 alone, so only the rows where x loses dimension cost a kernel and a rank.
 The maps of Z_i follow the one rule of ``intersected_presentation``: its
 basis at column b stands for functions on the points, the kernel basis
@@ -104,33 +116,41 @@ times the functions of M's piece (i-1, b), computed once per column; y
 times these is reduced modulo the cell below the target and read only at
 the free columns of the target's kernel basis, which are the coordinates
 of a kernel vector.  So M builds the maps of x whose kernels are taken,
-and no y-map.
-Every other presentation (n >= 2, or t >= 1, whose x-variables are
-x0..xn) keeps the strands over all its variables in every row, but for
-row 0 of a point presentation (see Row 0).
+and no y-map.  At t >= r_x, where the rows above t are read off row t
+(The sequence route (a)), no kernel is taken.
+Every other presentation (n >= 2, or one built from explicit pieces)
+keeps the strands over all its variables in every row above t, and in
+row t too when it has no row quotient.
 
-Row 0.  Let M be S/I_X modulo x0 and C = M_(0,.) its row 0: C_j =
-V(0,j), the functions on the points that the forms of k[y]_j give, so C
-is the coordinate ring of the y-parts.  A strand at (0, j) reads only
-pieces (0, j - |T|) with T a set of y-variables (an x-variable would take
-it to row -1), so beta_{k,(0,j)}(M) = dim Tor_k^B(C, k)_j for
-B = k[y0..ym].  Three facts read these off the row flag of ``points``.
+Row t.  Let t = free_rows and C the row t of A' (of A at t = 0): C_j =
+V(t, j), the functions on the points that the forms of degree (t, j)
+give, a module over B = k[y0..ym]; at t = 0 C is the coordinate ring of
+the y-parts.  A strand at (t, j) reads only pieces (t, j - |T|) with T a
+set of y-variables (an x-variable would take it below row t, where the
+module is zero).  Modulo x0, row t is C itself, as x0 A' has nothing in
+row t, and the strands run over y0..ym: beta_{k,(t,j)} is
+dim Tor_k^B(C, k)_j.  Modulo y0, row t is C/y0C and the strands run over
+y1..ym: beta_{k,(t,j)} is dim Tor_k^B'(C/y0C, k)_j for B' = k[y1..ym].
+Four facts make these one table, read off the row flag.
 
 (a) y0 is a nonzerodivisor on C.  y0 is 1 at every point, so it maps
-C_(j-1) = V(0,j-1) into C_j = V(0,j) by the inclusion of function
+C_(j-1) = V(t,j-1) into C_j = V(t,j) by the inclusion of function
 spaces, which is injective.
 
-(b) Tor^B(C) = Tor^B'(C/y0C) for B' = k[y1..ym], degree by degree.  The
+(b) Tor^B(C) = Tor^B'(C/y0C), degree by degree.  The
 Koszul complex K(y0..ym; C) is the mapping cone of y0 on K(y1..ym; C)
 (Eisenbud, section 17).  By (a), y0 is injective on every term, and the
 cone of an injective map of complexes is quasi-isomorphic to its
-cokernel, K(y1..ym; C/y0C).  So row 0 is the Koszul homology of C/y0C
-over y1..ym, a cyclic module generated at column 0.
+cokernel, K(y1..ym; C/y0C).  So under either quotient row t is the
+Koszul homology of C/y0C over y1..ym.
 
-(c) C/y0C is row 0 of S/I_X modulo y0, and its pieces are the row
-flag's blocks.  (C/y0C)_j is V(0,j)/V(0,j-1), of dimension
-dims[0, j] - dims[0, j - 1], zero past r_y.  ``intersected_presentation``
-builds it by its one rule with z = y0 on row 0 alone, over y1..ym: the
+(c) C/y0C is row t of A' modulo y0, (C/y0C)_j = V(t,j)/V(t,j-1), of
+dimension H(t, j) - H(t, j - 1), zero past r_y.
+``intersected_presentation`` builds it by its one rule with z = y0 on
+row t alone, over y1..ym, and attaches it to every presentation as
+``row_quotient``; ``betti_numbers`` reads row t of every table off its
+strands, whose pieces are one step of the row's flag wide where the
+strands of S/I_X modulo x0 read V(0, j), up to N wide.  At t = 0 the
 basis of piece j is the rows of the RREF cell of V(0,j) at the pivots
 that V(0,j-1) lacks, which are the rows of block j of the row flag (a
 merge keeps the block's rows, see ``points``), and the map of y_k takes
@@ -144,11 +164,24 @@ y_k * c = (y_k - y_k(q)) * c + y_k(q) * c, where the second term lies in
 V(0,j) and the first vanishes at every pivot of blocks 0..j.  So each
 map is also the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of
 block j + 1, which the tests keep as its oracle.
-``intersected_presentation`` attaches C/y0C to every point presentation
-(t = 0, whatever n) as ``row_quotient``, and ``betti_numbers`` ranks each
-live cell of row 0 on its strands, pieces one block wide where M's
-strands read V(0,j), up to N wide.  The live mask is M's, and C/y0C is
-cyclic, so the onto read of K_1 -> K_0 above holds for these strands too.
+
+(d) The row certificate.  C/y0C is generated in column 0 by
+g = dims[0] = H(t, 0) elements: V(t, j) is spanned by V(t, 0) (the
+images of the monomials of k[x]_t, or the constant 1 at t = 0) times the
+forms of k[y]_j.  So K_1 -> K_0 is onto off column 0, as for a cyclic
+module, and K_1 is zero at column 0.  The map B'^g -> C/y0C that sends
+the basis to those generators is onto.  Where dims[j] = g * dim B'_j for
+a j >= 1 it is injective in degree j, and so in every degree j' <= j: y1
+is a nonzerodivisor on B'^g, so a kernel element u of degree j' would
+give the kernel element y1^(j-j') u != 0 in degree j.  The strand at
+(t, j) reads only columns <= j, where C/y0C is then the free module
+B'^g, whose Koszul complex is exact off column 0: the cell holds no
+Betti number and is not ranked.  At t = 0, g = 1, and this is the
+free-cell certificate of S/I_X on its row 0.  At t >= 1, g = H(t, 0),
+and without the factor g a row as wide as B' in some column but
+generated by g > 1 elements would be taken for free: two x-parts of P^1
+under two y-parts each of P^2 have dims [2, 2, 0, ...] in row 1 and
+beta_{1,(1,1)} = 2.
 
 The Betti box.  Let (r_x, r_y) be the corner of the sweep's box (see
 ``points``: V(i,j) = V(min(i, r_x), min(j, r_y))) and A = S/I_X.  Then
@@ -205,16 +238,17 @@ complex, with C(n, a) twists a in step a.  So
 
 beta' the Betti table over k[y] of ⊕_k C_k, and every other cell holds
 zero.  ⊕_k C_k is A's row t, V(t, j) = ⊕_k V^k_j (``vres`` step (b)).
-y0 is 1 at every point, so it maps V(t, j-1) into V(t, j) by inclusion
-and is a nonzerodivisor on the row; as in Row 0 (b), beta' is then the
-table over y1..ym of the row modulo y0, which is row t of the
-presentation: the pieces V(t, j)/V(t, j-1) and the y-maps between them.
-That row is generated in column 0: with e_k in k[x]_t the idempotents of
-``vres`` step (b), the e_k * g, g in k[y]_j, span V(t, j).  So on its
-strands K_1 -> K_0 is onto off column 0, as for a cyclic module, and K_1
-is zero at column 0, where beta'_{0,0} = ell and nothing else lies.  It
-is not cyclic (it has ell generators), so no free-cell certificate is
-read on it.  Below r_x, A''s table is ranked on its strands in the mask.
+As in Row t (a)-(b), beta' is then the table over y1..ym of the row
+modulo y0, the row quotient: the pieces V(t, j)/V(t, j-1) and the y-maps
+between them.  It is generated in column 0 by g = ell elements (with
+e_k in k[x]_t the idempotents of ``vres`` step (b), the e_k * g, g in
+k[y]_j, span V(t, j)), so Row t (d) applies: K_1 -> K_0 is onto off
+column 0, beta'_{0,0} = ell is the only entry of column 0, and a column
+where the row is ell times as wide as k[y1..ym] is not ranked.  The same
+holds at t = 0 when r_x = 0: X has one x-part, A = L_1 ⊗ C_1, and rows
+0..n are C(n, a) times row 0.  Below r_x, row t is the row quotient's
+table all the same, and the rows above it come from the kernels of the
+row split on P^1 and from the live cells of the mask otherwise.
 
 (b) Column 0, at every t >= 1.  A strand at (i, 0) reads only the pieces
 (i - |T|, 0), T a set of x-variables, so column 0 of S/J is the table
@@ -300,8 +334,9 @@ strands over y1..ym.
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
 inside one point-set presentation, the fresh pivots of each piece that
-its maps read.  The live mask and the columns the row split reads are
-shifted ORs of one helper, ``_reach``.
+its maps read.  The live mask and the columns that the one-row tables
+read (``_row_table``: row t and the kernels Z_i) are shifted ORs of one
+helper, ``_reach``.
 """
 
 from __future__ import annotations
@@ -340,9 +375,10 @@ class GradedModulePresentation:
     It is a module over the polynomial ring on ``variables``, the
     ring variables that act on it; the Koszul strands run over exactly
     these, listed in increasing order, so the x-variables (index <= n)
-    come first.  It is cyclic, generated in degree (0, 0), except for
-    <x>^t M, generated at (t, 0), its row t, and the kernels of the row
-    split (see the module docstring and ``_kernel_presentation``).
+    come first.  It is cyclic, generated in degree (0, 0), except for A'
+    = A_{rows >= t}, generated at (t, 0), its row quotient, generated in
+    column 0, and the kernels of the row split (see the module docstring
+    and ``_kernel_presentation``).
     ``dims`` holds the pieces on the region the engine reads, its row 0
     being row ``free_rows``: ``dim(d)`` subtracts that offset, is zero
     below it and at negative degrees, and refuses with IndexError a piece
@@ -353,16 +389,19 @@ class GradedModulePresentation:
     to the piece at d + deg(var), in the chosen bases: a dense int64 block,
     target dim x source dim.  Maps are built lazily and memoized; a builder
     may refuse, with ValueError, a map that the engine never reads.
-    ``free_rows`` = t >= 1 marks the presentation of A' = <x>^t M, zero
-    below row t (those rows are not stored), whose builder also gives the
-    crossing maps from k[x]_(t-1), the piece of S/J at (t-1, 0), into row
-    t.  ``box`` is the
+    ``free_rows`` = t >= 1 marks the presentation of A', modulo x0 on P^1
+    and modulo y0 (<x>^t M) otherwise, zero below row t (those rows are
+    not stored), whose builder also gives the crossing maps from
+    k[x]_(t-1), the piece of S/J at (t-1, 0), into row t.  ``box`` is the
     corner of the Betti box (see the module docstring), None when unknown,
     and ``rx`` the box row r_x of the point set's sweep (see ``points``),
     which the sequence route reads, None when unknown.
-    ``row_quotient``, on a point presentation, presents C/y0C for C its
-    row 0; ``betti_numbers`` reads row 0 of the table off it (see Row 0 in
-    the module docstring).  On a presentation that ``intersected_presentation``
+    ``row_quotient``, on every presentation that ``intersected_presentation``
+    builds, presents row ``free_rows`` modulo y0 over y1..ym, a one-row
+    presentation of its own: C/y0C for C the row 0 of S/I_X at t = 0, and
+    row t of A' at t >= 1.  ``betti_numbers`` reads row t of the table off
+    it (see Row t in the module docstring).  On a presentation that
+    ``intersected_presentation``
     builds, ``_functions(d)`` gives the functions on the points that stand
     for the basis of the piece at d, and the builder also takes other rows
     of functions and a subset of the target's pivots to read, as the
@@ -375,8 +414,8 @@ class GradedModulePresentation:
     window: tuple[int, int]
     dims: np.ndarray
     variables: tuple[int, ...]
-    # t >= 1: the module is <x>^t M, and column 0 of S/J is read off it
-    # (see The sequence route in the module docstring)
+    # t >= 1: the module is A' = A_{rows >= t}, and column 0 of S/J is read
+    # off it (see The sequence route in the module docstring)
     free_rows: int = 0
     box: tuple[int, int] | None = None
     rx: int | None = None
@@ -418,26 +457,31 @@ def point_presentation(ps: PointSet, window: tuple[int, int]) -> GradedModulePre
 
 def intersected_presentation(ps: PointSet, t: int,
                              window: tuple[int, int]) -> GradedModulePresentation:
-    """S/I_X at t = 0, and <x>^t S/J = A_{rows >= t}, J = I_X ∩ <x>^t, at
-    t >= 1, modulo z on the window, over the variables but z.
+    """S/I_X at t = 0, and <x>^t S/J = A_{rows >= t} = A', J = I_X ∩ <x>^t,
+    at t >= 1, modulo z on the window, over the variables but z.
 
-    z is x0 for t = 0 and y0 for t >= 1.  Both are 1 at every point, so z*g
-    in I_X forces g in I_X; and <x>^t is generated by monomials in x alone,
-    so y0*g in <x>^t forces g in <x>^t.  Hence z is a nonzerodivisor on
-    S/J and on its submodules, and the quotient by z keeps their Betti
-    numbers.  (x0 would not do for t >= 1: it kills x0^(t-1)*f when f in
-    I_X has x-degree 0.)
+    z is x0 at t = 0 and on P^1, and y0 at t >= 1 otherwise.  Both are 1
+    at every point, so z*g in I_X forces g in I_X: z is a nonzerodivisor
+    on A = S/I_X and on its submodule A', and the quotient by z keeps
+    their Betti numbers.  (S/J itself is not presented: x0 kills
+    x0^(t-1)*f in it when f in I_X has x-degree 0.)  Modulo x0, P^1 has
+    one x-variable, and the row split serves every t.  For n >= 2, y0
+    stays: modulo x0, row t of A' is all of V(t, .), which does not vanish
+    past saturation, so no piece of rows t..t+n reaches R's and the
+    free-cell certificate is lost there.  On 60 generic points of
+    P^2 x P^1 at t = 2 (seed 1) x0 would rank 157 strands with 4.1 M rank
+    entries, where y0 ranks 49 with 0.49 M.
 
-    Let M be S/J modulo z.  At t >= 1 the pieces are those of <x>^t M:
-    M's in rows i >= t and zero below, and the engine reads S/J's column 0
-    off them (see The sequence route in the module docstring).  Only the
-    pieces on the window cut at the Betti box are held, from row t on:
-    computing this region is where the window meets the box.  At rows
-    i >= t, M_d is V_d, the evaluation image of S_d in k^N, and the piece
-    is V_d / V_(d - deg z).  The smaller cell's RREF pivots are among
-    V_d's, and the rows of V_d's RREF basis at the other pivots span a
-    complement; a class's coordinates are the values, at those pivots, of
-    any representative reduced modulo the smaller cell.
+    The pieces are those of A' modulo z: V_d in rows i >= t, V_d the
+    evaluation image of S_d in k^N, modulo V_(d - deg z) where that degree
+    lies in a row >= t, and zero below row t; the engine reads S/J's
+    column 0 off them (see The sequence route in the module docstring).
+    Only the pieces on the window cut at the Betti box are held, from row
+    t on: computing this region is where the window meets the box.  The
+    smaller cell's RREF pivots are among V_d's, and the rows of V_d's RREF
+    basis at the other pivots span a complement; a class's coordinates
+    are the values, at those pivots, of any representative reduced modulo
+    the smaller cell.
 
     Every map follows one rule: take the functions that the source
     piece's basis stands for times the variable, reduce them modulo the
@@ -445,28 +489,29 @@ def intersected_presentation(ps: PointSet, t: int,
     The one map below row t is the crossing from (t-1, 0), where M's piece
     is k[x]_(t-1) in S's monomial order and the functions are the
     evaluated monomials, into row t by an x-variable.  Any other map below
-    row t raises ValueError.  At t = 0 the presentation carries
-    ``row_quotient``, C/y0C for C its row 0: row 0 of S/I_X modulo y0,
-    built by the same rule (see Row 0 in the module docstring).
+    row t raises ValueError.  At every t the presentation carries
+    ``row_quotient``, row t modulo y0 over y1..ym, built by the same rule:
+    C/y0C for C the row 0 at t = 0, row t of A' at t >= 1 (see Row t in
+    the module docstring).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     n, m, box = ps.n, ps.m, betti_box(ps, t)
     region = (min(window[0], box[0]), min(window[1], box[1]))
     fs = function_space_bases(ps, region)
-    z = n + 1 if t else 0
-    # C/y0C over y1..ym, C the row 0: row 0 of S/I_X modulo y0
-    quotient = None if t else _modulo(ps, fs, n + 1, 0, (0, window[1]), (0, region[1]),
-                                      tuple(range(n + 2, n + m + 2)))
+    z = n + 1 if t and n != 1 else 0
+    # row t modulo y0 over y1..ym: C/y0C at t = 0, row t of A' at t >= 1
+    row = (min(t, region[0]), region[1])
+    quotient = _modulo(ps, fs, n + 1, t, row, row, tuple(range(n + 2, n + m + 2)))
     return _modulo(ps, fs, z, t, window, region, tuple(v for v in range(n + m + 2) if v != z),
-                   free_rows=t, box=box, rx=fs.box[0], row_quotient=quotient)
+                   box=box, rx=fs.box[0], row_quotient=quotient)
 
 
 def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int, int],
             region: tuple[int, int], variables: tuple[int, ...],
             **fields) -> GradedModulePresentation:
-    """<x>^t S/J modulo z on the window, over ``variables``, holding the
-    pieces of rows t..region[0] and columns up to region[1], every map by
+    """A' = <x>^t S/J modulo z on the window, over ``variables``, holding
+    the pieces of rows t..region[0] and columns up to region[1], every map by
     the one rule of ``intersected_presentation``.  Its builder also takes
     other rows of functions than the source piece's, and reads them at a
     subset ``read`` of the target's basis pivots (``_kernel_presentation``)."""
@@ -475,7 +520,7 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
 
     def below(d):
         lo = (d[0] - dz[0], d[1] - dz[1])
-        return lo if min(lo) >= 0 else None
+        return lo if lo[0] >= t and lo[1] >= 0 else None
 
     @cache
     def fresh(d):
@@ -511,14 +556,14 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             image -= matmul(funcs[:, pivots] * vals[pivots] % p, basis[:, keep], p)
         return (image % p).T
 
-    # z is a nonzerodivisor, so dim (M/zM)_d = H_M(d) - H_M(d - deg z), with
-    # H_M the sweep's at rows i >= t; <x>^t M is zero below row t, and
-    # z = x0 only at t = 0
+    # z is a nonzerodivisor, so dim (A'/zA')_d = H(d) - H(d - deg z), with
+    # H the sweep's at rows i >= t; A' is zero below row t, so modulo x0
+    # row t is all of V(t, .)
     H = fs.hilbert(np.arange(t, region[0] + 1), np.arange(region[1] + 1))
     dims = H.copy()
     dims[dz[0]:, dz[1]:] -= H[: len(H) - dz[0], : region[1] + 1 - dz[1]]
-    return GradedModulePresentation(n, m, p, window, dims, variables, _builder=build,
-                                    _functions=functions, **fields)
+    return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
+                                    _builder=build, _functions=functions, **fields)
 
 
 def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
@@ -601,7 +646,8 @@ def _live_cells(pres, kmax) -> np.ndarray:
     whose strand needs a rank: a nonzero summand in some K_k with
     k <= kmax, and a piece short of R's, but at the origin, whose strand
     gives beta_0 with no rank, and at t >= 1 in rows t..t+n of column 0,
-    which the column-0 step reads (see the module docstring)."""
+    which the column-0 step reads (see the module docstring).  Row t is
+    dropped when the row quotient gives it."""
     degrees = {deg for k in range(kmax + 1)
                for _, deg in _subsets(pres.variables, pres.n, k)}
     live = _reach(pres.dims > 0, degrees)
@@ -612,24 +658,10 @@ def _live_cells(pres, kmax) -> np.ndarray:
                                                ny - 1, (t + rows - 1, cols - 1))[t:]
     # A' = <x>^t M has M's table but in those rows (see the module docstring)
     free[: pres.n + 1 if t else 1, 0] = False
-    return live & ~free
-
-
-def _homology(pres, d, kmax, onto) -> dict:
-    """The nonzero dimensions dim H_k, k <= kmax, of the Koszul strand at d.
-    Every differential is ranked, but with ``onto`` the map K_1 -> K_0 is
-    not assembled and its rank is read as dim K_0."""
-    p = pres.p
-    summands, dims = zip(*(_strand_snapshot(pres, d, k) for k in range(kmax + 2)))
-    # ranks[k] is the rank of the differential K_k -> K_(k-1)
-    ranks = [0] * (kmax + 2)
-    if onto:
-        ranks[1] = dims[0] if dims[1] else 0
-    for k in range(2 if onto else 1, kmax + 2):
-        if summands[k] and summands[k - 1]:
-            ranks[k] = rank(_differential(pres, summands[k], summands[k - 1]), p)
-    homology = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
-    return {k: h for k, h in enumerate(homology) if h}
+    live &= ~free
+    if pres.row_quotient is not None:
+        live[:1] = False
+    return live
 
 
 def _differential(pres, src, tgt) -> np.ndarray:
@@ -650,36 +682,64 @@ def _differential(pres, src, tgt) -> np.ndarray:
     return mat
 
 
-def _betti_cell(pres, d, kmax) -> dict:
-    """Koszul strand homology of the presented module at one bidegree: the
-    module is cyclic, or <x>^t M, so K_1 -> K_0 is onto wherever K_1 is
-    nonzero (see the module docstring), its rank is dim K_0 and its block
-    is never assembled."""
-    return _homology(pres, d, kmax, onto=True)
+def _betti_cell(pres, d, kmax, onto=True) -> dict:
+    """The nonzero dimensions dim H_k, k <= kmax, of the Koszul strand at d.
+    Every differential is ranked, but with ``onto`` the map K_1 -> K_0 is
+    not assembled and its rank is read as dim K_0: the module is cyclic, or
+    generated where K_1 is zero (see the module docstring)."""
+    summands, dims = zip(*(_strand_snapshot(pres, d, k) for k in range(kmax + 2)))
+    # ranks[k] is the rank of the differential K_k -> K_(k-1)
+    ranks = [0] * (kmax + 2)
+    if onto:
+        ranks[1] = dims[0] if dims[1] else 0
+    for k in range(2 if onto else 1, kmax + 2):
+        if summands[k] and summands[k - 1]:
+            ranks[k] = rank(_differential(pres, summands[k], summands[k - 1]), pres.p)
+    homology = (dims[k] - ranks[k] - ranks[k + 1] for k in range(kmax + 1))
+    return {k: h for k, h in enumerate(homology) if h}
+
+
+def _row_table(row, kmax, onto) -> dict:
+    """The Betti table {(k, j): beta}, k <= kmax, of a presentation whose
+    pieces lie in its one row ``free_rows``, over its y-variables.  With
+    ``onto`` the row is generated in column 0 by g = dims[0] elements, and
+    a column j >= 1 where it is g times as wide as k[y]_j over its
+    variables is free up to j, so its strand is exact and not ranked (Row t
+    in the module docstring)."""
+    if not len(row.dims):
+        return {}  # the window stops below the row
+    i, ny, widths = row.free_rows, len(row.variables), row.dims[0].tolist()
+    # beta_{k,j} with k <= kmax reads the columns j - h, h <= k
+    reads = [(0, h) for h in range(min(kmax, ny) + 1)]
+    table = {}
+    for j in np.flatnonzero(_reach(row.dims > 0, reads)[0]).tolist():
+        if onto and j and widths[j] == widths[0] * comb(j + ny - 1, j):
+            continue  # free up to column j: an exact strand
+        for k, beta in _betti_cell(row, (i, j), kmax, onto).items():
+            table[(k, j)] = beta
+    return table
 
 
 def _kernel_rows(pres, kmax) -> dict:
-    """The Betti numbers in rows i >= 1 of a presentation with one
-    x-variable and no free rows: beta_{k,(i,j)} is dim H_(k-1) at column j
-    of the Koszul complex over the y-variables of the kernel Z_i of the
-    x-variable from row i-1 to row i (see the module docstring).  Z_i is
-    the drop dims[i-1, b] - dims[i, b] wide at column b, so a row where no
-    column drops builds no map and ranks nothing."""
+    """The Betti numbers in rows i > t = free_rows of a presentation with
+    one x-variable: beta_{k,(i,j)} is dim H_(k-1) at column j of the
+    Koszul complex over the y-variables of the kernel Z_i of the x-variable
+    from row i-1 to row i (see the module docstring).  Z_i is the drop
+    dims[i-1, b] - dims[i, b] wide at column b, so a row where no column
+    drops builds no map and ranks nothing."""
     drops = pres.dims[:-1] - pres.dims[1:]
-    # beta_{k,(i,j)} with k <= kmax reads the columns j - h of Z_i, h < kmax
-    reads = [(0, h) for h in range(min(kmax, pres.split[1] + 1))]
     entries = {}
-    for i in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
+    for i in (np.flatnonzero(drops.any(axis=1)) + pres.free_rows + 1).tolist():
         zpres = _kernel_presentation(pres, i)
-        for j in np.flatnonzero(_reach(zpres.dims > 0, reads)[0]).tolist():
-            for k, h in _homology(zpres, (0, j), kmax - 1, onto=False).items():
-                entries[(k + 1, i, j)] = h
+        for (k, j), beta in _row_table(zpres, kmax - 1, onto=False).items():
+            entries[(k + 1, i, j)] = beta
     return entries
 
 
 def _kernel_presentation(pres, i) -> GradedModulePresentation:
     """Z_i = ker(x : M_(i-1,.) -> M_(i,.)) over the y-variables, its column
-    b the piece at (0, b); x is the presentation's one x-variable.
+    b the piece at (0, b); x is the presentation's one x-variable, and
+    i > free_rows.
 
     The basis of Z_i at column b is the identity where M_(i,b) = 0, else
     ``kernel_basis`` of the map of x, whose rows are the identity at the
@@ -687,16 +747,16 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
     basis stands for the functions kernel basis times M's piece functions,
     taken once per column, and a y-map of Z_i applies y to them by M's
     rule, read only at the target piece's pivots at the free columns of
-    the target's basis; M builds no y-map.  Z_i is not cyclic, so no rank
-    of its strands may be read.
+    the target's basis; M builds no y-map.  Z_i is not generated in column
+    0, so no rank of its strands may be read.
     """
-    x, p = pres.variables[0], pres.p
+    x, p, r = pres.variables[0], pres.p, i - pres.free_rows
 
     @cache
     def kernel(b):
         # a row basis of Z_i at column b and its free columns, None for all
         # of M_(i-1,b)
-        if not pres.dims[i, b]:
+        if not pres.dims[r, b]:
             return None
         ker = kernel_basis(pres.map(x, (i - 1, b)), p)
         # RREF row r is zero left of its pivot, so a kernel row is nonzero
@@ -715,56 +775,39 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
         return pres._builder(var, (i - 1, d[1]), functions(d[1]),
                              slice(None) if tgt is None else tgt[1])
 
-    drop = pres.dims[i - 1] - pres.dims[i]
+    drop = pres.dims[r - 1] - pres.dims[r]
     return GradedModulePresentation(pres.n, pres.m, p, (0, pres.window[1]), drop[None],
                                     pres.variables[1:], _builder=build)
 
 
-def _sequence_entries(pres, kmax) -> dict:
-    """The Betti numbers of A' = <x>^t M at t = free_rows >= max(r_x, 1):
-    row t + a holds C(n, a) times row t's Betti table over the y-variables,
-    a stages up (step (a) of The sequence route in the module docstring)."""
-    n, t, rows = pres.n, pres.free_rows, len(pres.dims)
-    if not rows:
-        return {}
-    # row t over y1..ym, generated in column 0, so K_1 -> K_0 is onto off it
-    row = GradedModulePresentation(n, pres.m, pres.p, (0, pres.window[1]), pres.dims[:1],
-                                   pres.variables[n + 1:],
-                                   _builder=lambda var, d: pres.map(var, (t, d[1])))
-    # beta'_{k,b} with k <= kmax reads the columns b - h of row t, h <= k
-    reads = [(0, h) for h in range(min(kmax, pres.m) + 1)]
-    live = _reach(row.dims > 0, reads)[0]
-    entries = {}
-    for b in np.flatnonzero(live).tolist():
-        for k, beta in _homology(row, (0, b), kmax, onto=True).items():
-            # the rows held end at the Betti box's, t + n
-            for a in range(min(rows - 1, kmax - k) + 1):
-                entries[(k + a, t + a, b)] = comb(n, a) * beta
-    return entries
-
-
 def _column_0(pres, entries, kmax) -> dict:
     """Column 0 of S/J, J = I_X ∩ <x>^t with t = free_rows >= 1, from the
-    table ``entries`` of A' = <x>^t M (step (b) of The sequence route):
+    table ``entries`` of A' = A_{rows >= t} (step (b) of The sequence route):
     beta_{0,(0,0)} = 1 and, in row t + a, beta_a drops by rho_a and
     beta_(a+1) is the Eagon-Northcott number less rho_a.  rho_a is H(t, 0)
     at a = 0, ell * C(n, a) at t > r_x, and t on P^1 at t <= r_x (step (d));
     otherwise it is the rank of the crossing differential from the pieces
-    k[x]_(t-1) to the pieces V(t, 0) (step (c))."""
+    k[x]_(t-1) to the pieces V(t, 0) (step (c)).  H(t, 0) = dim V(t, 0) is
+    the piece at (t, 0) modulo x0 or y0 alike."""
     n, t = pres.n, pres.free_rows
+
+    def crossing(k, piece, dim):
+        # K_k of the crossing, one piece per k-subset of x0..xn
+        return [(T, piece, dim, i * dim) for i, T in enumerate(combinations(range(n + 1), k))]
+
     entries[(0, 0, 0)] = 1
     for a in range(min(n, kmax, len(pres.dims) - 1) + 1):
         d = (t + a, 0)
         eagon_northcott = comb(t + n, t + a) * comb(t + a - 1, a)
         if a == 0 or t > pres.rx:
-            rho = pres.dim(d) * comb(n, a)  # onto: step (c) at a = 0, else (d)
+            rho = pres.dim((t, 0)) * comb(n, a)  # onto: step (c) at a = 0, else (d)
         elif n == 1:
             rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
         else:
-            size = comb(t - 1 + n, n)  # dim k[x]_(t-1)
-            src = [(T, (t - 1, 0), size, i * size)
-                   for i, T in enumerate(combinations(pres.variables[:n + 1], a + 1))]
-            rho = rank(_differential(pres, src, _strand_snapshot(pres, d, a)[0]), pres.p)
+            # dim k[x]_(t-1) = C(t - 1 + n, n)
+            src = crossing(a + 1, (t - 1, 0), comb(t - 1 + n, n))
+            tgt = crossing(a, (t, 0), pres.dim((t, 0)))
+            rho = rank(_differential(pres, src, tgt), pres.p)
         entries[(a, *d)] = entries.get((a, *d), 0) - rho
         if a < kmax:
             entries[(a + 1, *d)] = eagon_northcott - rho
@@ -777,21 +820,20 @@ def betti_numbers(pres: GradedModulePresentation,
 
     The entries are exact at every cell of the window.  Cells the mask
     drops hold none, and every other cell ranks its strand but K_1 -> K_0
-    (see the module docstring); on a presentation with a ``row_quotient``
-    the live cells of row 0 rank the strands of C/y0C over y1..ym, whose
-    pieces are the row flag's blocks.  When the only x-variable is x1 and
-    no row is free (``point_presentation`` with n = 1), only row 0 is
-    computed that way: each row i >= 1 is the y-variables' Betti table,
-    shifted up by one homological degree, of the kernel of x1 from row i-1
-    to row i, so a row where x1 loses no dimension builds no map and ranks
-    nothing.  An intersected presentation at t >= 1 holds A' = <x>^t M,
-    and the table of S/J is read off the long exact Tor sequence of
-    0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence route in
-    the module docstring): A''s table comes from the strands of row t
-    over y1..ym at t >= r_x, where the Betti box ends at row t + n, and
-    from A''s live cells below r_x; then one column-0 step applies
-    beta_{0,(0,0)} = 1 and the Eagon-Northcott numbers of <x>^t less
-    rho_a in rows t..t+n.
+    (see the module docstring).  On a presentation with a ``row_quotient``
+    row t = free_rows is that quotient's table over y1..ym (see Row t in
+    the module docstring); then at t >= r_x each row t + a is C(n, a)
+    times row t's table, a stages up (step (a) of The sequence route); on
+    P^1 below r_x each row i > t is the y-variables' Betti table, shifted
+    up by one homological degree, of the kernel of x1 from row i-1 to row
+    i, so a row where x1 loses no dimension builds no map and ranks
+    nothing (The row split); otherwise the rows above t, and every row of
+    a presentation with no quotient, rank their live cells.  At t >= 1 the
+    presentation holds A' = A_{rows >= t}, and one column-0 step reads the
+    table of S/J off the long exact Tor sequence of
+    0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 (see The sequence route):
+    beta_{0,(0,0)} = 1 and the Eagon-Northcott numbers of <x>^t less rho_a
+    in rows t..t+n.
     boundary_clean records whether the window contains the presentation's
     Betti box, so the table holds every Betti number of the module and
     global reads (projective dimension, shape totals) are exact.  It is
@@ -803,21 +845,20 @@ def betti_numbers(pres: GradedModulePresentation,
         kmax = pres.n + pres.m + 2
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    t = pres.free_rows
-    if t and t >= pres.rx:
-        entries = _sequence_entries(pres, kmax)
-    else:
-        live = _live_cells(pres, kmax)
-        row_split = pres.split[0] == 1 and not t
-        if row_split:
-            live[1:] = False
-        entries = {}
-        for i, j in (np.argwhere(live) + (t, 0)).tolist():
-            module = pres if i or pres.row_quotient is None else pres.row_quotient
-            for k, beta in _betti_cell(module, (i, j), kmax).items():
+    n, t, quotient = pres.n, pres.free_rows, pres.row_quotient
+    entries = {}
+    if quotient is not None:
+        # rows t..t+n are C(n, a) times row t's table at t >= r_x (Künneth)
+        top = min(n, len(pres.dims) - 1) if t >= pres.rx else 0
+        for (k, j), beta in _row_table(quotient, kmax, onto=True).items():
+            for a in range(min(top, kmax - k) + 1):
+                entries[(k + a, t + a, j)] = comb(n, a) * beta
+    if quotient is not None and n == 1 and t < pres.rx:
+        entries.update(_kernel_rows(pres, kmax))
+    elif quotient is None or t < pres.rx:
+        for i, j in (np.argwhere(_live_cells(pres, kmax)) + (t, 0)).tolist():
+            for k, beta in _betti_cell(pres, (i, j), kmax).items():
                 entries[(k, i, j)] = beta
-        if row_split:
-            entries.update(_kernel_rows(pres, kmax))
     if t:
         entries = _column_0(pres, entries, kmax)
     return BettiTable(pres.n, pres.m, tuple(pres.window), entries, kmax, pres.complete)

@@ -330,7 +330,7 @@ class FunctionSpaces:
     def hilbert(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """dim V(i,j) for i in ``rows`` and j in ``cols``, through the clamp
         V(i,j) = V(min(i, r_x), min(j, r_y)); the indices lie in the window."""
-        return self.dims[np.ix_(np.minimum(rows, self.box[0]), np.minimum(cols, self.box[1]))]
+        return self.dims[np.minimum(rows, self.box[0])[:, None], np.minimum(cols, self.box[1])]
 
 
 @dataclass(eq=False)

@@ -56,14 +56,27 @@ t >= max(r, 1).  Then pd S/J = n + m:
     the origin and in rows t..t+n (The sequence route of the ``betti``
     docstring), so past row t + n S/J has A's table.  A's Betti box ends
     at row r + n, so these rows hold entries only at t < r.
+(f) At every t >= 1 with m >= 1, S/J has no beta_{n+m+1} in rows
+    i <= t + n.  y0 is a nonzerodivisor on S/J (y0*g in I_X forces g in
+    I_X, and y0*g in <x>^t forces g in <x>^t), so S/J and A' have the
+    tables of their quotients by y0 over R = k[x0..xn, y1..ym], n + m + 1
+    variables, and pd S/J <= n + m + 1.  The top term of A''s Koszul strand
+    over R at (i, j) is the one piece A'_(i-n-1, j-m), zero below row t,
+    so beta_{n+m+1,(i,j)}(A') = 0 for i <= t + n.  S/J has A''s table
+    but at the origin and in rows t..t+n of column 0, where the column-0
+    step of the ``betti`` docstring writes only beta_a and beta_(a+1)
+    with a + 1 <= n + 1 < n + m + 1.  With (d) and (e): S/J has length
+    n + m exactly when S/I_X has no beta_{n+m+1} in a row i >= t + n + 1,
+    which at t >= r holds for every X.
 
 The sequence of (a) gives more than the length: ``betti_numbers`` reads
 the whole Betti table off it at every t >= 1, from the table of
 A_{rows >= t} and one column-0 step.  At t >= max(r, 1) the splitting of
-(b) gives that table from the strands of row t over y1..ym; column 0 is
-a closed form at t > r and on P^1, and takes one rank per row t + a at
-t <= r with n >= 2 (proof in The sequence route of the ``betti`` module
-docstring).
+(b) gives that table from the strands of row t over y1..ym; below r, on
+P^1, the row split gives it from row t and the kernels of x1 modulo x0;
+column 0 is a closed form at t > r and on P^1, and takes one rank per
+row t + a at t <= r with n >= 2 (proof in The sequence route of the
+``betti`` module docstring).
 
 Both earlier sufficient conditions are cases of t >= r.  The ell
 x-parts impose independent conditions on x-forms of degree ell - 1 (a

@@ -363,13 +363,15 @@ def window_presentation(ps: PointSet, t: int,
 
     The engine's presentation holds only the pieces on the window cut at
     the Betti box.  Here every piece from row t on is the difference of
-    ``hilbert_matrix`` along the quotient's variable z (x0 at t = 0, y0
-    at t >= 1), and every map is the engine's own builder, which reads
-    cells past the box through the sweep's clamp; so the all-ranks oracle
-    can rank the engine's module past its box.
+    ``hilbert_matrix`` along the quotient's variable z, the one variable
+    the presentation lacks (x0 at t = 0 and on P^1, else y0), and every
+    map is the engine's own builder, which reads cells past the box
+    through the sweep's clamp; so the all-ranks oracle can rank the
+    engine's module past its box.
     """
     pres = intersected_presentation(ps, t, window)
-    dims = np.diff(hilbert_matrix(ps, window)[t:], axis=1 if t else 0, prepend=0)
+    z_is_y0 = 0 in pres.variables
+    dims = np.diff(hilbert_matrix(ps, window)[t:], axis=int(z_is_y0), prepend=0)
     return replace(pres, dims=dims, _maps={})
 
 

@@ -36,6 +36,7 @@ from vreslab.points import (
     hilbert_matrix,
     ideal_piece,
     random_points,
+    regularity_box,
 )
 from vreslab.vres import intersect_vres
 
@@ -70,6 +71,13 @@ P = 32003
 
 def one_point():
     return PointSet(1, 2, P, np.array([[1, 4]]), np.array([[1, 7, 9]]))
+
+
+def two_fibers_of_two():
+    """Two x-parts of P^1, each under two y-parts of P^2, over GF(101): its
+    box is (1, 2), and row t >= 1 modulo y0 is 2 wide in columns 0 and 1."""
+    return PointSet(1, 2, 101, np.array([[1, 0], [1, 0], [1, 1], [1, 1]]),
+                    np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 2, 3]]))
 
 
 def collinear_x_parts(N):
@@ -367,17 +375,17 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
             if not dims[i - 1:i + 1, 1:j + 1].any()}
     assert len(tail) > 20
     cells, shapes, targets, rows = [], [], [], {}
-    homology, kernel_presentation = betti._homology, betti._kernel_presentation
+    betti_cell, kernel_presentation = betti._betti_cell, betti._kernel_presentation
     rank, build, build_row_0 = betti.rank, pres.map, quotient.map
 
     def counted_kernel_presentation(module, i):
         rows[id(zpres := kernel_presentation(module, i))] = i
         return zpres
 
-    def counted_homology(module, d, kmax, onto):
+    def counted_cell(module, d, kmax, onto=True):
         own = module is pres or module is quotient
         cells.append((own, d if own else (rows[id(module)], d[1])))
-        return homology(module, d, kmax, onto)
+        return betti_cell(module, d, kmax, onto)
 
     def counted_rank(mat, p):
         shapes.append((cells[-1][1], mat.shape))
@@ -392,7 +400,7 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
         return build_row_0(var, d)
 
     monkeypatch.setattr(betti, "_kernel_presentation", counted_kernel_presentation)
-    monkeypatch.setattr(betti, "_homology", counted_homology)
+    monkeypatch.setattr(betti, "_betti_cell", counted_cell)
     monkeypatch.setattr(betti, "rank", counted_rank)
     monkeypatch.setattr(pres, "map", counted_map)
     monkeypatch.setattr(quotient, "map", counted_row_0_map)
@@ -418,21 +426,23 @@ def test_tail_cells_build_no_strand_and_k1_is_never_ranked(monkeypatch, window):
 def test_rows_without_a_drop_build_no_map(monkeypatch):
     # 40 generic points in P^1 x P^2 at (40, 2): x1 maps row i - 1 of S/I_X
     # modulo x0 onto row i, and only rows 6, 7, 13, 14 and 40 lose
-    # dimension, so only the kernels of x1 under them cost anything, and
-    # the cyclic strands are built in row 0 alone, over y1, y2 on C/y0C
+    # dimension, so only the kernels of x1 under them cost anything: row 0
+    # comes from the strands of C/y0C over y1, y2, rows i >= 1 from those of
+    # the kernels, and no strand of M itself is built
     ps = random_points(1, 2, 40, seed=1, require_generic=True)
     pres = point_presentation(ps, (40, 2))
     drops = {i for i in range(1, 41) if (pres.dims[i - 1] > pres.dims[i]).any()}
     assert drops == {6, 7, 13, 14, 40}
     cells, betti_cell = [], betti._betti_cell
 
-    def counted_cell(module, d, kmax):
+    def counted_cell(module, d, kmax, onto=True):
         cells.append((module, d))
-        return betti_cell(module, d, kmax)
+        return betti_cell(module, d, kmax, onto)
 
     monkeypatch.setattr(betti, "_betti_cell", counted_cell)
     bt = betti_numbers(pres)
-    assert cells and all(module is pres.row_quotient and i == 0 for module, (i, _) in cells)
+    assert cells and all(module is not pres and i == 0 for module, (i, _) in cells)
+    assert any(module is pres.row_quotient for module, _ in cells)
     # each kernel is at most four wide and these strands of Z_i have one
     # nonzero term, so they build no map at all (the table is pinned by the
     # CLI digest of betti --N 40 --seed 1)
@@ -448,18 +458,18 @@ def test_row_0_rank_inputs_are_row_flag_blocks(monkeypatch):
     # reached 3N
     ps = random_points(1, 2, 40, seed=1, require_generic=True)
     pres = point_presentation(ps, mrc_window(40))
-    shapes, row_0, homology, rank = [], [], betti._homology, betti.rank
+    shapes, row_0, betti_cell, rank = [], [], betti._betti_cell, betti.rank
 
-    def counted_homology(module, d, kmax, onto):
+    def counted_cell(module, d, kmax, onto=True):
         row_0.append(module is pres.row_quotient)
-        return homology(module, d, kmax, onto)
+        return betti_cell(module, d, kmax, onto)
 
     def counted_rank(mat, p):
         if row_0[-1]:
             shapes.append(mat.shape)
         return rank(mat, p)
 
-    monkeypatch.setattr(betti, "_homology", counted_homology)
+    monkeypatch.setattr(betti, "_betti_cell", counted_cell)
     monkeypatch.setattr(betti, "rank", counted_rank)
     bt = betti_numbers(pres)
     # piece j of C/y0C is as wide as block j of the row flag
@@ -554,26 +564,31 @@ def test_row_0_from_the_row_flag_matches_all_ranks_oracle(case):
 @pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
 def test_free_row_dims_count_the_monomials_of_r(n, m):
     # the presentation is <x>^t M, zero below row t: its dims start at row
-    # t and end at the Betti box, and hold the sweep's H(i, j) - H(i, j - 1),
-    # the quotient by y0; every piece below row t reads as zero
+    # t and end at the Betti box, and hold the sweep's H(i, j) - H(i - 1, j)
+    # on P^1, the quotient by x0 (all of V(t, j) in row t), and
+    # H(i, j) - H(i, j - 1), the quotient by y0, otherwise; every piece
+    # below row t reads as zero.  The row quotient is row t modulo y0
     t, window = 5, (7, 6)
     ps = random_points(n, m, 3, seed=1)
     pres = intersected_presentation(ps, t, window)
     region = [min(w, b) for w, b in zip(window, pres.box)]
     assert pres.dims.shape == (region[0] - t + 1, region[1] + 1)
     H = hilbert_matrix(ps, window)[t:region[0] + 1, :region[1] + 1]
-    assert np.array_equal(pres.dims, np.diff(H, axis=1, prepend=0))
+    assert np.array_equal(pres.dims, np.diff(H, axis=0 if n == 1 else 1, prepend=0))
+    assert np.array_equal(pres.row_quotient.dims, np.diff(H[:1], axis=1, prepend=0))
     assert all(pres.dim((i, j)) == 0 for i in range(t) for j in range(window[1] + 1))
 
 
 def test_free_row_dims_past_int64_raise():
     # dim R_(2, 200) on P^1 x P^20 is 3 * C(219, 19), past 2**63, but no
     # piece of R is stored: dims start at row t = 3, and end at the Betti
-    # box's column r_y + m = 21
+    # box's column r_y + m = 21; row 3 is all of V(3, j) modulo x0, and
+    # V(3, j) / V(3, j - 1) in the row quotient
     ps = random_points(1, 20, 2, seed=1)
     pres = intersected_presentation(ps, 3, (3, 200))
     assert pres.box == (4, 21)
-    assert pres.dims.tolist() == [[2] + [0] * 21]
+    assert pres.dims.tolist() == [[2] * 22]
+    assert pres.row_quotient.dims.tolist() == [[2] + [0] * 21]
     assert pres.dim((2, 5)) == 0
 
 
@@ -613,7 +628,8 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
     # four generic points in P^2 x P^1 at t = r_x = 2, n >= 2: the table is
     # read off the long exact Tor sequence with column 0 ranked on the
     # crossing differentials, so below row t only the crossing maps from
-    # (t - 1, 0) are built, and no strand of S/J is assembled
+    # (t - 1, 0) are built, and no strand of S/J is assembled: the only
+    # strands are those of row t over y1, the row quotient
     n, t = 2, 2
     ps = random_points(n, 1, 4, seed=2, require_generic=True)
     assert function_space_bases(ps, (0, 0)).box[0] == t
@@ -621,13 +637,13 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
     pres = intersected_presentation(ps, t, window)
     cells, betti_cell = [], betti._betti_cell
 
-    def counted(pres, d, kmax):
-        cells.append(d)
-        return betti_cell(pres, d, kmax)
+    def counted(module, d, kmax, onto=True):
+        cells.append(module)
+        return betti_cell(module, d, kmax, onto)
 
     monkeypatch.setattr(betti, "_betti_cell", counted)
     bt = betti_numbers(pres)
-    assert cells == []
+    assert cells and all(module is pres.row_quotient for module in cells)
     assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
                                                                   for v in range(n + 1)]
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
@@ -741,6 +757,10 @@ def intersect_cases(draw):
 @example((random_points(2, 1, 7, seed=2, require_generic=True), 2, (6, 4), None))
 @example((random_points(2, 1, 7, seed=2, require_generic=True), 2, (3, 4), 2))
 @example((random_points(1, 2, 6, seed=1, require_generic=True), 2, (6, 4), None))
+# row t generated by g = 2 elements, where the row certificate needs its
+# factor g: at t = r_x = 1 and past it
+@example((two_fibers_of_two(), 1, (2, 4), None))
+@example((two_fibers_of_two(), 2, (3, 4), None))
 def test_intersect_table_matches_all_ranks_oracle(case):
     """At every t >= 1 the table of S/J, from A' = <x>^t M and the column-0
     step, equals the one from every strand of S/J ranked over S."""
@@ -748,6 +768,43 @@ def test_intersect_table_matches_all_ranks_oracle(case):
     pres = intersected_presentation(ps, t, window)
     want = koszul_homology(intersected_presentation_in_full(ps, t, window), kmax)
     assert betti_numbers(pres, kmax).entries == want.entries
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_row_certificate_counts_every_generator(t):
+    # row t is generated in column 0 by g = H(t, 0) = 2 elements, so it is
+    # free up to column 1 only at width 2 * dim k[y1, y2]_1 = 4; at width 2
+    # it holds beta_{1,(t,1)} = 2, which a certificate without the factor g
+    # would skip
+    ps = two_fibers_of_two()
+    assert regularity_box(ps) == (1, 2)
+    pres = intersected_presentation(ps, t, betti.betti_box(ps, t))
+    assert pres.row_quotient.dims.tolist() == [[2, 2, 0, 0, 0]]
+    assert betti_entry(betti_numbers(pres), 1, t, 1) == 2
+
+
+@st.composite
+def row_quotient_cases(draw):
+    """A fibered, grid or shared-part set, t in [0, r_x + 1], and a kmax."""
+    ps = draw(st.one_of(fibered_sets(), grid_sets(), shared_part_sets()))
+    t = draw(st.integers(0, regularity_box(ps)[0] + 1))
+    return ps, t, draw(st.integers(0, ps.n + ps.m + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_quotient_cases())
+@example((two_fibers_of_two(), 1, 4))
+@example((two_fibers_of_two(), 2, 1))
+@example((fibered_633(), 0, 3))
+def test_masked_row_table_matches_every_column_ranked(case):
+    """Row t's table over y1..ym, its certified free columns skipped and
+    K_1 -> K_0 read as onto, equals the row quotient's table with every
+    strand built in full and every differential ranked (Row t in the
+    ``betti`` docstring)."""
+    ps, t, kmax = case
+    quotient = intersected_presentation(ps, t, betti.betti_box(ps, t)).row_quotient
+    got = {(k, t, j): beta for (k, j), beta in betti._row_table(quotient, kmax, True).items()}
+    assert got == koszul_homology(quotient, kmax).entries
 
 
 class TestCollapseIdentity:

@@ -494,19 +494,27 @@ def test_free_rows_build_only_dense_column_0_x_maps():
 
 def test_huge_betti_window_ranks_only_inside_the_box(capsys, monkeypatch):
     # six generic points in P^1 x P^2: r_x = 5 and r_y = 2, so no Betti
-    # number lies past (6, 4) and no strand outside it is built; the cyclic
-    # strands are row 0's, those of C/y0C over y1, y2
-    cells, betti_cell = [], betti._betti_cell
+    # number lies past (6, 4) and no strand outside it is built; the strands
+    # are row 0's, those of C/y0C over y1, y2, and those over y0, y1, y2 of
+    # the kernels Z_i of x1 that give rows i >= 1
+    cells, rows = [], []
+    betti_cell, kernel_presentation = betti._betti_cell, betti._kernel_presentation
 
-    def counted(pres, d, kmax):
+    def counted(pres, d, kmax, onto=True):
         cells.append((pres.variables, d))
-        return betti_cell(pres, d, kmax)
+        return betti_cell(pres, d, kmax, onto)
+
+    def counted_kernel(pres, i):
+        rows.append(i)
+        return kernel_presentation(pres, i)
 
     monkeypatch.setattr(betti, "_betti_cell", counted)
+    monkeypatch.setattr(betti, "_kernel_presentation", counted_kernel)
     rc, out = run(capsys, ["betti", "--N", "6", "--seed", "1", "--window", "400,400"])
     assert rc == 0 and json.loads(out)["boundary_clean"] is True
     assert cells and all(i <= 6 and j <= 4 for _, (i, j) in cells)
-    assert all(variables == (3, 4) for variables, _ in cells)
+    assert rows and max(rows) <= 6
+    assert {variables for variables, _ in cells} == {(3, 4), (2, 3, 4)}
     ps = random_points(1, 2, 6, seed=1, require_generic=True)
     want = betti_numbers(point_presentation(ps, betti_window(6, 1, 2)))
     assert {tuple(e[k] for k in "kij"): e["beta"]

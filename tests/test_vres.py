@@ -380,6 +380,30 @@ def test_rows_past_t_plus_n_are_those_of_the_points(case):
             == {e: b for e, b in want.items() if e[1] > t + ps.n})
 
 
+@st.composite
+def up_to_r_cases(draw):
+    """A fibered, grid or shared-part set with r_x >= 1, and 1 <= t <= r_x."""
+    sets = st.one_of(fibered_sets(), grid_sets(), shared_part_sets())
+    ps = draw(sets.filter(lambda ps: regularity_box(ps)[0] >= 1))
+    return ps, draw(st.integers(1, regularity_box(ps)[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(up_to_r_cases())
+@example((fibered_633(), 1))
+@example((non_acm_set(), 1))
+@example((non_acm_set(), 2))
+def test_length_is_n_plus_m_exactly_without_a_top_betti_number_past_row_t_plus_n(case):
+    """Steps (e) and (f) of the module docstring: S/J, J = I_X ∩ <x>^t, has
+    length n + m exactly when the table of S/I_X, on a window that holds
+    both Betti boxes, has no beta_{n+m+1} in a row i >= t + n + 1."""
+    ps, t = case
+    top = ps.n + ps.m + 1
+    points = betti_numbers(point_presentation(ps, betti_box(ps, t))).entries
+    length = intersect_vres(ps, t)[1]
+    assert (length == top - 1) == all(i <= t + ps.n for k, i, _ in points if k == top)
+
+
 class TestBeta2Rows:
     def test_twelve(self):
         ps = random_points(1, 2, 12, seed=5, require_generic=True)
