@@ -1,6 +1,7 @@
 """Point sets, evaluation, ideal pieces, Hilbert matrices, fibers."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -190,6 +191,22 @@ class TestRandomPoints:
         ps = random_points(n, m, N, seed=seed, p=p)
         assert hashlib.sha256(ps.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("p, rejections, digest", [
+        (101, 83, "1aee8686a0a159156b682212ef6d35e653618d431c91355fcef32f157e6cfdbf"),
+        (32003, 0, "f6fb987952d74a89fcff38f9e053091d9a3b026e538a85c1703d12ede5af6344"),
+    ])
+    def test_draws_are_pinned(self, p, rejections, digest):
+        # every set of five shapes, N = 1..12 and seeds 0..2, drawn with and
+        # without the genericity check, and its rejection count
+        h, total = hashlib.sha256(), 0
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+            for N, seed, generic in itertools.product(range(1, 13), range(3), (False, True)):
+                ps = random_points(n, m, N, seed=seed, p=p, require_generic=generic)
+                total += ps.rejections
+                h.update(f"{ps.to_json()}|{ps.rejections}\n".encode())
+        assert total == rejections
+        assert h.hexdigest() == digest
+
     def test_rejection_cap_exhausts(self):
         # seed 1 over GF(11) draws no generic 10-point set in MAX_DRAWS tries
         with pytest.raises(GenericityExhausted):
@@ -329,6 +346,22 @@ class TestSweepMemo:
         assert np.array_equal(got.dims, want.dims) and got.box == want.box
         for d in np.ndindex(second[0] + 1, second[1] + 1):
             for a, b in zip(got.cell(d), want.cell(d)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, m, N, seed", [
+        (1, 1, 6, 70), (1, 2, 7, 71), (2, 1, 6, 72), (2, 2, 8, 73), (3, 1, 9, 74),
+    ])
+    def test_cells_read_after_the_genericity_check_equal_an_eager_sweep(self, n, m, N, seed):
+        # the genericity check builds only the blocks it reads; the cells
+        # read after it, the deepest first, equal those of a fresh sweep
+        # whose every cell is read top down, each from the one before it
+        ps = random_points(n, m, N, seed=seed, require_generic=True)
+        rx, ry = points_module.regularity_box(ps)
+        eager = function_space_bases(PointSet(n, m, ps.p, ps.xs, ps.ys), (rx, ry))
+        want = {d: eager.cell(d) for d in np.ndindex(rx + 1, ry + 1)}
+        lazy = function_space_bases(ps, (rx, ry))
+        for d in sorted(want, reverse=True):
+            for a, b in zip(lazy.cell(d), want[d], strict=True):
                 assert np.array_equal(a, b)
 
     def test_covered_window_runs_no_elimination(self, monkeypatch):
