@@ -342,7 +342,7 @@ helper, ``_reach``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -500,11 +500,18 @@ def intersected_presentation(ps: PointSet, t: int,
     region = (min(window[0], box[0]), min(window[1], box[1]))
     fs = function_space_bases(ps, region)
     z = n + 1 if t and n != 1 else 0
+    pres = _modulo(ps, fs, z, t, window, region, tuple(v for v in range(n + m + 2) if v != z),
+                   box=box, rx=fs.box[0])
     # row t modulo y0 over y1..ym: C/y0C at t = 0, row t of A' at t >= 1
-    row = (min(t, region[0]), region[1])
-    quotient = _modulo(ps, fs, n + 1, t, row, row, tuple(range(n + 2, n + m + 2)))
-    return _modulo(ps, fs, z, t, window, region, tuple(v for v in range(n + m + 2) if v != z),
-                   box=box, rx=fs.box[0], row_quotient=quotient)
+    row, ys = (min(t, region[0]), region[1]), tuple(range(n + 2, n + m + 2))
+    if z == n + 1:
+        # A' is already modulo y0: the quotient is its row t, which shares
+        # its pieces, builder and built maps
+        pres.row_quotient = replace(pres, window=row, dims=pres.dims[:1], variables=ys,
+                                    box=None, rx=None)
+    else:
+        pres.row_quotient = _modulo(ps, fs, n + 1, t, row, row, ys)
+    return pres
 
 
 def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int, int],
@@ -559,7 +566,9 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
     # z is a nonzerodivisor, so dim (A'/zA')_d = H(d) - H(d - deg z), with
     # H the sweep's at rows i >= t; A' is zero below row t, so modulo x0
     # row t is all of V(t, .)
-    H = fs.hilbert(np.arange(t, region[0] + 1), np.arange(region[1] + 1))
+    # rows past r_x read row r_x, clamped in Python ints: t may pass int64
+    rows = np.array([min(i, fs.box[0]) for i in range(t, region[0] + 1)], dtype=np.int64)
+    H = fs.hilbert(rows, np.arange(region[1] + 1))
     dims = H.copy()
     dims[dz[0]:, dz[1]:] -= H[: len(H) - dz[0], : region[1] + 1 - dz[1]]
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,

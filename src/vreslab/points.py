@@ -118,7 +118,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -139,7 +139,9 @@ class PointSet:
 
     Two point sets are equal when they have the same n, m and p and the
     same coordinate rows in the same order; the seed, the rejection count
-    and the sweep's memo do not take part.
+    and the sweep's memo do not take part.  The coordinates are read-only,
+    so every fact computed from them is memoized here: the part counts
+    (ell_x, ell_y), the box, the flags and the RREF cells read so far.
     """
 
     n: int
@@ -150,7 +152,8 @@ class PointSet:
     seed: int | None = None
     rejections: int = 0
     # the sweep's memo (see the module docstring): (r_x, r_y) once found,
-    # the flags of row 0 and of each column, and the RREF cells read so far
+    # the flags of row 0 and of each column, and the RREF cells read so far;
+    # the part counts ``_parts`` beside it are computed on first read
     _box: tuple | None = field(default=None, init=False, repr=False)
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
@@ -184,6 +187,11 @@ class PointSet:
         return self.xs.shape[0]
 
     @cached_property
+    def _parts(self) -> tuple[int, int]:
+        """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
+        return _distinct_rows(self.xs), _distinct_rows(self.ys)
+
+    @cached_property
     def _identity(self) -> tuple[np.ndarray, np.ndarray]:
         """The RREF basis and pivots of k^N, shared by every saturated cell."""
         return _read_only(np.eye(self.N, dtype=np.int64), np.arange(self.N))
@@ -213,8 +221,10 @@ class PointSet:
                    seed=data.get("seed"))
 
 
+@cache
 def min_cover_degree(N: int, b: int) -> int:
-    """Smallest r with t_binom(r, b) >= N; ValueError when there is none."""
+    """Smallest r with t_binom(r, b) >= N; ValueError when there is none.
+    Memoized: every generic draw and every window of N points reads it."""
     if N > 1 and b < 1:
         # t_binom(r, 0) = 1 for every r
         raise ValueError(f"no degree covers {N} points with b = {b}")
@@ -252,7 +262,8 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
         raise ValueError("P^0 x P^0 holds only one point")
     if p <= N:
         raise ValueError("field too small for N distinct points")
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    # the stream of default_rng(seed), without its argument dispatch
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw() -> PointSet:
         # the first N distinct draws, in order; a repeated draw is dropped,
@@ -261,9 +272,10 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
         while len(drawn) < N:
             batch = rng.integers(0, p, size=(N - len(drawn), n + m), dtype=np.int64)
             drawn.update(dict.fromkeys(map(tuple, batch.tolist())))
-        # the leading coordinate 1 of each factor goes before x1 and y1
-        a = np.array(list(drawn), dtype=np.int64).reshape(N, n + m)
-        a = np.insert(a, [0, n], 1, axis=1)
+        coords = np.array(list(drawn), dtype=np.int64).reshape(N, n + m)
+        # the leading coordinate 1 of each factor stays before x1 and y1
+        a = np.ones((N, n + m + 2), dtype=np.int64)
+        a[:, 1:n + 1], a[:, n + 2:] = coords[:, :n], coords[:, n:]
         return PointSet(n, m, p, a[:, : n + 1], a[:, n + 1:], seed=seed)
 
     rejects = 0
@@ -339,15 +351,24 @@ class _Flag:
 
     ``blocks[k]`` is what step k adds, as (rows, pivots): rows that are
     the identity at their own pivots and zero at the pivots of every
-    earlier block (None where a left neighbour saturates the column);
-    block 0 is an RREF cell.  ``dims[k]`` is the dimension of the span of
-    blocks 0..k.
+    earlier block; block 0 is an RREF cell.  ``dims[k]`` is the dimension
+    of the span of blocks 0..k, and it is known before the blocks are
+    built: a column holds no block until its first flag step (``_sweep``),
+    and none from a step at which a left neighbour saturates it, and the
+    blocks of a flag along a P^1 factor are given as a function that builds
+    them in closed form when they are first read (``_line_flag``).
     ``values`` are the coordinates of the factor the flag grows along.
     """
 
     values: np.ndarray
-    blocks: list
+    _blocks: object = field(repr=False)
     dims: list
+
+    @property
+    def blocks(self) -> list:
+        if callable(self._blocks):
+            self._blocks = self._blocks()
+        return self._blocks
 
     def dim(self, k: int) -> int:
         """Dimension at step k; a stopped flag is constant past its end."""
@@ -381,8 +402,14 @@ def _flag_step(flag: _Flag, p: int) -> None:
     flag.dims.append(flag.dims[-1] + len(fresh))
 
 
-def _line_flag(values: np.ndarray, origin: tuple, p: int) -> _Flag:
-    """The whole flag along a P^1 factor, in closed form.
+def _line_flag(values: np.ndarray, ell: int, origin: tuple, p: int) -> _Flag:
+    """The flag along a P^1 factor with ell distinct parts: dimensions
+    1..ell, and blocks in closed form (``_line_blocks``) when first read."""
+    return _Flag(values, lambda: _line_blocks(values, origin, p), list(range(1, ell + 1)))
+
+
+def _line_blocks(values: np.ndarray, origin: tuple, p: int) -> list:
+    """The blocks of the flag along a P^1 factor, in closed form.
 
     Block k is the product of (v - xi) over the first k distinct parts xi
     of the factor, scaled to 1 at the first point of part k, its pivot
@@ -401,24 +428,25 @@ def _line_flag(values: np.ndarray, origin: tuple, p: int) -> _Flag:
         s *= 2
     leads = rows[np.arange(len(rows)), pivots].tolist()
     rows = rows * np.array([pow(c, -1, p) for c in leads], dtype=np.int64)[:, None] % p
-    blocks = [origin] + [(rows[k:k + 1], pivots[k:k + 1]) for k in range(len(rows))]
-    return _Flag(values, blocks, list(range(1, len(blocks) + 1)))
+    return [origin] + [(rows[k:k + 1], pivots[k:k + 1]) for k in range(len(rows))]
 
 
 def regularity_box(ps: PointSet) -> tuple[int, int]:
     """(r_x, r_y), the corner of the sweep's box (see the module docstring).
 
     The first call grows column 0 until it reaches ell_x dimensions and
-    row 0 until it reaches ell_y, in closed form along a P^1 factor; later
-    calls read the memo.
+    row 0 until it reaches ell_y.  Along a P^1 factor the dimensions are
+    1..ell, so the corner there is ell - 1, read off the memoized part
+    count, and the flag's blocks wait until a cell reads them; later calls
+    read the memo.
     """
     if ps._box is None:
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
         ps._cells[(0, 0)] = origin
         flags = []
-        for values, ell in zip((ps.xs, ps.ys), _part_counts(ps)):
+        for values, ell in zip((ps.xs, ps.ys), ps._parts):
             if values.shape[1] == 2:
-                flag = _line_flag(values, origin, ps.p)
+                flag = _line_flag(values, ell, origin, ps.p)
             else:
                 flag = _Flag(values, [origin], [1])
                 while flag.dims[-1] < ell:
@@ -432,22 +460,23 @@ def regularity_box(ps: PointSet) -> tuple[int, int]:
 def _sweep(ps: PointSet, rows: int, cols: int) -> list[_Flag]:
     """Flags of columns 0..cols, each grown down to row ``rows`` or until it stops.
 
-    Column j's block 0 is the RREF cell (0, j).  A column grows one block
-    per row until it reaches N, stalls, or meets a row where its left
-    neighbour is saturated; ``rows`` is at most the box row.
+    Column j starts at dimension H(0, j), read off the row flag, with no
+    block: its block 0, the RREF cell (0, j), is a merge along row 0, built
+    for the column's first flag step (or by ``_cell`` when a cell of the
+    column is read).  A column grows one block per row until it reaches N,
+    stalls, or meets a row where its left neighbour is saturated; ``rows``
+    is at most the box row.
     """
     N, columns = ps.N, ps._columns
-    for j in range(cols + 1):
-        if j == len(columns):
-            basis, pivots = _cell(ps, (0, j))
-            columns.append(_Flag(ps.xs, [(basis, pivots)], [len(pivots)]))
-        flag = columns[j]
+    columns += [_Flag(ps.xs, [], [ps._row.dims[j]]) for j in range(len(columns), cols + 1)]
+    for j, flag in enumerate(columns[: cols + 1]):
         while len(flag.dims) <= rows and not flag.stopped(N):
             if j and columns[j - 1].dim(len(flag.dims)) == N:
                 # V(i, j) contains V(i, j-1) = k^N
-                flag.blocks.append(None)
                 flag.dims.append(N)
             else:
+                if not flag.blocks:
+                    flag.blocks.append(_cell(ps, (0, j)))
                 _flag_step(flag, ps.p)
     return columns[: cols + 1]
 
@@ -477,9 +506,10 @@ def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     # past a stopped flag's end the cell is the one at its end
     top = min(k, len(flag.dims) - 1)
     r = top
-    while at(r) not in cells:
+    while r and at(r) not in cells:
         r -= 1
-    cell = cells[at(r)]
+    # a column's cell (0, j) is built along row 0 when first read
+    cell = _cell(ps, at(r))
     for r in range(r + 1, top + 1):
         if flag.dims[r] == ps.N:
             cell = ps._identity
@@ -523,16 +553,35 @@ def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
 
 def generic_hilbert_matrix(N: int, n: int, m: int,
                            window: tuple[int, int]) -> np.ndarray:
-    """min{N, dim S_(i,j)} on the window.
+    """min{N, dim S_(i,j)} on the window, as a read-only array.
 
     dim S_(i,j) is t_binom(i, n) * t_binom(j, m); each factor is capped at N
     first, which leaves the minimum unchanged and keeps the int64 product
-    small at any window.
+    small at any window.  A capped factor min(N, t_binom(i, b)) is constant
+    from i = c on, with c = min_cover_degree(N, b) for b >= 1, 0 for b = 0
+    and 1 for b < 0 (no variables: 1 at degree 0, then 0).  So the matrix
+    is its core on the window cut at (c_x, c_y), with the core's last
+    column and then its last row repeated to the window; only the core is
+    memoized, so no memo entry has the window's size.
     """
     wi, wj = window
-    xs = [min(N, t_binom(i, n)) for i in range(wi + 1)]
-    ys = [min(N, t_binom(j, m)) for j in range(wj + 1)]
-    return np.minimum(N, np.outer(xs, ys))
+    ci, cj = (min_cover_degree(N, b) if b > 0 else int(b < 0) for b in (n, m))
+    ci, cj = min(wi, ci), min(wj, cj)
+    core = _generic_core(N, n, m, ci, cj)
+    if (ci, cj) == (wi, wj):
+        return core
+    out = np.empty((wi + 1, wj + 1), dtype=np.int64)
+    out[: ci + 1, : cj + 1] = core
+    out[: ci + 1, cj + 1:] = core[:, -1:]
+    out[ci + 1:] = out[ci: ci + 1]
+    return _read_only(out)[0]
+
+
+@lru_cache(maxsize=64)
+def _generic_core(N: int, n: int, m: int, ci: int, cj: int) -> np.ndarray:
+    xs = [min(N, t_binom(i, n)) for i in range(ci + 1)]
+    ys = [min(N, t_binom(j, m)) for j in range(cj + 1)]
+    return _read_only(np.minimum(N, np.outer(xs, ys)))[0]
 
 
 def is_generic_hilbert(ps: PointSet) -> bool:
@@ -542,7 +591,7 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     while H(i, 0) and H(0, j) are at most the numbers of distinct x- and
     y-parts; so a repeated part is rejected before any sweep.
     """
-    if min(_part_counts(ps)) < ps.N:
+    if min(ps._parts) < ps.N:
         return False
     window = hilbert_window(ps.N, ps.n, ps.m)
     return np.array_equal(hilbert_matrix(ps, window),
@@ -560,14 +609,9 @@ def _distinct_rows(a: np.ndarray) -> int:
     return len({*map(tuple, a.tolist())})
 
 
-def _part_counts(ps: PointSet) -> tuple[int, int]:
-    """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
-    return _distinct_rows(ps.xs), _distinct_rows(ps.ys)
-
-
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
     """The number of fibers of the first projection, one per distinct x-part."""
-    return Pi1Fibration(_distinct_rows(ps.xs))
+    return Pi1Fibration(ps._parts[0])
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:

@@ -783,6 +783,23 @@ def test_row_certificate_counts_every_generator(t):
     assert betti_entry(betti_numbers(pres), 1, t, 1) == 2
 
 
+def test_row_quotient_modulo_y0_is_row_t_of_the_presentation():
+    # for n != 1 at t >= 1 the presentation is modulo y0 too, so its row t
+    # is the row quotient: each y-map is built once, on both
+    ps = random_points(2, 2, 20, seed=1, require_generic=True)
+    t = 2
+    pres = intersected_presentation(ps, t, betti.betti_box(ps, t))
+    quotient = pres.row_quotient
+    assert quotient.variables == (4, 5) and quotient.free_rows == t
+    assert np.array_equal(quotient.dims, pres.dims[:1])
+    table = betti_numbers(pres)
+    built = [key for key in pres._maps if key[0] in quotient.variables and key[1][0] == t]
+    assert len(built) >= 4
+    for var, d in built:
+        assert quotient.map(var, d) is pres.map(var, d)
+    assert table.entries == intersect_vres(ps, t)[0].entries
+
+
 @st.composite
 def row_quotient_cases(draw):
     """A fibered, grid or shared-part set, t in [0, r_x + 1], and a kmax."""

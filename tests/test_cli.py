@@ -270,6 +270,9 @@ def test_window_past_memory_is_usage_error(argv):
 @pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
 @pytest.mark.parametrize("argv, small", [
     ("vres-intersect --N 4 --t 100000000000 --seed 1", None),
+    # t past int64: the rows are clamped to r_x in Python ints
+    ("vres-intersect --N 4 --t 100000000000000000000000 --seed 1", None),
+    ("vres-intersect --n 2 --m 1 --N 5 --t 100000000000000000000000 --seed 1", None),
     ("betti --N 6 --seed 1 --window 3,100000000000", "betti --N 6 --seed 1 --window 3,20"),
     ("vres-pair --N 6 --seed 1 --d 100000000000,0", "vres-pair --N 6 --seed 1 --d 5,0"),
 ])
@@ -282,13 +285,14 @@ def test_huge_windows_run_in_little_memory(capsys, argv, small):
     if sys.platform.startswith("linux"):
         assert peak_kib < 100 * 1024
     if small is None:
-        # four generic points of P^1 x P^2 at t = 10^11 > r_x = 3
-        t = 10**11
+        # N generic points of P^1 x P^2 (or P^2 x P^1) at t > r_x = N - 1
+        opts = dict(zip(argv.split()[1::2], map(int, argv.split()[2::2])))
+        n, m, N, t = opts.get("--n", 1), opts.get("--m", 2), opts["--N"], opts["--t"]
         payload = json.loads(out)
         got = {(e["k"], e["i"], e["j"]): e["beta"] for e in payload["table"]["entries"]}
-        assert payload["length"] == 3
-        assert got == {**predicted_intersect_off_column_0(4, 1, 2, t),
-                       **predicted_intersect_column_0(4, 1, t)}
+        assert payload["length"] == n + m
+        assert got == {**predicted_intersect_off_column_0(N, n, m, t),
+                       **predicted_intersect_column_0(N, n, t)}
     elif argv.startswith("betti"):
         # the same table as on a window past the box's column 4, the window aside
         assert json.loads(out)["entries"] == json.loads(run(capsys, small.split())[1])["entries"]

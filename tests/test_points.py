@@ -305,6 +305,10 @@ class TestHilbertSweep:
                 for i in range(window[0] + 1)]
         G = generic_hilbert_matrix(N, n, m, window)
         assert G.dtype == np.int64 and G.tolist() == want
+        # memoized: the array is shared, so it is read-only
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 0
 
     def test_min_cover_degree(self):
         assert min_cover_degree(31, 2) == 7
@@ -597,6 +601,34 @@ class TestCellsOnDemand:
         ps = random_points(1, 2, 20, seed=67)
         assert is_generic_hilbert(ps)
         assert ps._cells and all(i == 0 for i, _ in ps._cells)
+
+    def test_decomposition_check_from_r_x_builds_no_column_0_block(self, monkeypatch):
+        # on P^1 x P^2 column 0 is a P^1 flag whose dimensions 1..N come
+        # from the part count; at t = N - 1 = r_x the check reads no cell
+        # below row 0, so none of its blocks is built
+        def no_block(*args):
+            raise AssertionError("built a block of column 0")
+
+        monkeypatch.setattr(points_module, "_line_blocks", no_block)
+        for N in (3, 4, 5, 6):
+            ps = random_points(1, 2, N, seed=80 + N, require_generic=True)
+            assert points_module.regularity_box(ps)[0] == N - 1
+            assert decomposition_check(ps, N - 1, (N + 3, 5))
+            assert all(i == 0 for i, _ in ps._cells)
+
+    def test_genericity_check_builds_row_0_cells_only_for_stepping_columns(self):
+        # on six generic points of P^1 x P^1, H(i, j) = min(6, (i+1)(j+1)):
+        # columns 1 and 2 take flag steps, which start from their row-0
+        # cells; columns 3 and 4 are saturated by their left neighbours at
+        # row 1 and column 5 at row 0, so no merge builds their cells
+        ps = random_points(1, 1, 6, seed=75, require_generic=True)
+        assert points_module.regularity_box(ps) == (5, 5)
+        assert set(ps._cells) == {(0, 0), (0, 1), (0, 2)}
+        fs = function_space_bases(ps, (5, 5))
+        for d in [(1, 3), (0, 4)]:
+            V, pivots = fs.cell(d)
+            R, piv = rref(evaluation_matrix(ps, d).T, ps.p)
+            assert np.array_equal(V, R[: len(piv)]) and pivots.tolist() == piv
 
     def test_trim_builds_cells_only_in_the_columns_it_reads(self):
         # the trim at (39, 0) presents the window (40, 2): columns 0..2
