@@ -151,9 +151,10 @@ class PointSet:
     ys: np.ndarray
     seed: int | None = None
     rejections: int = 0
-    # the sweep's memo (see the module docstring): (r_x, r_y) once found,
-    # the flags of row 0 and of each column, and the RREF cells read so far;
-    # the part counts ``_parts`` beside it are computed on first read
+    # the sweep's memo (see the module docstring): (ell_x, ell_y) and
+    # (r_x, r_y) once found, the flags of row 0 and of each column, and the
+    # RREF cells read so far
+    _parts: tuple | None = field(default=None, init=False, repr=False)
     _box: tuple | None = field(default=None, init=False, repr=False)
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
@@ -185,11 +186,6 @@ class PointSet:
     @property
     def N(self) -> int:
         return self.xs.shape[0]
-
-    @cached_property
-    def _parts(self) -> tuple[int, int]:
-        """(ell_x, ell_y): the numbers of distinct x-parts and of distinct y-parts."""
-        return _distinct_rows(self.xs), _distinct_rows(self.ys)
 
     @cached_property
     def _identity(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +440,7 @@ def regularity_box(ps: PointSet) -> tuple[int, int]:
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
         ps._cells[(0, 0)] = origin
         flags = []
-        for values, ell in zip((ps.xs, ps.ys), ps._parts):
+        for values, ell in zip((ps.xs, ps.ys), _part_counts(ps)):
             if values.shape[1] == 2:
                 flag = _line_flag(values, ell, origin, ps.p)
             else:
@@ -591,7 +587,7 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     while H(i, 0) and H(0, j) are at most the numbers of distinct x- and
     y-parts; so a repeated part is rejected before any sweep.
     """
-    if min(ps._parts) < ps.N:
+    if min(_part_counts(ps)) < ps.N:
         return False
     window = hilbert_window(ps.N, ps.n, ps.m)
     return np.array_equal(hilbert_matrix(ps, window),
@@ -609,9 +605,17 @@ def _distinct_rows(a: np.ndarray) -> int:
     return len({*map(tuple, a.tolist())})
 
 
+def _part_counts(ps: PointSet) -> tuple[int, int]:
+    """(ell_x, ell_y): the numbers of distinct x-parts and of distinct
+    y-parts, counted once per point set."""
+    if ps._parts is None:
+        ps._parts = _distinct_rows(ps.xs), _distinct_rows(ps.ys)
+    return ps._parts
+
+
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
     """The number of fibers of the first projection, one per distinct x-part."""
-    return Pi1Fibration(ps._parts[0])
+    return Pi1Fibration(_part_counts(ps)[0])
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
@@ -643,12 +647,15 @@ def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:
     H(i,j) = H(i,j-1): in every column past r_y, and wherever V(i,j-1) is
     saturated.  In column 0 the y0 term is absent and the map is an
     inclusion.  So only rows t..r_x - 1 are read, and at t >= r_x the check
-    ranks nothing and builds no RREF cell below row 0.
+    ranks nothing and reads only the box corner: it grows no flag and
+    builds no RREF cell below row 0.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
+    if t >= regularity_box(ps)[0]:
+        return True  # no row t..r_x - 1 to read, so no flag to grow
     fs = function_space_bases(ps, window)
     H, rx = fs.dims, fs.box[0]
     for i, j in (np.argwhere(H[t:rx, 1:] > H[t:rx, :-1]) + (t, 1)).tolist():
