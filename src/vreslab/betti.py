@@ -148,7 +148,9 @@ Koszul homology of C/y0C over y1..ym.
 dimension H(t, j) - H(t, j - 1), zero past r_y.
 ``intersected_presentation`` builds it by its one rule with z = y0 on
 row t alone, over y1..ym, and attaches it to every presentation as
-``row_quotient``; ``betti_numbers`` reads row t of every table off its
+``row_quotient``; where the presentation is itself modulo y0 (n != 1 at
+t >= 1) the quotient is its row t, sharing its pieces and maps, so row t
+is built once; ``betti_numbers`` reads row t of every table off its
 strands, whose pieces are one step of the row's flag wide where the
 strands of S/I_X modulo x0 read V(0, j), up to N wide.  At t = 0 the
 basis of piece j is the rows of the RREF cell of V(0,j) at the pivots
@@ -397,9 +399,10 @@ class GradedModulePresentation:
     and ``rx`` the box row r_x of the point set's sweep (see ``points``),
     which the sequence route reads, None when unknown.
     ``row_quotient``, on every presentation that ``intersected_presentation``
-    builds, presents row ``free_rows`` modulo y0 over y1..ym, a one-row
-    presentation of its own: C/y0C for C the row 0 of S/I_X at t = 0, and
-    row t of A' at t >= 1.  ``betti_numbers`` reads row t of the table off
+    builds, presents row ``free_rows`` modulo y0 over y1..ym as a one-row
+    presentation: C/y0C for C the row 0 of S/I_X at t = 0, and row t of A'
+    at t >= 1, which shares the builder and the map memo of a presentation
+    that is itself modulo y0.  ``betti_numbers`` reads row t of the table off
     it (see Row t in the module docstring).  On a presentation that
     ``intersected_presentation``
     builds, ``_functions(d)`` gives the functions on the points that stand
@@ -492,7 +495,11 @@ def intersected_presentation(ps: PointSet, t: int,
     row t raises ValueError.  At every t the presentation carries
     ``row_quotient``, row t modulo y0 over y1..ym, built by the same rule:
     C/y0C for C the row 0 at t = 0, row t of A' at t >= 1 (see Row t in
-    the module docstring).
+    the module docstring).  Where z is y0 the quotient is the
+    presentation's own row t over y1..ym, with the same builder, functions
+    and built maps, so each of its y-maps is built once.  The rows read
+    past r_x are read at r_x, clamped in Python ints, so a t past int64
+    costs what t = r_x + 1 does.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

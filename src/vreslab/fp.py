@@ -29,16 +29,17 @@ steps, and so the exactness argument above, are the same in both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_PRIME = 32003
 
 
-@cache
+# memoized, and bounded: every PointSet checks its prime, almost always
+# the same one
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    # memoized: every PointSet checks its prime, almost always the same one
     if p < 2:
         return False
     if p % 2 == 0:

@@ -63,6 +63,21 @@ saturated cell is the identity.  Each cell is memoized on its
 ``PointSet`` once read; Hilbert values, the box and the genericity check
 read only block sizes and build no RREF cell below row 0.
 
+Blocks, too, are built only where a reader needs them, since every
+dimension the sweep's control flow reads is known before the rows behind
+it.  A column starts at H(0, j), read off the row flag, and holds no
+block until its first flag step: its block 0, the cell (0, j), is a merge
+along row 0, built for that step or when a cell of the column is read, so
+a column saturated at row 0 or by its left neighbour at row 1 merges
+nothing.  A flag along a P^1 factor has dimensions 1..ell (see below), so
+its dimensions and its corner r = ell - 1 come from the count of distinct
+parts, and its blocks are built in closed form when a cell first reads
+them.  The facts about a set that several readers share are computed
+once on its ``PointSet``: the part counts (ell_x, ell_y), the box, the
+flags and the cells.  So a generic draw checked at t >= r_x, such as the
+decomposition check from r_x, builds no block of a P^1 column 0 and no
+RREF cell below row 0.
+
 The sweep is constant past one box.  Let ell_x and ell_y be the numbers
 of distinct x-parts P_1..P_ell_x and y-parts, r_x the least i with
 H(i, 0) = ell_x and r_y the least j with H(0, j) = ell_y.  Then
@@ -118,7 +133,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -217,10 +232,11 @@ class PointSet:
                    seed=data.get("seed"))
 
 
-@cache
+@lru_cache(maxsize=1024)
 def min_cover_degree(N: int, b: int) -> int:
     """Smallest r with t_binom(r, b) >= N; ValueError when there is none.
-    Memoized: every generic draw and every window of N points reads it."""
+    Memoized, with a bound: every generic draw and every window of N
+    points reads it."""
     if N > 1 and b < 1:
         # t_binom(r, 0) = 1 for every r
         raise ValueError(f"no degree covers {N} points with b = {b}")
@@ -243,11 +259,15 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     still missing are drawn as one batch of rows, repeats are dropped, and
     the deficit is drawn again; a batch of k rows reads the stream exactly
     as k single draws do, so the points do not depend on the batching.
-    With ``require_generic`` the whole set is redrawn until its Hilbert
-    matrix is generic on the default window, at most MAX_DRAWS times; the
-    number of rejected sets is recorded on the result.  A draw with a
-    repeated x-part or y-part is rejected before any sweep (see
-    ``is_generic_hilbert``).
+    The stream is that of ``np.random.default_rng(seed)``, a ``PCG64``
+    generator, and the drawn coordinates fill one array whose leading
+    column of each factor is 1.  With ``require_generic`` the whole set is
+    redrawn until its Hilbert matrix is generic on the default window, at
+    most MAX_DRAWS times; the number of rejected sets is recorded on the
+    result.  A draw with a repeated x-part or y-part is rejected before any
+    sweep (see ``is_generic_hilbert``); the check of an accepted draw
+    leaves its sweep memoized on the set, built only as far as the check
+    read it (see the module docstring).
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -258,7 +278,6 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
         raise ValueError("P^0 x P^0 holds only one point")
     if p <= N:
         raise ValueError("field too small for N distinct points")
-    # the stream of default_rng(seed), without its argument dispatch
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw() -> PointSet:
