@@ -498,8 +498,8 @@ def intersected_presentation(ps: PointSet, t: int,
     the module docstring).  Where z is y0 the quotient is the
     presentation's own row t over y1..ym, with the same builder, functions
     and built maps, so each of its y-maps is built once.  The rows read
-    past r_x are read at r_x, clamped in Python ints, so a t past int64
-    costs what t = r_x + 1 does.
+    past r_x are read at r_x, clamped in Python ints before they index, so
+    t may pass int64.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
