@@ -360,7 +360,7 @@ from .points import (
     evaluation_matrix,
     function_space_bases,
     generic_hilbert_matrix,
-    hilbert_matrix,
+    is_generic_hilbert,
     min_cover_degree,
     regularity_box,
 )
@@ -911,17 +911,18 @@ def mrc_check(ps: PointSet) -> MrcReport:
 
     Positivity of beta_1 at (i,j) is predicted exactly when DH(i,j) < 0 and
     no cell of the downset except the origin is positive; the predicted
-    value is -DH(i,j).  The window is ``mrc_window(N)``.  Requires the
-    generic Hilbert matrix; a non-generic set short-circuits with
-    generic=False.
+    value is -DH(i,j).  The window is ``mrc_window(N)``.  Requires a
+    generic Hilbert matrix, decided by ``is_generic_hilbert``; a
+    non-generic set short-circuits with generic=False.  A generic set's
+    Hilbert matrix is the generic one on every window, so DH is read off
+    ``generic_hilbert_matrix`` and not off the set.
     """
     if (ps.n, ps.m) != (1, 2):
         raise ValueError("difference-matrix reading is specific to n=1, m=2")
     window = mrc_window(ps.N)
-    H = hilbert_matrix(ps, window)
-    if not np.array_equal(H, generic_hilbert_matrix(ps.N, 1, 2, window)):
+    if not is_generic_hilbert(ps):
         return MrcReport(window, False, False, {}, {}, [])
-    dh = dh_p1p2(H)
+    dh = dh_p1p2(generic_hilbert_matrix(ps.N, 1, 2, window))
     # the largest entry of each cell's downset, the origin read as 0
     best = dh.copy()
     best[0, 0] = 0

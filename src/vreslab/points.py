@@ -73,10 +73,11 @@ nothing.  A flag along a P^1 factor has dimensions 1..ell (see below), so
 its dimensions and its corner r = ell - 1 come from the count of distinct
 parts, and its blocks are built in closed form when a cell first reads
 them.  The facts about a set that several readers share are computed
-once on its ``PointSet``: the part counts (ell_x, ell_y), the box, the
-flags and the cells.  So a generic draw checked at t >= r_x, such as the
-decomposition check from r_x, builds no block of a P^1 column 0 and no
-RREF cell below row 0.
+once on its ``PointSet``: the part counts (ell_x, ell_y) when the set is
+made, in the pass that checks its points are distinct, and the box, the
+flags and the cells when first read.  So a generic draw checked at
+t >= r_x, such as the decomposition check from r_x, builds no block of a
+P^1 column 0 and no RREF cell below row 0.
 
 The sweep is constant past one box.  Let ell_x and ell_y be the numbers
 of distinct x-parts P_1..P_ell_x and y-parts, r_x the least i with
@@ -154,9 +155,11 @@ class PointSet:
 
     Two point sets are equal when they have the same n, m and p and the
     same coordinate rows in the same order; the seed, the rejection count
-    and the sweep's memo do not take part.  The coordinates are read-only,
-    so every fact computed from them is memoized here: the part counts
-    (ell_x, ell_y), the box, the flags and the RREF cells read so far.
+    and the sweep's memo do not take part.  ``parts`` is (ell_x, ell_y),
+    the numbers of distinct x-parts and y-parts, counted when the set is
+    made in the pass that checks its points are distinct.  The coordinates
+    are read-only, so every other fact computed from them is memoized here
+    when first read: the box, the flags and the RREF cells.
     """
 
     n: int
@@ -166,10 +169,9 @@ class PointSet:
     ys: np.ndarray
     seed: int | None = None
     rejections: int = 0
-    # the sweep's memo (see the module docstring): (ell_x, ell_y) and
-    # (r_x, r_y) once found, the flags of row 0 and of each column, and the
-    # RREF cells read so far
-    _parts: tuple | None = field(default=None, init=False, repr=False)
+    parts: tuple[int, int] = field(init=False, repr=False)
+    # the sweep's memo (see the module docstring): (r_x, r_y) once found,
+    # the flags of row 0 and of each column, and the RREF cells read so far
     _box: tuple | None = field(default=None, init=False, repr=False)
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
@@ -188,8 +190,10 @@ class PointSet:
             raise ValueError("need matching nonempty coordinate arrays")
         if np.any(self.xs[:, 0] != 1) or np.any(self.ys[:, 0] != 1):
             raise ValueError("points must be normalized (leading coordinate 1)")
-        if _distinct_rows(np.hstack([self.xs, self.ys])) < self.N:
+        xparts, yparts = (list(map(tuple, a.tolist())) for a in (self.xs, self.ys))
+        if len(set(zip(xparts, yparts))) < self.N:
             raise ValueError("points must be pairwise distinct")
+        self.parts = len(set(xparts)), len(set(yparts))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
@@ -247,6 +251,7 @@ def min_cover_degree(N: int, b: int) -> int:
 
 
 def hilbert_window(N: int, n: int, m: int) -> tuple[int, int]:
+    """The window ``vres-lab hilbert`` and ``dh`` print by default."""
     return N + n, min_cover_degree(N, m) + m + 1
 
 
@@ -262,12 +267,12 @@ def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
     The stream is that of ``np.random.default_rng(seed)``, a ``PCG64``
     generator, and the drawn coordinates fill one array whose leading
     column of each factor is 1.  With ``require_generic`` the whole set is
-    redrawn until its Hilbert matrix is generic on the default window, at
-    most MAX_DRAWS times; the number of rejected sets is recorded on the
-    result.  A draw with a repeated x-part or y-part is rejected before any
-    sweep (see ``is_generic_hilbert``); the check of an accepted draw
-    leaves its sweep memoized on the set, built only as far as the check
-    read it (see the module docstring).
+    redrawn until ``is_generic_hilbert`` accepts it, at most MAX_DRAWS
+    times; the number of rejected sets is recorded on the result.  A draw
+    with a repeated x-part or y-part is rejected on the part counts taken
+    when it is made, before any sweep; the check of an accepted draw
+    leaves its sweep memoized on the set, grown over the box and no
+    further (see the module docstring).
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -451,15 +456,15 @@ def regularity_box(ps: PointSet) -> tuple[int, int]:
 
     The first call grows column 0 until it reaches ell_x dimensions and
     row 0 until it reaches ell_y.  Along a P^1 factor the dimensions are
-    1..ell, so the corner there is ell - 1, read off the memoized part
-    count, and the flag's blocks wait until a cell reads them; later calls
-    read the memo.
+    1..ell, so the corner there is ell - 1, read off the set's part count,
+    and the flag's blocks wait until a cell reads them; later calls read
+    the memo.
     """
     if ps._box is None:
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
         ps._cells[(0, 0)] = origin
         flags = []
-        for values, ell in zip((ps.xs, ps.ys), _part_counts(ps)):
+        for values, ell in zip((ps.xs, ps.ys), ps.parts):
             if values.shape[1] == 2:
                 flag = _line_flag(values, ell, origin, ps.p)
             else:
@@ -600,17 +605,40 @@ def _generic_core(N: int, n: int, m: int, ci: int, cj: int) -> np.ndarray:
 
 
 def is_generic_hilbert(ps: PointSet) -> bool:
-    """Whether the Hilbert matrix attains the generic values on the default window.
+    """Whether the Hilbert matrix is generic: H = G, G(i,j) = min{N, dim S_(i,j)}.
 
-    The generic values reach N on column 0 and on row 0 of that window,
-    while H(i, 0) and H(0, j) are at most the numbers of distinct x- and
-    y-parts; so a repeated part is rejected before any sweep.
+    The rule reads the set's part counts, then compares the sweep's block
+    cut at the box (r_x, r_y) with G on the box.  It decides as comparing H
+    with G on ``hilbert_window`` does, or on any window that holds the
+    generic corner (c_x, c_y), c_x = min_cover_degree(N, n) and
+    c_y = min_cover_degree(N, m) (0 for a P^0 factor); ``hilbert_window``
+    holds it, as c_x <= N - 1.
+
+    - G(c_x, 0) = G(0, c_y) = N, while H(i, 0) <= ell_x and
+      H(0, j) <= ell_y, as a form in x alone takes one value on the points
+      of one x-part.  So a generic set has N distinct x-parts and y-parts,
+      and a set with a repeated part is rejected on its counts, before any
+      sweep.
+    - With ell_x = N, r_x is the least i with H(i, 0) = N and c_x the least
+      i with G(i, 0) = N.  H <= G everywhere, as V(i,j) lies in k^N and is
+      the image of S_(i,j), so r_x >= c_x.  A box past the corner in x,
+      r_x > c_x, holds the cell (c_x, 0), which every window holding the
+      corner holds too, and there G is N and H is not; row 0 likewise.  So
+      a generic column 0 and row 0 put the box at the corner, and both
+      comparisons fail on a box off it.
+    - On a box at the corner, H is clamped past it,
+      H(i,j) = H(min(i, r_x), min(j, r_y)) (see the module docstring), and
+      G is N at every i >= c_x and every j >= c_y, so it is clamped at the
+      corner too.  So H = G on the box exactly when H = G on any window
+      holding it.
+
+    The sweep grows over the box only, and no array has a window's size.
     """
-    if min(_part_counts(ps)) < ps.N:
+    if min(ps.parts) < ps.N:
         return False
-    window = hilbert_window(ps.N, ps.n, ps.m)
-    return np.array_equal(hilbert_matrix(ps, window),
-                          generic_hilbert_matrix(ps.N, ps.n, ps.m, window))
+    box = regularity_box(ps)
+    return np.array_equal(function_space_bases(ps, box).dims,
+                          generic_hilbert_matrix(ps.N, ps.n, ps.m, box))
 
 
 @dataclass(frozen=True)
@@ -620,21 +648,9 @@ class Pi1Fibration:
     ell: int
 
 
-def _distinct_rows(a: np.ndarray) -> int:
-    return len({*map(tuple, a.tolist())})
-
-
-def _part_counts(ps: PointSet) -> tuple[int, int]:
-    """(ell_x, ell_y): the numbers of distinct x-parts and of distinct
-    y-parts, counted once per point set."""
-    if ps._parts is None:
-        ps._parts = _distinct_rows(ps.xs), _distinct_rows(ps.ys)
-    return ps._parts
-
-
 def pi1_fibers(ps: PointSet) -> Pi1Fibration:
     """The number of fibers of the first projection, one per distinct x-part."""
-    return Pi1Fibration(_part_counts(ps)[0])
+    return Pi1Fibration(ps.parts[0])
 
 
 def decomposition_check(ps: PointSet, t: int, window: tuple[int, int]) -> bool:

@@ -98,6 +98,21 @@ def line_fibered_sets(draw):
 
 
 @st.composite
+def collinear_y_part_sets(draw):
+    """Up to eight points of P^n x P^m, n and m in 1..3, whose y-parts lie
+    on one line of P^m and may repeat."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(st.sampled_from([5, 7, 101]))
+    coords = st.integers(0, p - 1)
+    a, b = (draw(st.tuples(*[coords] * m)) for _ in range(2))
+    steps = draw(st.lists(coords, min_size=1, max_size=8))
+    xs = draw(st.lists(st.tuples(*[coords] * n), min_size=len(steps), max_size=len(steps),
+                       unique=True))
+    ys = [tuple((u + s * v) % p for u, v in zip(a, b)) for s in steps]
+    return PointSet(n, m, p, np.array([(1, *x) for x in xs]), np.array([(1, *y) for y in ys]))
+
+
+@st.composite
 def shared_part_sets(draw):
     """Up to seven points over at most three x-parts and four y-parts."""
     n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))

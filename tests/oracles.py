@@ -5,7 +5,9 @@ monomial basis, and share no shortcut with the code they check:
 ``decomposition_check_in_full``, ``intersected_presentation_in_full``,
 ``koszul_homology`` (every strand built in full and every differential
 ranked, where ``betti.betti_numbers`` skips, truncates and fills cells),
-``beta1_from_ideal``, ``y0_nonzerodivisor``, and the presentation of S/J
+``beta1_from_ideal``, ``y0_nonzerodivisor``, ``is_generic_on_window``
+(genericity decided on the whole default window, where
+``points.is_generic_hilbert`` reads the box), and the presentation of S/J
 from explicit ideal pieces (``ideal_pieces_from_generators`` with
 ``quotient_presentation``).  ``window_presentation`` widens the engine's
 own presentation, cut at the Betti box, to its whole window, so that
@@ -72,7 +74,9 @@ from vreslab.points import (
     PointSet,
     evaluation_matrix,
     function_space_bases,
+    generic_hilbert_matrix,
     hilbert_matrix,
+    hilbert_window,
     ideal_piece,
     regularity_box,
 )
@@ -284,6 +288,19 @@ def x_fibers(ps: PointSet) -> tuple[tuple[int, ...], ...]:
     for idx, row in enumerate(map(tuple, ps.xs.tolist())):
         members.setdefault(row, []).append(idx)
     return tuple(map(tuple, members.values()))
+
+
+def is_generic_on_window(ps: PointSet) -> bool:
+    """Whether the Hilbert matrix equals the generic one on the default
+    window ``hilbert_window``, with the part counts taken from the grouped
+    coordinate rows.  A generic matrix reaches N on column 0 and row 0, so a
+    set with a repeated part is not generic; that test comes first, as the
+    default window of a P^0 factor exists only at N = 1."""
+    if min(len(np.unique(ps.xs, axis=0)), len(np.unique(ps.ys, axis=0))) < ps.N:
+        return False
+    window = hilbert_window(ps.N, ps.n, ps.m)
+    return np.array_equal(hilbert_matrix(ps, window),
+                          generic_hilbert_matrix(ps.N, ps.n, ps.m, window))
 
 
 def decomposition_check_in_full(ps: PointSet, t: int, window: tuple[int, int],

@@ -27,12 +27,14 @@ from vreslab.betti import (
     point_presentation,
 )
 from vreslab.cox import count_monomials, monomials
-from vreslab.diffcalc import alternating_betti_from_hilbert
+from vreslab.diffcalc import alternating_betti_from_hilbert, dh_p1p2
 from vreslab.fp import rank, subspace_equal
+from vreslab import points as points_module
 from vreslab.points import (
     PointSet,
     evaluation_matrix,
     function_space_bases,
+    generic_hilbert_matrix,
     hilbert_matrix,
     ideal_piece,
     random_points,
@@ -41,6 +43,7 @@ from vreslab.points import (
 from vreslab.vres import intersect_vres
 
 from conftest import (
+    collinear_y_part_sets,
     fibered_633,
     fibered_sets,
     grid_set,
@@ -233,6 +236,20 @@ class TestGeneratorLayers:
             assert beta1_from_ideal(ps, d) == 0
 
 
+def mrc_check_on_the_window(ps: PointSet) -> betti.MrcReport:
+    """The report built as before the box rule, on a fresh copy of the set:
+    genericity decided by comparing the set's Hilbert matrix with the generic
+    one on ``mrc_window(N)``, and DH read off the set's matrix."""
+    ps = PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys)
+    window = mrc_window(ps.N)
+    H = hilbert_matrix(ps, window)
+    if not np.array_equal(H, generic_hilbert_matrix(ps.N, 1, 2, window)):
+        return betti.MrcReport(window, False, False, {}, {}, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "dh_p1p2", lambda _: dh_p1p2(H))
+        return mrc_check(ps)
+
+
 class TestMrc:
     def test_windows(self):
         assert mrc_window(2) == (3, 2)
@@ -261,6 +278,42 @@ class TestMrc:
         assert not rep.generic
         assert not rep.passed
         assert rep.predicted == {} and rep.beta1 == {}
+
+    @pytest.mark.parametrize("N", range(2, 26))
+    def test_generic_dh_is_the_sets_dh(self, N):
+        # a generic set's Hilbert matrix is the generic one on every window,
+        # so DH read off the generic matrix is the set's own
+        window = mrc_window(N)
+        dh = dh_p1p2(generic_hilbert_matrix(N, 1, 2, window))
+        for seed in range(5):
+            ps = random_points(1, 2, N, seed=seed, require_generic=True)
+            assert np.array_equal(dh, dh_p1p2(hilbert_matrix(ps, window)))
+            rep = mrc_check(ps)
+            assert rep.generic and rep == mrc_check_on_the_window(ps)
+
+    @pytest.mark.parametrize("xs, ys", [
+        # a repeated x-part
+        ([2, 2, 5, 7], [(1, 3), (4, 1), (0, 6), (5, 5)]),
+        # four distinct y-parts (k, 2k + 1) on one line of P^2
+        ([2, 3, 5, 7], [(0, 1), (1, 3), (2, 5), (3, 7)]),
+    ])
+    def test_non_generic_sets_short_circuit_on_the_window(self, xs, ys):
+        ps = PointSet(1, 2, 101, np.array([(1, x) for x in xs]),
+                      np.array([(1, *y) for y in ys]))
+        rep = mrc_check(ps)
+        assert (rep.generic, rep.passed, rep.window) == (False, False, mrc_window(4))
+        assert rep == mrc_check_on_the_window(ps)
+
+    def test_reads_no_hilbert_matrix(self, monkeypatch):
+        # genericity is the box rule of is_generic_hilbert, and DH is the
+        # generic matrix's, so no Hilbert matrix of the set is read
+        def no_matrix(*args):
+            raise AssertionError("read a Hilbert matrix")
+
+        monkeypatch.setattr(points_module, "hilbert_matrix", no_matrix)
+        assert not hasattr(betti, "hilbert_matrix")
+        assert mrc_check(random_points(1, 2, 12, seed=5, require_generic=True)).passed
+        assert not mrc_check(fibered_633()).generic
 
     def test_wrong_ambient_rejected(self):
         ps = random_points(1, 1, 2, seed=0)
@@ -511,21 +564,6 @@ def test_row_quotient_and_kernel_maps_match_their_oracles(ps):
                 if zpres.dims[0, b] and zpres.dims[0, b + 1]:
                     assert np.array_equal(zpres.map(var, (0, b)),
                                           kernel_map_through_m(pres, i, var, b))
-
-
-@st.composite
-def collinear_y_part_sets(draw):
-    """Up to eight points of P^n x P^m, n and m in 1..3, whose y-parts lie
-    on one line of P^m and may repeat."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    p = draw(st.sampled_from([5, 7, 101]))
-    coords = st.integers(0, p - 1)
-    a, b = (draw(st.tuples(*[coords] * m)) for _ in range(2))
-    steps = draw(st.lists(coords, min_size=1, max_size=8))
-    xs = draw(st.lists(st.tuples(*[coords] * n), min_size=len(steps), max_size=len(steps),
-                       unique=True))
-    ys = [tuple((u + s * v) % p for u, v in zip(a, b)) for s in steps]
-    return PointSet(n, m, p, np.array([(1, *x) for x in xs]), np.array([(1, *y) for y in ys]))
 
 
 @st.composite

@@ -228,28 +228,39 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.strip() == "False"
 
 
+# Sets the 2 GB address-space limit, then forks and execs the command
+# given after the fd; writes the command's peak RSS to that fd and exits
+# with its code.  A child forked from a large process carries that
+# process's resident memory into its own high-water mark across execve, so
+# the command is forked from this small interpreter, not from pytest.
+LAUNCHER = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+fd, argv = int(sys.argv[1]), sys.argv[2:]
+pid = os.fork()
+if pid == 0:
+    os.execv(argv[0], argv)
+_, status, usage = os.wait4(pid, 0)
+os.write(fd, str(usage.ru_maxrss).encode())
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run_limited(argv: str) -> tuple[int, str, str, int]:
-    """Run the CLI in a child whose address space is capped at 2 GB (set in
-    the child only); return its exit code, stdout, stderr and peak RSS in
-    KiB (Linux units), read from the child's own rusage."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
+    """Run the CLI under a 2 GB address-space limit, through ``LAUNCHER``;
+    return its exit code, stdout, stderr and peak RSS in KiB (Linux units),
+    read from its own rusage."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "vreslab.cli", *argv.split()], env=env,
-                            preexec_fn=limit, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
-    # both outputs are a few hundred bytes, far below a pipe's buffer
-    out, err = proc.stdout.read(), proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stdout.close()
-    proc.stderr.close()
-    return proc.returncode, out, err, usage.ru_maxrss
+    r, w = os.pipe()
+    command = [sys.executable, "-m", "vreslab.cli", *argv.split()]
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(w), *command], env=env,
+                          pass_fds=(w,), capture_output=True, text=True)
+    os.close(w)
+    with os.fdopen(r) as f:
+        peak = int(f.read())
+    return proc.returncode, proc.stdout, proc.stderr, peak
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vreslab import points as points_module
 from vreslab.cox import count_monomials, t_binom
@@ -33,6 +33,7 @@ from vreslab.points import (
 from vreslab.vres import pair_vres, predicted_pair_shape
 
 from conftest import (
+    collinear_y_part_sets,
     fibered_633,
     fibered_sets,
     ff_rank,
@@ -45,6 +46,7 @@ from oracles import (
     dense_mult_map,
     int_matrix_at,
     intersected_piece,
+    is_generic_on_window,
     x_fibers,
     y0_nonzerodivisor,
 )
@@ -491,6 +493,70 @@ def test_dims_are_the_window_cut_at_the_box(ps, window):
 
 
 @st.composite
+def raw_draws(draw):
+    """A draw with no genericity check, over every (n, m) with n, m in 1..3
+    and, at N = 1, with a P^0 factor; small primes make many draws with
+    distinct parts whose Hilbert matrix is not generic."""
+    n, m = draw(st.sampled_from([*itertools.product((1, 2, 3), repeat=2), (0, 2), (3, 0)]))
+    p = draw(st.sampled_from([5, 7, 11, 101]))
+    N = draw(st.integers(2, min(p - 1, 8))) if n and m else 1
+    return random_points(n, m, N, seed=draw(st.integers(0, 2**32 - 1)), p=p)
+
+
+@st.composite
+def graph_sets(draw):
+    """Points (x, A x) on the graph of a linear map A: P^n --> P^m, n and m
+    in 1..3: distinct parts as a rule, but on the (1,1)-forms
+    y_k (Ax)_l - y_l (Ax)_k, so H(1, 1) falls short of the generic value
+    once N is large enough, with the box at the generic corner."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(st.sampled_from([7, 11, 101]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, size=(m + 1, n + 1))
+    xs = np.unique(np.hstack([np.ones((12, 1), dtype=np.int64),
+                              rng.integers(0, p, size=(12, n))]), axis=0)
+    ys = xs @ A.T % p
+    # only the points whose image has y0 != 0 can be normalized
+    N, keep = draw(st.integers(2, 9)), ys[:, 0] != 0
+    xs, ys = xs[keep][:N], ys[keep][:N]
+    assume(len(xs))
+    inverses = np.array([pow(int(c), -1, p) for c in ys[:, 0]])
+    return PointSet(n, m, p, xs, ys * inverses[:, None] % p)
+
+
+def diagonal_p1p1(N: int) -> PointSet:
+    """N points (v, v) of P^1 x P^1 on the (1,1)-curve x0*y1 = x1*y0: distinct
+    parts and the box at the generic corner, but H(1, 1) = 3 < min(N, 4)."""
+    vs = np.array([(1, v) for v in range(N)])
+    return PointSet(1, 1, 101, vs, vs)
+
+
+def collinear_y_parts(N: int) -> PointSet:
+    """N points of P^1 x P^2 with distinct x-parts and distinct y-parts
+    (1, k, 2k + 1) on one line: H(0, j) = min(j + 1, N), so for N >= 4 the
+    box (N - 1, N - 1) lies past the generic corner in y."""
+    return PointSet(1, 2, 101, np.array([(1, 3 * k + 1) for k in range(N)]),
+                    np.array([(1, k, 2 * k + 1) for k in range(N)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_draws(), fibered_sets(primes=(5, 7, 11, 101)), grid_sets(),
+                 shared_part_sets(), collinear_y_part_sets(), graph_sets()))
+@example(diagonal_p1p1(4))
+@example(diagonal_p1p1(1))
+@example(collinear_y_parts(4))
+@example(random_points(0, 2, 1, seed=1))
+@example(random_points(3, 0, 1, seed=2))
+@example(random_points(0, 0, 1, seed=3))
+@example(random_points(0, 2, 4, seed=4))
+def test_box_rule_matches_default_window_oracle(ps):
+    """``is_generic_hilbert`` reads the box; the oracle compares the whole
+    default window of a fresh copy of the set, so no memo is shared."""
+    fresh = PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys)
+    assert is_generic_hilbert(ps) == is_generic_on_window(fresh)
+
+
+@st.composite
 def flag_sets(draw):
     """Generic sets, sets whose x-parts repeat (fibers, as ``fibered_633``)
     and sets whose x-parts and y-parts both repeat, on six shapes, at a
@@ -594,6 +660,30 @@ def test_line_flag_equals_stepped_flag(ps):
         for (rows, pivots), (want_rows, want_pivots) in zip(flag.blocks, want.blocks, strict=True):
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pivots, want_pivots)
+
+
+class TestBoxRule:
+    def test_genericity_reads_no_hilbert_matrix(self, monkeypatch):
+        # the rule compares the box-cut block, never a window-sized matrix
+        def no_matrix(*args):
+            raise AssertionError("read a Hilbert matrix")
+
+        monkeypatch.setattr(points_module, "hilbert_matrix", no_matrix)
+        monkeypatch.setattr(points_module, "hilbert_window", no_matrix)
+        for n, m in itertools.product((1, 2, 3), repeat=2):
+            ps = random_points(n, m, 9, seed=n + 3 * m, p=101, require_generic=True)
+            assert is_generic_hilbert(ps)
+        for ps in (fibered_633(), collinear_y_parts(6), diagonal_p1p1(5),
+                   random_points(0, 1, 1, seed=1)):
+            assert is_generic_hilbert(ps) == (ps.N == 1)
+
+    def test_part_counts_are_taken_when_the_set_is_made(self):
+        assert fibered_633().parts == (3, 6)
+        assert collinear_y_parts(5).parts == (5, 5)
+        xs = np.array([[1, 2], [1, 3], [1, 2]])
+        ys = np.array([[1, 5, 6], [1, 5, 6], [1, 7, 8]])
+        assert PointSet(1, 2, 101, xs, ys).parts == (2, 2)
+        assert random_points(0, 2, 5, seed=1).parts == (1, 5)
 
 
 class TestCellsOnDemand:
