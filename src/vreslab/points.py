@@ -608,11 +608,12 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     """Whether the Hilbert matrix is generic: H = G, G(i,j) = min{N, dim S_(i,j)}.
 
     The rule reads the set's part counts, then compares the sweep's block
-    cut at the box (r_x, r_y) with G on the box.  It decides as comparing H
-    with G on ``hilbert_window`` does, or on any window that holds the
-    generic corner (c_x, c_y), c_x = min_cover_degree(N, n) and
-    c_y = min_cover_degree(N, m) (0 for a P^0 factor); ``hilbert_window``
-    holds it, as c_x <= N - 1.
+    at the generic corner (c_x, c_y), c_x = min_cover_degree(N, n) and
+    c_y = min_cover_degree(N, m) (0 for a P^0 factor), with G there.  A
+    generic set's box (r_x, r_y) is that corner, so the block is the box's.
+    The rule decides as comparing H with G on ``hilbert_window`` does, or
+    on any window that holds the corner; ``hilbert_window`` holds it, as
+    c_x <= N - 1.
 
     - G(c_x, 0) = G(0, c_y) = N, while H(i, 0) <= ell_x and
       H(0, j) <= ell_y, as a form in x alone takes one value on the points
@@ -621,24 +622,26 @@ def is_generic_hilbert(ps: PointSet) -> bool:
       sweep.
     - With ell_x = N, r_x is the least i with H(i, 0) = N and c_x the least
       i with G(i, 0) = N.  H <= G everywhere, as V(i,j) lies in k^N and is
-      the image of S_(i,j), so r_x >= c_x.  A box past the corner in x,
-      r_x > c_x, holds the cell (c_x, 0), which every window holding the
-      corner holds too, and there G is N and H is not; row 0 likewise.  So
-      a generic column 0 and row 0 put the box at the corner, and both
+      the image of S_(i,j), so r_x >= c_x, and the block cut at the box is
+      the whole corner block.  A box past the corner in x, r_x > c_x,
+      differs from G at (c_x, 0), where G is N and H is not, a cell of the
+      corner block and of every window holding the corner; row 0 likewise.
+      So agreement on the corner puts the box at the corner, and both
       comparisons fail on a box off it.
     - On a box at the corner, H is clamped past it,
       H(i,j) = H(min(i, r_x), min(j, r_y)) (see the module docstring), and
       G is N at every i >= c_x and every j >= c_y, so it is clamped at the
-      corner too.  So H = G on the box exactly when H = G on any window
+      corner too.  So H = G on the corner exactly when H = G on any window
       holding it.
 
-    The sweep grows over the box only, and no array has a window's size.
+    The sweep grows no column past c_y and no row past c_x, even where the
+    box lies further out, and no array has a window's size.
     """
     if min(ps.parts) < ps.N:
         return False
-    box = regularity_box(ps)
-    return np.array_equal(function_space_bases(ps, box).dims,
-                          generic_hilbert_matrix(ps.N, ps.n, ps.m, box))
+    corner = min_cover_degree(ps.N, ps.n), min_cover_degree(ps.N, ps.m)
+    return np.array_equal(function_space_bases(ps, corner).dims,
+                          generic_hilbert_matrix(ps.N, ps.n, ps.m, corner))
 
 
 @dataclass(frozen=True)

@@ -677,6 +677,14 @@ class TestBoxRule:
                    random_points(0, 1, 1, seed=1)):
             assert is_generic_hilbert(ps) == (ps.N == 1)
 
+    def test_box_off_the_corner_grows_no_column_past_it(self):
+        # twelve collinear y-parts put r_y at 11, past c_y = 4: the rule
+        # grows columns 0..4 only, and row 0 already differs from G there
+        ps = collinear_y_parts(12)
+        assert not is_generic_hilbert(ps)
+        assert points_module.regularity_box(ps) == (11, 11)
+        assert len(ps._columns) == min_cover_degree(12, 2) + 1 == 5
+
     def test_part_counts_are_taken_when_the_set_is_made(self):
         assert fibered_633().parts == (3, 6)
         assert collinear_y_parts(5).parts == (5, 5)
