@@ -97,6 +97,15 @@ def line_fibered_sets(draw):
                     np.array([(1, *b) for _, b in pairs]).reshape(len(pairs), m + 1))
 
 
+def collinear_y_parts(N: int) -> PointSet:
+    """N points of P^1 x P^2 over GF(32003) with distinct x-parts and
+    distinct y-parts (1, k, 2k + 1) on one line: H(0, j) = min(j + 1, N), so
+    r_y = N - 1, past the generic corner in y for N >= 4."""
+    rng = np.random.default_rng(N)
+    xs = [(1, int(v)) for v in rng.choice(32003, size=N, replace=False)]
+    return PointSet(1, 2, 32003, np.array(xs), np.array([(1, k, 2 * k + 1) for k in range(N)]))
+
+
 @st.composite
 def collinear_y_part_sets(draw):
     """Up to eight points of P^n x P^m, n and m in 1..3, whose y-parts lie

@@ -44,6 +44,7 @@ from vreslab.vres import intersect_vres
 
 from conftest import (
     collinear_y_part_sets,
+    collinear_y_parts,
     fibered_633,
     fibered_sets,
     grid_set,
@@ -376,19 +377,13 @@ class TestTableApi:
 
 
 class TestBettiBox:
-    @staticmethod
-    def collinear_y_parts(N):
-        rng = np.random.default_rng(N)
-        xs = [(1, int(v)) for v in rng.choice(P, size=N, replace=False)]
-        return PointSet(1, 2, P, np.array(xs), np.array([(1, k, 2 * k + 1) for k in range(N)]))
-
     @pytest.mark.parametrize("N", [8, 10])
     def test_collinear_y_parts_miss_the_default_window(self, N):
         # distinct y-parts on a line in P^2: H(0, j) = min(j + 1, N), so
         # r_y = N - 1 and the Betti box (N, N + 1) reaches past
         # betti_window's column min_cover_degree(N, 2) + 4, where six
         # entries lie although the window's outer strip holds none
-        ps = self.collinear_y_parts(N)
+        ps = collinear_y_parts(N)
         window = betti_window(N, 1, 2)
         bt = betti_numbers(point_presentation(ps, window))
         assert not bt.boundary_clean
@@ -401,7 +396,7 @@ class TestBettiBox:
     def test_default_intersect_window_holds_the_box(self, N):
         # the same sets at t = N - 1: the Betti box (N, N + 1) lies past the
         # N-only window (N + 2, 7), so the default window takes the box's
-        ps = self.collinear_y_parts(N)
+        ps = collinear_y_parts(N)
         bt, length = intersect_vres(ps, N - 1)
         assert length == 3 and bt.boundary_clean
         assert bt.window == (N + 2, N + 1)

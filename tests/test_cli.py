@@ -253,14 +253,15 @@ def run_limited(argv: str) -> tuple[int, str, str, int]:
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    r, w = os.pipe()
     command = [sys.executable, "-m", "vreslab.cli", *argv.split()]
-    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(w), *command], env=env,
-                          pass_fds=(w,), capture_output=True, text=True)
-    os.close(w)
-    with os.fdopen(r) as f:
-        peak = int(f.read())
-    return proc.returncode, proc.stdout, proc.stderr, peak
+    r, w = os.pipe()
+    with os.fdopen(r) as peak:
+        try:
+            proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(w), *command], env=env,
+                                  pass_fds=(w,), capture_output=True, text=True)
+        finally:
+            os.close(w)
+        return proc.returncode, proc.stdout, proc.stderr, int(peak.read())
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")

@@ -34,6 +34,7 @@ from vreslab.vres import pair_vres, predicted_pair_shape
 
 from conftest import (
     collinear_y_part_sets,
+    collinear_y_parts,
     fibered_633,
     fibered_sets,
     ff_rank,
@@ -529,14 +530,6 @@ def diagonal_p1p1(N: int) -> PointSet:
     parts and the box at the generic corner, but H(1, 1) = 3 < min(N, 4)."""
     vs = np.array([(1, v) for v in range(N)])
     return PointSet(1, 1, 101, vs, vs)
-
-
-def collinear_y_parts(N: int) -> PointSet:
-    """N points of P^1 x P^2 with distinct x-parts and distinct y-parts
-    (1, k, 2k + 1) on one line: H(0, j) = min(j + 1, N), so for N >= 4 the
-    box (N - 1, N - 1) lies past the generic corner in y."""
-    return PointSet(1, 2, 101, np.array([(1, 3 * k + 1) for k in range(N)]),
-                    np.array([(1, k, 2 * k + 1) for k in range(N)]))
 
 
 @settings(max_examples=300, deadline=None)
