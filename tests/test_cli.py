@@ -445,6 +445,14 @@ PINNED_OUTPUTS = [
      "efb9457e960e6b5c107677e84ce208519718e6807d2fcc58f7112002e70d1685"),
     ("vres-intersect --n 1 --m 3 --N 40 --t 3 --seed 1",
      "995f709b13b0144ad03e850d97a735ac9d48454cd197fb859ebca6d5be9c833f"),
+    # P^1 tables below r_x whose kernels of x1 stall: past saturation in
+    # row t, Z_(t+1) is all of V(t, .), and y0 maps each column onto the next
+    ("vres-intersect --n 1 --m 1 --N 150 --t 20 --seed 1",
+     "18301c102c759e9a05a5adbb0c2da7711eb1ba0392dd9887528aed34d9bf7964"),
+    ("vres-intersect --N 80 --t 20 --seed 1",
+     "e0eadaceeb07af5e8a95194d07759004b83948e98ef125b061491986aed25472"),
+    ("vres-intersect --N 200 --t 1 --seed 1",
+     "278b5cadd7ae6ef1f1c881f44cf6c764d885d4efe915c18cac57f871ba80479c"),
 ]
 
 
