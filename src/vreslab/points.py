@@ -59,9 +59,11 @@ w in the span of block i, has lead(u) among the old pivots and lead(w)
 among the new ones, as w vanishes at the old pivots, so the two leads
 never cancel and the sum leads at the smaller.  A subspace has one basis
 that is the identity on its RREF pivot set, so the merge is the RREF.  A
-saturated cell is the identity.  Each cell is memoized on its
-``PointSet`` once read; Hilbert values, the box and the genericity check
-read only block sizes and build no RREF cell below row 0.
+saturated cell is the identity.  Each cell is memoized on its flag once
+read, beside the blocks it merges: a flag's cells 0..k are built in
+order, so the next cell read is a merge onto the last one; a column's
+cell 0 is row 0's cell j.  Hilbert values, the box and the genericity
+check read only block sizes and build no RREF cell below row 0.
 
 Blocks, too, are built only where a reader needs them, since every
 dimension the sweep's control flow reads is known before the rows behind
@@ -74,8 +76,9 @@ its dimensions and its corner r = ell - 1 come from the count of distinct
 parts, and its blocks are built in closed form when a cell first reads
 them.  The facts about a set that several readers share are computed
 once on its ``PointSet``: the part counts (ell_x, ell_y) when the set is
-made, in the pass that checks its points are distinct, and the box, the
-flags and the cells when first read.  So a generic draw checked at
+made, in the pass that checks its points are distinct, and the flags,
+with their cells, when first read; the box is read off the lengths of
+the flags of column 0 and row 0.  So a generic draw checked at
 t >= r_x, such as the decomposition check from r_x, builds no block of a
 P^1 column 0 and no RREF cell below row 0.
 
@@ -159,7 +162,8 @@ class PointSet:
     the numbers of distinct x-parts and y-parts, counted when the set is
     made in the pass that checks its points are distinct.  The coordinates
     are read-only, so every other fact computed from them is memoized here
-    when first read: the box, the flags and the RREF cells.
+    when first read: the flags of row 0 and of each column, which keep the
+    RREF cells they merge and whose lengths give the box.
     """
 
     n: int
@@ -170,12 +174,10 @@ class PointSet:
     seed: int | None = None
     rejections: int = 0
     parts: tuple[int, int] = field(init=False, repr=False)
-    # the sweep's memo (see the module docstring): (r_x, r_y) once found,
-    # the flags of row 0 and of each column, and the RREF cells read so far
-    _box: tuple | None = field(default=None, init=False, repr=False)
+    # the sweep's memo (see the module docstring): the flags of row 0 and
+    # of each column, with the RREF cells read so far
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
-    _cells: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         FieldPrime(self.p)  # an odd prime below 2**26, or ValueError
@@ -345,7 +347,7 @@ class FunctionSpaces:
     basis of V_d with its pivot columns, so the coordinates of a member
     function are just its values at the pivots: the point set's cell at d
     clamped to the box, built the first time any window reads it and
-    memoized on the point set.  The basis and pivots are read-only; all
+    memoized on its flag.  The basis and pivots are read-only; all
     saturated cells (dimension N) share the identity basis with pivots
     ``arange(N)``.  Along row 0 the rows of cell (0, j) at the pivots that
     cell (0, j-1) lacks are block j of the row flag, as a merge keeps the
@@ -367,7 +369,8 @@ class FunctionSpaces:
 
 @dataclass(eq=False)
 class _Flag:
-    """One column of the sweep, or row 0, as a flag of blocks.
+    """One column of the sweep, or row 0, as a flag of blocks and the
+    RREF cells they merge into.
 
     ``blocks[k]`` is what step k adds, as (rows, pivots): rows that are
     the identity at their own pivots and zero at the pivots of every
@@ -377,12 +380,17 @@ class _Flag:
     and none from a step at which a left neighbour saturates it, and the
     blocks of a flag along a P^1 factor are given as a function that builds
     them in closed form when they are first read (``_line_flag``).
-    ``values`` are the coordinates of the factor the flag grows along.
+    ``cells[k]`` is the RREF cell of the span of blocks 0..k, V(k, j) in
+    column j and V(0, k) along row 0, appended by ``_cell`` when first
+    read, so the cells built are always 0..len(cells) - 1; a column's cell
+    0 is row 0's cell j.  ``values`` are the coordinates of the factor the
+    flag grows along.
     """
 
     values: np.ndarray
     _blocks: object = field(repr=False)
     dims: list
+    cells: list = field(default_factory=list, repr=False)
 
     @property
     def blocks(self) -> list:
@@ -452,17 +460,18 @@ def _line_blocks(values: np.ndarray, origin: tuple, p: int) -> list:
 
 
 def regularity_box(ps: PointSet) -> tuple[int, int]:
-    """(r_x, r_y), the corner of the sweep's box (see the module docstring).
+    """(r_x, r_y), the corner of the sweep's box (see the module docstring):
+    the lengths of the flags of column 0 and row 0, less one.
 
     The first call grows column 0 until it reaches ell_x dimensions and
-    row 0 until it reaches ell_y.  Along a P^1 factor the dimensions are
-    1..ell, so the corner there is ell - 1, read off the set's part count,
-    and the flag's blocks wait until a cell reads them; later calls read
-    the memo.
+    row 0 until it reaches ell_y, and gives row 0 its cell 0, the constant
+    function.  Along a P^1 factor the dimensions are 1..ell, so the corner
+    there is ell - 1, read off the set's part count, and the flag's blocks
+    wait until a cell reads them.  No reader grows column 0 past the box
+    row, so its length stays r_x + 1.
     """
-    if ps._box is None:
+    if ps._row is None:
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
-        ps._cells[(0, 0)] = origin
         flags = []
         for values, ell in zip((ps.xs, ps.ys), ps.parts):
             if values.shape[1] == 2:
@@ -473,8 +482,8 @@ def regularity_box(ps: PointSet) -> tuple[int, int]:
                     _flag_step(flag, ps.p)
             flags.append(flag)
         ps._columns, ps._row = [flags[0]], flags[1]
-        ps._box = (len(flags[0].dims) - 1, len(flags[1].dims) - 1)
-    return ps._box
+        ps._row.cells.append(origin)
+    return len(ps._columns[0].dims) - 1, len(ps._row.dims) - 1
 
 
 def _sweep(ps: PointSet, rows: int, cols: int) -> list[_Flag]:
@@ -513,31 +522,25 @@ def _merge(cell: tuple, block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The RREF cell at d inside the box, built from the cells before it in
-    its flag (up its column, or along row 0) and memoized."""
-    cells = ps._cells
-    if d in cells:
-        return cells[d]
+    """The RREF cell at d inside the box: cell i of column j's flag, or
+    cell j of row 0's at i = 0, filling the flag's cells forward from the
+    last one built."""
     i, j = d
-    if i:
-        flag, k, at = _sweep(ps, i, j)[j], i, lambda r: (r, j)
-    else:
-        flag, k, at = ps._row, j, lambda r: (0, r)
+    flag = _sweep(ps, i, j)[j] if i else ps._row
+    cells = flag.cells
+    if not cells:
+        # a column's cell 0 is row 0's cell j
+        cells.append(_cell(ps, (0, j)))
     # past a stopped flag's end the cell is the one at its end
-    top = min(k, len(flag.dims) - 1)
-    r = top
-    while r and at(r) not in cells:
-        r -= 1
-    # a column's cell (0, j) is built along row 0 when first read
-    cell = _cell(ps, at(r))
-    for r in range(r + 1, top + 1):
+    k = min(i or j, len(flag.dims) - 1)
+    cell = cells[-1]
+    for r in range(len(cells), k + 1):
         if flag.dims[r] == ps.N:
             cell = ps._identity
         elif flag.dims[r] > flag.dims[r - 1]:
             cell = _merge(cell, flag.blocks[r], ps.p)
-        cells[at(r)] = cell
-    cells[d] = cell
-    return cell
+        cells.append(cell)
+    return cells[k]
 
 
 def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpaces:
