@@ -79,7 +79,8 @@ modulo x0 as modulo y0.  Hence wherever K_1 and K_0 are both nonzero the
 rank is dim K_0; ``_betti_cell`` assembles no such block.  The read
 needs a module generated in the degrees where K_1 is zero: the row
 quotient of Row t below is, in column 0; the kernels of the row split
-are not, and their strands rank K_1 -> K_0 like every differential.
+are not, and their strands rank K_1 -> K_0 but at a stall (The row
+split).
 
 The row split.  Let the presentation have one x-variable x = x1: on
 P^1, S/I_X or A' modulo x0, with t = free_rows.  It is generated in row
@@ -110,6 +111,32 @@ before any map is built: a row where no column drops holds no Betti
 number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
 rows i > t from the strands of the Z_i, which run over the y-variables
 alone, so only the rows where x loses dimension cost a kernel and a rank.
+
+Stalls.  Call a column c >= 1 of Z_i a stall when sweep rows i-2..i do
+not grow from column c - 1 to c: H(i', c-1) = H(i', c) for
+i' = i-2, i-1, i, rows below t read as zero, which the cumulative sums of
+the presentation's ``dims`` give.  y0 is 1 at every point, so it maps
+V(i', c-1) into V(i', c) by inclusion, the identity where the dimensions
+agree; M_(i-1,.) and M_(i,.) are V(t, .) or quotients V(i',.)/V(i'-1,.)
+of rows among i-2..i, so at a stall y0 maps M_(i-1,c-1) onto M_(i-1,c)
+and M_(i,c-1) onto M_(i,c) isomorphically.  y0 commutes with x, so it
+maps Z_(i,c-1) into Z_(i,c), injectively, and onto: if y0*u = z with z
+in Z_(i,c), then y0*(x*u) = x*z = 0, so x*u = 0.  Two reads follow.  At a
+stall c = j, y0 alone maps K_1 onto K_0 = Z_(i,j), so the rank of
+K_1 -> K_0 is dim K_0, as for a cyclic module.  And K(y0..ym; Z_i) is the
+cone of y0 on K(y1..ym; Z_i) (Eisenbud, section 17); at column j, y0 maps
+term h of K(y1..ym; Z_i) at column j - 1 to term h at column j, that is
+Z_(i,j-1-h)^C(m,h) to Z_(i,j-h)^C(m,h), and term h is zero for h > m.
+Let kmax - 1 be the top degree of Z_i's table.  When every column j - h
+with h <= min(kmax, m) is a stall, y0 is an isomorphism on terms
+0..kmax, so it induces isomorphisms on H_0..H_(kmax-1), and the long
+exact sequence of the cone gives H_h = 0 at column j for every
+h <= kmax - 1: column j holds no Betti number, and builds no kernel,
+function block or map.  Past saturation this is the common case: once
+row t of the sweep reaches N at a column c_0, Z_(t+1) is all of V(t, .)
+from there on, every later column is a stall, and no strand past column
+c_0 + min(kmax, m) is ranked.
+
 The maps of Z_i follow the one rule of ``intersected_presentation``: its
 basis at column b stands for functions on the points, the kernel basis
 times the functions of M's piece (i-1, b), computed once per column; y
@@ -715,23 +742,29 @@ def _betti_cell(pres, d, kmax, onto=True) -> dict:
     return {k: h for k, h in enumerate(homology) if h}
 
 
-def _row_table(row, kmax, onto) -> dict:
+def _row_table(row, kmax, onto, stalls=None) -> dict:
     """The Betti table {(k, j): beta}, k <= kmax, of a presentation whose
     pieces lie in its one row ``free_rows``, over its y-variables.  With
     ``onto`` the row is generated in column 0 by g = dims[0] elements, and
     a column j >= 1 where it is g times as wide as k[y]_j over its
     variables is free up to j, so its strand is exact and not ranked (Row t
-    in the module docstring)."""
+    in the module docstring).  ``stalls``, given for a kernel of the row
+    split, marks the columns c onto which y0 maps column c - 1
+    isomorphically: K_1 -> K_0 is onto at a stall, and a column j whose
+    columns j - h, h <= min(kmax + 1, number of y-variables but y0), are
+    all stalls holds an exact strand and is not ranked (The row split)."""
     if not len(row.dims):
         return {}  # the window stops below the row
     i, ny, widths = row.free_rows, len(row.variables), row.dims[0].tolist()
     # beta_{k,j} with k <= kmax reads the columns j - h, h <= k
-    reads = [(0, h) for h in range(min(kmax, ny) + 1)]
+    live = _reach(row.dims > 0, [(0, h) for h in range(min(kmax, ny) + 1)])[0]
+    if stalls is not None:
+        live &= _reach(~stalls[None], [(0, h) for h in range(min(kmax + 1, ny - 1) + 1)])[0]
     table = {}
-    for j in np.flatnonzero(_reach(row.dims > 0, reads)[0]).tolist():
+    for j in np.flatnonzero(live).tolist():
         if onto and j and widths[j] == widths[0] * comb(j + ny - 1, j):
             continue  # free up to column j: an exact strand
-        for k, beta in _betti_cell(row, (i, j), kmax, onto).items():
+        for k, beta in _betti_cell(row, (i, j), kmax, onto or stalls[j]).items():
             table[(k, j)] = beta
     return table
 
@@ -742,13 +775,18 @@ def _kernel_rows(pres, kmax) -> dict:
     Koszul complex over the y-variables of the kernel Z_i of the x-variable
     from row i-1 to row i (see the module docstring).  Z_i is the drop
     dims[i-1, b] - dims[i, b] wide at column b, so a row where no column
-    drops builds no map and ranks nothing."""
-    drops = pres.dims[:-1] - pres.dims[1:]
+    drops builds no map and ranks nothing.  Its stalls, the columns c where
+    sweep rows i-2..i do not grow from c - 1 to c, are read off the
+    cumulative sums of ``dims``."""
+    t, drops = pres.free_rows, pres.dims[:-1] - pres.dims[1:]
+    # H[h] is the sweep's row t - 1 + h, zero below row t; column 0 never stalls
+    H = np.vstack([np.zeros_like(pres.dims[:1]), pres.dims.cumsum(axis=0)])
+    flat = np.diff(H, axis=1, prepend=-1) == 0
     entries = {}
-    for i in (np.flatnonzero(drops.any(axis=1)) + pres.free_rows + 1).tolist():
-        zpres = _kernel_presentation(pres, i)
-        for (k, j), beta in _row_table(zpres, kmax - 1, onto=False).items():
-            entries[(k + 1, i, j)] = beta
+    for r in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
+        zpres, stalls = _kernel_presentation(pres, t + r), flat[r - 1:r + 2].all(axis=0)
+        for (k, j), beta in _row_table(zpres, kmax - 1, False, stalls).items():
+            entries[(k + 1, t + r, j)] = beta
     return entries
 
 
@@ -764,7 +802,8 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
     taken once per column, and a y-map of Z_i applies y to them by M's
     rule, read only at the target piece's pivots at the free columns of
     the target's basis; M builds no y-map.  Z_i is not generated in column
-    0, so no rank of its strands may be read.
+    0, so the rank of K_1 -> K_0 is read only at a stall (The row split in
+    the module docstring).
     """
     x, p, r = pres.variables[0], pres.p, i - pres.free_rows
 
