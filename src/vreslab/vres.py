@@ -5,7 +5,7 @@ Two routes produce a short free complex from the ideal of a point set:
 * resolving S/(I intersect <x>^t): once t >= r for r the least i with
   H_X(i, 0) = ell (ell = number of distinct x-parts; r is the r_x of the
   sweep's box in ``points``), the minimal resolution of the intersected
-  quotient has length n + m (proved below), and
+  quotient has length n + m when m >= 1 (proved below), and
 * trimming the minimal resolution of S/I itself at a degree d where the
   Hilbert value H(d) has reached N, keeping only the free summands
   generated in degree at most d + (n, m).  Those summands are the Betti
@@ -14,14 +14,19 @@ Two routes produce a short free complex from the ideal of a point set:
 
 The length bound.  Let X be the points, A = S/I_X, P_1..P_ell the
 distinct x-parts (normalized, x0 = 1) and J = I_X ∩ <x>^t with
-t >= max(r, 1).  Then pd S/J = n + m:
+t >= max(r, 1) and m >= 1.  Then pd S/J = n + m:
 
 (a) <x>^t is spanned by the monomials of x-degree at least t, so
     <x>^t / J = (<x>^t + I_X) / I_X is A_{rows >= t}, the pieces of A in
     rows i >= t, and 0 -> A_{rows >= t} -> S/J -> S/<x>^t -> 0 is exact.
     <x>^t is extended from k[x0..xn], where a power of the maximal ideal
     has a linear resolution of length n (Eagon and Northcott), so
-    pd S/<x>^t = n + 1 <= n + m, and pd S/J <= max(pd A_{rows >= t}, n + m).
+    pd S/<x>^t = n + 1, which is at most n + m because m >= 1, and
+    pd S/J <= max(pd A_{rows >= t}, n + m).  Without m >= 1 the bound
+    fails: on P^1 x P^0 with t > ell, J = F * <x>^(t - ell) for F the
+    product of one linear form through each x-part, and S/J has length
+    2 > n + m, so ``intersect_vres`` refuses m = 0.  On P^0 x P^m, <x0>^t
+    is principal, of pd 1 <= m.
 (b) An x-form takes the same value at points with the same x-part, and
     for i >= r, H_X(i, 0) = ell says k[x]_i maps onto the functions on
     the ell x-parts: there is e_k in k[x]_i with e_k(P_l) = 1 if l = k
@@ -200,10 +205,15 @@ def intersect_vres(ps, t, window=None):
     which makes the table the whole minimal resolution's; one that misses
     it raises WindowTooSmall before any rank.  Once t >= r, the least i
     with H_X(i, 0) = ell, the number of distinct x-parts, the length is
-    n + m (see the module docstring); that contract is asserted here.
+    n + m (see the module docstring); that contract is asserted here.  It
+    needs m >= 1 (step (a)), so a set on P^n x P^0 raises ValueError before
+    any window or sweep.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if ps.m < 1:
+        raise ValueError("the intersect route needs m >= 1: on P^n x P^0 "
+                         "pd S/<x>^t = n + 1 exceeds n + m")
     if window is None:
         window = intersect_window(ps, t)
     pres = intersected_presentation(ps, t, window)
