@@ -794,6 +794,10 @@ def intersect_cases(draw):
 # factor g: at t = r_x = 1 and past it
 @example((two_fibers_of_two(), 1, (2, 4), None))
 @example((two_fibers_of_two(), 2, (3, 4), None))
+# row 1 saturates at column 2 below r_x, so Z_2 stalls from column 3 on and
+# the strands of its last columns are not ranked
+@example((random_points(1, 1, 6, seed=1, require_generic=True), 1, (6, 6), None))
+@example((random_points(1, 2, 7, seed=1, require_generic=True), 1, (7, 5), None))
 def test_intersect_table_matches_all_ranks_oracle(case):
     """At every t >= 1 the table of S/J, from A' = <x>^t M and the column-0
     step, equals the one from every strand of S/J ranked over S."""
@@ -855,6 +859,50 @@ def test_masked_row_table_matches_every_column_ranked(case):
     quotient = intersected_presentation(ps, t, betti.betti_box(ps, t)).row_quotient
     got = {(k, t, j): beta for (k, j), beta in betti._row_table(quotient, kmax, True).items()}
     assert got == koszul_homology(quotient, kmax).entries
+
+
+@pytest.mark.parametrize("n, m, N, t", [
+    # below r_x = 29: once row 5 saturates, Z_6 is all of V(5, .)
+    (1, 1, 30, 5),
+    (1, 2, 30, 5),
+    # t = 0: Z_1 is all of V(0, .) past r_y, where every column stalls
+    (1, 1, 12, 0),
+    (1, 2, 12, 0),
+])
+@pytest.mark.parametrize("kmax", [1, None])
+def test_stalled_kernels_match_all_ranks_oracle(monkeypatch, n, m, N, t, kmax):
+    """Rows i > t of a P^1 table off the kernels Z_i, with K_1 -> K_0 read as
+    onto at a stall and no strand ranked over a run of stalls, equal those
+    of A' modulo x0 with every strand built in full and every differential
+    ranked (The row split in the ``betti`` docstring)."""
+    ps = random_points(n, m, N, seed=1, require_generic=True)
+    kmax = n + m + 2 if kmax is None else kmax
+    window = betti.betti_box(ps, t)
+    pres = intersected_presentation(ps, t, window)
+    rows, ranked = {}, []
+    kernel_presentation, betti_cell = betti._kernel_presentation, betti._betti_cell
+
+    def counted_kernel_presentation(module, i):
+        rows[id(zpres := kernel_presentation(module, i))] = i
+        return zpres
+
+    def counted_cell(module, d, top, onto):
+        ranked.append((rows[id(module)], d[1], onto))
+        return betti_cell(module, d, top, onto)
+
+    monkeypatch.setattr(betti, "_kernel_presentation", counted_kernel_presentation)
+    monkeypatch.setattr(betti, "_betti_cell", counted_cell)
+    got = betti._kernel_rows(pres, kmax)
+    want = koszul_homology(window_presentation(ps, t, window), kmax).entries
+    assert got == {(k, i, j): beta for (k, i, j), beta in want.items() if i > t}
+    # row t reaches N at column c0; every later column of Z_(t+1) stalls, so
+    # K_1 -> K_0 is read at some of them, and none past c0 + min(kmax, m)
+    # is ranked (at t = 5 the box holds such columns; at t = 0, c0 = r_y)
+    c0 = int(np.argmax(pres.dims[0] == N))
+    assert pres.dims[0, c0] == N
+    assert c0 + min(kmax, m) < pres.dims.shape[1] - 1 if t else c0 == regularity_box(ps)[1]
+    assert any(onto for i, j, onto in ranked if i == t + 1 and j > c0)
+    assert not [j for i, j, _ in ranked if i == t + 1 and j > c0 + min(kmax, m)]
 
 
 class TestCollapseIdentity:

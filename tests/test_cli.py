@@ -313,6 +313,19 @@ def test_huge_windows_run_in_little_memory(capsys, argv, small):
         assert out == run(capsys, small.split())[1]
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs setrlimit")
+def test_stalled_kernel_columns_build_nothing():
+    # on P^1 x P^1 at N = 150, t = 20, row 20 of the sweep saturates at
+    # column 7, so the kernel of x1 under it is all of V(20, .) from there
+    # to column 150, and y0 maps each column onto the next: those strands
+    # are exact and build no kernel, function block or map (about 180 MB
+    # when they did); the output is pinned in PINNED_OUTPUTS
+    rc, out, err, peak_kib = run_limited("vres-intersect --n 1 --m 1 --N 150 --t 20 --seed 1")
+    assert rc == 0 and "Traceback" not in err
+    if sys.platform.startswith("linux"):
+        assert peak_kib < 100 * 1024
+
+
 @pytest.mark.parametrize("argv, window", [
     ("hilbert --N 3 --seed 1", True),
     ("dh --N 3 --seed 1 --window 4,4", True),

@@ -246,6 +246,30 @@ class TestIntersect:
         with pytest.raises(WindowTooSmall):
             intersect_vres(ps, 4, window=(5, 2))
 
+    @pytest.mark.parametrize("t, window", [(1, None), (4, (8, 3))])
+    def test_p_n_x_p_0_rejected_before_any_sweep(self, monkeypatch, t, window):
+        # pd S/<x>^t = n + 1 exceeds n + m at m = 0: at t = 4 > ell = 3,
+        # J = F * <x> and S/J has length 2, which the length contract would
+        # refuse only after the ranks
+        def no_work(*args):
+            raise AssertionError("a window or presentation before the check of m")
+
+        monkeypatch.setattr(vres, "intersect_window", no_work)
+        monkeypatch.setattr(vres, "intersected_presentation", no_work)
+        ps = random_points(1, 0, 3, seed=1)
+        with pytest.raises(ValueError, match="m >= 1"):
+            intersect_vres(ps, t, window)
+        assert ps._row is None  # no sweep
+
+    @pytest.mark.parametrize("m, N, t", [(1, 2, 1), (2, 5, 1), (2, 5, 3)])
+    def test_p_0_x_p_m_has_length_m(self, m, N, t):
+        # <x0>^t is principal, of pd 1 <= m, so the length is n + m = m
+        ps = random_points(0, m, N, seed=1)
+        bt, length = intersect_vres(ps, t)
+        assert length == m
+        window = intersect_window(ps, t)
+        assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
+
 
 def two_per_fiber(n, xparts):
     """Two points in P^n x P^1 over each x-part, with distinct y-parts."""
