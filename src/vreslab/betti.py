@@ -44,9 +44,9 @@ row split).  Either way R's large pieces below row t enter no strand:
 the presentation's ``dims`` start at row
 ``GradedModulePresentation.free_rows`` = t, every piece below reads as
 zero, and the only maps it builds below row t are the crossings from
-(t-1, 0) by an x-variable, k[x]_(t-1) -> V(t, 0), which evaluate the
-monomials once for every x-variable and which the column-0 step ranks
-only at t <= r_x with n >= 2.
+(t-1, 0) by an x-variable, from V(t-1, 0) into V(t, 0), which read the
+sweep's cell of V(t-1, 0) and which the column-0 step ranks only at
+t <= r_x with n >= 2.
 
 ``betti_numbers`` decides in one mask over the window which cells need
 a rank.  A cell whose strand has no nonzero summand in any K_k with
@@ -324,6 +324,16 @@ rho_a = rank c.  rho_0 = H(t, 0) with no rank: Nx is cyclic, so c is
 onto V(t, 0) at a = 0.  Under Tor_(a+1)(Q) = Tor_a(<x>^t), δ is a map
 Tor_a(<x>^t)_(t+a) -> Tor_a(B_{>= t})_(t+a), which (d) names.
 
+c is ranked from V(t-1, 0), the image of k[x]_(t-1) on the points.  Each
+block of c sends f in k[x]_(t-1) to the values of x_v * f at the points,
+and these depend on f only through its values.  So c = c' ∘ (⊕ eval), where
+eval: k[x]_(t-1) -> V(t-1, 0) is onto and c' has the same signed blocks
+on ⊕ V(t-1, 0) -> ⊕ V(t, 0) (x_v * V(t-1, 0) lies in V(t, 0)).  Hence
+rank c = rank c'.  The source of c' is C(n+1, a+1) * H(t-1, 0) wide, at
+most C(n+1, a+1) * ell, and its blocks are the presentation's maps from
+(t-1, 0), built by the one rule from the sweep's RREF cell of V(t-1, 0),
+so no monomial is evaluated.
+
 (d) rho_a in closed form.  Let I = I_(π1 X) in k[x], so B = k[x]/I and
 <x>^t = k[x]_{>= t}.  Then 0 -> I_{>= t} -> <x>^t -> B_{>= t} -> 0 is
 exact, and the connecting map of (b) factors as the isomorphism
@@ -354,10 +364,11 @@ t + a, which sits in the long exact sequence
     crossing differential of (c).
 
 So at t >= r_x + 1, and on P^1 at every t >= 1, the column-0 step builds
-no map below row t and evaluates no monomial.  At t <= r_x with n >= 2 it
-ranks one crossing differential per row t + a, a = 1..n, whose pieces are
-k[x]_(t-1) and V(t, 0), and builds below row t only the crossing maps
-from (t-1, 0).  At t >= r_x the only other ranks are those of row t's
+no map below row t.  At t <= r_x with n >= 2 it ranks one crossing
+differential c' per row t + a, a = 1..n, from V(t-1, 0) to V(t, 0)
+(step (c)), and builds below row t only the crossing maps from (t-1, 0).
+The closed forms are ranks of this same crossing; they stay, as they
+take no rank.  At t >= r_x the only other ranks are those of row t's
 strands over y1..ym.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
@@ -384,7 +395,6 @@ from .fp import kernel_basis, matmul, rank
 from .points import (
     FunctionSpaces,
     PointSet,
-    evaluation_matrix,
     function_space_bases,
     generic_hilbert_matrix,
     is_generic_hilbert,
@@ -421,10 +431,11 @@ class GradedModulePresentation:
     ``free_rows`` = t >= 1 marks the presentation of A', modulo x0 on P^1
     and modulo y0 (<x>^t M) otherwise, zero below row t (those rows are
     not stored), whose builder also gives the crossing maps from
-    k[x]_(t-1), the piece of S/J at (t-1, 0), into row t.  ``box`` is the
-    corner of the Betti box (see the module docstring), None when unknown,
-    and ``rx`` the box row r_x of the point set's sweep (see ``points``),
-    which the sequence route reads, None when unknown.
+    V(t-1, 0), the image on the points of k[x]_(t-1), the piece of S/J at
+    (t-1, 0), into row t.  ``box`` is the corner of the Betti box (see the
+    module docstring), None when unknown, and ``rx`` the box row r_x of the
+    point set's sweep (see ``points``), which the sequence route reads,
+    None when unknown.
     ``row_quotient``, on every presentation that ``intersected_presentation``
     builds, presents row ``free_rows`` modulo y0 over y1..ym as a one-row
     presentation: C/y0C for C the row 0 of S/I_X at t = 0, and row t of A'
@@ -516,9 +527,11 @@ def intersected_presentation(ps: PointSet, t: int,
     Every map follows one rule: take the functions that the source
     piece's basis stands for times the variable, reduce them modulo the
     cell below the target, and read them at the target's basis pivots.
-    The one map below row t is the crossing from (t-1, 0), where M's piece
-    is k[x]_(t-1) in S's monomial order and the functions are the
-    evaluated monomials, into row t by an x-variable.  Any other map below
+    The one map below row t is the crossing from (t-1, 0) into row t by an
+    x-variable, from V(t-1, 0), the image of M's piece k[x]_(t-1): the
+    functions are the rows of the sweep's RREF cell there, as no cell lies
+    below it, and the rank of a crossing from them is that of the crossing
+    from k[x]_(t-1) (step (c) of The sequence route).  Any other map below
     row t raises ValueError.  At every t the presentation carries
     ``row_quotient``, row t modulo y0 over y1..ym, built by the same rule:
     C/y0C for C the row 0 at t = 0, row t of A' at t >= 1 (see Row t in
@@ -571,15 +584,10 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             mask[fs.cell(lo)[1]] = False
         return mask[fs.cell(d)[1]]
 
-    @cache
-    def evaluated(d):
-        # the crossing's source monomials at the points, one evaluation for
-        # every x-variable
-        return evaluation_matrix(ps, d).T
-
     def functions(d):
-        # the functions on the points that stand for the basis of the piece at d
-        return fs.cell(d)[0][fresh(d)] if d[0] >= t else evaluated(d)
+        # the functions on the points that stand for the basis of the piece
+        # at d; at (t-1, 0) no cell lies below, so this is all of V(t-1, 0)
+        return fs.cell(d)[0][fresh(d)]
 
     def build(var, d, funcs=None, read=slice(None)):
         # var times the rows of funcs, reduced modulo the cell below the
@@ -742,23 +750,24 @@ def _betti_cell(pres, d, kmax, onto=True) -> dict:
     return {k: h for k, h in enumerate(homology) if h}
 
 
-def _row_table(row, kmax, onto, stalls=None) -> dict:
+def _row_table(row, kmax, stalls=None) -> dict:
     """The Betti table {(k, j): beta}, k <= kmax, of a presentation whose
-    pieces lie in its one row ``free_rows``, over its y-variables.  With
-    ``onto`` the row is generated in column 0 by g = dims[0] elements, and
-    a column j >= 1 where it is g times as wide as k[y]_j over its
-    variables is free up to j, so its strand is exact and not ranked (Row t
-    in the module docstring).  ``stalls``, given for a kernel of the row
-    split, marks the columns c onto which y0 maps column c - 1
-    isomorphically: K_1 -> K_0 is onto at a stall, and a column j whose
-    columns j - h, h <= min(kmax + 1, number of y-variables but y0), are
-    all stalls holds an exact strand and is not ranked (The row split)."""
+    pieces lie in its one row ``free_rows``, over its y-variables.  Without
+    ``stalls`` the row is a row quotient, generated in column 0 by
+    g = dims[0] elements: K_1 -> K_0 is onto, and a column j >= 1 where the
+    row is g times as wide as k[y]_j over its variables is free up to j, so
+    its strand is exact and not ranked (Row t in the module docstring).
+    ``stalls``, given for a kernel of the row split, marks the columns c
+    onto which y0 maps column c - 1 isomorphically: K_1 -> K_0 is onto at
+    a stall, and a column j whose columns j - h, h <= min(kmax + 1, number
+    of y-variables but y0), are all stalls holds an exact strand and is not
+    ranked (The row split)."""
     if not len(row.dims):
         return {}  # the window stops below the row
-    i, ny, widths = row.free_rows, len(row.variables), row.dims[0].tolist()
+    i, ny, widths, onto = row.free_rows, len(row.variables), row.dims[0].tolist(), stalls is None
     # beta_{k,j} with k <= kmax reads the columns j - h, h <= k
     live = _reach(row.dims > 0, [(0, h) for h in range(min(kmax, ny) + 1)])[0]
-    if stalls is not None:
+    if not onto:
         live &= _reach(~stalls[None], [(0, h) for h in range(min(kmax + 1, ny - 1) + 1)])[0]
     table = {}
     for j in np.flatnonzero(live).tolist():
@@ -785,7 +794,7 @@ def _kernel_rows(pres, kmax) -> dict:
     entries = {}
     for r in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
         zpres, stalls = _kernel_presentation(pres, t + r), flat[r - 1:r + 2].all(axis=0)
-        for (k, j), beta in _row_table(zpres, kmax - 1, False, stalls).items():
+        for (k, j), beta in _row_table(zpres, kmax - 1, stalls).items():
             entries[(k + 1, t + r, j)] = beta
     return entries
 
@@ -842,7 +851,7 @@ def _column_0(pres, entries, kmax) -> dict:
     beta_(a+1) is the Eagon-Northcott number less rho_a.  rho_a is H(t, 0)
     at a = 0, ell * C(n, a) at t > r_x, and t on P^1 at t <= r_x (step (d));
     otherwise it is the rank of the crossing differential from the pieces
-    k[x]_(t-1) to the pieces V(t, 0) (step (c)).  H(t, 0) = dim V(t, 0) is
+    V(t-1, 0) to the pieces V(t, 0) (step (c)).  H(t, 0) = dim V(t, 0) is
     the piece at (t, 0) modulo x0 or y0 alike."""
     n, t = pres.n, pres.free_rows
 
@@ -859,8 +868,7 @@ def _column_0(pres, entries, kmax) -> dict:
         elif n == 1:
             rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
         else:
-            # dim k[x]_(t-1) = C(t - 1 + n, n)
-            src = crossing(a + 1, (t - 1, 0), comb(t - 1 + n, n))
+            src = crossing(a + 1, (t - 1, 0), len(pres._functions((t - 1, 0))))
             tgt = crossing(a, (t, 0), pres.dim((t, 0)))
             rho = rank(_differential(pres, src, tgt), pres.p)
         entries[(a, *d)] = entries.get((a, *d), 0) - rho
@@ -905,7 +913,7 @@ def betti_numbers(pres: GradedModulePresentation,
     if quotient is not None:
         # rows t..t+n are C(n, a) times row t's table at t >= r_x (Künneth)
         top = min(n, len(pres.dims) - 1) if t >= pres.rx else 0
-        for (k, j), beta in _row_table(quotient, kmax, onto=True).items():
+        for (k, j), beta in _row_table(quotient, kmax).items():
             for a in range(min(top, kmax - k) + 1):
                 entries[(k + a, t + a, j)] = comb(n, a) * beta
     if quotient is not None and n == 1 and t < pres.rx:

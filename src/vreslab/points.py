@@ -524,9 +524,11 @@ def _merge(cell: tuple, block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The RREF cell at d inside the box: cell i of column j's flag, or
     cell j of row 0's at i = 0, filling the flag's cells forward from the
-    last one built."""
+    last one built.  Column j is grown through ``_sweep`` only when its flag
+    neither reaches row i nor has stopped."""
     i, j = d
-    flag = _sweep(ps, i, j)[j] if i else ps._row
+    held = j < len(ps._columns) and (len(ps._columns[j].dims) > i or ps._columns[j].stopped(ps.N))
+    flag = ps._row if not i else ps._columns[j] if held else _sweep(ps, i, j)[j]
     cells = flag.cells
     if not cells:
         # a column's cell 0 is row 0's cell j

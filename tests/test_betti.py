@@ -7,6 +7,7 @@ collapse identity, and by a second generator-count routine that never
 builds a Koszul strand.
 """
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -65,6 +66,7 @@ from oracles import (
     monomial_row,
     predicted_intersect_column_0,
     quotient_presentation,
+    rank_by_columns,
     row_quotient_map_by_gather,
     signed_collapse,
     window_presentation,
@@ -84,9 +86,10 @@ def two_fibers_of_two():
                     np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 2, 3]]))
 
 
-def collinear_x_parts(N):
-    """N points of P^2 x P^1 whose x-parts lie on one line."""
-    return PointSet(2, 1, P, np.array([(1, k, 2 * k + 1) for k in range(N)]),
+def collinear_x_parts(N, n=2):
+    """N points of P^n x P^1 whose x-parts lie on one line."""
+    return PointSet(n, 1, P, np.array([(1, *(c * k + c - 1 for c in range(1, n + 1)))
+                                       for k in range(N)]),
                     np.array([(1, k * k + 3) for k in range(N)]))
 
 
@@ -642,18 +645,32 @@ def test_presentation_holds_rows_t_to_the_betti_box(ps, t, window):
             pres.dim(d)
 
 
-def test_free_row_maps_are_column_0_monomial_blocks():
+def refuse_monomials(mp):
+    """Make every evaluation of monomials in the library raise: each goes
+    through ``points.monomials``."""
+    def refused(n, m, d):
+        raise AssertionError(f"monomials of {d} evaluated")
+
+    mp.setattr(points_module, "monomials", refused)
+
+
+def test_free_row_maps_are_column_0_sweep_blocks(monkeypatch):
     # seven generic points in P^2 x P^1 at t = 2 < r_x = 3: the presentation
     # holds only rows >= 2, and column 0's step ranks the crossing
-    # differentials from k[x]_1, the only maps built below row t
+    # differentials from V(1, 0), the only maps built below row t, each
+    # H(t, 0) x H(t - 1, 0), with no monomial evaluated
     n, t = 2, 2
     ps = random_points(n, 1, 7, seed=2, require_generic=True)
     assert function_space_bases(ps, (0, 0)).box[0] == 3
     window = (3 + n + 1, 4)
-    pres = intersected_presentation(ps, t, window)
-    bt = betti_numbers(pres)
+    with monkeypatch.context() as mp:
+        refuse_monomials(mp)
+        pres = intersected_presentation(ps, t, window)
+        bt = betti_numbers(pres)
     assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
                                                                   for v in range(n + 1)]
+    H = hilbert_matrix(ps, (t, 0))[:, 0]
+    assert all(pres._maps[(v, (t - 1, 0))].shape == (H[t], H[t - 1]) for v in range(n + 1))
     assert bt.entries == koszul_homology(intersected_presentation_in_full(ps, t, window)).entries
 
 
@@ -661,8 +678,9 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
     # four generic points in P^2 x P^1 at t = r_x = 2, n >= 2: the table is
     # read off the long exact Tor sequence with column 0 ranked on the
     # crossing differentials, so below row t only the crossing maps from
-    # (t - 1, 0) are built, and no strand of S/J is assembled: the only
-    # strands are those of row t over y1, the row quotient
+    # (t - 1, 0) are built, from V(t - 1, 0) with no monomial evaluated, and
+    # no strand of S/J is assembled: the only strands are those of row t
+    # over y1, the row quotient
     n, t = 2, 2
     ps = random_points(n, 1, 4, seed=2, require_generic=True)
     assert function_space_bases(ps, (0, 0)).box[0] == t
@@ -674,8 +692,10 @@ def test_sequence_route_builds_only_the_crossing_below_row_t(monkeypatch):
         cells.append(module)
         return betti_cell(module, d, kmax, onto)
 
-    monkeypatch.setattr(betti, "_betti_cell", counted)
-    bt = betti_numbers(pres)
+    with monkeypatch.context() as mp:
+        mp.setattr(betti, "_betti_cell", counted)
+        refuse_monomials(mp)
+        bt = betti_numbers(pres)
     assert cells and all(module is pres.row_quotient for module in cells)
     assert sorted(key for key in pres._maps if key[1][0] < t) == [(v, (t - 1, 0))
                                                                   for v in range(n + 1)]
@@ -712,13 +732,10 @@ def test_sequence_route_builds_no_map_below_row_t(monkeypatch, ps, t):
         ranks.append(mat.shape)
         return rank(mat, p)
 
-    def refused(ps, d):
-        raise AssertionError(f"monomials of {d} evaluated")
-
     with monkeypatch.context() as mp:
         mp.setattr(betti, "_differential", recorded)
         mp.setattr(betti, "rank", counted)
-        mp.setattr(betti, "evaluation_matrix", refused)
+        refuse_monomials(mp)
         bt = betti_numbers(pres)
     assert all(d[0] == t for _, d in pres._maps)
     assert set(strands) <= {tuple(range(n + 2, n + m + 2))}
@@ -742,21 +759,98 @@ def test_p1_column_0_evaluates_no_monomial(monkeypatch, ps):
     # t <= r_x = ell - 1 and ell past it (step (d) of The sequence route):
     # at no t >= 1 is a monomial evaluated or a map built below row t
     ell = len({*map(tuple, ps.xs)})
-
-    def refused(ps, d):
-        raise AssertionError(f"monomials of {d} evaluated")
-
     for t in range(1, ell + 2):
         window = betti.betti_box(ps, t)
         pres = intersected_presentation(ps, t, window)
         with monkeypatch.context() as mp:
-            mp.setattr(betti, "evaluation_matrix", refused)
+            refuse_monomials(mp)
             bt = betti_numbers(pres)
         assert all(d[0] >= t for _, d in pres._maps)
         assert bt.entries == koszul_homology(
             intersected_presentation_in_full(ps, t, window)).entries
         assert {e: b for e, b in bt.entries.items() if not e[2]} == predicted_intersect_column_0(
             ell, 1, t)
+
+
+@pytest.mark.parametrize("n, N", [(2, 5), (3, 4)])
+def test_collinear_crossing_is_as_wide_as_its_sweep_cell(monkeypatch, n, N):
+    # N x-parts on one line of P^n: H(i, 0) = min(i + 1, N), so r_x = N - 1,
+    # and at 2 <= t <= r_x V(t - 1, 0) is t wide, short of the
+    # C(t - 1 + n, n) monomials of k[x]_(t-1).  Column 0 ranks one crossing
+    # per row t + a, a = 1..n, C(n + 1, a) * H(t, 0) x C(n + 1, a + 1) *
+    # H(t - 1, 0), and evaluates no monomial
+    ps = collinear_x_parts(N, n)
+    H = hilbert_matrix(ps, (N, 0))[:, 0]
+    assert H.tolist() == [min(i + 1, N) for i in range(N + 1)]
+    differential = betti._differential
+    for t in range(1, N):
+        window = betti.betti_box(ps, t)
+        pres, shapes = intersected_presentation(ps, t, window), {}
+
+        def recorded(module, src, tgt):
+            mat = differential(module, src, tgt)
+            if src[0][1] == (t - 1, 0):
+                shapes[len(src[0][0]) - 1] = mat.shape
+            return mat
+
+        with monkeypatch.context() as mp:
+            mp.setattr(betti, "_differential", recorded)
+            refuse_monomials(mp)
+            bt = betti_numbers(pres)
+        assert shapes == {a: (comb(n + 1, a) * H[t], comb(n + 1, a + 1) * H[t - 1])
+                          for a in range(1, n + 1)}
+        assert bt.entries == koszul_homology(
+            intersected_presentation_in_full(ps, t, window)).entries
+
+
+def sweep_crossing(ps, t, a):
+    """The crossing differential of column 0 at row t + a, from V(t - 1, 0)
+    on each (a + 1)-subset of x0..xn to V(t, 0) on each a-subset: the block
+    of x_v sends a row f of the sweep's RREF cell of V(t - 1, 0) to the
+    values of x_v * f at the pivots of V(t, 0), its coordinates there."""
+    fs = function_space_bases(ps, (t, 0))
+    (src, _), (_, pivots) = fs.cell((t - 1, 0)), fs.cell((t, 0))
+    rows = {U: k for k, U in enumerate(combinations(range(ps.n + 1), a))}
+    cols = list(combinations(range(ps.n + 1), a + 1))
+    h1, h0 = len(src), len(pivots)
+    mat = np.zeros((len(rows) * h0, len(cols) * h1), dtype=np.int64)
+    for c, T in enumerate(cols):
+        for pos, v in enumerate(T):
+            block = (src[:, pivots] * ps.coordinate_values(v)[pivots] % ps.p).T
+            r = rows[T[:pos] + T[pos + 1:]]
+            mat[r * h0:(r + 1) * h0, c * h1:(c + 1) * h1] = -block % ps.p if pos % 2 else block
+    return mat
+
+
+@st.composite
+def crossing_cases(draw):
+    """A generic, fibered or grid set and t in [1, r_x + 2]."""
+    generic = st.builds(lambda n, m, N, seed: random_points(n, m, N, seed=seed,
+                                                            require_generic=True),
+                        st.integers(1, 3), st.integers(1, 2), st.integers(1, 8),
+                        st.integers(0, 2**32 - 1))
+    ps = draw(st.one_of(generic, fibered_sets(), grid_sets()))
+    return ps, draw(st.integers(1, regularity_box(ps)[0] + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossing_cases())
+@example((fibered_633(), 2))
+@example((random_points(2, 1, 7, seed=2, require_generic=True), 4))
+def test_sweep_crossing_ranks_are_the_column_0_closed_forms(case):
+    """The crossing built from the sweep's cells has rank H(t, 0) at a = 0,
+    ell * C(n, a) at t > r_x, and t on P^1 at t <= r_x: step (d) of The
+    sequence route, which ``_column_0`` reads with no rank."""
+    ps, t = case
+    n, ell, rx = ps.n, len({*map(tuple, ps.xs)}), regularity_box(ps)[0]
+    for a in range(n + 1):
+        got = rank_by_columns(sweep_crossing(ps, t, a), ps.p)
+        if a == 0:
+            assert got == hilbert_matrix(ps, (t, 0))[t, 0]
+        elif t > rx:
+            assert got == ell * comb(n, a)
+        elif n == 1:
+            assert got == t
 
 
 @st.composite
@@ -857,7 +951,7 @@ def test_masked_row_table_matches_every_column_ranked(case):
     ``betti`` docstring)."""
     ps, t, kmax = case
     quotient = intersected_presentation(ps, t, betti.betti_box(ps, t)).row_quotient
-    got = {(k, t, j): beta for (k, j), beta in betti._row_table(quotient, kmax, True).items()}
+    got = {(k, t, j): beta for (k, j), beta in betti._row_table(quotient, kmax).items()}
     assert got == koszul_homology(quotient, kmax).entries
 
 

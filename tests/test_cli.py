@@ -434,9 +434,9 @@ PINNED_OUTPUTS = [
      "05956159712e6b2ac3f4200e0dd7a58720c8da2317bcd4d0284230d0d77803fb"),
     ("vres-intersect --n 3 --m 1 --N 6 --t 20 --seed 1",
      "b00a289ff1716d4221b43089bede7293f739cf7d7720695a0a4dd5b174842e95"),
-    # column 0 at t > r_x on P^3 x P^1, where a crossing of k[x]_40 into
-    # row 41 is 12341 monomials wide; and 10^5 rows below t on P^1 x P^2,
-    # which the presentation holds as zeros
+    # column 0 at t > r_x on P^3 x P^1, a closed form, where k[x]_40 is
+    # 12341 monomials and no map reads them; and 10^5 rows below t on
+    # P^1 x P^2, which the presentation holds as zeros
     ("vres-intersect --n 3 --m 1 --N 40 --t 41 --seed 1",
      "cd55abe2bec5c090a4fc2101769fca32940a68db006035406eb09d7fcf24195f"),
     ("vres-intersect --N 4 --t 100000 --seed 1",

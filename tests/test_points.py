@@ -407,6 +407,25 @@ class TestSweepMemo:
             assert np.array_equal(V, R[: len(piv)])
             assert pivots.tolist() == piv
 
+    @pytest.mark.parametrize("ps", [
+        fibered_633(),
+        random_points(2, 1, 9, seed=65),
+        random_points(1, 2, 7, seed=66),
+    ])
+    def test_rereading_a_held_cell_runs_no_sweep(self, monkeypatch, ps):
+        # once a column's flag reaches row i, or has stopped, its cell at
+        # row i is read off the flag, with no call to the sweep
+        fs = function_space_bases(ps, (0, 0))
+        rx, ry = fs.box
+        first = {d: fs.cell(d) for d in np.ndindex(rx + 1, ry + 1)}
+
+        def no_sweep(*args):
+            raise AssertionError("sweep on a held cell")
+
+        monkeypatch.setattr(points_module, "_sweep", no_sweep)
+        for d, cell in first.items():
+            assert fs.cell(d) is cell
+
     def test_fibered_sweep_counts_one_elimination_per_growing_source(self, monkeypatch):
         ps = fibered_633()
         calls = count_extensions(monkeypatch)
