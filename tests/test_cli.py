@@ -466,6 +466,14 @@ PINNED_OUTPUTS = [
      "e0eadaceeb07af5e8a95194d07759004b83948e98ef125b061491986aed25472"),
     ("vres-intersect --N 200 --t 1 --seed 1",
      "278b5cadd7ae6ef1f1c881f44cf6c764d885d4efe915c18cac57f871ba80479c"),
+    # elimination of dense blocks of many rows, and sums of three residue
+    # products at the largest prime
+    ("hilbert --n 2 --m 1 --N 60 --seed 1 --prime 67108859",
+     "6f15efb6986c649e9020585aa15724ffb7ef7d04764c2da0d18883f5e93341a6"),
+    ("betti --n 2 --m 2 --N 30 --seed 1",
+     "90dcd12868169ccdd2b60783437d6f3772d370cc36069ba6d34b90c0458d6ca6"),
+    ("betti --n 2 --m 1 --N 40 --seed 2 --prime 67108859",
+     "ecc996094041aef78ac8e735da6a0bc651714bc72861bf902c125b52576f903d"),
 ]
 
 
