@@ -2,28 +2,56 @@
 
 Matrices are 2-D numpy ``int64`` arrays with entries reduced to ``[0, p)``;
 an array with zero rows (shape ``(0, n)``) is the empty matrix on ``n``
-columns.  All routines are deterministic: pivots are always chosen as the
-first nonzero entry of the current column, pivot rows are scaled to 1, and
-kernel bases are read off the reduced row echelon form in free-column order.
+columns.  All routines are deterministic: the pivot columns are the
+lex-first independent columns, pivot rows are scaled to 1, and kernel
+bases are read off the reduced row echelon form in free-column order.
 
-Each elimination step forms products of two residues and reduces them
-before the next step.  With p < 2**26, the bound ``FieldPrime`` enforces,
-such a product stays below 2**52, so int64 elimination is exact.
+``rref`` and ``rank`` eliminate in rounds of up to three pivots, since on
+small inputs the cost is numpy's fixed overhead per call, not the
+arithmetic.  Only the columns of the input that hold a nonzero are
+visited: no row operation fills a zero column.  Before a round at pivot
+row r, the rows from r down are zero on every column already passed.
+The round takes the next k <= 3 of those columns, c_1 < ... < c_k, no
+more than there are rows left, and their k x k minor M on rows
+r .. r + k - 1.
 
-The Koszul strands are many, small and very sparse, so the cost of
-elimination is the fixed numpy overhead of each pivot, not its
-arithmetic.  ``rank`` therefore runs along the shorter side (rank is
-invariant under transpose), scans each column once for both the pivot and
-the rows to clear, and updates only those rows, from the pivot column on.
-``rref`` visits only the columns that hold a nonzero, since no row
-operation fills a zero column, and clears each pivot column with one
-update of the whole trailing block: its inputs (the sweep's flag
-residues, kernels of dense maps) are small or dense, so selecting the
-rows to clear costs more than updating the rest.  ``rank`` keeps its
-selected rows: its strands are sparse and reach a thousand rows, most of
-them already zero in the pivot column, and the whole-block update made
-the 33 strands of ``mrc_check`` at N = 400 over four times slower.  The
-steps, and so the exactness argument above, are the same in both.
+*The round rule.*  If M is invertible, c_1 .. c_k are the next k pivots.
+Proof: on the rows from r down, every column before c_1 is zero and every
+column between c_1 and c_k is a zero column of the input, so column c_i
+is a pivot exactly when it is independent of c_1 .. c_(i-1) there; an
+invertible M makes all k of them independent on rows r .. r + k - 1.  The
+round clears them with one product: ``U = M^-1 A[r : r + k, c_1:]`` is the
+unique combination of those rows that is the identity on c_1 .. c_k, each
+other row subtracts its entries in those columns times U, which leaves
+the one vector of its coset modulo those rows that is zero on c_1 .. c_k,
+and the pivot rows become U.  That is also what k single-pivot steps
+give: each step's pivot lies in rows r .. r + k - 1, as the Schur
+complements of an invertible M are invertible, so the steps combine the
+same rows and reach the same unique vectors.
+
+*The fallback.*  M's leading 1 x 1 minor is A[r, c_1], so when M is
+singular the round takes the longest leading run c_1 .. c_j (j = 2 or 1)
+whose leading minor is invertible; it clears at least one pivot.  When
+A[r, c_1] is zero, the step is the single-pivot one.  The first row below
+r that is nonzero in c_1 is swapped into row r; ``rref`` then starts a
+round there, and ``rank`` clears c_1 on the rest of its scan.  If there
+is no such row, c_1 holds no pivot, and ``rref`` stops once the rows from
+r down are all zero.
+
+*Exactness.*  Each entry of a round's products is a sum of at most three
+products of two residues.  With p < 2**26, the bound ``FieldPrime``
+enforces, 3 * (p - 1)**2 < 2**54 < 2**63, so int64 elimination is exact,
+and subtracting such a sum from a residue stays inside int64.
+
+``rref`` updates the whole trailing block ``A[:, c_1:]`` in a round: its
+inputs (the sweep's flag residues, kernels of dense maps) are small or
+dense, so selecting the rows to clear costs more than updating the rest.
+``rank`` updates only the rows below the pivot rows that hold a nonzero
+in the round's columns, and its single-pivot step clears the rest of its
+column scan: its Koszul strands are sparse and reach a thousand rows, most
+of them zero in the pivot columns, and ranking them with ``rref``'s
+whole-block rounds took four to six times as long on the strands of
+``mrc_check`` at N = 400 and of ``betti_numbers`` on P^2 x P^2 at N = 100.
 """
 
 from __future__ import annotations
@@ -60,8 +88,8 @@ class FieldPrime:
 
     def __post_init__(self) -> None:
         if self.p >= 2**26:
-            # keeps every product of two residues below 2**52, well inside
-            # int64, so each elimination step is exact
+            # keeps every product of two residues below 2**52, and a sum of
+            # three such products inside int64, so elimination is exact
             raise ValueError("p must be below 2**26 for exact int64 elimination")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
@@ -93,8 +121,49 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _inv(x: int, p: int) -> int:
-    return pow(int(x), -1, p)
+def _leading_inverse(M: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse mod p of the largest leading minor of M that is invertible.
+
+    M is k x k with k <= 3 and M[0][0] nonzero mod p.
+    """
+    if len(M) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+               [f * g - d * i, a * i - c * g, c * d - a * f],
+               [d * h - e * g, b * g - a * h, a * e - b * d]]
+        det = (a * adj[0][0] + b * adj[1][0] + c * adj[2][0]) % p
+        if det:
+            s = pow(det, -1, p)
+            return [[x * s % p for x in row] for row in adj]
+    if len(M) > 1:
+        (a, b), (d, e) = M[0][:2], M[1][:2]
+        det = (a * e - b * d) % p
+        if det:
+            s = pow(det, -1, p)
+            return [[e * s % p, -b * s % p], [-d * s % p, a * s % p]]
+    return [[pow(M[0][0], -1, p)]]
+
+
+def _pivot_block(A: np.ndarray, r: int, cand: list[int], p: int):
+    """The pivot columns of the round at row r and the inverse of their minor.
+
+    ``cand`` holds the next (at most three) columns of the input that hold
+    a nonzero and are not yet passed, and A[r, cand[0]] is nonzero.  Returns
+    ``(P, cols, inv)``: P is the longest leading run of ``cand``, no longer
+    than the rows left, whose minor on rows r .. r + len(P) - 1 is
+    invertible (the module docstring shows they are the next pivots);
+    ``cols`` indexes P in A, a slice when its columns are adjacent; ``inv``
+    is the minor's inverse mod p, an int64 array, or its one entry when P
+    is one column, which ``np.dot`` takes as a scalar.
+    """
+    k = min(len(cand), A.shape[0] - r)
+    first = cand[0]
+    adjacent = cand[k - 1] - first == k - 1
+    M = A[r : r + k, slice(first, first + k) if adjacent else cand[:k]].tolist()
+    inv = _leading_inverse(M, p)
+    k = len(inv)
+    cols = slice(first, first + k) if adjacent else cand[:k]
+    return cand[:k], cols, np.array(inv, dtype=np.int64) if k > 1 else inv[0][0]
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -102,87 +171,95 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns ``(R, pivots)`` where pivots are the pivot column indices in
     increasing order.  Pivot entries are scaled to 1 and are the only
-    nonzero entries in their columns.  Rows from the pivot row down are
-    zero left of the pivot column, so swaps, scaling and updates touch
-    only the columns from it on.  Swaps, scaling and row updates keep a
-    zero column zero, so only the columns of the input that hold a
-    nonzero are visited: a matrix that vanishes on most columns, such as
-    a residue modulo a larger basis, costs no scan of the others.  A
-    column with no pivot ends the loop when the rows from the pivot row
-    down are all zero (or none are left), as no later column can then hold
-    one: a tall input of low rank, such as the sweep's flag residues (2k
-    rows of rank k + 1 on P^2), costs no scan of its columns past the
-    last pivot.
-
-    A pivot column is cleared by one update of the trailing block
-    ``A[:, c:]``: every row subtracts its entry in column c times the
-    scaled pivot row, with the pivot row's own multiplier set to 0.  A row
-    that is already zero in column c is left as it was, so the result is
-    that of clearing only the nonzero rows, with no gather or scatter of
-    those rows.  On a sparse input that is both tall and wide (300 x 800
-    at 5% density) this is about a third slower; no library caller was
-    seen to pass one.
+    nonzero entries in their columns.  The pivots are found in rounds of
+    up to three (module docstring).  A round's update covers the columns
+    from its first pivot column on, left of which the rows from the pivot
+    row down are zero, and every row: a row already zero in the round's
+    columns subtracts zero, so no gather or scatter of the rows to clear
+    is needed.  On a sparse input that is both tall and wide (300 x 800 at
+    5% density) this costs more than updating only the nonzero rows; no
+    library caller was seen to pass one.  A column with no pivot ends the
+    loop when the rows from the pivot row down are all zero (or none are
+    left), as no later column can then hold one: a tall input of low rank,
+    such as the sweep's flag residues (2k rows of rank k + 1 on P^2),
+    costs no scan of its columns past the last pivot.
     """
     A = normalize(a, p)
+    rows = A.shape[0]
+    nonzero = np.flatnonzero(A.any(axis=0)).tolist()
     pivots: list[int] = []
-    r = 0
-    for c in np.flatnonzero(A.any(axis=0)).tolist():
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
-            if not A[r:, c:].any():
+    r = j = 0
+    while r < rows and j < len(nonzero):
+        c = nonzero[j]
+        if not A[r, c]:
+            nz = A[r + 1 :, c].nonzero()[0]
+            if nz.size:
+                # the round at row r then starts at column c
+                i = r + 1 + int(nz[0])
+                A[[r, i], c:] = A[[i, r], c:]
+            elif not A[r:, c:].any():
                 break
+            else:
+                j += 1
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i], c:] = A[[i, r], c:]
-        piv = int(A[r, c])
-        if piv != 1:
-            A[r, c:] = A[r, c:] * _inv(piv, p) % p
-        # the pivot row's own multiplier is zeroed, so it stays as scaled
-        mults = A[:, c].copy()
-        mults[r] = 0
-        A[:, c:] = (A[:, c:] - mults[:, None] * A[r, c:]) % p
-        pivots.append(c)
-        r += 1
+        P, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
+        k = len(P)
+        U = np.dot(inv, A[r : r + k, c:]) % p
+        B = A[:, c:]
+        B -= A[:, cols] @ U
+        B %= p
+        A[r : r + k, c:] = U
+        pivots += P
+        r += k
+        j += k
     return A, pivots
 
 
 def rank(a, p: int) -> int:
-    """Rank over GF(p) by forward elimination with the pivot rule of ``rref``.
+    """Rank over GF(p) by forward elimination in the rounds of ``rref``.
 
     Any integer input, negative entries included, is first reduced into
     [0, p) (``normalize``), so a caller may pass a signed int64 matrix.
     rank(A) = rank(A^T), so a tall matrix is eliminated as its transpose
     and the loop runs over the shorter side; the transpose is taken before
-    the one reduced copy, so no second copy is made.  Each column is
-    scanned once: its first nonzero from the pivot row down is the pivot,
-    and the rest of that scan are the rows to clear.  Updates touch only
-    the columns from the pivot column on, left of which those rows are
-    zero.  Each update reduces a product of two residues, as in ``rref``,
-    so the int64 exactness argument of the module docstring holds.
+    the one reduced copy, so no second copy is made.  A round updates only
+    the rows below its pivot rows that hold a nonzero in its columns, and
+    leaves the pivot rows as they are, since no later round reads them.
+    A single-pivot step scans its column once: the first nonzero below row
+    r is the pivot, and the rest of that scan are the rows to clear.
     """
     arr = np.asarray(a)
     if arr.ndim == 2 and arr.shape[0] > arr.shape[1]:
         arr = arr.T
     A = normalize(arr, p)
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
+    rows = A.shape[0]
+    nonzero = np.flatnonzero(A.any(axis=0)).tolist()
+    r = j = 0
+    while r < rows and j < len(nonzero):
+        c = nonzero[j]
+        if not A[r, c]:
+            nz = A[r + 1 :, c].nonzero()[0]
+            if nz.size:
+                i = r + 1 + int(nz[0])
+                A[[r, i], c:] = A[[i, r], c:]
+                if nz.size > 1:
+                    # the swap moved a zero of column c into row i
+                    hit = nz[1:] + (r + 1)
+                    mults = A[hit, c] * pow(int(A[r, c]), -1, p) % p
+                    A[hit, c:] = (A[hit, c:] - mults[:, None] * A[r, c:]) % p
+                r += 1
+            j += 1
             continue
-        if nz[0]:
-            i = r + int(nz[0])
-            A[[r, i], c:] = A[[i, r], c:]
-        if nz.size > 1:
-            # the swap moved a zero of column c into row i, so the rows to
-            # clear are the rest of the scan
-            hit = nz[1:] + r
-            mults = A[hit, c] * _inv(A[r, c], p) % p
-            A[hit, c:] = (A[hit, c:] - mults[:, None] * A[r, c:]) % p
-        r += 1
+        P, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
+        k = len(P)
+        below = A[r + k :, cols]
+        hit = np.flatnonzero(below.any(axis=1)) if below.size else ()
+        if len(hit):
+            U = np.dot(inv, A[r : r + k, c:]) % p
+            dst = hit + (r + k)
+            A[dst, c:] = (A[dst, c:] - below[hit] @ U) % p
+        r += k
+        j += k
     return r
 
 
@@ -193,9 +270,8 @@ def kernel_basis(a, p: int) -> np.ndarray:
     1 in the ``t``-th free column of the RREF and the negated RREF column
     above the pivots elsewhere.  Always returns shape ``(cols - rank, cols)``.
     """
-    A = normalize(a, p)
-    cols = A.shape[1]
-    R, pivots = rref(A, p)
+    R, pivots = rref(a, p)
+    cols = R.shape[1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)

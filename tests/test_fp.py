@@ -76,6 +76,17 @@ def test_rref_pivots_scaled_and_cleared():
     assert np.array_equal(R, [[1, 4, 0], [0, 0, 1]])
 
 
+def test_rref_round_falls_back_past_a_singular_minor():
+    # rows 0 and 1 agree, so the leading 3 x 3 and 2 x 2 minors are
+    # singular: column 0 is cleared alone, column 1 then holds no pivot
+    # below row 0, and column 2 takes row 2 as its pivot row
+    a = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    R, piv = rref(a, P)
+    assert piv == [0, 2]
+    assert np.array_equal(R, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert rank(a, P) == 2
+
+
 def test_kernel_single_row():
     # kernel of [1 1] mod 5 is spanned by (4, 1), the canonical RREF vector
     k = kernel_basis([[1, 1]], 5)
@@ -285,6 +296,48 @@ def test_kernels_match_column_loop_oracle(case):
     assert np.array_equal(R, R0)
     assert piv == piv0
     assert rank(a, p) == ff_rank(a, p) == rank_by_columns(a, p) == len(piv)
+
+
+@st.composite
+def round_matrices(draw, p):
+    """Up to 9 x 12, aimed at the rounds of ``rref`` and ``rank``, which
+    clear up to three pivots at once through the minor on the next rows.
+
+    Some rows are combinations of the one or two rows above them, so a
+    leading minor is singular while its columns may stay independent
+    through the rows below; some columns are combinations of earlier ones,
+    so they hold a nonzero in the input but a round before them clears
+    them on every row left; zero columns split the candidates of a round;
+    shapes leave fewer than three rows or columns for the last round; and
+    many entries are p - 1, the largest residue.
+    """
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    a = np.where(rng.random((rows, cols)) < density,
+                 rng.integers(1, p, size=(rows, cols)), 0)
+    a[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = p - 1
+    for d in draw(st.lists(st.integers(1, rows - 1), max_size=3) if rows > 1 else st.just([])):
+        s, t = rng.integers(0, p, size=2)
+        a[d] = (s * a[d - 1] + t * a[max(d - 2, 0)]) % p
+    for d in draw(st.lists(st.integers(1, cols - 1), max_size=3) if cols > 1 else st.just([])):
+        src = rng.integers(0, d, size=2)
+        s, t = rng.integers(0, p, size=2)
+        a[:, d] = (s * a[:, src[0]] + t * a[:, src[1]]) % p
+    a[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(st.just(p), round_matrices(p))))
+def test_rounds_match_column_loop_oracle(case):
+    p, a = case
+    R, piv = rref(a, p)
+    R0, piv0 = rref_by_columns(a, p)
+    assert np.array_equal(R, R0)
+    assert piv == piv0
+    assert (rank(a, p) == rank(a.T, p) == rank_by_columns(a, p) == ff_rank(a, p)
+            == len(piv))
 
 
 @settings(max_examples=60, deadline=None)
