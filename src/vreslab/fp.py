@@ -149,12 +149,12 @@ def _pivot_block(A: np.ndarray, r: int, cand: list[int], p: int):
 
     ``cand`` holds the next (at most three) columns of the input that hold
     a nonzero and are not yet passed, and A[r, cand[0]] is nonzero.  Returns
-    ``(P, cols, inv)``: P is the longest leading run of ``cand``, no longer
-    than the rows left, whose minor on rows r .. r + len(P) - 1 is
-    invertible (the module docstring shows they are the next pivots);
-    ``cols`` indexes P in A, a slice when its columns are adjacent; ``inv``
-    is the minor's inverse mod p, an int64 array, or its one entry when P
-    is one column, which ``np.dot`` takes as a scalar.
+    ``(k, cols, inv)``: the first k columns of ``cand`` are its longest
+    leading run, no longer than the rows left, whose minor on rows
+    r .. r + k - 1 is invertible (the module docstring shows they are the
+    next pivots); ``cols`` indexes them in A, a slice when they are
+    adjacent; ``inv`` is the minor's inverse mod p, an int64 array, or its
+    one entry when k = 1, which ``np.dot`` takes as a scalar.
     """
     k = min(len(cand), A.shape[0] - r)
     first = cand[0]
@@ -163,7 +163,7 @@ def _pivot_block(A: np.ndarray, r: int, cand: list[int], p: int):
     inv = _leading_inverse(M, p)
     k = len(inv)
     cols = slice(first, first + k) if adjacent else cand[:k]
-    return cand[:k], cols, np.array(inv, dtype=np.int64) if k > 1 else inv[0][0]
+    return k, cols, np.array(inv, dtype=np.int64) if k > 1 else inv[0][0]
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -202,14 +202,13 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
             else:
                 j += 1
             continue
-        P, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
-        k = len(P)
+        k, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
         U = np.dot(inv, A[r : r + k, c:]) % p
         B = A[:, c:]
         B -= A[:, cols] @ U
         B %= p
         A[r : r + k, c:] = U
-        pivots += P
+        pivots += nonzero[j : j + k]
         r += k
         j += k
     return A, pivots
@@ -250,8 +249,7 @@ def rank(a, p: int) -> int:
                 r += 1
             j += 1
             continue
-        P, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
-        k = len(P)
+        k, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
         below = A[r + k :, cols]
         hit = np.flatnonzero(below.any(axis=1)) if below.size else ()
         if len(hit):
