@@ -32,11 +32,10 @@ same rows and reach the same unique vectors.
 *The fallback.*  M's leading 1 x 1 minor is A[r, c_1], so when M is
 singular the round takes the longest leading run c_1 .. c_j (j = 2 or 1)
 whose leading minor is invertible; it clears at least one pivot.  When
-A[r, c_1] is zero, the step is the single-pivot one.  The first row below
-r that is nonzero in c_1 is swapped into row r; ``rref`` then starts a
-round there, and ``rank`` clears c_1 on the rest of its scan.  If there
-is no such row, c_1 holds no pivot, and ``rref`` stops once the rows from
-r down are all zero.
+A[r, c_1] is zero, the first row below r that is nonzero in c_1 is
+swapped into row r, and the round starts there.  If there is no such
+row, c_1 holds no pivot and is passed; ``rref`` also stops once the rows
+from r down are all zero.
 
 *Exactness.*  Each entry of a round's products is a sum of at most three
 products of two residues.  With p < 2**26, the bound ``FieldPrime``
@@ -47,11 +46,11 @@ and subtracting such a sum from a residue stays inside int64.
 inputs (the sweep's flag residues, kernels of dense maps) are small or
 dense, so selecting the rows to clear costs more than updating the rest.
 ``rank`` updates only the rows below the pivot rows that hold a nonzero
-in the round's columns, and its single-pivot step clears the rest of its
-column scan: its Koszul strands are sparse and reach a thousand rows, most
-of them zero in the pivot columns, and ranking them with ``rref``'s
-whole-block rounds took four to six times as long on the strands of
-``mrc_check`` at N = 400 and of ``betti_numbers`` on P^2 x P^2 at N = 100.
+in the round's columns: its Koszul strands are sparse and reach a
+thousand rows, most of them zero in the pivot columns, and ranking them
+with ``rref``'s whole-block rounds took four to six times as long on the
+strands of ``mrc_check`` at N = 400 and of ``betti_numbers`` on
+P^2 x P^2 at N = 100.
 """
 
 from __future__ import annotations
@@ -149,21 +148,14 @@ def _pivot_block(A: np.ndarray, r: int, cand: list[int], p: int):
 
     ``cand`` holds the next (at most three) columns of the input that hold
     a nonzero and are not yet passed, and A[r, cand[0]] is nonzero.  Returns
-    ``(k, cols, inv)``: the first k columns of ``cand`` are its longest
-    leading run, no longer than the rows left, whose minor on rows
-    r .. r + k - 1 is invertible (the module docstring shows they are the
-    next pivots); ``cols`` indexes them in A, a slice when they are
-    adjacent; ``inv`` is the minor's inverse mod p, an int64 array, or its
-    one entry when k = 1, which ``np.dot`` takes as a scalar.
+    ``(cols, inv)``: ``cols`` is the longest leading run of ``cand``, no
+    longer than the rows left, whose minor on rows r .. r + len(cols) - 1
+    is invertible (the module docstring shows they are the next pivots),
+    and ``inv`` is that minor's inverse mod p as an int64 array.
     """
-    k = min(len(cand), A.shape[0] - r)
-    first = cand[0]
-    adjacent = cand[k - 1] - first == k - 1
-    M = A[r : r + k, slice(first, first + k) if adjacent else cand[:k]].tolist()
-    inv = _leading_inverse(M, p)
-    k = len(inv)
-    cols = slice(first, first + k) if adjacent else cand[:k]
-    return k, cols, np.array(inv, dtype=np.int64) if k > 1 else inv[0][0]
+    cand = cand[: A.shape[0] - r]
+    inv = _leading_inverse(A[r : r + len(cand), cand].tolist(), p)
+    return cand[: len(inv)], np.array(inv, dtype=np.int64)
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -202,13 +194,14 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
             else:
                 j += 1
             continue
-        k, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
-        U = np.dot(inv, A[r : r + k, c:]) % p
+        cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
+        k = len(cols)
+        U = inv @ A[r : r + k, c:] % p
         B = A[:, c:]
         B -= A[:, cols] @ U
         B %= p
         A[r : r + k, c:] = U
-        pivots += nonzero[j : j + k]
+        pivots += cols
         r += k
         j += k
     return A, pivots
@@ -224,8 +217,6 @@ def rank(a, p: int) -> int:
     the one reduced copy, so no second copy is made.  A round updates only
     the rows below its pivot rows that hold a nonzero in its columns, and
     leaves the pivot rows as they are, since no later round reads them.
-    A single-pivot step scans its column once: the first nonzero below row
-    r is the pivot, and the rest of that scan are the rows to clear.
     """
     arr = np.asarray(a)
     if arr.ndim == 2 and arr.shape[0] > arr.shape[1]:
@@ -239,21 +230,18 @@ def rank(a, p: int) -> int:
         if not A[r, c]:
             nz = A[r + 1 :, c].nonzero()[0]
             if nz.size:
+                # the round at row r then starts at column c
                 i = r + 1 + int(nz[0])
                 A[[r, i], c:] = A[[i, r], c:]
-                if nz.size > 1:
-                    # the swap moved a zero of column c into row i
-                    hit = nz[1:] + (r + 1)
-                    mults = A[hit, c] * pow(int(A[r, c]), -1, p) % p
-                    A[hit, c:] = (A[hit, c:] - mults[:, None] * A[r, c:]) % p
-                r += 1
-            j += 1
+            else:
+                j += 1
             continue
-        k, cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
+        cols, inv = _pivot_block(A, r, nonzero[j : j + 3], p)
+        k = len(cols)
         below = A[r + k :, cols]
-        hit = np.flatnonzero(below.any(axis=1)) if below.size else ()
-        if len(hit):
-            U = np.dot(inv, A[r : r + k, c:]) % p
+        hit = np.flatnonzero(below.any(axis=1))
+        if hit.size:
+            U = inv @ A[r : r + k, c:] % p
             dst = hit + (r + k)
             A[dst, c:] = (A[dst, c:] - below[hit] @ U) % p
         r += k
