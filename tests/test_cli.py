@@ -474,6 +474,12 @@ PINNED_OUTPUTS = [
      "90dcd12868169ccdd2b60783437d6f3772d370cc36069ba6d34b90c0458d6ca6"),
     ("betti --n 2 --m 1 --N 40 --seed 2 --prime 67108859",
      "ecc996094041aef78ac8e735da6a0bc651714bc72861bf902c125b52576f903d"),
+    # the widest rank strands per second of run time: seven and six ring
+    # variables, strands of several hundred rows
+    ("betti --n 3 --m 3 --N 30 --seed 1",
+     "dc754463e25d30cffa12d38e6760b934ce7339240979d6d17540ebc47c6d5b53"),
+    ("betti --n 4 --m 2 --N 20 --seed 1",
+     "c097b63da3fe6a175e2b8b0ce3c4d929d01f978905f83590673eda3f07cc8d45"),
 ]
 
 
