@@ -576,36 +576,19 @@ def hilbert_matrix(ps: PointSet, window: tuple[int, int]) -> np.ndarray:
     return function_space_bases(ps, window).hilbert(np.arange(wi + 1), np.arange(wj + 1))
 
 
+@lru_cache(maxsize=64)
 def generic_hilbert_matrix(N: int, n: int, m: int,
                            window: tuple[int, int]) -> np.ndarray:
     """min{N, dim S_(i,j)} on the window, as a read-only array.
 
     dim S_(i,j) is t_binom(i, n) * t_binom(j, m); each factor is capped at N
     first, which leaves the minimum unchanged and keeps the int64 product
-    small at any window.  A capped factor min(N, t_binom(i, b)) is constant
-    from i = c on, with c = min_cover_degree(N, b) for b >= 1, 0 for b = 0
-    and 1 for b < 0 (no variables: 1 at degree 0, then 0).  So the matrix
-    is its core on the window cut at (c_x, c_y), with the core's last
-    column and then its last row repeated to the window; only the core is
-    memoized, so no memo entry has the window's size.
+    small.  Memoized, with a bound, so the array is shared; every library
+    caller passes a window bounded by N or by the Betti box: the generic
+    corner, ``mrc_window`` and the region of a presentation's live cells.
     """
-    wi, wj = window
-    ci, cj = (min_cover_degree(N, b) if b > 0 else int(b < 0) for b in (n, m))
-    ci, cj = min(wi, ci), min(wj, cj)
-    core = _generic_core(N, n, m, ci, cj)
-    if (ci, cj) == (wi, wj):
-        return core
-    out = np.empty((wi + 1, wj + 1), dtype=np.int64)
-    out[: ci + 1, : cj + 1] = core
-    out[: ci + 1, cj + 1:] = core[:, -1:]
-    out[ci + 1:] = out[ci: ci + 1]
-    return _read_only(out)[0]
-
-
-@lru_cache(maxsize=64)
-def _generic_core(N: int, n: int, m: int, ci: int, cj: int) -> np.ndarray:
-    xs = [min(N, t_binom(i, n)) for i in range(ci + 1)]
-    ys = [min(N, t_binom(j, m)) for j in range(cj + 1)]
+    xs = [min(N, t_binom(i, n)) for i in range(window[0] + 1)]
+    ys = [min(N, t_binom(j, m)) for j in range(window[1] + 1)]
     return _read_only(np.minimum(N, np.outer(xs, ys)))[0]
 
 
@@ -616,15 +599,16 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     at the generic corner (c_x, c_y), c_x = min_cover_degree(N, n) and
     c_y = min_cover_degree(N, m) (0 for a P^0 factor), with G there.  A
     generic set's box (r_x, r_y) is that corner, so the block is the box's.
-    The rule decides as comparing H with G on ``hilbert_window`` does, or
-    on any window that holds the corner; ``hilbert_window`` holds it, as
-    c_x <= N - 1.
+    The rule decides as comparing H with G on any window that holds the
+    corner does, such as (N + n, N + m), as c_x <= N - 1.
 
-    - G(c_x, 0) = G(0, c_y) = N, while H(i, 0) <= ell_x and
-      H(0, j) <= ell_y, as a form in x alone takes one value on the points
-      of one x-part.  So a generic set has N distinct x-parts and y-parts,
-      and a set with a repeated part is rejected on its counts, before any
-      sweep.
+    - On a factor P^b with b >= 1, G(c_x, 0) = G(0, c_y) = N, while
+      H(i, 0) <= ell_x and H(0, j) <= ell_y, as a form in x alone takes one
+      value on the points of one x-part.  So a generic set has N distinct
+      parts on every such factor, and a set with a repeated part there is
+      rejected on its counts, before any sweep.  A P^0 factor has one part
+      and G is constant along it, G(i, j) = G(i, 0) for m = 0, as is H, so
+      its corner is 0 and its part count is not read.
     - With ell_x = N, r_x is the least i with H(i, 0) = N and c_x the least
       i with G(i, 0) = N.  H <= G everywhere, as V(i,j) lies in k^N and is
       the image of S_(i,j), so r_x >= c_x, and the block cut at the box is
@@ -642,9 +626,10 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     The sweep grows no column past c_y and no row past c_x, even where the
     box lies further out, and no array has a window's size.
     """
-    if min(ps.parts) < ps.N:
+    factors = ps.n, ps.m
+    if any(b and ell < ps.N for b, ell in zip(factors, ps.parts)):
         return False
-    corner = min_cover_degree(ps.N, ps.n), min_cover_degree(ps.N, ps.m)
+    corner = tuple(min_cover_degree(ps.N, b) if b else 0 for b in factors)
     return np.array_equal(function_space_bases(ps, corner).dims,
                           generic_hilbert_matrix(ps.N, ps.n, ps.m, corner))
 

@@ -6,7 +6,7 @@ monomial basis, and share no shortcut with the code they check:
 ``koszul_homology`` (every strand built in full and every differential
 ranked, where ``betti.betti_numbers`` skips, truncates and fills cells),
 ``beta1_from_ideal``, ``y0_nonzerodivisor``, ``is_generic_on_window``
-(genericity decided on the whole default window, where
+(genericity decided on the whole window (N + n, N + m), where
 ``points.is_generic_hilbert`` reads the box), and the presentation of S/J
 from explicit ideal pieces (``ideal_pieces_from_generators`` with
 ``quotient_presentation``).  ``window_presentation`` widens the engine's
@@ -76,7 +76,6 @@ from vreslab.points import (
     function_space_bases,
     generic_hilbert_matrix,
     hilbert_matrix,
-    hilbert_window,
     ideal_piece,
     regularity_box,
 )
@@ -291,14 +290,15 @@ def x_fibers(ps: PointSet) -> tuple[tuple[int, ...], ...]:
 
 
 def is_generic_on_window(ps: PointSet) -> bool:
-    """Whether the Hilbert matrix equals the generic one on the default
-    window ``hilbert_window``, with the part counts taken from the grouped
-    coordinate rows.  A generic matrix reaches N on column 0 and row 0, so a
-    set with a repeated part is not generic; that test comes first, as the
-    default window of a P^0 factor exists only at N = 1."""
-    if min(len(np.unique(ps.xs, axis=0)), len(np.unique(ps.ys, axis=0))) < ps.N:
-        return False
-    window = hilbert_window(ps.N, ps.n, ps.m)
+    """Whether the Hilbert matrix equals the generic one on the window
+    (N + n, N + m), with the part counts taken from the grouped coordinate
+    rows.  On a factor P^b with b >= 1 a generic matrix reaches N on column
+    0 or row 0, so a set with a repeated part there is not generic; a P^0
+    factor has one part, and its count is not read."""
+    for b, coords in ((ps.n, ps.xs), (ps.m, ps.ys)):
+        if b and len(np.unique(coords, axis=0)) < ps.N:
+            return False
+    window = ps.N + ps.n, ps.N + ps.m
     return np.array_equal(hilbert_matrix(ps, window),
                           generic_hilbert_matrix(ps.N, ps.n, ps.m, window))
 

@@ -515,11 +515,11 @@ def test_dims_are_the_window_cut_at_the_box(ps, window):
 @st.composite
 def raw_draws(draw):
     """A draw with no genericity check, over every (n, m) with n, m in 1..3
-    and, at N = 1, with a P^0 factor; small primes make many draws with
-    distinct parts whose Hilbert matrix is not generic."""
+    and with a P^0 factor; small primes make many draws with distinct
+    parts whose Hilbert matrix is not generic."""
     n, m = draw(st.sampled_from([*itertools.product((1, 2, 3), repeat=2), (0, 2), (3, 0)]))
     p = draw(st.sampled_from([5, 7, 11, 101]))
-    N = draw(st.integers(2, min(p - 1, 8))) if n and m else 1
+    N = draw(st.integers(1, min(p - 1, 8)))
     return random_points(n, m, N, seed=draw(st.integers(0, 2**32 - 1)), p=p)
 
 
@@ -561,6 +561,10 @@ def diagonal_p1p1(N: int) -> PointSet:
 @example(random_points(3, 0, 1, seed=2))
 @example(random_points(0, 0, 1, seed=3))
 @example(random_points(0, 2, 4, seed=4))
+@example(random_points(3, 0, 4, seed=2))
+@example(random_points(1, 0, 5, seed=2, p=7))
+# three collinear points of P^2 x P^0: distinct parts, H(1, 0) = 2 < 3
+@example(PointSet(2, 0, 101, np.array([[1, 0, 0], [1, 1, 1], [1, 2, 2]]), np.ones((3, 1))))
 def test_box_rule_matches_default_window_oracle(ps):
     """``is_generic_hilbert`` reads the box; the oracle compares the whole
     default window of a fresh copy of the set, so no memo is shared."""
