@@ -19,6 +19,7 @@ from vreslab import betti
 from vreslab.betti import (
     BettiTable,
     WindowTooSmall,
+    betti_box,
     betti_numbers,
     betti_window,
     intersected_presentation,
@@ -38,6 +39,7 @@ from vreslab.points import (
     generic_hilbert_matrix,
     hilbert_matrix,
     ideal_piece,
+    is_generic_hilbert,
     random_points,
     regularity_box,
 )
@@ -403,6 +405,44 @@ class TestBettiBox:
         bt, length = intersect_vres(ps, N - 1)
         assert length == 3 and bt.boundary_clean
         assert bt.window == (N + 2, N + 1)
+
+
+@st.composite
+def transposable_sets(draw):
+    """Up to six points on the shapes of the factor swap: generic draws,
+    draws over GF(7) with no genericity check, and sets over at most three
+    x-parts and three y-parts."""
+    n, m = draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3)]))
+    kind, seed = draw(st.sampled_from(["generic", "drawn", "shared"])), draw(st.integers(0, 10**6))
+    if kind != "shared":
+        generic = kind == "generic"
+        return random_points(n, m, draw(st.integers(1, 6)), seed=seed, p=101 if generic else 7,
+                             require_generic=generic)
+    coords = st.integers(0, 6)
+    xparts, yparts = (draw(st.lists(st.tuples(*[coords] * b), min_size=1, max_size=3,
+                                    unique=True)) for b in (n, m))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xparts), st.sampled_from(yparts)),
+                          min_size=1, max_size=6, unique=True))
+    return PointSet(n, m, 7, np.array([(1, *a) for a, _ in pairs]),
+                    np.array([(1, *b) for _, b in pairs]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(transposable_sets(), st.integers(0, 2), st.integers(0, 2))
+def test_swapping_the_factors_transposes_the_tables(ps, di, dj):
+    """S/I_X' for the set X' with xs and ys exchanged is S/I_X with the
+    variables renamed: its Hilbert matrix and Betti table are transposed,
+    on transposed windows that hold the Betti box, and its genericity is
+    the same."""
+    swapped = PointSet(ps.m, ps.n, ps.p, ps.ys, ps.xs)
+    assert is_generic_hilbert(swapped) == is_generic_hilbert(ps)
+    bi, bj = betti_box(ps, 0)
+    window = bi + di, bj + dj
+    assert np.array_equal(hilbert_matrix(swapped, window[::-1]), hilbert_matrix(ps, window).T)
+    table = betti_numbers(point_presentation(ps, window))
+    swapped_table = betti_numbers(point_presentation(swapped, window[::-1]))
+    assert table.boundary_clean and swapped_table.boundary_clean
+    assert swapped_table.entries == {(k, j, i): beta for (k, i, j), beta in table.entries.items()}
 
 
 @pytest.mark.parametrize("window", [mrc_window(25), (25, 2)])
