@@ -602,13 +602,14 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     The rule decides as comparing H with G on any window that holds the
     corner does, such as (N + n, N + m), as c_x <= N - 1.
 
-    - On a factor P^b with b >= 1, G(c_x, 0) = G(0, c_y) = N, while
+    - G(c_x, 0) = N for n >= 1 and G(0, c_y) = N for m >= 1, while
       H(i, 0) <= ell_x and H(0, j) <= ell_y, as a form in x alone takes one
       value on the points of one x-part.  So a generic set has N distinct
-      parts on every such factor, and a set with a repeated part there is
-      rejected on its counts, before any sweep.  A P^0 factor has one part
-      and G is constant along it, G(i, j) = G(i, 0) for m = 0, as is H, so
-      its corner is 0 and its part count is not read.
+      parts on every factor P^b with b >= 1, and a set with a repeated part
+      there is rejected on its counts, before any sweep.  A P^0 factor has
+      one part, and G and H are constant along it (G(i, j) = G(i, 0) for
+      m = 0), so its corner and its box coordinate are both 0, and its
+      part count is not read.
     - With ell_x = N, r_x is the least i with H(i, 0) = N and c_x the least
       i with G(i, 0) = N.  H <= G everywhere, as V(i,j) lies in k^N and is
       the image of S_(i,j), so r_x >= c_x, and the block cut at the box is
@@ -619,9 +620,9 @@ def is_generic_hilbert(ps: PointSet) -> bool:
       comparisons fail on a box off it.
     - On a box at the corner, H is clamped past it,
       H(i,j) = H(min(i, r_x), min(j, r_y)) (see the module docstring), and
-      G is N at every i >= c_x and every j >= c_y, so it is clamped at the
-      corner too.  So H = G on the corner exactly when H = G on any window
-      holding it.
+      G is clamped at the corner too: it is N at every i >= c_x for n >= 1
+      and at every j >= c_y for m >= 1, and constant along a P^0 factor.
+      So H = G on the corner exactly when H = G on any window holding it.
 
     The sweep grows no column past c_y and no row past c_x, even where the
     box lies further out, and no array has a window's size.
