@@ -56,11 +56,11 @@ six times as long on the strands of ``mrc_check`` at N = 400 and of
 loop if the rows from r down are all zero, as no later column can then
 hold one.  Its tall inputs of low rank, such as the sweep's flag residues
 (2k rows of rank k + 1 on P^2), then cost no scan of the columns past the
-last pivot; without the stop ``rref`` took 3-5% longer on its inputs from
-the ``points`` benchmark workload.  ``rank`` eliminates a tall input as its
+last pivot; without the stop ``rref`` took about 3% longer on its inputs
+from the ``points`` benchmark workload.  ``rank`` eliminates a tall input as its
 transpose, so its rows rarely run out before its columns do, and there
 the test is one more pass over the trailing block at every column with
-no pivot: with the stop ``rank`` took 18-19% longer on the 25 largest
+no pivot: with the stop ``rank`` took 17-19% longer on the 25 largest
 strands of ``betti_numbers`` on P^3 x P^3 at N = 60.
 """
 
