@@ -184,13 +184,16 @@ def _rounds(A: np.ndarray, p: int, stop: bool):
             else:
                 j += 1
             continue
-        cand = nonzero[j : j + min(3, rows - r)]
-        adjacent = cand[-1] - c == len(cand) - 1
-        M = A[r : r + len(cand), slice(c, c + len(cand)) if adjacent else cand]
+        # the next three columns, cut to the rows left: a conditional, as a
+        # call to min here cost 1-2% of rank and rref on small inputs
+        cand = nonzero[j : j + (3 if rows - r > 3 else rows - r)]
+        k = len(cand)
+        adjacent = cand[-1] - c == k - 1
+        M = A[r : r + k, slice(c, c + k) if adjacent else cand]
         inv = _leading_inverse(M.tolist(), p)
         k = len(inv)
-        cols = slice(c, c + k) if adjacent else cand[:k]
-        yield r, c, cols, cand[:k], np.array(inv, dtype=np.int64)
+        piv = cand[:k]
+        yield r, c, slice(c, c + k) if adjacent else piv, piv, np.array(inv, dtype=np.int64)
         r += k
         j += k
 
