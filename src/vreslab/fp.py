@@ -60,8 +60,8 @@ last pivot; without the stop ``rref`` took about 3% longer on its inputs
 from the ``points`` benchmark workload.  ``rank`` eliminates a tall input as its
 transpose, so its rows rarely run out before its columns do, and there
 the test is one more pass over the trailing block at every column with
-no pivot: with the stop ``rank`` took 17-19% longer on the 25 largest
-strands of ``betti_numbers`` on P^3 x P^3 at N = 60.
+no pivot: with the stop ``rank`` took 17-26% longer (three measurements)
+on the 25 largest strands of ``betti_numbers`` on P^3 x P^3 at N = 60.
 """
 
 from __future__ import annotations

@@ -567,7 +567,7 @@ def diagonal_p1p1(N: int) -> PointSet:
 @example(PointSet(2, 0, 101, np.array([[1, 0, 0], [1, 1, 1], [1, 2, 2]]), np.ones((3, 1))))
 def test_box_rule_matches_default_window_oracle(ps):
     """``is_generic_hilbert`` reads the box; the oracle compares the whole
-    default window of a fresh copy of the set, so no memo is shared."""
+    window (N + n, N + m) of a fresh copy of the set, so no memo is shared."""
     fresh = PointSet(ps.n, ps.m, ps.p, ps.xs, ps.ys)
     assert is_generic_hilbert(ps) == is_generic_on_window(fresh)
 
