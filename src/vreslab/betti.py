@@ -383,7 +383,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -584,9 +584,16 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             mask[fs.cell(lo)[1]] = False
         return mask[fs.cell(d)[1]]
 
+    # at t = 0 the piece at d is V_d modulo the cell before it in z's flag,
+    # a column's for z = x0 and row 0's for z = y0: its basis is the flag's
+    # block at d, where one is stored
+    flag = (lambda d: fs.block(d, along_row=z == n + 1)) if t == 0 else lambda d: None
+
     def functions(d):
         # the functions on the points that stand for the basis of the piece
         # at d; at (t-1, 0) no cell lies below, so this is all of V(t-1, 0)
+        if (block := flag(d)) is not None:
+            return block[0]
         return fs.cell(d)[0][fresh(d)]
 
     def build(var, d, funcs=None, read=slice(None)):
@@ -597,6 +604,14 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
                              f"x-variable is built, not variable {var} at {d}")
         dv = var_degree(var, n, m)
         tgt = (d[0] + dv[0], d[1] + dv[1])
+        if (funcs is None and dv == dz and (src := flag(d)) is not None
+                and (new := flag(tgt)) is not None):
+            # a flag step: the residue of var * c, c a row of the source's
+            # block with pivot q, is (var - var(q)) * c, read at the target
+            # block's pivots q' (see intersected_presentation)
+            (rows, pivots), fresh_pivots, vals = src, new[1], ps.coordinate_values(var)
+            # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+            return (vals[fresh_pivots, None] - vals[pivots]) * rows[:, fresh_pivots].T % p
         funcs = functions(d) if funcs is None else funcs
         vals, keep, lo = ps.coordinate_values(var), fs.cell(tgt)[1][fresh(tgt)][read], below(tgt)
         image = funcs[:, keep] * vals[keep] % p
@@ -784,15 +799,25 @@ def _kernel_rows(pres, kmax) -> dict:
     Koszul complex over the y-variables of the kernel Z_i of the x-variable
     from row i-1 to row i (see the module docstring).  Z_i is the drop
     dims[i-1, b] - dims[i, b] wide at column b, so a row where no column
-    drops builds no map and ranks nothing.  Its stalls, the columns c where
-    sweep rows i-2..i do not grow from c - 1 to c, are read off the
-    cumulative sums of ``dims``."""
+    drops builds no map and ranks nothing, and nor does a row whose drops
+    hold no two adjacent nonzero columns: its table is
+    beta_{k+1,(i,b+k)} = C(ny, k) * Z_b over ny y-variables (The row
+    split).  Its stalls, the columns c where sweep rows i-2..i do not grow
+    from c - 1 to c, are read off the cumulative sums of ``dims``."""
     t, drops = pres.free_rows, pres.dims[:-1] - pres.dims[1:]
+    ny, last = len(pres.variables) - 1, pres.dims.shape[1] - 1
     # H[h] is the sweep's row t - 1 + h, zero below row t; column 0 never stalls
     H = np.vstack([np.zeros_like(pres.dims[:1]), pres.dims.cumsum(axis=0)])
     flat = np.diff(H, axis=1, prepend=-1) == 0
     entries = {}
     for r in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
+        z = drops[r - 1]
+        if not (z[:-1] * z[1:]).any():
+            # every strand differential has a zero end: H_k is all of K_k
+            for b in np.flatnonzero(z).tolist():
+                for k in range(min(kmax - 1, ny, last - b) + 1):
+                    entries[(k + 1, t + r, b + k)] = comb(ny, k) * int(z[b])
+            continue
         zpres, stalls = _kernel_presentation(pres, t + r), flat[r - 1:r + 2].all(axis=0)
         for (k, j), beta in _row_table(zpres, kmax - 1, stalls).items():
             entries[(k + 1, t + r, j)] = beta
@@ -969,18 +994,27 @@ def mrc_check(ps: PointSet) -> MrcReport:
     window = mrc_window(ps.N)
     if not is_generic_hilbert(ps):
         return MrcReport(window, False, False, {}, {}, [])
-    dh = dh_p1p2(generic_hilbert_matrix(ps.N, 1, 2, window))
-    # the largest entry of each cell's downset, the origin read as 0
-    best = dh.copy()
-    best[0, 0] = 0
-    best = np.maximum.accumulate(np.maximum.accumulate(best, axis=0), axis=1)
-    first = (dh < 0) & (best <= 0)
-    first[0, 0] = False
-    predicted = {(int(i), int(j)): -int(dh[i, j]) for i, j in np.argwhere(first)}
+    dh, predicted = _mrc_prediction(ps.N)
     b1 = betti_numbers(point_presentation(ps, window), kmax=1).layer(1)
     # both hold only positive values, so a cell in neither agrees
     mismatches = [{"cell": d, "dh": int(dh[d]), "predicted": predicted.get(d, 0),
                    "beta1": b1.get(d, 0)}
                   for d in sorted(predicted.keys() | b1.keys())
                   if predicted.get(d, 0) != b1.get(d, 0)]
-    return MrcReport(window, True, not mismatches, predicted, b1, mismatches)
+    return MrcReport(window, True, not mismatches, dict(predicted), b1, mismatches)
+
+
+@lru_cache(maxsize=64)
+def _mrc_prediction(N: int) -> tuple[np.ndarray, dict]:
+    """DH of the generic Hilbert matrix on ``mrc_window(N)``, read-only, and
+    the beta_1 it predicts: -DH at each first negative cell.  Both depend on
+    N alone, so they are memoized, with a bound; a caller copies the dict."""
+    dh = dh_p1p2(generic_hilbert_matrix(N, 1, 2, mrc_window(N)))
+    # the largest entry of each cell's downset, the origin read as 0
+    best = dh.copy()
+    best[0, 0] = 0
+    best = np.maximum.accumulate(np.maximum.accumulate(best, axis=0), axis=1)
+    first = (dh < 0) & (best <= 0)
+    first[0, 0] = False
+    dh.flags.writeable = False
+    return dh, {(int(i), int(j)): -int(dh[i, j]) for i, j in np.argwhere(first)}

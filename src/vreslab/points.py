@@ -361,6 +361,26 @@ class FunctionSpaces:
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
 
+    def block(self, d: tuple[int, int], along_row: bool = False) -> tuple | None:
+        """The flag block at d, as (rows, pivots), or None where no block is
+        stored.  In a column it is block i of column j's flag (clamped to
+        the box), the rows that V(i,j) adds to V(i-1,j), and at i = 0 the
+        cell (0, j); ``along_row`` reads block j of row 0's flag, the rows
+        that V(0,j) adds to V(0,j-1), at i = 0.  The rows are the identity at
+        their pivots and zero at every pivot of the cell before them, and a
+        merge keeps them as the rows of cell d at its fresh pivots.  None
+        past the flag's end and, in a column, from the row at which its left
+        neighbour saturates it, as no step builds a block there."""
+        ps = self._ps
+        if along_row:
+            flag, k = ps._row, d[1]
+        else:
+            j, k = min(d[1], self.box[1]), d[0]
+            if not k:
+                return self.cell((0, j))
+            flag = ps._columns[j]
+        return flag.blocks[k] if k < len(flag.blocks) else None
+
     def hilbert(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """dim V(i,j) for i in ``rows`` and j in ``cols``, through the clamp
         V(i,j) = V(min(i, r_x), min(j, r_y)); the indices lie in the window."""

@@ -251,9 +251,15 @@ def mrc_check_on_the_window(ps: PointSet) -> betti.MrcReport:
     H = hilbert_matrix(ps, window)
     if not np.array_equal(H, generic_hilbert_matrix(ps.N, 1, 2, window)):
         return betti.MrcReport(window, False, False, {}, {}, [])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(betti, "dh_p1p2", lambda _: dh_p1p2(H))
-        return mrc_check(ps)
+    # the prediction is memoized per N: empty the memo so that the set's DH
+    # is read, and again so that no later report reads it
+    betti._mrc_prediction.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(betti, "dh_p1p2", lambda _: dh_p1p2(H))
+            return mrc_check(ps)
+    finally:
+        betti._mrc_prediction.cache_clear()
 
 
 class TestMrc:
