@@ -110,7 +110,9 @@ Z_i is dims[i-1, b] - dims[i, b] wide at column b, which the sweep gives
 before any map is built: a row where no column drops holds no Betti
 number, and nor does a row past the Betti box.  ``_kernel_rows`` takes
 rows i > t from the strands of the Z_i, which run over the y-variables
-alone, so only the rows where x loses dimension cost a kernel and a rank.
+alone, so only the rows where x loses dimension cost a kernel and a rank,
+and of those only the rows that lose it in two adjacent columns (Drops,
+below).
 
 Stalls.  Call a column c >= 1 of Z_i a stall when sweep rows i-2..i do
 not grow from column c - 1 to c: H(i', c-1) = H(i', c) for
@@ -137,13 +139,38 @@ row t of the sweep reaches N at a column c_0, Z_(t+1) is all of V(t, .)
 from there on, every later column is a stall, and no strand past column
 c_0 + min(kmax, m) is ranked.
 
+Drops.  Write Z_b for the drop dims[i-1, b] - dims[i, b] of row i and ny
+= m + 1 for the number of y-variables.  Each y-variable raises the
+column by one, so the strand of K(y; Z_i) at column j has K_k = the sum
+of C(ny, k) copies of Z_(i,j-k), and its differential K_k -> K_(k-1)
+runs from C(ny, k) copies of Z_(i,j-k) to C(ny, k-1) copies of
+Z_(i,j-k+1): between adjacent columns.  When no two adjacent columns of
+the drops are both nonzero, one end of every differential is zero, so
+every differential is zero and H_k = K_k: row i holds
+
+    beta_{k+1,(i,b+k)}(M) = C(ny, k) * Z_b
+
+for each nonzero Z_b and k <= min(kmax - 1, ny), and nothing else.
+``_kernel_rows`` writes these cells, those with b + k inside the pieces
+held, and builds no kernel, map or strand for the row.  The stall reads
+agree with this, as they drop only cells that it sets to zero: at a stall
+c, y0 maps Z_(i,c-1) isomorphically onto Z_(i,c), so Z_(c-1) = Z_c, and
+a nonzero stall column would make two adjacent nonzero columns.  So every
+stall c of such a row has Z_(c-1) = Z_c = 0; the onto read there gives
+rank dim K_0 = 0, and a column j whose columns j - h, h <= min(kmax, m),
+all stall has Z zero on columns j - min(kmax, m) - 1..j, which hold every
+Z_(j-k), k <= min(kmax - 1, m + 1), that the formula reads at column j.
+A row with two adjacent nonzero columns takes the kernel route.  The
+read holds at every t, since Z_(t+1) is a drop like any other.
+
 The maps of Z_i follow the one rule of ``intersected_presentation``: its
 basis at column b stands for functions on the points, the kernel basis
 times the functions of M's piece (i-1, b), computed once per column; y
 times these is reduced modulo the cell below the target and read only at
 the free columns of the target's kernel basis, which are the coordinates
 of a kernel vector.  So M builds the maps of x whose kernels are taken,
-and no y-map.  At t >= r_x, where the rows above t are read off row t
+at t = 0 as flag-step gathers (see ``intersected_presentation``), and no
+y-map.  At t >= r_x, where the rows above t are read off row t
 (The sequence route (a)), no kernel is taken.
 Every other presentation (n >= 2, or one built from explicit pieces)
 keeps the strands over all its variables in every row above t, and in
@@ -173,8 +200,8 @@ Koszul homology of C/y0C over y1..ym.
 
 (c) C/y0C is row t of A' modulo y0, (C/y0C)_j = V(t,j)/V(t,j-1), of
 dimension H(t, j) - H(t, j - 1), zero past r_y.
-``intersected_presentation`` builds it by its one rule with z = y0 on
-row t alone, over y1..ym, and attaches it to every presentation as
+``intersected_presentation`` builds it with z = y0 on row t alone, over
+y1..ym, and attaches it to every presentation as
 ``row_quotient``; where the presentation is itself modulo y0 (n != 1 at
 t >= 1) the quotient is its row t, sharing its pieces and maps, so row t
 is built once; ``betti_numbers`` reads row t of every table off its
@@ -191,8 +218,11 @@ vanishing at the older pivots, whose values at block j + 1's pivots are
 its coordinates; and for a row c of block j with pivot q,
 y_k * c = (y_k - y_k(q)) * c + y_k(q) * c, where the second term lies in
 V(0,j) and the first vanishes at every pivot of blocks 0..j.  So each
-map is also the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of
-block j + 1, which the tests keep as its oracle.
+map is the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of
+block j + 1, which is how the library reads it at t = 0: the map reads
+the row flag's blocks j and j + 1, and no RREF cell.  At t >= 1 the
+quotient's maps follow the one rule, and the tests check the gathers
+against it.
 
 (d) The row certificate.  C/y0C is generated in column 0 by
 g = dims[0] = H(t, 0) elements: V(t, j) is spanned by V(t, 0) (the
@@ -396,6 +426,7 @@ from .points import (
     FunctionSpaces,
     PointSet,
     function_space_bases,
+    generic_corner,
     generic_hilbert_matrix,
     is_generic_hilbert,
     min_cover_degree,
@@ -524,9 +555,10 @@ def intersected_presentation(ps: PointSet, t: int,
     are the values, at those pivots, of any representative reduced modulo
     the smaller cell.
 
-    Every map follows one rule: take the functions that the source
-    piece's basis stands for times the variable, reduce them modulo the
-    cell below the target, and read them at the target's basis pivots.
+    Every map follows one rule, or its flag-step gather where source and
+    target are flag rows: take the functions that the source piece's
+    basis stands for times the variable, reduce them modulo the cell below
+    the target, and read them at the target's basis pivots.
     The one map below row t is the crossing from (t-1, 0) into row t by an
     x-variable, from V(t-1, 0), the image of M's piece k[x]_(t-1): the
     functions are the rows of the sweep's RREF cell there, as no cell lies
@@ -540,6 +572,29 @@ def intersected_presentation(ps: PointSet, t: int,
     and built maps, so each of its y-maps is built once.  The rows read
     past r_x are read at r_x, clamped in Python ints before they index, so
     t may pass int64.
+
+    The gather.  At t = 0 the piece at d is V_d modulo the cell before d
+    in z's flag: a column's flag for z = x0, row 0's for the row quotient
+    (z = y0).  Where that flag stores a block at d
+    (``points.FunctionSpaces.block``), the rows of V_d's RREF cell at its
+    fresh pivots are the block's rows, as a merge keeps them; in row 0 of a
+    column the piece is the whole cell (0, j).  So a piece's functions are
+    read off the flag.  Let the variable v step along the same flag (an
+    x-variable for z = x0, a y-variable of the row quotient), so that the
+    cell below the target is V_d itself, and let the target's block be
+    stored.  A source row c with pivot q is 1 at q and 0 at every other
+    pivot of V_d's cell: a block row vanishes at the pivots of the earlier
+    blocks, and a row of the cell (0, j) at the cell's other pivots.  So
+    (v - v(q)) * c vanishes at every pivot of V_d, and it differs from
+    v * c by v(q) * c, which lies in V_d: it is the one representative of
+    v * c modulo V_d that vanishes at V_d's pivots, the one that the rule's
+    reduction gives.  Its values at the target block's pivots q' are
+    (v(q') - v(q)) * c(q'), the residue of ``points._flag_step``, and the
+    map is that gather, with no RREF cell and no product.  Factors lie in
+    (-p, p) and rows in [0, p), so it is exact in int64.  A target with no
+    stored block (a column from the row at which its left neighbour
+    saturates it), the kernels' y-maps, the maps across columns and every
+    map at t >= 1 keep the rule.  The flag reader is built only at t = 0.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -565,10 +620,12 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             region: tuple[int, int], variables: tuple[int, ...],
             **fields) -> GradedModulePresentation:
     """A' = <x>^t S/J modulo z on the window, over ``variables``, holding
-    the pieces of rows t..region[0] and columns up to region[1], every map by
-    the one rule of ``intersected_presentation``.  Its builder also takes
-    other rows of functions than the source piece's, and reads them at a
-    subset ``read`` of the target's basis pivots (``_kernel_presentation``)."""
+    the pieces of rows t..region[0] and columns up to region[1], every map
+    by the one rule of ``intersected_presentation`` or, at t = 0 where both
+    pieces are flag blocks, by its flag-step gather.  Its builder also
+    takes other rows of functions than the source piece's, and reads them
+    at a subset ``read`` of the target's basis pivots
+    (``_kernel_presentation``)."""
     n, m, p = ps.n, ps.m, ps.p
     dz = var_degree(z, n, m)
 
@@ -584,10 +641,12 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             mask[fs.cell(lo)[1]] = False
         return mask[fs.cell(d)[1]]
 
-    # at t = 0 the piece at d is V_d modulo the cell before it in z's flag,
-    # a column's for z = x0 and row 0's for z = y0: its basis is the flag's
-    # block at d, where one is stored
-    flag = (lambda d: fs.block(d, along_row=z == n + 1)) if t == 0 else lambda d: None
+    def flag(d):
+        # at t = 0 the piece at d is V_d modulo the cell before d in z's
+        # flag, a column's for z = x0 and row 0's for z = y0, and its basis
+        # is the flag's block at d where one is stored (The gather in
+        # intersected_presentation)
+        return fs.block(d, along_row=z == n + 1) if t == 0 else None
 
     def functions(d):
         # the functions on the points that stand for the basis of the piece
@@ -603,17 +662,16 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             raise ValueError(f"below row {t} only the crossing from {(t - 1, 0)} by an "
                              f"x-variable is built, not variable {var} at {d}")
         dv = var_degree(var, n, m)
-        tgt = (d[0] + dv[0], d[1] + dv[1])
-        if (funcs is None and dv == dz and (src := flag(d)) is not None
-                and (new := flag(tgt)) is not None):
-            # a flag step: the residue of var * c, c a row of the source's
-            # block with pivot q, is (var - var(q)) * c, read at the target
-            # block's pivots q' (see intersected_presentation)
-            (rows, pivots), fresh_pivots, vals = src, new[1], ps.coordinate_values(var)
-            # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
+        tgt, vals = (d[0] + dv[0], d[1] + dv[1]), ps.coordinate_values(var)
+        if (funcs is None and dv == dz and (block := flag(d)) is not None
+                and (step := flag(tgt)) is not None):
+            # a flag step: var * c, for a block row c with pivot q, is
+            # (var - var(q)) * c modulo V_d, read at the next block's pivots;
+            # factors in (-p, p) times rows in [0, p): exact in int64
+            (rows, pivots), fresh_pivots = block, step[1]
             return (vals[fresh_pivots, None] - vals[pivots]) * rows[:, fresh_pivots].T % p
         funcs = functions(d) if funcs is None else funcs
-        vals, keep, lo = ps.coordinate_values(var), fs.cell(tgt)[1][fresh(tgt)][read], below(tgt)
+        keep, lo = fs.cell(tgt)[1][fresh(tgt)][read], below(tgt)
         image = funcs[:, keep] * vals[keep] % p
         if lo is not None:
             basis, pivots = fs.cell(lo)
@@ -959,7 +1017,7 @@ def pdim(bt: BettiTable) -> int:
 
 
 def betti_window(N: int, n: int, m: int) -> tuple[int, int]:
-    return N + n, min_cover_degree(N, m) + m + 2
+    return N + n, generic_corner(N, m) + m + 2
 
 
 @dataclass

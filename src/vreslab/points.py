@@ -252,9 +252,16 @@ def min_cover_degree(N: int, b: int) -> int:
     return r
 
 
+def generic_corner(N: int, b: int) -> int:
+    """The generic corner's coordinate along a factor P^b: the least r with
+    dim k[v0..vb]_r >= N, and 0 on a P^0 factor, along which the generic
+    Hilbert matrix is constant (see ``is_generic_hilbert``)."""
+    return min_cover_degree(N, b) if b else 0
+
+
 def hilbert_window(N: int, n: int, m: int) -> tuple[int, int]:
     """The window ``vres-lab hilbert`` and ``dh`` print by default."""
-    return N + n, min_cover_degree(N, m) + m + 1
+    return N + n, generic_corner(N, m) + m + 1
 
 
 def random_points(n: int, m: int, N: int, seed: int, p: int = DEFAULT_PRIME,
@@ -349,8 +356,10 @@ class FunctionSpaces:
     clamped to the box, built the first time any window reads it and
     memoized on its flag.  The basis and pivots are read-only; all
     saturated cells (dimension N) share the identity basis with pivots
-    ``arange(N)``.  Along row 0 the rows of cell (0, j) at the pivots that
-    cell (0, j-1) lacks are block j of the row flag, as a merge keeps the
+    ``arange(N)``.  ``block(d)`` reads the flags' blocks: the rows of cell
+    (i, j) at the pivots that cell (i-1, j) lacks are block i of column j's
+    flag, and along row 0 the rows of cell (0, j) at the pivots that cell
+    (0, j-1) lacks are block j of the row flag, as a merge keeps the
     block's rows.
     """
 
@@ -616,8 +625,8 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     """Whether the Hilbert matrix is generic: H = G, G(i,j) = min{N, dim S_(i,j)}.
 
     The rule reads the set's part counts, then compares the sweep's block
-    at the generic corner (c_x, c_y), c_x = min_cover_degree(N, n) and
-    c_y = min_cover_degree(N, m) (0 for a P^0 factor), with G there.  A
+    at the generic corner (c_x, c_y), c_x = generic_corner(N, n) and
+    c_y = generic_corner(N, m) (0 for a P^0 factor), with G there.  A
     generic set's box (r_x, r_y) is that corner, so the block is the box's.
     The rule decides as comparing H with G on any window that holds the
     corner does, such as (N + n, N + m), as c_x <= N - 1.
@@ -650,7 +659,7 @@ def is_generic_hilbert(ps: PointSet) -> bool:
     factors = ps.n, ps.m
     if any(b and ell < ps.N for b, ell in zip(factors, ps.parts)):
         return False
-    corner = tuple(min_cover_degree(ps.N, b) if b else 0 for b in factors)
+    corner = tuple(generic_corner(ps.N, b) for b in factors)
     return np.array_equal(function_space_bases(ps, corner).dims,
                           generic_hilbert_matrix(ps.N, ps.n, ps.m, corner))
 

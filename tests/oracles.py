@@ -14,10 +14,11 @@ own presentation, cut at the Betti box, to its whole window, so that
 ``koszul_homology`` can rank it past the box.  ``rref_by_columns`` and ``rank_by_columns``
 are the plain column loops that ``fp.rref`` and ``fp.rank`` trimmed:
 full-row updates, a second scan for the rows to clear, and no transpose.
-Two map-by-map references check the maps that ``betti`` builds by its
-one rule on P^1 x P^m: ``row_quotient_map_by_gather`` reads a y-map of
-C/y0C off the row flag's blocks, and ``kernel_map_through_m`` a y-map of a
-kernel of the row split off M's own y-map and the kernel bases.
+Two map-by-map references check the maps that ``betti`` builds at t = 0:
+``map_by_one_rule`` builds a map of a point presentation or of its row
+quotient by the one rule alone, where ``betti`` reads a flag step's
+gather, and ``kernel_map_through_m`` a y-map of a kernel of the row split
+off M's own y-map and the kernel bases.
 
 The paper's closed forms that no command computes live here too: the
 generic difference table (``predicted_dh_generic`` with
@@ -77,7 +78,6 @@ from vreslab.points import (
     generic_hilbert_matrix,
     hilbert_matrix,
     ideal_piece,
-    regularity_box,
 )
 from vreslab.vres import FreeComplexShape, NTooSmall
 
@@ -393,17 +393,33 @@ def window_presentation(ps: PointSet, t: int,
 
 
 
-def row_quotient_map_by_gather(ps: PointSet, var: int, j: int) -> np.ndarray:
-    """The map of the y-variable ``var`` from piece j to piece j + 1 of
-    C/y0C, C row 0 of S/I_X, read off the row flag alone: the gather
-    (y_k(q') - y_k(q)) * c(q') of each row c of block j, with pivot q, at
-    the pivots q' of block j + 1 (Row 0 (c) of the ``betti`` docstring).
-    j + 1 is at most r_y, the flag's last block."""
-    regularity_box(ps)
-    (rows, pivots), (_, fresh) = ps._row.blocks[j], ps._row.blocks[j + 1]
-    vals = ps.coordinate_values(var)
-    # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
-    return (vals[fresh, None] - vals[pivots]) * rows[:, fresh].T % ps.p
+def map_by_one_rule(ps: PointSet, z: int, var: int, d: tuple[int, int]) -> np.ndarray:
+    """The map of the variable ``var`` from the piece at d to the piece at
+    d + deg(var) of S/I_X modulo z at t = 0 (z = x0 for the point
+    presentation, y0 for its row quotient C/y0C), by the one rule alone:
+    the rows of the RREF cell of V_d at the pivots that the cell below d
+    lacks, times var, reduced modulo the cell below the target and read at
+    the target cell's fresh pivots.  The cell below e is the sweep's cell
+    at e - deg(z), none at a negative degree.  Exact in Python ints."""
+    dz, dv = var_degree(z, ps.n, ps.m), var_degree(var, ps.n, ps.m)
+    tgt = (d[0] + dv[0], d[1] + dv[1])
+    fs = function_space_bases(ps, tgt)
+
+    def below(e):
+        lo = (e[0] - dz[0], e[1] - dz[1])
+        return fs.cell(lo) if min(lo) >= 0 else None
+
+    def fresh(e):
+        # the rows of V_e's cell at the pivots the cell below lacks
+        basis, pivots = fs.cell(e)
+        keep = ~np.isin(pivots, lo[1]) if (lo := below(e)) is not None else slice(None)
+        return basis[keep], pivots[keep]
+
+    image = fresh(d)[0].astype(object) * ps.coordinate_values(var).astype(object) % ps.p
+    if (lo := below(tgt)) is not None:
+        basis, pivots = lo
+        image = (image - image[:, pivots] @ basis.astype(object)) % ps.p
+    return image[:, fresh(tgt)[1]].T.astype(np.int64)
 
 
 def kernel_map_through_m(pres: GradedModulePresentation, i: int, var: int,

@@ -38,6 +38,7 @@ from vreslab.points import (
     function_space_bases,
     generic_hilbert_matrix,
     hilbert_matrix,
+    hilbert_window,
     ideal_piece,
     is_generic_hilbert,
     random_points,
@@ -65,11 +66,11 @@ from oracles import (
     intersected_presentation_in_full,
     kernel_map_through_m,
     koszul_homology,
+    map_by_one_rule,
     monomial_row,
     predicted_intersect_column_0,
     quotient_presentation,
     rank_by_columns,
-    row_quotient_map_by_gather,
     signed_collapse,
     window_presentation,
 )
@@ -412,6 +413,21 @@ class TestBettiBox:
         assert length == 3 and bt.boundary_clean
         assert bt.window == (N + 2, N + 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_default_windows_hold_the_box_on_a_p0_factor(self, n, N):
+        # a P^0 second factor has its generic corner at column 0, as its
+        # Betti box has: both default windows hold the box of a generic set
+        # and of one whose x-parts lie on a line, where r_x = N - 1
+        line = PointSet(n, 0, P, np.array([(1, *(c * k + 1 for c in range(1, n + 1)))
+                                           for k in range(N)]), np.ones((N, 1), dtype=np.int64))
+        assert regularity_box(line) == (N - 1, 0)
+        for ps in (random_points(n, 0, N, seed=1, require_generic=True), line):
+            box = betti_box(ps, 0)
+            for window in (hilbert_window(N, n, 0), betti_window(N, n, 0)):
+                assert all(b <= w for b, w in zip(box, window))
+            assert betti_numbers(point_presentation(ps, betti_window(N, n, 0))).boundary_clean
+
 
 @st.composite
 def transposable_sets(draw):
@@ -590,7 +606,7 @@ def test_point_tables_on_p1_build_only_x1_maps_of_m():
 @example(fibered_633())
 @example(random_points(1, 2, 7, seed=1, require_generic=True))
 def test_row_quotient_and_kernel_maps_match_their_oracles(ps):
-    """Every y-map of C/y0C equals the row flag's gather, and every y-map of
+    """Every y-map of C/y0C equals the one rule's map, and every y-map of
     each kernel Z_i of the row split equals M's y-map at the target
     kernel's free columns times the source kernel, at t = 0 on P^1 x P^m
     over the Betti box."""
@@ -600,7 +616,7 @@ def test_row_quotient_and_kernel_maps_match_their_oracles(ps):
     for var in quotient.variables:  # y1..ym
         for j in range(min(wj, function_space_bases(ps, (0, 0)).box[1])):
             assert np.array_equal(quotient.map(var, (0, j)),
-                                  row_quotient_map_by_gather(ps, var, j))
+                                  map_by_one_rule(ps, ps.n + 1, var, (0, j)))
     for i in range(1, wi + 1):
         zpres = betti._kernel_presentation(pres, i)
         for var in zpres.variables:  # y0..ym
@@ -1043,6 +1059,96 @@ def test_stalled_kernels_match_all_ranks_oracle(monkeypatch, n, m, N, t, kmax):
     assert c0 + min(kmax, m) < pres.dims.shape[1] - 1 if t else c0 == regularity_box(ps)[1]
     assert any(onto for i, j, onto in ranked if i == t + 1 and j > c0)
     assert not [j for i, j, _ in ranked if i == t + 1 and j > c0 + min(kmax, m)]
+
+
+@st.composite
+def kernel_row_cases(draw):
+    """A P^1 x P^m set, m in 1..3 (fibered, grid, shared-part or generic), t
+    = 0 or 1 <= t < r_x, a window one row short of or at the Betti box's
+    row and whose column reaches short of, to or past it, and a kmax from 0
+    to n + m + 2."""
+    m = draw(st.integers(1, 3))
+    generic = st.builds(lambda N, seed: random_points(1, m, N, seed=seed, require_generic=True),
+                        st.integers(1, 9), st.integers(0, 2**32 - 1))
+    special = st.one_of(fibered_sets(), grid_sets(), shared_part_sets(), line_fibered_sets())
+    ps = draw(st.one_of(generic, special.filter(lambda ps: ps.n == 1 and ps.m >= 1)))
+    t = draw(st.sampled_from([0, *range(1, regularity_box(ps)[0])]))
+    box = betti.betti_box(ps, t)
+    window = (max(t, box[0] - draw(st.integers(0, 1))), max(0, box[1] + draw(st.integers(-2, 1))))
+    return ps, t, window, draw(st.integers(0, ps.n + ps.m + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_row_cases())
+# rows 1 and 2 drop in adjacent columns, rows 3 and 7 in one column each
+@example((random_points(1, 2, 7, seed=1, require_generic=True), 0, (7, 7), 5))
+@example((random_points(1, 2, 7, seed=1, require_generic=True), 1, (7, 7), 5))
+# Z_1 is all of V(0, .) past r_y, where every column stalls
+@example((random_points(1, 1, 12, seed=1, require_generic=True), 0, (12, 13), 4))
+@example((random_points(1, 2, 12, seed=1, require_generic=True), 0, (12, 7), 1))
+# drops one or two columns short of the window's last, read by C(3, k)
+@example((random_points(1, 2, 12, seed=1, require_generic=True), 0, (12, 2), 5))
+@example((random_points(1, 3, 7, seed=1, require_generic=True), 2, (7, 4), 6))
+@example((fibered_633(), 1, (3, 4), 5))
+def test_kernel_rows_match_all_ranks_oracle(case):
+    """Rows i > t of a P^1 table, read off the drops where no two adjacent
+    columns drop and off the kernels Z_i elsewhere, equal those of A' modulo
+    x0 with every strand built in full and every differential ranked (The
+    row split in the ``betti`` docstring)."""
+    ps, t, window, kmax = case
+    got = betti._kernel_rows(intersected_presentation(ps, t, window), kmax)
+    want = koszul_homology(window_presentation(ps, t, window), kmax).entries
+    assert got == {(k, i, j): beta for (k, i, j), beta in want.items() if i > t}
+
+
+def test_kernels_are_built_only_under_adjacent_drops(monkeypatch):
+    # 40 generic points in P^1 x P^2 at mrc_window(40): x1 loses dimension
+    # in rows 1, 2, 3, 4, 6, 7, 13, 14 and 40, and only rows 1 and 2 lose it
+    # in two adjacent columns; every other row is read off its drops
+    ps = random_points(1, 2, 40, seed=1, require_generic=True)
+    pres = point_presentation(ps, mrc_window(40))
+    drops = pres.dims[:-1] - pres.dims[1:]
+    rows = {i for i in range(1, len(pres.dims)) if drops[i - 1].any()}
+    adjacent = {i for i in rows if (drops[i - 1][:-1] * drops[i - 1][1:]).any()}
+    assert rows == {1, 2, 3, 4, 6, 7, 13, 14, 40} and adjacent == {1, 2}
+    built, kernel_presentation = [], betti._kernel_presentation
+
+    def counted_kernel_presentation(module, i):
+        built.append(i)
+        return kernel_presentation(module, i)
+
+    monkeypatch.setattr(betti, "_kernel_presentation", counted_kernel_presentation)
+    bt = betti_numbers(pres)
+    assert sorted(built) == [1, 2]
+    assert {i for _, i, _ in bt.entries} == {0} | rows
+    assert bt.layer(1) == mrc_check(ps).beta1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(fibered_sets(), grid_sets(), shared_part_sets(),
+                 st.builds(lambda n, m, N, seed: random_points(n, m, N, seed=seed,
+                                                               require_generic=True),
+                           st.integers(1, 2), st.integers(1, 3), st.integers(1, 9),
+                           st.integers(0, 2**32 - 1))))
+@example(fibered_633())
+@example(random_points(1, 2, 7, seed=1, require_generic=True))
+# P^2 columns saturated by their left neighbour, whose maps keep the rule
+@example(random_points(2, 2, 9, seed=1, require_generic=True))
+@example(random_points(2, 1, 7, seed=2, require_generic=True))
+def test_flag_step_gathers_match_the_one_rule(ps):
+    """At t = 0 every map of an x-variable from piece (i - 1, b) to (i, b)
+    of S/I_X modulo x0, and every y-map of C/y0C, which ``betti`` reads as
+    flag-step gathers where it can, equals the one rule's map over the
+    Betti box."""
+    pres = point_presentation(ps, betti.betti_box(ps, 0))
+    dims, quotient = pres.dims, pres.row_quotient
+    for var in range(1, ps.n + 1):
+        for i, b in np.argwhere((dims[:-1] > 0) & (dims[1:] > 0)).tolist():
+            assert np.array_equal(pres.map(var, (i, b)), map_by_one_rule(ps, 0, var, (i, b)))
+    for var in quotient.variables:  # y1..ym
+        for j in np.flatnonzero((quotient.dims[0, :-1] > 0) & (quotient.dims[0, 1:] > 0)).tolist():
+            assert np.array_equal(quotient.map(var, (0, j)),
+                                  map_by_one_rule(ps, ps.n + 1, var, (0, j)))
 
 
 class TestCollapseIdentity:
