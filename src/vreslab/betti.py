@@ -594,7 +594,7 @@ def intersected_presentation(ps: PointSet, t: int,
     (-p, p) and rows in [0, p), so it is exact in int64.  A target with no
     stored block (a column from the row at which its left neighbour
     saturates it), the kernels' y-maps, the maps across columns and every
-    map at t >= 1 keep the rule.  The flag reader is built only at t = 0.
+    map at t >= 1 keep the rule; at t >= 1 no flag is read.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
