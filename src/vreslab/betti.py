@@ -583,8 +583,9 @@ def intersected_presentation(ps: PointSet, t: int,
     x-variable for z = x0, a y-variable of the row quotient), so that the
     cell below the target is V_d itself, and let the target's block be
     stored.  A source row c with pivot q is 1 at q and 0 at every other
-    pivot of V_d's cell: a block row vanishes at the pivots of the earlier
-    blocks, and a row of the cell (0, j) at the cell's other pivots.  So
+    pivot of V_d's cell: a block row is the identity at its block's pivots
+    and vanishes at the earlier blocks', and a row of the cell (0, j) is
+    the identity at all of the cell's pivots.  So
     (v - v(q)) * c vanishes at every pivot of V_d, and it differs from
     v * c by v(q) * c, which lies in V_d: it is the one representative of
     v * c modulo V_d that vanishes at V_d's pivots, the one that the rule's
