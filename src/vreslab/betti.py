@@ -868,15 +868,14 @@ def _kernel_rows(pres, kmax) -> dict:
     # H[h] is the sweep's row t - 1 + h, zero below row t; column 0 never stalls
     H = np.vstack([np.zeros_like(pres.dims[:1]), pres.dims.cumsum(axis=0)])
     flat = np.diff(H, axis=1, prepend=-1) == 0
-    entries = {}
-    for r in (np.flatnonzero(drops.any(axis=1)) + 1).tolist():
-        z = drops[r - 1]
-        if not (z[:-1] * z[1:]).any():
+    adjacent, (hs, bs) = (drops[:, :-1] * drops[:, 1:]).any(axis=1), np.nonzero(drops)
+    entries, kernel = {}, adjacent.tolist()
+    for h, b, z in zip(hs.tolist(), bs.tolist(), drops[hs, bs].tolist()):
+        if not kernel[h]:
             # every strand differential has a zero end: H_k is all of K_k
-            for b in np.flatnonzero(z).tolist():
-                for k in range(min(kmax - 1, ny, last - b) + 1):
-                    entries[(k + 1, t + r, b + k)] = comb(ny, k) * int(z[b])
-            continue
+            for k in range(min(kmax - 1, ny, last - b) + 1):
+                entries[(k + 1, t + h + 1, b + k)] = comb(ny, k) * z
+    for r in (np.flatnonzero(adjacent) + 1).tolist():
         zpres, stalls = _kernel_presentation(pres, t + r), flat[r - 1:r + 2].all(axis=0)
         for (k, j), beta in _row_table(zpres, kmax - 1, stalls).items():
             entries[(k + 1, t + r, j)] = beta

@@ -31,12 +31,38 @@ vanishes at every pivot of the flag but q, and
 
 The second term lies in V(i-1,j).  The first vanishes at q, where its
 first factor does, and at every other pivot of the flag, where c does; so
-it is the residue of x_k * c.  One step is one broadcast product reduced
-mod p and one ``fp.rref``, with no product against the basis and no
+it is the residue of x_k * c.  One step is one broadcast product and,
+but for the fallback below, one ``fp.rref``, which reduces the products
+mod p as it copies them, with no product against the basis and no
 re-reduction of the old rows.  The factor lies in (-p, p) and c in
 [0, p), so each product stays below 2**52 and is exact in int64.  The
 residues vanish at the old pivots, so their RREF does too and its pivots
 are new: the invariant holds for block i.
+
+A step eliminates only as many residues as block i can hold.  Let d be
+the flag's dimension before the step, b its number of variables and g
+the size of its block 0 (1 along row 0 and in column 0 when it steps,
+H(0, j) in column j).  The residues vanish at the d old pivots, so they
+span at most N - d dimensions; and V(i,j) is V(i-1,j) plus the span of
+the degree-i monomials in the flag's variables times V(0,j), at most
+C(i + b - 1, b - 1) * g more.  So block i has at most
+
+    B = min(N - d, C(i + b - 1, b - 1) * g)
+
+rows.  The step first eliminates a subset of the residues, cut to its
+first B rows: x_1 times every row of block i-1, then x_l, l = 2..b,
+times its last C(i + b - l - 1, b - l) * g rows.  Those counts are the
+degree-(i-1) monomials in x_l..x_b times g, so that on points in general
+position the subset holds one product per degree-i monomial.  Its span
+lies in the span of all residues, which has dimension at most B; so a
+subset of rank B spans them all, and its RREF, the one RREF basis of
+that span, is the block.  Only when the subset's rank falls short of B
+(at a small prime, or where parts repeat) are all residues eliminated,
+and the subset is formed only when it has fewer rows than the residues
+and at least B, as one of fewer rows cannot reach rank B.
+Along a P^1 factor (b = 1) block i-1 has at most g rows, so the subset
+is every residue, cut to N - d rows at the step that saturates the
+flag.
 
 dim V(i,j) is the sum of the block sizes up to row i.  A column stops at
 the first of: dimension N; an empty block, a stall, after which it is
@@ -163,7 +189,8 @@ class PointSet:
     made in the pass that checks its points are distinct.  The coordinates
     are read-only, so every other fact computed from them is memoized here
     when first read: the flags of row 0 and of each column, which keep the
-    RREF cells they merge and whose lengths give the box.
+    RREF cells they merge and whose lengths give the box, and the box-cut
+    dimension block of each window read.
     """
 
     n: int
@@ -178,6 +205,9 @@ class PointSet:
     # of each column, with the RREF cells read so far
     _row: _Flag | None = field(default=None, init=False, repr=False)
     _columns: list = field(default_factory=list, init=False, repr=False)
+    # the box-cut dimension block of each (rows, cols) read; flags only grow,
+    # so a stored block stays right
+    _dims: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         FieldPrime(self.p)  # an odd prime below 2**26, or ValueError
@@ -448,13 +478,47 @@ def _flag_step(flag: _Flag, p: int) -> None:
     A row c of the newest block with pivot q vanishes at every other pivot
     of the flag, so (x_k - x_k(q)) * c, congruent to x_k * c modulo the
     flag's span, vanishes at all of them and is its own residue (see the
-    module docstring); the new block is the RREF of these products.
+    module docstring); the new block is the RREF of these products.  It has
+    at most B = min(N - d, C(k + b, b - 1) * g) rows, for d the flag's
+    dimension, b its number of variables, k the index of its newest block
+    and g = dims[0], so a subset of the residues cut to B rows is
+    eliminated first: x_1 times every row of the newest block, then x_l,
+    l = 2..b, times its last C(k + b - l, b - l) * g rows.  A subset of
+    rank B spans every residue, and its RREF is the block.  Every residue
+    is eliminated instead when the subset has fewer than B rows, or no
+    fewer rows than the residues, and after it when its rank falls short
+    of B.  Along a P^1 factor the product is taken over the rows cut to B
+    alone, in two dimensions.
     """
     rows, pivots = flag.blocks[-1]
-    vals = flag.values.T[1:]
-    # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64
-    residues = (vals[:, None, :] - vals[:, pivots, None]) * rows % p
-    R, fresh = rref(residues.reshape(-1, rows.shape[1]), p)
+    (r, N), vals = rows.shape, flag.values.T[1:]
+    b, room = len(vals), N - flag.dims[-1]
+    # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64;
+    # rref reduces them mod p in the one copy it makes of its input
+    if b == 1:
+        # B = min(N - d, g) and r <= g, so the subset is the first B residues
+        size = min(room, r)
+        v = vals[0]
+        R, fresh = rref((v - v[pivots[:size], None]) * rows[:size], p)
+        if len(fresh) < size < r:
+            R, fresh = rref((v - v[pivots, None]) * rows, p)
+    else:
+        # widths[s] = g * C(k + s, s): the degree-k monomials in the last
+        # s + 1 variables times V(0, j), which sum to g * C(k + b, b - 1)
+        k, widths = len(flag.blocks) - 1, [flag.dims[0]]
+        for s in range(1, b):
+            widths.append(widths[-1] * (k + s) // s)
+        bound = min(room, sum(widths))
+        takes = [r] + [min(r, w) for w in widths[-2::-1]]
+        # a subset of fewer than B rows would fall short
+        proper = bound < b * r and bound <= sum(takes)
+        products = (vals[:, None, :] - vals[:, pivots, None]) * rows
+        if proper:
+            subset = np.concatenate([products[l, r - c:] for l, c in enumerate(takes)])
+            R, fresh = rref(subset[:bound], p)
+        if not proper or len(fresh) < bound:
+            # every residue: no proper subset, or one that falls short of B
+            R, fresh = rref(products.reshape(-1, N), p)
     flag.blocks.append((R[: len(fresh)], np.array(fresh, dtype=np.int64)))
     flag.dims.append(flag.dims[-1] + len(fresh))
 
@@ -542,12 +606,16 @@ def _sweep(ps: PointSet, rows: int, cols: int) -> list[_Flag]:
 def _merge(cell: tuple, block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     """RREF basis and pivots of the span of an RREF cell and a block that
     vanishes at the cell's pivots: the block's pivots are cleared from the
-    cell's rows, and the two row sets are merged in pivot order."""
+    cell's rows, and the two row sets are merged in pivot order, which is
+    the old rows and then the block's when every fresh pivot follows the
+    cell's last."""
     (basis, pivots), (rows, fresh) = cell, block
     old = (basis - matmul(basis[:, fresh], rows, p)) % p
-    merged = np.concatenate([pivots, fresh])
-    order = np.argsort(merged)
-    return _read_only(np.vstack([old, rows])[order], merged[order])
+    stacked, merged = np.vstack([old, rows]), np.concatenate([pivots, fresh])
+    if fresh[0] < pivots[-1]:
+        order = np.argsort(merged)
+        stacked, merged = stacked[order], merged[order]
+    return _read_only(stacked, merged)
 
 
 def _cell(ps: PointSet, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -583,17 +651,23 @@ def function_space_bases(ps: PointSet, window: tuple[int, int]) -> FunctionSpace
     so that each column's left neighbour is known when it is grown, and
     dim V(i,j) is the sum of column j's block sizes up to row i; that
     block is ``dims``, whatever the window's size.  No RREF cell below row
-    0 is built here: ``cell(d)`` builds one when it is read.  A smaller
-    window than an earlier one computes nothing; a larger one grows only
-    the blocks no earlier window reached.
+    0 is built here: ``cell(d)`` builds one when it is read.  The block is
+    memoized on the set per cut (rows, columns), read-only: flags only
+    grow forward, so a stored block stays right, and a window cut to a
+    block read before returns it with no call to ``_sweep``.  A smaller
+    window than an earlier one computes no block of flags; a larger one
+    grows only the blocks no earlier window reached.
     """
     if min(window) < 0:
         raise ValueError("window components must be nonnegative")
     (wi, wj), (rx, ry) = window, regularity_box(ps)
-    rows = min(wi, rx)
-    # a column that stopped above row ``rows`` keeps its last dimension
-    block = np.array([flag.dims[: rows + 1] + flag.dims[-1:] * (rows + 1 - len(flag.dims))
-                      for flag in _sweep(ps, rows, min(wj, ry))], dtype=np.int64).T
+    cut = rows, cols = min(wi, rx), min(wj, ry)
+    block = ps._dims.get(cut)
+    if block is None:
+        # a column that stopped above row ``rows`` keeps its last dimension
+        block = np.array([flag.dims[: rows + 1] + flag.dims[-1:] * (rows + 1 - len(flag.dims))
+                          for flag in _sweep(ps, rows, cols)], dtype=np.int64).T
+        ps._dims[cut] = _read_only(block)[0]
     return FunctionSpaces((rx, ry), block, ps)
 
 

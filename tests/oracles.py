@@ -14,6 +14,9 @@ own presentation, cut at the Betti box, to its whole window, so that
 ``koszul_homology`` can rank it past the box.  ``rref_by_columns`` and ``rank_by_columns``
 are the plain column loops that ``fp.rref`` and ``fp.rank`` trimmed:
 full-row updates, a second scan for the rows to clear, and no transpose.
+``flag_step_all_residues`` is the sweep's flag step with no bound on the
+new block: it eliminates every residue, where ``points._flag_step``
+eliminates a subset first.
 Two map-by-map references check the maps that ``betti`` builds at t = 0:
 ``map_by_one_rule`` builds a map of a point presentation or of its row
 quotient by the one rule alone, where ``betti`` reads a flag step's
@@ -160,6 +163,18 @@ def rank_by_columns(a, p: int) -> int:
             A[r + 1 :][hit, c:] = (A[r + 1 :][hit, c:] - np.outer(mults, A[r, c:])) % p
         r += 1
     return r
+
+
+def flag_step_all_residues(flag, p: int) -> None:
+    """Append the next block of a sweep flag from every residue: x_k - x_k(q)
+    times each row c of the newest block, with pivot q, for every variable
+    x_k of the flag, eliminated together."""
+    rows, pivots = flag.blocks[-1]
+    vals = flag.values.T[1:]
+    residues = (vals[:, None, :] - vals[:, pivots, None]) * rows % p
+    R, fresh = rref(residues.reshape(-1, rows.shape[1]), p)
+    flag.blocks.append((R[: len(fresh)], np.array(fresh, dtype=np.int64)))
+    flag.dims.append(flag.dims[-1] + len(fresh))
 
 
 @cache

@@ -45,6 +45,7 @@ from conftest import (
 from oracles import (
     decomposition_check_in_full,
     dense_mult_map,
+    flag_step_all_residues,
     int_matrix_at,
     intersected_piece,
     is_generic_on_window,
@@ -371,6 +372,21 @@ class TestSweepMemo:
             for a, b in zip(lazy.cell(d), want[d], strict=True):
                 assert np.array_equal(a, b)
 
+    def test_repeated_window_reads_the_stored_block(self, monkeypatch):
+        # a window cut at the box to a block read before returns that
+        # block, read-only, with no call to the sweep
+        ps = random_points(1, 2, 12, seed=65, require_generic=True)
+        rx, ry = points_module.regularity_box(ps)
+        first = function_space_bases(ps, (rx, ry)).dims
+
+        def no_sweep(*args):
+            raise AssertionError("sweep on a stored block")
+
+        monkeypatch.setattr(points_module, "_sweep", no_sweep)
+        for window in [(rx, ry), (rx + 5, ry + 5)]:
+            again = function_space_bases(ps, window).dims
+            assert np.array_equal(again, first) and not again.flags.writeable
+
     def test_covered_window_runs_no_elimination(self, monkeypatch):
         ps = random_points(2, 1, 7, seed=63)
         want = hilbert_matrix(ps, (5, 5))
@@ -676,6 +692,110 @@ def test_line_flag_equals_stepped_flag(ps):
         for (rows, pivots), (want_rows, want_pivots) in zip(flag.blocks, want.blocks, strict=True):
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pivots, want_pivots)
+
+
+def stepped_prefixes(ps: PointSet):
+    """Every flag of the set's sweep over its box, cut before each block a
+    flag step built or would build: (values, blocks, dims) of the flag up
+    to the newest block, from which the sweep steps.  A flag along a P^1
+    factor, built in closed form, is stepped too."""
+    rx, ry = points_module.regularity_box(ps)
+    function_space_bases(ps, (rx, ry))
+    for flag in [ps._row, *ps._columns]:
+        for k in range(1, min(len(flag.blocks), len(flag.dims)) + 1):
+            if flag.dims[k - 1] == ps.N or not len(flag.blocks[k - 1][1]):
+                break  # saturated, or stalled on an empty block
+            yield flag.values, flag.blocks[:k], flag.dims[:k]
+
+
+@st.composite
+def step_sets(draw):
+    """Generic sets on P^1, P^2 and P^3 factors, fibered, grid, shared-part
+    and collinear-y sets; columns grow from g = H(0, j) > 1 rows, row 0 and
+    column 0 from g = 1."""
+    p = draw(st.sampled_from([7, 101, 32003, 67108859]))
+    generic = st.builds(
+        lambda shape, N, seed: random_points(*shape, N, seed=seed, p=p),
+        st.sampled_from([(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2)]),
+        st.integers(1, min(p - 1, 24)), st.integers(0, 2**32 - 1))
+    return draw(st.one_of(generic, fibered_sets(primes=(p,)), grid_sets(), shared_part_sets(),
+                          collinear_y_part_sets()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(step_sets())
+# a subset short of B, so every residue is eliminated: a P^1 column with
+# g = 2, row 0 on P^2, and P^3 columns with g = 1 and g = 2
+@example(random_points(1, 1, 3, seed=6, p=7))
+@example(random_points(1, 2, 2, seed=4, p=7))
+@example(random_points(3, 1, 3, seed=18, p=7))
+# the cut at N - d at a last step: row 0 on P^2 and P^1 columns with g = 3
+# and g = 6, and a P^2 column with g = 2
+@example(random_points(1, 2, 8, seed=2, require_generic=True))
+@example(random_points(2, 1, 3, seed=7, p=7))
+def test_bounded_flag_step_matches_all_residues(ps):
+    """The step from a subset of at most B residues against the step from
+    every residue: the same block, pivots and dimensions."""
+    for values, blocks, dims in stepped_prefixes(ps):
+        got = points_module._Flag(values, list(blocks), list(dims))
+        want = points_module._Flag(values, list(blocks), list(dims))
+        points_module._flag_step(got, ps.p)
+        flag_step_all_residues(want, ps.p)
+        assert got.dims == want.dims
+        assert np.array_equal(got.blocks[-1][0], want.blocks[-1][0])
+        assert np.array_equal(got.blocks[-1][1], want.blocks[-1][1])
+
+
+def test_generic_flag_steps_take_no_fallback(monkeypatch):
+    """On a generic set of P^1 x P^2 every step eliminates one subset: a
+    row-0 step from block j takes j + 2 residues, and N - d at its last
+    step, and a column step the block's rows, cut to N - d."""
+    drawn = random_points(1, 2, 40, seed=1, require_generic=True)
+    ps = PointSet(drawn.n, drawn.m, drawn.p, drawn.xs, drawn.ys)
+    steps, real_step, real_rref = [], points_module._flag_step, points_module.rref
+
+    def recording_rref(a, p):
+        steps[-1][-1].append(len(a))
+        return real_rref(a, p)
+
+    def recording_step(flag, p):
+        steps.append((flag, len(flag.blocks) - 1, flag.dims[-1], len(flag.blocks[-1][1]), []))
+        return real_step(flag, p)
+
+    monkeypatch.setattr(points_module, "rref", recording_rref)
+    monkeypatch.setattr(points_module, "_flag_step", recording_step)
+    function_space_bases(ps, points_module.regularity_box(ps))
+    assert steps and all(len(eliminated) == 1 for *_, eliminated in steps)
+    for flag, j, d, r, eliminated in steps:
+        want = min(j + 2, ps.N - d) if flag is ps._row else min(r, ps.N - d)
+        assert eliminated == [want]
+    assert any(flag is ps._row and eliminated[0] < j + 2 for flag, j, _, _, eliminated in steps)
+
+
+def reduced_block(cell: tuple, vectors: np.ndarray, p: int) -> tuple:
+    """The RREF of vectors reduced to vanish at an RREF cell's pivots: a
+    block that a merge onto the cell takes."""
+    basis, pivots = cell
+    R, fresh = rref((vectors - vectors[:, pivots] @ basis) % p, p)
+    return R[: len(fresh)], np.array(fresh)
+
+
+@pytest.mark.parametrize("skip, in_order", [(0, True), (3, False)])
+def test_merge_equals_rref_of_the_stacked_rows(skip, in_order):
+    """A merge against ``rref`` of the cell and block rows stacked, with the
+    fresh pivots all after the cell's, which the merge stacks without a
+    sort, and interleaved with them."""
+    p, rng = 101, np.random.default_rng(skip)
+    spanning = rng.integers(0, p, size=(3, 9))
+    spanning[:, :skip] = 0  # the cell's pivots start at column ``skip``
+    R, piv = rref(spanning, p)
+    cell = (R[: len(piv)], np.array(piv))
+    block = reduced_block(cell, rng.integers(0, p, size=(3, 9)), p)
+    assert (block[1][0] > cell[1][-1]) == in_order
+    basis, pivots = points_module._merge(cell, block, p)
+    want, want_pivots = rref(np.vstack([cell[0], block[0]]), p)
+    assert np.array_equal(basis, want[: len(want_pivots)])
+    assert pivots.tolist() == want_pivots
 
 
 class TestBoxRule:
