@@ -566,13 +566,18 @@ def regularity_box(ps: PointSet) -> tuple[int, int]:
     if ps._row is None:
         origin = _read_only(np.ones((1, ps.N), dtype=np.int64), np.zeros(1, dtype=np.int64))
         flags = []
-        for values, ell in zip((ps.xs, ps.ys), ps.parts):
+        for factor, values, ell in zip("xy", (ps.xs, ps.ys), ps.parts):
             if values.shape[1] == 2:
                 flag = _line_flag(values, ell, origin, ps.p)
             else:
                 flag = _Flag(values, [origin], [1])
                 while flag.dims[-1] < ell:
                     _flag_step(flag, ps.p)
+                    # the dimensions of ell distinct parts rise until they
+                    # reach ell, so a stalled step is a fault, not a box
+                    if flag.dims[-1] == flag.dims[-2]:
+                        raise AssertionError(f"flag step along the {factor} factor stalled:"
+                                             f" dims {flag.dims} below ell = {ell}")
             flags.append(flag)
         ps._columns, ps._row = [flags[0]], flags[1]
         ps._row.cells.append(origin)

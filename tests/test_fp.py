@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ff_rank, random_fp_matrix
@@ -17,8 +17,10 @@ from oracles import ContainmentViolated, quotient_dim, rank_by_columns, rref_by_
 from vreslab.fp import (
     DEFAULT_PRIME,
     FieldPrime,
+    _rounds,
     kernel_basis,
     matmul,
+    normalize,
     rank,
     rref,
     subspace_contains,
@@ -315,10 +317,40 @@ def round_matrices(draw, p):
     return a
 
 
+# a zero lead at row 0 over rows 0 and 1, which are zero in columns 1 and 2
+ZERO_LEAD = [[0, 0, 0, -1, -1], [0, 0, 0, -1, 1], [-1, 0, 0, -1, -1],
+             [0, -1, 0, 1, -1], [0, 0, -1, -1, 1]]
+# round cases in signed entries, so that -1 is p - 1 at every prime: 1, 2
+# and 3 rows with an invertible leading minor (one round takes every row);
+# 3 rows whose columns 0 and 2 agree, so the round falls back to two
+# pivots and still updates row 2; 5 rows whose lower rows all hold a
+# nonzero in the first round's columns, and then one that does not; and
+# the zero lead
+ROUND_CASES = [
+    [[-1, 0, -1, -1]],
+    [[-1, -1, -1], [-1, 1, -1]],
+    [[-1, -1, -1, -1], [-1, 1, -1, 0], [-1, -1, 1, -1]],
+    [[-1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, -1, 1]],
+    [[-1, -1, -1, -1, -1, -1], [-1, 1, -1, -1, 1, 0], [-1, -1, 1, -1, 0, -1],
+     [-1, -1, -1, 1, -1, -1], [-1, 0, -1, -1, 1, -1]],
+    [[-1, -1, -1, -1, -1, -1], [-1, 1, -1, -1, 1, 0], [-1, -1, 1, -1, 0, -1],
+     [0, 0, 0, -1, -1, 1], [-1, -1, -1, -1, 1, -1]],
+    ZERO_LEAD,
+]
+
+
+def round_examples(test):
+    for p in (7, P, LARGEST_PRIME):
+        for a in ROUND_CASES:
+            test = example((p, np.array(a, dtype=np.int64) % p))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(primes.flatmap(lambda p: st.tuples(
     st.just(p), st.one_of(strand_like_matrices(p), residue_like_matrices(p),
                           rank_deficient_tall_matrices(p), round_matrices(p)))))
+@round_examples
 def test_kernels_match_column_loop_oracle(case):
     p, a = case
     R, piv = rref(a, p)
@@ -327,6 +359,15 @@ def test_kernels_match_column_loop_oracle(case):
     assert piv == piv0
     assert (rank(a, p) == rank(a.T, p) == ff_rank(a, p) == rank_by_columns(a, p)
             == len(piv))
+
+
+def test_zero_lead_round_takes_the_rows_that_hold_its_columns():
+    # the rows under the swapped-in row 2 are zero in columns 1 and 2, so a
+    # round on them would clear column 0 alone; rows 3 and 4 hold those
+    # columns, and the first round takes all three.  The lower left of the
+    # input is zero, so the rounds need no update between them.
+    rounds = [piv for *_, piv, _ in _rounds(normalize(ZERO_LEAD, P), P, stop=False)]
+    assert rounds == [[0, 1, 2], [3, 4]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -772,6 +772,21 @@ def test_generic_flag_steps_take_no_fallback(monkeypatch):
     assert any(flag is ps._row and eliminated[0] < j + 2 for flag, j, _, _, eliminated in steps)
 
 
+def test_stalled_flag_step_fails_fast(monkeypatch):
+    # a step that adds no block below ell would leave regularity_box's
+    # loop running forever
+    drawn = random_points(2, 1, 8, seed=1, require_generic=True)
+    ps = PointSet(drawn.n, drawn.m, drawn.p, drawn.xs, drawn.ys)
+
+    def empty_step(flag, p):
+        flag.blocks.append((np.zeros((0, ps.N), dtype=np.int64), np.zeros(0, dtype=np.int64)))
+        flag.dims.append(flag.dims[-1])
+
+    monkeypatch.setattr(points_module, "_flag_step", empty_step)
+    with pytest.raises(AssertionError, match=r"along the x factor stalled: dims \[1, 1\] below ell = 8"):
+        points_module.regularity_box(ps)
+
+
 def reduced_block(cell: tuple, vectors: np.ndarray, p: int) -> tuple:
     """The RREF of vectors reduced to vanish at an RREF cell's pivots: a
     block that a merge onto the cell takes."""
