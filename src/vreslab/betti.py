@@ -169,9 +169,9 @@ times the functions of M's piece (i-1, b), computed once per column; y
 times these is reduced modulo the cell below the target and read only at
 the free columns of the target's kernel basis, which are the coordinates
 of a kernel vector.  So M builds the maps of x whose kernels are taken,
-at t = 0 as flag-step gathers (see ``intersected_presentation``), and no
-y-map.  At t >= r_x, where the rows above t are read off row t
-(The sequence route (a)), no kernel is taken.
+as gathers (see ``intersected_presentation``), and no y-map.  At
+t >= r_x, where the rows above t are read off row t (The sequence route
+(a)), no kernel is taken.
 Every other presentation (n >= 2, or one built from explicit pieces)
 keeps the strands over all its variables in every row above t, and in
 row t too when it has no row quotient.
@@ -201,28 +201,16 @@ Koszul homology of C/y0C over y1..ym.
 (c) C/y0C is row t of A' modulo y0, (C/y0C)_j = V(t,j)/V(t,j-1), of
 dimension H(t, j) - H(t, j - 1), zero past r_y.
 ``intersected_presentation`` builds it with z = y0 on row t alone, over
-y1..ym, and attaches it to every presentation as
-``row_quotient``; where the presentation is itself modulo y0 (n != 1 at
-t >= 1) the quotient is its row t, sharing its pieces and maps, so row t
-is built once; ``betti_numbers`` reads row t of every table off its
-strands, whose pieces are one step of the row's flag wide where the
-strands of S/I_X modulo x0 read V(0, j), up to N wide.  At t = 0 the
-basis of piece j is the rows of the RREF cell of V(0,j) at the pivots
-that V(0,j-1) lacks, which are the rows of block j of the row flag (a
-merge keeps the block's rows, see ``points``), and the map of y_k takes
-y_k times each of them modulo V(0,j), read at block j + 1's pivots.
-That is the flag-step residue read at those pivots: the stacked blocks
-0..j, restricted to their pivots, are block-triangular with identity
-diagonal blocks, so a class of (C/y0C)_(j+1) has one representative
-vanishing at the older pivots, whose values at block j + 1's pivots are
-its coordinates; and for a row c of block j with pivot q,
-y_k * c = (y_k - y_k(q)) * c + y_k(q) * c, where the second term lies in
-V(0,j) and the first vanishes at every pivot of blocks 0..j.  So each
-map is the gather (y_k(q') - y_k(q)) * c(q') over the pivots q' of
-block j + 1, which is how the library reads it at t = 0: the map reads
-the row flag's blocks j and j + 1, and no RREF cell.  At t >= 1 the
-quotient's maps follow the one rule, and the tests check the gathers
-against it.
+y1..ym, and attaches it to every presentation as ``row_quotient``;
+``betti_numbers`` reads row t of every table off its strands, whose
+pieces are one step of the row's flag wide where a presentation modulo
+x0 reads all of V(t, j), up to N wide.  The basis of piece j is the rows
+of the RREF cell of V(t,j) at the pivots that V(t,j-1) lacks, at t = 0
+the rows of block j of the row flag (a merge keeps the block's rows, see
+``points``).  The cell below piece j + 1 is V(t,j) itself, so the map of
+y_k is the gather (y_k(q') - y_k(q)) * c(q') of each row c, with pivot
+q, over the fresh pivots q' of piece j + 1, with no product (The gather
+in ``intersected_presentation``).
 
 (d) The row certificate.  C/y0C is generated in column 0 by
 g = dims[0] = H(t, 0) elements: V(t, j) is spanned by V(t, 0) (the
@@ -412,7 +400,7 @@ helper, ``_reach``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
@@ -470,14 +458,12 @@ class GradedModulePresentation:
     ``row_quotient``, on every presentation that ``intersected_presentation``
     builds, presents row ``free_rows`` modulo y0 over y1..ym as a one-row
     presentation: C/y0C for C the row 0 of S/I_X at t = 0, and row t of A'
-    at t >= 1, which shares the builder and the map memo of a presentation
-    that is itself modulo y0.  ``betti_numbers`` reads row t of the table off
-    it (see Row t in the module docstring).  On a presentation that
-    ``intersected_presentation``
-    builds, ``_functions(d)`` gives the functions on the points that stand
-    for the basis of the piece at d, and the builder also takes other rows
-    of functions and a subset of the target's pivots to read, as the
-    kernels of the row split do (``_kernel_presentation``).
+    at t >= 1.  ``betti_numbers`` reads row t of the table off it (see Row
+    t in the module docstring).  On such a presentation ``_piece(d)`` gives
+    the functions on the points that stand for the basis of the piece at
+    d, with their pivots, and the builder also takes other rows of
+    functions and a subset of the target's pivots to read, as the kernels
+    of the row split do (``_kernel_presentation``).
     """
 
     n: int
@@ -493,7 +479,7 @@ class GradedModulePresentation:
     rx: int | None = None
     row_quotient: GradedModulePresentation | None = None
     _builder: object = field(default=None, repr=False)
-    _functions: object = field(default=None, repr=False)
+    _piece: object = field(default=None, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
 
     def dim(self, d: tuple[int, int]) -> int:
@@ -555,8 +541,8 @@ def intersected_presentation(ps: PointSet, t: int,
     are the values, at those pivots, of any representative reduced modulo
     the smaller cell.
 
-    Every map follows one rule, or its flag-step gather where source and
-    target are flag rows: take the functions that the source piece's
+    Every map follows one rule, read as a gather where the cell below the
+    target is the source's own: take the functions that the source piece's
     basis stands for times the variable, reduce them modulo the cell below
     the target, and read them at the target's basis pivots.
     The one map below row t is the crossing from (t-1, 0) into row t by an
@@ -567,35 +553,25 @@ def intersected_presentation(ps: PointSet, t: int,
     row t raises ValueError.  At every t the presentation carries
     ``row_quotient``, row t modulo y0 over y1..ym, built by the same rule:
     C/y0C for C the row 0 at t = 0, row t of A' at t >= 1 (see Row t in
-    the module docstring).  Where z is y0 the quotient is the
-    presentation's own row t over y1..ym, with the same builder, functions
-    and built maps, so each of its y-maps is built once.  The rows read
-    past r_x are read at r_x, clamped in Python ints before they index, so
-    t may pass int64.
+    the module docstring).  The rows read past r_x are read at r_x,
+    clamped in Python ints before they index, so t may pass int64.
 
-    The gather.  At t = 0 the piece at d is V_d modulo the cell before d
-    in z's flag: a column's flag for z = x0, row 0's for the row quotient
-    (z = y0).  Where that flag stores a block at d
-    (``points.FunctionSpaces.block``), the rows of V_d's RREF cell at its
-    fresh pivots are the block's rows, as a merge keeps them; in row 0 of a
-    column the piece is the whole cell (0, j).  So a piece's functions are
-    read off the flag.  Let the variable v step along the same flag (an
-    x-variable for z = x0, a y-variable of the row quotient), so that the
-    cell below the target is V_d itself, and let the target's block be
-    stored.  A source row c with pivot q is 1 at q and 0 at every other
-    pivot of V_d's cell: a block row is the identity at its block's pivots
-    and vanishes at the earlier blocks', and a row of the cell (0, j) is
-    the identity at all of the cell's pivots.  So
-    (v - v(q)) * c vanishes at every pivot of V_d, and it differs from
-    v * c by v(q) * c, which lies in V_d: it is the one representative of
-    v * c modulo V_d that vanishes at V_d's pivots, the one that the rule's
-    reduction gives.  Its values at the target block's pivots q' are
-    (v(q') - v(q)) * c(q'), the residue of ``points._flag_step``, and the
-    map is that gather, with no RREF cell and no product.  Factors lie in
-    (-p, p) and rows in [0, p), so it is exact in int64.  A target with no
-    stored block (a column from the row at which its left neighbour
-    saturates it), the kernels' y-maps, the maps across columns and every
-    map at t >= 1 keep the rule; at t >= 1 no flag is read.
+    The gather.  The basis of the piece at d stands for the rows of V_d's
+    RREF cell at the pivots that the cell below d lacks; at t = 0, where
+    z's flag (a column's for z = x0, row 0's for the row quotient) stores
+    a block at d (``points.FunctionSpaces.block``), they are the block's
+    rows, as a merge keeps them, and are read off the flag.  Where the cell
+    below the target is V_d itself (the variable v steps along z's
+    direction from a row >= t), a source row c with pivot q is 1 at q and
+    0 at every other pivot of V_d's cell.  So (v - v(q)) * c vanishes at
+    every pivot of V_d, and it differs from v * c by v(q) * c, which lies
+    in V_d: it is the one representative of v * c modulo V_d that vanishes
+    at V_d's pivots, the one that the rule's reduction gives.  Its values
+    at the target's pivots q' are (v(q') - v(q)) * c(q'), the residue of
+    ``points._flag_step``, and the map is that gather, with no product.
+    Factors lie in (-p, p) and rows in [0, p), so it is exact in int64.
+    The maps across z's direction, the crossing from (t-1, 0) and the
+    kernels' maps keep the rule.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -607,13 +583,7 @@ def intersected_presentation(ps: PointSet, t: int,
                    box=box, rx=fs.box[0])
     # row t modulo y0 over y1..ym: C/y0C at t = 0, row t of A' at t >= 1
     row, ys = (min(t, region[0]), region[1]), tuple(range(n + 2, n + m + 2))
-    if z == n + 1:
-        # A' is already modulo y0: the quotient is its row t, which shares
-        # its pieces, builder and built maps
-        pres.row_quotient = replace(pres, window=row, dims=pres.dims[:1], variables=ys,
-                                    box=None, rx=None)
-    else:
-        pres.row_quotient = _modulo(ps, fs, n + 1, t, row, row, ys)
+    pres.row_quotient = _modulo(ps, fs, n + 1, t, row, row, ys)
     return pres
 
 
@@ -622,10 +592,10 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             **fields) -> GradedModulePresentation:
     """A' = <x>^t S/J modulo z on the window, over ``variables``, holding
     the pieces of rows t..region[0] and columns up to region[1], every map
-    by the one rule of ``intersected_presentation`` or, at t = 0 where both
-    pieces are flag blocks, by its flag-step gather.  Its builder also
-    takes other rows of functions than the source piece's, and reads them
-    at a subset ``read`` of the target's basis pivots
+    by the one rule of ``intersected_presentation``, as its gather where
+    the cell below the target is the source's own.  Its builder also takes
+    other rows of functions than the source piece's, and reads them at a
+    subset ``read`` of the target's basis pivots
     (``_kernel_presentation``)."""
     n, m, p = ps.n, ps.m, ps.p
     dz = var_degree(z, n, m)
@@ -642,19 +612,15 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
             mask[fs.cell(lo)[1]] = False
         return mask[fs.cell(d)[1]]
 
-    def flag(d):
-        # at t = 0 the piece at d is V_d modulo the cell before d in z's
-        # flag, a column's for z = x0 and row 0's for z = y0, and its basis
-        # is the flag's block at d where one is stored (The gather in
-        # intersected_presentation)
-        return fs.block(d, along_row=z == n + 1) if t == 0 else None
-
-    def functions(d):
+    def piece(d):
         # the functions on the points that stand for the basis of the piece
-        # at d; at (t-1, 0) no cell lies below, so this is all of V(t-1, 0)
-        if (block := flag(d)) is not None:
-            return block[0]
-        return fs.cell(d)[0][fresh(d)]
+        # at d, and their pivots: the rows of V_d's RREF cell at the pivots
+        # that the cell below lacks, all of V(t-1, 0) at (t-1, 0); at t = 0
+        # z's flag stores them as its block at d where it holds one
+        if t == 0 and (block := fs.block(d, along_row=z == n + 1)) is not None:
+            return block
+        basis, pivots = fs.cell(d)
+        return basis[fresh(d)], pivots[fresh(d)]
 
     def build(var, d, funcs=None, read=slice(None)):
         # var times the rows of funcs, reduced modulo the cell below the
@@ -664,15 +630,14 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
                              f"x-variable is built, not variable {var} at {d}")
         dv = var_degree(var, n, m)
         tgt, vals = (d[0] + dv[0], d[1] + dv[1]), ps.coordinate_values(var)
-        if (funcs is None and dv == dz and (block := flag(d)) is not None
-                and (step := flag(tgt)) is not None):
-            # a flag step: var * c, for a block row c with pivot q, is
-            # (var - var(q)) * c modulo V_d, read at the next block's pivots;
-            # factors in (-p, p) times rows in [0, p): exact in int64
-            (rows, pivots), fresh_pivots = block, step[1]
-            return (vals[fresh_pivots, None] - vals[pivots]) * rows[:, fresh_pivots].T % p
-        funcs = functions(d) if funcs is None else funcs
-        keep, lo = fs.cell(tgt)[1][fresh(tgt)][read], below(tgt)
+        keep, lo = piece(tgt)[1][read], below(tgt)
+        if funcs is None and lo == d:
+            # the gather: var * c, for a row c of V_d's cell with pivot q, is
+            # (var - var(q)) * c modulo V_d; factors in (-p, p) times rows in
+            # [0, p): exact in int64
+            rows, pivots = piece(d)
+            return (vals[keep, None] - vals[pivots]) * rows[:, keep].T % p
+        funcs = piece(d)[0] if funcs is None else funcs
         image = funcs[:, keep] * vals[keep] % p
         if lo is not None:
             basis, pivots = fs.cell(lo)
@@ -688,7 +653,7 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
     dims = H.copy()
     dims[dz[0]:, dz[1]:] -= H[: len(H) - dz[0], : region[1] + 1 - dz[1]]
     return GradedModulePresentation(n, m, p, window, dims, variables, free_rows=t,
-                                    _builder=build, _functions=functions, **fields)
+                                    _builder=build, _piece=piece, **fields)
 
 
 def betti_box(ps: PointSet, t: int) -> tuple[int, int]:
@@ -914,7 +879,7 @@ def _kernel_presentation(pres, i) -> GradedModulePresentation:
     @cache
     def functions(b):
         # the functions on the points that Z_i's basis at column b stands for
-        funcs, src = pres._functions((i - 1, b)), kernel(b)
+        funcs, src = pres._piece((i - 1, b))[0], kernel(b)
         return funcs if src is None else matmul(src[0], funcs, p)
 
     def build(var, d):
@@ -951,7 +916,7 @@ def _column_0(pres, entries, kmax) -> dict:
         elif n == 1:
             rho = eagon_northcott  # injective, I_(π1 X) is free: step (d)
         else:
-            src = crossing(a + 1, (t - 1, 0), len(pres._functions((t - 1, 0))))
+            src = crossing(a + 1, (t - 1, 0), len(pres._piece((t - 1, 0))[0]))
             tgt = crossing(a, (t, 0), pres.dim((t, 0)))
             rho = rank(_differential(pres, src, tgt), pres.p)
         entries[(a, *d)] = entries.get((a, *d), 0) - rho

@@ -62,17 +62,6 @@ the rows (r = 0, k = rows), as U overwrites them and they are zero left of
 c_1; ``rank`` ends the loop at the round that reaches the last row, and
 where every row below the pivot rows is hit, updates them in place as one
 slice, with no gather or scatter.
-
-*The early stop.*  Where a column holds no pivot, ``rref`` also ends the
-loop if the rows from r down are all zero, as no later column can then
-hold one.  Its tall inputs of low rank, such as the sweep's flag residues
-(2k rows of rank k + 1 on P^2), then cost no scan of the columns past the
-last pivot; without the stop ``rref`` took about 3% longer on its inputs
-from the ``points`` benchmark workload.  ``rank`` eliminates a tall input as its
-transpose, so its rows rarely run out before its columns do, and there
-the test is one more pass over the trailing block at every column with
-no pivot: with the stop ``rank`` took 17-26% longer (three measurements)
-on the 25 largest strands of ``betti_numbers`` on P^3 x P^3 at N = 60.
 """
 
 from __future__ import annotations
@@ -167,7 +156,7 @@ def _leading_inverse(M: list[list[int]], p: int) -> np.ndarray:
     return np.array(((pow(M[0][0], -1, p),),), dtype=np.int64)
 
 
-def _rounds(A: np.ndarray, p: int, stop: bool):
+def _rounds(A: np.ndarray, p: int):
     """Run the elimination loop on A in place and yield its rounds.
 
     Each round is ``(r, c, cols, pivots, inv)``: the pivot row r, the
@@ -178,8 +167,6 @@ def _rounds(A: np.ndarray, p: int, stop: bool):
     columns are adjacent, ``cols`` is a slice, which numpy reads as a view
     where a list makes it gather a copy: on the ``rref`` inputs of the
     ``points`` workload that saves about a sixth of the time in ``rref``.
-    With ``stop`` the loop ends at a column with no pivot once the rows
-    from r down are all zero.
     """
     rows = A.shape[0]
     nonzero = A.any(axis=0).nonzero()[0].tolist()
@@ -193,8 +180,6 @@ def _rounds(A: np.ndarray, p: int, stop: bool):
         if not A[r, c]:
             nz = A[r + 1 :, c].nonzero()[0]
             if not nz.size:
-                if stop and not A[r:, c:].any():
-                    return
                 j += 1
                 continue
             # the round's rows: the first row nonzero in c, then the first
@@ -223,18 +208,18 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     Returns ``(R, pivots)`` where pivots are the pivot column indices in
     increasing order.  Pivot entries are scaled to 1 and are the only
     nonzero entries in their columns.  The pivots are found in rounds of
-    up to three, with the early stop (module docstring).  A round's update
-    covers the columns from its first pivot column on, left of which the
-    rows from the pivot row down are zero, and every row: a row already
-    zero in the round's columns subtracts zero, so no gather or scatter of
-    the rows to clear is needed.  On a sparse input that is both tall and
-    wide (300 x 800 at 5% density) this costs more than updating only the
-    nonzero rows; no library caller was seen to pass one.
+    up to three (module docstring).  A round's update covers the columns
+    from its first pivot column on, left of which the rows from the pivot
+    row down are zero, and every row: a row already zero in the round's
+    columns subtracts zero, so no gather or scatter of the rows to clear
+    is needed.  On a sparse input that is both tall and wide (300 x 800 at
+    5% density) this costs more than updating only the nonzero rows; no
+    library caller was seen to pass one.
     """
     A = normalize(a, p)
     rows = A.shape[0]
     pivots: list[int] = []
-    for r, c, cols, piv, inv in _rounds(A, p, stop=True):
+    for r, c, cols, piv, inv in _rounds(A, p):
         k = len(piv)
         U = inv @ A[r : r + k, c:] % p
         if k < rows:
@@ -256,7 +241,6 @@ def rank(a, p: int) -> int:
     the one reduced copy, so no second copy is made.  A round updates only
     the rows below its pivot rows that hold a nonzero in its columns, and
     leaves the pivot rows as they are, since no later round reads them.
-    The loop takes no early stop (module docstring).
     """
     arr = np.asarray(a)
     if arr.ndim == 2 and arr.shape[0] > arr.shape[1]:
@@ -264,7 +248,7 @@ def rank(a, p: int) -> int:
     A = normalize(arr, p)
     rows = A.shape[0]
     found = 0
-    for r, c, cols, piv, inv in _rounds(A, p, stop=False):
+    for r, c, cols, piv, inv in _rounds(A, p):
         # the pivots found so far, and the first row below the round's
         found = r + len(piv)
         if found == rows:

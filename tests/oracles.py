@@ -17,9 +17,9 @@ full-row updates, a second scan for the rows to clear, and no transpose.
 ``flag_step_all_residues`` is the sweep's flag step with no bound on the
 new block: it eliminates every residue, where ``points._flag_step``
 eliminates a subset first.
-Two map-by-map references check the maps that ``betti`` builds at t = 0:
-``map_by_one_rule`` builds a map of a point presentation or of its row
-quotient by the one rule alone, where ``betti`` reads a flag step's
+Two map-by-map references check the maps that ``betti`` builds:
+``map_by_one_rule`` builds a map of an intersected presentation or of its
+row quotient, at any t, by the one rule alone, where ``betti`` reads a
 gather, and ``kernel_map_through_m`` a y-map of a kernel of the row split
 off M's own y-map and the kernel bases.
 
@@ -408,21 +408,24 @@ def window_presentation(ps: PointSet, t: int,
 
 
 
-def map_by_one_rule(ps: PointSet, z: int, var: int, d: tuple[int, int]) -> np.ndarray:
+def map_by_one_rule(ps: PointSet, z: int, var: int, d: tuple[int, int],
+                    t: int = 0) -> np.ndarray:
     """The map of the variable ``var`` from the piece at d to the piece at
-    d + deg(var) of S/I_X modulo z at t = 0 (z = x0 for the point
-    presentation, y0 for its row quotient C/y0C), by the one rule alone:
-    the rows of the RREF cell of V_d at the pivots that the cell below d
-    lacks, times var, reduced modulo the cell below the target and read at
-    the target cell's fresh pivots.  The cell below e is the sweep's cell
-    at e - deg(z), none at a negative degree.  Exact in Python ints."""
+    d + deg(var) of A_{rows >= t} modulo z (S/I_X at t = 0; z = x0 for the
+    point presentation and on P^1, y0 for the row quotient and for n >= 2
+    at t >= 1), by the one rule alone: the rows of the RREF cell of V_d at
+    the pivots that the cell below d lacks, times var, reduced modulo the
+    cell below the target and read at the target cell's fresh pivots.  The
+    cell below e is the sweep's cell at e - deg(z) when that cell lies in a
+    row >= t, and none otherwise, where the piece is all of V_e.  Exact in
+    Python ints."""
     dz, dv = var_degree(z, ps.n, ps.m), var_degree(var, ps.n, ps.m)
     tgt = (d[0] + dv[0], d[1] + dv[1])
     fs = function_space_bases(ps, tgt)
 
     def below(e):
         lo = (e[0] - dz[0], e[1] - dz[1])
-        return fs.cell(lo) if min(lo) >= 0 else None
+        return fs.cell(lo) if lo[0] >= t and lo[1] >= 0 else None
 
     def fresh(e):
         # the rows of V_e's cell at the pivots the cell below lacks

@@ -28,9 +28,9 @@ from vreslab.betti import (
     pdim,
     point_presentation,
 )
-from vreslab.cox import count_monomials, monomials
+from vreslab.cox import count_monomials, monomials, var_degree
 from vreslab.diffcalc import alternating_betti_from_hilbert, dh_p1p2
-from vreslab.fp import rank, subspace_equal
+from vreslab.fp import matmul, rank, subspace_equal
 from vreslab import points as points_module
 from vreslab.points import (
     PointSet,
@@ -978,7 +978,7 @@ def test_row_certificate_counts_every_generator(t):
 
 def test_row_quotient_modulo_y0_is_row_t_of_the_presentation():
     # for n != 1 at t >= 1 the presentation is modulo y0 too, so its row t
-    # is the row quotient: each y-map is built once, on both
+    # is the row quotient, and both build the same y-maps
     ps = random_points(2, 2, 20, seed=1, require_generic=True)
     t = 2
     pres = intersected_presentation(ps, t, betti.betti_box(ps, t))
@@ -989,7 +989,7 @@ def test_row_quotient_modulo_y0_is_row_t_of_the_presentation():
     built = [key for key in pres._maps if key[0] in quotient.variables and key[1][0] == t]
     assert len(built) >= 4
     for var, d in built:
-        assert quotient.map(var, d) is pres.map(var, d)
+        assert np.array_equal(quotient.map(var, d), pres.map(var, d))
     assert table.entries == intersect_vres(ps, t)[0].entries
 
 
@@ -1124,31 +1124,69 @@ def test_kernels_are_built_only_under_adjacent_drops(monkeypatch):
     assert bt.layer(1) == mrc_check(ps).beta1
 
 
+@st.composite
+def gather_cases(draw):
+    """A fibered, grid, shared-part or generic P^1 or P^2 set, and t in
+    {0, 1, 2, r_x, r_x + 1}."""
+    ps = draw(st.one_of(fibered_sets(), grid_sets(), shared_part_sets(),
+                        st.builds(lambda n, m, N, seed: random_points(n, m, N, seed=seed,
+                                                                      require_generic=True),
+                                  st.integers(1, 2), st.integers(1, 3), st.integers(1, 9),
+                                  st.integers(0, 2**32 - 1))))
+    rx = regularity_box(ps)[0]
+    return ps, draw(st.sampled_from([0, 1, 2, rx, rx + 1]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(fibered_sets(), grid_sets(), shared_part_sets(),
-                 st.builds(lambda n, m, N, seed: random_points(n, m, N, seed=seed,
-                                                               require_generic=True),
-                           st.integers(1, 2), st.integers(1, 3), st.integers(1, 9),
-                           st.integers(0, 2**32 - 1))))
-@example(fibered_633())
-@example(random_points(1, 2, 7, seed=1, require_generic=True))
-# P^2 columns saturated by their left neighbour, whose maps keep the rule
-@example(random_points(2, 2, 9, seed=1, require_generic=True))
-@example(random_points(2, 1, 7, seed=2, require_generic=True))
-def test_flag_step_gathers_match_the_one_rule(ps):
-    """At t = 0 every map of an x-variable from piece (i - 1, b) to (i, b)
-    of S/I_X modulo x0, and every y-map of C/y0C, which ``betti`` reads as
-    flag-step gathers where it can, equals the one rule's map over the
-    Betti box."""
-    pres = point_presentation(ps, betti.betti_box(ps, 0))
-    dims, quotient = pres.dims, pres.row_quotient
-    for var in range(1, ps.n + 1):
-        for i, b in np.argwhere((dims[:-1] > 0) & (dims[1:] > 0)).tolist():
-            assert np.array_equal(pres.map(var, (i, b)), map_by_one_rule(ps, 0, var, (i, b)))
-    for var in quotient.variables:  # y1..ym
-        for j in np.flatnonzero((quotient.dims[0, :-1] > 0) & (quotient.dims[0, 1:] > 0)).tolist():
-            assert np.array_equal(quotient.map(var, (0, j)),
-                                  map_by_one_rule(ps, ps.n + 1, var, (0, j)))
+@given(gather_cases())
+@example((fibered_633(), 0))
+@example((random_points(1, 2, 7, seed=1, require_generic=True), 0))
+# P^2 columns saturated by their left neighbour store no block from that
+# row on, so their pieces are read off the RREF cells
+@example((random_points(2, 2, 9, seed=1, require_generic=True), 0))
+@example((random_points(2, 1, 7, seed=2, require_generic=True), 0))
+@example((random_points(2, 2, 9, seed=1, require_generic=True), 2))
+@example((random_points(2, 1, 7, seed=2, require_generic=True), 2))
+# past r_x = 2 the row quotient's y-maps still step between nonzero pieces
+@example((fibered_633(), 3))
+def test_flag_step_gathers_match_the_one_rule(case):
+    """Every map of ``intersected_presentation`` and of its row quotient
+    that steps along z's direction, which ``betti`` reads as a gather,
+    equals the one rule's map over the Betti box: the x-variables modulo
+    x0 (t = 0, or P^1), the y-variables modulo y0 (n >= 2 at t >= 1), and
+    the y-variables of the row quotient C/y0C."""
+    ps, t = case
+    pres = intersected_presentation(ps, t, betti.betti_box(ps, t))
+    z = next(v for v in range(ps.n + ps.m + 2) if v not in pres.variables)
+    for module, zm in ((pres, z), (pres.row_quotient, ps.n + 1)):
+        dz, dims = var_degree(zm, ps.n, ps.m), module.dims
+        rows, cols = dims.shape
+        both = (dims[: rows - dz[0], : cols - dz[1]] > 0) & (dims[dz[0]:, dz[1]:] > 0)
+        for var in (v for v in module.variables if var_degree(v, ps.n, ps.m) == dz):
+            for i, j in np.argwhere(both).tolist():
+                d = (t + i, j)
+                assert np.array_equal(module.map(var, d), map_by_one_rule(ps, zm, var, d, t))
+
+
+def test_row_quotient_y_maps_take_no_product(monkeypatch):
+    # the cell below each target of the row quotient is the source's own,
+    # so every y-map is a gather, with no call to matmul
+    ps = random_points(2, 2, 20, seed=1, require_generic=True)
+    t = 2
+    quotient = intersected_presentation(ps, t, betti.betti_box(ps, t)).row_quotient
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(betti, "matmul", counted)
+    widths = quotient.dims[0]
+    steps = np.flatnonzero((widths[:-1] > 0) & (widths[1:] > 0)).tolist()
+    for var in quotient.variables:
+        for j in steps:
+            quotient.map(var, (t, j))
+    assert steps and not calls
 
 
 class TestCollapseIdentity:

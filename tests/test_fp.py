@@ -278,8 +278,8 @@ def residue_like_matrices(draw, p):
 def rank_deficient_tall_matrices(draw, p):
     """2k rows of rank at most k + 1, like the flag residues of a P^2
     factor, some leading columns zero: the rows from the pivot row down
-    vanish before the last column that holds a nonzero, so ``rref`` stops
-    its column loop early."""
+    vanish before the last column that holds a nonzero, so ``rref`` and
+    ``rank`` meet pivotless columns after the rows vanish."""
     k, cols = draw(st.integers(1, 20)), draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = random_fp_matrix(rng, 2 * k, cols, p, rank_cap=draw(st.integers(0, k + 1)))
@@ -366,7 +366,7 @@ def test_zero_lead_round_takes_the_rows_that_hold_its_columns():
     # round on them would clear column 0 alone; rows 3 and 4 hold those
     # columns, and the first round takes all three.  The lower left of the
     # input is zero, so the rounds need no update between them.
-    rounds = [piv for *_, piv, _ in _rounds(normalize(ZERO_LEAD, P), P, stop=False)]
+    rounds = [piv for *_, piv, _ in _rounds(normalize(ZERO_LEAD, P), P)]
     assert rounds == [[0, 1, 2], [3, 4]]
 
 
