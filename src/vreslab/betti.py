@@ -207,10 +207,10 @@ pieces are one step of the row's flag wide where a presentation modulo
 x0 reads all of V(t, j), up to N wide.  The basis of piece j is the rows
 of the RREF cell of V(t,j) at the pivots that V(t,j-1) lacks, at t = 0
 the rows of block j of the row flag (a merge keeps the block's rows, see
-``points``).  The cell below piece j + 1 is V(t,j) itself, so the map of
-y_k is the gather (y_k(q') - y_k(q)) * c(q') of each row c, with pivot
-q, over the fresh pivots q' of piece j + 1, with no product (The gather
-in ``intersected_presentation``).
+``points.FunctionSpaces.piece``).  The cell below piece j + 1 is V(t,j)
+itself, so the map of y_k is the gather (y_k(q') - y_k(q)) * c(q') of
+each row c, with pivot q, over the fresh pivots q' of piece j + 1, with
+no product (The gather in ``intersected_presentation``).
 
 (d) The row certificate.  C/y0C is generated in column 0 by
 g = dims[0] = H(t, 0) elements: V(t, j) is spanned by V(t, 0) (the
@@ -391,8 +391,8 @@ strands over y1..ym.
 
 Bookkeeping that every cell would otherwise redo is computed once: each
 k's variable subsets with their bidegrees per (variables, n, k), and,
-inside one point-set presentation, the fresh pivots of each piece that
-its maps read.  The live mask and the columns that the one-row tables
+inside one point-set presentation, the basis and pivots of each piece
+that its maps read.  The live mask and the columns that the one-row tables
 read (``_row_table``: row t and the kernels Z_i) are shifted ORs of one
 helper, ``_reach``.
 """
@@ -461,7 +461,8 @@ class GradedModulePresentation:
     at t >= 1.  ``betti_numbers`` reads row t of the table off it (see Row
     t in the module docstring).  On such a presentation ``_piece(d)`` gives
     the functions on the points that stand for the basis of the piece at
-    d, with their pivots, and the builder also takes other rows of
+    d, with their pivots, as ``points.FunctionSpaces.piece`` reads them
+    against the cell below d, and the builder also takes other rows of
     functions and a subset of the target's pivots to read, as the kernels
     of the row split do (``_kernel_presentation``).
     """
@@ -557,18 +558,18 @@ def intersected_presentation(ps: PointSet, t: int,
     clamped in Python ints before they index, so t may pass int64.
 
     The gather.  The basis of the piece at d stands for the rows of V_d's
-    RREF cell at the pivots that the cell below d lacks; at t = 0, where
-    z's flag (a column's for z = x0, row 0's for the row quotient) stores
-    a block at d (``points.FunctionSpaces.block``), they are the block's
-    rows, as a merge keeps them, and are read off the flag.  Where the cell
-    below the target is V_d itself (the variable v steps along z's
-    direction from a row >= t), a source row c with pivot q is 1 at q and
-    0 at every other pivot of V_d's cell.  So (v - v(q)) * c vanishes at
-    every pivot of V_d, and it differs from v * c by v(q) * c, which lies
-    in V_d: it is the one representative of v * c modulo V_d that vanishes
-    at V_d's pivots, the one that the rule's reduction gives.  Its values
-    at the target's pivots q' are (v(q') - v(q)) * c(q'), the residue of
-    ``points._flag_step``, and the map is that gather, with no product.
+    RREF cell at the pivots that the cell below d lacks, as
+    ``points.FunctionSpaces.piece`` reads them: the block that z's flag
+    stores at d where the cell below is d's predecessor on the flag.
+    Where the cell below the target is V_d itself (the variable v steps
+    along z's direction from a row >= t), a source row c with pivot q is 1
+    at q and 0 at every other pivot of V_d's cell.  So (v - v(q)) * c
+    vanishes at every pivot of V_d, and it differs from v * c by
+    v(q) * c, which lies in V_d: it is the one representative of v * c
+    modulo V_d that vanishes at V_d's pivots, the one that the rule's
+    reduction gives.  Its values at the target's pivots q' are
+    (v(q') - v(q)) * c(q'), the residue of ``points._flag_step``, and the
+    map is that gather, with no product.
     Factors lie in (-p, p) and rows in [0, p), so it is exact in int64.
     The maps across z's direction, the crossing from (t-1, 0) and the
     kernels' maps keep the rule.
@@ -593,10 +594,11 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
     """A' = <x>^t S/J modulo z on the window, over ``variables``, holding
     the pieces of rows t..region[0] and columns up to region[1], every map
     by the one rule of ``intersected_presentation``, as its gather where
-    the cell below the target is the source's own.  Its builder also takes
-    other rows of functions than the source piece's, and reads them at a
-    subset ``read`` of the target's basis pivots
-    (``_kernel_presentation``)."""
+    the cell below the target is the source's own.  Each piece's basis is
+    read once, by ``points.FunctionSpaces.piece`` against the cell below
+    it, none below row t.  Its builder also takes other rows of functions
+    than the source piece's, and reads them at a subset ``read`` of the
+    target's basis pivots (``_kernel_presentation``)."""
     n, m, p = ps.n, ps.m, ps.p
     dz = var_degree(z, n, m)
 
@@ -605,22 +607,11 @@ def _modulo(ps: PointSet, fs: FunctionSpaces, z: int, t: int, window: tuple[int,
         return lo if lo[0] >= t and lo[1] >= 0 else None
 
     @cache
-    def fresh(d):
-        # which of V_d's pivots are not pivots of the cell below
-        mask = np.ones(ps.N, dtype=bool)
-        if (lo := below(d)) is not None:
-            mask[fs.cell(lo)[1]] = False
-        return mask[fs.cell(d)[1]]
-
     def piece(d):
         # the functions on the points that stand for the basis of the piece
         # at d, and their pivots: the rows of V_d's RREF cell at the pivots
-        # that the cell below lacks, all of V(t-1, 0) at (t-1, 0); at t = 0
-        # z's flag stores them as its block at d where it holds one
-        if t == 0 and (block := fs.block(d, along_row=z == n + 1)) is not None:
-            return block
-        basis, pivots = fs.cell(d)
-        return basis[fresh(d)], pivots[fresh(d)]
+        # that the cell below lacks, all of V(t-1, 0) at (t-1, 0)
+        return fs.piece(d, below(d))
 
     def build(var, d, funcs=None, read=slice(None)):
         # var times the rows of funcs, reduced modulo the cell below the
@@ -688,13 +679,6 @@ class BettiTable:
                            "window": list(self.window), "kmax": self.kmax,
                            "boundary_clean": self.boundary_clean,
                            "entries": rows}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        data = json.loads(text)
-        entries = {(r["k"], r["i"], r["j"]): r["beta"] for r in data["entries"]}
-        return cls(data["n"], data["m"], tuple(data["window"]), entries,
-                   data["kmax"], data["boundary_clean"])
 
 
 @cache

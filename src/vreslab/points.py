@@ -259,14 +259,6 @@ class PointSet:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PointSet":
-        data = json.loads(text)
-        xs = [pt[0] for pt in data["points"]]
-        ys = [pt[1] for pt in data["points"]]
-        return cls(data["n"], data["m"], data["p"], np.array(xs), np.array(ys),
-                   seed=data.get("seed"))
-
 
 @lru_cache(maxsize=1024)
 def min_cover_degree(N: int, b: int) -> int:
@@ -386,11 +378,12 @@ class FunctionSpaces:
     clamped to the box, built the first time any window reads it and
     memoized on its flag.  The basis and pivots are read-only; all
     saturated cells (dimension N) share the identity basis with pivots
-    ``arange(N)``.  ``block(d)`` reads the flags' blocks: the rows of cell
-    (i, j) at the pivots that cell (i-1, j) lacks are block i of column j's
-    flag, and along row 0 the rows of cell (0, j) at the pivots that cell
-    (0, j-1) lacks are block j of the row flag, as a merge keeps the
-    block's rows.
+    ``arange(N)``.  ``piece(d, lo)`` is the one reader of a piece V_d / V_lo
+    for a cell ``lo`` below d: the rows of cell d at the pivots that cell
+    ``lo`` lacks.  Those of cell (i, j) over cell (i-1, j) are block i of
+    column j's flag, and those of cell (0, j) over cell (0, j-1) block j of
+    the row flag, as a merge keeps the block's rows; so where the flag
+    stores that block, the reader returns it, and elsewhere reads the cells.
     """
 
     box: tuple[int, int]
@@ -400,25 +393,26 @@ class FunctionSpaces:
     def cell(self, d: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _cell(self._ps, (min(d[0], self.box[0]), min(d[1], self.box[1])))
 
-    def block(self, d: tuple[int, int], along_row: bool = False) -> tuple | None:
-        """The flag block at d, as (rows, pivots), or None where no block is
-        stored.  In a column it is block i of column j's flag (clamped to
-        the box), the rows that V(i,j) adds to V(i-1,j), and at i = 0 the
-        cell (0, j); ``along_row`` reads block j of row 0's flag, the rows
-        that V(0,j) adds to V(0,j-1), at i = 0.  The rows are the identity at
-        their pivots and zero at every pivot of the cell before them, and a
-        merge keeps them as the rows of cell d at its fresh pivots.  None
-        past the flag's end and, in a column, from the row at which its left
-        neighbour saturates it, as no step builds a block there."""
-        ps = self._ps
-        if along_row:
-            flag, k = ps._row, d[1]
-        else:
-            j, k = min(d[1], self.box[1]), d[0]
-            if not k:
-                return self.cell((0, j))
-            flag = ps._columns[j]
-        return flag.blocks[k] if k < len(flag.blocks) else None
+    def piece(self, d: tuple[int, int], lo: tuple[int, int] | None) -> tuple:
+        """The rows of cell d at the pivots that cell ``lo`` lacks, with
+        those pivots, as (rows, pivots); the whole cell when ``lo`` is None.
+        Where ``lo`` is d's predecessor on a flag, (i-1, j) in column j or
+        (0, j-1) along row 0 at i = 0, and the flag stores a block at d, it
+        is that block, as a merge keeps the block's rows.  Past the flag's
+        end, and in a column from the row at which its left neighbour
+        saturates it, no step builds a block, and the rows are read off the
+        cells, clamped to the box."""
+        if lo is None:
+            return self.cell(d)
+        ps, (i, j), c = self._ps, d, min(d[1], self.box[1])
+        blocks, k = ((ps._columns[c].blocks, i) if lo == (i - 1, j) and c < len(ps._columns)
+                     else (ps._row.blocks, j) if lo == (0, j - 1) and not i else ((), 0))
+        if k < len(blocks):
+            return blocks[k]
+        (basis, pivots), mask = self.cell(d), np.ones(ps.N, dtype=bool)
+        mask[self.cell(lo)[1]] = False
+        fresh = mask[pivots]
+        return basis[fresh], pivots[fresh]
 
     def hilbert(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """dim V(i,j) for i in ``rows`` and j in ``cols``, through the clamp
@@ -487,38 +481,31 @@ def _flag_step(flag: _Flag, p: int) -> None:
     rank B spans every residue, and its RREF is the block.  Every residue
     is eliminated instead when the subset has fewer than B rows, or no
     fewer rows than the residues, and after it when its rank falls short
-    of B.  Along a P^1 factor the product is taken over the rows cut to B
-    alone, in two dimensions.
+    of B.
     """
     rows, pivots = flag.blocks[-1]
     (r, N), vals = rows.shape, flag.values.T[1:]
     b, room = len(vals), N - flag.dims[-1]
+    # widths[s] = g * C(k + s, s): the degree-k monomials in the last
+    # s + 1 variables times V(0, j), which sum to g * C(k + b, b - 1)
+    k, widths = len(flag.blocks) - 1, [flag.dims[0]]
+    for s in range(1, b):
+        widths.append(widths[-1] * (k + s) // s)
+    bound = min(room, sum(widths))
+    takes = [r] + [min(r, w) for w in widths[-2::-1]]
+    # a subset of fewer than B rows would fall short
+    proper = bound < b * r and bound <= sum(takes)
     # factors in (-p, p) times rows in [0, p): below 2**52, exact in int64;
-    # rref reduces them mod p in the one copy it makes of its input
-    if b == 1:
-        # B = min(N - d, g) and r <= g, so the subset is the first B residues
-        size = min(room, r)
-        v = vals[0]
-        R, fresh = rref((v - v[pivots[:size], None]) * rows[:size], p)
-        if len(fresh) < size < r:
-            R, fresh = rref((v - v[pivots, None]) * rows, p)
-    else:
-        # widths[s] = g * C(k + s, s): the degree-k monomials in the last
-        # s + 1 variables times V(0, j), which sum to g * C(k + b, b - 1)
-        k, widths = len(flag.blocks) - 1, [flag.dims[0]]
-        for s in range(1, b):
-            widths.append(widths[-1] * (k + s) // s)
-        bound = min(room, sum(widths))
-        takes = [r] + [min(r, w) for w in widths[-2::-1]]
-        # a subset of fewer than B rows would fall short
-        proper = bound < b * r and bound <= sum(takes)
-        products = (vals[:, None, :] - vals[:, pivots, None]) * rows
-        if proper:
-            subset = np.concatenate([products[l, r - c:] for l, c in enumerate(takes)])
-            R, fresh = rref(subset[:bound], p)
-        if not proper or len(fresh) < bound:
-            # every residue: no proper subset, or one that falls short of B
-            R, fresh = rref(products.reshape(-1, N), p)
+    # rref reduces them mod p in the one copy it makes of its input; take
+    # reads the pivot columns of the strided view in a third to a half of
+    # an index's time at b >= 2
+    products = (vals[:, None, :] - vals.take(pivots, 1)[:, :, None]) * rows
+    if proper:
+        subset = np.concatenate([products[l, r - c:] for l, c in enumerate(takes)])
+        R, fresh = rref(subset[:bound], p)
+    if not proper or len(fresh) < bound:
+        # every residue: no proper subset, or one that falls short of B
+        R, fresh = rref(products.reshape(-1, N), p)
     flag.blocks.append((R[: len(fresh)], np.array(fresh, dtype=np.int64)))
     flag.dims.append(flag.dims[-1] + len(fresh))
 

@@ -156,12 +156,6 @@ class FreeComplexShape:
         return json.dumps({"stages": rows}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FreeComplexShape":
-        data = json.loads(text)
-        return cls(tuple({(r["i"], r["j"]): r["mult"] for r in stage}
-                         for stage in data["stages"]))
-
-    @classmethod
     def from_betti(cls, bt) -> "FreeComplexShape":
         """The table's stages, k = 0 up to its top stage."""
         by_stage = {}

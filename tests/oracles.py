@@ -39,6 +39,8 @@ exponent lookup (``monomial_row``), not by the ranking of
 are small readings of library tables: ``int_matrix_at``, ``betti_entry``,
 ``shape_length``, ``signed_collapse``, the stage totals, ``pretty``,
 ``int_matrix_from_csv``, ``matrix_diff_report``, ``quotient_dim``,
+the JSON readers ``point_set_from_json``, ``betti_table_from_json`` and
+``shape_from_json``, which invert the library's ``to_json`` writers,
 ``poly_mult_matrix`` and ``beta1_table``; ``stack_rows``, which
 stacks row blocks that may be empty; and ``x_fibers``, the points grouped
 by x-part, which ``decomposition_check_in_full`` evaluates one fiber at a
@@ -47,6 +49,7 @@ time.  Integer tables are 2-D int64 arrays, as in the library.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations
@@ -647,6 +650,30 @@ def pretty(shape: FreeComplexShape) -> str:
             terms.append(term if c == 1 else term + "^%d" % c)
         parts.append(" + ".join(terms) if terms else "0")
     return "\n  <- ".join(parts + ["0"])
+
+
+def point_set_from_json(text: str) -> PointSet:
+    """The point set that ``PointSet.to_json`` wrote."""
+    data = json.loads(text)
+    xs = [pt[0] for pt in data["points"]]
+    ys = [pt[1] for pt in data["points"]]
+    return PointSet(data["n"], data["m"], data["p"], np.array(xs), np.array(ys),
+                    seed=data.get("seed"))
+
+
+def betti_table_from_json(text: str) -> BettiTable:
+    """The table that ``BettiTable.to_json`` wrote."""
+    data = json.loads(text)
+    entries = {(r["k"], r["i"], r["j"]): r["beta"] for r in data["entries"]}
+    return BettiTable(data["n"], data["m"], tuple(data["window"]), entries,
+                      data["kmax"], data["boundary_clean"])
+
+
+def shape_from_json(text: str) -> FreeComplexShape:
+    """The shape that ``FreeComplexShape.to_json`` wrote."""
+    data = json.loads(text)
+    return FreeComplexShape(tuple({(r["i"], r["j"]): r["mult"] for r in stage}
+                                  for stage in data["stages"]))
 
 
 def int_matrix_from_csv(text: str) -> np.ndarray:

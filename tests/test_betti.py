@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from vreslab import betti
 from vreslab.betti import (
-    BettiTable,
     WindowTooSmall,
     betti_box,
     betti_numbers,
@@ -61,6 +60,7 @@ from oracles import (
     beta1_from_ideal,
     beta1_table,
     betti_entry,
+    betti_table_from_json,
     betti_total_by_stage,
     ideal_pieces_from_generators,
     intersected_presentation_in_full,
@@ -370,7 +370,7 @@ class TestTableApi:
 
     def test_json_roundtrip(self):
         bt = betti_numbers(point_presentation(one_point(), (3, 4)))
-        back = BettiTable.from_json(bt.to_json())
+        back = betti_table_from_json(bt.to_json())
         assert back.entries == bt.entries
         assert back.window == bt.window
         assert back.kmax == bt.kmax
@@ -1187,6 +1187,23 @@ def test_row_quotient_y_maps_take_no_product(monkeypatch):
         for j in steps:
             quotient.map(var, (t, j))
     assert steps and not calls
+
+
+def test_rows_above_t_read_the_column_blocks():
+    # on P^1 at t = 1 < r_x the presentation is modulo x0, and the piece
+    # at (i, j) for i > t is V(i, j) over V(i-1, j): block i of column j's
+    # flag, read as it is stored wherever the flag holds it
+    ps = random_points(1, 2, 20, seed=1, require_generic=True)
+    t, (rx, ry) = 1, regularity_box(ps)
+    assert t < rx
+    pres = intersected_presentation(ps, t, betti.betti_box(ps, t))
+    read = 0
+    for i, j in np.ndindex(pres.dims.shape):
+        blocks = ps._columns[min(j, ry)].blocks
+        if 0 < i and t + i < len(blocks):
+            assert pres._piece((t + i, j)) is blocks[t + i]
+            read += 1
+    assert read
 
 
 class TestCollapseIdentity:

@@ -47,12 +47,10 @@ def _definitions(path):
     used where ``.name`` occurs, any other name where it occurs as a whole
     word."""
     tree = ast.parse(path.read_text())
-    members = {}
+    members = set()
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
-            names = {node.name for node in cls.body if isinstance(node, FUNCTIONS)}
-            members.update((node, names) for node in cls.body
-                           if isinstance(node, FUNCTIONS))
+            members.update(node for node in cls.body if isinstance(node, FUNCTIONS))
             if _is_dataclass(cls):
                 for node in cls.body:
                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -64,11 +62,8 @@ def _definitions(path):
             continue
         if node.name.startswith("__") and node.name.endswith("__"):
             continue
-        if node not in members:
-            yield node.name, node.lineno, rf"\b{re.escape(node.name)}\b"
-        elif not (node.name == "from_json" and "to_json" in members[node]):
-            # a from_json reader stays next to its to_json writer
-            yield node.name, node.lineno, rf"\.{re.escape(node.name)}\b"
+        prefix = r"\." if node in members else r"\b"
+        yield node.name, node.lineno, rf"{prefix}{re.escape(node.name)}\b"
 
 
 def test_every_library_name_is_named_outside_its_definition():

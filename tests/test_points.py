@@ -49,6 +49,7 @@ from oracles import (
     int_matrix_at,
     intersected_piece,
     is_generic_on_window,
+    point_set_from_json,
     x_fibers,
     y0_nonzerodivisor,
 )
@@ -106,7 +107,7 @@ class TestPointSetValidation:
 
     def test_json_roundtrip(self):
         ps = random_points(1, 2, 4, seed=5)
-        back = PointSet.from_json(ps.to_json())
+        back = point_set_from_json(ps.to_json())
         assert np.array_equal(back.xs, ps.xs)
         assert np.array_equal(back.ys, ps.ys)
         assert back.seed == ps.seed
@@ -637,6 +638,27 @@ def test_flag_cells_equal_rref_of_evaluation_past_the_box(ps):
         assert H[d] == len(piv)
         assert np.array_equal(V, R[: len(piv)])
         assert pivots.tolist() == piv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(point_sets, fibered_sets(), grid_sets(), shared_part_sets()))
+@example(fibered_633())
+@example(random_points(1, 2, 12, seed=3, require_generic=True))
+def test_piece_is_the_cell_at_the_pivots_the_lower_cell_lacks(ps):
+    """``piece(d, lo)`` against the cells, on a window one past the box:
+    whether it returns a flag's stored block or reads the cells, its rows
+    are those of cell d at the pivots missing from cell ``lo``."""
+    rx, ry = points_module.regularity_box(ps)
+    fs = function_space_bases(ps, (rx + 1, ry + 1))
+    for i, j in np.ndindex(rx + 2, ry + 2):
+        basis, pivots = fs.cell((i, j))
+        for lo in (None, (i - 1, j), (i, j - 1), (0, j - 1)):
+            if lo is not None and min(lo) < 0:
+                continue
+            fresh = ~np.isin(pivots, fs.cell(lo)[1]) if lo else np.ones(len(pivots), bool)
+            rows, cols = fs.piece((i, j), lo)
+            assert np.array_equal(rows, basis[fresh])
+            assert np.array_equal(cols, pivots[fresh])
 
 
 class TestLineFlags:

@@ -42,6 +42,7 @@ from oracles import (
     intersected_presentation_in_full,
     koszul_homology,
     pretty,
+    shape_from_json,
     shape_length,
     stored_pair_shape,
     total_by_stage,
@@ -453,7 +454,7 @@ class TestBeta2Rows:
 class TestShapeApi:
     def test_json_roundtrip(self):
         s = predicted_pair_shape(7)
-        assert FreeComplexShape.from_json(s.to_json()) == s
+        assert shape_from_json(s.to_json()) == s
 
     def test_pretty(self):
         assert pretty(predicted_pair_shape(6)) == (
